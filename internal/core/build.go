@@ -73,6 +73,22 @@ type builder[T wire.Scalar] struct {
 	idScratch    []knng.ID     // applyTask bulk-update buffers
 	dScratch     []float32
 
+	// data and byRef let the vector-carrying messages (msg.InitReq,
+	// msg.Type2) travel by reference: the sender materializes only the
+	// message head and charges the full encoded size
+	// (ygm.Comm.AsyncCharged), the receiver resolves the vector as
+	// data[id] and the pool aliases that row instead of copying it.
+	// Every counter and the result are bit-identical to the byte path.
+	//
+	// data is the receiver side: the whole dataset by global ID, set
+	// BEFORE the collective decision whenever this rank could resolve a
+	// head-only record, so a faster rank's first requests are readable
+	// even while this rank still waits for the result; it is cleared
+	// when the world settles on bytes. byRef is the sender side, set
+	// only once every rank is known to be able (see byReference).
+	data  [][]T
+	byRef bool
+
 	// vecs are the candidate-vector views the check phase evaluates
 	// against: panel-blocked contiguous copies on the hot path (one
 	// slab, prefetch-friendly candidate walks), the caller's original
@@ -235,10 +251,12 @@ func BuildIncrementalKernel[T wire.Scalar](c *ygm.Comm, shard *Shard[T], kern me
 		b.pool.Shutdown()
 	}()
 
-	res := &Result{K: cfg.K, N: shard.N, Workers: b.pool.Workers()}
-
 	b.warm = prior
 	b.dead = dead
+	b.byReference()
+
+	res := &Result{K: cfg.K, N: shard.N, Workers: b.pool.Workers()}
+
 	b.initGraph()
 
 	threshold := int64(cfg.Delta * float64(cfg.K) * float64(shard.N))
@@ -276,6 +294,44 @@ func BuildIncrementalKernel[T wire.Scalar](c *ygm.Comm, shard *Shard[T], kern me
 	// their transports (important for multi-process TCP worlds).
 	c.Barrier()
 	return res, nil
+}
+
+// byReference decides, collectively, whether feature vectors travel by
+// reference in this build: only when every rank shares the address
+// space on the in-memory transport AND holds the whole dataset (a
+// Partition shard). One rank that cannot — a NewShard shard, any TCP
+// comm — puts the whole world on the byte path, since sender and
+// receiver must agree on what a record contains. The Conservative
+// oracle always materializes. The reduction is control traffic: not
+// counted, and a no-op on one rank.
+//
+// Ranks leave the reduction at different times, and its wait loop
+// dispatches application handlers, so a released rank's first head-only
+// requests can reach a rank that has not seen the result yet (they can
+// even overtake it). Hence the order below: b.data — all a receiver
+// needs — is in place before the reduction starts, and everything the
+// handlers touch (pool, lists, norms) was set up before the call. A
+// head-only record can only come from a rank that saw "all can", which
+// implies this rank can.
+func (b *builder[T]) byReference() {
+	if !b.cfg.Conservative && b.c.InProcess() {
+		b.data = b.shard.data
+	}
+	can := int64(0)
+	if b.data != nil {
+		can = 1
+	}
+	b.byRef = b.c.AllReduceMin(can) == 1
+	if !b.byRef {
+		b.data = nil
+	}
+}
+
+// asyncByRef sends a vector-carrying message by reference: head holds
+// the encoded message head, and the record is charged what head plus
+// the encoded vec would have occupied on the wire.
+func (b *builder[T]) asyncByRef(dest int, h ygm.HandlerID, head *wire.Writer, vec []T) {
+	b.c.AsyncCharged(dest, h, head.Bytes(), head.Len()+wire.VectorBytes[T](len(vec)))
 }
 
 // finalList returns vertex i's final neighbors sorted by distance,
@@ -336,12 +392,12 @@ func (b *builder[T]) localIndex(id knng.ID) int {
 // when available; all paths are bit-identical by the metric.Kernel
 // contract, so neither the Conservative flag nor the worker count can
 // change any distance.
-func (b *builder[T]) stageDist(kind uint8, key knng.ID, query []T, m engine.Cand, j int) {
+func (b *builder[T]) stageDist(kind uint8, key knng.ID, query []T, stable bool, m engine.Cand, j int) {
 	var norm float32
 	if b.norms != nil {
 		norm = b.norms[j]
 	}
-	b.pool.StageCompute(kind, key, query, m, b.vecs[j], norm, b.norms != nil)
+	b.pool.StageCompute(kind, key, query, stable, m, b.vecs[j], norm, b.norms != nil)
 }
 
 // phaseWriter returns the writer for a phase's emit loop: the builder's
@@ -380,16 +436,31 @@ func (b *builder[T]) handlerReader(p []byte) *wire.Reader {
 	return b.r
 }
 
-// getVec decodes a wire vector: a borrowed view / reused scratch on the
-// hot path (valid only within the current handler, which is all the
-// callers need), a fresh copy in Conservative mode.
-func (b *builder[T]) getVec(r *wire.Reader) []T {
+// getVec yields the feature vector of a message about vertex id whose
+// head r has just decoded, and whether it is stable storage. A record
+// that ends at its head travelled by reference: the vector is the
+// dataset row, stable for the whole build, which the pool may alias.
+// Otherwise it is decoded off the wire: a borrowed view / reused
+// scratch on the hot path (valid only within the current handler, so
+// the pool must copy it), a fresh copy in Conservative mode. The shape
+// is read off the record rather than off this rank's view of the
+// collective decision (see byReference), but once that is known a
+// record of the other shape — full when the world sends heads, head-only
+// when it sends bytes — is left to fail the caller's r.Finish() check
+// (trailing bytes, short buffer) instead of being mis-read.
+func (b *builder[T]) getVec(r *wire.Reader, id knng.ID) (vec []T, stable bool) {
+	if b.data != nil && r.Err() == nil && r.Remaining() == 0 {
+		return b.data[id], true
+	}
+	if b.byRef {
+		return nil, false
+	}
 	if b.cfg.Conservative {
-		return wire.GetVector[T](r)
+		return wire.GetVector[T](r), false
 	}
 	v, scratch := wire.GetVectorBorrow(r, b.vecScratch)
 	b.vecScratch = scratch
-	return v
+	return v, false
 }
 
 // beginVisit starts a fresh generation of the builder's shared visited

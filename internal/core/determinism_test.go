@@ -24,13 +24,7 @@ import (
 func buildKernelOnWorld[T wire.Scalar](t *testing.T, nranks int, data [][]T, kind metric.Kind, cfg Config) *Result {
 	t.Helper()
 	if cfg.Workers == 0 {
-		if s := os.Getenv("DNND_TEST_WORKERS"); s != "" {
-			n, err := strconv.Atoi(s)
-			if err != nil {
-				t.Fatalf("bad DNND_TEST_WORKERS=%q: %v", s, err)
-			}
-			cfg.Workers = n
-		}
+		cfg.Workers = envWorkers(t)
 	}
 	kern, err := metric.KernelFor[T](kind)
 	if err != nil {
@@ -59,6 +53,21 @@ func buildKernelOnWorld[T wire.Scalar](t *testing.T, nranks int, data [][]T, kin
 		t.Fatal("no gathered graph on rank 0")
 	}
 	return root
+}
+
+// envWorkers is the DNND_TEST_WORKERS pool width, or 0 (the default
+// width) when unset.
+func envWorkers(t *testing.T) int {
+	t.Helper()
+	s := os.Getenv("DNND_TEST_WORKERS")
+	if s == "" {
+		return 0
+	}
+	n, err := strconv.Atoi(s)
+	if err != nil {
+		t.Fatalf("bad DNND_TEST_WORKERS=%q: %v", s, err)
+	}
+	return n
 }
 
 // assertIdenticalResults demands bit-level equality of everything the

@@ -124,6 +124,14 @@ func (b *builder[T]) applyType1(c *engine.Cand) {
 		b.c.Async(b.owner(c.B), b.hType2, w.Bytes())
 		return
 	}
+	if b.byRef {
+		// By reference: only the head exists; owner(u2) reads the vector
+		// as data[u1]. Charged exactly what the encode below would send.
+		w := b.replyWriter(16)
+		m.EncodeHead(w)
+		b.asyncByRef(b.owner(c.B), b.hType2, w, vec)
+		return
+	}
 	// Type 2 dominates the build's traffic (it carries a feature
 	// vector per check pair), so it encodes straight into the comm's
 	// aggregation buffer — one copy instead of scratch-then-enqueue.
@@ -145,7 +153,8 @@ func (b *builder[T]) onType2(p []byte) {
 	r := b.handlerReader(p)
 	var m msg.Type2[T]
 	m.DecodeHead(r)
-	m.Vec = b.getVec(r)
+	var stable bool
+	m.Vec, stable = b.getVec(r, m.U1)
 	if r.Finish() != nil {
 		panic("core: bad type2")
 	}
@@ -163,7 +172,7 @@ func (b *builder[T]) onType2(p []byte) {
 			c.Aux = far
 		}
 	}
-	b.stageDist(taskType2, m.U1, m.Vec, c, j)
+	b.stageDist(taskType2, m.U1, m.Vec, stable, c, j)
 }
 
 func (b *builder[T]) applyType2(c *engine.Cand, d float32) {

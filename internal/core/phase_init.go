@@ -88,6 +88,11 @@ func (b *builder[T]) initGraph() {
 			need--
 			w.Reset()
 			m := msg.InitReq[T]{V: v, U: u, Vec: vec}
+			if b.byRef {
+				m.EncodeHead(w)
+				b.asyncByRef(b.owner(u), b.hInitReq, w, vec)
+				continue
+			}
 			m.Encode(w)
 			b.c.Async(b.owner(u), b.hInitReq, w.Bytes())
 		}
@@ -98,11 +103,12 @@ func (b *builder[T]) onInitReq(p []byte) {
 	r := b.handlerReader(p)
 	var m msg.InitReq[T]
 	m.DecodeHead(r)
-	m.Vec = b.getVec(r)
+	var stable bool
+	m.Vec, stable = b.getVec(r, m.V)
 	if r.Finish() != nil {
 		panic("core: bad init request")
 	}
-	b.stageDist(taskInitReq, m.V, m.Vec, engine.Cand{A: m.V, B: m.U}, b.localIndex(m.U))
+	b.stageDist(taskInitReq, m.V, m.Vec, stable, engine.Cand{A: m.V, B: m.U}, b.localIndex(m.U))
 }
 
 // applyInitReq sends the computed init distances back to the querier.

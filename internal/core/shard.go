@@ -36,6 +36,13 @@ type Shard[T wire.Scalar] struct {
 	// Vecs holds the owned feature vectors, parallel to IDs.
 	Vecs [][]T
 
+	// data is the whole dataset, indexed by global ID, when the shard
+	// was cut from it by Partition; nil for NewShard shards, which know
+	// only their own rows. When every rank of an in-process world has it,
+	// the build ships feature vectors by reference (see
+	// builder.data).
+	data [][]T
+
 	index map[knng.ID]int
 	// dense is the O(1) ID→shard-index table the hot path uses in
 	// place of the map: dense[id] is the shard index of an owned id,
@@ -61,10 +68,13 @@ func (s *Shard[T]) ensureDense() {
 }
 
 // Partition splits a full dataset into the shard owned by rank. Every
-// rank of a world calls this with the same data (or loads only its
-// rows via PartitionIDs); ownership is by ID hash, as in DNND.
+// rank of a world calls this with the same data (or assembles only its
+// rows with NewShard); ownership is by ID hash, as in DNND. The shard
+// keeps a reference to data, and an in-process build reads its rows
+// throughout, so data must not be modified while a build that uses
+// the shard is running.
 func Partition[T wire.Scalar](data [][]T, rank, nranks int) *Shard[T] {
-	s := &Shard[T]{N: len(data), index: make(map[knng.ID]int)}
+	s := &Shard[T]{N: len(data), data: data, index: make(map[knng.ID]int)}
 	for i, v := range data {
 		id := knng.ID(i)
 		if Owner(id, nranks) != rank {

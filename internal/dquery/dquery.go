@@ -164,13 +164,26 @@ func (e *Engine[T]) Run(queries [][]T, opt Options) ([][]knng.Neighbor, Stats, e
 	e.opt = opt
 	e.queries = queries
 	e.states = make(map[int]*qstate[T])
+	if e.c.Rank() == gatherRoot {
+		// Allocated before any traffic, not in gather: a rank that leaves
+		// the last superstep's reduction first sends its results while
+		// the root may still be draining inside that reduction.
+		e.gathered = make([][]knng.Neighbor, len(queries))
+	}
+	// Baseline for the incremental per-wave attribution: taken before
+	// any rank can seed (a released peer's seeds may be served while
+	// this rank is still inside the quiescence point below), so wave
+	// 1's delta covers the whole seeding fan-out.
+	prevLocal := e.eng.LocalMessageStats()
+	var perStep [][]engine.MessageStat
+	// Every rank must have registered the dq.* handlers (New) before any
+	// rank seeds: a rank released from the previous phase's last barrier
+	// would otherwise send to a slower rank still draining inside it
+	// (see ygm.Comm.Register).
+	e.phQuery.Drain()
 	rng := rand.New(rand.NewSource(opt.Seed*31 + int64(e.c.Rank())))
 
 	n := e.shard.N
-	// Baseline for the incremental per-wave attribution: taken before
-	// the seeding fan-out so wave 1's delta covers it.
-	prevLocal := e.eng.LocalMessageStats()
-	var perStep [][]engine.MessageStat
 
 	// Seed every home-owned query.
 	e.phQuery.Local(func() {
@@ -222,7 +235,7 @@ func (e *Engine[T]) Run(queries [][]T, opt Options) ([][]knng.Neighbor, Stats, e
 
 	// Gather before the collective stats so the result traffic shows
 	// up in the per-message catalog.
-	results := e.gather(len(queries))
+	results := e.gather()
 	stats := Stats{
 		DistEvals:    e.c.AllReduceSum(e.distEvals),
 		Expansions:   e.c.AllReduceSum(e.expansions),
@@ -420,19 +433,19 @@ func (e *Engine[T]) onDistResp(p []byte) {
 	}
 }
 
-// gather ships every finished query's result list to rank 0.
-func (e *Engine[T]) gather(nq int) [][]knng.Neighbor {
-	const root = 0
+// gatherRoot is the rank results are gathered on.
+const gatherRoot = 0
+
+// gather ships every finished query's result list to the gather root
+// (whose receive table Run allocated up front).
+func (e *Engine[T]) gather() [][]knng.Neighbor {
 	e.phGather.Local(func() {
-		if e.c.Rank() == root {
-			e.gathered = make([][]knng.Neighbor, nq)
-		}
 		for qid, q := range e.states {
 			ns := q.results.Sorted()
 			w := wire.NewWriter(8 + 8*len(ns))
 			m := msg.QResult{QID: uint32(qid), Neighbors: ns}
 			m.Encode(w)
-			e.c.Async(root, e.hResult, w.Bytes())
+			e.c.Async(gatherRoot, e.hResult, w.Bytes())
 		}
 	})
 	e.phGather.Drain()

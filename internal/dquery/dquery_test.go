@@ -228,3 +228,24 @@ func TestBeamWidthTradeoff(t *testing.T) {
 		t.Errorf("wider beam did not reduce supersteps: %d vs %d", wide.Supersteps, narrow.Supersteps)
 	}
 }
+
+// TestQueryAfterBuildRegistrationStress hammers the hand-over from one
+// protocol to the next on a shared comm: a rank released from Build's
+// final barrier registers the dq.* handlers and seeds its queries while
+// a slower rank may still be draining inside that barrier with those
+// handler IDs unknown ("received unknown handler" in dispatch). Run
+// opens with a quiescence point so every rank has registered before any
+// rank sends; many short Build → New → Run hand-overs on three ranks
+// give the overtaking schedule a chance to occur (scripts/ci.sh repeats
+// it under the race detector, whose slowdown widens the window).
+func TestQueryAfterBuildRegistrationStress(t *testing.T) {
+	data := clusteredData(21, 150, 6)
+	queries := data[:9]
+	const k = 6
+	for iter := 0; iter < 40; iter++ {
+		res, _ := runDistributedQueries(t, 3, data, queries, k, Options{L: 3, Epsilon: 0.1, Seed: int64(iter)})
+		if len(res) != len(queries) {
+			t.Fatalf("iteration %d: %d results for %d queries", iter, len(res), len(queries))
+		}
+	}
+}

@@ -24,11 +24,12 @@ import (
 //   - Message handlers never touch application state and never send.
 //     They only decode and STAGE: append a candidate to a task on a
 //     FIFO ring, coalescing consecutive records that share (kind,
-//     sender) into one task so the sender's query vector is copied
-//     once and evaluated as a batch.
+//     sender) into one task so the sender's query vector is staged
+//     once (copied, or aliased when it is a stable dataset row) and
+//     evaluated as a batch.
 //   - Workers CLAIM sealed compute tasks and fill in the distances via
 //     the Eval callback. They see only immutable inputs (the staged
-//     query copy, vector views, cached norms) and the task-local
+//     query, vector views, cached norms) and the task-local
 //     output slice; they never touch the Comm, application state, or
 //     the RNG.
 //   - The owning rank goroutine APPLIES tasks strictly in submission
@@ -96,11 +97,16 @@ type Task[T wire.Scalar] struct {
 	state   atomic.Uint64
 	compute bool
 	seq     int64 // staging sequence number (drives kernel-time sampling)
+	qbuf    []T   // slab-backed private buffer behind copied queries
 
-	Kind  uint8
-	Key   uint32 // coalescing key: the sender vertex whose vector is the query
-	Query []T    // staged copy of the query vector (handler views are transient)
-	Vecs  [][]T  // candidate vectors; alias stable storage (immutable)
+	Kind uint8
+	Key  uint32 // coalescing key: the sender vertex whose vector is the query
+	// Query is the staged query vector: either qbuf holding a copy of a
+	// transient handler view, or a capacity-clipped alias of the
+	// caller's stable storage. The pool only ever assigns it — it never
+	// appends into it — so an aliased row cannot be written through it.
+	Query []T
+	Vecs  [][]T // candidate vectors; alias stable storage (immutable)
 	norms []float32
 	Meta  []Cand
 	Dists []float32
@@ -390,7 +396,7 @@ func (p *Pool[T]) allocTask() *Task[T] {
 		dists := make([]float32, blk*sc)
 		for i := range ts {
 			t := &ts[i]
-			t.Query = queries[i*dim : i*dim : (i+1)*dim]
+			t.qbuf = queries[i*dim : i*dim : (i+1)*dim]
 			t.Vecs = vecs[i*sc : i*sc : (i+1)*sc]
 			t.Meta = metas[i*bc : i*bc : (i+1)*bc]
 			t.norms = norms[i*sc : i*sc : (i+1)*sc]
@@ -419,7 +425,7 @@ func (p *Pool[T]) newTask(kind uint8, key uint32, compute bool) *Task[T] {
 	t.Key = key
 	t.compute = compute
 	t.seq = p.tasksStaged
-	t.Query = t.Query[:0]
+	t.Query = nil
 	t.Vecs = t.Vecs[:0]
 	t.norms = t.norms[:0]
 	t.Meta = t.Meta[:0]
@@ -457,15 +463,23 @@ func (p *Pool[T]) sealTail() {
 }
 
 // StageCompute appends a distance evaluation (query vs vec) to the
-// ring, coalescing with the open tail when kind and key match. The
-// query slice may be a transient decode view; it is copied on first
-// use. vec must alias stable storage (the shard). norm is staged when
-// hasNorm; mixed-norm tasks disable the norms fast path for safety.
-func (p *Pool[T]) StageCompute(kind uint8, key uint32, query []T, m Cand, vec []T, norm float32, hasNorm bool) {
+// ring, coalescing with the open tail when kind and key match. With
+// stable false the query slice may be a transient decode view; it is
+// copied on first use. With stable true the caller vouches that query
+// is storage that stays valid and unmodified until the task has been
+// applied (a dataset row), and the task aliases it instead. vec must
+// alias stable storage (the shard). norm is staged when hasNorm;
+// mixed-norm tasks disable the norms fast path for safety.
+func (p *Pool[T]) StageCompute(kind uint8, key uint32, query []T, stable bool, m Cand, vec []T, norm float32, hasNorm bool) {
 	t := p.tail(kind, key, true)
 	if t == nil {
 		t = p.newTask(kind, key, true)
-		t.Query = append(t.Query, query...)
+		if stable {
+			t.Query = query[:len(query):len(query)]
+		} else {
+			t.qbuf = append(t.qbuf[:0], query...)
+			t.Query = t.qbuf
+		}
 	}
 	t.Meta = append(t.Meta, m)
 	t.Vecs = append(t.Vecs, vec)
@@ -726,8 +740,11 @@ func (p *Pool[T]) ParallelForWorker(n int, body func(worker, i int)) {
 		w := w
 		wg.Add(1)
 		item := poolItem[T]{fn: func() {
+			// Recover before Done: a deferred Done would run while the
+			// panic is still unwinding, releasing the owner's Wait —
+			// and its checkErr — before the worker has stored the error.
 			defer wg.Done()
-			run(w)
+			p.runSafe(func() { run(w) })
 		}}
 		select {
 		case p.queue <- item:

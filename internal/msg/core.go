@@ -20,9 +20,18 @@ type InitReq[T wire.Scalar] struct {
 }
 
 func (m *InitReq[T]) Encode(w *wire.Writer) {
+	m.EncodeHead(w)
+	wire.PutVector(w, m.Vec)
+}
+
+// EncodeHead encodes everything before the trailing vector — the whole
+// materialized record when the vector travels by reference (an
+// in-process world resolves it as the dataset row of V; see
+// ygm.Comm.AsyncCharged). EncodeHead followed by wire.PutVector is
+// byte-for-byte Encode.
+func (m *InitReq[T]) EncodeHead(w *wire.Writer) {
 	w.Uint32(m.V)
 	w.Uint32(m.U)
-	wire.PutVector(w, m.Vec)
 }
 
 func (m *InitReq[T]) Decode(r *wire.Reader) {
@@ -107,6 +116,13 @@ type Type2[T wire.Scalar] struct {
 }
 
 func (m *Type2[T]) Encode(w *wire.Writer) {
+	m.EncodeHead(w)
+	wire.PutVector(w, m.Vec)
+}
+
+// EncodeHead encodes everything before the trailing vector (see
+// InitReq.EncodeHead; here the by-reference vector is the row of U1).
+func (m *Type2[T]) EncodeHead(w *wire.Writer) {
 	w.Uint32(m.U1)
 	w.Uint32(m.U2)
 	if m.HasBound {
@@ -115,7 +131,6 @@ func (m *Type2[T]) Encode(w *wire.Writer) {
 	} else {
 		w.Uint8(0)
 	}
-	wire.PutVector(w, m.Vec)
 }
 
 func (m *Type2[T]) Decode(r *wire.Reader) {

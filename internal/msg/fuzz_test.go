@@ -43,11 +43,51 @@ func checkCodec(t *testing.T, m codec, data []byte) {
 	}
 }
 
+// headCodec is a vector-carrying message whose head can travel alone
+// (the by-reference form, see InitReq.EncodeHead).
+type headCodec interface {
+	codec
+	EncodeHead(*wire.Writer)
+	DecodeHead(*wire.Reader)
+}
+
+// checkHeadOnly pins how the two record shapes stay apart: a frame that
+// is exactly a head — DecodeHead consumes it cleanly — must be rejected
+// by the full decoder with an ordinary decode error (no panic, no
+// vector conjured from nothing), so a head-only record that strays onto
+// the byte path cannot be mis-read as a message.
+func checkHeadOnly(t *testing.T, m headCodec, data []byte) {
+	t.Helper()
+	r := wire.NewReader(data)
+	m.DecodeHead(r)
+	if r.Finish() != nil {
+		return // not a bare head
+	}
+	full := wire.NewReader(data)
+	m.Decode(full)
+	if full.Finish() == nil {
+		t.Fatalf("%T: full decoder accepted a head-only record %x", m, data)
+	}
+}
+
+// headSeed is a selector-prefixed head-only corpus entry.
+func headSeed(sel byte, m headCodec) []byte {
+	w := wire.NewWriter(16)
+	m.EncodeHead(w)
+	return append([]byte{sel}, w.Bytes()...)
+}
+
 func FuzzCoreMessages(f *testing.F) {
 	// One seed per selector so the corpus reaches every codec.
 	for sel := byte(0); sel < 10; sel++ {
 		f.Add([]byte{sel, 1, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 0, 0, 128, 63})
 	}
+	// Head-only records, as an in-process world sends them.
+	f.Add(headSeed(0, &InitReq[float32]{V: 1, U: 2}))
+	f.Add(headSeed(1, &InitReq[uint8]{V: 1, U: 2}))
+	f.Add(headSeed(5, &Type2[float32]{U1: 1, U2: 2}))
+	f.Add(headSeed(5, &Type2[float32]{U1: 1, U2: 2, HasBound: true, Bound: 0.5}))
+	f.Add(headSeed(6, &Type2[uint8]{U1: 1, U2: 2, HasBound: true, Bound: 0.5}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -56,8 +96,10 @@ func FuzzCoreMessages(f *testing.F) {
 		switch sel % 10 {
 		case 0:
 			checkCodec(t, &InitReq[float32]{}, frame)
+			checkHeadOnly(t, &InitReq[float32]{}, frame)
 		case 1:
 			checkCodec(t, &InitReq[uint8]{}, frame)
+			checkHeadOnly(t, &InitReq[uint8]{}, frame)
 		case 2:
 			checkCodec(t, &InitResp{}, frame)
 		case 3:
@@ -66,8 +108,10 @@ func FuzzCoreMessages(f *testing.F) {
 			checkCodec(t, &Type1{}, frame)
 		case 5:
 			checkCodec(t, &Type2[float32]{}, frame)
+			checkHeadOnly(t, &Type2[float32]{}, frame)
 		case 6:
 			checkCodec(t, &Type2[uint8]{}, frame)
+			checkHeadOnly(t, &Type2[uint8]{}, frame)
 		case 7:
 			checkCodec(t, &Type3{}, frame)
 		case 8:

@@ -112,6 +112,59 @@ func TestCoreMessageLayouts(t *testing.T) {
 		})
 }
 
+// The head of a vector-carrying message is what an in-process world
+// materializes; the vector is charged, not sent (ygm.Comm.AsyncCharged).
+// For the charged size to equal the byte path's, EncodeHead followed by
+// wire.PutVector must be byte-for-byte Encode, and the head itself must
+// keep its hand-rolled layout.
+func TestHeadPlusVectorIsEncode(t *testing.T) {
+	type headEncoder interface {
+		encoder
+		EncodeHead(*wire.Writer)
+	}
+	fvec := []float32{1.5, -2.25, 3}
+	uvec := []uint8{7, 0, 255}
+	bound := math.Float32bits(0.75)
+	cases := []struct {
+		name string
+		m    headEncoder
+		vec  func(w *wire.Writer)
+		head []byte
+	}{
+		{"InitReq[float32]", &InitReq[float32]{V: 9, U: 1002, Vec: fvec},
+			func(w *wire.Writer) { wire.PutVector(w, fvec) },
+			[]byte{9, 0, 0, 0, 0xea, 3, 0, 0}},
+		{"InitReq[uint8]", &InitReq[uint8]{V: 9, U: 1002, Vec: uvec},
+			func(w *wire.Writer) { wire.PutVector(w, uvec) },
+			[]byte{9, 0, 0, 0, 0xea, 3, 0, 0}},
+		{"Type2[float32]", &Type2[float32]{U1: 5, U2: 6, Vec: fvec},
+			func(w *wire.Writer) { wire.PutVector(w, fvec) },
+			[]byte{5, 0, 0, 0, 6, 0, 0, 0, 0}},
+		{"Type2+[float32]", &Type2[float32]{U1: 5, U2: 6, HasBound: true, Bound: 0.75, Vec: fvec},
+			func(w *wire.Writer) { wire.PutVector(w, fvec) },
+			[]byte{5, 0, 0, 0, 6, 0, 0, 0, 1, byte(bound), byte(bound >> 8), byte(bound >> 16), byte(bound >> 24)}},
+		{"Type2[uint8]", &Type2[uint8]{U1: 5, U2: 6, Vec: uvec},
+			func(w *wire.Writer) { wire.PutVector(w, uvec) },
+			[]byte{5, 0, 0, 0, 6, 0, 0, 0, 0}},
+		{"Type2+[uint8]", &Type2[uint8]{U1: 5, U2: 6, HasBound: true, Bound: 0.75, Vec: uvec},
+			func(w *wire.Writer) { wire.PutVector(w, uvec) },
+			[]byte{5, 0, 0, 0, 6, 0, 0, 0, 1, byte(bound), byte(bound >> 8), byte(bound >> 16), byte(bound >> 24)}},
+	}
+	for _, tc := range cases {
+		w := wire.NewWriter(64)
+		tc.m.EncodeHead(w)
+		if !bytes.Equal(w.Bytes(), tc.head) {
+			t.Errorf("%s head drifted:\ngot  %x\nwant %x", tc.name, w.Bytes(), tc.head)
+		}
+		tc.vec(w)
+		full := wire.NewWriter(64)
+		tc.m.Encode(full)
+		if !bytes.Equal(w.Bytes(), full.Bytes()) {
+			t.Errorf("%s: EncodeHead+PutVector is not Encode:\ngot  %x\nwant %x", tc.name, w.Bytes(), full.Bytes())
+		}
+	}
+}
+
 func TestDQueryMessageLayouts(t *testing.T) {
 	fvec := []float32{0.5, 2}
 	checkGolden(t, "QStart",

@@ -300,8 +300,13 @@ func TestScatterMergeAndStatus(t *testing.T) {
 		if res.DistEvals != 14 {
 			t.Fatalf("DistEvals = %d, want summed 14", res.DistEvals)
 		}
-		if got := rt.Metrics().CompletedOK.Load(); got != 1 {
-			t.Fatalf("CompletedOK = %d", got)
+		// The router counts a completion after writing the reply, so the
+		// client can hold the result a moment before the counter moves.
+		for deadline := time.Now().Add(2 * time.Second); rt.Metrics().CompletedOK.Load() != 1; {
+			if time.Now().After(deadline) {
+				t.Fatalf("CompletedOK = %d", rt.Metrics().CompletedOK.Load())
+			}
+			time.Sleep(time.Millisecond)
 		}
 	})
 

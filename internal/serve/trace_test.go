@@ -176,13 +176,21 @@ func TestServeMetricsOp(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	raw, err := c.MetricsJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The server records a query's metrics after writing its reply, so
+	// a scrape sent straight after the reply can overtake them: poll.
 	var dump obs.FullDump
-	if err := json.Unmarshal(raw, &dump); err != nil {
-		t.Fatalf("metrics reply not a FullDump: %v\n%s", err, raw)
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		raw, err := c.MetricsJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		dump = obs.FullDump{}
+		if err := json.Unmarshal(raw, &dump); err != nil {
+			t.Fatalf("metrics reply not a FullDump: %v\n%s", err, raw)
+		}
+		if dump.Hists["dnnd_serve_latency_usec"].Count == 1 || time.Now().After(deadline) {
+			break
+		}
 	}
 	if dump.Samples[`dnnd_serve_queries_total{status="ok"}`] != 1 {
 		t.Fatalf("query counter missing from dump: %+v", dump.Samples)

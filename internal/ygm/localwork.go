@@ -36,8 +36,11 @@ import (
 // SetLocalWork registers the rank's deferred-work driver. run applies
 // any currently pending work (it may send via Async) and reports
 // whether it did anything; pending reports whether work remains. Both
-// execute on the owning rank goroutine only. Pass (nil, nil) to clear
-// the hook when the phase that staged the work is over.
+// execute on the owning rank goroutine only. Handlers may fire during
+// run's own sends (every pollInterval-th Async drains the mailbox), so
+// run must tolerate new work being staged while it walks its backlog —
+// engine.Pool's applying guard assumes exactly this. Pass (nil, nil)
+// to clear the hook when the phase that staged the work is over.
 func (c *Comm) SetLocalWork(run func() bool, pending func() bool) {
 	c.localWorkRun = run
 	c.localWorkPending = pending

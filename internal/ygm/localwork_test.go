@@ -38,11 +38,15 @@ func (e *deferredEcho) run() bool {
 	if len(e.queue) == 0 {
 		return false
 	}
-	for _, dest := range e.queue {
+	// Swap the queue out before sending: Async's opportunistic drain can
+	// re-enter the ping handler, and replies it stages during this loop
+	// must survive it (see SetLocalWork).
+	batch := e.queue
+	e.queue = nil
+	for _, dest := range batch {
 		e.c.Async(dest, e.hPong, []byte{1})
 		e.egress++
 	}
-	e.queue = e.queue[:0]
 	return true
 }
 
@@ -64,9 +68,14 @@ func TestBarrierWaitsForDeferredLocalWork(t *testing.T) {
 						}
 					}
 					c.Barrier()
-					if e.pending() {
-						return fmt.Errorf("rank %d released from barrier with %d staged replies",
-							c.Rank(), len(e.queue))
+					// Every reply owed for this round's pings has landed:
+					// pongs answer only this rank's own pings, so the
+					// count is exact. (The reply queue itself may already
+					// hold next-round pings from a peer released first —
+					// see Register — so it is not what to assert on.)
+					if want := (round + 1) * pingsPerPeer * c.NRanks(); e.pongs != want {
+						return fmt.Errorf("rank %d released from barrier %d with %d pongs, want %d",
+							c.Rank(), round, e.pongs, want)
 					}
 				}
 				c.SetLocalWork(nil, nil)

@@ -158,7 +158,12 @@ func (t *tcpTransport) readLoop(peer int, conn net.Conn) {
 	}
 }
 
-func (t *tcpTransport) Send(dest int, buf []byte) error {
+func (t *tcpTransport) Send(dest int, buf []byte, elided int) error {
+	if elided != 0 {
+		// Unreachable through Comm (AsyncCharged panics first); a socket
+		// cannot carry bytes that were never materialized.
+		return fmt.Errorf("ygm: tcp transport asked to send a frame with %d elided bytes", elided)
+	}
 	if dest == t.rank {
 		t.mbox.push(delivery{from: t.rank, buf: buf})
 		return nil

@@ -10,8 +10,9 @@ import (
 // World is a set of ranks wired by the in-memory local transport. It is
 // the stand-in for "N compute nodes" in the scaling experiments: each
 // rank runs the SPMD function on its own goroutine, and all inter-rank
-// traffic crosses the same serialize-send-dispatch path the TCP
-// transport uses.
+// traffic crosses the same frame-send-dispatch path the TCP transport
+// uses. Its comms report InProcess, which is what lets a sender elide
+// bytes the receiver can reach through shared memory (AsyncCharged).
 type World struct {
 	comms []*Comm
 }
@@ -23,8 +24,8 @@ type localTransport struct {
 	from  int
 }
 
-func (t *localTransport) Send(dest int, buf []byte) error {
-	t.world.comms[dest].mbox.push(delivery{from: t.from, buf: buf})
+func (t *localTransport) Send(dest int, buf []byte, elided int) error {
+	t.world.comms[dest].mbox.push(delivery{from: t.from, buf: buf, elided: elided})
 	return nil
 }
 
@@ -38,6 +39,7 @@ func NewLocalWorld(n int) *World {
 	w := &World{comms: make([]*Comm, n)}
 	for i := 0; i < n; i++ {
 		w.comms[i] = newComm(i, n)
+		w.comms[i].inProcess = true
 	}
 	for i := 0; i < n; i++ {
 		w.comms[i].tp = &localTransport{world: w, from: i}

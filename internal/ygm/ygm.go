@@ -5,12 +5,23 @@
 // sent by message handlers, processed), and message/byte counters.
 //
 // The paper runs YGM over MPI on an HPC interconnect. Here a "world" of
-// ranks is either a set of goroutines exchanging serialized byte frames
-// through in-memory mailboxes (the local transport) or a set of
-// processes/goroutines connected by a TCP mesh (the tcp transport). In
-// both cases every message crosses a serialization boundary, so message
-// counts and byte volumes — the quantities Figure 4 of the paper
-// reports — are measured on real encoded traffic.
+// ranks is either a set of goroutines exchanging record frames through
+// in-memory mailboxes (the local transport, NewLocalWorld) or a set of
+// processes/goroutines connected by a TCP mesh (the tcp transport).
+//
+// What is counted versus what is materialized: Stats — messages, bytes,
+// per-handler traffic, flushes, mailbox high-water marks, the
+// quantities Figure 4 of the paper reports — is always charged the full
+// encoded size of every message, on both transports. On the TCP
+// transport those bytes also exist: every record is encoded and
+// crosses a socket. In an in-process world a sender may instead use
+// AsyncCharged to materialize only the head of a record and let the
+// receiver reach the bulk (a feature vector) through the shared address
+// space. The charged-but-elided bytes still count toward the flush
+// threshold and the mailbox byte gauges, so frames are cut at the same
+// records and every counter equals the byte path's by construction
+// (core.TestByRefMatchesBytes pins local by-reference ≡ local bytes ≡
+// TCP at one rank, field by field).
 //
 // Concurrency model (mirrors YGM/MPI): each rank is a single logical
 // thread. Handlers only ever execute on the owning rank's goroutine,
@@ -63,11 +74,16 @@ const defaultFlushBytes = 32 << 10
 // mailbox (every pollInterval-th call).
 const pollInterval = 64
 
-// delivery is one batch of records from a single sender.
+// delivery is one batch of records from a single sender. elided is the
+// number of payload bytes the batch was charged for but does not carry
+// (see AsyncCharged); the mailbox gauges count them as if present.
 type delivery struct {
-	from int
-	buf  []byte
+	from   int
+	buf    []byte
+	elided int
 }
+
+func (d delivery) size() int64 { return int64(len(d.buf) + d.elided) }
 
 // mailbox is the multi-producer single-consumer inbound queue of a rank.
 type mailbox struct {
@@ -93,7 +109,7 @@ func newMailbox() *mailbox {
 func (m *mailbox) push(d delivery) {
 	m.mu.Lock()
 	m.q = append(m.q, d)
-	m.curBytes += int64(len(d.buf))
+	m.curBytes += d.size()
 	if len(m.q) > m.peakDepth {
 		m.peakDepth = len(m.q)
 	}
@@ -113,7 +129,7 @@ func (m *mailbox) tryPop() (delivery, bool) {
 	d := m.q[0]
 	m.q[0] = delivery{}
 	m.q = m.q[1:]
-	m.curBytes -= int64(len(d.buf))
+	m.curBytes -= d.size()
 	return d, true
 }
 
@@ -131,7 +147,7 @@ func (m *mailbox) popBlocking() (delivery, bool) {
 	d := m.q[0]
 	m.q[0] = delivery{}
 	m.q = m.q[1:]
-	m.curBytes -= int64(len(d.buf))
+	m.curBytes -= d.size()
 	return d, true
 }
 
@@ -153,8 +169,10 @@ func (m *mailbox) close() {
 // reference to it).
 type Transport interface {
 	// Send transfers ownership of buf (a batch of encoded records) to
-	// the destination rank.
-	Send(dest int, buf []byte) error
+	// the destination rank. elided is the batch's charged-but-absent
+	// byte count; only a transport that shares the receiver's address
+	// space may accept a non-zero value.
+	Send(dest int, buf []byte, elided int) error
 	// Close releases transport resources.
 	Close() error
 }
@@ -172,7 +190,9 @@ type Comm struct {
 	handlerNames []string
 
 	out        [][]byte // per-destination aggregation buffers
+	elided     []int    // per-destination bytes charged to out[dest] but not in it
 	flushBytes int
+	inProcess  bool // every rank of the world shares this address space
 
 	stats      Stats
 	intervals  []IntervalStats
@@ -224,6 +244,7 @@ func newComm(rank, nranks int) *Comm {
 		nranks:        nranks,
 		mbox:          newMailbox(),
 		out:           make([][]byte, nranks),
+		elided:        make([]int, nranks),
 		flushBytes:    defaultFlushBytes,
 		reduceResults: make(map[uint64][]byte),
 		reduceAccum:   make(map[uint64]*reduceAccum),
@@ -244,6 +265,12 @@ func (c *Comm) Rank() int { return c.rank }
 // NRanks returns the world size.
 func (c *Comm) NRanks() int { return c.nranks }
 
+// InProcess reports whether every rank of this world runs in this
+// address space on the in-memory transport (NewLocalWorld). A TCP mesh
+// is never in-process, even when its ranks are goroutines of one
+// process: its frames cross sockets, so every byte must exist.
+func (c *Comm) InProcess() bool { return c.inProcess }
+
 // SetFlushThreshold overrides the sender-side aggregation threshold in
 // bytes. Must be called before any Async.
 func (c *Comm) SetFlushThreshold(n int) {
@@ -256,6 +283,13 @@ func (c *Comm) SetFlushThreshold(n int) {
 // Register installs a message handler and returns its ID. Every rank
 // must register the same handlers in the same order (the YGM
 // convention); the name is recorded for stats output.
+//
+// Registration is rank-local and unsynchronized, so a message can reach
+// a rank that has not registered its handler yet (a panic in dispatch).
+// Register before the barrier that precedes the handler's first use,
+// or put a barrier between registering and sending: a rank released
+// from a barrier may run ahead and send while a slower rank is still
+// draining inside that same barrier.
 func (c *Comm) Register(name string, h Handler) HandlerID {
 	id := HandlerID(len(c.handlers))
 	c.handlers = append(c.handlers, h)
@@ -288,21 +322,35 @@ func (c *Comm) Async(dest int, h HandlerID, payload []byte) {
 	if int(h) >= len(c.handlers) {
 		panic(fmt.Sprintf("ygm: Async with unregistered handler %d", h))
 	}
-	c.enqueue(dest, h, payload, true)
+	c.appendRecord(dest, h, payload)
+	c.sent(dest, h, len(payload))
+}
 
-	// Opportunistic progress, YGM-style: drain inbound traffic during
-	// long send loops so mailboxes stay bounded. Never re-entered from
-	// inside a handler.
-	if !c.inDrain {
-		c.asyncTick++
-		if c.asyncTick >= pollInterval {
-			c.asyncTick = 0
-			if ownerCheckAsync {
-				c.assertOwner()
-			}
-			c.drainAll()
-		}
+// AsyncCharged is Async for a message whose bulk the receiver can reach
+// without the bytes: only head is materialized as the record's payload,
+// while the message is charged — in Stats, in the flush threshold and
+// in the mailbox byte gauges — as a payload of charged bytes, the size
+// of its full encoding. Everything observable except the frame contents
+// is therefore identical to Async with the full payload. Only an
+// in-process world can deliver such a record (the receiver must be able
+// to resolve what was left out), so calling it on any other comm is a
+// bug and panics.
+func (c *Comm) AsyncCharged(dest int, h HandlerID, head []byte, charged int) {
+	if !c.inProcess {
+		panic("ygm: AsyncCharged on a comm that is not in-process; elided bytes would be lost")
 	}
+	if dest < 0 || dest >= c.nranks {
+		panic(fmt.Sprintf("ygm: AsyncCharged dest %d out of range (nranks=%d)", dest, c.nranks))
+	}
+	if int(h) >= len(c.handlers) {
+		panic(fmt.Sprintf("ygm: AsyncCharged with unregistered handler %d", h))
+	}
+	if charged < len(head) {
+		panic(fmt.Sprintf("ygm: AsyncCharged charges %d bytes for a %d-byte head", charged, len(head)))
+	}
+	c.appendRecord(dest, h, head)
+	c.elided[dest] += charged - len(head)
+	c.sent(dest, h, charged)
 }
 
 // AsyncWriter is Async for fixed-size messages without the staging
@@ -351,18 +399,40 @@ func (c *Comm) FinishAsyncWriter(w *wire.Writer) {
 	// The writer filled the reserved region in place; a grow would have
 	// detached it from the buffer and broken the record framing.
 	c.out[dest] = buf[:len(buf)+n]
+	c.sent(dest, c.awH, n)
+}
 
-	size := int64(n + recordHeaderBytes)
+// appendRecord frames one record into the destination's aggregation
+// buffer.
+func (c *Comm) appendRecord(dest int, h HandlerID, payload []byte) {
+	buf := c.out[dest]
+	if buf == nil {
+		buf = getFrame(c.flushBytes + 256)
+	}
+	n := len(payload)
+	buf = append(buf, byte(h), byte(h>>8),
+		byte(n), byte(n>>8), byte(n>>16), byte(n>>24))
+	c.out[dest] = append(buf, payload...)
+}
+
+// sent finishes every app send: it charges one record of the given
+// payload size to the counters, hands the destination's buffer to the
+// transport once the bytes it stands for — materialized plus elided —
+// reach the threshold, and makes opportunistic progress, YGM-style:
+// inbound traffic is drained every pollInterval-th send so mailboxes
+// stay bounded during long send loops (never from inside a handler).
+func (c *Comm) sent(dest int, h HandlerID, payloadBytes int) {
+	size := int64(payloadBytes + recordHeaderBytes)
 	c.stats.SentMsgs++
 	c.stats.SentBytes += size
 	if dest != c.rank {
 		c.stats.RemoteSentMsgs++
 		c.stats.RemoteSentBytes += size
 	}
-	hs := &c.stats.PerHandler[c.awH]
+	hs := &c.stats.PerHandler[h]
 	hs.SentMsgs++
 	hs.SentBytes += size
-	if len(c.out[dest]) >= c.flushBytes {
+	if len(c.out[dest])+c.elided[dest] >= c.flushBytes {
 		c.flushDest(dest)
 	}
 	if !c.inDrain {
@@ -377,36 +447,6 @@ func (c *Comm) FinishAsyncWriter(w *wire.Writer) {
 	}
 }
 
-// enqueue appends one record to the destination's aggregation buffer
-// and accounts for it.
-func (c *Comm) enqueue(dest int, h HandlerID, payload []byte, isApp bool) {
-	buf := c.out[dest]
-	if buf == nil {
-		buf = getFrame(c.flushBytes + 256)
-	}
-	n := len(payload)
-	buf = append(buf, byte(h), byte(h>>8),
-		byte(n), byte(n>>8), byte(n>>16), byte(n>>24))
-	buf = append(buf, payload...)
-	c.out[dest] = buf
-
-	if isApp {
-		size := int64(n + recordHeaderBytes)
-		c.stats.SentMsgs++
-		c.stats.SentBytes += size
-		if dest != c.rank {
-			c.stats.RemoteSentMsgs++
-			c.stats.RemoteSentBytes += size
-		}
-		hs := &c.stats.PerHandler[h]
-		hs.SentMsgs++
-		hs.SentBytes += size
-	}
-	if len(c.out[dest]) >= c.flushBytes {
-		c.flushDest(dest)
-	}
-}
-
 // sendCtrl transmits a control record immediately, bypassing the
 // aggregation buffers so that barrier progress does not depend on flush
 // thresholds. Control traffic is excluded from app counters.
@@ -416,7 +456,7 @@ func (c *Comm) sendCtrl(dest int, h HandlerID, payload []byte) {
 	buf = append(buf, byte(h), byte(h>>8),
 		byte(n), byte(n>>8), byte(n>>16), byte(n>>24))
 	buf = append(buf, payload...)
-	if err := c.tp.Send(dest, buf); err != nil && c.err == nil {
+	if err := c.tp.Send(dest, buf, 0); err != nil && c.err == nil {
 		c.err = err
 	}
 }
@@ -426,10 +466,12 @@ func (c *Comm) flushDest(dest int) {
 	if len(buf) == 0 {
 		return
 	}
-	sp := c.trace.BeginArg("ygm.flush", int64(len(buf)))
+	elided := c.elided[dest]
+	sp := c.trace.BeginArg("ygm.flush", int64(len(buf)+elided))
 	c.out[dest] = nil
+	c.elided[dest] = 0
 	c.stats.Flushes++
-	if err := c.tp.Send(dest, buf); err != nil && c.err == nil {
+	if err := c.tp.Send(dest, buf, elided); err != nil && c.err == nil {
 		c.err = err
 	}
 	sp.End()

@@ -157,7 +157,11 @@ func TestQuiescenceStorm(t *testing.T) {
 }
 
 // TestRepeatedBarriers: supersteps with traffic in between; each round
-// must be fully quiescent before the next starts.
+// must be fully quiescent before the next starts, so a rank never sees
+// a message from a round whose barrier it has already left. The
+// converse is allowed: a peer released first may run ahead, and its
+// next-round message can be dispatched while this rank is still
+// draining inside the barrier (see Register) — one round early at most.
 func TestRepeatedBarriers(t *testing.T) {
 	const n = 4
 	const rounds = 10
@@ -169,9 +173,10 @@ func TestRepeatedBarriers(t *testing.T) {
 		h := c.Register("echo", func(c *Comm, from int, payload []byte) {
 			r := wire.NewReader(payload)
 			sentRound := r.Int64()
-			if sentRound != atomic.LoadInt64(&round) && mismatch == nil {
+			cur := atomic.LoadInt64(&round)
+			if (sentRound < cur || sentRound > cur+1) && mismatch == nil {
 				mismatch = fmt.Errorf("rank %d got round %d during round %d",
-					c.Rank(), sentRound, atomic.LoadInt64(&round))
+					c.Rank(), sentRound, cur)
 			}
 		})
 		for r := 0; r < rounds; r++ {

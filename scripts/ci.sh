@@ -26,8 +26,25 @@ go build ./...
 echo "== go test"
 go test ./...
 
+echo "== go test (benchmark module)"
+# benchmark/ is a nested module (dnnd/benchmark, replace dnnd => ../),
+# so ./... above never sees it: its manifest check and smoke run would
+# otherwise rot silently when an internal API they use changes.
+go -C benchmark test ./...
+
 echo "== go test -race (comm + core)"
 go test -race ./internal/ygm/ ./internal/core/ ./internal/dquery/
+
+echo "== go test -race (quiescence with deferred local work, repeated)"
+# A barrier that releases while a rank still owes staged replies loses
+# them only on some schedules; repeated so such a regression cannot
+# hide behind a lucky one.
+go test -race -count=50 -run 'TestBarrierWaitsForDeferredLocalWork' ./internal/ygm/
+
+echo "== go test -race (build -> query hand-over on a shared comm, repeated)"
+# A rank released from Build's last barrier must not reach a slower
+# rank with dq.* messages before that rank registered the handlers.
+go test -race -count=3 -run 'TestQueryAfterBuildRegistrationStress' ./internal/dquery/
 
 echo "== go test -race (online serving: server + loadgen in-process)"
 # The serve e2e suite runs the whole subsystem — admission, batching,
@@ -95,5 +112,17 @@ echo "== cluster smoke (real 3-shard multi-process run + tracecheck -merge)"
 # executable form of the PR-10 acceptance criterion (the failover half
 # runs in-process as TestClusterTraceTimeline, raced above).
 bash scripts/cluster_smoke.sh
+
+echo "== benchmark hang guard (one short run of every workload)"
+# Every workload must finish well inside its budget with correct
+# outputs and no failed operation; a comm-layer change that deadlocks or
+# loses a message shows up here as a timeout or a failed gate.
+for w in build-deep-r4 build-gist-r1 serve-routed serve-mutable; do
+  last="$(timeout 180 bash benchmark/run.sh --workload "$w" --seed 1 --seconds 20 --trace 0 | tail -1 || true)"
+  case "$last" in
+    '{"correct":true,'*'"failed":0,'*) echo "$w ok" ;;
+    *) echo "benchmark workload $w failed: $last" >&2; exit 1 ;;
+  esac
+done
 
 echo "CI OK"
