@@ -6,187 +6,14 @@
 package dnnd_test
 
 import (
-	"fmt"
 	"io"
 	"testing"
 
-	"dnnd"
 	"dnnd/internal/bench"
-	"dnnd/internal/core"
-	"dnnd/internal/dataset"
-	"dnnd/internal/metric"
 )
 
 func quickOpts() bench.Options {
 	return bench.Options{Out: io.Discard, Seed: 1, Quick: true}
-}
-
-// BenchmarkConstruction is the allocation-regression anchor: one
-// end-to-end DNND build per iteration, on the hot path and on the
-// legacy Conservative path, over the two billion-scale stand-ins
-// (float32 "deep" and uint8 "bigann"). scripts/bench.sh records its
-// ns/op, B/op, and allocs/op into BENCH_PR<N>.json; the two variants
-// produce identical graphs (see core's determinism test), so any
-// allocs/op gap is pure hot-path savings.
-func BenchmarkConstruction(b *testing.B) {
-	for _, name := range []string{"deep", "bigann"} {
-		p, err := dataset.ByName(name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		d := dataset.Generate(p, 2000, 1)
-		for _, mode := range []struct {
-			name string
-			cons bool
-		}{{"hotpath", false}, {"conservative", true}} {
-			b.Run(name+"/"+mode.name, func(b *testing.B) {
-				cfg := core.DefaultConfig(10)
-				cfg.Seed = 1
-				cfg.Conservative = mode.cons
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					out, err := bench.BuildDNND(d, 4, cfg)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if i == 0 {
-						b.ReportMetric(float64(out.Result.DistEvals), "dist-evals")
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkConstructionQuant anchors the quantized check-phase filter
-// where it pays and where it doesn't: "gist" (the 960-dim float32
-// anchor of ROADMAP item 3 — exact evaluations are ~7.5x a deep/96
-// one, so the uint8 code screen wins) against "bigann" (native uint8,
-// the honest negative: screening byte codes costs nearly as much as
-// evaluating them). The on/off builds produce bit-identical graphs
-// (the filter only skips provable no-ops), so the ns/op gap is the
-// filter's net value and quant-pruned-frac is the share of screened
-// Type 2 candidates it proved skippable.
-func BenchmarkConstructionQuant(b *testing.B) {
-	for _, name := range []string{"gist", "bigann"} {
-		p, err := dataset.ByName(name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		d := dataset.Generate(p, 2000, 1)
-		for _, mode := range []struct {
-			name  string
-			quant bool
-		}{{"exact", false}, {"quant", true}} {
-			b.Run(name+"/"+mode.name, func(b *testing.B) {
-				cfg := core.DefaultConfig(10)
-				cfg.Seed = 1
-				if mode.quant {
-					cfg.Quant = true
-					cfg.QuantMetric = metric.SquaredL2
-				}
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					out, err := bench.BuildDNND(d, 4, cfg)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if i == 0 {
-						b.ReportMetric(float64(out.Result.DistEvals), "dist-evals")
-						if mode.quant && out.Result.QuantApprox > 0 {
-							b.ReportMetric(
-								float64(out.Result.QuantPruned)/float64(out.Result.QuantApprox),
-								"quant-pruned-frac")
-						}
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkConstructionWorkers sweeps the intra-rank worker-pool width
-// on a single rank. Every width builds the bit-identical graph (the
-// core worker-equivalence test pins this), so ns/op differences are
-// pure scheduling. On a one-core host wall time stays flat; the
-// offload-frac metric (kernel time / wall at that width, the f of
-// Amdahl) and modeled-speedup-w4 are what scripts/bench.sh snapshots to
-// track how much of the critical path the pool can take off the rank
-// goroutine.
-func BenchmarkConstructionWorkers(b *testing.B) {
-	for _, name := range []string{"deep", "bigann", "mnist"} {
-		p, err := dataset.ByName(name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		d := dataset.Generate(p, 2000, 1)
-		for _, workers := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(b *testing.B) {
-				cfg := core.DefaultConfig(10)
-				cfg.Seed = 1
-				cfg.Workers = workers
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					out, err := bench.BuildDNND(d, 1, cfg)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if i == 0 {
-						f := out.Result.KernelTime.Seconds() / out.Wall.Seconds()
-						b.ReportMetric(f, "offload-frac")
-						b.ReportMetric(1/((1-f)+f/4), "modeled-speedup-w4")
-						b.ReportMetric(float64(out.Result.TasksDeferred), "tasks")
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkConstructionTracer measures the observability tax: the same
-// end-to-end build with no tracer attached and with a live tracer
-// capturing the full span timeline (phases, supersteps, barriers,
-// flushes, mailbox counters). The off variant is the guarantee that the
-// obs layer costs nothing when unused — its ns/op must track
-// BenchmarkConstruction — and the on/off gap is the (small) price of a
-// recorded timeline. scripts/bench.sh snapshots both into
-// BENCH_PR<N>.json.
-func BenchmarkConstructionTracer(b *testing.B) {
-	p, err := dataset.ByName("deep")
-	if err != nil {
-		b.Fatal(err)
-	}
-	d := dataset.Generate(p, 2000, 1)
-	for _, mode := range []struct {
-		name   string
-		traced bool
-	}{{"off", false}, {"on", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				opt := dnnd.BuildOptions{K: 10, Metric: p.Metric, Ranks: 4, Seed: 1}
-				var tr *dnnd.Tracer
-				if mode.traced {
-					tr = dnnd.NewTracer()
-					opt.Tracer = tr
-				}
-				res, err := dnnd.Build(d.F32, opt)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					b.ReportMetric(float64(res.DistEvals), "dist-evals")
-					if mode.traced {
-						events := 0
-						for _, track := range tr.Tracks() {
-							events += track.Len()
-						}
-						b.ReportMetric(float64(events), "trace-events")
-					}
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkTable1Datasets regenerates Table 1 (dataset inventory).

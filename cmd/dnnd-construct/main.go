@@ -43,8 +43,6 @@ func main() {
 		batch       = flag.Int64("batch", 0, "communication batch size (0 = default 2^18)")
 		unoptimized = flag.Bool("unoptimized", false, "disable the Sec 4.3 communication savings")
 		workers     = flag.Int("workers", 0, "distance-eval worker goroutines per rank (0 = GOMAXPROCS/ranks); any value yields the same graph")
-		quantOn     = flag.Bool("quant", false, "screen check-phase candidates with a quantized (uint8) lower bound before the exact kernel (l2/sql2 only; the graph is bit-identical)")
-		tileTasks   = flag.Int("tile", 0, "distance tasks fused per cache-blocked kernel tile (0 = default); any value yields the same graph")
 	)
 	flag.Parse()
 	if *storeDir == "" {
@@ -58,8 +56,6 @@ func main() {
 		BatchSize:   *batch,
 		Unoptimized: *unoptimized,
 		Workers:     *workers,
-		Quant:       *quantOn,
-		TileTasks:   *tileTasks,
 		SkipRefine:  true, // dnnd-optimize applies Section 4.5
 	}
 
@@ -169,12 +165,8 @@ func construct[T dnnd.Scalar](data [][]T, opts dnnd.BuildOptions, storeDir strin
 	if err := dnnd.Save(storeDir, ix, false); err != nil {
 		fatal(err)
 	}
-	quantNote := ""
-	if res.QuantApprox > 0 {
-		quantNote = fmt.Sprintf(" quantScreened=%d quantPruned=%d", res.QuantApprox, res.QuantPruned)
-	}
-	fmt.Printf("dnnd-construct: N=%d k=%d ranks=%d iters=%d distEvals=%d%s msgs=%d (%.1f MiB) in %s -> %s\n",
-		len(data), opts.K, opts.Ranks, res.Iters, res.DistEvals, quantNote,
+	fmt.Printf("dnnd-construct: N=%d k=%d ranks=%d iters=%d distEvals=%d msgs=%d (%.1f MiB) in %s -> %s\n",
+		len(data), opts.K, opts.Ranks, res.Iters, res.DistEvals,
 		res.Messages, float64(res.MessageBytes)/(1<<20), wall.Round(time.Millisecond), storeDir)
 }
 
@@ -218,11 +210,6 @@ func constructTCP[T dnnd.Scalar](data [][]T, opts dnnd.BuildOptions, storeDir st
 		cfg.Protocol = core.Unoptimized()
 	}
 	cfg.Workers = opts.Workers
-	if opts.Quant {
-		cfg.Quant = true
-		cfg.QuantMetric = opts.Metric
-	}
-	cfg.TileTasks = opts.TileTasks
 	cfg.Optimize = false // dnnd-optimize applies Section 4.5
 
 	start := time.Now()

@@ -93,17 +93,6 @@ type BuildOptions struct {
 	// evaluation (default: GOMAXPROCS divided among the ranks). Results
 	// are identical for every width; see core.Config.Workers.
 	Workers int
-	// Quant enables the quantized first-pass filter for check-phase
-	// distance evaluations: candidates whose code-distance lower bound
-	// proves them irrelevant skip the exact kernel. The built graph is
-	// bit-identical to the exact build (the filter only discards
-	// provable no-ops; see core.Config.Quant). Requires an L2-family
-	// Metric and the optimized protocol (not Unoptimized).
-	Quant bool
-	// TileTasks caps how many queued distance tasks fuse into one
-	// cache-blocked tiled kernel call (0 = engine default). Any value
-	// produces bit-identical results.
-	TileTasks int
 	// Tracer, when non-nil, records the build's span timeline (one
 	// track per rank; export with Tracer.WriteJSON). The graph and
 	// every protocol decision are identical with or without it.
@@ -141,13 +130,6 @@ func (o BuildOptions) coreConfig() core.Config {
 	if o.Workers > 0 {
 		cfg.Workers = o.Workers
 	}
-	if o.Quant {
-		cfg.Quant = true
-		cfg.QuantMetric = o.Metric
-	}
-	if o.TileTasks > 0 {
-		cfg.TileTasks = o.TileTasks
-	}
 	return cfg
 }
 
@@ -162,12 +144,8 @@ type BuildResult struct {
 	Metric MetricKind
 	// Iters is the number of NN-Descent rounds run.
 	Iters int
-	// DistEvals is the total number of exact distance computations.
+	// DistEvals is the total number of distance computations.
 	DistEvals int64
-	// QuantApprox / QuantPruned report the quantized filter's work when
-	// BuildOptions.Quant is set: candidates screened by code distance
-	// and the subset discarded without an exact evaluation.
-	QuantApprox, QuantPruned int64
 	// Messages and MessageBytes count all application-level messages
 	// exchanged between ranks.
 	Messages, MessageBytes int64
@@ -223,8 +201,6 @@ func Build[T Scalar](data [][]T, opt BuildOptions) (*BuildResult, error) {
 		Metric:       opt.Metric,
 		Iters:        root.Iters,
 		DistEvals:    root.DistEvals,
-		QuantApprox:  root.QuantApprox,
-		QuantPruned:  root.QuantPruned,
 		Messages:     st.SentMsgs,
 		MessageBytes: st.SentBytes,
 	}, nil
@@ -401,8 +377,6 @@ func Refresh[T Scalar](data [][]T, prior *Graph, tombs *Tombstones, opt BuildOpt
 		Metric:       opt.Metric,
 		Iters:        root.Iters,
 		DistEvals:    root.DistEvals,
-		QuantApprox:  root.QuantApprox,
-		QuantPruned:  root.QuantPruned,
 		Messages:     st.SentMsgs,
 		MessageBytes: st.SentBytes,
 	}, nil
@@ -456,8 +430,6 @@ func buildWithPrior[T Scalar](data [][]T, prior *Graph, opt BuildOptions) (*Buil
 		Metric:       opt.Metric,
 		Iters:        root.Iters,
 		DistEvals:    root.DistEvals,
-		QuantApprox:  root.QuantApprox,
-		QuantPruned:  root.QuantPruned,
 		Messages:     st.SentMsgs,
 		MessageBytes: st.SentBytes,
 	}, nil

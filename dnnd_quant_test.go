@@ -2,7 +2,6 @@ package dnnd
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"dnnd/internal/brute"
@@ -10,48 +9,6 @@ import (
 	"dnnd/internal/metric"
 	"dnnd/internal/recall"
 )
-
-// TestQuantBuildBitIdentical pins the public contract of
-// BuildOptions.Quant: the quantized filter only skips provable no-ops,
-// so the built graph is bit-identical to the exact build while the
-// prune counters show the filter actually worked.
-func TestQuantBuildBitIdentical(t *testing.T) {
-	data := testData(5, 600, 8)
-	build := func(on bool) *BuildResult {
-		res, err := Build(data, BuildOptions{K: 10, Metric: "sql2", Ranks: 1, Quant: on})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	exact := build(false)
-	quantized := build(true)
-	if !reflect.DeepEqual(exact.Graph.Neighbors, quantized.Graph.Neighbors) {
-		t.Fatal("quantized build produced a different graph")
-	}
-	if quantized.QuantPruned == 0 {
-		t.Error("quantized build pruned nothing")
-	}
-	if quantized.DistEvals+quantized.QuantPruned != exact.DistEvals {
-		t.Errorf("eval conservation broken: %d + %d != %d",
-			quantized.DistEvals, quantized.QuantPruned, exact.DistEvals)
-	}
-	if exact.QuantApprox != 0 {
-		t.Errorf("exact build reported %d screened candidates", exact.QuantApprox)
-	}
-}
-
-// TestQuantBuildRejectsUnsupported: Quant must fail fast on metrics
-// outside the L2 family and on the unoptimized protocol.
-func TestQuantBuildRejectsUnsupported(t *testing.T) {
-	data := testData(6, 100, 4)
-	if _, err := Build(data, BuildOptions{K: 5, Metric: "cosine", Quant: true}); err == nil {
-		t.Error("cosine + Quant accepted")
-	}
-	if _, err := Build(data, BuildOptions{K: 5, Metric: "l2", Quant: true, Unoptimized: true}); err == nil {
-		t.Error("unoptimized + Quant accepted")
-	}
-}
 
 // TestQuantSearchBigannRecall is the acceptance pin for the quantized
 // query path on the bigann-style anchor data (uint8, l2): recall@10
@@ -64,7 +21,7 @@ func TestQuantSearchBigannRecall(t *testing.T) {
 	}
 	d := dataset.Generate(p, 2000, 3)
 	data := d.U8
-	res, err := Build(data, BuildOptions{K: 10, Metric: p.Metric, Ranks: 2, Quant: true})
+	res, err := Build(data, BuildOptions{K: 10, Metric: p.Metric, Ranks: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,23 +25,21 @@ type KernelRow struct {
 	Speedup float64
 }
 
-// kernel microbenchmark geometry: the tile pre-pass fuses up to
-// engine.DefaultTileTasks staged tasks, and a check-phase task carries
-// on the order of a few dozen candidates, so an 8x64 tile is the shape
-// the construction hot loop actually presents to EvalTile.
+// kernel microbenchmark geometry: 8 queries against 64 candidates
+// each, the tile shape benchmark/probes.go also times.
 const (
 	kernelTileQueries = 8
 	kernelTileCands   = 64
 )
 
-// Kernels measures the check-phase distance-kernel forms head to head:
-// per-pair Fn calls, the batched one-vs-many EvalMany, the cache-blocked
-// many-vs-many EvalTile, and the quantized code-distance screen
-// (encode + LowerBoundL2, the filter the -quant build runs before the
-// exact kernel). All forms except quant produce bit-identical float32
-// distances; quant is the sound screen in front of them. Throughput is
-// reported as pairs/s and effective GB/s over a dim sweep for float32
-// and uint8 (the bigann anchor's element type).
+// Kernels measures the distance-kernel forms head to head: per-pair Fn
+// calls, the batched one-vs-many EvalMany (what a check-phase task
+// runs), the cache-blocked many-vs-many EvalTile, and the quantized
+// code distance (encode + ApproxL2, what dnnd-serve -quant traverses
+// on before its exact re-rank). All forms except quant produce
+// bit-identical float32 distances. Throughput is reported as pairs/s
+// and effective GB/s over a dim sweep for float32 and uint8 (the bigann
+// anchor's element type).
 func Kernels(opt Options) ([]KernelRow, error) {
 	opt.fill()
 	dims := []int{32, 96, 128, 256, 960}
@@ -64,10 +62,9 @@ func Kernels(opt Options) ([]KernelRow, error) {
 
 	header(opt.Out, "Distance-kernel throughput (tile %dx%d, sql2)", kernelTileQueries, kernelTileCands)
 	fmt.Fprintf(opt.Out, "pair = per-pair Fn; many = EvalMany (1 query x %d candidates);\n", kernelTileCands)
-	fmt.Fprintf(opt.Out, "tile = EvalTile/ManyMany (%d queries x %d candidates, the applier's\n", kernelTileQueries, kernelTileCands)
-	fmt.Fprintf(opt.Out, "fused pre-pass shape); quant = uint8 code screen (encode + lower\n")
-	fmt.Fprintf(opt.Out, "bound), the -quant filter in front of the exact kernel. GB/s counts\n")
-	fmt.Fprintf(opt.Out, "2 vectors per pair at the variant's element width.\n\n")
+	fmt.Fprintf(opt.Out, "tile = EvalTile/ManyMany (%d queries x %d candidates); quant = uint8\n", kernelTileQueries, kernelTileCands)
+	fmt.Fprintf(opt.Out, "code distance (encode + ApproxL2), the serve-side -quant traversal\n")
+	fmt.Fprintf(opt.Out, "kernel. GB/s counts 2 vectors per pair at the variant's element width.\n\n")
 	t := newTable("elem", "dim", "variant", "pairs/s", "GB/s", "x pair")
 	for _, r := range rows {
 		t.row(r.Elem, fmt.Sprintf("%d", r.Dim), r.Variant,
@@ -155,9 +152,9 @@ func kernelVariants[T interface{ float32 | uint8 }](elem string, dim, elemBytes 
 	var scratch []uint8
 	quantRate := measureKernel(pairs, minTime, func() {
 		for i, q := range qs {
-			code, qerr := quant.Encode(view, q, &scratch)
+			code, _ := quant.Encode(view, q, &scratch)
 			for j := 0; j < perQ; j++ {
-				out[i*perQ+j] = view.LowerBoundL2(code, qerr, i*perQ+j)
+				out[i*perQ+j] = view.ApproxL2(code, i*perQ+j)
 			}
 		}
 		kernelSink += out[0]

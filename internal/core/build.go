@@ -44,21 +44,16 @@ type builder[T wire.Scalar] struct {
 	olds, news [][]knng.ID       // parallel to shard.IDs
 	final      [][]knng.Neighbor // post-optimization lists
 
-	// Reverse matrices. The hot path stores row u at u's shard index
-	// (flat rows whose backing arrays persist across rounds); the
-	// Conservative path keeps the original per-round maps.
-	oldRevRows [][]knng.ID           // parallel to shard.IDs
-	newRevRows [][]knng.ID           // parallel to shard.IDs
-	oldRev     map[knng.ID][]knng.ID // reverse old matrix rows
-	newRev     map[knng.ID][]knng.ID // reverse new matrix rows
+	// Reverse matrices: row u lives at u's shard index, and the rows'
+	// backing arrays persist across rounds.
+	oldRevRows [][]knng.ID // parallel to shard.IDs
+	newRevRows [][]knng.ID // parallel to shard.IDs
 
-	// Section 4.5 reverse edges received: flat rows on the hot path,
-	// the original map in Conservative mode.
+	// Section 4.5 reverse edges received, one row per local vertex.
 	optRows [][]knng.Neighbor
-	optIn   map[knng.ID][]knng.Neighbor
 
-	// Hot-path scratch, all reused across rounds so the steady-state
-	// descent allocates nothing. visited is an epoch-stamped visited-set
+	// Scratch, all reused across rounds so the steady-state descent
+	// allocates nothing. visited is an epoch-stamped visited-set
 	// over the global ID space (one uint32 per vertex per rank; at truly
 	// massive N this wants sharding, but it is exact and O(1) per test
 	// where the former map[ID]bool allocated per vertex per round).
@@ -88,20 +83,6 @@ type builder[T wire.Scalar] struct {
 	// only once every rank is known to be able (see byReference).
 	data  [][]T
 	byRef bool
-
-	// vecs are the candidate-vector views the check phase evaluates
-	// against: panel-blocked contiguous copies on the hot path (one
-	// slab, prefetch-friendly candidate walks), the caller's original
-	// slices in Conservative mode. Values are identical either way.
-	vecs [][]T
-
-	// qf is the quantized first-pass check filter (Config.Quant); nil
-	// when quantization is off. quantApprox counts candidates screened
-	// by the code kernel, quantPruned those it discarded; exact
-	// evaluations are the difference.
-	qf          *quantFilter[T]
-	quantApprox int64
-	quantPruned int64
 
 	updates   int64 // successful Updates this round (c of Algorithm 1)
 	distEvals int64
@@ -208,42 +189,23 @@ func BuildIncrementalKernel[T wire.Scalar](c *ygm.Comm, shard *Shard[T], kern me
 	b.eng = engine.New(c, cfg.BatchSize)
 	b.register()
 
-	if cfg.Conservative {
-		b.vecs = shard.Vecs
-	} else {
-		// Hot path: dense O(1) ID→index routing and a panel-blocked
-		// contiguous copy of the local vectors, so check-phase
-		// candidate walks stream one slab instead of chasing per-row
-		// allocations. Row values are identical, so every distance —
-		// and therefore every result — is unchanged.
-		shard.ensureDense()
-		b.vecs = metric.NewBlocked(shard.Vecs, 0).Rows()
-	}
-	if cfg.Quant {
-		qf, err := newQuantFilter(shard, cfg.QuantMetric)
-		if err != nil {
-			return nil, err
-		}
-		b.qf = qf
-	}
-
 	b.lists = knng.MakeNeighborLists(shard.Len(), cfg.K)
 	b.olds = make([][]knng.ID, shard.Len())
 	b.news = make([][]knng.ID, shard.Len())
 
-	if !cfg.Conservative && kern.Norm != nil && kern.FnPre != nil {
+	if kern.Norm != nil && kern.FnPre != nil {
 		b.norms = make([]float32, shard.Len())
 		for i, v := range shard.Vecs {
 			b.norms[i] = kern.Norm(v)
 		}
 	}
 
-	// The worker pool exists at every width (including 1) and in
-	// Conservative mode: the ring's stage/apply discipline is part of
-	// the message interleaving, so running it unconditionally is what
-	// makes results independent of the worker count. The local-work
-	// hook keeps ygm quiescence honest while staged tasks still owe
-	// replies; it is detached before the pool stops.
+	// The worker pool exists at every width (including 1): the ring's
+	// stage/apply discipline is part of the message interleaving, so
+	// running it unconditionally is what makes results independent of
+	// the worker count. The local-work hook keeps ygm quiescence honest
+	// while staged tasks still owe replies; it is detached before the
+	// pool stops.
 	b.pool = newWorkpool(b, resolveWorkers(cfg.Workers, c.NRanks()))
 	c.SetLocalWork(b.pool.RunHook, b.pool.PendingHook)
 	defer func() {
@@ -268,10 +230,6 @@ func BuildIncrementalKernel[T wire.Scalar](c *ygm.Comm, shard *Shard[T], kern me
 		globalChecks := c.AllReduceSum(checks)
 		b.updates = 0
 		res.Rounds = append(res.Rounds, RoundInfo{Updates: globalUpdates, Checks: globalChecks})
-		if b.qf != nil {
-			c.Trace().Counter("nd.quant.approx", b.quantApprox)
-			c.Trace().Counter("nd.quant.pruned", b.quantPruned)
-		}
 		rsp.End()
 		if globalUpdates < threshold {
 			break
@@ -301,9 +259,8 @@ func BuildIncrementalKernel[T wire.Scalar](c *ygm.Comm, shard *Shard[T], kern me
 // space on the in-memory transport AND holds the whole dataset (a
 // Partition shard). One rank that cannot — a NewShard shard, any TCP
 // comm — puts the whole world on the byte path, since sender and
-// receiver must agree on what a record contains. The Conservative
-// oracle always materializes. The reduction is control traffic: not
-// counted, and a no-op on one rank.
+// receiver must agree on what a record contains. The reduction is
+// control traffic: not counted, and a no-op on one rank.
 //
 // Ranks leave the reduction at different times, and its wait loop
 // dispatches application handlers, so a released rank's first head-only
@@ -314,7 +271,7 @@ func BuildIncrementalKernel[T wire.Scalar](c *ygm.Comm, shard *Shard[T], kern me
 // head-only record can only come from a rank that saw "all can", which
 // implies this rank can.
 func (b *builder[T]) byReference() {
-	if !b.cfg.Conservative && b.c.InProcess() {
+	if b.c.InProcess() {
 		b.data = b.shard.data
 	}
 	can := int64(0)
@@ -367,19 +324,9 @@ func (b *builder[T]) register() {
 
 func (b *builder[T]) owner(id knng.ID) int { return Owner(id, b.c.NRanks()) }
 
-// localIndex returns the shard index of an owned vertex, through the
-// dense table on the hot path (this is the single hottest map lookup
-// in the build otherwise — every Type 1/2/3 message routes through it).
+// localIndex returns the shard index of an owned vertex.
 func (b *builder[T]) localIndex(id knng.ID) int {
-	if d := b.shard.dense; d != nil {
-		if int(id) < len(d) {
-			if i := d[id]; i >= 0 {
-				return int(i)
-			}
-		}
-		panic("core: message routed to non-owner rank")
-	}
-	i, ok := b.shard.index[id]
+	i, ok := b.shard.lookup(id)
 	if !ok {
 		panic("core: message routed to non-owner rank")
 	}
@@ -390,22 +337,18 @@ func (b *builder[T]) localIndex(id knng.ID) int {
 // j) onto the worker pool, coalescing with preceding candidates from
 // the same sender. The kernel's norm-precomputed batch path is used
 // when available; all paths are bit-identical by the metric.Kernel
-// contract, so neither the Conservative flag nor the worker count can
-// change any distance.
+// contract, so the worker count cannot change any distance.
 func (b *builder[T]) stageDist(kind uint8, key knng.ID, query []T, stable bool, m engine.Cand, j int) {
 	var norm float32
 	if b.norms != nil {
 		norm = b.norms[j]
 	}
-	b.pool.StageCompute(kind, key, query, stable, m, b.vecs[j], norm, b.norms != nil)
+	b.pool.StageCompute(kind, key, query, stable, m, b.shard.Vecs[j], norm, b.norms != nil)
 }
 
-// phaseWriter returns the writer for a phase's emit loop: the builder's
-// reused writer on the hot path, a fresh one in Conservative mode.
-func (b *builder[T]) phaseWriter(capacity int) *wire.Writer {
-	if b.cfg.Conservative {
-		return wire.NewWriter(capacity)
-	}
+// phaseWriter returns the builder's reused writer for a phase's emit
+// loop.
+func (b *builder[T]) phaseWriter() *wire.Writer {
 	b.w.Reset()
 	return b.w
 }
@@ -415,23 +358,16 @@ func (b *builder[T]) phaseWriter(capacity int) *wire.Writer {
 // Async copies the payload before returning, so one reused writer
 // suffices; it is distinct from the phase writer because handlers run
 // in the middle of phase emit loops.
-func (b *builder[T]) replyWriter(capacity int) *wire.Writer {
-	if b.cfg.Conservative {
-		return wire.NewWriter(capacity)
-	}
+func (b *builder[T]) replyWriter() *wire.Writer {
 	b.replyW.Reset()
 	return b.replyW
 }
 
-// handlerReader returns the reader for a handler's decode: the
-// builder's reused reader on the hot path, a fresh one in Conservative
-// mode. Safe for the same reason the reused replyWriter is: handlers
+// handlerReader returns the builder's reused reader for a handler's
+// decode. Safe for the same reason the reused replyWriter is: handlers
 // never nest, and nothing borrowed from the reader outlives the
 // handler invocation.
 func (b *builder[T]) handlerReader(p []byte) *wire.Reader {
-	if b.cfg.Conservative {
-		return wire.NewReader(p)
-	}
 	b.r.Reset(p)
 	return b.r
 }
@@ -440,23 +376,20 @@ func (b *builder[T]) handlerReader(p []byte) *wire.Reader {
 // head r has just decoded, and whether it is stable storage. A record
 // that ends at its head travelled by reference: the vector is the
 // dataset row, stable for the whole build, which the pool may alias.
-// Otherwise it is decoded off the wire: a borrowed view / reused
-// scratch on the hot path (valid only within the current handler, so
-// the pool must copy it), a fresh copy in Conservative mode. The shape
-// is read off the record rather than off this rank's view of the
-// collective decision (see byReference), but once that is known a
-// record of the other shape — full when the world sends heads, head-only
-// when it sends bytes — is left to fail the caller's r.Finish() check
-// (trailing bytes, short buffer) instead of being mis-read.
+// Otherwise it is decoded off the wire as a borrowed view / reused
+// scratch (valid only within the current handler, so the pool must
+// copy it). The shape is read off the record rather than off this
+// rank's view of the collective decision (see byReference), but once
+// that is known a record of the other shape — full when the world
+// sends heads, head-only when it sends bytes — is left to fail the
+// caller's r.Finish() check (trailing bytes, short buffer) instead of
+// being mis-read.
 func (b *builder[T]) getVec(r *wire.Reader, id knng.ID) (vec []T, stable bool) {
 	if b.data != nil && r.Err() == nil && r.Remaining() == 0 {
 		return b.data[id], true
 	}
 	if b.byRef {
 		return nil, false
-	}
-	if b.cfg.Conservative {
-		return wire.GetVector[T](r), false
 	}
 	v, scratch := wire.GetVectorBorrow(r, b.vecScratch)
 	b.vecScratch = scratch
@@ -478,13 +411,7 @@ func (b *builder[T]) beginVisit() {
 // in handlers: applies never nest.
 func (b *builder[T]) applyTask(t *engine.Task[T]) {
 	if t.Compute() {
-		// Charge the whole batch as exact evaluations up front; the
-		// Type 2 applier refunds quant-pruned slots (which cost only a
-		// code-distance screen) as it recognizes their +Inf marker.
 		b.distEvals += int64(len(t.Meta))
-		if b.qf != nil && t.Kind == taskType2 {
-			b.quantApprox += int64(len(t.Meta))
-		}
 		b.c.AddWork(float64(len(t.Query) * len(t.Meta)))
 	}
 	switch t.Kind {

@@ -299,7 +299,6 @@ func TestWrongRecordShapePanics(t *testing.T) {
 	} {
 		err := ygm.NewLocalWorld(1).Run(func(c *ygm.Comm) error {
 			shard := Partition(data, 0, 1)
-			shard.ensureDense()
 			b := &builder[float32]{c: c, cfg: DefaultConfig(4), shard: shard, r: wire.NewReader(nil)}
 			if tc.byRef {
 				b.data, b.byRef = shard.data, true

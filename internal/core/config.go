@@ -9,9 +9,6 @@ package core
 import (
 	"errors"
 	"fmt"
-
-	"dnnd/internal/metric"
-	"dnnd/internal/metric/quant"
 )
 
 // Protocol selects the neighbor-check communication pattern of
@@ -70,49 +67,17 @@ type Config struct {
 	// phase: distance evaluations staged by the message handlers are
 	// spread over this many goroutines per rank while all neighbor-list
 	// mutation, protocol decisions, and sends stay on the owning rank
-	// goroutine, applied in submission order (see workpool.go). The
+	// goroutine, applied in submission order (see engine.Pool). The
 	// result is bit-identical for every width. 0 (the default) resolves
 	// to GOMAXPROCS / nranks, clamped to at least 1, so co-located
 	// ranks share the machine instead of oversubscribing it.
 	Workers int
-
-	// Quant enables the quantized first-pass filter for Type 2 distance
-	// evaluations: each rank trains a uint8 scalar-quantized view of its
-	// shard, screens candidates by a sound code-distance lower bound
-	// against the stage-time pruning threshold, and runs the exact
-	// kernel only on survivors (see quant.go). Requires QuantMetric in
-	// the L2 family and the OneSided+PruneDistant protocol (the
-	// threshold's soundness argument needs both). Off by default; when
-	// off, no result bit changes versus earlier releases.
-	Quant bool
-	// QuantMetric names the metric kind the build's kernel computes, so
-	// the quantized filter can check support and pick the right domain
-	// (l2 vs sql2). Only consulted when Quant is set.
-	QuantMetric metric.Kind
-	// TileTasks caps how many queued same-kind compute tasks the
-	// applier fuses into one cache-blocked tiled kernel call. 0 selects
-	// the engine default. Unlike BatchSize it is NOT part of the apply
-	// schedule: any tile size produces bit-identical results.
-	TileTasks int
 
 	// Optimize applies the Section 4.5 post-processing (reverse-edge
 	// merge and degree pruning to K*PruneFactor) to the final graph.
 	Optimize bool
 	// PruneFactor is the m in the k*m degree cap (paper default 1.5).
 	PruneFactor float64
-
-	// Conservative disables the allocation-free hot path (reused
-	// writers, borrowed wire decodes, epoch-stamped visited marks, flat
-	// reverse-matrix rows, cached vector norms) and runs the original
-	// allocation-heavy map-based code instead. Both paths are exactly
-	// equivalent — same RNG consumption, same message counts and bytes,
-	// same float32 distances — which the determinism regression test
-	// asserts under deterministic message delivery (protocol decisions
-	// and round counters are arrival-order-dependent in either mode, so
-	// multi-rank runs can differ between any two builds regardless of
-	// this flag). The flag exists as that test's lever and as an escape
-	// hatch, not as a tuning knob.
-	Conservative bool
 }
 
 // DefaultConfig returns the paper's parameters for a given K, with the
@@ -151,17 +116,6 @@ func (cfg *Config) Validate(n int) error {
 	}
 	if cfg.Workers < 0 {
 		return fmt.Errorf("core: Workers=%d must be >= 0", cfg.Workers)
-	}
-	if cfg.TileTasks < 0 {
-		return fmt.Errorf("core: TileTasks=%d must be >= 0", cfg.TileTasks)
-	}
-	if cfg.Quant {
-		if !quant.Supported(cfg.QuantMetric) {
-			return quant.ErrUnsupported(cfg.QuantMetric)
-		}
-		if !cfg.Protocol.OneSided || !cfg.Protocol.PruneDistant {
-			return errors.New("core: Quant requires the one-sided protocol with distant-pair pruning (the filter threshold is only sound with both)")
-		}
 	}
 	if cfg.MaxIters <= 0 {
 		cfg.MaxIters = 30

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -390,6 +391,33 @@ func TestNewShardValidation(t *testing.T) {
 	}
 	if s.Len() != 2 || s.Vec(7)[0] != 2 {
 		t.Error("NewShard contents wrong")
+	}
+}
+
+// Vec on an ID the shard does not hold — owned by another rank, or past
+// the dataset — is a protocol bug and must say so, not fail as a bare
+// index-out-of-range inside the dense table.
+func TestShardVecNotOwnedPanics(t *testing.T) {
+	s, err := NewShard(10, []knng.ID{2, 7}, [][]float32{{1}, {2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []knng.ID{3, 9, 10, 1 << 30} {
+		if s.Owns(id) {
+			t.Errorf("Owns(%d) = true", id)
+		}
+		func() {
+			defer func() {
+				want := fmt.Sprintf("core: vector %d not owned by this shard", id)
+				if r := recover(); r != want {
+					t.Errorf("Vec(%d) panicked with %v, want %q", id, r, want)
+				}
+			}()
+			s.Vec(id)
+		}()
+	}
+	if !s.Owns(7) || s.Owns(0) {
+		t.Error("Owns wrong on in-range IDs")
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 // to the codec or phase layers that alters behavior — one byte on the
 // wire, one extra message, one reordered RNG draw — fails here with the
 // exact counter that moved. (Single rank because multi-rank arrival
-// order is nondeterministic; see TestOptimizationPassDeterminism.)
+// order is nondeterministic.)
 
 // goldenOutcome is everything a scenario pins.
 type goldenOutcome struct {
@@ -140,6 +140,10 @@ func TestGoldenDeterminism(t *testing.T) {
 		}},
 		{"hamming-uint8", func(t *testing.T) goldenOutcome {
 			return goldenBuild(t, udata, metric.Hamming, goldenConfig(6))
+		}},
+		// Cosine pins the norm-precomputed fused kernel (Kernel.FnPre).
+		{"cosine-optimized", func(t *testing.T) goldenOutcome {
+			return goldenBuild(t, fdata, metric.Cosine, goldenConfig(6))
 		}},
 	}
 	for _, sc := range scenarios {
@@ -287,6 +291,34 @@ var goldenExpected = map[string]goldenOutcome{
 			"nd.check.type3": {888, 15984},
 			"nd.opt.edge":    {1440, 25920},
 			"nd.gather.row":  {240, 18144},
+		},
+	},
+	// Captured at the last commit that still carried the map-based
+	// reference build, which produced this same outcome field for field
+	// (PR 19).
+	"cosine-optimized": {
+		Iters: 6, DistEvals: 27814, Tasks: 7418,
+		Comm: MessageTotals{
+			Type1Msgs: 30479, Type1Bytes: 426706,
+			Type2Msgs: 26014, Type2Bytes: 1846994,
+			Type3Msgs: 12087, Type3Bytes: 217566,
+			InitMsgs: 3600, InitBytes: 151200,
+			RevMsgs: 10270, RevBytes: 143780,
+			OptMsgs: 1800, OptBytes: 32400,
+			TotalMsgs: 84550, TotalBytes: 2840846,
+			CheckMsgs: 68580, CheckBytes: 2491266,
+		},
+		GraphHash: 0x368d67741ec5e8bf,
+		PerHandler: map[string][2]int64{
+			"nd.init.req":    {1800, 118800},
+			"nd.init.resp":   {1800, 32400},
+			"nd.reverse.old": {5555, 77770},
+			"nd.reverse.new": {4715, 66010},
+			"nd.check.type1": {30479, 426706},
+			"nd.check.type2": {26014, 1846994},
+			"nd.check.type3": {12087, 217566},
+			"nd.opt.edge":    {1800, 32400},
+			"nd.gather.row":  {300, 22200},
 		},
 	},
 }

@@ -67,7 +67,7 @@ func (b *builder[T]) neighborChecks() int64 {
 	var count int
 	b.phChecks.Local(func() { count = b.pairCount() })
 	it := &pairIter{}
-	w := b.phaseWriter(8)
+	w := b.phaseWriter()
 	emitted := int64(0)
 	b.phChecks.Run(count, 1, func(_ int) {
 		u1, u2, ok := b.emitChecks(it)
@@ -108,26 +108,16 @@ func (b *builder[T]) applyType1(c *engine.Cand) {
 	if b.cfg.Protocol.OneSided && b.cfg.Protocol.SkipRedundant && b.lists[i].Contains(c.B) {
 		return
 	}
-	// b.vecs is the panel-blocked slab on the hot path: encoding from
-	// it reads one contiguous region instead of a scattered per-vertex
-	// allocation (same values either way, so the bytes sent are
-	// identical).
-	vec := b.vecs[i]
+	vec := b.shard.Vecs[i]
 	m := msg.Type2[T]{U1: c.A, U2: c.B, Vec: vec}
 	if b.cfg.Protocol.OneSided && b.cfg.Protocol.PruneDistant {
 		m.HasBound = true
 		m.Bound = b.lists[i].FarthestDist()
 	}
-	if b.cfg.Conservative {
-		w := b.replyWriter(16 + len(vec)*4)
-		m.Encode(w)
-		b.c.Async(b.owner(c.B), b.hType2, w.Bytes())
-		return
-	}
 	if b.byRef {
 		// By reference: only the head exists; owner(u2) reads the vector
 		// as data[u1]. Charged exactly what the encode below would send.
-		w := b.replyWriter(16)
+		w := b.replyWriter()
 		m.EncodeHead(w)
 		b.asyncByRef(b.owner(c.B), b.hType2, w, vec)
 		return
@@ -159,34 +149,11 @@ func (b *builder[T]) onType2(p []byte) {
 		panic("core: bad type2")
 	}
 	j := b.localIndex(m.U2)
-	c := engine.Cand{A: m.U1, B: m.U2, Local: int32(j), D: m.Bound}
-	if b.qf != nil {
-		// Stage-time pruning threshold for the quantized filter: a
-		// pair is a provable no-op once its distance reaches BOTH the
-		// Type 2+ bound (no Type 3 reply) and u2's farthest neighbor
-		// (no list change). Both only shrink between stage and apply,
-		// so the larger of the two, read here on the rank goroutine,
-		// is a sound and worker-count-independent threshold.
-		c.Aux = m.Bound
-		if far := b.lists[j].FarthestDist(); far > c.Aux {
-			c.Aux = far
-		}
-	}
-	b.stageDist(taskType2, m.U1, m.Vec, stable, c, j)
+	b.stageDist(taskType2, m.U1, m.Vec, stable, engine.Cand{A: m.U1, B: m.U2, Local: int32(j), D: m.Bound}, j)
 }
 
 func (b *builder[T]) applyType2(c *engine.Cand, d float32) {
 	j := int(c.Local)
-	if b.qf != nil && d == quantPrunedDist {
-		// The quantized filter proved this pair effect-free (its
-		// lower bound cleared the stage-time threshold, which only
-		// shrinks by apply time): no exact distance was computed, no
-		// list change or Type 3 reply is possible. Undo the blanket
-		// exact-eval count applyTask charged for the batch.
-		b.quantPruned++
-		b.distEvals--
-		return
-	}
 	if !b.cfg.Protocol.OneSided {
 		// Two-sided flow: each endpoint updates only its own list.
 		b.updates += int64(b.lists[j].Update(c.A, d, true))
@@ -207,7 +174,7 @@ func (b *builder[T]) applyType2(c *engine.Cand, d float32) {
 	if b.cfg.Protocol.PruneDistant && d >= c.D {
 		return
 	}
-	w := b.replyWriter(12)
+	w := b.replyWriter()
 	m := msg.Type3{U1: c.A, U2: c.B, D: d}
 	m.Encode(w)
 	b.c.Async(b.owner(c.A), b.hType3, w.Bytes())

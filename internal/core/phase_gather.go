@@ -15,7 +15,7 @@ func (b *builder[T]) gather(res *Result) {
 			b.gatherInto = knng.NewGraph(b.shard.N)
 		}
 	})
-	w := b.phaseWriter(256)
+	w := b.phaseWriter()
 	b.phGather.Run(b.shard.Len(), b.cfg.K, func(i int) {
 		v := b.shard.IDs[i]
 		w.Reset()

@@ -11,8 +11,7 @@ import (
 // partner's owner (msg.InitReq) and returned (msg.InitResp).
 
 func (b *builder[T]) initGraph() {
-	cons := b.cfg.Conservative
-	w := b.phaseWriter(64)
+	w := b.phaseWriter()
 	b.phInit.Run(b.shard.Len(), b.cfg.K, func(i int) {
 		v := b.shard.IDs[i]
 		// Incremental builds: a dead vertex keeps its prior list
@@ -27,12 +26,7 @@ func (b *builder[T]) initGraph() {
 			return
 		}
 		need := b.cfg.K
-		var seen map[knng.ID]bool
-		if cons {
-			seen = make(map[knng.ID]bool, b.cfg.K)
-		} else {
-			b.beginVisit()
-		}
+		b.beginVisit()
 		// Warm start: vertices the prior graph covers keep their
 		// lists (distances already known, no communication), flagged
 		// old so they generate no redundant checks on their own.
@@ -47,11 +41,7 @@ func (b *builder[T]) initGraph() {
 					continue
 				}
 				if b.lists[i].Update(e.ID, e.Dist, false) == 1 {
-					if cons {
-						seen[e.ID] = true
-					} else {
-						b.visited.Mark(e.ID)
-					}
+					b.visited.Mark(e.ID)
 					need--
 				}
 			}
@@ -75,15 +65,8 @@ func (b *builder[T]) initGraph() {
 			if b.dead.Dead(u) {
 				continue
 			}
-			if cons {
-				if u == v || seen[u] {
-					continue
-				}
-				seen[u] = true
-			} else {
-				if u == v || !b.visited.Visit(u) {
-					continue
-				}
+			if u == v || !b.visited.Visit(u) {
+				continue
 			}
 			need--
 			w.Reset()
@@ -115,7 +98,7 @@ func (b *builder[T]) onInitReq(p []byte) {
 func (b *builder[T]) applyInitReq(t *engine.Task[T]) {
 	for i := range t.Meta {
 		c := &t.Meta[i]
-		w := b.replyWriter(12)
+		w := b.replyWriter()
 		m := msg.InitResp{V: c.A, U: c.B, D: t.Dists[i]}
 		m.Encode(w)
 		b.c.Async(b.owner(c.A), b.hInitResp, w.Bytes())

@@ -14,13 +14,9 @@ import (
 
 func (b *builder[T]) optimizeGraph() {
 	b.phOpt.Local(func() {
-		if b.cfg.Conservative {
-			b.optIn = make(map[knng.ID][]knng.Neighbor)
-		} else {
-			b.optRows = make([][]knng.Neighbor, b.shard.Len())
-		}
+		b.optRows = make([][]knng.Neighbor, b.shard.Len())
 	})
-	w := b.phaseWriter(16)
+	w := b.phaseWriter()
 	b.phOpt.Run(b.shard.Len(), b.cfg.K, func(i int) {
 		v := b.shard.IDs[i]
 		// Dead vertices ship no reverse edges: a live receiver must
@@ -42,7 +38,6 @@ func (b *builder[T]) optimizeGraph() {
 			limit = 1
 		}
 		b.mergeFinal(limit)
-		b.optIn = nil
 		b.optRows = nil
 	})
 }
@@ -66,36 +61,17 @@ func (b *builder[T]) mergeFinal(limit int) {
 // it checks out, so it is safe to run concurrently for distinct i.
 func (b *builder[T]) mergeVertex(i, limit int, scratch *sync.Pool) []knng.Neighbor {
 	merged := b.lists[i].Sorted()
-	var extra []knng.Neighbor
-	if b.cfg.Conservative {
-		extra = b.optIn[b.shard.IDs[i]]
-	} else {
-		extra = b.optRows[i]
+	sc := scratch.Get().(*knng.VisitSet)
+	sc.Begin(b.shard.N)
+	for _, e := range merged {
+		sc.Mark(e.ID)
 	}
-	if b.cfg.Conservative {
-		seen := make(map[knng.ID]bool, len(merged)+len(extra))
-		for _, e := range merged {
-			seen[e.ID] = true
+	for _, e := range b.optRows[i] {
+		if sc.Visit(e.ID) {
+			merged = append(merged, e)
 		}
-		for _, e := range extra {
-			if !seen[e.ID] {
-				seen[e.ID] = true
-				merged = append(merged, e)
-			}
-		}
-	} else {
-		sc := scratch.Get().(*knng.VisitSet)
-		sc.Begin(b.shard.N)
-		for _, e := range merged {
-			sc.Mark(e.ID)
-		}
-		for _, e := range extra {
-			if sc.Visit(e.ID) {
-				merged = append(merged, e)
-			}
-		}
-		scratch.Put(sc)
 	}
+	scratch.Put(sc)
 	knng.SortByDist(merged)
 	if len(merged) > limit {
 		merged = merged[:limit:limit]
@@ -111,9 +87,5 @@ func (b *builder[T]) onOptEdge(p []byte) {
 		panic("core: bad optimize edge")
 	}
 	i := b.localIndex(m.U)
-	if b.cfg.Conservative {
-		b.optIn[m.U] = append(b.optIn[m.U], knng.Neighbor{ID: m.V, Dist: m.D})
-		return
-	}
 	b.optRows[i] = append(b.optRows[i], knng.Neighbor{ID: m.V, Dist: m.D})
 }

@@ -15,18 +15,13 @@ import (
 func (b *builder[T]) exchangeReverse() {
 	var order []int
 	b.phReverse.Local(func() {
-		if b.cfg.Conservative {
-			b.oldRev = make(map[knng.ID][]knng.ID)
-			b.newRev = make(map[knng.ID][]knng.ID)
-		} else {
-			if b.oldRevRows == nil {
-				b.oldRevRows = make([][]knng.ID, b.shard.Len())
-				b.newRevRows = make([][]knng.ID, b.shard.Len())
-			}
-			for i := range b.oldRevRows {
-				b.oldRevRows[i] = b.oldRevRows[i][:0]
-				b.newRevRows[i] = b.newRevRows[i][:0]
-			}
+		if b.oldRevRows == nil {
+			b.oldRevRows = make([][]knng.ID, b.shard.Len())
+			b.newRevRows = make([][]knng.ID, b.shard.Len())
+		}
+		for i := range b.oldRevRows {
+			b.oldRevRows[i] = b.oldRevRows[i][:0]
+			b.newRevRows[i] = b.newRevRows[i][:0]
 		}
 
 		if cap(b.orderScratch) < b.shard.Len() {
@@ -39,7 +34,7 @@ func (b *builder[T]) exchangeReverse() {
 		b.rng.Shuffle(len(order), func(a, z int) { order[a], order[z] = order[z], order[a] })
 	})
 
-	w := b.phaseWriter(8)
+	w := b.phaseWriter()
 	b.phReverse.Run(len(order), 2*b.cfg.K, func(oi int) {
 		i := order[oi]
 		v := b.shard.IDs[i]
@@ -67,14 +62,6 @@ func (b *builder[T]) onReverse(p []byte, old bool) {
 	}
 	// Row u of the reversed matrix lives here, at u's owner.
 	i := b.localIndex(m.U)
-	if b.cfg.Conservative {
-		if old {
-			b.oldRev[m.U] = append(b.oldRev[m.U], m.V)
-		} else {
-			b.newRev[m.U] = append(b.newRev[m.U], m.V)
-		}
-		return
-	}
 	if old {
 		b.oldRevRows[i] = append(b.oldRevRows[i], m.V)
 	} else {

@@ -24,12 +24,7 @@ func (b *builder[T]) sampleLists() {
 		}
 		items := b.lists[i].Items()
 		old := b.olds[i][:0]
-		var cand []knng.ID
-		if b.cfg.Conservative {
-			cand = make([]knng.ID, 0, len(items))
-		} else {
-			cand = b.candScratch[:0]
-		}
+		cand := b.candScratch[:0]
 		for _, it := range items {
 			if it.New {
 				cand = append(cand, it.ID)
@@ -38,9 +33,7 @@ func (b *builder[T]) sampleLists() {
 			}
 		}
 		b.rng.Shuffle(len(cand), func(a, z int) { cand[a], cand[z] = cand[z], cand[a] })
-		if !b.cfg.Conservative {
-			b.candScratch = cand // keep the (possibly grown) backing array
-		}
+		b.candScratch = cand // keep the (possibly grown) backing array
 		if len(cand) > sampleN {
 			cand = cand[:sampleN]
 		}
@@ -62,17 +55,9 @@ func (b *builder[T]) mergeReverseSamples() {
 		if b.dead.Dead(v) {
 			continue // keep old/new empty (see sampleLists)
 		}
-		var extraOld, extraNew []knng.ID
-		if b.cfg.Conservative {
-			extraOld, extraNew = b.oldRev[v], b.newRev[v]
-		} else {
-			extraOld, extraNew = b.oldRevRows[i], b.newRevRows[i]
-		}
-		b.olds[i] = b.unionSample(b.olds[i], extraOld, sampleN)
-		b.news[i] = b.unionSample(b.news[i], extraNew, sampleN)
+		b.olds[i] = b.unionSample(b.olds[i], b.oldRevRows[i], sampleN)
+		b.news[i] = b.unionSample(b.news[i], b.newRevRows[i], sampleN)
 	}
-	b.oldRev = nil
-	b.newRev = nil
 }
 
 // unionSample merges up to sampleN random elements of extra into base
@@ -84,32 +69,10 @@ func (b *builder[T]) mergeReverseSamples() {
 // identical to the historical in-place shuffle.
 func (b *builder[T]) unionSample(base, extra []knng.ID, sampleN int) []knng.ID {
 	if len(extra) > sampleN {
-		var scratch []knng.ID
-		if b.cfg.Conservative {
-			scratch = append([]knng.ID(nil), extra...)
-		} else {
-			scratch = append(b.shufScratch[:0], extra...)
-			b.shufScratch = scratch
-		}
+		scratch := append(b.shufScratch[:0], extra...)
+		b.shufScratch = scratch
 		b.rng.Shuffle(len(scratch), func(a, z int) { scratch[a], scratch[z] = scratch[z], scratch[a] })
 		extra = scratch[:sampleN]
-	}
-	if b.cfg.Conservative {
-		seen := make(map[knng.ID]bool, len(base)+len(extra))
-		out := base[:0]
-		for _, id := range base {
-			if !seen[id] {
-				seen[id] = true
-				out = append(out, id)
-			}
-		}
-		for _, id := range extra {
-			if !seen[id] {
-				seen[id] = true
-				out = append(out, id)
-			}
-		}
-		return out
 	}
 	b.beginVisit()
 	out := base[:0]

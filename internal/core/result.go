@@ -71,17 +71,8 @@ type Result struct {
 	// buckets, plus receive counts, keyed by name — the labels bench
 	// reports print.
 	PerMessage []engine.MessageStat
-	// DistEvals is the global number of exact distance evaluations.
-	// Under Config.Quant, candidates discarded by the code-distance
-	// screen are excluded (they never touch the exact kernel).
+	// DistEvals is the global number of distance evaluations.
 	DistEvals int64
-	// QuantApprox is the global number of Type 2 candidates screened by
-	// the quantized filter (code-distance evaluations); zero without
-	// Config.Quant.
-	QuantApprox int64
-	// QuantPruned is the global number of screened candidates the
-	// filter discarded without an exact evaluation.
-	QuantPruned int64
 	// Workers is the resolved intra-rank worker-pool width on this rank
 	// (Config.Workers after the GOMAXPROCS/nranks default).
 	Workers int
@@ -130,8 +121,6 @@ func (b *builder[T]) collectTotals(res *Result) {
 	t.CheckBytes = t.Type1Bytes + t.Type2Bytes + t.Type3Bytes
 	res.Comm = t
 	res.DistEvals = b.c.AllReduceSum(b.distEvals)
-	res.QuantApprox = b.c.AllReduceSum(b.quantApprox)
-	res.QuantPruned = b.c.AllReduceSum(b.quantPruned)
 	res.TasksDeferred = b.c.AllReduceSum(b.pool.TasksStaged())
 	res.KernelTime = time.Duration(b.c.AllReduceSum(b.pool.KernelTime()))
 	res.Phases = PhaseTimings{

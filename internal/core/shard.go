@@ -43,28 +43,30 @@ type Shard[T wire.Scalar] struct {
 	// builder.data).
 	data [][]T
 
-	index map[knng.ID]int
-	// dense is the O(1) ID→shard-index table the hot path uses in
-	// place of the map: dense[id] is the shard index of an owned id,
-	// -1 otherwise. Built lazily by ensureDense (one int32 per global
-	// point, the same footprint as the builder's visited-mark array);
-	// the map stays authoritative for the Conservative path.
+	// dense is the O(1) ID→shard-index table: dense[id] is the shard
+	// index of an owned id, -1 otherwise (one int32 per global point,
+	// the same footprint as the builder's visited-mark array). Every
+	// Type 1/2/3 message routes through it.
 	dense []int32
 }
 
-// ensureDense builds the dense ID→index table if absent.
-func (s *Shard[T]) ensureDense() {
-	if s.dense != nil {
-		return
-	}
-	d := make([]int32, s.N)
+// newDense returns an all-unowned ID→index table for n global points.
+func newDense(n int) []int32 {
+	d := make([]int32, n)
 	for i := range d {
 		d[i] = -1
 	}
-	for i, id := range s.IDs {
-		d[id] = int32(i)
+	return d
+}
+
+// lookup returns the shard index of id and whether the shard owns it.
+func (s *Shard[T]) lookup(id knng.ID) (int, bool) {
+	if int(id) < len(s.dense) {
+		if i := s.dense[id]; i >= 0 {
+			return int(i), true
+		}
 	}
-	s.dense = d
+	return 0, false
 }
 
 // Partition splits a full dataset into the shard owned by rank. Every
@@ -74,13 +76,13 @@ func (s *Shard[T]) ensureDense() {
 // throughout, so data must not be modified while a build that uses
 // the shard is running.
 func Partition[T wire.Scalar](data [][]T, rank, nranks int) *Shard[T] {
-	s := &Shard[T]{N: len(data), data: data, index: make(map[knng.ID]int)}
+	s := &Shard[T]{N: len(data), data: data, dense: newDense(len(data))}
 	for i, v := range data {
 		id := knng.ID(i)
 		if Owner(id, nranks) != rank {
 			continue
 		}
-		s.index[id] = len(s.IDs)
+		s.dense[id] = int32(len(s.IDs))
 		s.IDs = append(s.IDs, id)
 		s.Vecs = append(s.Vecs, v)
 	}
@@ -94,7 +96,10 @@ func NewShard[T wire.Scalar](n int, ids []knng.ID, vecs [][]T) (*Shard[T], error
 	if len(ids) != len(vecs) {
 		return nil, fmt.Errorf("core: %d ids but %d vectors", len(ids), len(vecs))
 	}
-	s := &Shard[T]{N: n, IDs: ids, Vecs: vecs, index: make(map[knng.ID]int, len(ids))}
+	if n < 0 {
+		return nil, fmt.Errorf("core: negative dataset size %d", n)
+	}
+	s := &Shard[T]{N: n, IDs: ids, Vecs: vecs, dense: newDense(n)}
 	for i, id := range ids {
 		if i > 0 && ids[i-1] >= id {
 			return nil, fmt.Errorf("core: shard ids not strictly ascending at %d", i)
@@ -102,7 +107,7 @@ func NewShard[T wire.Scalar](n int, ids []knng.ID, vecs [][]T) (*Shard[T], error
 		if int(id) >= n {
 			return nil, fmt.Errorf("core: shard id %d out of range (N=%d)", id, n)
 		}
-		s.index[id] = i
+		s.dense[id] = int32(i)
 	}
 	return s, nil
 }
@@ -110,7 +115,7 @@ func NewShard[T wire.Scalar](n int, ids []knng.ID, vecs [][]T) (*Shard[T], error
 // Vec returns the feature vector of an owned global ID; it panics if
 // the ID is not owned by this shard (a protocol bug, not user error).
 func (s *Shard[T]) Vec(id knng.ID) []T {
-	i, ok := s.index[id]
+	i, ok := s.lookup(id)
 	if !ok {
 		panic(fmt.Sprintf("core: vector %d not owned by this shard", id))
 	}
@@ -119,7 +124,7 @@ func (s *Shard[T]) Vec(id knng.ID) []T {
 
 // Owns reports whether the shard holds the given global ID.
 func (s *Shard[T]) Owns(id knng.ID) bool {
-	_, ok := s.index[id]
+	_, ok := s.lookup(id)
 	return ok
 }
 

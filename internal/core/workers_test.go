@@ -18,9 +18,9 @@ import (
 // effects apply in submission order at schedule-independent points, a
 // build with helper goroutines must be bit-identical to the serial
 // build — same message counts and bytes, same rounds, same distance
-// evals, same staged-task count, same gathered graph. Single rank for
-// the same reason as TestOptimizationPassDeterminism: multi-rank
-// arrival order is nondeterministic regardless of the pool.
+// evals, same staged-task count, same gathered graph. Single rank
+// because multi-rank arrival order is nondeterministic regardless of
+// the pool.
 func TestWorkerCountEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	fdata := clusteredData(rng, 300, 12, 8)
@@ -32,7 +32,6 @@ func TestWorkerCountEquivalence(t *testing.T) {
 	}{
 		{"hot-cosine", metric.Cosine, func(cfg *Config) {}},
 		{"hot-sql2", metric.SquaredL2, func(cfg *Config) {}},
-		{"conservative-sql2", metric.SquaredL2, func(cfg *Config) { cfg.Conservative = true }},
 		{"two-sided-sql2", metric.SquaredL2, func(cfg *Config) { cfg.Protocol = Unoptimized() }},
 	}
 	for _, tc := range cases {

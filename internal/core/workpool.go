@@ -20,11 +20,6 @@ var (
 	taskBatchSize = engine.DefaultBatchSize
 )
 
-// taskTileTasks is the default tile width (compute tasks fused per
-// EvalTile call). NOT part of the apply schedule — any value yields
-// bit-identical builds — so tests sweep it freely.
-var taskTileTasks = engine.DefaultTileTasks
-
 // resolveWorkers applies the Config.Workers default: explicit values
 // win; 0 means one worker per core after giving every co-located rank
 // its share, clamped to at least the serial pool.
@@ -56,47 +51,14 @@ func newWorkpool[T wire.Scalar](b *builder[T], workers int) *engine.Pool[T] {
 	if len(b.shard.Vecs) > 0 {
 		dim = len(b.shard.Vecs[0])
 	}
-	tiles := b.cfg.TileTasks
-	if tiles <= 0 {
-		tiles = taskTileTasks
-	}
 	return engine.NewPool(engine.PoolConfig[T]{
 		Workers:   workers,
 		Dim:       dim,
 		RingSize:  taskRingSize,
 		BatchSize: taskBatchSize,
-		TileTasks: tiles,
-		Eval:      b.evalBatch,
-		EvalTile:  b.evalTileBatch,
+		Eval:      b.kern.EvalMany,
 		Apply:     b.applyTask,
 		Comm:      b.c,
 		Trace:     b.c.Trace(),
 	})
-}
-
-// evalBatch is the pool's per-task Eval: Type 2 batches route through
-// the quantized filter when enabled; everything else — and every build
-// without Quant — runs the exact kernel. (Init-request distances must
-// stay exact: they seed lists, so there is no pruning threshold.)
-func (b *builder[T]) evalBatch(kind uint8, q []T, vecs [][]T, norms []float32, meta []engine.Cand, dists []float32) {
-	if b.qf != nil && kind == taskType2 {
-		b.qf.filterMany(&b.kern, q, vecs, meta, dists)
-		return
-	}
-	b.kern.EvalMany(q, vecs, norms, dists)
-}
-
-// evalTileBatch is the tiled form: the exact path hands the whole tile
-// to the kernel's cache-blocked many-many sweep; the quantized path
-// filters per query segment (the screen is already one flat pass over
-// contiguous codes, so tiling buys nothing further there).
-func (b *builder[T]) evalTileBatch(kind uint8, qs [][]T, offs []int32, cands [][]T, norms []float32, meta []engine.Cand, dists []float32) {
-	if b.qf != nil && kind == taskType2 {
-		for i := range qs {
-			lo, hi := offs[i], offs[i+1]
-			b.qf.filterMany(&b.kern, qs[i], cands[lo:hi], meta[lo:hi], dists[lo:hi])
-		}
-		return
-	}
-	b.kern.EvalTile(qs, offs, cands, norms, dists)
 }

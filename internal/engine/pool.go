@@ -57,22 +57,16 @@ const (
 	DefaultRingSize = 512
 	// DefaultBatchSize is the max candidates coalesced into one task.
 	DefaultBatchSize = 64
-	// DefaultTileTasks is the max compute tasks fused into one EvalTile
-	// call by the applier's tile pre-pass.
-	DefaultTileTasks = 8
 )
 
 // Cand is the per-candidate apply metadata. Field use varies by task
 // kind: A/B are protocol vertex IDs in wire order, Local is the shard
 // index of the receiver-side vertex, and D carries a bound or an
-// already-computed distance for apply-only kinds. Aux is a second
-// application-owned float staged alongside D — the quantized check
-// filter uses it for the stage-time pruning threshold; zero elsewhere.
+// already-computed distance for apply-only kinds.
 type Cand struct {
 	A, B  uint32
 	Local int32
 	D     float32
-	Aux   float32
 }
 
 // Task lifecycle, packed into one atomic word as gen<<2|phase. A task
@@ -139,28 +133,11 @@ type PoolConfig[T wire.Scalar] struct {
 	// only compare equal when built with the same values.
 	RingSize  int
 	BatchSize int
-	// TileTasks caps how many same-kind compute tasks the applier's
-	// tile pre-pass fuses into one EvalTile call; 0 selects
-	// DefaultTileTasks. Unlike RingSize/BatchSize it is NOT part of the
-	// apply schedule: tiles only change which goroutine computes a
-	// batch and in what grouping, never the staged sequence, the drain
-	// points, or (per the EvalTile contract) any distance bit — so any
-	// tile size compares equal to any other.
-	TileTasks int
 	// Eval computes the distance batch of one compute task: dists[i] =
 	// theta(query, vecs[i]). norms is nil unless the application staged
-	// a norm for every candidate; meta is the task's per-candidate
-	// apply metadata (read-only — filtering evaluators read bounds from
-	// it). Runs on worker goroutines; it must touch nothing but its
-	// arguments.
-	Eval func(kind uint8, query []T, vecs [][]T, norms []float32, meta []Cand, dists []float32)
-	// EvalTile, when non-nil, is the tiled form of Eval: a batch of
-	// same-kind compute tasks flattened into query segments — query
-	// qs[i] owns cands/meta/dists[offs[i]:offs[i+1]] (norms likewise
-	// when non-nil). Every dists[j] must be bit-identical to what Eval
-	// would have produced for the same pair; the applier uses it to
-	// fuse the ring backlog into cache-blocked tile evaluations.
-	EvalTile func(kind uint8, qs [][]T, offs []int32, cands [][]T, norms []float32, meta []Cand, dists []float32)
+	// a norm for every candidate. Runs on worker goroutines; it must
+	// touch nothing but its arguments.
+	Eval func(query []T, vecs [][]T, norms []float32, dists []float32)
 	// Apply lands one task's effects, on the owning rank's goroutine,
 	// in staging order.
 	Apply func(t *Task[T])
@@ -205,18 +182,6 @@ type Pool[T wire.Scalar] struct {
 	candsStaged  int64
 	kernelNS     atomic.Int64
 	sampledCands atomic.Int64
-
-	// Tile pre-pass scratch (rank goroutine only): reused flattening
-	// buffers for EvalTile plus the claimed-task group of one tile.
-	tileCap   int
-	tileQs    [][]T
-	tileOffs  []int32
-	tileCands [][]T
-	tileNorms []float32
-	tileMeta  []Cand
-	tileDists []float32
-	tileGroup []*Task[T]
-	tileGens  []uint64
 }
 
 // NewPool starts a pool with cfg.Workers-1 helper goroutines.
@@ -227,15 +192,11 @@ func NewPool[T wire.Scalar](cfg PoolConfig[T]) *Pool[T] {
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = DefaultBatchSize
 	}
-	if cfg.TileTasks <= 0 {
-		cfg.TileTasks = DefaultTileTasks
-	}
 	p := &Pool[T]{
 		cfg:      cfg,
 		workers:  cfg.Workers,
 		ringCap:  cfg.RingSize,
 		batchCap: cfg.BatchSize,
-		tileCap:  cfg.TileTasks,
 		queue:    make(chan poolItem[T], cfg.RingSize+64),
 	}
 	if p.ringCap < 2 {
@@ -324,11 +285,11 @@ func (p *Pool[T]) exec(t *Task[T]) {
 		norms = t.norms
 	}
 	if t.seq%kernelSampleStride != 0 {
-		p.cfg.Eval(t.Kind, t.Query, t.Vecs[:n], norms, t.Meta, t.Dists)
+		p.cfg.Eval(t.Query, t.Vecs[:n], norms, t.Dists)
 		return
 	}
 	start := time.Now()
-	p.cfg.Eval(t.Kind, t.Query, t.Vecs[:n], norms, t.Meta, t.Dists)
+	p.cfg.Eval(t.Query, t.Vecs[:n], norms, t.Dists)
 	p.kernelNS.Add(int64(time.Since(start)))
 	p.sampledCands.Add(int64(n))
 }
@@ -535,7 +496,6 @@ func (p *Pool[T]) applyDownTo(target int) bool {
 	p.applying = true
 	defer func() { p.applying = false }()
 	p.sealTail() // let helpers start on the backlog we are about to walk
-	p.tileBacklog()
 	applied := false
 	for p.size() > target {
 		t := p.ring[p.head]
@@ -553,107 +513,6 @@ func (p *Pool[T]) applyDownTo(target int) bool {
 		}
 	}
 	return applied
-}
-
-// tileBacklog is the applier's tile pre-pass: it walks the sealed
-// backlog, CAS-claims runs of consecutive same-kind unclaimed compute
-// tasks, and evaluates each run as one EvalTile call over the
-// flattened candidate segments. Grouping is purely an execution detail
-// — the apply loop still consumes tasks in staging order and every
-// distance bit matches the per-task Eval (the EvalTile contract) — so
-// tile size is observably invisible, unlike the ring knobs. Helpers
-// that already claimed a task keep it (the CAS fails here); runs
-// simply form around those gaps. Tile evaluations are always
-// wall-timed: one clock pair amortizes over the whole tile, so the
-// sampling stride exists only for the short per-task batches.
-func (p *Pool[T]) tileBacklog() {
-	if p.cfg.EvalTile == nil {
-		return
-	}
-	for i := p.head; i < len(p.ring); {
-		t := p.ring[i]
-		if !t.compute || t.state.Load()&3 != stReady {
-			i++
-			continue
-		}
-		// Open a run at i: claim while kind and norm-shape match.
-		kind := t.Kind
-		p.tileGroup = p.tileGroup[:0]
-		p.tileGens = p.tileGens[:0]
-		normed := len(t.norms) == len(t.Meta) && len(t.norms) > 0
-		for ; i < len(p.ring) && len(p.tileGroup) < p.tileCap; i++ {
-			c := p.ring[i]
-			if !c.compute || c.Kind != kind {
-				break
-			}
-			if (len(c.norms) == len(c.Meta) && len(c.norms) > 0) != normed {
-				break
-			}
-			s := c.state.Load()
-			if s&3 != stReady || !c.state.CompareAndSwap(s, (s>>2)<<2|stClaimed) {
-				continue // a helper got it; tile around the gap
-			}
-			p.tileGroup = append(p.tileGroup, c)
-			p.tileGens = append(p.tileGens, s>>2)
-		}
-		if len(p.tileGroup) == 0 {
-			continue
-		}
-		if len(p.tileGroup) == 1 {
-			// Degenerate tile: the per-task path is equivalent and
-			// skips the flattening copies.
-			c := p.tileGroup[0]
-			p.exec(c)
-			c.state.Store(p.tileGens[0]<<2 | stDone)
-			continue
-		}
-		p.evalTileGroup(kind, normed)
-	}
-}
-
-// evalTileGroup flattens the claimed group into the tile scratch,
-// invokes EvalTile once, and distributes the distances back into each
-// task before publishing it done.
-func (p *Pool[T]) evalTileGroup(kind uint8, normed bool) {
-	p.tileQs = p.tileQs[:0]
-	p.tileOffs = append(p.tileOffs[:0], 0)
-	p.tileCands = p.tileCands[:0]
-	p.tileNorms = p.tileNorms[:0]
-	p.tileMeta = p.tileMeta[:0]
-	total := 0
-	for _, c := range p.tileGroup {
-		n := len(c.Meta)
-		p.tileQs = append(p.tileQs, c.Query)
-		p.tileCands = append(p.tileCands, c.Vecs[:n]...)
-		p.tileMeta = append(p.tileMeta, c.Meta...)
-		if normed {
-			p.tileNorms = append(p.tileNorms, c.norms...)
-		}
-		total += n
-		p.tileOffs = append(p.tileOffs, int32(total))
-	}
-	if cap(p.tileDists) < total {
-		p.tileDists = make([]float32, total)
-	}
-	dists := p.tileDists[:total]
-	var norms []float32
-	if normed {
-		norms = p.tileNorms
-	}
-	start := time.Now()
-	p.cfg.EvalTile(kind, p.tileQs, p.tileOffs, p.tileCands, norms, p.tileMeta, dists)
-	p.kernelNS.Add(int64(time.Since(start)))
-	p.sampledCands.Add(int64(total))
-	for gi, c := range p.tileGroup {
-		n := len(c.Meta)
-		if cap(c.Dists) < n {
-			c.Dists = make([]float32, n)
-		} else {
-			c.Dists = c.Dists[:n]
-		}
-		copy(c.Dists, dists[p.tileOffs[gi]:p.tileOffs[gi+1]])
-		c.state.Store(p.tileGens[gi]<<2 | stDone)
-	}
 }
 
 // await makes a compute task's distances available, stealing the work

@@ -18,7 +18,7 @@ func TestStableQueryAliasSurvivesRecycle(t *testing.T) {
 	p := NewPool(PoolConfig[float32]{
 		Workers: 1,
 		Dim:     dim,
-		Eval: func(_ uint8, q []float32, vecs [][]float32, _ []float32, _ []Cand, dists []float32) {
+		Eval: func(q []float32, vecs [][]float32, _ []float32, dists []float32) {
 			for i := range vecs {
 				dists[i] = q[0]
 			}

@@ -1,0 +1,184 @@
+package engine
+
+import (
+	"slices"
+	"strings"
+	"testing"
+)
+
+// testPool is a pool over 1-d float32 vectors whose distance is
+// query[0] + vec[0], with a caller-supplied Apply.
+func testPool(workers, ring int, apply func(p *Pool[float32], t *Task[float32])) *Pool[float32] {
+	var p *Pool[float32]
+	p = NewPool(PoolConfig[float32]{
+		Workers:  workers,
+		Dim:      1,
+		RingSize: ring,
+		Eval: func(q []float32, vecs [][]float32, _ []float32, dists []float32) {
+			for i, v := range vecs {
+				dists[i] = q[0] + v[0]
+			}
+		},
+		Apply: func(t *Task[float32]) { apply(p, t) },
+	})
+	return p
+}
+
+// Effects land in stage order, with the right distances, at every pool
+// width: a 4-slot ring forces a half-drain every few stagings, so helper
+// claims, inline steals and recycled tasks all interleave, and none of
+// it may reorder or drop an apply. Keys differ per record, so every
+// record is its own task (nothing coalesces).
+func TestApplyOrderEqualsStageOrder(t *testing.T) {
+	const n = 200
+	vec := []float32{0.5}
+	for _, workers := range []int{1, 2, 3} {
+		var got []uint32
+		p := testPool(workers, 4, func(_ *Pool[float32], tk *Task[float32]) {
+			for i, m := range tk.Meta {
+				got = append(got, m.A)
+				if tk.Compute() && tk.Dists[i] != float32(m.A)+0.5 {
+					t.Errorf("workers=%d: record %d has distance %v, want %v", workers, m.A, tk.Dists[i], float32(m.A)+0.5)
+				}
+			}
+		})
+		want := make([]uint32, n)
+		for i := range want {
+			a := uint32(i)
+			want[i] = a
+			if i%3 == 2 {
+				p.StageApply(uint8(1+i%2), Cand{A: a})
+			} else {
+				p.StageCompute(0, a, []float32{float32(a)}, false, Cand{A: a}, vec, 0, false)
+			}
+			if size := len(p.ring) - p.head; size >= 4 {
+				t.Fatalf("workers=%d: ring holds %d tasks after staging %d, cap is 4", workers, size, i)
+			}
+		}
+		p.RunHook()
+		p.Shutdown()
+		if !slices.Equal(got, want) {
+			t.Errorf("workers=%d: apply order differs from stage order:\n got %v\nwant %v", workers, got, want)
+		}
+		if p.TasksStaged() != n {
+			t.Errorf("workers=%d: staged %d tasks, want %d", workers, p.TasksStaged(), n)
+		}
+	}
+}
+
+// Applies send, sends dispatch, dispatch stages: a record staged from
+// inside Apply must join the ring and wait for the running drain loop
+// — even with the ring past its cap — never start a nested drain.
+func TestStagingInsideApplyDoesNotRecurse(t *testing.T) {
+	const chain = 40
+	const filler = 1000 // filler records carry A >= filler and stage nothing
+	var links []uint32
+	applied, depth, maxDepth, maxSize := 0, 0, 0, 0
+	p := testPool(1, 4, func(p *Pool[float32], tk *Task[float32]) {
+		depth++
+		maxDepth = max(maxDepth, depth)
+		applied++
+		if a := tk.Meta[0].A; a < filler {
+			links = append(links, a)
+			if a < chain {
+				// The next link goes in ahead of two fillers, so the ring
+				// grows by two per link and passes the 4-slot cap at once.
+				p.StageApply(uint8(a%2), Cand{A: a + 1})
+				p.StageApply(2, Cand{A: filler})
+				p.StageApply(3, Cand{A: filler})
+				maxSize = max(maxSize, len(p.ring)-p.head)
+			}
+		}
+		depth--
+	})
+	defer p.Shutdown()
+	p.StageApply(9, Cand{A: 0})
+	if !p.RunHook() {
+		t.Fatal("RunHook applied nothing")
+	}
+	if maxSize <= 4 {
+		t.Fatalf("ring peaked at %d tasks; the test needs it past the 4-slot cap", maxSize)
+	}
+	if maxDepth != 1 {
+		t.Errorf("Apply nested %d deep, want 1", maxDepth)
+	}
+	if p.PendingHook() {
+		t.Error("records staged during the drain were left on the ring")
+	}
+	for i, a := range links {
+		if a != uint32(i) {
+			t.Fatalf("chain applied out of order: %v", links)
+		}
+	}
+	if len(links) != chain+1 || applied != 1+3*chain {
+		t.Errorf("applied %d records (%d links), want %d (%d)", applied, len(links), 1+3*chain, chain+1)
+	}
+}
+
+// PendingHook is what keeps ygm quiescence honest: it must stay true
+// until the last staged record has been applied, including inside the
+// last Apply but one.
+func TestPendingHookTrueUntilLastApply(t *testing.T) {
+	const n = 6
+	applied := 0
+	p := testPool(2, 64, func(p *Pool[float32], _ *Task[float32]) {
+		applied++
+		if want := applied < n; p.PendingHook() != want {
+			t.Errorf("inside apply %d of %d: PendingHook = %v, want %v", applied, n, !want, want)
+		}
+	})
+	defer p.Shutdown()
+	if p.PendingHook() {
+		t.Error("empty pool reports pending work")
+	}
+	for i := 0; i < n; i++ {
+		p.StageCompute(0, uint32(i), []float32{1}, false, Cand{A: uint32(i)}, []float32{2}, 0, false)
+		if !p.PendingHook() {
+			t.Fatalf("PendingHook false with %d staged tasks", i+1)
+		}
+	}
+	p.RunHook()
+	if applied != n || p.PendingHook() {
+		t.Errorf("after drain: applied %d of %d, pending %v", applied, n, p.PendingHook())
+	}
+	if p.RunHook() {
+		t.Error("RunHook on an empty ring reported progress")
+	}
+}
+
+// A panic inside Eval — on a helper or on the applier's inline steal —
+// must surface as a panic on the applying goroutine, before the
+// poisoned task is applied, and must not wedge the drain.
+func TestEvalPanicSurfacesOnApplier(t *testing.T) {
+	for _, workers := range []int{1, 3} {
+		applied := 0
+		p := NewPool(PoolConfig[float32]{
+			Workers: workers,
+			Dim:     1,
+			Eval: func(q []float32, _ [][]float32, _ []float32, _ []float32) {
+				if q[0] == 13 {
+					panic("boom at 13")
+				}
+			},
+			Apply: func(*Task[float32]) { applied++ },
+		})
+		for i := 0; i < 20; i++ {
+			p.StageCompute(0, uint32(i), []float32{float32(i)}, false, Cand{A: uint32(i)}, []float32{0}, 0, false)
+		}
+		func() {
+			defer func() {
+				r := recover()
+				err, _ := r.(error)
+				if err == nil || !strings.Contains(err.Error(), "boom at 13") {
+					t.Errorf("workers=%d: recovered %v, want the worker panic", workers, r)
+				}
+			}()
+			p.RunHook()
+			t.Errorf("workers=%d: drain completed despite the Eval panic", workers)
+		}()
+		if applied > 13 {
+			t.Errorf("workers=%d: %d tasks applied, the one that panicked among them", workers, applied)
+		}
+		p.Shutdown()
+	}
+}

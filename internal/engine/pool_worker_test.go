@@ -13,7 +13,7 @@ func TestParallelForWorkerCoverageAndIndices(t *testing.T) {
 		p := NewPool(PoolConfig[float32]{
 			Workers: workers,
 			Dim:     4,
-			Eval:    func(uint8, []float32, [][]float32, []float32, []Cand, []float32) {},
+			Eval:    func([]float32, [][]float32, []float32, []float32) {},
 			Apply:   func(*Task[float32]) {},
 		})
 		const n = 1000

@@ -1,7 +1,7 @@
 // Package quant implements per-dimension scalar quantization of
 // feature vectors to uint8 codes, plus the distance machinery that
-// lets the construction and query paths use the codes as a cheap
-// first-pass filter with a rigorous error bound.
+// lets the query path traverse on the codes as a cheap first pass with
+// a rigorous error bound.
 //
 // Scheme: the trainer finds each dimension's minimum (the offset) and
 // a single UNIFORM scale s = max_d(range_d)/255 across dimensions.
@@ -20,10 +20,7 @@
 //
 //	| ‖a-b‖ − s·√CD(a,b) | ≤ ε(a) + ε(b)
 //
-// which gives the conservative pruning rule used by the check filter:
-// a candidate may be discarded only when s·√CD − ε(a) − ε(b) is
-// already beyond the threshold, so no pair an exact build would have
-// accepted is ever lost.
+// so s·√CD − ε(a) − ε(b) is a sound lower bound on the exact distance.
 //
 // uint8 datasets pass through losslessly (identity params, ε = 0): the
 // codes ARE the vectors and the "approximate" distance is exact.
@@ -133,8 +130,7 @@ type View struct {
 	codes  []uint8   // n × Dim, row-major contiguous
 	errs   []float32 // per-row ε; nil means all zero (lossless)
 	// Exact marks a lossless passthrough view (uint8 data): code
-	// distance is the true distance, so filter survivors need no
-	// exact re-evaluation.
+	// distance is the true distance.
 	Exact bool
 }
 
@@ -202,17 +198,6 @@ func (v *View) scale() float32 {
 func (v *View) ApproxL2(qcode []uint8, i int) float32 {
 	cd := metric.SquaredL2Uint8(qcode, v.Code(i))
 	return v.scale() * float32(math.Sqrt(float64(cd)))
-}
-
-// LowerBoundL2 returns a sound lower bound on the exact L2 distance
-// between the query (whose encoding error is qerr) and row i:
-// max(0, s·√CD − qerr − ε_i). Exact views return the true distance.
-func (v *View) LowerBoundL2(qcode []uint8, qerr float32, i int) float32 {
-	d := v.ApproxL2(qcode, i) - qerr - v.Err(i)
-	if d < 0 {
-		return 0
-	}
-	return d
 }
 
 // NewView builds the right view for the element type: trained scalar

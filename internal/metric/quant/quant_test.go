@@ -50,9 +50,8 @@ func TestEncodeRoundTripBound(t *testing.T) {
 
 // The triangle bound | ‖a-b‖ − s·√CD | ≤ ε(a)+ε(b) must hold for every
 // pair, including out-of-range queries that get clamped (their larger ε
-// keeps the bound sound). LowerBoundL2 must therefore never exceed the
-// exact distance.
-func TestLowerBoundSound(t *testing.T) {
+// keeps the bound sound).
+func TestApproxEnvelopeSound(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	dim := 32
 	vecs := randVecs(rng, 300, dim, -1, 1)
@@ -64,10 +63,10 @@ func TestLowerBoundSound(t *testing.T) {
 		qerr := view.Params.EncodeFloat32(q, code)
 		for i, v := range vecs {
 			exact := metric.L2Float32(q, v)
-			lb := view.LowerBoundL2(code, qerr, i)
-			if lb > exact*(1+1e-5)+1e-5 {
-				t.Fatalf("query %d row %d: lower bound %v exceeds exact %v (approx %v, qerr %v, rowerr %v)",
-					qi, i, lb, exact, view.ApproxL2(code, i), qerr, view.Err(i))
+			approx := view.ApproxL2(code, i)
+			if slack := qerr + view.Err(i); math.Abs(float64(exact-approx)) > float64(slack)*(1+1e-5)+1e-5 {
+				t.Fatalf("query %d row %d: |exact %v - approx %v| outside envelope (qerr %v, rowerr %v)",
+					qi, i, exact, approx, qerr, view.Err(i))
 			}
 		}
 	}
@@ -121,7 +120,7 @@ func TestConstantDataDegenerate(t *testing.T) {
 	q := []float32{4, 2, 2}
 	qerr := view.Params.EncodeFloat32(q, code)
 	exact := metric.L2Float32(q, vecs[0])
-	if lb := view.LowerBoundL2(code, qerr, 0); lb > exact+1e-6 {
+	if lb := view.ApproxL2(code, 0) - qerr - view.Err(0); lb > exact+1e-6 {
 		t.Fatalf("degenerate lower bound %v exceeds exact %v", lb, exact)
 	}
 }

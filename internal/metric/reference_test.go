@@ -7,7 +7,7 @@ import "math"
 // metric_prop_test.go pin the optimized kernels to these (bit-identical
 // for integer arithmetic, bounded-ulp for reassociated float sums), and
 // the benchmarks in metric_bench_test.go report both so the speedup is
-// visible in the BENCH_PR<N>.json trajectory.
+// visible.
 
 func refSquaredL2Float32(a, b []float32) float32 {
 	var s float32

@@ -1,96 +1,15 @@
 package metric
 
-import (
-	"math"
-	"unsafe"
-
-	"dnnd/internal/wire"
-)
+import "math"
 
 // This file holds the tiled (many-queries × many-candidates) side of
-// the kernel subsystem: the Blocked contiguous panel layout for
-// candidate vectors and the ManyMany fast paths behind
+// the kernel subsystem: the ManyMany fast paths behind
 // Kernel.EvalTile. The design rule, stated once here and relied on
 // everywhere: a tiled kernel may reorder which PAIR it visits when —
 // that is where the cache blocking lives — but must never restructure
 // the accumulation WITHIN a pair. Integer kernels are exact, so any
 // rewrite is automatically bit-identical; float32 kernels keep the
 // per-pair lane structure documented in metric.go.
-
-// DefaultPanelBytes sizes a candidate panel to half a typical L2 slice
-// so one panel plus a tile of queries and accumulators stays resident
-// while the tile sweeps it.
-const DefaultPanelBytes = 128 << 10
-
-// Blocked stores a set of vectors in one contiguous slab, grouped into
-// cache-sized panels of consecutive rows. Rows keep their row-major
-// element order (so a row view is drop-in for the original slice and
-// every kernel result is bit-identical); the win is purely locality —
-// candidate walks during a tile evaluation touch one hardware-friendly
-// sequential region instead of len(vecs) scattered allocations, and
-// rows of the same panel share L2 residency across the tile's queries.
-type Blocked[T wire.Scalar] struct {
-	rows    [][]T
-	slab    []T
-	perPane int // rows per panel (uniform-dim case); 0 when dims vary
-}
-
-// NewBlocked copies vecs into a fresh panel-blocked slab. panelBytes
-// <= 0 selects DefaultPanelBytes. The input slices are not retained.
-func NewBlocked[T wire.Scalar](vecs [][]T, panelBytes int) *Blocked[T] {
-	if panelBytes <= 0 {
-		panelBytes = DefaultPanelBytes
-	}
-	var z T
-	elem := int(unsafe.Sizeof(z))
-	total := 0
-	uniform := true
-	for _, v := range vecs {
-		total += len(v)
-		if len(v) != len(vecs[0]) {
-			uniform = false
-		}
-	}
-	b := &Blocked[T]{
-		rows: make([][]T, len(vecs)),
-		slab: make([]T, 0, total),
-	}
-	if uniform && len(vecs) > 0 && len(vecs[0]) > 0 {
-		rowBytes := len(vecs[0]) * elem
-		b.perPane = panelBytes / rowBytes
-		if b.perPane < 1 {
-			b.perPane = 1
-		}
-	}
-	for i, v := range vecs {
-		start := len(b.slab)
-		b.slab = append(b.slab, v...)
-		// Full-capacity reslice so appends elsewhere can never alias
-		// into a neighboring row.
-		b.rows[i] = b.slab[start : start+len(v) : start+len(v)]
-	}
-	return b
-}
-
-// Row returns the blocked view of vector i. The slice aliases the
-// shared slab; callers must treat it as read-only.
-func (b *Blocked[T]) Row(i int) []T { return b.rows[i] }
-
-// Rows returns all row views, indexed like the constructor's input.
-func (b *Blocked[T]) Rows() [][]T { return b.rows }
-
-// Len returns the number of rows.
-func (b *Blocked[T]) Len() int { return len(b.rows) }
-
-// PanelOf returns the panel index of row i (rows of one panel are
-// consecutive and span at most the panel byte budget). With
-// variable-length rows the whole slab is a single panel.
-func (b *Blocked[T]) PanelOf(i int) int {
-	if b.perPane == 0 {
-		return 0
-	}
-	return i / b.perPane
-}
 
 // squaredL2Float32Pair2 evaluates one query against two candidates in
 // a single dimension sweep, loading each query element once. Each pair

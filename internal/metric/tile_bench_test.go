@@ -1,12 +1,11 @@
 package metric_test
 
-// Kernel-axis regression benches for scripts/bench.sh: the tiled
-// (EvalTile) form and the quantized code screen at the two anchor
-// shapes (deep float32 dim 96, bigann uint8 dim 128), alongside the
-// per-pair benches in metric_bench_test.go. An external test package
-// so the quant import does not cycle. The interactive grid across
-// dims 32-960 lives in `dnnd-bench kernels` (results/kernels.md);
-// these pin the anchor points in BENCH_PR<N>.json.
+// Kernel-axis micro-benchmarks: the tiled (EvalTile) form and the
+// quantized code screen at the two anchor shapes (deep float32 dim 96,
+// bigann uint8 dim 128), alongside the per-pair benches in
+// metric_bench_test.go. An external test package so the quant import
+// does not cycle. The interactive grid across dims 32-960 lives in
+// `dnnd-bench kernels` (results/kernels.md).
 
 import (
 	"math/rand"
@@ -104,9 +103,9 @@ func benchQuantScreen[T interface{ float32 | uint8 }](b *testing.B, qs, cands []
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for qi, q := range qs {
-			code, qerr := quant.Encode(view, q, &scratch)
+			code, _ := quant.Encode(view, q, &scratch)
 			for j := 0; j < perQ; j++ {
-				benchSink += view.LowerBoundL2(code, qerr, qi*perQ+j)
+				benchSink += view.ApproxL2(code, qi*perQ+j)
 			}
 		}
 	}

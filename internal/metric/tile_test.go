@@ -205,52 +205,3 @@ func TestEvalTileJaccardBitIdentical(t *testing.T) {
 		}
 	}
 }
-
-// Blocked must preserve every row verbatim (same values, stable views)
-// so kernels over blocked rows are trivially bit-identical; panels must
-// group consecutive rows within the byte budget.
-func TestBlockedPreservesRowsAndPanels(t *testing.T) {
-	rng := rand.New(rand.NewSource(44))
-	vecs := make([][]uint8, 300)
-	for i := range vecs {
-		vecs[i] = make([]uint8, 128)
-		for j := range vecs[i] {
-			vecs[i][j] = uint8(rng.Intn(256))
-		}
-	}
-	b := NewBlocked(vecs, 4096) // 32 rows of 128 bytes per panel
-	if b.Len() != len(vecs) {
-		t.Fatalf("Len = %d, want %d", b.Len(), len(vecs))
-	}
-	for i, v := range vecs {
-		r := b.Row(i)
-		if len(r) != len(v) {
-			t.Fatalf("row %d len %d, want %d", i, len(r), len(v))
-		}
-		for j := range v {
-			if r[j] != v[j] {
-				t.Fatalf("row %d elem %d: %d != %d", i, j, r[j], v[j])
-			}
-		}
-		if want := i / 32; b.PanelOf(i) != want {
-			t.Fatalf("PanelOf(%d) = %d, want %d", i, b.PanelOf(i), want)
-		}
-	}
-	// Mutating an original input must not leak into the blocked copy.
-	vecs[0][0] ^= 0xff
-	if b.Row(0)[0] == vecs[0][0] {
-		t.Fatal("blocked row aliases constructor input")
-	}
-	// Variable-length rows: single logical panel, rows preserved.
-	ragged := [][]uint32{{1, 2, 3}, {}, {9}}
-	rb := NewBlocked(ragged, 0)
-	for i, v := range ragged {
-		r := rb.Row(i)
-		if len(r) != len(v) {
-			t.Fatalf("ragged row %d len %d, want %d", i, len(r), len(v))
-		}
-		if rb.PanelOf(i) != 0 {
-			t.Fatalf("ragged PanelOf(%d) = %d, want 0", i, rb.PanelOf(i))
-		}
-	}
-}

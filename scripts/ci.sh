@@ -31,6 +31,11 @@ echo "== go test (benchmark module)"
 # so ./... above never sees it: its manifest check and smoke run would
 # otherwise rot silently when an internal API they use changes.
 go -C benchmark test ./...
+# vet type-checks every file of the nested module, so an edit here that
+# breaks one of its imports (core.BuildKernel, core.Partition,
+# metric.KernelFor, Kernel.ManyMany, Result's timing fields, ...)
+# fails now rather than at the next benchmark run.
+go -C benchmark vet ./...
 
 echo "== go test -race (comm + core)"
 go test -race ./internal/ygm/ ./internal/core/ ./internal/dquery/
@@ -117,12 +122,27 @@ echo "== benchmark hang guard (one short run of every workload)"
 # Every workload must finish well inside its budget with correct
 # outputs and no failed operation; a comm-layer change that deadlocks or
 # loses a message shows up here as a timeout or a failed gate.
+# build-gist-r1 runs one rank, so its protocol counters and graph hash
+# repeat exactly: comparing them to the literal makes a silent protocol
+# change (one message, one byte, one reordered RNG draw) fail here.
+gist_exact='# exact: iters=7 dist_evals=775467 messages=1895150 bytes=3011972147 graph_hash=6d99a5af8277f5a3'
 for w in build-deep-r4 build-gist-r1 serve-routed serve-mutable; do
-  last="$(timeout 180 bash benchmark/run.sh --workload "$w" --seed 1 --seconds 20 --trace 0 | tail -1 || true)"
+  out="$(timeout 180 bash benchmark/run.sh --workload "$w" --seed 1 --seconds 20 --trace 0 || true)"
+  last="$(tail -1 <<<"$out")"
   case "$last" in
     '{"correct":true,'*'"failed":0,'*) echo "$w ok" ;;
     *) echo "benchmark workload $w failed: $last" >&2; exit 1 ;;
   esac
+  if [ "$w" = build-gist-r1 ]; then
+    exact="$(grep -a '^# exact:' <<<"$out" || true)"
+    if [ "$exact" != "$gist_exact" ]; then
+      echo "build-gist-r1 protocol counters moved:" >&2
+      echo " got: $exact" >&2
+      echo "want: $gist_exact" >&2
+      exit 1
+    fi
+    echo "$w exact counters ok"
+  fi
 done
 
 echo "CI OK"
