@@ -7,7 +7,7 @@
 //	dnnd-bench [flags] <experiment>
 //
 // Experiments: table1, recall, table2, fig2, fig3, fig4, batch,
-// graphopt, commablate, kernels, all.
+// graphopt, commablate, entry, incr, dquery, msgs, all.
 package main
 
 import (
@@ -31,7 +31,7 @@ func main() {
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
-			"usage: dnnd-bench [flags] <table1|recall|table2|fig2|fig3|fig4|batch|graphopt|commablate|entry|incr|dquery|workers|msgs|kernels|all>\n")
+			"usage: dnnd-bench [flags] <table1|recall|table2|fig2|fig3|fig4|batch|graphopt|commablate|entry|incr|dquery|msgs|all>\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -73,12 +73,10 @@ func main() {
 		"entry":      func(o bench.Options) error { _, err := bench.EntryPointAblation(o); return err },
 		"incr":       func(o bench.Options) error { _, err := bench.IncrementalAblation(o); return err },
 		"dquery":     func(o bench.Options) error { _, err := bench.DistributedQueryScaling(o); return err },
-		"workers":    func(o bench.Options) error { _, err := bench.WorkersScaling(o); return err },
 		"msgs":       func(o bench.Options) error { _, err := bench.MessageCatalog(o); return err },
-		"kernels":    func(o bench.Options) error { _, err := bench.Kernels(o); return err },
 	}
 
-	order := []string{"table1", "recall", "table2", "fig2", "fig3", "fig4", "batch", "graphopt", "commablate", "entry", "incr", "dquery", "workers", "msgs", "kernels"}
+	order := []string{"table1", "recall", "table2", "fig2", "fig3", "fig4", "batch", "graphopt", "commablate", "entry", "incr", "dquery", "msgs"}
 	var todo []string
 	if exp == "all" {
 		todo = order

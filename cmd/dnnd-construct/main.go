@@ -126,14 +126,7 @@ func setupObs() (tr *dnnd.Tracer, reg *dnnd.Registry, finish func()) {
 	}
 	return tr, reg, func() {
 		if *traceOut != "" {
-			f, err := os.Create(*traceOut)
-			if err != nil {
-				fatal(err)
-			}
-			if err := tr.WriteJSON(f); err != nil {
-				fatal(err)
-			}
-			if err := f.Close(); err != nil {
+			if err := tr.WriteFile(*traceOut); err != nil {
 				fatal(err)
 			}
 			fmt.Printf("dnnd-construct: trace written to %s\n", *traceOut)

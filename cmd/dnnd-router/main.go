@@ -11,20 +11,18 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"dnnd/internal/obs"
 	"dnnd/internal/router"
+	"dnnd/internal/serve"
 )
 
 func main() {
@@ -116,47 +114,9 @@ func main() {
 	fmt.Printf("dnnd-router: routing %d %s points (metric=%s k=%d) across %d shards, %d replicas, on %s\n",
 		man.N, man.Elem, man.Metric, man.K, len(man.Shards), replicas, ln.Addr())
 
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, syscall.SIGTERM, syscall.SIGINT)
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- rt.Serve(ln) }()
-
-	select {
-	case sig := <-sigs:
-		fmt.Printf("dnnd-router: %v, draining (up to %v)\n", sig, *drainWait)
-		ctx, cancel := context.WithTimeout(context.Background(), *drainWait)
-		defer cancel()
-		if err := rt.Shutdown(ctx); err != nil {
-			fmt.Fprintf(os.Stderr, "dnnd-router: drain incomplete: %v\n", err)
-		}
-		<-serveErr
-	case err := <-serveErr:
-		if err != nil {
-			fatal(err)
-		}
+	if err := serve.RunDaemon("dnnd-router", rt, ln, *drainWait, tracer, *traceOut, rt.Metrics().Dump); err != nil {
+		fatal(err)
 	}
-	if *traceOut != "" {
-		if err := writeTrace(*traceOut, tracer); err != nil {
-			fmt.Fprintf(os.Stderr, "dnnd-router: trace: %v\n", err)
-		} else {
-			fmt.Printf("dnnd-router: trace written to %s\n", *traceOut)
-		}
-	}
-	fmt.Print(rt.Metrics().Dump())
-}
-
-// writeTrace flushes the router's span timeline to path — merged with
-// the shard processes' files by tracecheck -merge.
-func writeTrace(path string, tr *obs.Tracer) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tr.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // parseShards splits "a1,a2;b1" into [][]string{{"a1","a2"},{"b1"}}:

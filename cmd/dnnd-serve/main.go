@@ -7,19 +7,17 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"net"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"dnnd"
 	"dnnd/internal/metric/quant"
 	"dnnd/internal/obs"
 	"dnnd/internal/serve"
+	"dnnd/internal/wire"
 )
 
 func main() {
@@ -31,8 +29,7 @@ func main() {
 		queue       = flag.Int("queue", 1024, "admission queue depth (overload beyond it)")
 		batch       = flag.Int("batch", 16, "max queries per micro-batch")
 		batchWait   = flag.Duration("batch-wait", 0, "extra wait for a batch to fill (0 = purely dynamic)")
-		lanes       = flag.Int("lanes", 0, "independent dispatch lanes, each with its own queue shard and worker pool (0 = -executors)")
-		executors   = flag.Int("executors", 2, "legacy batch-parallelism knob; seeds the -lanes default")
+		lanes       = flag.Int("lanes", 0, "independent dispatch lanes, each with its own queue shard and worker pool (0 = 2)")
 		workers     = flag.Int("workers", 0, "per-lane intra-batch workers (0 = GOMAXPROCS/lanes)")
 		deadline    = flag.Duration("deadline", 0, "default per-query deadline (0 = none)")
 		maxDeadline = flag.Duration("max-deadline", 0, "cap on client-requested deadlines (0 = uncapped)")
@@ -67,7 +64,6 @@ func main() {
 			BatchMax:        *batch,
 			BatchWait:       *batchWait,
 			Lanes:           *lanes,
-			Executors:       *executors,
 			Workers:         *workers,
 			DefaultDeadline: *deadline,
 			MaxDeadline:     *maxDeadline,
@@ -196,64 +192,14 @@ func run[T dnnd.Scalar](storeDir string, o options) {
 	}
 	if o.mutable {
 		fmt.Printf("dnnd-serve: serving %d %s points mutable (metric=%s k=%d gen=%d pending=%d tombstones=%d persist=%v) on %s\n",
-			ix.Len(), elemOf[T](), ix.Metric(), ix.K(), st.Gen, len(pending), st.TombN, o.persist, ln.Addr())
+			ix.Len(), wire.ElemName[T](), ix.Metric(), ix.K(), st.Gen, len(pending), st.TombN, o.persist, ln.Addr())
 	} else {
 		fmt.Printf("dnnd-serve: serving %d %s points (metric=%s k=%d refined=%v) on %s\n",
-			ix.Len(), elemOf[T](), ix.Metric(), ix.K(), refined, ln.Addr())
+			ix.Len(), wire.ElemName[T](), ix.Metric(), ix.K(), refined, ln.Addr())
 	}
 
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, syscall.SIGTERM, syscall.SIGINT)
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- s.Serve(ln) }()
-
-	select {
-	case sig := <-sigs:
-		fmt.Printf("dnnd-serve: %v, draining (up to %v)\n", sig, drainWait)
-		ctx, cancel := context.WithTimeout(context.Background(), drainWait)
-		defer cancel()
-		if err := s.Shutdown(ctx); err != nil {
-			fmt.Fprintf(os.Stderr, "dnnd-serve: drain incomplete: %v\n", err)
-		}
-		<-serveErr
-	case err := <-serveErr:
-		if err != nil {
-			fatal(err)
-		}
-	}
-	if o.traceOut != "" {
-		if err := writeTrace(o.traceOut, tracer); err != nil {
-			fmt.Fprintf(os.Stderr, "dnnd-serve: trace: %v\n", err)
-		} else {
-			fmt.Printf("dnnd-serve: trace written to %s\n", o.traceOut)
-		}
-	}
-	fmt.Print(s.Metrics().Dump())
-}
-
-// writeTrace flushes the process's span timeline to path — one trace
-// file per process, joined later by tracecheck -merge.
-func writeTrace(path string, tr *obs.Tracer) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tr.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func elemOf[T dnnd.Scalar]() string {
-	var z T
-	switch any(z).(type) {
-	case float32:
-		return "float32"
-	case uint8:
-		return "uint8"
-	default:
-		return "uint32"
+	if err := serve.RunDaemon("dnnd-serve", s, ln, drainWait, tracer, o.traceOut, s.Metrics().Dump); err != nil {
+		fatal(err)
 	}
 }
 

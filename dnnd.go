@@ -155,55 +155,7 @@ type BuildResult struct {
 // NN-Descent on opt.Ranks simulated ranks. It is the one-call path for
 // applications; see internal/core for the SPMD building blocks.
 func Build[T Scalar](data [][]T, opt BuildOptions) (*BuildResult, error) {
-	kern, err := kernelFor[T](opt.Metric)
-	if err != nil {
-		return nil, err
-	}
-	ranks := opt.Ranks
-	if ranks <= 0 {
-		ranks = 4
-	}
-	if ranks > len(data) {
-		ranks = len(data)
-	}
-	cfg := opt.coreConfig()
-	if err := cfg.Validate(len(data)); err != nil {
-		return nil, err
-	}
-
-	world := ygm.NewLocalWorld(ranks)
-	world.SetTracer(opt.Tracer)
-	if opt.Metrics != nil {
-		world.PublishMetrics(opt.Metrics)
-	}
-	var mu sync.Mutex
-	var root *core.Result
-	err = world.Run(func(c *ygm.Comm) error {
-		shard := core.Partition(data, c.Rank(), c.NRanks())
-		res, err := core.BuildKernel(c, shard, kern, cfg)
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			mu.Lock()
-			root = res
-			mu.Unlock()
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	st := world.AggregateStats()
-	return &BuildResult{
-		Graph:        root.Graph,
-		K:            opt.K,
-		Metric:       opt.Metric,
-		Iters:        root.Iters,
-		DistEvals:    root.DistEvals,
-		Messages:     st.SentMsgs,
-		MessageBytes: st.SentBytes,
-	}, nil
+	return runBuild(data, nil, nil, opt)
 }
 
 // Extend integrates additional points into an existing graph without a
@@ -227,7 +179,7 @@ func Extend[T Scalar](data, extra [][]T, prior *Graph, opt BuildOptions) (*Build
 	combined := make([][]T, 0, len(data)+len(extra))
 	combined = append(combined, data...)
 	combined = append(combined, extra...)
-	return buildWithPrior(combined, prior, opt)
+	return runBuild(combined, prior, nil, opt)
 }
 
 // Remove deletes points from an existing graph without a full rebuild:
@@ -288,7 +240,7 @@ func Remove[T Scalar](data [][]T, removeIDs []ID, prior *Graph, opt BuildOptions
 		trimmed.Neighbors[nv] = keptNs
 	}
 
-	res, err := buildWithPrior(kept, trimmed, opt)
+	res, err := runBuild(kept, trimmed, nil, opt)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -321,6 +273,14 @@ func Refresh[T Scalar](data [][]T, prior *Graph, tombs *Tombstones, opt BuildOpt
 		return nil, fmt.Errorf("dnnd: prior graph covers %d vertices but data has %d rows",
 			prior.NumVertices(), len(data))
 	}
+	// tombs is frozen here: a build must not see bits flip mid-flight.
+	return runBuild(data, prior, tombs.CloneGrow(len(data)), opt)
+}
+
+// runBuild is the one world-setup/run/collect body behind Build (prior
+// and dead nil), Extend and Remove (warm start from prior) and Refresh
+// (warm start plus the frozen tombstone set dead).
+func runBuild[T Scalar](data [][]T, prior *Graph, dead *Tombstones, opt BuildOptions) (*BuildResult, error) {
 	kern, err := kernelFor[T](opt.Metric)
 	if err != nil {
 		return nil, err
@@ -336,16 +296,18 @@ func Refresh[T Scalar](data [][]T, prior *Graph, tombs *Tombstones, opt BuildOpt
 	if err := cfg.Validate(len(data)); err != nil {
 		return nil, err
 	}
-	frozen := tombs.CloneGrow(len(data)) // deterministic build input
-	// The convergence threshold is Delta*K*N over the full dataset, but
-	// an incremental refinement's updates concentrate on the changed
+	// Refresh only (it always passes a tombstone set, the others never
+	// do). The convergence threshold is Delta*K*N over the full dataset,
+	// but an incremental refinement's updates concentrate on the changed
 	// working set (appended rows plus the neighborhoods around
 	// tombstones). Measured against the full N, the descent would stop
 	// while the new points are still under-converged; scale Delta to the
 	// working-set fraction so "converged" means converged where the work
 	// actually is.
-	if changed := (len(data) - prior.NumVertices()) + frozen.Count(); changed > 0 && changed < len(data) {
-		cfg.Delta *= float64(changed) / float64(len(data))
+	if dead != nil {
+		if changed := (len(data) - prior.NumVertices()) + dead.Count(); changed > 0 && changed < len(data) {
+			cfg.Delta *= float64(changed) / float64(len(data))
+		}
 	}
 	world := ygm.NewLocalWorld(ranks)
 	world.SetTracer(opt.Tracer)
@@ -356,60 +318,7 @@ func Refresh[T Scalar](data [][]T, prior *Graph, tombs *Tombstones, opt BuildOpt
 	var root *core.Result
 	err = world.Run(func(c *ygm.Comm) error {
 		shard := core.Partition(data, c.Rank(), c.NRanks())
-		res, err := core.BuildIncrementalKernel(c, shard, kern, cfg, prior, frozen)
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			mu.Lock()
-			root = res
-			mu.Unlock()
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	st := world.AggregateStats()
-	return &BuildResult{
-		Graph:        root.Graph,
-		K:            opt.K,
-		Metric:       opt.Metric,
-		Iters:        root.Iters,
-		DistEvals:    root.DistEvals,
-		Messages:     st.SentMsgs,
-		MessageBytes: st.SentBytes,
-	}, nil
-}
-
-// buildWithPrior runs a warm-started world build (shared by Extend and
-// Remove).
-func buildWithPrior[T Scalar](data [][]T, prior *Graph, opt BuildOptions) (*BuildResult, error) {
-	kern, err := kernelFor[T](opt.Metric)
-	if err != nil {
-		return nil, err
-	}
-	ranks := opt.Ranks
-	if ranks <= 0 {
-		ranks = 4
-	}
-	if ranks > len(data) {
-		ranks = len(data)
-	}
-	cfg := opt.coreConfig()
-	if err := cfg.Validate(len(data)); err != nil {
-		return nil, err
-	}
-	world := ygm.NewLocalWorld(ranks)
-	world.SetTracer(opt.Tracer)
-	if opt.Metrics != nil {
-		world.PublishMetrics(opt.Metrics)
-	}
-	var mu sync.Mutex
-	var root *core.Result
-	err = world.Run(func(c *ygm.Comm) error {
-		shard := core.Partition(data, c.Rank(), c.NRanks())
-		res, err := core.BuildWarmKernel(c, shard, kern, cfg, prior)
+		res, err := core.BuildIncrementalKernel(c, shard, kern, cfg, prior, dead)
 		if err != nil {
 			return err
 		}

@@ -149,7 +149,7 @@ func buildWarmTyped[T wire.Scalar](data [][]T, kind metric.Kind, ranks int, cfg 
 	start := time.Now()
 	err = world.Run(func(c *ygm.Comm) error {
 		shard := core.Partition(data, c.Rank(), c.NRanks())
-		res, err := core.BuildWarmKernel(c, shard, kern, cfg, prior)
+		res, err := core.BuildIncrementalKernel(c, shard, kern, cfg, prior, nil)
 		if err != nil {
 			return err
 		}

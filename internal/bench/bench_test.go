@@ -330,41 +330,3 @@ func TestDistributedQueryScaling(t *testing.T) {
 		t.Error("report header missing")
 	}
 }
-
-func TestWorkersScaling(t *testing.T) {
-	var buf bytes.Buffer
-	rows, err := WorkersScaling(quickOpts(&buf))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 6 { // quick: widths {1,4} x 3 datasets
-		t.Fatalf("%d rows, want 6", len(rows))
-	}
-	for _, r := range rows {
-		if r.Wall <= 0 || r.Kernel <= 0 || r.Tasks == 0 {
-			t.Errorf("row %+v missing measurements", r)
-		}
-		if r.OffloadFrac <= 0 || r.OffloadFrac > 1 {
-			t.Errorf("workers=%d offload fraction %.3f out of (0, 1]", r.Workers, r.OffloadFrac)
-		}
-	}
-	// Same dataset, higher width: staged-task counts must match (the
-	// determinism contract) and the modeled speedup must grow.
-	for i := 1; i < len(rows); i++ {
-		if rows[i].Dataset != rows[i-1].Dataset {
-			continue
-		}
-		if rows[i].Tasks != rows[i-1].Tasks {
-			t.Errorf("%s: tasks %d at workers=%d vs %d at workers=%d",
-				rows[i].Dataset, rows[i].Tasks, rows[i].Workers, rows[i-1].Tasks, rows[i-1].Workers)
-		}
-		if rows[i].ModeledSpeedup <= rows[i-1].ModeledSpeedup {
-			t.Errorf("%s: modeled speedup not increasing: %.2f (w=%d) -> %.2f (w=%d)",
-				rows[i].Dataset, rows[i-1].ModeledSpeedup, rows[i-1].Workers,
-				rows[i].ModeledSpeedup, rows[i].Workers)
-		}
-	}
-	if !strings.Contains(buf.String(), "Intra-rank worker scaling") {
-		t.Error("report header missing")
-	}
-}

@@ -115,46 +115,31 @@ type builder[T wire.Scalar] struct {
 // rank calls Build with its shard of the dataset and the same
 // configuration (SPMD). The gathered graph is returned on rank 0.
 func Build[T wire.Scalar](c *ygm.Comm, shard *Shard[T], dist metric.Func[T], cfg Config) (*Result, error) {
-	return BuildWarmKernel(c, shard, metric.Kernel[T]{Fn: dist}, cfg, nil)
+	return BuildIncrementalKernel(c, shard, metric.Kernel[T]{Fn: dist}, cfg, nil, nil)
 }
 
 // BuildKernel is Build taking a full metric.Kernel, enabling the
 // norm-precomputed fast path when the kernel provides one.
 func BuildKernel[T wire.Scalar](c *ygm.Comm, shard *Shard[T], kern metric.Kernel[T], cfg Config) (*Result, error) {
-	return BuildWarmKernel(c, shard, kern, cfg, nil)
+	return BuildIncrementalKernel(c, shard, kern, cfg, nil, nil)
 }
 
-// BuildWarm is Build with a warm start: prior is an existing k-NNG
-// over a prefix of the dataset (every rank passes the same graph).
-// Vertices covered by prior keep their neighbor lists, flagged "old";
-// only the appended points receive random initialization, so the
-// descent reduces to a short refinement that stitches the new points
-// into the neighborhood structure — the incremental-update workflow
-// the paper's Section 7 sketches for Metall-backed graphs.
-func BuildWarm[T wire.Scalar](c *ygm.Comm, shard *Shard[T], dist metric.Func[T], cfg Config, prior *knng.Graph) (*Result, error) {
-	return BuildWarmKernel(c, shard, metric.Kernel[T]{Fn: dist}, cfg, prior)
-}
-
-// BuildWarmKernel is BuildWarm taking a full metric.Kernel.
-func BuildWarmKernel[T wire.Scalar](c *ygm.Comm, shard *Shard[T], kern metric.Kernel[T], cfg Config, prior *knng.Graph) (*Result, error) {
-	return BuildIncrementalKernel(c, shard, kern, cfg, prior, nil)
-}
-
-// BuildIncremental is the mutable-index refinement entry point: a warm
-// start from the current graph plus a frozen tombstone set. Live
-// vertices are repaired (dead warm neighbors are dropped at load, and
-// the resulting short lists are topped up with random candidates
-// flagged new, which re-focuses the descent on the damage); dead
-// vertices keep their prior lists verbatim so the search graph stays
-// routable through them until compaction, but they generate no checks,
-// never appear in sampling, and never enter a live vertex's list. The
-// result is bit-identical at every worker width, like the full build.
-func BuildIncremental[T wire.Scalar](c *ygm.Comm, shard *Shard[T], dist metric.Func[T], cfg Config, prior *knng.Graph, dead *knng.TombSet) (*Result, error) {
-	return BuildIncrementalKernel(c, shard, metric.Kernel[T]{Fn: dist}, cfg, prior, dead)
-}
-
-// BuildIncrementalKernel is BuildIncremental taking a full
-// metric.Kernel.
+// BuildIncrementalKernel is the one warm-start entry point. prior, when
+// non-nil, is an existing k-NNG over a prefix of the dataset (every
+// rank passes the same graph): vertices it covers keep their neighbor
+// lists, flagged "old"; only the appended points receive random
+// initialization, so the descent reduces to a short refinement that
+// stitches the new points into the neighborhood structure — the
+// incremental-update workflow the paper's Section 7 sketches for
+// Metall-backed graphs. dead, when non-nil, is the mutable index's
+// frozen tombstone set: live vertices are repaired (dead warm neighbors
+// are dropped at load, and the resulting short lists are topped up with
+// random candidates flagged new, which re-focuses the descent on the
+// damage); dead vertices keep their prior lists verbatim so the search
+// graph stays routable through them until compaction, but they generate
+// no checks, never appear in sampling, and never enter a live vertex's
+// list. The result is bit-identical at every worker width, like the
+// full build.
 func BuildIncrementalKernel[T wire.Scalar](c *ygm.Comm, shard *Shard[T], kern metric.Kernel[T], cfg Config, prior *knng.Graph, dead *knng.TombSet) (*Result, error) {
 	if err := cfg.Validate(shard.N); err != nil {
 		return nil, err

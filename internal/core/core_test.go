@@ -455,7 +455,7 @@ func TestBuildWarmIncremental(t *testing.T) {
 	var warm *Result
 	err := w.Run(func(c *ygm.Comm) error {
 		shard := Partition(combined, c.Rank(), c.NRanks())
-		res, err := BuildWarm(c, shard, metric.SquaredL2Float32, cfg, prior.Graph)
+		res, err := BuildIncrementalKernel(c, shard, metric.Kernel[float32]{Fn: metric.SquaredL2Float32}, cfg, prior.Graph, nil)
 		if err != nil {
 			return err
 		}
@@ -495,7 +495,7 @@ func TestBuildWarmRejectsOversizedPrior(t *testing.T) {
 	err := w.Run(func(c *ygm.Comm) error {
 		shard := Partition(data, c.Rank(), c.NRanks())
 		cfg := DefaultConfig(5)
-		_, err := BuildWarm(c, shard, metric.SquaredL2Float32, cfg, knng.NewGraph(100))
+		_, err := BuildIncrementalKernel(c, shard, metric.Kernel[float32]{Fn: metric.SquaredL2Float32}, cfg, knng.NewGraph(100), nil)
 		if err == nil {
 			return errors.New("oversized prior accepted")
 		}

@@ -11,7 +11,7 @@ import (
 	"dnnd/internal/ygm"
 )
 
-// buildIncrOnWorld runs BuildIncremental over a local world and returns
+// buildIncrOnWorld runs BuildIncrementalKernel over a local world and returns
 // rank 0's result.
 func buildIncrOnWorld(t *testing.T, nranks int, data [][]float32, cfg Config, prior *knng.Graph, dead *knng.TombSet) *Result {
 	t.Helper()
@@ -20,7 +20,7 @@ func buildIncrOnWorld(t *testing.T, nranks int, data [][]float32, cfg Config, pr
 	var root *Result
 	err := w.Run(func(c *ygm.Comm) error {
 		shard := Partition(data, c.Rank(), c.NRanks())
-		res, err := BuildIncremental(c, shard, metric.SquaredL2Float32, cfg, prior, dead)
+		res, err := BuildIncrementalKernel(c, shard, metric.Kernel[float32]{Fn: metric.SquaredL2Float32}, cfg, prior, dead)
 		if err != nil {
 			return err
 		}
@@ -204,7 +204,7 @@ func TestIncrementalRejectsOverdeadSet(t *testing.T) {
 	cfg := DefaultConfig(10)
 	err := ygm.NewLocalWorld(1).Run(func(c *ygm.Comm) error {
 		shard := Partition(data, c.Rank(), c.NRanks())
-		_, err := BuildIncremental(c, shard, metric.SquaredL2Float32, cfg, nil, dead)
+		_, err := BuildIncrementalKernel(c, shard, metric.Kernel[float32]{Fn: metric.SquaredL2Float32}, cfg, nil, dead)
 		return err
 	})
 	if err == nil {

@@ -13,7 +13,7 @@
 // home rank. Query vectors are cached at most once per (query, rank) —
 // the same communication-saving instinct as the paper's Type 2+
 // messages. The engine advances every active query by one expansion
-// wave per superstep (engine.Phase.Supersteps); ygm's quiescence
+// wave per superstep (engine.Phase.SuperstepsHook); ygm's quiescence
 // barrier guarantees each wave's full cascade (Expand -> ExpandResp ->
 // Dist -> DistResp) completes before the next wave starts.
 //

@@ -1,16 +1,18 @@
-// Package engine is the shared async-phase runtime under the DNND
-// construction (internal/core) and the distributed query engine
-// (internal/dquery). Both programs have the same shape — SPMD phases
-// that register message handlers, emit batched bulk-async traffic
-// (Section 4.4 of the paper), and separate at quiescence points — and
-// this package owns that shape once:
+// Package engine is the async-phase runtime under the DNND
+// construction (internal/core). Its programs are SPMD phases that
+// register message handlers, emit batched bulk-async traffic (Section
+// 4.4 of the paper), and separate at quiescence points; this package
+// owns that shape once. The paper-reproduction query engine
+// (internal/dquery) borrows Phase and MessageStats — SuperstepsHook
+// exists only for it — and the serve lanes borrow Pool; dquery does not
+// use the pool and no serving path uses a Phase:
 //
 //   - Phase groups an algorithm phase's handlers under a stable
 //     dot-qualified name ("nd.check.type2") and accumulates the
 //     phase's wall time across rounds.
 //   - Phase.Run is the batched-submission loop: emit calls interleaved
 //     with globally aligned barriers so in-flight volume stays bounded.
-//   - Phase.Supersteps is the barrier-per-wave loop of frontier
+//   - Phase.SuperstepsHook is the barrier-per-wave loop of frontier
 //     algorithms, terminating on a global all-done reduction.
 //   - Pool (pool.go) is the intra-rank worker pool whose stage/apply
 //     ring keeps results bit-identical at every worker count.
@@ -99,7 +101,7 @@ type Phase struct {
 func (p *Phase) Name() string { return p.name }
 
 // Elapsed returns the wall time accumulated by this phase's Local,
-// Run, Drain, and Supersteps calls on this rank.
+// Run, Drain, and SuperstepsHook calls on this rank.
 func (p *Phase) Elapsed() time.Duration { return p.elapsed }
 
 // Register installs a handler under the phase-qualified name
@@ -172,22 +174,17 @@ func (p *Phase) Drain() {
 	sp.End()
 }
 
-// Supersteps runs the barrier-per-wave loop of frontier algorithms:
-// each iteration runs body (which advances local state and returns
-// this rank's count of still-active items), waits for the wave's full
-// message cascade at a quiescence barrier, and stops once the global
-// active count reaches zero. Returns the number of supersteps
-// executed (identical on every rank).
-func (p *Phase) Supersteps(body func() int64) int64 {
-	return p.SuperstepsHook(body, nil)
-}
-
-// SuperstepsHook is Supersteps with a per-wave observation point: when
-// after is non-nil it runs on this rank once per superstep — after the
-// wave's quiescence barrier and all-done reduction, so the wave's full
-// message cascade is reflected in local counters — with the 1-based
-// step number. It runs at an aligned point on every rank but must not
-// communicate (it is not a collective context).
+// SuperstepsHook runs the barrier-per-wave loop of frontier
+// algorithms: each iteration runs body (which advances local state and
+// returns this rank's count of still-active items), waits for the
+// wave's full message cascade at a quiescence barrier, and stops once
+// the global active count reaches zero. Returns the number of
+// supersteps executed (identical on every rank). When after is non-nil
+// it runs on this rank once per superstep — after the wave's quiescence
+// barrier and all-done reduction, so the wave's full message cascade is
+// reflected in local counters — with the 1-based step number. It runs
+// at an aligned point on every rank but must not communicate (it is not
+// a collective context).
 func (p *Phase) SuperstepsHook(body func() int64, after func(step int64)) int64 {
 	sp := p.e.c.Trace().Begin(p.spanRun)
 	reg := rtrace.StartRegion(context.Background(), p.spanRun)

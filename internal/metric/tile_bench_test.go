@@ -4,8 +4,8 @@ package metric_test
 // quantized code screen at the two anchor shapes (deep float32 dim 96,
 // bigann uint8 dim 128), alongside the per-pair benches in
 // metric_bench_test.go. An external test package so the quant import
-// does not cycle. The interactive grid across dims 32-960 lives in
-// `dnnd-bench kernels` (results/kernels.md).
+// does not cycle. The grid across dims 32-960 that the retired
+// `dnnd-bench kernels` ran is kept in results/kernels.md (historical).
 
 import (
 	"math/rand"

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 )
 
@@ -44,6 +45,21 @@ type TraceDoc struct {
 }
 
 func usec(ns int64) float64 { return float64(ns) / 1e3 }
+
+// WriteFile writes the tracer's current contents to path (see
+// WriteJSON) — one trace file per process, joined later by tracecheck
+// -merge.
+func (t *Tracer) WriteFile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := t.WriteJSON(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
 
 // WriteJSON streams the tracer's current contents as Chrome trace JSON.
 // It may run while writers are still recording: only published events

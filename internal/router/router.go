@@ -1,7 +1,6 @@
 package router
 
 import (
-	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -142,98 +141,6 @@ type shardOutcome struct {
 	replica  string // answering (or last-tried) replica address
 }
 
-// rconn wraps one client connection, the same split as the serve
-// server's: reads on the connection's reader goroutine, reply writes
-// serialized by wmu (query completions come from gather goroutines,
-// control replies from the reader).
-type rconn struct {
-	c        net.Conn
-	wtimeout time.Duration
-	wmu      sync.Mutex
-	wbuf     []byte
-	w        wire.Writer
-}
-
-func (sc *rconn) writeFrame(op uint8, payload []byte) error {
-	sc.wmu.Lock()
-	defer sc.wmu.Unlock()
-	if sc.wtimeout > 0 {
-		sc.c.SetWriteDeadline(time.Now().Add(sc.wtimeout))
-	}
-	sc.wbuf = serve.AppendFrame(sc.wbuf[:0], op, payload)
-	_, err := sc.c.Write(sc.wbuf)
-	return err
-}
-
-// writeResult encodes res straight into the pooled write buffer behind
-// a frame-header placeholder and backpatches the length — the serve
-// server's zero-copy reply path.
-func (sc *rconn) writeResult(res *msg.SResult) error {
-	sc.wmu.Lock()
-	defer sc.wmu.Unlock()
-	sc.wbuf = append(sc.wbuf[:0], 0, 0, 0, 0, msg.SOpQuery)
-	sc.w.Wrap(sc.wbuf)
-	res.Encode(&sc.w)
-	out := sc.w.Bytes()
-	binary.LittleEndian.PutUint32(out[:4], uint32(len(out)-4))
-	sc.wbuf = out[:0]
-	if sc.wtimeout > 0 {
-		sc.c.SetWriteDeadline(time.Now().Add(sc.wtimeout))
-	}
-	_, err := sc.c.Write(out)
-	return err
-}
-
-// gate is the serve server's drain gate (see internal/serve): the
-// draining flag and the admitted-request count coupled into one atomic
-// step, so a query admitted concurrently with a drain is always waited
-// for and zero admitted queries are dropped.
-type gate struct {
-	mu       sync.Mutex
-	n        int64
-	draining bool
-	idle     chan struct{}
-}
-
-func newGate() *gate { return &gate{idle: make(chan struct{})} }
-
-func (g *gate) enter() bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.draining {
-		return false
-	}
-	g.n++
-	return true
-}
-
-func (g *gate) leave() {
-	g.mu.Lock()
-	g.n--
-	if g.draining && g.n == 0 {
-		close(g.idle)
-	}
-	g.mu.Unlock()
-}
-
-func (g *gate) drain() <-chan struct{} {
-	g.mu.Lock()
-	if !g.draining {
-		g.draining = true
-		if g.n == 0 {
-			close(g.idle)
-		}
-	}
-	g.mu.Unlock()
-	return g.idle
-}
-
-func (g *gate) isDraining() bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.draining
-}
-
 // Router is the cluster front end. Create with New, run with Serve,
 // stop with Shutdown.
 type Router struct {
@@ -246,16 +153,10 @@ type Router struct {
 
 	subID atomic.Uint64 // sub-query ID counter, unique per backend connection's lifetime
 
-	gate      *gate
+	acc       *serve.Acceptor // listener, client connections and drain gate
 	stopProbe chan struct{}
 	probeWG   sync.WaitGroup
-
-	connWG   sync.WaitGroup
-	connMu   sync.Mutex
-	conns    map[*rconn]struct{}
-	ln       net.Listener
-	lnMu     sync.Mutex
-	shutOnce sync.Once
+	shutOnce  sync.Once
 }
 
 // New builds a Router over a validated manifest and one replica
@@ -280,10 +181,9 @@ func New(man *Manifest, shardAddrs [][]string, cfg Config) (*Router, error) {
 		elemSize:  man.ElemSize(),
 		m:         &Metrics{Shards: make([]ShardStat, len(man.Shards))},
 		slow:      newSlowLog(cfg.SlowLog),
-		gate:      newGate(),
 		stopProbe: make(chan struct{}),
-		conns:     make(map[*rconn]struct{}),
 	}
+	rt.acc = serve.NewAcceptor(cfg.WriteTimeout, &rt.m.Conns, &rt.m.ConnsTotal)
 	for i, addrs := range shardAddrs {
 		if len(addrs) == 0 {
 			return nil, fmt.Errorf("router: shard %d has no replicas", i)
@@ -335,44 +235,14 @@ func (rt *Router) Topology() *msg.RTopology {
 // Serve accepts client connections on ln until Shutdown closes it. It
 // returns nil on a clean shutdown.
 func (rt *Router) Serve(ln net.Listener) error {
-	rt.lnMu.Lock()
-	rt.ln = ln
-	rt.lnMu.Unlock()
-	for {
-		c, err := ln.Accept()
-		if err != nil {
-			if rt.gate.isDraining() {
-				return nil
-			}
-			return err
-		}
-		sc := &rconn{c: c, wtimeout: rt.cfg.WriteTimeout}
-		rt.connMu.Lock()
-		rt.conns[sc] = struct{}{}
-		rt.connMu.Unlock()
-		rt.m.Conns.Add(1)
-		rt.m.ConnsTotal.Add(1)
-		rt.connWG.Add(1)
-		go rt.handleConn(sc)
-	}
+	return rt.acc.Serve(ln, rt.handleConn)
 }
 
-func (rt *Router) handleConn(sc *rconn) {
-	defer func() {
-		rt.connMu.Lock()
-		delete(rt.conns, sc)
-		rt.connMu.Unlock()
-		rt.m.Conns.Add(-1)
-		sc.c.Close()
-		rt.connWG.Done()
-	}()
-	br := bufio.NewReaderSize(sc.c, 64<<10)
-	var (
-		w    wire.Writer
-		rbuf []byte
-	)
+// handleConn is the per-connection reader loop.
+func (rt *Router) handleConn(sc *serve.Conn) {
+	var w wire.Writer
 	for {
-		op, payload, err := serve.ReadFrameInto(br, &rbuf)
+		op, payload, err := sc.ReadFrame()
 		if err != nil {
 			return
 		}
@@ -391,24 +261,24 @@ func (rt *Router) handleConn(sc *rconn) {
 			}
 			w.Reset()
 			reply.Encode(&w)
-			if sc.writeFrame(msg.SOpHello, w.Bytes()) != nil {
+			if sc.WriteFrame(msg.SOpHello, w.Bytes()) != nil {
 				return
 			}
 		case msg.SOpHealth:
 			rt.m.HealthProbes.Add(1)
-			if sc.writeFrame(msg.SOpHealth, []byte(rt.healthText())) != nil {
+			if sc.WriteFrame(msg.SOpHealth, []byte(rt.healthText())) != nil {
 				return
 			}
 		case msg.SOpStats:
 			rt.m.StatsDumps.Add(1)
-			if sc.writeFrame(msg.SOpStats, []byte(rt.m.Dump())) != nil {
+			if sc.WriteFrame(msg.SOpStats, []byte(rt.m.Dump())) != nil {
 				return
 			}
 		case msg.SOpTopo:
 			rt.m.TopoDumps.Add(1)
 			w.Reset()
 			rt.Topology().Encode(&w)
-			if sc.writeFrame(msg.SOpTopo, w.Bytes()) != nil {
+			if sc.WriteFrame(msg.SOpTopo, w.Bytes()) != nil {
 				return
 			}
 		case msg.SOpQuery:
@@ -425,7 +295,7 @@ func (rt *Router) handleConn(sc *rconn) {
 			up := msg.SUpdateReply{ID: id, Status: msg.SStatusReadOnly}
 			w.Reset()
 			up.Encode(&w)
-			if sc.writeFrame(op, w.Bytes()) != nil {
+			if sc.WriteFrame(op, w.Bytes()) != nil {
 				return
 			}
 		default:
@@ -436,7 +306,7 @@ func (rt *Router) handleConn(sc *rconn) {
 
 func (rt *Router) healthText() string {
 	state := "ok"
-	if rt.gate.isDraining() {
+	if rt.acc.Gate.Draining() {
 		state = "draining"
 	}
 	live, total := 0, 0
@@ -461,7 +331,7 @@ func (rt *Router) healthText() string {
 // whether the connection is still usable. Validation never decodes the
 // vector: the manifest says how many elements of what size to expect,
 // and the bytes are forwarded opaquely.
-func (rt *Router) handleQuery(sc *rconn, payload []byte) bool {
+func (rt *Router) handleQuery(sc *serve.Conn, payload []byte) bool {
 	r := wire.NewReader(payload)
 	id := r.Uint64()
 	_ = r.Int64() // seed: forwarded untouched
@@ -479,13 +349,13 @@ func (rt *Router) handleQuery(sc *rconn, payload []byte) bool {
 		rt.m.RejectedBad.Add(1)
 		return rt.reject(sc, id, msg.SStatusBadRequest)
 	}
-	if !rt.gate.enter() {
+	if !rt.acc.Gate.Enter() {
 		rt.m.RejectedDraining.Add(1)
 		return rt.reject(sc, id, msg.SStatusDraining)
 	}
 	if rt.m.InFlight.Add(1) > int64(rt.cfg.MaxInFlight) {
 		rt.m.InFlight.Add(-1)
-		rt.gate.leave()
+		rt.acc.Gate.Leave()
 		rt.m.RejectedOverload.Add(1)
 		return rt.reject(sc, id, msg.SStatusOverloaded)
 	}
@@ -520,16 +390,16 @@ func (rt *Router) handleQuery(sc *rconn, payload []byte) bool {
 	return true
 }
 
-func (rt *Router) reject(sc *rconn, id uint64, status uint8) bool {
+func (rt *Router) reject(sc *serve.Conn, id uint64, status uint8) bool {
 	res := msg.SResult{ID: id, Status: status}
-	return sc.writeResult(&res) == nil
+	return sc.WriteResult(msg.SOpQuery, &res) == nil
 }
 
 // serveQuery is the scatter-gather core: one goroutine per shard, a
 // gather loop bounded by the client deadline (plus grace) or the shard
 // timeout, and a merged reply whose status tells the client exactly
 // how complete the answer is.
-func (rt *Router) serveQuery(sc *rconn, payload []byte, id uint64, l uint32, deadline time.Time, enq time.Time, span obs.Span, clientTC msg.STrace) {
+func (rt *Router) serveQuery(sc *serve.Conn, payload []byte, id uint64, l uint32, deadline time.Time, enq time.Time, span obs.Span, clientTC msg.STrace) {
 	// budget bounds each sub-query attempt; the gather timer additionally
 	// covers failover: without a client deadline a shard may spend up to
 	// maxAttempts × budget before giving up, and the gather must outlast
@@ -655,7 +525,7 @@ gather:
 			Sampled: clientTC.Sampled || rootCtx.Valid(),
 		}
 	}
-	if err := sc.writeResult(&res); err != nil {
+	if err := sc.WriteResult(msg.SOpQuery, &res); err != nil {
 		rt.m.WriteErrors.Add(1)
 	}
 	mspan.End()
@@ -665,7 +535,7 @@ gather:
 	rt.m.Completed.Add(1)
 	rt.cfg.Trace.Counter("router.inflight", rt.m.InFlight.Add(-1))
 	span.End()
-	rt.gate.leave()
+	rt.acc.Gate.Leave()
 	if us := total.Microseconds(); rt.slow.qualifies(us) {
 		var hex string
 		if effTrace != 0 {
@@ -853,18 +723,7 @@ func (rt *Router) doWithWatchdog(rp *replica, pc *serve.PipeClient, id uint64, s
 func (rt *Router) Shutdown(ctx context.Context) error {
 	var err error
 	rt.shutOnce.Do(func() {
-		drained := rt.gate.drain()
-		rt.lnMu.Lock()
-		if rt.ln != nil {
-			rt.ln.Close()
-		}
-		rt.lnMu.Unlock()
-
-		select {
-		case <-drained:
-		case <-ctx.Done():
-			err = ctx.Err()
-		}
+		err = rt.acc.Drain(ctx)
 
 		close(rt.stopProbe)
 		rt.probeWG.Wait()
@@ -873,12 +732,7 @@ func (rt *Router) Shutdown(ctx context.Context) error {
 				rp.closeConn()
 			}
 		}
-		rt.connMu.Lock()
-		for sc := range rt.conns {
-			sc.c.Close()
-		}
-		rt.connMu.Unlock()
-		rt.connWG.Wait()
+		rt.acc.CloseAll()
 	})
 	return err
 }

@@ -602,3 +602,38 @@ func TestRouterDrain(t *testing.T) {
 		t.Fatal("router still accepting after shutdown")
 	}
 }
+
+// TestShutdownBeforeServe: the router shares the serve server's
+// acceptor, so a Shutdown that completes before Serve was handed its
+// listener must likewise end the accept loop instead of leaking it.
+func TestShutdownBeforeServe(t *testing.T) {
+	// Probing is off and no query is sent, so the replicas are never dialed.
+	rt, err := New(testManifest(), [][]string{{"127.0.0.1:1"}, {"127.0.0.1:1"}}, Config{ProbeInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	if err := rt.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	done := make(chan error, 1)
+	go func() { done <- rt.Serve(ln) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("Serve after Shutdown returned %v, want nil", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Serve still accepting 2s after Shutdown completed")
+	}
+	if c, err := net.DialTimeout("tcp", ln.Addr().String(), 200*time.Millisecond); err == nil {
+		c.Close()
+		t.Fatal("listener left open after Serve returned")
+	}
+}

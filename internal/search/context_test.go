@@ -1,7 +1,6 @@
 package search
 
 import (
-	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -58,10 +57,9 @@ func TestSearchCtxMatchesQuery(t *testing.T) {
 	}
 }
 
-// Batch results must be identical at every worker width and through
-// caller-owned contexts — per-query seeding makes the claim order
-// irrelevant.
-func TestBatchCtxMatchesBatch(t *testing.T) {
+// Batch results must be identical at every worker width — per-query
+// seeding makes the claim order irrelevant.
+func TestBatchWidthInvariant(t *testing.T) {
 	data := ctxTestData(500, 10, 51)
 	g := brute.KNNGraph(data, 8, metric.L2Float32, 0)
 	queries := ctxTestData(40, 10, 53)
@@ -75,17 +73,6 @@ func TestBatchCtxMatchesBatch(t *testing.T) {
 		if st != wantSt {
 			t.Fatalf("workers=%d: stats diverged: %+v vs %+v", workers, st, wantSt)
 		}
-	}
-	ctxs := []*Context[float32]{NewContext[float32](), NewContext[float32]()}
-	got, st, err := BatchCtx(context.Background(), g, data, metric.L2Float32, queries, opt, ctxs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatal("BatchCtx results diverged from Batch")
-	}
-	if st != wantSt {
-		t.Fatalf("BatchCtx stats diverged: %+v vs %+v", st, wantSt)
 	}
 }
 

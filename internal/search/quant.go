@@ -1,8 +1,6 @@
 package search
 
 import (
-	"context"
-
 	"dnnd/internal/knng"
 	"dnnd/internal/metric"
 	"dnnd/internal/metric/quant"
@@ -40,22 +38,7 @@ func QueryQuant[T wire.Scalar](g *knng.Graph, data [][]T, dist metric.Func[T], v
 // BatchQuant answers many queries in parallel through QueryQuant; the
 // same contract as Batch otherwise.
 func BatchQuant[T wire.Scalar](g *knng.Graph, data [][]T, dist metric.Func[T], view *quant.View, queries [][]T, opt Options, workers int) ([][]knng.Neighbor, Stats) {
-	out, st, _ := BatchQuantContext(context.Background(), g, data, dist, view, queries, opt, workers)
-	return out, st
-}
-
-// BatchQuantContext is BatchQuant with cancellation, mirroring
-// BatchContext.
-func BatchQuantContext[T wire.Scalar](ctx context.Context, g *knng.Graph, data [][]T, dist metric.Func[T], view *quant.View, queries [][]T, opt Options, workers int) ([][]knng.Neighbor, Stats, error) {
-	ctxs := borrowCtxs[T](workers, len(queries))
-	defer releaseCtxs(ctxs)
-	return BatchQuantCtx(ctx, g, data, dist, view, queries, opt, ctxs)
-}
-
-// BatchQuantCtx is BatchQuantContext over caller-owned contexts,
-// mirroring BatchCtx.
-func BatchQuantCtx[T wire.Scalar](ctx context.Context, g *knng.Graph, data [][]T, dist metric.Func[T], view *quant.View, queries [][]T, opt Options, ctxs []*Context[T]) ([][]knng.Neighbor, Stats, error) {
-	return batchCore(ctx, len(queries), opt, ctxs,
+	return batchCore(len(queries), opt, workers,
 		func(sc *Context[T], qi int, qopt Options) ([]knng.Neighbor, Stats) {
 			return quantOn(sc, g, data, dist, view, queries[qi], qopt)
 		})

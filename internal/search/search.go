@@ -5,7 +5,6 @@
 package search
 
 import (
-	"context"
 	"math"
 	"runtime"
 	"sync"
@@ -64,8 +63,8 @@ type Stats struct {
 	ApproxEvals int64
 	// Visited counts vertices whose neighbor lists were expanded.
 	Visited int64
-	// Truncated counts queries stopped early by Options.Interrupt or a
-	// canceled BatchContext (0 or 1 for a single Query).
+	// Truncated counts queries stopped early by Options.Interrupt or
+	// Options.Deadline (0 or 1 for a single Query).
 	Truncated int64
 }
 
@@ -186,41 +185,24 @@ func traverse[T wire.Scalar](sc *Context[T], g *knng.Graph, score func(knng.ID) 
 // Batch answers many queries in parallel (workers <= 0 means
 // GOMAXPROCS) and returns per-query results plus summed stats. Entry
 // points are derived deterministically from opt.Seed and the query
-// index.
+// index. Results are detached copies — they never alias context
+// scratch.
 func Batch[T wire.Scalar](g *knng.Graph, data [][]T, dist metric.Func[T], queries [][]T, opt Options, workers int) ([][]knng.Neighbor, Stats) {
-	out, st, _ := BatchContext(context.Background(), g, data, dist, queries, opt, workers)
-	return out, st
-}
-
-// BatchContext is Batch with cancellation: when ctx is done, queries
-// not yet started are skipped (their result rows stay nil) and running
-// ones are interrupted at their next expansion, so the call returns
-// promptly with whatever completed plus partial stats
-// (Stats.Truncated counts the interrupted queries). The returned error
-// is ctx.Err() — nil on a full run. An online server uses this to
-// bound a whole batch; per-query deadlines go through
-// Options.Interrupt, which composes with ctx here.
-func BatchContext[T wire.Scalar](ctx context.Context, g *knng.Graph, data [][]T, dist metric.Func[T], queries [][]T, opt Options, workers int) ([][]knng.Neighbor, Stats, error) {
-	ctxs := borrowCtxs[T](workers, len(queries))
-	defer releaseCtxs(ctxs)
-	return BatchCtx(ctx, g, data, dist, queries, opt, ctxs)
-}
-
-// BatchCtx is BatchContext over caller-owned contexts: worker w reuses
-// ctxs[w] for all its queries, so a serving layer keeping contexts
-// pooled per worker pays no per-query scratch allocation. Results are
-// detached copies — they never alias context scratch.
-func BatchCtx[T wire.Scalar](ctx context.Context, g *knng.Graph, data [][]T, dist metric.Func[T], queries [][]T, opt Options, ctxs []*Context[T]) ([][]knng.Neighbor, Stats, error) {
-	return batchCore(ctx, len(queries), opt, ctxs,
+	return batchCore(len(queries), opt, workers,
 		func(sc *Context[T], qi int, qopt Options) ([]knng.Neighbor, Stats) {
 			return searchOn(sc, g, data, dist, queries[qi], qopt)
 		})
 }
 
-// borrowCtxs resolves a worker count exactly as the historical batch
-// entry points did (<= 0 means GOMAXPROCS, capped at the query count)
-// and checks that many contexts out of the package pool.
-func borrowCtxs[T wire.Scalar](workers, nq int) []*Context[T] {
+// batchCore is the worker-pool skeleton shared by the exact and
+// quantized batch entry points: per-query RNG derivation (worker
+// contexts reseed their splitmix64 stream per query, bit-identical to
+// the one-shot Query path at the same seed) and entry-point hooks.
+// workers <= 0 means GOMAXPROCS, capped at the query count; each
+// worker runs every query it claims on one context checked out of the
+// package pool, and results are copied out of the context scratch
+// before the next claim.
+func batchCore[T wire.Scalar](nq int, opt Options, workers int, run func(sc *Context[T], qi int, qopt Options) ([]knng.Neighbor, Stats)) ([][]knng.Neighbor, Stats) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -230,64 +212,19 @@ func borrowCtxs[T wire.Scalar](workers, nq int) []*Context[T] {
 	if workers < 1 {
 		workers = 1
 	}
-	ctxs := make([]*Context[T], workers)
-	for i := range ctxs {
-		ctxs[i] = getCtx[T]()
-	}
-	return ctxs
-}
-
-func releaseCtxs[T wire.Scalar](ctxs []*Context[T]) {
-	for _, sc := range ctxs {
-		putCtx(sc)
-	}
-}
-
-// batchCore is the worker-pool skeleton shared by the exact and
-// quantized batch entry points: per-query RNG derivation (worker
-// contexts reseed their splitmix64 stream per query, bit-identical to
-// the one-shot Query path at the same seed), entry-point hooks,
-// context cancellation composed with Options.Interrupt. Worker w runs
-// every query it claims on ctxs[w]; results are copied out of the
-// context scratch before the next claim.
-func batchCore[T wire.Scalar](ctx context.Context, nq int, opt Options, ctxs []*Context[T], run func(sc *Context[T], qi int, qopt Options) ([]knng.Neighbor, Stats)) ([][]knng.Neighbor, Stats, error) {
 	out := make([][]knng.Neighbor, nq)
 	stats := make([]Stats, nq)
-	done := ctx.Done()
-	canceled := func() bool {
-		select {
-		case <-done:
-			return true
-		default:
-			return false
-		}
-	}
-	// Compose ctx with a caller-supplied Interrupt. With a Background
-	// context and no Interrupt this stays nil, keeping the hot loop's
-	// per-expansion check free.
-	interrupt := opt.Interrupt
-	if done != nil {
-		base := opt.Interrupt
-		interrupt = func() bool {
-			if canceled() {
-				return true
-			}
-			return base != nil && base()
-		}
-	}
 	var wg sync.WaitGroup
 	next := make(chan int)
-	for w := 0; w < len(ctxs); w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(sc *Context[T]) {
+		go func() {
 			defer wg.Done()
+			sc := getCtx[T]()
+			defer putCtx(sc)
 			for qi := range next {
-				if done != nil && canceled() {
-					continue // leave out[qi] nil: never started
-				}
 				sc.rng.seed(opt.Seed*1_000_003 + int64(qi))
 				qopt := opt
-				qopt.Interrupt = interrupt
 				if opt.EntriesFunc != nil {
 					qopt.Entries = opt.EntriesFunc(qi)
 				}
@@ -295,15 +232,10 @@ func batchCore[T wire.Scalar](ctx context.Context, nq int, opt Options, ctxs []*
 				out[qi] = append([]knng.Neighbor(nil), ns...)
 				stats[qi] = st
 			}
-		}(ctxs[w])
+		}()
 	}
-feed:
 	for qi := 0; qi < nq; qi++ {
-		select {
-		case next <- qi:
-		case <-done:
-			break feed
-		}
+		next <- qi
 	}
 	close(next)
 	wg.Wait()
@@ -314,7 +246,7 @@ feed:
 		total.Visited += s.Visited
 		total.Truncated += s.Truncated
 	}
-	return out, total, ctx.Err()
+	return out, total
 }
 
 // IDs extracts the neighbor IDs from a batch result, the recall

@@ -1,13 +1,10 @@
 package search
 
 import (
-	"context"
 	"math/rand"
 	"testing"
-	"time"
 
 	"dnnd/internal/brute"
-	"dnnd/internal/knng"
 	"dnnd/internal/metric"
 )
 
@@ -55,78 +52,4 @@ func TestQueryInterrupt(t *testing.T) {
 	if st2.Truncated != 0 {
 		t.Fatalf("uninterrupted query reported Truncated = %d", st2.Truncated)
 	}
-}
-
-// TestBatchContextCancel: a canceled batch returns promptly with
-// partial stats — some rows may be nil (never started), started rows
-// are cut off at their next expansion, and the error is ctx.Err().
-func TestBatchContextCancel(t *testing.T) {
-	data := randData(2000, 24, 2)
-	dist, err := metric.ForFloat32(metric.SquaredL2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := brute.KNNGraph(data, 10, dist, 0)
-	queries := randData(400, 24, 3)
-
-	// Baseline cost of the full batch, so the canceled run has
-	// something to be strictly smaller than.
-	_, full, errFull := BatchContext(context.Background(), g, data, dist, queries,
-		Options{L: 20, Epsilon: 0.4, Seed: 1}, 2)
-	if errFull != nil {
-		t.Fatalf("background batch returned error %v", errFull)
-	}
-	if full.Truncated != 0 {
-		t.Fatalf("background batch truncated %d queries", full.Truncated)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // already canceled: maximal promptness case
-	out, st, err := BatchContext(ctx, g, data, dist, queries,
-		Options{L: 20, Epsilon: 0.4, Seed: 1}, 2)
-	if err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if st.DistEvals >= full.DistEvals {
-		t.Fatalf("canceled batch did full work: %d >= %d dist evals", st.DistEvals, full.DistEvals)
-	}
-	nils := 0
-	for _, row := range out {
-		if row == nil {
-			nils++
-		}
-	}
-	if nils == 0 {
-		t.Fatalf("pre-canceled batch started every query")
-	}
-
-	// Cancel mid-flight and require a prompt return.
-	ctx2, cancel2 := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(2 * time.Millisecond)
-		cancel2()
-	}()
-	start := time.Now()
-	out2, st2, err2 := BatchContext(ctx2, g, data, dist, queries,
-		Options{L: 20, Epsilon: 0.4, Seed: 1}, 2)
-	elapsed := time.Since(start)
-	if err2 != nil && err2 != context.Canceled {
-		t.Fatalf("unexpected error %v", err2)
-	}
-	if elapsed > 5*time.Second {
-		t.Fatalf("canceled batch took %v", elapsed)
-	}
-	if err2 == context.Canceled {
-		// Partial results: whatever completed is intact and sorted.
-		completed := 0
-		for _, row := range out2 {
-			if row != nil {
-				completed++
-			}
-		}
-		if completed+int(st2.Truncated) == 0 && st2.DistEvals == 0 {
-			t.Fatalf("canceled batch reports no work at all despite running")
-		}
-	}
-	var _ []knng.Neighbor = out2[0] // type sanity
 }

@@ -41,14 +41,14 @@ func TestServeExecZeroAlloc(t *testing.T) {
 	client, server := net.Pipe()
 	defer client.Close()
 	go io.Copy(io.Discard, client)
-	sc := &serverConn{c: server}
+	sc := NewConn(server, 0)
 
 	vec := s.src.Data[7]
 	batch := make([]*request[float32], 1)
 	var seed int64
 	run := func() {
 		seed++
-		s.gate.enter()
+		s.acc.Gate.Enter()
 		s.m.InFlight.Add(1)
 		req := s.getRequest()
 		req.conn = sc
@@ -78,9 +78,7 @@ func TestServeRoundTripZeroAlloc(t *testing.T) {
 	s := allocServer(t)
 	client, server := net.Pipe()
 	defer client.Close()
-	sc := &serverConn{c: server}
-	s.connWG.Add(1)
-	go s.handleConn(sc)
+	s.acc.serveConn(server, s.handleConn)
 
 	frame := AppendFrame(nil, msg.SOpQuery, encodeQuery(&msg.SQuery[float32]{
 		ID: 1, Seed: 42, L: 10, Epsilon: 0.1, Vec: s.src.Data[3],

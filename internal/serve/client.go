@@ -23,13 +23,19 @@ type Client struct {
 	wbuf []byte
 }
 
-// Dial connects to a dnnd-serve address. A non-positive timeout
-// defaults to 5s.
-func Dial(addr string, timeout time.Duration) (*Client, error) {
+// dial is the TCP connect behind Dial and DialPipe: a non-positive
+// timeout defaults to 5s.
+func dial(addr string, timeout time.Duration) (net.Conn, error) {
 	if timeout <= 0 {
 		timeout = 5 * time.Second
 	}
-	c, err := net.DialTimeout("tcp", addr, timeout)
+	return net.DialTimeout("tcp", addr, timeout)
+}
+
+// Dial connects to a dnnd-serve address. A non-positive timeout
+// defaults to 5s.
+func Dial(addr string, timeout time.Duration) (*Client, error) {
+	c, err := dial(addr, timeout)
 	if err != nil {
 		return nil, err
 	}

@@ -158,11 +158,11 @@ func (s *Server[T]) EnableMutation(cfg MutableConfig[T]) error {
 
 // handleMutation decodes, executes, and answers one mutation frame; it
 // reports whether the connection is still usable.
-func (s *Server[T]) handleMutation(sc *serverConn, op uint8, payload []byte, w *wire.Writer) bool {
+func (s *Server[T]) handleMutation(sc *Conn, op uint8, payload []byte, w *wire.Writer) bool {
 	rep := s.execMutation(op, payload)
 	w.Reset()
 	rep.Encode(w)
-	return sc.writeFrame(op, w.Bytes()) == nil
+	return sc.WriteFrame(op, w.Bytes()) == nil
 }
 
 func (s *Server[T]) execMutation(op uint8, payload []byte) msg.SUpdateReply {
@@ -180,7 +180,7 @@ func (s *Server[T]) execMutation(op uint8, payload []byte) msg.SUpdateReply {
 			s.m.RejectedReadOnly.Add(1)
 			return msg.SUpdateReply{ID: in.ID, Status: msg.SStatusReadOnly, Gen: gen}
 		}
-		if s.gate.isDraining() {
+		if s.acc.Gate.Draining() {
 			return msg.SUpdateReply{ID: in.ID, Status: msg.SStatusDraining, Gen: gen}
 		}
 		for _, v := range in.Vecs {
@@ -200,7 +200,7 @@ func (s *Server[T]) execMutation(op uint8, payload []byte) msg.SUpdateReply {
 			s.m.RejectedReadOnly.Add(1)
 			return msg.SUpdateReply{ID: del.ID, Status: msg.SStatusReadOnly, Gen: gen}
 		}
-		if s.gate.isDraining() {
+		if s.acc.Gate.Draining() {
 			return msg.SUpdateReply{ID: del.ID, Status: msg.SStatusDraining, Gen: gen}
 		}
 		return m.delete(s, del.ID, del.IDs)

@@ -38,10 +38,7 @@ type PipeClient struct {
 // DialPipe connects a pipelined client. A non-positive timeout
 // defaults to 5s.
 func DialPipe(addr string, timeout time.Duration) (*PipeClient, error) {
-	if timeout <= 0 {
-		timeout = 5 * time.Second
-	}
-	c, err := net.DialTimeout("tcp", addr, timeout)
+	c, err := dial(addr, timeout)
 	if err != nil {
 		return nil, err
 	}

@@ -41,27 +41,20 @@ func AppendFrame(buf []byte, op uint8, payload []byte) []byte {
 }
 
 // ReadFrame reads one frame, returning the op byte and the payload.
-// The payload is freshly allocated and owned by the caller.
+// The payload is freshly allocated and owned by the caller: this is
+// ReadFrameInto over a fresh header-sized buffer, so the payload gets
+// one allocation of exactly its length.
 func ReadFrame(r io.Reader) (uint8, []byte, error) {
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:4])
-	if n < 1 || n > maxFrame {
-		return 0, nil, fmt.Errorf("serve: bad frame length %d", n)
-	}
-	payload := make([]byte, n-1)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, err
-	}
-	return hdr[4], payload, nil
+	buf := make([]byte, frameHeaderLen)
+	return ReadFrameInto(r, &buf)
 }
 
-// ReadFrameInto is ReadFrame with a caller-owned buffer: the returned
-// payload aliases *buf (grown as needed, never shrunk) and is valid
-// only until the next call with the same buffer. The header is staged
-// through the same buffer so a steady-state read allocates nothing.
+// ReadFrameInto is the one frame reader — every server connection,
+// Client and PipeClient reads through it, so the maxFrame bound on the
+// length prefix is enforced here and nowhere else. The returned payload
+// aliases *buf (grown as needed, never shrunk) and is valid only until
+// the next call with the same buffer. The header is staged through the
+// same buffer so a steady-state read allocates nothing.
 func ReadFrameInto(r io.Reader, buf *[]byte) (uint8, []byte, error) {
 	b := *buf
 	if cap(b) < frameHeaderLen {

@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"bufio"
-	"net"
 	"sync"
 	"time"
 
@@ -13,8 +11,6 @@ import (
 	"dnnd/internal/search"
 	"dnnd/internal/wire"
 )
-
-func newConnReader(c net.Conn) *bufio.Reader { return bufio.NewReaderSize(c, 64<<10) }
 
 // lane is one dispatch shard: it owns a slice of the admission queue,
 // its own micro-batch assembly loop, its own engine worker pool, and
@@ -214,14 +210,14 @@ func (s *Server[T]) runOne(sc *search.Context[T], r *request[T], warmSnap []knng
 // recycles the request. A write failure (client went away) is counted
 // but never blocks the drain: the request is still "answered".
 func (s *Server[T]) finish(r *request[T]) {
-	if err := r.conn.writeResult(msg.SOpQuery, &r.res); err != nil {
+	if err := r.conn.WriteResult(msg.SOpQuery, &r.res); err != nil {
 		s.m.WriteErrors.Add(1)
 	}
 	s.m.LatTotal.ObserveDuration(time.Since(r.enq))
 	s.m.Completed.Add(1)
 	r.span.End()
 	s.cfg.Trace.Counter("serve.inflight", s.m.InFlight.Add(-1))
-	s.gate.leave()
+	s.acc.Gate.Leave()
 	s.putRequest(r)
 }
 

@@ -47,32 +47,56 @@ func testSource(t testing.TB, n, dim, k int) Source[float32] {
 	}
 }
 
+// TestFrameRoundTrip drives the one frame reader (ReadFrameInto — what
+// every server connection, Client and PipeClient reads through) with a
+// reused buffer: good frames round-trip, and a bad length prefix is an
+// error before any payload-sized allocation.
 func TestFrameRoundTrip(t *testing.T) {
-	var buf []byte
-	buf = AppendFrame(buf, 7, []byte("abc"))
-	buf = AppendFrame(buf, 9, nil)
-	r := bytes.NewReader(buf)
-	op, p, err := ReadFrame(r)
-	if err != nil || op != 7 || string(p) != "abc" {
-		t.Fatalf("frame 1: op=%d payload=%q err=%v", op, p, err)
+	prefix := func(n uint32) []byte {
+		var hdr [frameHeaderLen]byte
+		binary.LittleEndian.PutUint32(hdr[:4], n)
+		return hdr[:]
 	}
-	op, p, err = ReadFrame(r)
-	if err != nil || op != 9 || len(p) != 0 {
-		t.Fatalf("frame 2: op=%d payload=%q err=%v", op, p, err)
+	big := bytes.Repeat([]byte{0xAB}, 5000) // outgrows the reader's first buffer
+	cases := []struct {
+		name    string
+		in      []byte
+		op      uint8
+		payload []byte
+		bad     bool
+	}{
+		{name: "payload", in: AppendFrame(nil, 7, []byte("abc")), op: 7, payload: []byte("abc")},
+		{name: "empty payload", in: AppendFrame(nil, 9, nil), op: 9},
+		{name: "grows the buffer", in: AppendFrame(nil, 3, big), op: 3, payload: big},
+		{name: "end of stream", in: nil, bad: true},
+		{name: "cut mid-payload", in: AppendFrame(nil, 7, []byte("abc"))[:6], bad: true},
+		// A zero length cannot even hold the op byte.
+		{name: "zero length", in: prefix(0), bad: true},
+		// An absurd length must be rejected before allocation.
+		{name: "maxFrame+1", in: prefix(maxFrame + 1), bad: true},
+		{name: "max uint32", in: prefix(^uint32(0)), bad: true},
 	}
-	if _, _, err := ReadFrame(r); err == nil {
-		t.Fatalf("read past the last frame succeeded")
+	var buf []byte // shared across cases, like a connection's
+	for _, c := range cases {
+		op, p, err := ReadFrameInto(bytes.NewReader(c.in), &buf)
+		if c.bad {
+			if err == nil {
+				t.Errorf("%s: accepted (op=%d, %d payload bytes)", c.name, op, len(p))
+			}
+		} else if err != nil || op != c.op || !bytes.Equal(p, c.payload) {
+			t.Errorf("%s: op=%d payload=%d bytes err=%v", c.name, op, len(p), err)
+		}
+		if cap(buf) > 2*len(big) {
+			t.Fatalf("%s: reader grew its buffer to %d bytes", c.name, cap(buf))
+		}
 	}
-
-	// A zero length cannot even hold the op byte.
-	if _, _, err := ReadFrame(bytes.NewReader(make([]byte, frameHeaderLen))); err == nil {
-		t.Fatalf("zero-length frame accepted")
-	}
-	// An absurd length must be rejected before allocation.
-	var huge [frameHeaderLen]byte
-	binary.LittleEndian.PutUint32(huge[:4], maxFrame+1)
-	if _, _, err := ReadFrame(bytes.NewReader(huge[:])); err == nil {
-		t.Fatalf("oversized frame accepted")
+	// ReadFrame is the same reader over a fresh buffer: consecutive
+	// frames on one stream, payloads owned by the caller.
+	r := bytes.NewReader(append(AppendFrame(nil, 7, []byte("abc")), AppendFrame(nil, 9, []byte("de"))...))
+	_, p1, err1 := ReadFrame(r)
+	_, p2, err2 := ReadFrame(r)
+	if err1 != nil || err2 != nil || string(p1) != "abc" || string(p2) != "de" {
+		t.Fatalf("ReadFrame: %q %v, %q %v", p1, err1, p2, err2)
 	}
 }
 
@@ -171,7 +195,7 @@ func TestAdmissionRejections(t *testing.T) {
 		dim:  4,
 		elem: "float32",
 		m:    &Metrics{},
-		gate: newDrainGate(),
+		acc:  NewAcceptor(0, nil, nil),
 		stop: make(chan struct{}),
 	}
 	s.cur.Store(&snapshot[float32]{graph: src.Graph, data: src.Data, quant: src.Quant})
@@ -182,7 +206,7 @@ func TestAdmissionRejections(t *testing.T) {
 	client, server := net.Pipe()
 	defer client.Close()
 	defer server.Close()
-	sc := &serverConn{c: server}
+	sc := NewConn(server, 0)
 	replies := collectReplies(t, client)
 
 	var q msg.SQuery[float32]
@@ -214,16 +238,16 @@ func TestAdmissionRejections(t *testing.T) {
 	}
 	expect(2, msg.SStatusOverloaded)
 
-	s.gate.mu.Lock()
-	s.gate.draining = true
-	s.gate.mu.Unlock()
+	s.acc.Gate.mu.Lock()
+	s.acc.Gate.draining = true
+	s.acc.Gate.mu.Unlock()
 	if !handle(mk(3)) {
 		t.Fatalf("draining reply failed")
 	}
 	expect(3, msg.SStatusDraining)
-	s.gate.mu.Lock()
-	s.gate.draining = false
-	s.gate.mu.Unlock()
+	s.acc.Gate.mu.Lock()
+	s.acc.Gate.draining = false
+	s.acc.Gate.mu.Unlock()
 
 	// Wrong dimensionality is a bad request, not a crash.
 	if !handle(encodeQuery(&msg.SQuery[float32]{ID: 4, L: 4, Vec: []float32{1}})) {
@@ -244,7 +268,7 @@ func TestAdmissionRejections(t *testing.T) {
 			m.RejectedDraining.Load(), m.RejectedBad.Load())
 	}
 	// Balance the admitted request's gate entry (nothing will run it).
-	s.gate.leave()
+	s.acc.Gate.Leave()
 }
 
 // TestDeadlineSemantics: a query whose deadline expired in the queue
@@ -252,7 +276,7 @@ func TestAdmissionRejections(t *testing.T) {
 // returns its best-so-far with SStatusPartial.
 func TestDeadlineSemantics(t *testing.T) {
 	src := testSource(t, 300, 8, 8)
-	s, err := New(src, Config{Workers: 1, Executors: 1})
+	s, err := New(src, Config{Workers: 1, Lanes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,12 +291,12 @@ func TestDeadlineSemantics(t *testing.T) {
 	client, server := net.Pipe()
 	defer client.Close()
 	defer server.Close()
-	sc := &serverConn{c: server}
+	sc := NewConn(server, 0)
 	replies := collectReplies(t, client)
 	now := time.Now()
 
 	// Expired while queued: dropped before execution.
-	s.gate.enter()
+	s.acc.Gate.Enter()
 	s.m.InFlight.Add(1)
 	s.runBatch(s.lanes[0], []*request[float32]{{
 		conn: sc, id: 10, l: 8, vec: src.Data[0],
@@ -289,7 +313,7 @@ func TestDeadlineSemantics(t *testing.T) {
 
 	// Expired mid-execution: the interrupt fires at the first expansion,
 	// leaving the seeded candidates as a partial answer.
-	s.gate.enter()
+	s.acc.Gate.Enter()
 	s.m.InFlight.Add(1)
 	s.runOne(s.lanes[0].sctx[0], &request[float32]{
 		conn: sc, id: 11, l: 8, vec: src.Data[0],

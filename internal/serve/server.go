@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -65,13 +64,8 @@ type Config struct {
 	// a shard of the admission queue, its own micro-batch assembly loop,
 	// its own engine.Pool, and one pooled search.Context per pool
 	// worker, so batch formation and execution never serialize across
-	// lanes. Defaults to Executors for compatibility with pre-lane
-	// configs (and Executors defaults to 2).
+	// lanes (default 2).
 	Lanes int
-	// Executors is the legacy name for the batch-level parallelism knob;
-	// it now only seeds the Lanes default. Kept so existing configs and
-	// flags keep their meaning: N executors become N lanes.
-	Executors int
 	// Workers is the per-lane worker-pool width used to evaluate a
 	// batch's queries in parallel (default GOMAXPROCS/Lanes, min 1),
 	// reusing internal/engine's pool. Total search parallelism is
@@ -124,11 +118,8 @@ func (c Config) withDefaults() Config {
 	if c.BatchMax <= 0 {
 		c.BatchMax = 16
 	}
-	if c.Executors <= 0 {
-		c.Executors = 2
-	}
 	if c.Lanes <= 0 {
-		c.Lanes = c.Executors
+		c.Lanes = 2
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0) / c.Lanes
@@ -167,7 +158,7 @@ type snapshot[T wire.Scalar] struct {
 // request waits in a lane queue), and res is filled in place by the
 // lane worker so the reply needs no per-query allocation either.
 type request[T wire.Scalar] struct {
-	conn     *serverConn
+	conn     *Conn
 	id       uint64
 	seed     int64
 	l        int
@@ -179,109 +170,6 @@ type request[T wire.Scalar] struct {
 	span     obs.Span    // serve.query async span, ended by finish
 	tctx     msg.STrace  // propagated trace context (zero when untraced)
 	res      msg.SResult // reply under construction, encoded by finish
-}
-
-// serverConn wraps one client connection: reads happen on the
-// connection's reader goroutine, reply writes are serialized by wmu
-// (lane workers write completions, the reader writes rejections and
-// control replies).
-type serverConn struct {
-	c        net.Conn
-	wtimeout time.Duration
-	wmu      sync.Mutex
-	wbuf     []byte
-	w        wire.Writer // wraps wbuf during writeResult
-}
-
-func (sc *serverConn) writeFrame(op uint8, payload []byte) error {
-	sc.wmu.Lock()
-	defer sc.wmu.Unlock()
-	if sc.wtimeout > 0 {
-		sc.c.SetWriteDeadline(time.Now().Add(sc.wtimeout))
-	}
-	sc.wbuf = AppendFrame(sc.wbuf[:0], op, payload)
-	_, err := sc.c.Write(sc.wbuf)
-	return err
-}
-
-// writeResult encodes res directly into the connection's pooled write
-// buffer behind a frame-header placeholder, backpatches the length,
-// and writes the frame — no intermediate payload slice, no copy (the
-// PR 6 AsyncWriter pattern, via wire.Writer.Wrap). Serialized on wmu
-// with writeFrame like every other reply.
-func (sc *serverConn) writeResult(op uint8, res *msg.SResult) error {
-	sc.wmu.Lock()
-	defer sc.wmu.Unlock()
-	sc.wbuf = append(sc.wbuf[:0], 0, 0, 0, 0, op)
-	sc.w.Wrap(sc.wbuf)
-	res.Encode(&sc.w)
-	out := sc.w.Bytes()
-	binary.LittleEndian.PutUint32(out[:4], uint32(len(out)-4))
-	sc.wbuf = out[:0] // keep the grown storage for the next reply
-	if sc.wtimeout > 0 {
-		sc.c.SetWriteDeadline(time.Now().Add(sc.wtimeout))
-	}
-	_, err := sc.c.Write(out)
-	return err
-}
-
-// drainGate atomically couples the draining flag with the count of
-// admitted-but-unanswered requests. A WaitGroup cannot express this:
-// Add racing with Wait at counter zero is a data race, and the
-// draining check and the increment have to be one atomic step anyway
-// so that a request admitted concurrently with a drain is always
-// waited for.
-type drainGate struct {
-	mu       sync.Mutex
-	n        int64
-	draining bool
-	idle     chan struct{} // closed once draining && n == 0
-}
-
-func newDrainGate() *drainGate {
-	return &drainGate{idle: make(chan struct{})}
-}
-
-// enter admits one request; it reports false if the gate is draining.
-func (g *drainGate) enter() bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.draining {
-		return false
-	}
-	g.n++
-	return true
-}
-
-// leave retires one admitted request. Exactly one of leave and drain
-// observes the final draining && n == 0 state, so idle is closed once.
-func (g *drainGate) leave() {
-	g.mu.Lock()
-	g.n--
-	if g.draining && g.n == 0 {
-		close(g.idle)
-	}
-	g.mu.Unlock()
-}
-
-// drain flips the gate shut and returns a channel that is closed once
-// every admitted request has left.
-func (g *drainGate) drain() <-chan struct{} {
-	g.mu.Lock()
-	if !g.draining {
-		g.draining = true
-		if g.n == 0 {
-			close(g.idle)
-		}
-	}
-	g.mu.Unlock()
-	return g.idle
-}
-
-func (g *drainGate) isDraining() bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.draining
 }
 
 // Server is a long-lived query server over one index. Create with
@@ -306,14 +194,9 @@ type Server[T wire.Scalar] struct {
 	rr      atomic.Uint32 // round-robin admission cursor
 	reqPool sync.Pool     // recycled *request[T]
 
-	gate     *drainGate
+	acc      *Acceptor      // listener, connections and drain gate (conn.go)
 	stop     chan struct{}  // closed after the lane queues fully drain
 	loopWG   sync.WaitGroup // lane loops
-	connWG   sync.WaitGroup
-	connMu   sync.Mutex
-	conns    map[*serverConn]struct{}
-	ln       net.Listener
-	lnMu     sync.Mutex
 	shutOnce sync.Once
 }
 
@@ -334,15 +217,14 @@ func New[T wire.Scalar](src Source[T], cfg Config) (*Server[T], error) {
 	}
 	cfg = cfg.withDefaults()
 	s := &Server[T]{
-		cfg:   cfg,
-		src:   src,
-		dim:   len(src.Data[0]),
-		elem:  elemName[T](),
-		m:     &Metrics{},
-		gate:  newDrainGate(),
-		stop:  make(chan struct{}),
-		conns: make(map[*serverConn]struct{}),
+		cfg:  cfg,
+		src:  src,
+		dim:  len(src.Data[0]),
+		elem: wire.ElemName[T](),
+		m:    &Metrics{},
+		stop: make(chan struct{}),
 	}
+	s.acc = NewAcceptor(cfg.WriteTimeout, &s.m.Conns, &s.m.ConnsTotal)
 	s.cur.Store(&snapshot[T]{graph: src.Graph, data: src.Data, quant: src.Quant})
 	// The admission queue is sharded across lanes; QueueDepth splits
 	// evenly (min 1 per lane) so the configured bound keeps its meaning.
@@ -431,65 +313,24 @@ func (r *request[T]) echoTrace() {
 	}
 }
 
-func elemName[T wire.Scalar]() string {
-	var z T
-	switch any(z).(type) {
-	case float32:
-		return "float32"
-	case uint8:
-		return "uint8"
-	default:
-		return "uint32"
-	}
-}
-
 // Metrics exposes the server's observability surface.
 func (s *Server[T]) Metrics() *Metrics { return s.m }
 
 // Serve accepts connections on ln until Shutdown closes it. It
 // returns nil on a clean shutdown.
 func (s *Server[T]) Serve(ln net.Listener) error {
-	s.lnMu.Lock()
-	s.ln = ln
-	s.lnMu.Unlock()
-	for {
-		c, err := ln.Accept()
-		if err != nil {
-			if s.gate.isDraining() {
-				return nil
-			}
-			return err
-		}
-		sc := &serverConn{c: c, wtimeout: s.cfg.WriteTimeout}
-		s.connMu.Lock()
-		s.conns[sc] = struct{}{}
-		s.connMu.Unlock()
-		s.m.Conns.Add(1)
-		s.m.ConnsTotal.Add(1)
-		s.connWG.Add(1)
-		go s.handleConn(sc)
-	}
+	return s.acc.Serve(ln, s.handleConn)
 }
 
 // handleConn is the per-connection reader loop.
-func (s *Server[T]) handleConn(sc *serverConn) {
-	defer func() {
-		s.connMu.Lock()
-		delete(s.conns, sc)
-		s.connMu.Unlock()
-		s.m.Conns.Add(-1)
-		sc.c.Close()
-		s.connWG.Done()
-	}()
-	br := newConnReader(sc.c)
+func (s *Server[T]) handleConn(sc *Conn) {
 	var (
 		w       wire.Writer
-		rbuf    []byte        // reused frame payload buffer
 		q       msg.SQuery[T] // reused query decode target
 		scratch []T           // borrowed-vector decode scratch (wide scalars)
 	)
 	for {
-		op, payload, err := ReadFrameInto(br, &rbuf)
+		op, payload, err := sc.ReadFrame()
 		if err != nil {
 			return // EOF, client reset, or garbage framing: drop the conn
 		}
@@ -508,17 +349,17 @@ func (s *Server[T]) handleConn(sc *serverConn) {
 			}
 			w.Reset()
 			reply.Encode(&w)
-			if sc.writeFrame(msg.SOpHello, w.Bytes()) != nil {
+			if sc.WriteFrame(msg.SOpHello, w.Bytes()) != nil {
 				return
 			}
 		case msg.SOpHealth:
 			s.m.HealthProbes.Add(1)
-			if sc.writeFrame(msg.SOpHealth, []byte(s.healthText())) != nil {
+			if sc.WriteFrame(msg.SOpHealth, []byte(s.healthText())) != nil {
 				return
 			}
 		case msg.SOpStats:
 			s.m.StatsDumps.Add(1)
-			if sc.writeFrame(msg.SOpStats, []byte(s.m.Dump())) != nil {
+			if sc.WriteFrame(msg.SOpStats, []byte(s.m.Dump())) != nil {
 				return
 			}
 		case msg.SOpMetrics:
@@ -527,7 +368,7 @@ func (s *Server[T]) handleConn(sc *serverConn) {
 			if err != nil {
 				return
 			}
-			if sc.writeFrame(msg.SOpMetrics, dump) != nil {
+			if sc.WriteFrame(msg.SOpMetrics, dump) != nil {
 				return
 			}
 		case msg.SOpQuery:
@@ -550,7 +391,7 @@ func (s *Server[T]) handleConn(sc *serverConn) {
 // (or scratch) and is copied into the pooled request's own storage,
 // since the reader overwrites the frame buffer while the request
 // waits in a lane queue.
-func (s *Server[T]) handleQuery(sc *serverConn, payload []byte, q *msg.SQuery[T], scratch *[]T) bool {
+func (s *Server[T]) handleQuery(sc *Conn, payload []byte, q *msg.SQuery[T], scratch *[]T) bool {
 	r := wire.NewReader(payload)
 	*scratch = q.DecodeBorrow(r, *scratch)
 	if r.Finish() != nil || len(q.Vec) != s.dim || int64(q.L) > int64(len(s.cur.Load().data)) {
@@ -590,7 +431,7 @@ func (s *Server[T]) handleQuery(sc *serverConn, payload []byte, q *msg.SQuery[T]
 	// increment one atomic step: a request it admits is guaranteed to
 	// be waited for by a concurrent drain (see Shutdown), so an
 	// admitted query is never dropped.
-	if !s.gate.enter() {
+	if !s.acc.Gate.Enter() {
 		s.putRequest(req)
 		s.m.RejectedDraining.Add(1)
 		return s.reject(sc, q.ID, msg.SStatusDraining)
@@ -626,7 +467,7 @@ func (s *Server[T]) handleQuery(sc *serverConn, payload []byte, q *msg.SQuery[T]
 	}
 	// Every lane full: typed overload rejection, never a block and
 	// never silence. The client reads this as backpressure.
-	s.gate.leave()
+	s.acc.Gate.Leave()
 	s.putRequest(req)
 	s.m.RejectedOverload.Add(1)
 	return s.reject(sc, q.ID, msg.SStatusOverloaded)
@@ -634,14 +475,14 @@ func (s *Server[T]) handleQuery(sc *serverConn, payload []byte, q *msg.SQuery[T]
 
 // reject writes an immediate no-result reply; it reports whether the
 // connection survived the write.
-func (s *Server[T]) reject(sc *serverConn, id uint64, status uint8) bool {
+func (s *Server[T]) reject(sc *Conn, id uint64, status uint8) bool {
 	res := msg.SResult{ID: id, Status: status}
-	return sc.writeResult(msg.SOpQuery, &res) == nil
+	return sc.WriteResult(msg.SOpQuery, &res) == nil
 }
 
 func (s *Server[T]) healthText() string {
 	state := "ok"
-	if s.gate.isDraining() {
+	if s.acc.Gate.Draining() {
 		state = "draining"
 	}
 	sn := s.cur.Load()
@@ -667,18 +508,7 @@ func (s *Server[T]) healthText() string {
 func (s *Server[T]) Shutdown(ctx context.Context) error {
 	var err error
 	s.shutOnce.Do(func() {
-		drained := s.gate.drain()
-		s.lnMu.Lock()
-		if s.ln != nil {
-			s.ln.Close()
-		}
-		s.lnMu.Unlock()
-
-		select {
-		case <-drained:
-		case <-ctx.Done():
-			err = ctx.Err()
-		}
+		err = s.acc.Drain(ctx)
 
 		// The lane queues are empty now (or we gave up waiting): stop
 		// the lane loops, then their worker pools.
@@ -695,12 +525,7 @@ func (s *Server[T]) Shutdown(ctx context.Context) error {
 		}
 
 		// Finally drop the client connections; their readers exit.
-		s.connMu.Lock()
-		for sc := range s.conns {
-			sc.c.Close()
-		}
-		s.connMu.Unlock()
-		s.connWG.Wait()
+		s.acc.CloseAll()
 	})
 	return err
 }

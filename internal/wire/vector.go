@@ -19,6 +19,20 @@ func ScalarSize[T Scalar]() int {
 	}
 }
 
+// ElemName returns the name stores, manifests and hello replies record
+// for element type T ("float32", "uint8" or "uint32").
+func ElemName[T Scalar]() string {
+	var z T
+	switch any(z).(type) {
+	case float32:
+		return "float32"
+	case uint8:
+		return "uint8"
+	default:
+		return "uint32"
+	}
+}
+
 // VectorBytes returns the encoded size of a length-prefixed vector of n
 // elements of type T, matching PutVector's output exactly.
 func VectorBytes[T Scalar](n int) int { return 4 + n*ScalarSize[T]() }

@@ -15,10 +15,6 @@ fi
 
 echo "== go vet"
 go vet ./...
-# The serving binaries are vetted above with everything else; this
-# explicit pass guarantees they stay vet-clean even if the package
-# list above is ever narrowed.
-go vet ./cmd/dnnd-serve/ ./cmd/dnnd-loadgen/
 
 echo "== go build"
 go build ./...
@@ -50,6 +46,12 @@ echo "== go test -race (build -> query hand-over on a shared comm, repeated)"
 # A rank released from Build's last barrier must not reach a slower
 # rank with dq.* messages before that rank registered the handlers.
 go test -race -count=3 -run 'TestQueryAfterBuildRegistrationStress' ./internal/dquery/
+
+echo "== go test -race (shared connection layer: drain gate + shutdown-before-serve, repeated)"
+# serve.Server and router.Router share one DrainGate/Acceptor. A gate
+# that closes idle early, twice, or admits after Drain — or a Serve that
+# misses a Shutdown which ran first — fails only on some schedules.
+go test -race -count=20 -run 'TestDrainGate|TestShutdownBeforeServe' ./internal/serve/ ./internal/router/
 
 echo "== go test -race (online serving: server + loadgen in-process)"
 # The serve e2e suite runs the whole subsystem — admission, batching,

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 
 	"dnnd/internal/shard"
+	"dnnd/internal/wire"
 )
 
 // ShardDir returns the datastore directory of shard i under a split
@@ -52,7 +53,7 @@ func Split[T Scalar](dir, outDir string, n int, opt BuildOptions) (*shard.Manife
 	}
 
 	man := &shard.Manifest{
-		Elem:    elemName[T](),
+		Elem:    wire.ElemName[T](),
 		Metric:  string(opt.Metric),
 		K:       uint32(opt.K),
 		Dim:     uint32(len(data[0])),

@@ -10,6 +10,7 @@ import (
 	"dnnd/internal/metall"
 	"dnnd/internal/metric"
 	"dnnd/internal/router"
+	"dnnd/internal/wire"
 )
 
 // splitRoundTrip pins the shard-manifest contract: splitting a store
@@ -37,7 +38,7 @@ func splitRoundTrip[T Scalar](t *testing.T, data [][]T, kind MetricKind, nShards
 	if err != nil {
 		t.Fatal(err)
 	}
-	if man.Elem != elemName[T]() || man.Metric != string(kind) ||
+	if man.Elem != wire.ElemName[T]() || man.Metric != string(kind) ||
 		int(man.K) != k || int(man.N) != len(data) || len(man.Shards) != nShards {
 		t.Fatalf("manifest shape: %+v", man)
 	}

@@ -66,18 +66,6 @@ type storeMeta struct {
 	TombN  int   `json:"tomb_n,omitempty"`
 }
 
-func elemName[T Scalar]() string {
-	var z T
-	switch any(z).(type) {
-	case float32:
-		return "float32"
-	case uint8:
-		return "uint8"
-	default:
-		return "uint32"
-	}
-}
-
 // Save persists an index (graph + dataset + metadata) into a
 // Metall-style datastore directory, creating or updating it. The
 // paper's construct executable does exactly this so the optimize and
@@ -91,7 +79,7 @@ func Save[T Scalar](dir string, ix *Index[T], refined bool) error {
 		Version: storeVersion,
 		K:       ix.k,
 		Metric:  ix.kind,
-		Elem:    elemName[T](),
+		Elem:    wire.ElemName[T](),
 		N:       len(ix.data),
 		Refined: refined,
 	}
@@ -153,9 +141,9 @@ func LoadWithMeta[T Scalar](dir string) (*Index[T], bool, error) {
 			Want: fmt.Sprintf("%d|%d", storeVersion, storeVersionMutable),
 		}
 	}
-	if meta.Elem != elemName[T]() {
+	if meta.Elem != wire.ElemName[T]() {
 		return nil, false, &MismatchError{
-			Dir: dir, Field: "elem", Got: meta.Elem, Want: elemName[T](),
+			Dir: dir, Field: "elem", Got: meta.Elem, Want: wire.ElemName[T](),
 		}
 	}
 
@@ -257,7 +245,7 @@ func SaveMutable[T Scalar](dir string, ix *Index[T], refined bool, pending [][]T
 		Version: storeVersionMutable,
 		K:       ix.k,
 		Metric:  ix.kind,
-		Elem:    elemName[T](),
+		Elem:    wire.ElemName[T](),
 		N:       n,
 		Refined: refined,
 		Gen:     gen,
@@ -315,9 +303,9 @@ func LoadMutable[T Scalar](dir string) (*Index[T], [][]T, *Tombstones, StoreStat
 			Want: fmt.Sprintf("%d|%d", storeVersion, storeVersionMutable),
 		}
 	}
-	if meta.Elem != elemName[T]() {
+	if meta.Elem != wire.ElemName[T]() {
 		return nil, nil, nil, st, &MismatchError{
-			Dir: dir, Field: "elem", Got: meta.Elem, Want: elemName[T](),
+			Dir: dir, Field: "elem", Got: meta.Elem, Want: wire.ElemName[T](),
 		}
 	}
 	if meta.Version == storeVersion {
@@ -430,7 +418,7 @@ func Compact[T Scalar](dir string, opt BuildOptions) ([]ID, error) {
 		kept, res, mapping, err = Remove(combined, dead, prior, opt)
 	} else {
 		kept = combined
-		res, err = buildWithPrior(combined, prior, opt)
+		res, err = runBuild(combined, prior, nil, opt)
 	}
 	if err != nil {
 		return nil, err

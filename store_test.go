@@ -10,6 +10,7 @@ import (
 	"dnnd/internal/brute"
 	"dnnd/internal/metall"
 	"dnnd/internal/metric"
+	"dnnd/internal/wire"
 )
 
 // saveLoadRoundTrip persists a small brute-force index and reloads it,
@@ -31,8 +32,8 @@ func saveLoadRoundTrip[T Scalar](t *testing.T, data [][]T, kind MetricKind, refi
 		t.Fatal(err)
 	}
 
-	if elem, err := StoreElem(dir); err != nil || elem != elemName[T]() {
-		t.Fatalf("StoreElem = %q, %v; want %q", elem, err, elemName[T]())
+	if elem, err := StoreElem(dir); err != nil || elem != wire.ElemName[T]() {
+		t.Fatalf("StoreElem = %q, %v; want %q", elem, err, wire.ElemName[T]())
 	}
 	lx, gotRefined, err := LoadWithMeta[T](dir)
 	if err != nil {
