@@ -20,17 +20,10 @@ import (
 func KNNGraph[T wire.Scalar](data [][]T, k int, dist metric.Func[T], workers int) *knng.Graph {
 	n := len(data)
 	g := knng.NewGraph(n)
+	kern := metric.KernelOf(dist)
 	parallelFor(n, workers, func(v int) {
 		l := knng.NewNeighborList(k)
-		for u := 0; u < n; u++ {
-			if u == v {
-				continue
-			}
-			d := dist(data[v], data[u])
-			if d < l.FarthestDist() {
-				l.Update(knng.ID(u), d, false)
-			}
-		}
+		scan(kern, data[v], data, v, l)
 		g.Neighbors[v] = l.Sorted()
 	})
 	return g
@@ -40,17 +33,33 @@ func KNNGraph[T wire.Scalar](data [][]T, k int, dist metric.Func[T], workers int
 // nearest points in data (queries need not be members of data).
 func QueryKNN[T wire.Scalar](data, queries [][]T, k int, dist metric.Func[T], workers int) [][]knng.Neighbor {
 	out := make([][]knng.Neighbor, len(queries))
+	kern := metric.KernelOf(dist)
 	parallelFor(len(queries), workers, func(q int) {
 		l := knng.NewNeighborList(k)
-		for u := range data {
-			d := dist(queries[q], data[u])
-			if d < l.FarthestDist() {
-				l.Update(knng.ID(u), d, false)
-			}
-		}
+		scan(kern, queries[q], data, -1, l)
 		out[q] = l.Sorted()
 	})
 	return out
+}
+
+// scanBlock is how many rows scan scores per EvalMany call.
+const scanBlock = 64
+
+// scan offers every row of data except row skip to l, in index order.
+// Rows are scored scanBlock at a time through the kernel's block form,
+// then applied one by one, so l sees exactly the Update sequence of a
+// row-by-row loop.
+func scan[T wire.Scalar](kern metric.Kernel[T], q []T, data [][]T, skip int, l *knng.NeighborList) {
+	var ds [scanBlock]float32
+	for lo := 0; lo < len(data); lo += scanBlock {
+		rows := data[lo:min(lo+scanBlock, len(data))]
+		kern.EvalMany(q, rows, nil, ds[:len(rows)])
+		for i, d := range ds[:len(rows)] {
+			if u := lo + i; u != skip && d < l.FarthestDist() {
+				l.Update(knng.ID(u), d, false)
+			}
+		}
+	}
 }
 
 // TruthIDs strips distances from QueryKNN output, the usual ground

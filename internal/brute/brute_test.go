@@ -2,6 +2,7 @@ package brute
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"dnnd/internal/knng"
@@ -100,4 +101,49 @@ func TestParallelForEdgeCases(t *testing.T) {
 		}
 	}
 	parallelFor(0, 4, func(i int) { t.Error("body called for n=0") })
+}
+
+// rowByRow is the loop scan replaced: one distance call per row, each
+// applied before the next is computed.
+func rowByRow(q []float32, data [][]float32, skip, k int, dist metric.Func[float32]) []knng.Neighbor {
+	l := knng.NewNeighborList(k)
+	for u := range data {
+		if u == skip {
+			continue
+		}
+		if d := dist(q, data[u]); d < l.FarthestDist() {
+			l.Update(knng.ID(u), d, false)
+		}
+	}
+	return l.Sorted()
+}
+
+// Block scoring must leave ground truth bit-identical — IDs, distances
+// and order — to the row-by-row loop, across row counts that leave
+// every remainder of a block and of a four-candidate sweep.
+func TestBlockScanMatchesRowByRow(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, kind := range []metric.Kind{metric.L2, metric.SquaredL2, metric.Cosine} {
+		dist, err := metric.ForFloat32(kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{1, 2, 3, 5, 63, 64, 65, 130} {
+			data := randData(rng, n, 1+rng.Intn(20))
+			queries := randData(rng, 4, len(data[0]))
+			k := 1 + rng.Intn(8)
+			res := QueryKNN(data, queries, k, dist, 2)
+			for i, q := range queries {
+				if want := rowByRow(q, data, -1, k, dist); !reflect.DeepEqual(res[i], want) {
+					t.Fatalf("%s n=%d query %d: block %v, row-by-row %v", kind, n, i, res[i], want)
+				}
+			}
+			g := KNNGraph(data, k, dist, 2)
+			for v := range data {
+				if want := rowByRow(data[v], data, v, k, dist); !reflect.DeepEqual(g.Neighbors[v], want) {
+					t.Fatalf("%s n=%d vertex %d: block %v, row-by-row %v", kind, n, v, g.Neighbors[v], want)
+				}
+			}
+		}
+	}
 }

@@ -114,8 +114,9 @@ type builder[T wire.Scalar] struct {
 // Build runs distributed NN-Descent over the world c belongs to. Every
 // rank calls Build with its shard of the dataset and the same
 // configuration (SPMD). The gathered graph is returned on rank 0.
+// dist's fast paths are found by metric.KernelOf.
 func Build[T wire.Scalar](c *ygm.Comm, shard *Shard[T], dist metric.Func[T], cfg Config) (*Result, error) {
-	return BuildIncrementalKernel(c, shard, metric.Kernel[T]{Fn: dist}, cfg, nil, nil)
+	return BuildIncrementalKernel(c, shard, metric.KernelOf(dist), cfg, nil, nil)
 }
 
 // BuildKernel is Build taking a full metric.Kernel, enabling the

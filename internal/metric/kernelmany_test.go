@@ -68,7 +68,7 @@ func TestEvalManyFloat32BitIdentical(t *testing.T) {
 						kind, d, i, math.Float32bits(out[i]), math.Float32bits(want))
 				}
 				// And FnPre itself is pinned to Fn elsewhere; close the
-				// triangle here so a ManyPre drift cannot hide behind it.
+				// triangle here so a Many drift cannot hide behind it.
 				if plain := kern.Fn(q, c); math.Float32bits(want) != math.Float32bits(plain) {
 					t.Errorf("%s dim %d cand %d: FnPre %x, Fn %x",
 						kind, d, i, math.Float32bits(want), math.Float32bits(plain))
@@ -147,7 +147,7 @@ func TestEvalManyJaccardBitIdentical(t *testing.T) {
 }
 
 // EvalMany's documented fallthrough: a kernel with no pre-norm form
-// (Norm/FnPre/ManyPre all nil) ignores a non-nil nbs and runs the plain
+// (Norm/FnPre/Many all nil) ignores a non-nil nbs and runs the plain
 // Fn path — the values cannot mean anything to a kernel that never
 // defined a Norm. Pin that the nbs contents are genuinely inert, even
 // when they are garbage.
@@ -157,7 +157,7 @@ func TestEvalManyNoPreNormIgnoresNbs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kern.Norm != nil || kern.FnPre != nil || kern.ManyPre != nil {
+	if kern.Norm != nil || kern.FnPre != nil || kern.Many != nil {
 		t.Fatal("sql2/uint8 unexpectedly grew a pre-norm path; update this test")
 	}
 	d := 64

@@ -13,6 +13,12 @@
 // the inner accesses in-bounds. Partial sums always combine as
 // (s0+s1)+(s2+s3); any function documented as bit-identical to another
 // relies on both using exactly this accumulator structure.
+//
+// Every float32 product is written as an explicit float32(x*y)
+// conversion. The Go spec lets a compiler fuse x*y+z into one
+// multiply-add unless the product is explicitly rounded, and arm64 does
+// fuse; the conversion pins one rounding per product on every
+// architecture, so the same inputs give the same bits everywhere.
 package metric
 
 import (
@@ -116,14 +122,14 @@ func SquaredL2Float32(a, b []float32) float32 {
 		d1 := a[i+1] - b[i+1]
 		d2 := a[i+2] - b[i+2]
 		d3 := a[i+3] - b[i+3]
-		s0 += d0 * d0
-		s1 += d1 * d1
-		s2 += d2 * d2
-		s3 += d3 * d3
+		s0 += float32(d0 * d0)
+		s1 += float32(d1 * d1)
+		s2 += float32(d2 * d2)
+		s3 += float32(d3 * d3)
 	}
 	for ; i < len(a); i++ {
 		d := a[i] - b[i]
-		s0 += d * d
+		s0 += float32(d * d)
 	}
 	return (s0 + s1) + (s2 + s3)
 }
@@ -139,13 +145,13 @@ func DotFloat32(a, b []float32) float32 {
 	var s0, s1, s2, s3 float32
 	i := 0
 	for ; i+4 <= len(a); i += 4 {
-		s0 += a[i] * b[i]
-		s1 += a[i+1] * b[i+1]
-		s2 += a[i+2] * b[i+2]
-		s3 += a[i+3] * b[i+3]
+		s0 += float32(a[i] * b[i])
+		s1 += float32(a[i+1] * b[i+1])
+		s2 += float32(a[i+2] * b[i+2])
+		s3 += float32(a[i+3] * b[i+3])
 	}
 	for ; i < len(a); i++ {
-		s0 += a[i] * b[i]
+		s0 += float32(a[i] * b[i])
 	}
 	return (s0 + s1) + (s2 + s3)
 }
@@ -163,11 +169,11 @@ func SquaredNormFloat32(v []float32) float32 {
 	var s0, s1 float32
 	i := 0
 	for ; i+2 <= len(v); i += 2 {
-		s0 += v[i] * v[i]
-		s1 += v[i+1] * v[i+1]
+		s0 += float32(v[i] * v[i])
+		s1 += float32(v[i+1] * v[i+1])
 	}
 	for ; i < len(v); i++ {
-		s0 += v[i] * v[i]
+		s0 += float32(v[i] * v[i])
 	}
 	return s0 + s1
 }
@@ -183,18 +189,18 @@ func dotAndNorms(a, b []float32) (dot, na, nb float32) {
 	for ; i+2 <= len(a); i += 2 {
 		a0, a1 := a[i], a[i+1]
 		b0, b1 := b[i], b[i+1]
-		d0 += a0 * b0
-		d1 += a1 * b1
-		x0 += a0 * a0
-		x1 += a1 * a1
-		y0 += b0 * b0
-		y1 += b1 * b1
+		d0 += float32(a0 * b0)
+		d1 += float32(a1 * b1)
+		x0 += float32(a0 * a0)
+		x1 += float32(a1 * a1)
+		y0 += float32(b0 * b0)
+		y1 += float32(b1 * b1)
 	}
 	for ; i < len(a); i++ {
 		ai, bi := a[i], b[i]
-		d0 += ai * bi
-		x0 += ai * ai
-		y0 += bi * bi
+		d0 += float32(ai * bi)
+		x0 += float32(ai * ai)
+		y0 += float32(bi * bi)
 	}
 	return d0 + d1, x0 + x1, y0 + y1
 }
@@ -207,15 +213,15 @@ func dotAndNorm(a, b []float32) (dot, na float32) {
 	i := 0
 	for ; i+2 <= len(a); i += 2 {
 		a0, a1 := a[i], a[i+1]
-		d0 += a0 * b[i]
-		d1 += a1 * b[i+1]
-		x0 += a0 * a0
-		x1 += a1 * a1
+		d0 += float32(a0 * b[i])
+		d1 += float32(a1 * b[i+1])
+		x0 += float32(a0 * a0)
+		x1 += float32(a1 * a1)
 	}
 	for ; i < len(a); i++ {
 		ai := a[i]
-		d0 += ai * b[i]
-		x0 += ai * ai
+		d0 += float32(ai * b[i])
+		x0 += float32(ai * ai)
 	}
 	return d0 + d1, x0 + x1
 }
@@ -255,11 +261,11 @@ func dot2(a, b []float32) float32 {
 	var d0, d1 float32
 	i := 0
 	for ; i+2 <= len(a); i += 2 {
-		d0 += a[i] * b[i]
-		d1 += a[i+1] * b[i+1]
+		d0 += float32(a[i] * b[i])
+		d1 += float32(a[i+1] * b[i+1])
 	}
 	for ; i < len(a); i++ {
-		d0 += a[i] * b[i]
+		d0 += float32(a[i] * b[i])
 	}
 	return d0 + d1
 }

@@ -91,6 +91,34 @@ func BenchmarkTileSquaredL2Deep(b *testing.B) {
 	benchEvalTile(b, qs, cands)
 }
 
+func BenchmarkTileSquaredL2Gist(b *testing.B) {
+	qs, cands := benchTileF32(960)
+	benchEvalTile(b, qs, cands)
+}
+
+// benchEvalMany scores one query against blocks of n candidates, the
+// shape of a search expansion (n ≈ 8) or a construction task.
+func benchEvalMany(b *testing.B, dim, n int) {
+	kern, err := metric.KernelFor[float32](metric.SquaredL2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	qs, cands := benchTileF32(dim)
+	out := make([]float32, n)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := (i * n) % (len(cands) - n)
+		kern.EvalMany(qs[i%len(qs)], cands[j:j+n], nil, out)
+	}
+	b.StopTimer()
+	benchSink += out[0]
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(n)*int64(b.N)), "ns/eval")
+}
+
+func BenchmarkEvalManyDeep2(b *testing.B) { benchEvalMany(b, 96, 2) }
+func BenchmarkEvalManyDeep8(b *testing.B) { benchEvalMany(b, 96, 8) }
+func BenchmarkEvalManyGist8(b *testing.B) { benchEvalMany(b, 960, 8) }
+
 func BenchmarkTileSquaredL2BigANN(b *testing.B) {
 	qs, cands := benchTileU8(128)
 	benchEvalTile(b, qs, cands)

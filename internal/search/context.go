@@ -12,12 +12,12 @@ import (
 // Context is the reusable per-worker scratch state of a query: the
 // epoch-marked visited set (the PR 1 construction pattern, via
 // knng.VisitSet), the frontier and result heaps, the sorted-output
-// buffer, a reseedable RNG, and the quantized-path code scratch. A
-// context pooled per worker makes SearchCtx/SearchQuantCtx
-// allocation-free at steady state — the dense visited bitset the
-// one-shot path used to allocate per query (~N/8 bytes, the serve hot
-// path's dominant GC load) becomes a once-per-context array cleared in
-// O(1) by epoch bump.
+// buffer, the block-scoring scratch, a reseedable RNG, and the
+// quantized-path code scratch. A context pooled per worker makes
+// SearchCtx/SearchQuantCtx allocation-free at steady state — the dense
+// visited bitset the one-shot path used to allocate per query (~N/8
+// bytes, the serve hot path's dominant GC load) becomes a
+// once-per-context array cleared in O(1) by epoch bump.
 //
 // A Context is not safe for concurrent use; results returned by the
 // *Ctx entry points alias its scratch and are valid only until the
@@ -32,33 +32,59 @@ type Context[T wire.Scalar] struct {
 	rng     rng               // seeded per query by the entry points (see rng.go)
 	code    []uint8           // quantized query-code scratch
 
+	// One block of candidates: their IDs, rows and distances.
+	ids   []knng.ID
+	rows  [][]T
+	dists []float32
+
 	// Per-query state read by the pre-bound score closures. Binding the
 	// closures once at construction (over these mutable fields) is what
 	// keeps the traversal's score oracle off the per-query heap.
 	q     []T
 	data  [][]T
-	dist  metric.Func[T]
+	kern  metric.Kernel[T]
 	view  *quant.View
 	qcode []uint8
 	st    Stats
 
-	scoreExact  func(knng.ID) float32
-	scoreApprox func(knng.ID) float32
+	scoreExact  func(ids []knng.ID, out []float32)
+	scoreApprox func(ids []knng.ID, out []float32)
 }
 
 // NewContext returns an empty context; its buffers grow on first use
 // and are retained across queries.
 func NewContext[T wire.Scalar]() *Context[T] {
 	sc := &Context[T]{}
-	sc.scoreExact = func(id knng.ID) float32 {
-		sc.st.DistEvals++
-		return sc.dist(sc.q, sc.data[id])
+	sc.scoreExact = func(ids []knng.ID, out []float32) {
+		sc.st.DistEvals += int64(len(ids))
+		rows := sc.rows[:0]
+		for _, id := range ids {
+			rows = append(rows, sc.data[id])
+		}
+		sc.rows = rows
+		sc.kern.EvalMany(sc.q, rows, nil, out)
 	}
-	sc.scoreApprox = func(id knng.ID) float32 {
-		sc.st.ApproxEvals++
-		return sc.view.ApproxL2(sc.qcode, int(id))
+	sc.scoreApprox = func(ids []knng.ID, out []float32) {
+		sc.st.ApproxEvals += int64(len(ids))
+		for i, id := range ids {
+			out[i] = sc.view.ApproxL2(sc.qcode, int(id))
+		}
 	}
 	return sc
+}
+
+// scoreBlock scores ids with score into the context's distance scratch
+// and returns the distances, aligned with ids.
+func (sc *Context[T]) scoreBlock(score func(ids []knng.ID, out []float32), ids []knng.ID) []float32 {
+	if len(ids) == 0 {
+		return nil
+	}
+	if cap(sc.dists) < len(ids) {
+		sc.dists = make([]float32, 2*len(ids))
+	}
+	out := sc.dists[:len(ids)]
+	score(ids, out)
+	return out
 }
 
 // SearchCtx is Query on pooled scratch: bit-identical results for the
@@ -85,7 +111,7 @@ func searchOn[T wire.Scalar](sc *Context[T], g *knng.Graph, data [][]T, dist met
 		return nil, Stats{}
 	}
 	sc.st = Stats{}
-	sc.q, sc.data, sc.dist = q, data, dist
+	sc.q, sc.data, sc.kern = q, data, metric.KernelOf(dist)
 	results := traverse(sc, g, sc.scoreExact, opt.L, opt)
 	sc.out = results.SortedInto(sc.out)
 	return sc.out, sc.st
@@ -100,7 +126,7 @@ func quantOn[T wire.Scalar](sc *Context[T], g *knng.Graph, data [][]T, dist metr
 		return nil, Stats{}
 	}
 	sc.st = Stats{}
-	sc.q, sc.data, sc.dist, sc.view = q, data, dist, view
+	sc.q, sc.data, sc.kern, sc.view = q, data, metric.KernelOf(dist), view
 	sc.qcode, _ = quant.Encode(view, q, &sc.code)
 	cands := traverse(sc, g, sc.scoreApprox, quantOverFetch*opt.L, opt)
 
@@ -111,9 +137,13 @@ func quantOn[T wire.Scalar](sc *Context[T], g *knng.Graph, data [][]T, dist metr
 	rerank := &sc.rerank
 	rerank.Reset(l)
 	sc.cand = cands.SortedInto(sc.cand)
+	ids := sc.ids[:0]
 	for _, e := range sc.cand {
-		sc.st.DistEvals++
-		rerank.Update(e.ID, dist(q, data[e.ID]), false)
+		ids = append(ids, e.ID)
+	}
+	sc.ids = ids
+	for i, d := range sc.scoreBlock(sc.scoreExact, ids) {
+		rerank.Update(ids[i], d, false)
 	}
 	sc.out = rerank.SortedInto(sc.out)
 	return sc.out, sc.st
@@ -147,6 +177,7 @@ func getCtx[T wire.Scalar]() *Context[T] {
 func putCtx[T wire.Scalar](sc *Context[T]) {
 	// Drop dataset references so a pooled context does not pin a store
 	// the caller has released.
-	sc.q, sc.data, sc.dist, sc.view, sc.qcode = nil, nil, nil, nil, nil
+	sc.q, sc.data, sc.kern, sc.view, sc.qcode = nil, nil, metric.Kernel[T]{}, nil, nil
+	clear(sc.rows[:cap(sc.rows)])
 	ctxPool[T]().Put(sc)
 }

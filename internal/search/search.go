@@ -96,11 +96,19 @@ func horizon(results *knng.NeighborList, eps1 float64) float64 {
 }
 
 // traverse is the greedy best-first graph walk shared by the exact and
-// quantized query paths: score is the (counted) distance oracle —
+// quantized query paths: score is the (counted) block distance oracle —
 // one of sc's pre-bound closures — and l the result-list width. All
-// working state (visited set, frontier, result heap, stats) lives on
-// sc, so the walk allocates nothing once the context has warmed up.
-func traverse[T wire.Scalar](sc *Context[T], g *knng.Graph, score func(knng.ID) float32, l int, opt Options) *knng.NeighborList {
+// working state (visited set, frontier, result heap, block scratch,
+// stats) lives on sc, so the walk allocates nothing once the context
+// has warmed up.
+//
+// Distances are computed a block at a time: the seed set is one block,
+// and each expansion's unvisited neighbors are another. Which IDs a
+// block holds never depends on its scores (Visit marks them as they are
+// collected), so scoring a block first and then applying the horizon
+// test, results.Update and front.Push candidate by candidate, in
+// collection order, is the same walk as scoring one neighbor at a time.
+func traverse[T wire.Scalar](sc *Context[T], g *knng.Graph, score func(ids []knng.ID, out []float32), l int, opt Options) *knng.NeighborList {
 	n := g.NumVertices()
 	if l > n {
 		l = n
@@ -123,25 +131,19 @@ func traverse[T wire.Scalar](sc *Context[T], g *knng.Graph, score func(knng.ID) 
 		seeds = n
 	}
 	tombs := opt.Tombs
-	seeded := 0
+	ids := sc.ids[:0]
 	for _, id := range opt.Entries {
-		if int(id) >= n || !sc.visited.Visit(id) {
-			continue
+		if int(id) < n && sc.visited.Visit(id) {
+			ids = append(ids, id)
 		}
-		seeded++
-		d := score(id)
-		if !tombs.Dead(id) {
-			results.Update(id, d, false)
-		}
-		front.Push(id, d)
 	}
-	for attempts := 0; seeded < seeds && attempts < 4*seeds+16; attempts++ {
-		id := knng.ID(sc.rng.intn(n))
-		if !sc.visited.Visit(id) {
-			continue
+	for attempts := 0; len(ids) < seeds && attempts < 4*seeds+16; attempts++ {
+		if id := knng.ID(sc.rng.intn(n)); sc.visited.Visit(id) {
+			ids = append(ids, id)
 		}
-		seeded++
-		d := score(id)
+	}
+	for i, d := range sc.scoreBlock(score, ids) {
+		id := ids[i]
 		if !tombs.Dead(id) {
 			results.Update(id, d, false)
 		}
@@ -166,19 +168,23 @@ func traverse[T wire.Scalar](sc *Context[T], g *knng.Graph, score func(knng.ID) 
 			break
 		}
 		sc.st.Visited++
+		ids = ids[:0]
 		for _, e := range g.Neighbors[p] {
-			if !sc.visited.Visit(e.ID) {
-				continue
+			if sc.visited.Visit(e.ID) {
+				ids = append(ids, e.ID)
 			}
-			d := score(e.ID)
+		}
+		for i, d := range sc.scoreBlock(score, ids) {
 			if float64(d) < horizon(results, eps1) {
-				if !tombs.Dead(e.ID) {
-					results.Update(e.ID, d, false)
+				id := ids[i]
+				if !tombs.Dead(id) {
+					results.Update(id, d, false)
 				}
-				front.Push(e.ID, d)
+				front.Push(id, d)
 			}
 		}
 	}
+	sc.ids = ids
 	return results
 }
 

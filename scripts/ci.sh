@@ -19,6 +19,24 @@ go vet ./...
 echo "== go build"
 go build ./...
 
+echo "== cross-architecture (portable kernels, no fused float products)"
+# The float32 L2 sweep is SSE2 assembly on amd64 and pure Go elsewhere;
+# vet and build the other side so it cannot rot. arm64 fuses x*y+z into
+# one multiply-add unless the product is explicitly rounded, which
+# would move distances off every golden pinned on amd64, so the metric
+# package's arm64 listing must hold no fused op (and must not be empty).
+GOARCH=arm64 go vet ./internal/metric/ ./internal/search/
+GOARCH=386 go build ./...
+listing="$(GOARCH=arm64 go build -gcflags=-S ./internal/metric/ 2>&1)"
+if ! grep -q STEXT <<<"$listing"; then
+  echo "no arm64 listing for internal/metric" >&2
+  exit 1
+fi
+if grep -E '\b(FMADDS|FMSUBS|FNMADDS|FNMSUBS)\b' <<<"$listing"; then
+  echo "fused multiply-add in the arm64 metric kernels" >&2
+  exit 1
+fi
+
 echo "== go test"
 go test ./...
 
