@@ -77,13 +77,16 @@ func main() {
 	}
 	switch elem {
 	case "float32":
-		run[float32](*storeDir, o)
+		err = run[float32](*storeDir, o)
 	case "uint8":
-		run[uint8](*storeDir, o)
+		err = run[uint8](*storeDir, o)
 	case "uint32":
-		run[uint32](*storeDir, o)
+		err = run[uint32](*storeDir, o)
 	default:
-		fatal(fmt.Errorf("unknown element type %q", elem))
+		err = fmt.Errorf("unknown element type %q", elem)
+	}
+	if err != nil {
+		fatal(err)
 	}
 }
 
@@ -99,7 +102,9 @@ type options struct {
 	persist         bool
 }
 
-func run[T dnnd.Scalar](storeDir string, o options) {
+// run loads the store, serves it until the daemon drains, and returns
+// the first error on the way; main reports it and exits 1.
+func run[T dnnd.Scalar](storeDir string, o options) error {
 	addr, debugAddr, cfg, drainWait, quantOn := o.addr, o.debugAddr, o.cfg, o.drainWait, o.quantOn
 	var (
 		ix      *dnnd.Index[T]
@@ -111,12 +116,15 @@ func run[T dnnd.Scalar](storeDir string, o options) {
 	)
 	if o.mutable {
 		if quantOn {
-			fatal(fmt.Errorf("-quant and -mutable are mutually exclusive: quantized serving is frozen-only"))
+			return fmt.Errorf("-quant and -mutable are mutually exclusive: quantized serving is frozen-only")
 		}
 		ix, pending, tombs, st, err = dnnd.LoadMutable[T](storeDir)
 		refined = st.Refined
 	} else {
 		ix, refined, err = dnnd.LoadWithMeta[T](storeDir)
+	}
+	if err != nil {
+		return err
 	}
 	src := serve.Source[T]{
 		Graph:   ix.Graph(),
@@ -128,7 +136,7 @@ func run[T dnnd.Scalar](storeDir string, o options) {
 	}
 	if quantOn {
 		if !quant.Supported(ix.Metric()) {
-			fatal(quant.ErrUnsupported(ix.Metric()))
+			return quant.ErrUnsupported(ix.Metric())
 		}
 		dim := 0
 		if ix.Len() > 0 {
@@ -136,7 +144,7 @@ func run[T dnnd.Scalar](storeDir string, o options) {
 		}
 		view, err := quant.NewView(ix.Data(), dim)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		src.Quant = view
 	}
@@ -148,7 +156,7 @@ func run[T dnnd.Scalar](storeDir string, o options) {
 	}
 	s, err := serve.New(src, cfg)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if o.mutable {
 		bopt := dnnd.BuildOptions{K: st.K, Metric: st.Metric, Ranks: o.refineRanks, Seed: 1}
@@ -175,20 +183,20 @@ func run[T dnnd.Scalar](storeDir string, o options) {
 			}
 		}
 		if err := s.EnableMutation(mcfg); err != nil {
-			fatal(err)
+			return err
 		}
 	}
 	if debugAddr != "" {
 		dbg, err := obs.ServeDebug(debugAddr, s.Metrics().Registry(), tracer)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		defer dbg.Close()
 		fmt.Printf("dnnd-serve: debug listener on http://%s (pprof, /metrics, /trace)\n", dbg.Addr())
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if o.mutable {
 		fmt.Printf("dnnd-serve: serving %d %s points mutable (metric=%s k=%d gen=%d pending=%d tombstones=%d persist=%v) on %s\n",
@@ -198,9 +206,7 @@ func run[T dnnd.Scalar](storeDir string, o options) {
 			ix.Len(), wire.ElemName[T](), ix.Metric(), ix.K(), refined, ln.Addr())
 	}
 
-	if err := serve.RunDaemon("dnnd-serve", s, ln, drainWait, tracer, o.traceOut, s.Metrics().Dump); err != nil {
-		fatal(err)
-	}
+	return serve.RunDaemon("dnnd-serve", s, ln, drainWait, tracer, o.traceOut, s.Metrics().Dump)
 }
 
 func fatal(err error) {

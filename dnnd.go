@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"dnnd/internal/core"
 	"dnnd/internal/knng"
@@ -376,13 +377,14 @@ func metricFor[T Scalar](k MetricKind) (metric.Func[T], error) {
 // Index answers approximate nearest-neighbor queries over a built
 // graph. Create one with NewIndex or Load.
 type Index[T Scalar] struct {
-	graph  *Graph
-	data   [][]T
-	dist   metric.Func[T]
-	k      int
-	kind   MetricKind
-	seed   int64
-	seedMu sync.Mutex
+	graph *Graph
+	data  [][]T
+	dist  metric.Func[T]
+	k     int
+	kind  MetricKind
+	// seed is the last per-query seed Search handed out; it starts at 1,
+	// so the first Search runs at seed 2.
+	seed atomic.Int64
 	// forest, when non-nil, returns rp-tree entry candidates for a
 	// query (see BuildEntryForest).
 	forest func(q []T) []ID
@@ -405,7 +407,9 @@ func NewIndex[T Scalar](g *Graph, data [][]T, kind MetricKind, k int) (*Index[T]
 	if err != nil {
 		return nil, err
 	}
-	return &Index[T]{graph: g, data: data, dist: dist, k: k, kind: kind, seed: 1}, nil
+	ix := &Index[T]{graph: g, data: data, dist: dist, k: k, kind: kind}
+	ix.seed.Store(1)
+	return ix, nil
 }
 
 // BuildEntryForest attaches a random-projection tree forest that
@@ -497,10 +501,7 @@ func (ix *Index[T]) Len() int { return len(ix.data) }
 // ascending distance. epsilon >= 0 trades time for recall (Section
 // 3.3; 0.1-0.4 are typical).
 func (ix *Index[T]) Search(q []T, l int, epsilon float64) []Neighbor {
-	ix.seedMu.Lock()
-	ix.seed++
-	seed := ix.seed
-	ix.seedMu.Unlock()
+	seed := ix.seed.Add(1)
 	opt := search.Options{L: l, Epsilon: epsilon, Entries: ix.entriesFor(q)}
 	if ix.quant != nil {
 		res, _ := search.QueryQuant(ix.graph, ix.data, ix.dist, ix.quant, q, opt, seed)

@@ -1,13 +1,18 @@
 package dnnd
 
 import (
+	"fmt"
 	"math/rand"
 	"path/filepath"
+	"reflect"
+	"sort"
+	"sync"
 	"testing"
 
 	"dnnd/internal/brute"
 	"dnnd/internal/metric"
 	"dnnd/internal/recall"
+	"dnnd/internal/search"
 )
 
 func testData(seed int64, n, dim int) [][]float32 {
@@ -94,6 +99,65 @@ func TestBuildAndSearch(t *testing.T) {
 		if single[i-1].Dist > single[i].Dist {
 			t.Error("Search results not sorted")
 		}
+	}
+}
+
+// Sequential Index.Search calls run at seeds 2, 3, …: the n-th call
+// must equal search.Query at seed n+1, so the seed counter hands out
+// the same sequence however it is implemented.
+func TestSearchSeedSequence(t *testing.T) {
+	data := testData(5, 400, 8)
+	g := brute.KNNGraph(data, 8, metric.L2Float32, 0)
+	ix, err := NewIndex(g, data, "l2", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := testData(6, 12, 8)
+	for i, q := range queries {
+		got := ix.Search(q, 5, 0.1)
+		want, _ := search.Query(g, data, ix.Dist(), q, search.Options{L: 5, Epsilon: 0.1}, int64(i+2))
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("Search call %d diverged from search.Query at seed %d:\ngot  %v\nwant %v", i+1, i+2, got, want)
+		}
+	}
+}
+
+// Concurrent Search calls on one query must use each seed 2 … n+1
+// exactly once: the multiset of their answers equals that of
+// search.Query over those seeds.
+func TestSearchSeedsConcurrent(t *testing.T) {
+	// A 2-NN graph falls apart into small components, so which random
+	// entry points a seed draws decides the answer (54 distinct answers
+	// over the 64 seeds).
+	data := testData(7, 400, 8)
+	g := brute.KNNGraph(data, 2, metric.L2Float32, 0)
+	ix, err := NewIndex(g, data, "l2", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := testData(8, 1, 8)[0]
+	const callers, each = 4, 16
+	got := make([]string, callers*each)
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				got[c*each+i] = fmt.Sprint(ix.Search(q, 10, 0))
+			}
+		}(c)
+	}
+	wg.Wait()
+	var want []string
+	for s := int64(2); s < 2+callers*each; s++ {
+		ns, _ := search.Query(g, data, ix.Dist(), q, search.Options{L: 10}, s)
+		want = append(want, fmt.Sprint(ns))
+	}
+	sort.Strings(got)
+	sort.Strings(want)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("concurrent Search answers are not those of seeds 2..n+1, each used once")
 	}
 }
 

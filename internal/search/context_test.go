@@ -3,6 +3,7 @@ package search
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -58,21 +59,88 @@ func TestSearchCtxMatchesQuery(t *testing.T) {
 }
 
 // Batch results must be identical at every worker width — per-query
-// seeding makes the claim order irrelevant.
+// seeding makes the claim order irrelevant. Every width (0 = GOMAXPROCS,
+// and one wider than the query count) is checked against one-at-a-time
+// Query / QueryQuant calls at each query's derived seed, for the exact,
+// quantized and EntriesFunc-seeded batches.
 func TestBatchWidthInvariant(t *testing.T) {
 	data := ctxTestData(500, 10, 51)
 	g := brute.KNNGraph(data, 8, metric.L2Float32, 0)
+	view := quant.NewViewFloat32(data, 10)
 	queries := ctxTestData(40, 10, 53)
 	opt := Options{L: 8, Epsilon: 0.2, Seed: 12}
-	want, wantSt := Batch(g, data, metric.L2Float32, queries, opt, 1)
-	for _, workers := range []int{2, 3} {
+	entries := func(qi int) []knng.ID { return []knng.ID{knng.ID(qi * 7), knng.ID(qi*7 + 3)} }
+	eopt := opt
+	eopt.EntriesFunc = entries
+
+	var want, wantQ, wantE [][]knng.Neighbor
+	var wantSt, wantQSt, wantESt Stats
+	for qi, q := range queries {
+		seed := opt.Seed*1_000_003 + int64(qi)
+		ns, st := Query(g, data, metric.L2Float32, q, opt, seed)
+		want = append(want, ns)
+		wantSt.add(st)
+		ns, st = QueryQuant(g, data, metric.L2Float32, view, q, opt, seed)
+		wantQ = append(wantQ, ns)
+		wantQSt.add(st)
+		qopt := opt
+		qopt.Entries = entries(qi)
+		ns, st = Query(g, data, metric.L2Float32, q, qopt, seed)
+		wantE = append(wantE, ns)
+		wantESt.add(st)
+	}
+
+	for _, workers := range []int{0, 1, 2, 3, 8, len(queries) + 3} {
+		check := func(kind string, got, want [][]knng.Neighbor, st, wantSt Stats) {
+			t.Helper()
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("%s workers=%d: batch results diverged from one-at-a-time queries", kind, workers)
+			}
+			if st != wantSt {
+				t.Fatalf("%s workers=%d: stats diverged: %+v vs %+v", kind, workers, st, wantSt)
+			}
+		}
 		got, st := Batch(g, data, metric.L2Float32, queries, opt, workers)
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("workers=%d: batch results diverged", workers)
+		check("Batch", got, want, st, wantSt)
+		got, st = BatchQuant(g, data, metric.L2Float32, view, queries, opt, workers)
+		check("BatchQuant", got, wantQ, st, wantQSt)
+		got, st = Batch(g, data, metric.L2Float32, queries, eopt, workers)
+		check("Batch+EntriesFunc", got, wantE, st, wantESt)
+	}
+}
+
+// Empty and single-query batches return the right shape at any width,
+// and no worker goroutine outlives the call.
+func TestBatchEmptyAndSingle(t *testing.T) {
+	data := ctxTestData(300, 8, 57)
+	g := brute.KNNGraph(data, 6, metric.L2Float32, 0)
+	view := quant.NewViewFloat32(data, 8)
+	opt := Options{L: 5, Epsilon: 0.1, Seed: 4}
+	before := runtime.NumGoroutine()
+	for _, workers := range []int{0, 1, 4} {
+		res, st := Batch(g, data, metric.L2Float32, nil, opt, workers)
+		if len(res) != 0 || st != (Stats{}) {
+			t.Fatalf("workers=%d: empty batch returned %d results, stats %+v", workers, len(res), st)
 		}
-		if st != wantSt {
-			t.Fatalf("workers=%d: stats diverged: %+v vs %+v", workers, st, wantSt)
+		res, st = BatchQuant(g, data, metric.L2Float32, view, [][]float32{}, opt, workers)
+		if len(res) != 0 || st != (Stats{}) {
+			t.Fatalf("workers=%d: empty quant batch returned %d results, stats %+v", workers, len(res), st)
 		}
+		q := ctxTestData(1, 8, 59)
+		want, wantSt := Query(g, data, metric.L2Float32, q[0], opt, opt.Seed*1_000_003)
+		res, st = Batch(g, data, metric.L2Float32, q, opt, workers)
+		if len(res) != 1 || !reflect.DeepEqual(res[0], want) || st != wantSt {
+			t.Fatalf("workers=%d: single-query batch = %v %+v, want %v %+v", workers, res, st, want, wantSt)
+		}
+	}
+	// Workers have all returned when Batch does; give the runtime a
+	// moment to retire their goroutines before counting.
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("%d goroutines after the batches, %d before", n, before)
 	}
 }
 

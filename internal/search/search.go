@@ -8,6 +8,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dnnd/internal/knng"
@@ -205,9 +206,11 @@ func Batch[T wire.Scalar](g *knng.Graph, data [][]T, dist metric.Func[T], querie
 // contexts reseed their splitmix64 stream per query, bit-identical to
 // the one-shot Query path at the same seed) and entry-point hooks.
 // workers <= 0 means GOMAXPROCS, capped at the query count; each
-// worker runs every query it claims on one context checked out of the
-// package pool, and results are copied out of the context scratch
-// before the next claim.
+// worker claims query indices from one shared atomic cursor and runs
+// them on one context checked out of the package pool, and results are
+// copied out of the context scratch before the next claim. A claim is
+// one atomic add and wakes no other goroutine. Claim order cannot
+// matter: each query's seed and output slot depend only on its index.
 func batchCore[T wire.Scalar](nq int, opt Options, workers int, run func(sc *Context[T], qi int, qopt Options) ([]knng.Neighbor, Stats)) ([][]knng.Neighbor, Stats) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -221,14 +224,18 @@ func batchCore[T wire.Scalar](nq int, opt Options, workers int, run func(sc *Con
 	out := make([][]knng.Neighbor, nq)
 	stats := make([]Stats, nq)
 	var wg sync.WaitGroup
-	next := make(chan int)
+	var cursor atomic.Int64
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			sc := getCtx[T]()
 			defer putCtx(sc)
-			for qi := range next {
+			for {
+				qi := int(cursor.Add(1) - 1)
+				if qi >= nq {
+					return
+				}
 				sc.rng.seed(opt.Seed*1_000_003 + int64(qi))
 				qopt := opt
 				if opt.EntriesFunc != nil {
@@ -240,19 +247,20 @@ func batchCore[T wire.Scalar](nq int, opt Options, workers int, run func(sc *Con
 			}
 		}()
 	}
-	for qi := 0; qi < nq; qi++ {
-		next <- qi
-	}
-	close(next)
 	wg.Wait()
 	var total Stats
 	for _, s := range stats {
-		total.DistEvals += s.DistEvals
-		total.ApproxEvals += s.ApproxEvals
-		total.Visited += s.Visited
-		total.Truncated += s.Truncated
+		total.add(s)
 	}
 	return out, total
+}
+
+// add accumulates o into s.
+func (s *Stats) add(o Stats) {
+	s.DistEvals += o.DistEvals
+	s.ApproxEvals += o.ApproxEvals
+	s.Visited += o.Visited
+	s.Truncated += o.Truncated
 }
 
 // IDs extracts the neighbor IDs from a batch result, the recall

@@ -71,6 +71,12 @@ echo "== go test -race (shared connection layer: drain gate + shutdown-before-se
 # misses a Shutdown which ran first — fails only on some schedules.
 go test -race -count=20 -run 'TestDrainGate|TestShutdownBeforeServe' ./internal/serve/ ./internal/router/
 
+echo "== go test -race (batch search: shared claim cursor, repeated)"
+# search.Batch workers claim query indices from one atomic cursor and
+# write disjoint result slots; a claim that hands one index out twice,
+# skips one, or races a slot write shows up only on some schedules.
+go test -race -count=5 -run 'TestBatch|TestEntriesFuncInBatch' ./internal/search/
+
 echo "== go test -race (online serving: server + loadgen in-process)"
 # The serve e2e suite runs the whole subsystem — admission, batching,
 # drain, loadgen — in-process on loopback; the race detector watches
