@@ -162,15 +162,3 @@ func BenchmarkIncrementalUpdate(b *testing.B) {
 		b.ReportMetric(ratio, "warm/cold-evals")
 	}
 }
-
-// BenchmarkDistributedQueryScaling measures query execution against
-// the partitioned graph (the dquery extension engine).
-func BenchmarkDistributedQueryScaling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.DistributedQueryScaling(quickOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rows[len(rows)-1].Recall, "recall")
-	}
-}

@@ -7,7 +7,7 @@
 //	dnnd-bench [flags] <experiment>
 //
 // Experiments: table1, recall, table2, fig2, fig3, fig4, batch,
-// graphopt, commablate, entry, incr, dquery, msgs, all.
+// graphopt, commablate, entry, incr, msgs, all.
 package main
 
 import (
@@ -31,7 +31,7 @@ func main() {
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
-			"usage: dnnd-bench [flags] <table1|recall|table2|fig2|fig3|fig4|batch|graphopt|commablate|entry|incr|dquery|msgs|all>\n")
+			"usage: dnnd-bench [flags] <table1|recall|table2|fig2|fig3|fig4|batch|graphopt|commablate|entry|incr|msgs|all>\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -72,11 +72,10 @@ func main() {
 		"commablate": func(o bench.Options) error { _, err := bench.CommSavingAblation(o); return err },
 		"entry":      func(o bench.Options) error { _, err := bench.EntryPointAblation(o); return err },
 		"incr":       func(o bench.Options) error { _, err := bench.IncrementalAblation(o); return err },
-		"dquery":     func(o bench.Options) error { _, err := bench.DistributedQueryScaling(o); return err },
 		"msgs":       func(o bench.Options) error { _, err := bench.MessageCatalog(o); return err },
 	}
 
-	order := []string{"table1", "recall", "table2", "fig2", "fig3", "fig4", "batch", "graphopt", "commablate", "entry", "incr", "dquery", "msgs"}
+	order := []string{"table1", "recall", "table2", "fig2", "fig3", "fig4", "batch", "graphopt", "commablate", "entry", "incr", "msgs"}
 	var todo []string
 	if exp == "all" {
 		todo = order

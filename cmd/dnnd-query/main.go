@@ -65,6 +65,9 @@ func run[T dnnd.Scalar](storeDir string, queries [][]T, truthFile string, l int,
 	if err != nil {
 		fatal(err)
 	}
+	if err := checkDims(queries, ix.Data()); err != nil {
+		fatal(err)
+	}
 	if forest > 0 {
 		if err := ix.BuildEntryForest(forest); err != nil {
 			fatal(err)
@@ -107,6 +110,22 @@ func run[T dnnd.Scalar](storeDir string, queries [][]T, truthFile string, l int,
 		}
 		fmt.Printf("dnnd-query: query[0] ->%s\n", sb.String())
 	}
+}
+
+// checkDims rejects a query whose dimension differs from the store's:
+// the kernels score a shorter query against a prefix of each row and
+// index out of range on a longer one. Dense rows share one dimension;
+// uint32 rows are Jaccard sets of any length and are not checked.
+func checkDims[T dnnd.Scalar](queries, data [][]T) error {
+	if _, sets := any(data).([][]uint32); sets || len(data) == 0 {
+		return nil
+	}
+	for i, q := range queries {
+		if len(q) != len(data[0]) {
+			return fmt.Errorf("query %d has dimension %d, store has %d", i, len(q), len(data[0]))
+		}
+	}
+	return nil
 }
 
 func fatal(err error) {

@@ -308,25 +308,3 @@ func TestIncrementalAblation(t *testing.T) {
 		t.Errorf("warm recall %.3f well below cold %.3f", warm.Recall, cold.Recall)
 	}
 }
-
-func TestDistributedQueryScaling(t *testing.T) {
-	var buf bytes.Buffer
-	rows, err := DistributedQueryScaling(quickOpts(&buf))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("%d rows", len(rows))
-	}
-	for _, r := range rows {
-		if r.Recall < 0.85 {
-			t.Errorf("ranks=%d recall %.3f too low", r.Ranks, r.Recall)
-		}
-		if r.Supersteps == 0 || r.DistEvals == 0 {
-			t.Errorf("ranks=%d stats empty: %+v", r.Ranks, r)
-		}
-	}
-	if !strings.Contains(buf.String(), "distributed queries") {
-		t.Error("report header missing")
-	}
-}

@@ -7,7 +7,6 @@ import (
 
 	"dnnd/internal/core"
 	"dnnd/internal/dataset"
-	"dnnd/internal/dquery"
 	"dnnd/internal/engine"
 	"dnnd/internal/metric"
 	"dnnd/internal/obs"
@@ -25,12 +24,11 @@ type CatalogRow struct {
 	Recv  int64
 }
 
-// MessageCatalog builds the deep stand-in over 4 ranks and runs a
-// query batch against the partitioned result, then prints every
-// registered message handler with its phase-qualified name and traffic
-// — construction (nd.*) and distributed query (dq.*) side by side.
-// Zero-traffic handlers are listed too: a protocol leg that stops
-// firing is as much a regression signal as one that doubles.
+// MessageCatalog builds the deep stand-in over 4 ranks, then prints
+// every construction message handler (nd.*) with its phase-qualified
+// name and traffic. Zero-traffic handlers are listed too: a protocol
+// leg that stops firing is as much a regression signal as one that
+// doubles.
 func MessageCatalog(opt Options) ([]CatalogRow, error) {
 	opt.fill()
 	const k = 10
@@ -40,11 +38,10 @@ func MessageCatalog(opt Options) ([]CatalogRow, error) {
 		return nil, err
 	}
 	d := dataset.Generate(p, opt.billionN(), opt.Seed)
-	queries := dataset.GenerateQueries(p, opt.queryN(), opt.Seed)
 
 	world := ygm.NewLocalWorld(ranks)
 	var mu sync.Mutex
-	var buildPM, queryPM []engine.MessageStat
+	var perMessage []engine.MessageStat
 	err = world.Run(func(c *ygm.Comm) error {
 		shard := core.Partition(d.F32, c.Rank(), c.NRanks())
 		cfg := opt.coreConfig(k)
@@ -52,14 +49,9 @@ func MessageCatalog(opt Options) ([]CatalogRow, error) {
 		if err != nil {
 			return err
 		}
-		eng := dquery.New(c, shard, res.Local, metric.SquaredL2Float32)
-		_, st, err := eng.Run(queries.F32, dquery.Options{L: k})
-		if err != nil {
-			return err
-		}
 		if c.Rank() == 0 {
 			mu.Lock()
-			buildPM, queryPM = res.PerMessage, st.PerMessage
+			perMessage = res.PerMessage
 			mu.Unlock()
 		}
 		return nil
@@ -69,7 +61,7 @@ func MessageCatalog(opt Options) ([]CatalogRow, error) {
 	}
 
 	var rows []CatalogRow
-	for _, ms := range append(buildPM, queryPM...) {
+	for _, ms := range perMessage {
 		phase := ms.Name
 		if i := strings.LastIndexByte(phase, '.'); i >= 0 {
 			phase = phase[:i]
@@ -80,8 +72,7 @@ func MessageCatalog(opt Options) ([]CatalogRow, error) {
 		})
 	}
 
-	header(opt.Out, "Message catalog: per-handler traffic (deep stand-in, %d ranks, %d queries)",
-		ranks, len(queries.F32))
+	header(opt.Out, "Message catalog: per-handler traffic (deep stand-in, %d ranks)", ranks)
 	t := newTable("Message", "Phase", "Sent msgs", "Sent bytes", "Recv msgs")
 	for _, r := range rows {
 		t.row(r.Name, r.Phase, fmt.Sprint(r.Msgs), fmt.Sprint(r.Bytes), fmt.Sprint(r.Recv))

@@ -246,6 +246,34 @@ func TestByRefMixedWorldFallsBack(t *testing.T) {
 	}
 }
 
+// A multi-rank TCP mesh always takes the byte path. Arrival order is
+// free there, so the outcome is checked rather than pinned: rank 0
+// gathers a valid graph of every vertex, with the quality of a local
+// build, and every Type 2 request sent was handled.
+func TestTCPMultiRankBuildGathers(t *testing.T) {
+	const nranks, k = 3, 8
+	data := clusteredData(rand.New(rand.NewSource(67)), 600, 8, 8)
+	cfg := DefaultConfig(k)
+	cfg.Workers = envWorkers(t)
+	o := runPath(t, tcpRunner(nranks), nranks, func(rank int) *Shard[float32] {
+		return Partition(data, rank, nranks)
+	}, cfg)
+	assertPath(t, "tcp", o, false)
+	g := o.res.Graph
+	if g.NumVertices() != len(data) {
+		t.Fatalf("rank 0 gathered %d vertices, want %d", g.NumVertices(), len(data))
+	}
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if r := graphRecall(t, g, data, k); r < 0.9 {
+		t.Errorf("3-rank TCP recall %.3f", r)
+	}
+	if hs := handlerStats(t, o.total(), "nd.check.type2"); hs.SentMsgs == 0 || hs.RecvMsgs != hs.SentMsgs {
+		t.Errorf("nd.check.type2 over TCP: sent %d, received %d", hs.SentMsgs, hs.RecvMsgs)
+	}
+}
+
 func dataChecksum(data [][]float32) uint64 {
 	h := fnv.New64a()
 	var b [4]byte

@@ -2,18 +2,15 @@
 // construction (internal/core). Its programs are SPMD phases that
 // register message handlers, emit batched bulk-async traffic (Section
 // 4.4 of the paper), and separate at quiescence points; this package
-// owns that shape once. The paper-reproduction query engine
-// (internal/dquery) borrows Phase and MessageStats — SuperstepsHook
-// exists only for it — and the serve lanes borrow Pool; dquery does not
-// use the pool and no serving path uses a Phase:
+// owns that shape once. It serves construction and the serve lanes
+// only; the serve lanes borrow Pool, and no serving path uses a Phase.
+// Its parts:
 //
 //   - Phase groups an algorithm phase's handlers under a stable
 //     dot-qualified name ("nd.check.type2") and accumulates the
 //     phase's wall time across rounds.
 //   - Phase.Run is the batched-submission loop: emit calls interleaved
 //     with globally aligned barriers so in-flight volume stays bounded.
-//   - Phase.SuperstepsHook is the barrier-per-wave loop of frontier
-//     algorithms, terminating on a global all-done reduction.
 //   - Pool (pool.go) is the intra-rank worker pool whose stage/apply
 //     ring keeps results bit-identical at every worker count.
 //   - Engine.MessageStats aggregates per-handler traffic world-wide
@@ -39,12 +36,10 @@ import (
 const defaultBatchSize = 1 << 18
 
 // Engine hosts one application's phases on a Comm. Construct one per
-// protocol instance (the DNND builder and the query engine each own
-// one, over the same Comm).
+// protocol instance.
 type Engine struct {
 	c         *ygm.Comm
 	batchSize int64
-	phases    []*Phase
 	handlers  []Registered
 }
 
@@ -63,28 +58,19 @@ func New(c *ygm.Comm, batchSize int64) *Engine {
 	return &Engine{c: c, batchSize: batchSize}
 }
 
-// Comm returns the underlying communicator.
-func (e *Engine) Comm() *ygm.Comm { return e.c }
-
 // Phase declares a named phase. Like handler registration, every rank
 // must declare the same phases in the same order. Span names for the
 // phase's loops are precomputed here so the hot paths never build
 // strings.
 func (e *Engine) Phase(name string) *Phase {
-	p := &Phase{
+	return &Phase{
 		e:         e,
 		name:      name,
 		spanLocal: name + ".local",
 		spanRun:   name + ".run",
 		spanDrain: name + ".drain",
-		spanStep:  name + ".step",
 	}
-	e.phases = append(e.phases, p)
-	return p
 }
-
-// Handlers returns the engine's registrations in registration order.
-func (e *Engine) Handlers() []Registered { return e.handlers }
 
 // Phase is one algorithm phase: a stable name prefix for its handlers
 // and an accumulator for the wall time its loops spend (phases rerun
@@ -94,14 +80,14 @@ type Phase struct {
 	name    string
 	elapsed time.Duration
 	// Precomputed span / runtime-trace region names (see Engine.Phase).
-	spanLocal, spanRun, spanDrain, spanStep string
+	spanLocal, spanRun, spanDrain string
 }
 
 // Name returns the phase's name.
 func (p *Phase) Name() string { return p.name }
 
 // Elapsed returns the wall time accumulated by this phase's Local,
-// Run, Drain, and SuperstepsHook calls on this rank.
+// Run, and Drain calls on this rank.
 func (p *Phase) Elapsed() time.Duration { return p.elapsed }
 
 // Register installs a handler under the phase-qualified name
@@ -174,43 +160,6 @@ func (p *Phase) Drain() {
 	sp.End()
 }
 
-// SuperstepsHook runs the barrier-per-wave loop of frontier
-// algorithms: each iteration runs body (which advances local state and
-// returns this rank's count of still-active items), waits for the
-// wave's full message cascade at a quiescence barrier, and stops once
-// the global active count reaches zero. Returns the number of
-// supersteps executed (identical on every rank). When after is non-nil
-// it runs on this rank once per superstep — after the wave's quiescence
-// barrier and all-done reduction, so the wave's full message cascade is
-// reflected in local counters — with the 1-based step number. It runs
-// at an aligned point on every rank but must not communicate (it is not
-// a collective context).
-func (p *Phase) SuperstepsHook(body func() int64, after func(step int64)) int64 {
-	sp := p.e.c.Trace().Begin(p.spanRun)
-	reg := rtrace.StartRegion(context.Background(), p.spanRun)
-	start := time.Now()
-	c := p.e.c
-	var steps int64
-	for {
-		steps++
-		ss := c.Trace().BeginArg(p.spanStep, steps)
-		active := body()
-		c.Barrier()
-		done := c.AllReduceSum(active) == 0
-		ss.End()
-		if after != nil {
-			after(steps)
-		}
-		if done {
-			break
-		}
-	}
-	p.elapsed += time.Since(start)
-	reg.End()
-	sp.End()
-	return steps
-}
-
 // MessageStat is one handler's world-wide traffic under its
 // phase-qualified name.
 type MessageStat struct {
@@ -219,27 +168,6 @@ type MessageStat struct {
 	SentMsgs  int64
 	SentBytes int64
 	RecvMsgs  int64
-}
-
-// LocalMessageStats returns this rank's per-handler counters for every
-// handler registered through this engine's phases, in registration
-// order. Unlike MessageStats it involves no collectives, so it may be
-// called at any point on the owning goroutine — e.g. once per
-// superstep to attribute traffic to waves incrementally.
-func (e *Engine) LocalMessageStats() []MessageStat {
-	st := e.c.Stats()
-	out := make([]MessageStat, 0, len(e.handlers))
-	for _, h := range e.handlers {
-		hs := st.PerHandler[h.ID]
-		out = append(out, MessageStat{
-			ID:        h.ID,
-			Name:      h.Name,
-			SentMsgs:  hs.SentMsgs,
-			SentBytes: hs.SentBytes,
-			RecvMsgs:  hs.RecvMsgs,
-		})
-	}
-	return out
 }
 
 // MessageStats aggregates per-handler counters over all ranks for

@@ -115,6 +115,42 @@ func TestStagingInsideApplyDoesNotRecurse(t *testing.T) {
 	}
 }
 
+// A drain start seals only compute tails: an apply-only tail stays
+// open, so a same-kind record staged from inside an earlier task's
+// Apply joins it instead of starting a task of its own. The coalescing
+// is part of the apply schedule that every golden pins, so it must not
+// move: ring [compute C, apply-only X{A}], and Apply(C) stages B.
+func TestApplyOnlyTailCoalescesAcrossDrainStart(t *testing.T) {
+	const applyKind = 1
+	for _, workers := range []int{1, 3} {
+		var got [][]uint32
+		p := testPool(workers, 64, func(p *Pool[float32], tk *Task[float32]) {
+			if tk.Compute() {
+				p.StageApply(applyKind, Cand{A: 'B'})
+				return
+			}
+			var as []uint32
+			for _, m := range tk.Meta {
+				as = append(as, m.A)
+			}
+			got = append(got, as)
+		})
+		p.StageCompute(0, 7, []float32{1}, false, Cand{A: 'C'}, []float32{2}, 0, false)
+		p.StageApply(applyKind, Cand{A: 'A'})
+		p.RunHook()
+		p.Shutdown()
+		if len(got) != 1 || !slices.Equal(got[0], []uint32{'A', 'B'}) {
+			t.Errorf("workers=%d: apply-only tasks applied as %q, want one task [A B]", workers, got)
+		}
+		if p.TasksStaged() != 2 {
+			t.Errorf("workers=%d: staged %d tasks, want 2", workers, p.TasksStaged())
+		}
+		if p.PendingHook() {
+			t.Errorf("workers=%d: records left on the ring", workers)
+		}
+	}
+}
+
 // PendingHook is what keeps ygm quiescence honest: it must stay true
 // until the last staged record has been applied, including inside the
 // last Apply but one.

@@ -1,8 +1,7 @@
 package knng
 
 // MinQueue is a binary min-heap of (ID, distance) pairs keyed by
-// distance: the frontier structure of the Section 3.3 graph search,
-// shared by the shared-memory and distributed query engines.
+// distance: the frontier structure of the Section 3.3 graph search.
 type MinQueue struct {
 	ids   []ID
 	dists []float32

@@ -196,31 +196,3 @@ func FuzzRouterMessages(f *testing.F) {
 		}
 	})
 }
-
-func FuzzDQueryMessages(f *testing.F) {
-	for sel := byte(0); sel < 7; sel++ {
-		f.Add([]byte{sel, 4, 0, 0, 0, 2, 0, 0, 0, 7, 0, 0, 0, 9, 0, 0, 0})
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) == 0 {
-			return
-		}
-		sel, frame := data[0], data[1:]
-		switch sel % 7 {
-		case 0:
-			checkCodec(t, &QStart[float32]{}, frame)
-		case 1:
-			checkCodec(t, &QEnd{}, frame)
-		case 2:
-			checkCodec(t, &QExpand{}, frame)
-		case 3:
-			checkCodec(t, &QExpandResp{}, frame)
-		case 4:
-			checkCodec(t, &QDist{}, frame)
-		case 5:
-			checkCodec(t, &QDistResp{}, frame)
-		case 6:
-			checkCodec(t, &QResult{}, frame)
-		}
-	})
-}

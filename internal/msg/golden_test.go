@@ -11,10 +11,10 @@ import (
 )
 
 // These tests pin every message's byte layout to the hand-rolled
-// writer sequence its handler used before the codec layer existed
-// (internal/core/build.go, graphopt.go, and internal/dquery/dquery.go
-// as of PR 2). The reference closures below ARE those sequences,
-// transcribed call for call; if an Encode ever drifts from its
+// writer sequence its handler used before the codec layer existed (in
+// internal/core/build.go and graphopt.go). The reference closures
+// below ARE those sequences, transcribed call for call; if an Encode
+// ever drifts from its
 // reference, comm byte totals drift with it and the core golden
 // determinism suite breaks.
 
@@ -165,62 +165,6 @@ func TestHeadPlusVectorIsEncode(t *testing.T) {
 	}
 }
 
-func TestDQueryMessageLayouts(t *testing.T) {
-	fvec := []float32{0.5, 2}
-	checkGolden(t, "QStart",
-		&QStart[float32]{QID: 4, Vec: fvec},
-		func(w *wire.Writer) {
-			w.Uint32(4)
-			wire.PutVector(w, fvec)
-		})
-	checkGolden(t, "QEnd",
-		&QEnd{QID: 4},
-		func(w *wire.Writer) { w.Uint32(4) })
-	checkGolden(t, "QExpand",
-		&QExpand{QID: 4, P: 77},
-		func(w *wire.Writer) {
-			w.Uint32(4)
-			w.Uint32(77)
-		})
-	ids := []knng.ID{3, 1, 4, 1, 5}
-	checkGolden(t, "QExpandResp",
-		&QExpandResp{QID: 4, IDs: ids},
-		func(w *wire.Writer) {
-			// The pre-codec handler wrote count + per-element Uint32;
-			// the bulk Uint32s is pinned byte-identical to that loop by
-			// the wire package's own tests.
-			w.Uint32(4)
-			w.Uint32(uint32(len(ids)))
-			for _, id := range ids {
-				w.Uint32(id)
-			}
-		})
-	checkGolden(t, "QDist",
-		&QDist{QID: 4, ID: 19},
-		func(w *wire.Writer) {
-			w.Uint32(4)
-			w.Uint32(19)
-		})
-	checkGolden(t, "QDistResp",
-		&QDistResp{QID: 4, ID: 19, D: 3.5},
-		func(w *wire.Writer) {
-			w.Uint32(4)
-			w.Uint32(19)
-			w.Float32(3.5)
-		})
-	ns := []knng.Neighbor{{ID: 9, Dist: 0.25}}
-	checkGolden(t, "QResult",
-		&QResult{QID: 4, Neighbors: ns},
-		func(w *wire.Writer) {
-			w.Uint32(4)
-			w.Uint32(uint32(len(ns)))
-			for _, e := range ns {
-				w.Uint32(e.ID)
-				w.Float32(e.Dist)
-			}
-		})
-}
-
 // TestRoundTrips: decode(encode(m)) reproduces m (modulo flags that do
 // not cross the wire), and consumes the frame exactly.
 func TestRoundTrips(t *testing.T) {
@@ -270,18 +214,4 @@ func TestRoundTrips(t *testing.T) {
 		d.Decode(r)
 		return d
 	}, grWant)
-
-	qer := QExpandResp{QID: 8, IDs: []knng.ID{1, 2, 3}}
-	roundTrip("QExpandResp", &qer, func(r *wire.Reader) any {
-		var d QExpandResp
-		d.Decode(r)
-		return d
-	}, qer)
-
-	qr := QResult{QID: 8, Neighbors: []knng.Neighbor{{ID: 4, Dist: 0.5}}}
-	roundTrip("QResult", &qr, func(r *wire.Reader) any {
-		var d QResult
-		d.Decode(r)
-		return d
-	}, qr)
 }

@@ -1,8 +1,9 @@
 // Package msg is the typed message-codec layer: one struct per wire
-// message exchanged by the DNND construction (internal/core) and the
-// distributed query engine (internal/dquery), each with Encode/Decode
-// methods over the wire codec. The byte layouts are pinned — golden
-// tests in this package compare every Encode against the hand-rolled
+// message exchanged by the DNND construction (internal/core), the
+// query server (internal/serve) and the router (internal/router), each
+// with Encode/Decode methods over the wire codec. The byte layouts are
+// pinned — golden tests in this package compare every Encode against
+// the hand-rolled
 // writer sequences the handlers used before this layer existed, so
 // message counts and byte volumes (the paper's Figure 4 accounting)
 // are bit-identical across the refactor.
@@ -28,7 +29,7 @@ import (
 )
 
 // putNeighbors appends a neighbor list as count + (ID, Dist) pairs,
-// the shared tail layout of GatherRow and QResult.
+// the shared tail layout of GatherRow and SResult.
 func putNeighbors(w *wire.Writer, ns []knng.Neighbor) {
 	w.Uint32(uint32(len(ns)))
 	for _, nb := range ns {

@@ -1,9 +1,9 @@
 // Package obs is the unified observability layer: span tracing into
 // per-rank lock-free event buffers with a Chrome-trace/Perfetto JSON
 // exporter (trace.go, perfetto.go), a typed metrics registry shared by
-// the construction, the distributed query engine, and the online
-// server (registry.go), the log2-bucket histogram the serve metrics
-// are built on (hist.go), and an opt-in debug HTTP listener wiring
+// the construction and the online server (registry.go), the
+// log2-bucket histogram the serve metrics are built on (hist.go), and
+// an opt-in debug HTTP listener wiring
 // net/http/pprof, /metrics, and /trace (debug.go).
 //
 // The paper's evaluation is instrumentation all the way down —

@@ -75,15 +75,16 @@ func (m *Manifest) Encode(w *wire.Writer) {
 	}
 }
 
+// Decode reads a manifest, leaving any error in r. Only canonical
+// encodings decode: a wrong magic or version, or a refined flag other
+// than 0 or 1, fails r.
 func (m *Manifest) Decode(r *wire.Reader) {
 	if r.Uint32() != manifestMagic && r.Err() == nil {
-		r.Reset(nil)
-		r.Uint8() // force the error state: wrong magic
+		reject(r)
 		return
 	}
 	if v := r.Uint32(); v != manifestVersion && r.Err() == nil {
-		r.Reset(nil)
-		r.Uint8()
+		reject(r)
 		return
 	}
 	m.Elem = r.String()
@@ -91,7 +92,12 @@ func (m *Manifest) Decode(r *wire.Reader) {
 	m.K = r.Uint32()
 	m.Dim = r.Uint32()
 	m.N = r.Uint32()
-	m.Refined = r.Bool()
+	refined := r.Uint8()
+	if refined > 1 {
+		reject(r)
+		return
+	}
+	m.Refined = refined == 1
 	// Each shard carries at least its count word and the Globals length
 	// prefix — the floor that keeps a corrupt shard count from forcing
 	// a huge allocation.
@@ -107,6 +113,13 @@ func (m *Manifest) Decode(r *wire.Reader) {
 		sh.Globals = r.Uint32s()
 		m.Shards = append(m.Shards, sh)
 	}
+}
+
+// reject forces r into its error state: an empty buffer cannot
+// satisfy a one-byte read.
+func reject(r *wire.Reader) {
+	r.Reset(nil)
+	r.Uint8()
 }
 
 // Validate checks the manifest's internal consistency: a known element

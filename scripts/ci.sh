@@ -52,18 +52,19 @@ go -C benchmark test ./...
 go -C benchmark vet ./...
 
 echo "== go test -race (comm + core)"
-go test -race ./internal/ygm/ ./internal/core/ ./internal/dquery/
+go test -race ./internal/ygm/ ./internal/core/
+
+echo "== go test -race (engine worker pool, repeated)"
+# The stage/claim/apply ring hands tasks between the applier and its
+# helpers through atomics; a lost or doubly-applied task, or a race on
+# a sealed slot, shows up only on some schedules.
+go test -race -count=20 ./internal/engine/
 
 echo "== go test -race (quiescence with deferred local work, repeated)"
 # A barrier that releases while a rank still owes staged replies loses
 # them only on some schedules; repeated so such a regression cannot
 # hide behind a lucky one.
 go test -race -count=50 -run 'TestBarrierWaitsForDeferredLocalWork' ./internal/ygm/
-
-echo "== go test -race (build -> query hand-over on a shared comm, repeated)"
-# A rank released from Build's last barrier must not reach a slower
-# rank with dq.* messages before that rank registered the handlers.
-go test -race -count=3 -run 'TestQueryAfterBuildRegistrationStress' ./internal/dquery/
 
 echo "== go test -race (shared connection layer: drain gate + shutdown-before-serve, repeated)"
 # serve.Server and router.Router share one DrainGate/Acceptor. A gate
@@ -98,12 +99,12 @@ echo "== go test -race (observability: tracks, registry, histograms)"
 # suite exercises all of it under the race detector.
 go test -race -count=1 ./internal/obs/
 
-echo "== go test -race (core + dquery with worker pools active)"
-# Re-run the suites with every construction forced onto a 3-wide
+echo "== go test -race (core with worker pools active)"
+# Re-run the suite with every construction forced onto a 3-wide
 # intra-rank worker pool; results are worker-count-independent, so the
 # same assertions must hold while the race detector watches the
 # stage/claim/apply machinery.
-DNND_TEST_WORKERS=3 go test -race -count=1 ./internal/core/ ./internal/dquery/
+DNND_TEST_WORKERS=3 go test -race -count=1 ./internal/core/
 
 echo "== go test -race (sharded serve dispatch at a forced worker width)"
 # The lane/worker equivalence sweep re-runs with an extra forced pool
@@ -111,12 +112,12 @@ echo "== go test -race (sharded serve dispatch at a forced worker width)"
 # writers are raced at a geometry the default suite doesn't cover.
 DNND_TEST_WORKERS=3 go test -race -count=1 -run 'TestLaneWorkerEquivalence' ./internal/serve/
 
-echo "== fuzz smoke (message codecs + bulk LE codec)"
+echo "== fuzz smoke (message codecs, bulk LE codec, shard manifest)"
 # Short native-fuzz bursts over the wire-facing decoders: corpus seeds
 # plus a few seconds of mutation each. Full fuzzing is manual; this
 # catches decoder panics on malformed bytes before they land.
 go test -run='^$' -fuzz='^FuzzCoreMessages$' -fuzztime=2s ./internal/msg/
-go test -run='^$' -fuzz='^FuzzDQueryMessages$' -fuzztime=2s ./internal/msg/
+go test -run='^$' -fuzz='^FuzzManifest$' -fuzztime=2s ./internal/shard/
 go test -run='^$' -fuzz='^FuzzServeMessages$' -fuzztime=2s ./internal/msg/
 go test -run='^$' -fuzz='^FuzzRouterMessages$' -fuzztime=2s ./internal/msg/
 go test -run='^$' -fuzz='^FuzzBulkCodec$' -fuzztime=2s ./internal/wire/
