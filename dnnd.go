@@ -145,7 +145,9 @@ type BuildResult struct {
 	Metric MetricKind
 	// Iters is the number of NN-Descent rounds run.
 	Iters int
-	// DistEvals is the total number of distance computations.
+	// DistEvals is the total number of distance computations. For
+	// Extend and Refresh it includes the search that seeds each
+	// appended point's initial neighbors from the prior graph.
 	DistEvals int64
 	// Messages and MessageBytes count all application-level messages
 	// exchanged between ranks.
@@ -162,8 +164,9 @@ func Build[T Scalar](data [][]T, opt BuildOptions) (*BuildResult, error) {
 // Extend integrates additional points into an existing graph without a
 // full rebuild: the combined dataset is data followed by extra, the
 // prior graph warm-starts the descent (its vertices keep their
-// neighbor lists), and a short NN-Descent refinement stitches the new
-// points in — the incremental-update workflow sketched in the paper's
+// neighbor lists, and each new point starts from a search of it), and
+// a short NN-Descent refinement stitches the new points in — the
+// incremental-update workflow sketched in the paper's
 // Section 7. The returned result covers len(data)+len(extra) points;
 // prior neighbor IDs remain valid.
 func Extend[T Scalar](data, extra [][]T, prior *Graph, opt BuildOptions) (*BuildResult, error) {
@@ -297,18 +300,11 @@ func runBuild[T Scalar](data [][]T, prior *Graph, dead *Tombstones, opt BuildOpt
 	if err := cfg.Validate(len(data)); err != nil {
 		return nil, err
 	}
-	// Refresh only (it always passes a tombstone set, the others never
-	// do). The convergence threshold is Delta*K*N over the full dataset,
-	// but an incremental refinement's updates concentrate on the changed
-	// working set (appended rows plus the neighborhoods around
-	// tombstones). Measured against the full N, the descent would stop
-	// while the new points are still under-converged; scale Delta to the
-	// working-set fraction so "converged" means converged where the work
-	// actually is.
-	if dead != nil {
-		if changed := (len(data) - prior.NumVertices()) + dead.Count(); changed > 0 && changed < len(data) {
-			cfg.Delta *= float64(changed) / float64(len(data))
-		}
+	// Extend and Refresh: rows past the prior start from a search of
+	// the prior graph rather than from random partners.
+	var seedEvals int64
+	if prior != nil {
+		prior, seedEvals = core.SeedAppended(data, prior, dead, kern.Fn, cfg)
 	}
 	world := ygm.NewLocalWorld(ranks)
 	world.SetTracer(opt.Tracer)
@@ -339,7 +335,7 @@ func runBuild[T Scalar](data [][]T, prior *Graph, dead *Tombstones, opt BuildOpt
 		K:            opt.K,
 		Metric:       opt.Metric,
 		Iters:        root.Iters,
-		DistEvals:    root.DistEvals,
+		DistEvals:    root.DistEvals + seedEvals,
 		Messages:     st.SentMsgs,
 		MessageBytes: st.SentBytes,
 	}, nil

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"dnnd/internal/core"
 	"dnnd/internal/dataset"
 	"dnnd/internal/knng"
 	"dnnd/internal/metric"
@@ -95,8 +96,10 @@ type IncrementalRow struct {
 
 // IncrementalAblation measures the Section 7 incremental-update
 // workflow: grow the deep stand-in by 10% and compare a warm-started
-// refinement (prior graph seeds the descent) against a cold rebuild,
-// in distance evaluations and final graph recall.
+// refinement (prior lists kept, appended rows seeded by a search of the
+// prior graph, as Extend and Refresh do) against a cold rebuild, in
+// distance evaluations (the seeding search included) and final graph
+// recall.
 func IncrementalAblation(opt Options) ([]IncrementalRow, error) {
 	opt.fill()
 	const k = 10
@@ -122,10 +125,19 @@ func IncrementalAblation(opt Options) ([]IncrementalRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	warm, err := buildWarmTyped(full.F32, metric.SquaredL2, 4, cfg, prior.Graph)
+	// The warm start Extend and Refresh run: appended rows seeded by a
+	// search of the prior graph, its evaluations counted in the
+	// refinement's.
+	dist, err := metric.For[float32](metric.SquaredL2)
 	if err != nil {
 		return nil, err
 	}
+	seeded, seedEvals := core.SeedAppended(full.F32, prior.Graph, nil, dist, cfg)
+	warm, err := buildWarmTyped(full.F32, metric.SquaredL2, 4, cfg, seeded)
+	if err != nil {
+		return nil, err
+	}
+	warm.Result.DistEvals += seedEvals
 
 	coldRecall, err := graphRecall(full, cold.Graph, k)
 	if err != nil {

@@ -20,6 +20,9 @@ import (
 //	phase_optimize.go reverse-edge merge + prune (Section 4.5)
 //	phase_gather.go   final gather to rank 0
 //
+// seed.go is not a phase: it grows a warm build's prior over appended
+// rows by searching the prior graph, before any rank starts.
+//
 // Wire layouts live in internal/msg; batching, quiescence, worker-pool
 // ordering, and per-phase accounting live in internal/engine. This
 // file owns the builder state, the round loop, and the apply stage
@@ -128,19 +131,20 @@ func BuildKernel[T wire.Scalar](c *ygm.Comm, shard *Shard[T], kern metric.Kernel
 // BuildIncrementalKernel is the one warm-start entry point. prior, when
 // non-nil, is an existing k-NNG over a prefix of the dataset (every
 // rank passes the same graph): vertices it covers keep their neighbor
-// lists, flagged "old"; only the appended points receive random
-// initialization, so the descent reduces to a short refinement that
-// stitches the new points into the neighborhood structure — the
-// incremental-update workflow the paper's Section 7 sketches for
-// Metall-backed graphs. dead, when non-nil, is the mutable index's
-// frozen tombstone set: live vertices are repaired (dead warm neighbors
-// are dropped at load, and the resulting short lists are topped up with
-// random candidates flagged new, which re-focuses the descent on the
-// damage); dead vertices keep their prior lists verbatim so the search
-// graph stays routable through them until compaction, but they generate
-// no checks, never appear in sampling, and never enter a live vertex's
-// list. The result is bit-identical at every worker width, like the
-// full build.
+// lists with the prior's new/old flags (all old in any gathered or
+// stored graph; SeedAppended's entries are new); only the points past
+// the prior receive random initialization, so the descent reduces to a
+// short refinement that stitches the new points into the neighborhood
+// structure — the incremental-update workflow the paper's Section 7
+// sketches for Metall-backed graphs. dead, when non-nil, is the
+// mutable index's frozen tombstone set: live vertices are repaired
+// (dead warm neighbors are dropped at load, and the resulting short
+// lists are topped up with random candidates flagged new, which
+// re-focuses the descent on the damage); dead vertices keep their
+// prior lists verbatim so the search graph stays routable through them
+// until compaction, but they generate no checks, never appear in
+// sampling, and never enter a live vertex's list. The result is
+// bit-identical at every worker width, like the full build.
 func BuildIncrementalKernel[T wire.Scalar](c *ygm.Comm, shard *Shard[T], kern metric.Kernel[T], cfg Config, prior *knng.Graph, dead *knng.TombSet) (*Result, error) {
 	if err := cfg.Validate(shard.N); err != nil {
 		return nil, err
@@ -207,7 +211,9 @@ func BuildIncrementalKernel[T wire.Scalar](c *ygm.Comm, shard *Shard[T], kern me
 
 	b.initGraph()
 
-	threshold := int64(cfg.Delta * float64(cfg.K) * float64(shard.N))
+	// At least 1: a round with zero updates ends the descent even where
+	// Delta*K*N truncates to 0.
+	threshold := max(int64(cfg.Delta*float64(cfg.K)*float64(shard.N)), 1)
 	for res.Iters < cfg.MaxIters {
 		res.Iters++
 		rsp := c.Trace().BeginArg("nd.round", int64(res.Iters))

@@ -49,7 +49,8 @@ type Config struct {
 	Rho float64
 	// Delta is the early-termination threshold: the descent stops when
 	// a round discovers fewer than Delta*K*N closer neighbors (paper
-	// default 0.001).
+	// default 0.001). The threshold is at least 1, so a round with no
+	// update always stops it, however small Delta*K*N is.
 	Delta float64
 	// MaxIters bounds the number of descent rounds regardless of
 	// convergence (safety net; PyNNDescent-style).

@@ -437,6 +437,26 @@ func TestRoundsRecorded(t *testing.T) {
 	}
 }
 
+// TestZeroUpdateRoundStops: at 60 points Delta*K*N is 0.6, which
+// truncates to a threshold of 0; the descent must still end at its
+// first round without an update instead of running to MaxIters.
+func TestZeroUpdateRoundStops(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	data := clusteredData(rng, 60, 8, 4)
+	cfg := DefaultConfig(10)
+	res := buildOnWorld(t, 1, data, cfg)
+	last := len(res.Rounds) - 1
+	if res.Iters >= cfg.MaxIters || res.Rounds[last].Updates != 0 {
+		t.Fatalf("descent ran %d rounds and ended on %d updates; want a stop at the first zero-update round: %+v",
+			res.Iters, res.Rounds[last].Updates, res.Rounds)
+	}
+	for i, r := range res.Rounds[:last] {
+		if r.Updates == 0 {
+			t.Fatalf("round %d had no update but the descent went on: %+v", i+1, res.Rounds)
+		}
+	}
+}
+
 func TestBuildWarmIncremental(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	base := clusteredData(rng, 600, 8, 10)

@@ -8,7 +8,9 @@ import (
 
 // Phase 1: random initialization (Algorithm 1 lines 2-5). Each vertex
 // picks K distinct random partners; distances are evaluated at the
-// partner's owner (msg.InitReq) and returned (msg.InitResp).
+// partner's owner (msg.InitReq) and returned (msg.InitResp). Warm
+// builds load the prior's lists first (see SeedAppended for how the
+// rows it does not cover get theirs).
 
 func (b *builder[T]) initGraph() {
 	w := b.phaseWriter()
@@ -28,33 +30,26 @@ func (b *builder[T]) initGraph() {
 		need := b.cfg.K
 		b.beginVisit()
 		// Warm start: vertices the prior graph covers keep their
-		// lists (distances already known, no communication), flagged
-		// old so they generate no redundant checks on their own.
-		// Partial lists (e.g. after deletions) are topped up with
-		// random candidates below, flagged new, which focuses the
-		// refinement on the affected vertices. Dead warm neighbors are
-		// dropped here — that shortfall is exactly what triggers the
-		// repair top-up.
+		// lists (distances already known, no communication) with the
+		// prior's flags. Every gathered, decoded or stored graph is
+		// all old (flags are not encoded), so a full prior list
+		// generates no checks on its own; the new entries SeedAppended
+		// gives appended rows are what the descent works from. Partial
+		// lists (e.g. after deletions) are topped up with random
+		// candidates below, flagged new, which focuses the refinement
+		// on the affected vertices. Dead warm neighbors are dropped
+		// here — that shortfall is exactly what triggers the repair
+		// top-up.
 		if b.warm != nil && int(v) < b.warm.NumVertices() {
 			for _, e := range b.warm.Neighbors[v] {
 				if b.dead.Dead(e.ID) {
 					continue
 				}
-				if b.lists[i].Update(e.ID, e.Dist, false) == 1 {
+				if b.lists[i].Update(e.ID, e.Dist, e.New) == 1 {
 					b.visited.Mark(e.ID)
 					need--
 				}
 			}
-		}
-		// Warm vertices with full prior lists would otherwise enter the
-		// descent with zero fresh candidates: every neighbor is flagged
-		// old, no checks are generated, and the build inherits the prior
-		// graph's local optimum verbatim. A small random exploration
-		// top-up (K/4, at least 1) re-seeds the cross-pollination that a
-		// cold build gets from its fully random start, at a cost linear
-		// in N rather than the descent's N*K^2.
-		if b.warm != nil {
-			need = max(need, max(1, b.cfg.K/4))
 		}
 		if need <= 0 {
 			return

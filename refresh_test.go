@@ -5,8 +5,10 @@ import (
 	"testing"
 
 	"dnnd/internal/brute"
+	"dnnd/internal/dataset"
 	"dnnd/internal/knng"
 	"dnnd/internal/metric"
+	"dnnd/internal/recall"
 )
 
 // TestRefreshKeepsIDsStable: Refresh stitches appended points in and
@@ -135,5 +137,106 @@ func TestRefreshRecallAtLeastCold(t *testing.T) {
 	}
 	if got, cap := incr.DistEvals, cold.DistEvals*3/10; got > cap {
 		t.Errorf("+10%% delta refresh cost %d evals, above the 0.3x cold-rebuild cap %d", got, cap)
+	}
+}
+
+// deepDelta is the mutable index's refresh scenario on the deep preset:
+// a graph built over n rows, the dataset grown by 10 % appended rows,
+// and 2 % of the base rows tombstoned.
+func deepDelta(t *testing.T, n int, opt BuildOptions) (data [][]float32, base *BuildResult, tombs *Tombstones) {
+	t.Helper()
+	p, err := dataset.ByName("deep")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data = dataset.Generate(p, n+n/10, 3).F32
+	if base, err = Build(data[:n], opt); err != nil {
+		t.Fatal(err)
+	}
+	tombs = NewTombstones(len(data))
+	for _, v := range rand.New(rand.NewSource(3)).Perm(n)[:n/50] {
+		tombs.Kill(ID(v))
+	}
+	return data, base, tombs
+}
+
+// TestRefreshSeedsAppendedRows: appended rows start from a search of
+// the prior graph, so Refresh finds their neighborhoods better than
+// from random partners and converges in fewer rounds than a cold build
+// of the same data.
+func TestRefreshSeedsAppendedRows(t *testing.T) {
+	const n, k = 2000, 10
+	opt := BuildOptions{K: k, Metric: metric.L2, Ranks: 1, Seed: 1}
+	data, base, tombs := deepDelta(t, n, opt)
+	res, err := Refresh(data, base.Graph, tombs, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := Build(data, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var live [][]float32
+	var liveIDs []ID
+	for v, row := range data {
+		if !tombs.Dead(ID(v)) {
+			live = append(live, row)
+			liveIDs = append(liveIDs, ID(v))
+		}
+	}
+	dist, err := metric.ForFloat32(metric.SquaredL2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A row is its own nearest point: ask for one more and drop it.
+	truth := brute.TruthIDs(brute.QueryKNN(live, data[n:], k+1, dist, 0))
+	got := make([][]ID, len(truth))
+	for i, want := range truth {
+		v := ID(n + i)
+		ids := make([]ID, 0, k)
+		for _, j := range want {
+			if liveIDs[j] != v && len(ids) < k {
+				ids = append(ids, liveIDs[j])
+			}
+		}
+		truth[i] = ids
+		for _, e := range res.Graph.Neighbors[v] {
+			got[i] = append(got[i], e.ID)
+		}
+	}
+	rr := recall.AtK(got, truth, k)
+	t.Logf("appended-row recall %.4f; rounds: refresh %d, cold build %d", rr, res.Iters, cold.Iters)
+	if rr < 0.95 {
+		t.Errorf("appended-row recall %.4f, want >= 0.95", rr)
+	}
+	if res.Iters >= cold.Iters {
+		t.Errorf("refresh took %d rounds, cold build %d; want fewer", res.Iters, cold.Iters)
+	}
+}
+
+// TestRefreshWorkerWidthDeterministic: the seeding search spreads its
+// queries over the cores through a claim cursor, ahead of the worker
+// ring; neither may make a refresh depend on the worker width.
+func TestRefreshWorkerWidthDeterministic(t *testing.T) {
+	opt := BuildOptions{K: 10, Metric: metric.L2, Ranks: 1, Seed: 1}
+	data, base, tombs := deepDelta(t, 1500, opt)
+	var ref *BuildResult
+	for _, workers := range []int{1, 2, 3} {
+		opt.Workers = workers
+		res, err := Refresh(data, base.Graph, tombs, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref == nil {
+			ref = res
+			continue
+		}
+		if !res.Graph.Equal(ref.Graph) {
+			t.Fatalf("workers=%d: refreshed graph differs from workers=1", workers)
+		}
+		if res.DistEvals != ref.DistEvals {
+			t.Fatalf("workers=%d: DistEvals %d, workers=1 %d", workers, res.DistEvals, ref.DistEvals)
+		}
 	}
 }

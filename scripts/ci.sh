@@ -78,6 +78,12 @@ echo "== go test -race (batch search: shared claim cursor, repeated)"
 # skips one, or races a slot write shows up only on some schedules.
 go test -race -count=5 -run 'TestBatch|TestEntriesFuncInBatch' ./internal/search/
 
+echo "== go test -race (warm builds: seeding search ahead of the worker ring, repeated)"
+# Extend and Refresh seed appended rows with one search.Batch over the
+# prior graph, then run the ring; a race between the two, or a refresh
+# that depends on the worker width, shows up only on some schedules.
+go test -race -count=3 -run 'TestRefresh|TestExtend' .
+
 echo "== go test -race (online serving: server + loadgen in-process)"
 # The serve e2e suite runs the whole subsystem — admission, batching,
 # drain, loadgen — in-process on loopback; the race detector watches
