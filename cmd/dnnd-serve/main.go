@@ -27,10 +27,7 @@ func main() {
 		l           = flag.Int("l", 10, "default neighbors per query")
 		epsilon     = flag.Float64("epsilon", 0.1, "default search expansion parameter")
 		queue       = flag.Int("queue", 1024, "admission queue depth (overload beyond it)")
-		batch       = flag.Int("batch", 16, "max queries per micro-batch")
-		batchWait   = flag.Duration("batch-wait", 0, "extra wait for a batch to fill (0 = purely dynamic)")
-		lanes       = flag.Int("lanes", 0, "independent dispatch lanes, each with its own queue shard and worker pool (0 = 2)")
-		workers     = flag.Int("workers", 0, "per-lane intra-batch workers (0 = GOMAXPROCS/lanes)")
+		workers     = flag.Int("workers", 0, "concurrent query searches (0 = GOMAXPROCS)")
 		deadline    = flag.Duration("deadline", 0, "default per-query deadline (0 = none)")
 		maxDeadline = flag.Duration("max-deadline", 0, "cap on client-requested deadlines (0 = uncapped)")
 		warm        = flag.Int("warm", 0, "warm entry-point cache size (0 = disabled)")
@@ -61,9 +58,6 @@ func main() {
 			L:               *l,
 			Epsilon:         *epsilon,
 			QueueDepth:      *queue,
-			BatchMax:        *batch,
-			BatchWait:       *batchWait,
-			Lanes:           *lanes,
 			Workers:         *workers,
 			DefaultDeadline: *deadline,
 			MaxDeadline:     *maxDeadline,
@@ -152,7 +146,6 @@ func run[T dnnd.Scalar](storeDir string, o options) error {
 	if debugAddr != "" || o.traceOut != "" {
 		tracer = obs.NewTracer(0)
 		cfg.Trace = tracer.Track("serve", 0)
-		cfg.Tracer = tracer // per-lane serve.batch span tracks
 	}
 	s, err := serve.New(src, cfg)
 	if err != nil {

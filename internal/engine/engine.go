@@ -2,8 +2,8 @@
 // construction (internal/core). Its programs are SPMD phases that
 // register message handlers, emit batched bulk-async traffic (Section
 // 4.4 of the paper), and separate at quiescence points; this package
-// owns that shape once. It serves construction and the serve lanes
-// only; the serve lanes borrow Pool, and no serving path uses a Phase.
+// owns that shape once. It serves construction only; no serving path
+// uses it.
 // Its parts:
 //
 //   - Phase groups an algorithm phase's handlers under a stable

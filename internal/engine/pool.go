@@ -560,26 +560,15 @@ func (p *Pool[T]) recycle(t *Task[T]) {
 // synchronization); item-to-goroutine assignment is nondeterministic,
 // so body's output must not depend on which goroutine runs it.
 func (p *Pool[T]) ParallelFor(n int, body func(i int)) {
-	p.ParallelForWorker(n, func(_, i int) { body(i) })
-}
-
-// ParallelForWorker is ParallelFor with a stable worker index: body
-// runs as body(w, i) where w identifies the executing goroutine — 0
-// for the owner, 1..Workers-1 for helpers — and no two items with the
-// same w ever run concurrently within one call. Callers use w to hand
-// each goroutine its own reusable scratch (e.g. a pooled
-// search.Context) without locking. Item-to-worker assignment remains
-// nondeterministic, so body's output must not depend on w.
-func (p *Pool[T]) ParallelForWorker(n int, body func(worker, i int)) {
 	if p.workers <= 1 || n <= 1 {
 		for i := 0; i < n; i++ {
-			body(0, i)
+			body(i)
 		}
 		return
 	}
 	const chunk = 16
 	var next atomic.Int64
-	run := func(w int) {
+	run := func() {
 		for {
 			hi := next.Add(chunk)
 			lo := hi - chunk
@@ -590,20 +579,19 @@ func (p *Pool[T]) ParallelForWorker(n int, body func(worker, i int)) {
 				hi = int64(n)
 			}
 			for i := lo; i < hi; i++ {
-				body(w, int(i))
+				body(int(i))
 			}
 		}
 	}
 	var wg sync.WaitGroup
 	for w := 1; w < p.workers; w++ {
-		w := w
 		wg.Add(1)
 		item := poolItem[T]{fn: func() {
 			// Recover before Done: a deferred Done would run while the
 			// panic is still unwinding, releasing the owner's Wait —
 			// and its checkErr — before the worker has stored the error.
 			defer wg.Done()
-			p.runSafe(func() { run(w) })
+			p.runSafe(run)
 		}}
 		select {
 		case p.queue <- item:
@@ -611,7 +599,7 @@ func (p *Pool[T]) ParallelForWorker(n int, body func(worker, i int)) {
 			wg.Done() // queue full: the owner's run() covers the items
 		}
 	}
-	run(0)
+	run()
 	wg.Wait()
 	p.checkErr()
 }

@@ -244,12 +244,18 @@ func startRouter(t *testing.T, man *Manifest, groups [][]string, cfg Config) (*R
 	go rt.Serve(ln)
 	// Wait for the accept loop to be live before handing the router to
 	// the test (a Shutdown racing Serve's listener registration would
-	// leave the listener open).
+	// leave the listener open until Serve starts). A dial alone proves
+	// nothing — the kernel completes it from the listen backlog before
+	// Serve runs — so wait for a reply that only the loop can give.
 	for i := 0; ; i++ {
 		c, err := serve.Dial(ln.Addr().String(), 200*time.Millisecond)
 		if err == nil {
+			c.SetDeadline(time.Now().Add(time.Second))
+			_, err = c.Hello()
 			c.Close()
-			break
+			if err == nil {
+				break
+			}
 		}
 		if i > 50 {
 			t.Fatalf("router never came up: %v", err)

@@ -9,16 +9,17 @@ import (
 	"time"
 
 	"dnnd/internal/msg"
+	"dnnd/internal/search"
 )
 
-// allocServer builds a 1-lane/1-worker server with write deadlines
+// allocServer builds a 1-worker server with write deadlines
 // disabled (net.Pipe deadlines arm a new runtime timer per write,
 // which would charge an allocation to the hot path that real TCP
 // connections do not pay).
 func allocServer(t *testing.T) *Server[float32] {
 	t.Helper()
 	s, err := New(testSource(t, 1000, 16, 8), Config{
-		L: 10, Epsilon: 0.1, Lanes: 1, Workers: 1, WriteTimeout: -1,
+		L: 10, Epsilon: 0.1, Workers: 1, WriteTimeout: -1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -34,8 +35,8 @@ func allocServer(t *testing.T) *Server[float32] {
 }
 
 // TestServeExecZeroAlloc pins the tentpole contract on the execution
-// path: batch assembly, the pooled search context, the reply encode,
-// and the request recycle allocate nothing at steady state.
+// path: the deadline check, the pooled search context, the reply
+// encode, and the request recycle allocate nothing at steady state.
 func TestServeExecZeroAlloc(t *testing.T) {
 	s := allocServer(t)
 	client, server := net.Pipe()
@@ -44,7 +45,7 @@ func TestServeExecZeroAlloc(t *testing.T) {
 	sc := NewConn(server, 0)
 
 	vec := s.src.Data[7]
-	batch := make([]*request[float32], 1)
+	w := &worker[float32]{sc: search.NewContext[float32]()}
 	var seed int64
 	run := func() {
 		seed++
@@ -60,8 +61,7 @@ func TestServeExecZeroAlloc(t *testing.T) {
 		req.vec = append(req.vec[:0], vec...)
 		req.deadline = time.Time{}
 		req.enq = time.Now()
-		batch[0] = req
-		s.runBatch(s.lanes[0], batch)
+		s.exec(w, req)
 	}
 	run() // warm up: grow the context scratch and write buffer once
 	if avg := testing.AllocsPerRun(300, run); avg != 0 {
@@ -70,7 +70,7 @@ func TestServeExecZeroAlloc(t *testing.T) {
 }
 
 // TestServeRoundTripZeroAlloc pins the whole server-side round trip —
-// frame read, borrowed decode, pooled request, lane dispatch, search,
+// frame read, borrowed decode, pooled request, queue dispatch, search,
 // zero-copy reply write — at zero allocations per query. The client
 // side of the pipe reuses its buffers too, so the measurement sees
 // only the server.

@@ -171,26 +171,23 @@ func BenchmarkIngestRefine(b *testing.B) {
 	b.ReportMetric(float64(refineEvals.Load())/float64(b.N), "refine-evals")
 }
 
-// BenchmarkServeLanes is the serve-scaling axis: closed-loop qps at 1,
-// 2, and 4 dispatch lanes (1 worker each), driven over pipelined
+// BenchmarkServeWorkers is the serve-scaling axis: closed-loop qps at
+// 1, 2, and 4 workers (concurrent searches), driven over pipelined
 // connections so the generator — not connection count — sets the
 // offered concurrency. On a multi-core host qps should rise with the
-// lane count from search parallelism; on a one-core host the sweep
-// pins that lane fan-out never makes things worse — qps holds or
-// rises modestly (higher offered concurrency fills micro-batches,
-// amortizing per-batch dispatch) while latency grows with the
-// queueing the extra offered load implies (see results/serve.md).
-func BenchmarkServeLanes(b *testing.B) {
+// worker count up to the core count; past it, extra workers only add
+// the latency of the queueing the extra offered load implies.
+func BenchmarkServeWorkers(b *testing.B) {
 	queries := randData(256, 16, 19)
-	for _, lanes := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("lanes=%d", lanes), func(b *testing.B) {
+	for _, workers := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			addr, stop := benchServer(b, Config{
-				L: 10, Epsilon: 0.1, Lanes: lanes, Workers: 1, QueueDepth: 4 * lanes * 16,
+				L: 10, Epsilon: 0.1, Workers: workers, QueueDepth: 4 * workers * 16,
 			})
 			defer stop()
 			b.ResetTimer()
 			rep, err := RunLoad[float32](LoadConfig{
-				Addr: addr, Requests: b.N, Concurrency: 4 * lanes, Conns: lanes, Seed: 1,
+				Addr: addr, Requests: b.N, Concurrency: 4 * workers, Conns: workers, Seed: 1,
 			}, queries)
 			if err != nil {
 				b.Fatal(err)

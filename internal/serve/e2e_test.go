@@ -80,7 +80,7 @@ func TestServeEndToEnd(t *testing.T) {
 		search.Options{L: l, Epsilon: eps, Seed: seed}, 2)
 
 	t.Run("ExactMatchUnderConcurrency", func(t *testing.T) {
-		s, err := New(src, Config{L: l, Epsilon: eps, QueueDepth: 512, BatchMax: 8, Lanes: 2, Workers: 2})
+		s, err := New(src, Config{L: l, Epsilon: eps, QueueDepth: 512, Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,7 +195,7 @@ func TestServeEndToEnd(t *testing.T) {
 		// stays fully consistent once the gate opens.
 		gate := make(chan struct{})
 		s, err := New(src, Config{
-			L: l, Epsilon: eps, QueueDepth: 1, BatchMax: 1, Lanes: 1, Workers: 1,
+			L: l, Epsilon: eps, QueueDepth: 1, Workers: 1,
 			execHook: func() { <-gate },
 		})
 		if err != nil {
@@ -297,7 +297,7 @@ func TestServeEndToEnd(t *testing.T) {
 		// SIGTERM-equivalent drain while requests are in flight: every
 		// admitted request is answered, late arrivals get the typed
 		// draining rejection, and nothing hangs.
-		s, err := New(src, Config{L: l, Epsilon: eps, QueueDepth: 512, BatchMax: 4, Lanes: 1, Workers: 1})
+		s, err := New(src, Config{L: l, Epsilon: eps, QueueDepth: 512, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -38,7 +38,7 @@ type LoadConfig struct {
 	// Conns, when positive, switches to pipelined multi-connection
 	// mode: Conns shared connections carry all Concurrency workers
 	// (worker w pins to connection w mod Conns) with replies matched by
-	// ID, so the generator saturates a multi-lane server without one
+	// ID, so the generator saturates a multi-worker server without one
 	// TCP connection per in-flight request. The report then includes
 	// per-connection latency quantiles beside the aggregate. Zero keeps
 	// the classic one-connection-per-worker closed/open loop.

@@ -18,8 +18,8 @@ import (
 type Hist = obs.Hist
 
 // Metrics is the server's observability surface: monotonic counters,
-// instantaneous gauges (closures, sampled at dump time), and latency /
-// batch-size histograms. All fields are safe for concurrent use.
+// instantaneous gauges (closures, sampled at dump time), and latency
+// histograms. All fields are safe for concurrent use.
 type Metrics struct {
 	// Admission counters.
 	Accepted          atomic.Int64 // admitted into the queue
@@ -35,7 +35,6 @@ type Metrics struct {
 	// Work counters.
 	DistEvals   atomic.Int64
 	ApproxEvals atomic.Int64 // quantized code-distance evaluations
-	Batches     atomic.Int64
 	WarmServed  atomic.Int64 // queries that used the warm entry cache
 
 	// Endpoint counters (non-query ops).
@@ -56,34 +55,26 @@ type Metrics struct {
 	InFlight      atomic.Int64 // admitted, not yet replied
 	Conns         atomic.Int64
 	ConnsTotal    atomic.Int64
-	QueueMax      atomic.Int64  // high-water queue depth (summed over lanes)
+	QueueMax      atomic.Int64  // high-water queue depth
 	QueueDepth    func() int    // instantaneous, sampled at dump time
 	QueueCap      int           //
 	WarmCacheSize func() int    //
 	Gen           func() uint64 // published snapshot generation (mutable servers)
 	PendingDelta  func() int    // ingested rows not yet refined into the graph
 
-	// Lanes holds one entry per dispatch lane (filled by New), dumped
-	// as dnnd_serve_lane_* samples with a lane label so skew across
-	// lanes — uneven batches, a backed-up shard — is visible.
-	Lanes []LaneStat
-
 	// Histograms (latencies in microseconds).
-	LatTotal  Hist // admission to reply written
-	LatQueue  Hist // admission to execution start
-	LatExec   Hist // execution only
-	BatchSize Hist // requests per executed micro-batch
+	LatTotal Hist // admission to reply written
+	LatQueue Hist // admission to execution start
+	LatExec  Hist // execution only
+	// BatchSize observes 1 per executed query: workers run one query
+	// at a time, so its mean is exactly 1. It stays only because the
+	// repository benchmark derives its declared serve.batch_mean row
+	// from it and that benchmark's smoke test requires every declared
+	// row; it goes once the benchmark drops the row.
+	BatchSize Hist
 
 	regOnce sync.Once
 	reg     *obs.Registry
-}
-
-// LaneStat is one dispatch lane's share of the counters plus its
-// queue-shard depth gauge.
-type LaneStat struct {
-	Batches atomic.Int64 // micro-batches executed by this lane
-	Queries atomic.Int64 // queries executed (post deadline-drop)
-	Depth   func() int   // instantaneous shard queue depth
 }
 
 // Registry lazily builds (once) the obs.Registry view of these
@@ -114,7 +105,6 @@ func (m *Metrics) Registry() *obs.Registry {
 		r.Sample("dnnd_serve_write_errors_total", m.WriteErrors.Load)
 		r.Sample("dnnd_serve_dist_evals_total", m.DistEvals.Load)
 		r.Sample("dnnd_serve_approx_evals_total", m.ApproxEvals.Load)
-		r.Sample("dnnd_serve_batches_total", m.Batches.Load)
 		r.Sample("dnnd_serve_warm_served_total", m.WarmServed.Load)
 		r.Sample("dnnd_serve_hello_total", m.Hellos.Load)
 		r.Sample("dnnd_serve_stats_total", m.StatsDumps.Load)
@@ -144,16 +134,6 @@ func (m *Metrics) Registry() *obs.Registry {
 		}
 		if m.PendingDelta != nil {
 			r.Sample("dnnd_serve_pending_delta", func() int64 { return int64(m.PendingDelta()) })
-		}
-		for i := range m.Lanes {
-			ls := &m.Lanes[i]
-			r.Sample(fmt.Sprintf("dnnd_serve_lane_batches_total{lane=\"%d\"}", i), ls.Batches.Load)
-			r.Sample(fmt.Sprintf("dnnd_serve_lane_queries_total{lane=\"%d\"}", i), ls.Queries.Load)
-			if ls.Depth != nil {
-				depth := ls.Depth
-				r.Sample(fmt.Sprintf("dnnd_serve_lane_queue_depth{lane=\"%d\"}", i),
-					func() int64 { return int64(depth()) })
-			}
 		}
 		// Allocator pressure: the whole point of the pooled-context hot
 		// path is that these stay flat under load. Sampled at dump time

@@ -280,7 +280,7 @@ func TestSnapshotSwapUnderConcurrentQueries(t *testing.T) {
 	const n, dim, k, l = 500, 8, 8, 16
 	const rounds, perRound = 4, 48
 	s, c, shutdown := mutableFixture(t, n, dim, k,
-		Config{L: l, Epsilon: 0.25, Lanes: 2, Workers: 2},
+		Config{L: l, Epsilon: 0.25, Workers: 4},
 		MutableConfig[float32]{RefineEvery: 1 << 20})
 	defer shutdown()
 
@@ -380,7 +380,7 @@ func TestSnapshotSwapUnderConcurrentQueries(t *testing.T) {
 func TestLoadgenMutateMode(t *testing.T) {
 	const n, dim, k, l = 500, 8, 8, 12
 	s, c, shutdown := mutableFixture(t, n, dim, k,
-		Config{L: l, Epsilon: 0.25, Lanes: 2, Workers: 2},
+		Config{L: l, Epsilon: 0.25, Workers: 4},
 		MutableConfig[float32]{RefineEvery: 64})
 	defer shutdown()
 	addr := c.c.RemoteAddr().String()
@@ -447,7 +447,7 @@ func TestLoadgenMutateMode(t *testing.T) {
 }
 
 // TestMutableDeterministicAcrossWorkers: the same mutation + flush
-// sequence on servers with different lane/worker widths must serve
+// sequence on servers with different worker counts must serve
 // bit-identical answers — the incremental build and the search are
 // deterministic, so parallelism must not leak into results.
 func TestMutableDeterministicAcrossWorkers(t *testing.T) {
@@ -479,8 +479,8 @@ func TestMutableDeterministicAcrossWorkers(t *testing.T) {
 		return out
 	}
 
-	narrow := run(Config{L: l, Epsilon: 0.25, Lanes: 1, Workers: 1})
-	wide := run(Config{L: l, Epsilon: 0.25, Lanes: 3, Workers: 4})
+	narrow := run(Config{L: l, Epsilon: 0.25, Workers: 1})
+	wide := run(Config{L: l, Epsilon: 0.25, Workers: 12})
 	for i := range narrow {
 		if len(narrow[i]) != len(wide[i]) {
 			t.Fatalf("query %d: %d vs %d results", i, len(narrow[i]), len(wide[i]))
@@ -561,7 +561,7 @@ func TestMutationLogOrder(t *testing.T) {
 		},
 	}
 	s, c, shutdown := mutableFixture(t, n, dim, k,
-		Config{L: l, Epsilon: 0.25, Lanes: 2, Workers: 2}, mcfg)
+		Config{L: l, Epsilon: 0.25, Workers: 4}, mcfg)
 	defer shutdown()
 	addr := c.c.RemoteAddr().String()
 

@@ -17,7 +17,7 @@ import (
 // serialized by a mutex; a dedicated reader goroutine routes each
 // reply back to its caller by SResult.ID (the protocol explicitly
 // allows out-of-order replies on one connection). This is what lets a
-// load generator with a few connections keep every lane of a
+// load generator with a few connections keep every worker of a
 // multi-core server busy — the synchronous Client needs one connection
 // per in-flight request.
 //

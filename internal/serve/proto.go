@@ -2,10 +2,10 @@
 // TCP server answering approximate-nearest-neighbor queries over a
 // persisted index through internal/search, with production scheduler
 // behaviors — bounded admission with typed overload rejections,
-// per-request deadlines, dynamic micro-batching onto an
-// internal/engine worker pool, a warm entry-point cache, graceful
-// drain, and a /metrics-style observability surface. The package also
-// ships the protocol client and a closed-/open-loop load generator
+// per-request deadlines, a fixed set of workers each running one
+// search at a time, a warm entry-point cache, graceful drain, and a
+// /metrics-style observability surface. The package also ships the
+// protocol client and a closed-/open-loop load generator
 // (cmd/dnnd-serve and cmd/dnnd-loadgen are thin wrappers).
 //
 // Wire protocol: length-prefixed frames over TCP. Each frame is a

@@ -33,7 +33,7 @@ func TestServeQuantPath(t *testing.T) {
 		t.Fatal("ground-truth batch recorded no approximate evaluations")
 	}
 
-	s, err := New(src, Config{L: l, Epsilon: eps, QueueDepth: 256, BatchMax: 8, Lanes: 2, Workers: 2})
+	s, err := New(src, Config{L: l, Epsilon: eps, QueueDepth: 256, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,151 +4,77 @@ import (
 	"sync"
 	"time"
 
-	"dnnd/internal/engine"
 	"dnnd/internal/knng"
 	"dnnd/internal/msg"
-	"dnnd/internal/obs"
 	"dnnd/internal/search"
 	"dnnd/internal/wire"
 )
 
-// lane is one dispatch shard: it owns a slice of the admission queue,
-// its own micro-batch assembly loop, its own engine worker pool, and
-// one pooled search.Context per pool worker. Lanes share no mutable
-// state on the hot path, so N lanes assemble and execute N
-// micro-batches truly concurrently — the single dispatch() goroutine
-// and lone execCh of the pre-lane scheduler stop serializing batch
-// formation at high qps.
-type lane[T wire.Scalar] struct {
-	queue chan *request[T]
-	pool  *engine.Pool[T]
-	sctx  []*search.Context[T] // per pool worker, reused across batches
-	batch []*request[T]        // reused micro-batch assembly buffer
-	timer *time.Timer          // reused BatchWait window timer
-
-	// Mutable inputs of runBody, set by runBatch before each pool run.
-	// Binding runBody once (in New) keeps the ParallelForWorker body
-	// off the per-batch heap. snap is the index snapshot pinned for the
-	// batch: every query in the batch sees one consistent
-	// graph/dataset/tombstone version even if the refiner publishes a
-	// new one mid-batch.
-	live     []*request[T]
-	warmSnap []knng.ID
-	snap     *snapshot[T]
-	runBody  func(worker, i int)
-
-	track *obs.Track // per-lane span timeline (nil without cfg.Tracer)
-	stat  *LaneStat
+// worker is one query executor's reusable state: a pooled search
+// context and the warm-entry buffer, both owned by one worker
+// goroutine for its lifetime.
+type worker[T wire.Scalar] struct {
+	sc   *search.Context[T]
+	warm []knng.ID
 }
 
-// laneLoop is the lane's dispatcher and executor fused: assemble a
-// micro-batch from the lane's queue shard, then execute it inline on
-// the lane's own pool. The batching is dynamic, exactly as the old
-// single dispatcher: after the first (blocking) take, whatever else is
-// already queued is drained greedily up to BatchMax, so batch size
-// tracks instantaneous load — singleton batches when idle (no added
-// latency), full batches under pressure. A non-zero BatchWait adds a
-// bounded wait for the batch to fill, trading tail latency for larger
-// batches. The assembly buffer and window timer are reused across
-// batches, so a steady-state batch allocates nothing.
-func (s *Server[T]) laneLoop(ln *lane[T]) {
+// runWorker is one of cfg.Workers goroutines draining the admission
+// queue: each takes one request at a time and runs its search, so
+// Workers is exactly the number of concurrent searches. The paper's
+// query (Section 3.3) is one independent graph search; grouping
+// queued queries buys nothing a second worker does not. A worker
+// checks stop before every take, so once a forced Shutdown has closed
+// it the requests still queued are left for Shutdown to answer.
+func (s *Server[T]) runWorker() {
 	defer s.loopWG.Done()
+	w := worker[T]{sc: search.NewContext[T]()}
 	for {
-		var first *request[T]
 		select {
-		case first = <-ln.queue:
 		case <-s.stop:
-			return // stop closes only after the queues drained (see Shutdown)
+			return
+		default:
 		}
-		batch := append(ln.batch[:0], first)
-	greedy:
-		for len(batch) < s.cfg.BatchMax {
-			select {
-			case r := <-ln.queue:
-				batch = append(batch, r)
-			default:
-				break greedy
+		select {
+		case r := <-s.queue:
+			if s.cfg.execHook != nil {
+				s.cfg.execHook()
 			}
-		}
-		if s.cfg.BatchWait > 0 && len(batch) < s.cfg.BatchMax {
-			if ln.timer == nil {
-				ln.timer = time.NewTimer(s.cfg.BatchWait)
-			} else {
-				ln.timer.Reset(s.cfg.BatchWait)
-			}
-		window:
-			for len(batch) < s.cfg.BatchMax {
-				select {
-				case r := <-ln.queue:
-					batch = append(batch, r)
-				case <-ln.timer.C:
-					break window
-				case <-s.stop:
-					break window
-				}
-			}
-			if !ln.timer.Stop() {
-				select { // fired (and maybe consumed): leave it drained for Reset
-				case <-ln.timer.C:
-				default:
-				}
-			}
-		}
-		ln.batch = batch // keep the (possibly grown) buffer
-		s.m.Batches.Add(1)
-		ln.stat.Batches.Add(1)
-		s.m.BatchSize.Observe(int64(len(batch)))
-		s.runBatch(ln, batch)
-		for i := range batch {
-			batch[i] = nil // requests are recycled by finish: drop the refs
+			s.exec(&w, r)
+		case <-s.stop:
+			return
 		}
 	}
 }
 
-// runBatch drops queries whose deadline expired while queued, then
-// evaluates the rest in parallel on the lane's worker pool, one pooled
-// search context per worker. Every request in the batch gets exactly
-// one reply.
-func (s *Server[T]) runBatch(ln *lane[T], batch []*request[T]) {
-	if s.cfg.execHook != nil {
-		s.cfg.execHook()
-	}
+// exec answers one dequeued request on w: a query whose deadline
+// expired while queued is dropped with SStatusDeadline, the rest run
+// against the snapshot current at this moment. Every request gets
+// exactly one reply.
+func (s *Server[T]) exec(w *worker[T], r *request[T]) {
+	s.m.BatchSize.Observe(1)
 	now := time.Now()
-	live := batch[:0]
-	for _, r := range batch {
-		if !r.deadline.IsZero() && now.After(r.deadline) {
-			s.m.DeadlineDropped.Add(1)
-			r.res = msg.SResult{
-				ID: r.id, Status: msg.SStatusDeadline,
-				QueueMicros: saturatingMicros(now.Sub(r.enq)),
-			}
-			r.echoTrace()
-			s.finish(r)
-			continue
+	if !r.deadline.IsZero() && now.After(r.deadline) {
+		s.m.DeadlineDropped.Add(1)
+		r.res = msg.SResult{
+			ID: r.id, Status: msg.SStatusDeadline,
+			QueueMicros: saturatingMicros(now.Sub(r.enq)),
 		}
-		live = append(live, r)
-	}
-	if len(live) == 0 {
+		r.echoTrace()
+		s.finish(r)
 		return
 	}
-	// Snapshot the warm cache once per batch (into the lane's reused
-	// buffer); queries opt in per request via SFlagWarm.
-	ln.warmSnap = ln.warmSnap[:0]
-	if s.warm != nil {
-		ln.warmSnap = s.warm.snapshotInto(ln.warmSnap)
+	// Only a query that opted in (SFlagWarm) pays for the warm-cache
+	// copy, made into the worker's reused buffer.
+	var warm []knng.ID
+	if r.warm {
+		w.warm = s.warm.snapshotInto(w.warm)
+		warm = w.warm
 	}
-	sp := ln.track.BeginArg("serve.batch", int64(len(live)))
-	ln.stat.Queries.Add(int64(len(live)))
-	ln.live = live
-	ln.snap = s.cur.Load() // pin one index version for the whole batch
-	ln.pool.ParallelForWorker(len(live), ln.runBody)
-	ln.live = nil
-	ln.snap = nil
-	sp.End()
+	s.runOne(w.sc, r, warm, s.cur.Load())
 }
 
-// runOne executes a single query on a pooled search context (owned by
-// one pool worker for the duration of the batch) and writes its reply.
+// runOne executes a single query on a worker's pooled search context
+// against the pinned snapshot sn and writes its reply.
 // The result slice aliases the context's scratch; it is encoded onto
 // the wire by finish before the context's next query, so nothing is
 // copied.
@@ -157,7 +83,7 @@ func (s *Server[T]) runOne(sc *search.Context[T], r *request[T], warmSnap []knng
 	opt := search.Options{L: r.l, Epsilon: r.eps, Deadline: r.deadline, Tombs: sn.tombs}
 	if r.warm && len(warmSnap) > 0 {
 		// The warm cache is fed from the latest snapshot's results; a
-		// batch that pinned an older snapshot across a growing swap must
+		// query that pinned an older snapshot across a growing swap must
 		// not seed entry points the pinned graph does not have.
 		ok := true
 		for _, id := range warmSnap {
@@ -235,7 +161,7 @@ func saturatingMicros(d time.Duration) uint32 {
 // warmCache is a small ring of recently-returned good neighbor IDs,
 // served as extra search entry points to queries that ask for them
 // (SFlagWarm). Fresh results displace the oldest entries; the
-// snapshot handed to a batch is a copy, so searches never hold the
+// snapshot handed to a query is a copy, so searches never hold the
 // lock.
 type warmCache struct {
 	mu   sync.Mutex
@@ -275,8 +201,8 @@ func (w *warmCache) snapshot() []knng.ID {
 	return w.snapshotInto(nil)
 }
 
-// snapshotInto is snapshot into a reused buffer (per-lane, so batches
-// at steady state allocate nothing for it).
+// snapshotInto is snapshot into a reused buffer (per-worker, so
+// queries at steady state allocate nothing for it).
 func (w *warmCache) snapshotInto(dst []knng.ID) []knng.ID {
 	w.mu.Lock()
 	defer w.mu.Unlock()

@@ -14,6 +14,7 @@ import (
 	"dnnd/internal/knng"
 	"dnnd/internal/metric"
 	"dnnd/internal/msg"
+	"dnnd/internal/search"
 	"dnnd/internal/wire"
 )
 
@@ -199,10 +200,9 @@ func TestAdmissionRejections(t *testing.T) {
 		stop: make(chan struct{}),
 	}
 	s.cur.Store(&snapshot[float32]{graph: src.Graph, data: src.Data, quant: src.Quant})
-	// One lane, depth-1 shard, no laneLoop running: a full queue stays
-	// full, so every admission outcome below is forced.
-	s.m.Lanes = make([]LaneStat, 1)
-	s.lanes = []*lane[float32]{{queue: make(chan *request[float32], 1), stat: &s.m.Lanes[0]}}
+	// A depth-1 queue and no worker running: a full queue stays full,
+	// so every admission outcome below is forced.
+	s.queue = make(chan *request[float32], 1)
 	client, server := net.Pipe()
 	defer client.Close()
 	defer server.Close()
@@ -276,7 +276,7 @@ func TestAdmissionRejections(t *testing.T) {
 // returns its best-so-far with SStatusPartial.
 func TestDeadlineSemantics(t *testing.T) {
 	src := testSource(t, 300, 8, 8)
-	s, err := New(src, Config{Workers: 1, Lanes: 1})
+	s, err := New(src, Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,10 +298,11 @@ func TestDeadlineSemantics(t *testing.T) {
 	// Expired while queued: dropped before execution.
 	s.acc.Gate.Enter()
 	s.m.InFlight.Add(1)
-	s.runBatch(s.lanes[0], []*request[float32]{{
+	w := &worker[float32]{sc: search.NewContext[float32]()}
+	s.exec(w, &request[float32]{
 		conn: sc, id: 10, l: 8, vec: src.Data[0],
 		deadline: now.Add(-time.Millisecond), enq: now.Add(-2 * time.Millisecond),
-	}})
+	})
 	res := <-replies
 	if res.ID != 10 || res.Status != msg.SStatusDeadline || len(res.Neighbors) != 0 {
 		t.Fatalf("queued-expiry reply: ID=%d status=%s neighbors=%d",
@@ -315,7 +316,7 @@ func TestDeadlineSemantics(t *testing.T) {
 	// leaving the seeded candidates as a partial answer.
 	s.acc.Gate.Enter()
 	s.m.InFlight.Add(1)
-	s.runOne(s.lanes[0].sctx[0], &request[float32]{
+	s.runOne(w.sc, &request[float32]{
 		conn: sc, id: 11, l: 8, vec: src.Data[0],
 		deadline: now, enq: now,
 	}, nil, s.cur.Load())

@@ -11,13 +11,11 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dnnd/internal/engine"
 	"dnnd/internal/knng"
 	"dnnd/internal/metric"
 	"dnnd/internal/metric/quant"
 	"dnnd/internal/msg"
 	"dnnd/internal/obs"
-	"dnnd/internal/search"
 	"dnnd/internal/wire"
 )
 
@@ -51,25 +49,9 @@ type Config struct {
 	// (default 1024). This is the backpressure signal: clients seeing
 	// overload rejections must slow down.
 	QueueDepth int
-	// BatchMax caps the number of queued queries coalesced into one
-	// micro-batch (default 16).
-	BatchMax int
-	// BatchWait is the optional assembly window: after taking the
-	// first query of a batch and greedily draining whatever else is
-	// queued, the lane waits up to BatchWait for the batch to fill.
-	// The default of 0 is purely dynamic batching — batch size tracks
-	// queue depth with zero added latency when idle.
-	BatchWait time.Duration
-	// Lanes is the number of independent dispatch lanes. Each lane owns
-	// a shard of the admission queue, its own micro-batch assembly loop,
-	// its own engine.Pool, and one pooled search.Context per pool
-	// worker, so batch formation and execution never serialize across
-	// lanes (default 2).
-	Lanes int
-	// Workers is the per-lane worker-pool width used to evaluate a
-	// batch's queries in parallel (default GOMAXPROCS/Lanes, min 1),
-	// reusing internal/engine's pool. Total search parallelism is
-	// Lanes × Workers.
+	// Workers is the number of concurrent query searches: that many
+	// goroutines drain the admission queue, each running one query at
+	// a time on its own pooled search.Context (0 = GOMAXPROCS).
 	Workers int
 	// DefaultDeadline applies to queries that do not carry their own
 	// (0 = no deadline). MaxDeadline caps client-requested deadlines
@@ -83,23 +65,18 @@ type Config struct {
 	// (0 disables the cache).
 	WarmEntries int
 	// WriteTimeout bounds each reply write (default 30s; negative
-	// disables), so a client that stops reading cannot wedge a lane —
-	// or a drain — behind a full TCP send buffer.
+	// disables), so a client that stops reading cannot wedge a worker
+	// — or a drain — behind a full TCP send buffer.
 	WriteTimeout time.Duration
 	// Trace, when non-nil, receives the server's span timeline:
 	// "serve.query" async spans covering each admitted request from
 	// admission to reply (async because requests overlap freely across
-	// lanes) and a "serve.inflight" counter track. A nil Track costs
+	// workers) and a "serve.inflight" counter track. A nil Track costs
 	// one nil check per request.
 	Trace *obs.Track
-	// Tracer, when non-nil, additionally gives every lane its own
-	// "serve.laneN" track recording one "serve.batch" span per executed
-	// micro-batch (argument = live batch size), so per-lane utilization
-	// and batch shapes are visible on the trace timeline.
-	Tracer *obs.Tracer
-	// execHook, when non-nil, runs at the start of every batch
-	// execution. Tests use it to stall the executors and force
-	// deterministic queue overflow; it is deliberately unexported.
+	// execHook, when non-nil, runs on a worker after it takes a request
+	// and before it executes it. Tests use it to stall the workers and
+	// force deterministic queue overflow; it is deliberately unexported.
 	execHook func()
 }
 
@@ -115,17 +92,8 @@ func (c Config) withDefaults() Config {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 1024
 	}
-	if c.BatchMax <= 0 {
-		c.BatchMax = 16
-	}
-	if c.Lanes <= 0 {
-		c.Lanes = 2
-	}
 	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0) / c.Lanes
-		if c.Workers < 1 {
-			c.Workers = 1
-		}
+		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	if c.WriteTimeout == 0 {
 		c.WriteTimeout = 30 * time.Second
@@ -137,12 +105,13 @@ func (c Config) withDefaults() Config {
 
 // snapshot is one immutable published version of the served index. The
 // server holds the current one behind an atomic pointer; queries pin
-// it once per batch and never observe a torn mix of graph, dataset,
+// it once each and never observe a torn mix of graph, dataset,
 // and tombstones. Snapshots are never mutated after publication —
 // except tombs, whose bit-set operations are individually atomic by
 // design so deletes become visible to in-flight readers immediately.
 // Old snapshots are reclaimed by the garbage collector once the last
-// pinned batch drops its pointer (RCU with the GC as the grace period).
+// query pinning one drops its pointer (RCU with the GC as the grace
+// period).
 type snapshot[T wire.Scalar] struct {
 	graph *knng.Graph
 	data  [][]T
@@ -155,8 +124,8 @@ type snapshot[T wire.Scalar] struct {
 // Requests are pooled (getRequest/putRequest): vec is the request's
 // own reusable storage (the borrowed decode buffer is copied into it,
 // because the reader loop overwrites the frame buffer while the
-// request waits in a lane queue), and res is filled in place by the
-// lane worker so the reply needs no per-query allocation either.
+// request waits in the admission queue), and res is filled in place by
+// the worker so the reply needs no per-query allocation either.
 type request[T wire.Scalar] struct {
 	conn     *Conn
 	id       uint64
@@ -181,7 +150,7 @@ type Server[T wire.Scalar] struct {
 	elem string
 
 	// cur is the currently published index snapshot. The hot path only
-	// ever Loads it (once per batch); publication is a single Store in
+	// ever Loads it (once per query); publication is a single Store in
 	// the refiner (see mutable.go), so queries concurrent with a swap
 	// run to completion against whichever complete version they pinned.
 	cur atomic.Pointer[snapshot[T]]
@@ -190,20 +159,18 @@ type Server[T wire.Scalar] struct {
 	m    *Metrics
 	warm *warmCache
 
-	lanes   []*lane[T]
-	rr      atomic.Uint32 // round-robin admission cursor
-	reqPool sync.Pool     // recycled *request[T]
+	queue   chan *request[T] // bounded admission queue (QueueDepth)
+	reqPool sync.Pool        // recycled *request[T]
 
 	acc      *Acceptor      // listener, connections and drain gate (conn.go)
-	stop     chan struct{}  // closed after the lane queues fully drain
-	loopWG   sync.WaitGroup // lane loops
+	stop     chan struct{}  // closed by Shutdown once the drain ends
+	loopWG   sync.WaitGroup // workers
 	shutOnce sync.Once
 }
 
-// New builds a Server over src. It validates the source and spins up
-// the dispatch lanes (each with its own queue shard, worker pool, and
-// pooled search contexts); the server starts accepting connections
-// when Serve is called.
+// New builds a Server over src. It validates the source and starts
+// the Workers goroutines that drain the admission queue; the server
+// starts accepting connections when Serve is called.
 func New[T wire.Scalar](src Source[T], cfg Config) (*Server[T], error) {
 	if src.Graph == nil || src.Dist == nil {
 		return nil, errors.New("serve: Source needs a Graph and a Dist")
@@ -226,55 +193,18 @@ func New[T wire.Scalar](src Source[T], cfg Config) (*Server[T], error) {
 	}
 	s.acc = NewAcceptor(cfg.WriteTimeout, &s.m.Conns, &s.m.ConnsTotal)
 	s.cur.Store(&snapshot[T]{graph: src.Graph, data: src.Data, quant: src.Quant})
-	// The admission queue is sharded across lanes; QueueDepth splits
-	// evenly (min 1 per lane) so the configured bound keeps its meaning.
-	laneDepth := cfg.QueueDepth / cfg.Lanes
-	if laneDepth < 1 {
-		laneDepth = 1
-	}
-	s.m.QueueCap = laneDepth * cfg.Lanes
-	s.m.QueueDepth = s.queueLen
-	s.m.Lanes = make([]LaneStat, cfg.Lanes)
+	s.queue = make(chan *request[T], cfg.QueueDepth)
+	s.m.QueueCap = cfg.QueueDepth
+	s.m.QueueDepth = func() int { return len(s.queue) }
 	if cfg.WarmEntries > 0 {
 		s.warm = newWarmCache(cfg.WarmEntries)
 		s.m.WarmCacheSize = s.warm.size
 	}
-	s.lanes = make([]*lane[T], cfg.Lanes)
-	for i := range s.lanes {
-		ln := &lane[T]{
-			queue: make(chan *request[T], laneDepth),
-			pool:  engine.NewPool(engine.PoolConfig[T]{Workers: cfg.Workers, Dim: s.dim}),
-			sctx:  make([]*search.Context[T], cfg.Workers),
-			batch: make([]*request[T], 0, cfg.BatchMax),
-			stat:  &s.m.Lanes[i],
-		}
-		for w := range ln.sctx {
-			ln.sctx[w] = search.NewContext[T]()
-		}
-		q := ln.queue
-		ln.stat.Depth = func() int { return len(q) }
-		// Bound once so batch execution never allocates a closure: the
-		// body reads the lane's current batch through mutable fields,
-		// the same trick search.Context plays with its score closures.
-		ln.runBody = func(w, i int) { s.runOne(ln.sctx[w], ln.live[i], ln.warmSnap, ln.snap) }
-		if cfg.Tracer != nil {
-			ln.track = cfg.Tracer.Track(fmt.Sprintf("serve.lane%d", i), 1+i)
-		}
-		s.lanes[i] = ln
+	for i := 0; i < cfg.Workers; i++ {
 		s.loopWG.Add(1)
-		go s.laneLoop(ln)
+		go s.runWorker()
 	}
 	return s, nil
-}
-
-// queueLen sums the lane queue depths (the instantaneous admission
-// backlog gauge).
-func (s *Server[T]) queueLen() int {
-	n := 0
-	for _, ln := range s.lanes {
-		n += len(ln.queue)
-	}
-	return n
 }
 
 // getRequest takes a recycled request or allocates the pool's first.
@@ -390,7 +320,7 @@ func (s *Server[T]) handleConn(sc *Conn) {
 // reused decode state: the decoded vector borrows the frame buffer
 // (or scratch) and is copied into the pooled request's own storage,
 // since the reader overwrites the frame buffer while the request
-// waits in a lane queue.
+// waits in the admission queue.
 func (s *Server[T]) handleQuery(sc *Conn, payload []byte, q *msg.SQuery[T], scratch *[]T) bool {
 	r := wire.NewReader(payload)
 	*scratch = q.DecodeBorrow(r, *scratch)
@@ -437,7 +367,7 @@ func (s *Server[T]) handleQuery(sc *Conn, payload []byte, q *msg.SQuery[T], scra
 		return s.reject(sc, q.ID, msg.SStatusDraining)
 	}
 	// The span must be attached before the enqueue: once the request
-	// is on a lane queue a worker may finish (and End the span) at any
+	// is on the queue a worker may finish (and End the span) at any
 	// moment. A span that is never Ended (the overload branch) records
 	// nothing. A sampled propagated context opens the span under the
 	// remote parent (the router's per-replica attempt span), stitching
@@ -449,24 +379,18 @@ func (s *Server[T]) handleQuery(sc *Conn, payload []byte, q *msg.SQuery[T], scra
 	} else {
 		req.span = s.cfg.Trace.BeginAsync("serve.query", int64(req.id))
 	}
-	// Sharded admission: start at the round-robin lane, then sweep the
-	// others, so one hot lane spills before anything is rejected.
-	// Overload means every lane's shard is full.
-	li := int(s.rr.Add(1)-1) % len(s.lanes)
-	for k := 0; k < len(s.lanes); k++ {
-		select {
-		case s.lanes[(li+k)%len(s.lanes)].queue <- req:
-			s.m.Accepted.Add(1)
-			s.cfg.Trace.Counter("serve.inflight", s.m.InFlight.Add(1))
-			if d := int64(s.queueLen()); d > s.m.QueueMax.Load() {
-				s.m.QueueMax.Store(d) // racy max: close enough for a gauge
-			}
-			return true
-		default:
+	select {
+	case s.queue <- req:
+		s.m.Accepted.Add(1)
+		s.cfg.Trace.Counter("serve.inflight", s.m.InFlight.Add(1))
+		if d := int64(len(s.queue)); d > s.m.QueueMax.Load() {
+			s.m.QueueMax.Store(d) // racy max: close enough for a gauge
 		}
+		return true
+	default:
 	}
-	// Every lane full: typed overload rejection, never a block and
-	// never silence. The client reads this as backpressure.
+	// Queue full: typed overload rejection, never a block and never
+	// silence. The client reads this as backpressure.
 	s.acc.Gate.Leave()
 	s.putRequest(req)
 	s.m.RejectedOverload.Add(1)
@@ -494,28 +418,33 @@ func (s *Server[T]) healthText() string {
 	// NTP-style offset estimate the router keeps per replica (probe
 	// RTT midpoint vs reported remote time). Unknown keys are ignored
 	// by older parsers, so the health line stays forward-compatible.
-	return fmt.Sprintf("%s n=%d dim=%d elem=%s metric=%s lanes=%d inflight=%d queue=%d/%d mode=%s gen=%d now=%d\n",
-		state, len(sn.data), s.dim, s.elem, s.src.Metric, len(s.lanes),
-		s.m.InFlight.Load(), s.queueLen(), s.m.QueueCap, mode, sn.gen, time.Now().UnixNano())
+	return fmt.Sprintf("%s n=%d dim=%d elem=%s metric=%s workers=%d inflight=%d queue=%d/%d mode=%s gen=%d now=%d\n",
+		state, len(sn.data), s.dim, s.elem, s.src.Metric, s.cfg.Workers,
+		s.m.InFlight.Load(), len(s.queue), s.m.QueueCap, mode, sn.gen, time.Now().UnixNano())
 }
 
 // Shutdown gracefully drains the server (the SIGTERM path): stop
 // accepting connections, reject new queries with SStatusDraining,
 // wait until every admitted query has been answered, then stop the
-// scheduler and close all connections. Zero admitted requests are
-// dropped. ctx bounds the wait; on expiry the server stops hard and
-// ctx.Err() is returned.
+// workers and close all connections. Zero admitted requests are
+// dropped. ctx bounds the wait; on expiry the server stops hard —
+// queries a worker holds finish, queries still queued are answered
+// SStatusDraining — and ctx.Err() is returned.
 func (s *Server[T]) Shutdown(ctx context.Context) error {
 	var err error
 	s.shutOnce.Do(func() {
 		err = s.acc.Drain(ctx)
 
-		// The lane queues are empty now (or we gave up waiting): stop
-		// the lane loops, then their worker pools.
+		// The queue is empty now, or we gave up waiting: stop the
+		// workers, then answer whatever they left queued, so every
+		// admitted request still gets its one reply and leaves the gate.
 		close(s.stop)
 		s.loopWG.Wait()
-		for _, ln := range s.lanes {
-			ln.pool.Shutdown()
+		for len(s.queue) > 0 {
+			r := <-s.queue
+			r.res = msg.SResult{ID: r.id, Status: msg.SStatusDraining}
+			r.echoTrace()
+			s.finish(r)
 		}
 		// Stop the refiner (if any). New mutations were already being
 		// rejected with SStatusDraining once the gate flipped; a

@@ -23,7 +23,7 @@ func TestServeRequestTracing(t *testing.T) {
 	track := tr.Track("serve", 0)
 
 	s, err := New(src, Config{
-		L: 10, QueueDepth: 256, BatchMax: 8, Lanes: 2, Workers: 2,
+		L: 10, QueueDepth: 256, Workers: 4,
 		Trace: track,
 	})
 	if err != nil {
@@ -84,7 +84,7 @@ func TestServeTracePropagation(t *testing.T) {
 	tr := obs.NewTracer(1 << 10)
 	track := tr.Track("serve", 0)
 	s, err := New(src, Config{
-		L: 10, QueueDepth: 64, BatchMax: 4, Lanes: 1, Workers: 1,
+		L: 10, QueueDepth: 64, Workers: 1,
 		Trace: track,
 	})
 	if err != nil {
@@ -155,7 +155,7 @@ func TestServeTracePropagation(t *testing.T) {
 // JSON — the mergeable scrape the router federates.
 func TestServeMetricsOp(t *testing.T) {
 	src := testSource(t, 600, 8, 6)
-	s, err := New(src, Config{L: 10, QueueDepth: 64, Lanes: 1, Workers: 1})
+	s, err := New(src, Config{L: 10, QueueDepth: 64, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -112,11 +112,11 @@ echo "== go test -race (core with worker pools active)"
 # stage/claim/apply machinery.
 DNND_TEST_WORKERS=3 go test -race -count=1 ./internal/core/
 
-echo "== go test -race (sharded serve dispatch at a forced worker width)"
-# The lane/worker equivalence sweep re-runs with an extra forced pool
-# width, so the sharded dispatch, pooled contexts, and zero-copy reply
-# writers are raced at a geometry the default suite doesn't cover.
-DNND_TEST_WORKERS=3 go test -race -count=1 -run 'TestLaneWorkerEquivalence' ./internal/serve/
+echo "== go test -race (serve workers at a forced width)"
+# The worker equivalence sweep re-runs with an extra forced worker
+# count, so the admission queue, pooled contexts, and zero-copy reply
+# writers are raced at a width the default suite doesn't cover.
+DNND_TEST_WORKERS=3 go test -race -count=1 -run 'TestWorkerEquivalence' ./internal/serve/
 
 echo "== fuzz smoke (message codecs, bulk LE codec, shard manifest)"
 # Short native-fuzz bursts over the wire-facing decoders: corpus seeds
