@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"dnnd"
-	"dnnd/internal/metric/quant"
 	"dnnd/internal/obs"
 	"dnnd/internal/serve"
 	"dnnd/internal/wire"
@@ -34,7 +33,6 @@ func main() {
 		drainWait   = flag.Duration("drain", 30*time.Second, "graceful-drain budget on shutdown")
 		debugAddr   = flag.String("debug-addr", "", "serve pprof + /metrics + /trace on this address")
 		traceOut    = flag.String("trace", "", "write this process's span timeline here on shutdown (Perfetto-loadable JSON; tracecheck -merge joins it with the router's)")
-		quantOn     = flag.Bool("quant", false, "score traversal candidates by quantized (uint8) code distance with an exact re-rank of the survivors (l2/sql2 only)")
 		mutableOn   = flag.Bool("mutable", false, "serve the index online-mutable: accept ingest/delete/flush ops, refine the delta in the background, and swap snapshots atomically")
 		refineEvery = flag.Int("refine-every", 256, "pending delta size that triggers a background refinement (mutable mode)")
 		refineRanks = flag.Int("refine-ranks", 0, "simulated ranks for incremental refinements (mutable mode; 0 = build default)")
@@ -49,7 +47,6 @@ func main() {
 		debugAddr:   *debugAddr,
 		traceOut:    *traceOut,
 		drainWait:   *drainWait,
-		quantOn:     *quantOn,
 		mutable:     *mutableOn,
 		refineEvery: *refineEvery,
 		refineRanks: *refineRanks,
@@ -89,7 +86,6 @@ type options struct {
 	traceOut        string
 	cfg             serve.Config
 	drainWait       time.Duration
-	quantOn         bool
 	mutable         bool
 	refineEvery     int
 	refineRanks     int
@@ -99,7 +95,7 @@ type options struct {
 // run loads the store, serves it until the daemon drains, and returns
 // the first error on the way; main reports it and exits 1.
 func run[T dnnd.Scalar](storeDir string, o options) error {
-	addr, debugAddr, cfg, drainWait, quantOn := o.addr, o.debugAddr, o.cfg, o.drainWait, o.quantOn
+	addr, debugAddr, cfg, drainWait := o.addr, o.debugAddr, o.cfg, o.drainWait
 	var (
 		ix      *dnnd.Index[T]
 		refined bool
@@ -109,9 +105,6 @@ func run[T dnnd.Scalar](storeDir string, o options) error {
 		err     error
 	)
 	if o.mutable {
-		if quantOn {
-			return fmt.Errorf("-quant and -mutable are mutually exclusive: quantized serving is frozen-only")
-		}
 		ix, pending, tombs, st, err = dnnd.LoadMutable[T](storeDir)
 		refined = st.Refined
 	} else {
@@ -127,20 +120,6 @@ func run[T dnnd.Scalar](storeDir string, o options) error {
 		Metric:  string(ix.Metric()),
 		K:       ix.K(),
 		Refined: refined,
-	}
-	if quantOn {
-		if !quant.Supported(ix.Metric()) {
-			return quant.ErrUnsupported(ix.Metric())
-		}
-		dim := 0
-		if ix.Len() > 0 {
-			dim = len(ix.Data()[0])
-		}
-		view, err := quant.NewView(ix.Data(), dim)
-		if err != nil {
-			return err
-		}
-		src.Quant = view
 	}
 	var tracer *obs.Tracer
 	if debugAddr != "" || o.traceOut != "" {

@@ -45,10 +45,9 @@ func badMetaStore(t *testing.T) string {
 // line on stderr, never a nil-pointer goroutine dump.
 func TestBadStoreExitsWithMessage(t *testing.T) {
 	for name, args := range map[string][]string{
-		"empty dir":          {"-store", t.TempDir()},
-		"bad meta":           {"-store", badMetaStore(t)},
-		"bad meta mutable":   {"-store", badMetaStore(t), "-mutable"},
-		"bad meta quantized": {"-store", badMetaStore(t), "-quant"},
+		"empty dir":        {"-store", t.TempDir()},
+		"bad meta":         {"-store", badMetaStore(t)},
+		"bad meta mutable": {"-store", badMetaStore(t), "-mutable"},
 	} {
 		cmd := exec.Command(os.Args[0], args...)
 		cmd.Env = append(os.Environ(), "DNND_SERVE_MAIN=1")

@@ -9,7 +9,6 @@ import (
 	"dnnd/internal/core"
 	"dnnd/internal/knng"
 	"dnnd/internal/metric"
-	"dnnd/internal/metric/quant"
 	"dnnd/internal/obs"
 	"dnnd/internal/rptree"
 	"dnnd/internal/search"
@@ -384,9 +383,6 @@ type Index[T Scalar] struct {
 	// forest, when non-nil, returns rp-tree entry candidates for a
 	// query (see BuildEntryForest).
 	forest func(q []T) []ID
-	// quant, when non-nil, routes queries through the quantized
-	// first-pass traversal (see EnableQuant).
-	quant *quant.View
 }
 
 // NewIndex creates a query index from a graph, its dataset, and the
@@ -443,28 +439,6 @@ func (ix *Index[T]) BuildEntryForest(trees int) error {
 	return nil
 }
 
-// EnableQuant attaches a scalar-quantized view of the dataset and
-// routes subsequent queries through quantized first-pass scoring: the
-// graph traversal ranks candidates by uint8 code distance and only the
-// over-fetched survivors get exact distances in a final re-rank —
-// cheaper per candidate at a small recall cost (none for native uint8
-// data, whose view is lossless). L2-family metrics only.
-func (ix *Index[T]) EnableQuant() error {
-	if !quant.Supported(ix.kind) {
-		return quant.ErrUnsupported(ix.kind)
-	}
-	dim := 0
-	if len(ix.data) > 0 {
-		dim = len(ix.data[0])
-	}
-	v, err := quant.NewView(ix.data, dim)
-	if err != nil {
-		return err
-	}
-	ix.quant = v
-	return nil
-}
-
 // entriesFor returns rp-tree entry candidates for q, or nil when no
 // forest is attached.
 func (ix *Index[T]) entriesFor(q []T) []ID {
@@ -499,10 +473,6 @@ func (ix *Index[T]) Len() int { return len(ix.data) }
 func (ix *Index[T]) Search(q []T, l int, epsilon float64) []Neighbor {
 	seed := ix.seed.Add(1)
 	opt := search.Options{L: l, Epsilon: epsilon, Entries: ix.entriesFor(q)}
-	if ix.quant != nil {
-		res, _ := search.QueryQuant(ix.graph, ix.data, ix.dist, ix.quant, q, opt, seed)
-		return res
-	}
 	res, _ := search.Query(ix.graph, ix.data, ix.dist, q, opt, seed)
 	return res
 }
@@ -513,10 +483,6 @@ func (ix *Index[T]) SearchBatch(queries [][]T, l int, epsilon float64, workers i
 	opt := search.Options{L: l, Epsilon: epsilon, Seed: 1}
 	if ix.forest != nil {
 		opt.EntriesFunc = func(qi int) []ID { return ix.entriesFor(queries[qi]) }
-	}
-	if ix.quant != nil {
-		res, st := search.BatchQuant(ix.graph, ix.data, ix.dist, ix.quant, queries, opt, workers)
-		return res, st.DistEvals
 	}
 	res, st := search.Batch(ix.graph, ix.data, ix.dist, queries, opt, workers)
 	return res, st.DistEvals

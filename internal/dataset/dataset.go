@@ -62,9 +62,9 @@ var Presets = []Preset{
 // Extras lists supplementary anchor presets outside Table 1. "gist"
 // is the float32-heavy anchor (the GIST1M shape: 960-dim float32
 // descriptors under L2): exact float32 distances there cost ~7.5x a
-// deep/96 evaluation, so it is where the quantized code screen pays
-// for itself — unlike bigann, whose native uint8 codes are nearly as
-// cheap to compare exactly as the 8-bit screen itself.
+// deep/96 evaluation, so it is the kernel-bound workload — the one
+// where the distance kernel, not communication, sets the build and
+// query cost.
 var Extras = []Preset{
 	{Name: "gist", Dim: 960, PaperEntries: 1_000_000, DefaultEntries: 4000, Metric: metric.L2, Elem: ElemFloat32, Clusters: 32},
 }

@@ -53,7 +53,7 @@ func TestByName(t *testing.T) {
 }
 
 // TestGistExtraPreset pins the float32-heavy anchor outside Table 1:
-// ByName must resolve it (CLIs and the quant bench depend on that), it
+// ByName must resolve it (CLIs and the benchmark depend on that), it
 // must generate valid high-dim float32 data, and it must NOT appear in
 // Presets or Small(), which are Table 1's.
 func TestGistExtraPreset(t *testing.T) {

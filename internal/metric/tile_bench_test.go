@@ -1,10 +1,9 @@
 package metric_test
 
-// Kernel-axis micro-benchmarks: the tiled (EvalTile) form and the
-// quantized code screen at the two anchor shapes (deep float32 dim 96,
+// Kernel-axis micro-benchmarks: the tiled (EvalTile) and block
+// (EvalMany) forms at the two anchor shapes (deep float32 dim 96,
 // bigann uint8 dim 128), alongside the per-pair benches in
-// metric_bench_test.go. An external test package so the quant import
-// does not cycle. The grid across dims 32-960 that the retired
+// metric_bench_test.go. The grid across dims 32-960 that the retired
 // `dnnd-bench kernels` ran is kept in results/kernels.md (historical).
 
 import (
@@ -12,7 +11,6 @@ import (
 	"testing"
 
 	"dnnd/internal/metric"
-	"dnnd/internal/metric/quant"
 )
 
 const (
@@ -122,31 +120,4 @@ func BenchmarkEvalManyGist8(b *testing.B) { benchEvalMany(b, 960, 8) }
 func BenchmarkTileSquaredL2BigANN(b *testing.B) {
 	qs, cands := benchTileU8(128)
 	benchEvalTile(b, qs, cands)
-}
-
-func benchQuantScreen[T interface{ float32 | uint8 }](b *testing.B, qs, cands [][]T, view *quant.View) {
-	var scratch []uint8
-	pairs := int64(len(cands))
-	perQ := len(cands) / len(qs)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for qi, q := range qs {
-			code, _ := quant.Encode(view, q, &scratch)
-			for j := 0; j < perQ; j++ {
-				benchSink += view.ApproxL2(code, qi*perQ+j)
-			}
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(pairs*int64(b.N))/b.Elapsed().Seconds(), "pairs/s")
-}
-
-func BenchmarkQuantScreenDeep(b *testing.B) {
-	qs, cands := benchTileF32(96)
-	benchQuantScreen(b, qs, cands, quant.NewViewFloat32(cands, 96))
-}
-
-func BenchmarkQuantScreenBigANN(b *testing.B) {
-	qs, cands := benchTileU8(128)
-	benchQuantScreen(b, qs, cands, quant.NewViewUint8(cands, 128))
 }

@@ -5,18 +5,16 @@ import (
 
 	"dnnd/internal/knng"
 	"dnnd/internal/metric"
-	"dnnd/internal/metric/quant"
 	"dnnd/internal/wire"
 )
 
 // Context is the reusable per-worker scratch state of a query: the
 // epoch-marked visited set (the PR 1 construction pattern, via
 // knng.VisitSet), the frontier and result heaps, the sorted-output
-// buffer, the block-scoring scratch, a reseedable RNG, and the
-// quantized-path code scratch. A context pooled per worker makes
-// SearchCtx/SearchQuantCtx allocation-free at steady state — the dense
-// visited bitset the one-shot path used to allocate per query (~N/8
-// bytes, the serve hot path's dominant GC load) becomes a
+// buffer, the block-scoring scratch and a reseedable RNG. A context
+// pooled per worker makes SearchCtx allocation-free at steady state —
+// the dense visited bitset the one-shot path used to allocate per query
+// (~N/8 bytes, the serve hot path's dominant GC load) becomes a
 // once-per-context array cleared in O(1) by epoch bump.
 //
 // A Context is not safe for concurrent use; results returned by the
@@ -26,56 +24,31 @@ type Context[T wire.Scalar] struct {
 	visited knng.VisitSet
 	front   knng.MinQueue
 	results knng.NeighborList // traversal result heap
-	rerank  knng.NeighborList // quantized-path exact re-rank heap
 	out     []knng.Neighbor   // sorted output scratch (returned view)
-	cand    []knng.Neighbor   // quantized-path sorted-candidates scratch
 	rng     rng               // seeded per query by the entry points (see rng.go)
-	code    []uint8           // quantized query-code scratch
 
 	// One block of candidates: their IDs, rows and distances.
 	ids   []knng.ID
 	rows  [][]T
 	dists []float32
 
-	// Per-query state read by the pre-bound score closures. Binding the
-	// closures once at construction (over these mutable fields) is what
-	// keeps the traversal's score oracle off the per-query heap.
-	q     []T
-	data  [][]T
-	kern  metric.Kernel[T]
-	view  *quant.View
-	qcode []uint8
-	st    Stats
-
-	scoreExact  func(ids []knng.ID, out []float32)
-	scoreApprox func(ids []knng.ID, out []float32)
+	// Per-query state read by scoreBlock.
+	q    []T
+	data [][]T
+	kern metric.Kernel[T]
+	st   Stats
 }
 
 // NewContext returns an empty context; its buffers grow on first use
 // and are retained across queries.
 func NewContext[T wire.Scalar]() *Context[T] {
-	sc := &Context[T]{}
-	sc.scoreExact = func(ids []knng.ID, out []float32) {
-		sc.st.DistEvals += int64(len(ids))
-		rows := sc.rows[:0]
-		for _, id := range ids {
-			rows = append(rows, sc.data[id])
-		}
-		sc.rows = rows
-		sc.kern.EvalMany(sc.q, rows, nil, out)
-	}
-	sc.scoreApprox = func(ids []knng.ID, out []float32) {
-		sc.st.ApproxEvals += int64(len(ids))
-		for i, id := range ids {
-			out[i] = sc.view.ApproxL2(sc.qcode, int(id))
-		}
-	}
-	return sc
+	return &Context[T]{}
 }
 
-// scoreBlock scores ids with score into the context's distance scratch
-// and returns the distances, aligned with ids.
-func (sc *Context[T]) scoreBlock(score func(ids []knng.ID, out []float32), ids []knng.ID) []float32 {
+// scoreBlock computes the exact distances from the query to ids into
+// the context's distance scratch, counts them, and returns them
+// aligned with ids.
+func (sc *Context[T]) scoreBlock(ids []knng.ID) []float32 {
 	if len(ids) == 0 {
 		return nil
 	}
@@ -83,7 +56,13 @@ func (sc *Context[T]) scoreBlock(score func(ids []knng.ID, out []float32), ids [
 		sc.dists = make([]float32, 2*len(ids))
 	}
 	out := sc.dists[:len(ids)]
-	score(ids, out)
+	sc.st.DistEvals += int64(len(ids))
+	rows := sc.rows[:0]
+	for _, id := range ids {
+		rows = append(rows, sc.data[id])
+	}
+	sc.rows = rows
+	sc.kern.EvalMany(sc.q, rows, nil, out)
 	return out
 }
 
@@ -96,15 +75,8 @@ func SearchCtx[T wire.Scalar](sc *Context[T], g *knng.Graph, data [][]T, dist me
 	return searchOn(sc, g, data, dist, q, opt)
 }
 
-// SearchQuantCtx is QueryQuant on pooled scratch, with the same
-// aliasing contract as SearchCtx.
-func SearchQuantCtx[T wire.Scalar](sc *Context[T], g *knng.Graph, data [][]T, dist metric.Func[T], view *quant.View, q []T, opt Options, seed int64) ([]knng.Neighbor, Stats) {
-	sc.rng.seed(seed)
-	return quantOn(sc, g, data, dist, view, q, opt)
-}
-
-// searchOn runs the exact query on sc's scratch; the caller has
-// already seeded sc.rng for this query.
+// searchOn runs the query on sc's scratch; the caller has already
+// seeded sc.rng for this query.
 func searchOn[T wire.Scalar](sc *Context[T], g *knng.Graph, data [][]T, dist metric.Func[T], q []T, opt Options) ([]knng.Neighbor, Stats) {
 	n := g.NumVertices()
 	if n == 0 || opt.L < 1 {
@@ -112,47 +84,15 @@ func searchOn[T wire.Scalar](sc *Context[T], g *knng.Graph, data [][]T, dist met
 	}
 	sc.st = Stats{}
 	sc.q, sc.data, sc.kern = q, data, metric.KernelOf(dist)
-	results := traverse(sc, g, sc.scoreExact, opt.L, opt)
+	results := traverse(sc, g, opt)
 	sc.out = results.SortedInto(sc.out)
-	return sc.out, sc.st
-}
-
-// quantOn runs the quantized-first-pass query on sc's scratch: code
-// distances order the traversal at quantOverFetch*L width, then the
-// survivors get exact distances in a re-rank, exactly as QueryQuant.
-func quantOn[T wire.Scalar](sc *Context[T], g *knng.Graph, data [][]T, dist metric.Func[T], view *quant.View, q []T, opt Options) ([]knng.Neighbor, Stats) {
-	n := g.NumVertices()
-	if n == 0 || opt.L < 1 {
-		return nil, Stats{}
-	}
-	sc.st = Stats{}
-	sc.q, sc.data, sc.kern, sc.view = q, data, metric.KernelOf(dist), view
-	sc.qcode, _ = quant.Encode(view, q, &sc.code)
-	cands := traverse(sc, g, sc.scoreApprox, quantOverFetch*opt.L, opt)
-
-	l := opt.L
-	if l > n {
-		l = n
-	}
-	rerank := &sc.rerank
-	rerank.Reset(l)
-	sc.cand = cands.SortedInto(sc.cand)
-	ids := sc.ids[:0]
-	for _, e := range sc.cand {
-		ids = append(ids, e.ID)
-	}
-	sc.ids = ids
-	for i, d := range sc.scoreBlock(sc.scoreExact, ids) {
-		rerank.Update(ids[i], d, false)
-	}
-	sc.out = rerank.SortedInto(sc.out)
 	return sc.out, sc.st
 }
 
 // Package-level context pools backing the thin one-shot wrappers
 // (Query, Batch, ...): one pool per scalar instantiation, so repeated
 // one-shot calls reuse scratch instead of re-allocating the visited
-// set. Long-lived callers (the serve lanes) hold their own contexts.
+// set. Long-lived callers (the serve workers) hold their own contexts.
 var ctxPools [3]sync.Pool
 
 func ctxPool[T wire.Scalar]() *sync.Pool {
@@ -177,7 +117,7 @@ func getCtx[T wire.Scalar]() *Context[T] {
 func putCtx[T wire.Scalar](sc *Context[T]) {
 	// Drop dataset references so a pooled context does not pin a store
 	// the caller has released.
-	sc.q, sc.data, sc.kern, sc.view, sc.qcode = nil, nil, metric.Kernel[T]{}, nil, nil
+	sc.q, sc.data, sc.kern = nil, nil, metric.Kernel[T]{}
 	clear(sc.rows[:cap(sc.rows)])
 	ctxPool[T]().Put(sc)
 }

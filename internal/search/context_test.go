@@ -10,7 +10,6 @@ import (
 	"dnnd/internal/brute"
 	"dnnd/internal/knng"
 	"dnnd/internal/metric"
-	"dnnd/internal/metric/quant"
 )
 
 func ctxTestData(n, dim int, seed int64) [][]float32 {
@@ -33,7 +32,6 @@ func ctxTestData(n, dim int, seed int64) [][]float32 {
 func TestSearchCtxMatchesQuery(t *testing.T) {
 	data := ctxTestData(600, 12, 41)
 	g := brute.KNNGraph(data, 8, metric.L2Float32, 0)
-	view := quant.NewViewFloat32(data, 12)
 	sc := NewContext[float32]()
 	opt := Options{L: 10, Epsilon: 0.25}
 	queries := ctxTestData(64, 12, 43)
@@ -47,42 +45,30 @@ func TestSearchCtxMatchesQuery(t *testing.T) {
 		if wantSt != gotSt {
 			t.Fatalf("query %d: stats diverged: ctx=%+v query=%+v", qi, gotSt, wantSt)
 		}
-		wantQ, wantQSt := QueryQuant(g, data, metric.L2Float32, view, q, opt, seed)
-		gotQ, gotQSt := SearchQuantCtx(sc, g, data, metric.L2Float32, view, q, opt, seed)
-		if !reflect.DeepEqual(wantQ, []knng.Neighbor(gotQ)) {
-			t.Fatalf("query %d: SearchQuantCtx diverged from QueryQuant", qi)
-		}
-		if wantQSt != gotQSt {
-			t.Fatalf("query %d: quant stats diverged: ctx=%+v query=%+v", qi, gotQSt, wantQSt)
-		}
 	}
 }
 
 // Batch results must be identical at every worker width — per-query
 // seeding makes the claim order irrelevant. Every width (0 = GOMAXPROCS,
 // and one wider than the query count) is checked against one-at-a-time
-// Query / QueryQuant calls at each query's derived seed, for the exact,
-// quantized and EntriesFunc-seeded batches.
+// Query calls at each query's derived seed, for the exact and
+// EntriesFunc-seeded batches.
 func TestBatchWidthInvariant(t *testing.T) {
 	data := ctxTestData(500, 10, 51)
 	g := brute.KNNGraph(data, 8, metric.L2Float32, 0)
-	view := quant.NewViewFloat32(data, 10)
 	queries := ctxTestData(40, 10, 53)
 	opt := Options{L: 8, Epsilon: 0.2, Seed: 12}
 	entries := func(qi int) []knng.ID { return []knng.ID{knng.ID(qi * 7), knng.ID(qi*7 + 3)} }
 	eopt := opt
 	eopt.EntriesFunc = entries
 
-	var want, wantQ, wantE [][]knng.Neighbor
-	var wantSt, wantQSt, wantESt Stats
+	var want, wantE [][]knng.Neighbor
+	var wantSt, wantESt Stats
 	for qi, q := range queries {
 		seed := opt.Seed*1_000_003 + int64(qi)
 		ns, st := Query(g, data, metric.L2Float32, q, opt, seed)
 		want = append(want, ns)
 		wantSt.add(st)
-		ns, st = QueryQuant(g, data, metric.L2Float32, view, q, opt, seed)
-		wantQ = append(wantQ, ns)
-		wantQSt.add(st)
 		qopt := opt
 		qopt.Entries = entries(qi)
 		ns, st = Query(g, data, metric.L2Float32, q, qopt, seed)
@@ -102,8 +88,6 @@ func TestBatchWidthInvariant(t *testing.T) {
 		}
 		got, st := Batch(g, data, metric.L2Float32, queries, opt, workers)
 		check("Batch", got, want, st, wantSt)
-		got, st = BatchQuant(g, data, metric.L2Float32, view, queries, opt, workers)
-		check("BatchQuant", got, wantQ, st, wantQSt)
 		got, st = Batch(g, data, metric.L2Float32, queries, eopt, workers)
 		check("Batch+EntriesFunc", got, wantE, st, wantESt)
 	}
@@ -114,17 +98,12 @@ func TestBatchWidthInvariant(t *testing.T) {
 func TestBatchEmptyAndSingle(t *testing.T) {
 	data := ctxTestData(300, 8, 57)
 	g := brute.KNNGraph(data, 6, metric.L2Float32, 0)
-	view := quant.NewViewFloat32(data, 8)
 	opt := Options{L: 5, Epsilon: 0.1, Seed: 4}
 	before := runtime.NumGoroutine()
 	for _, workers := range []int{0, 1, 4} {
 		res, st := Batch(g, data, metric.L2Float32, nil, opt, workers)
 		if len(res) != 0 || st != (Stats{}) {
 			t.Fatalf("workers=%d: empty batch returned %d results, stats %+v", workers, len(res), st)
-		}
-		res, st = BatchQuant(g, data, metric.L2Float32, view, [][]float32{}, opt, workers)
-		if len(res) != 0 || st != (Stats{}) {
-			t.Fatalf("workers=%d: empty quant batch returned %d results, stats %+v", workers, len(res), st)
 		}
 		q := ctxTestData(1, 8, 59)
 		want, wantSt := Query(g, data, metric.L2Float32, q[0], opt, opt.Seed*1_000_003)
@@ -150,13 +129,11 @@ func TestBatchEmptyAndSingle(t *testing.T) {
 func TestSearchCtxZeroAlloc(t *testing.T) {
 	data := ctxTestData(800, 16, 61)
 	g := brute.KNNGraph(data, 8, metric.L2Float32, 0)
-	view := quant.NewViewFloat32(data, 16)
 	sc := NewContext[float32]()
 	q := data[123]
 	opt := Options{L: 10, Epsilon: 0.25}
 	// Warm up: grow every scratch buffer once.
 	SearchCtx(sc, g, data, metric.L2Float32, q, opt, 1)
-	SearchQuantCtx(sc, g, data, metric.L2Float32, view, q, opt, 1)
 
 	var seed int64
 	if avg := testing.AllocsPerRun(200, func() {
@@ -164,12 +141,6 @@ func TestSearchCtxZeroAlloc(t *testing.T) {
 		SearchCtx(sc, g, data, metric.L2Float32, q, opt, seed)
 	}); avg != 0 {
 		t.Errorf("SearchCtx allocates %.2f allocs/query at steady state, want 0", avg)
-	}
-	if avg := testing.AllocsPerRun(200, func() {
-		seed++
-		SearchQuantCtx(sc, g, data, metric.L2Float32, view, q, opt, seed)
-	}); avg != 0 {
-		t.Errorf("SearchQuantCtx allocates %.2f allocs/query at steady state, want 0", avg)
 	}
 }
 

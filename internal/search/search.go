@@ -57,11 +57,8 @@ const minSeedPoints = 16
 
 // Stats reports the cost of one query (or the sum over a batch).
 type Stats struct {
-	// DistEvals counts exact distance computations.
+	// DistEvals counts distance computations.
 	DistEvals int64
-	// ApproxEvals counts quantized code-distance computations (the
-	// QueryQuant traversal); zero on exact queries.
-	ApproxEvals int64
 	// Visited counts vertices whose neighbor lists were expanded.
 	Visited int64
 	// Truncated counts queries stopped early by Options.Interrupt or
@@ -96,12 +93,10 @@ func horizon(results *knng.NeighborList, eps1 float64) float64 {
 	return eps1 * float64(results.FarthestDist())
 }
 
-// traverse is the greedy best-first graph walk shared by the exact and
-// quantized query paths: score is the (counted) block distance oracle —
-// one of sc's pre-bound closures — and l the result-list width. All
-// working state (visited set, frontier, result heap, block scratch,
-// stats) lives on sc, so the walk allocates nothing once the context
-// has warmed up.
+// traverse is the greedy best-first graph walk of Section 3.3, keeping
+// the opt.L best vertices seen. All working state (visited set,
+// frontier, result heap, block scratch, stats) lives on sc, so the walk
+// allocates nothing once the context has warmed up.
 //
 // Distances are computed a block at a time: the seed set is one block,
 // and each expansion's unvisited neighbors are another. Which IDs a
@@ -109,8 +104,9 @@ func horizon(results *knng.NeighborList, eps1 float64) float64 {
 // collected), so scoring a block first and then applying the horizon
 // test, results.Update and front.Push candidate by candidate, in
 // collection order, is the same walk as scoring one neighbor at a time.
-func traverse[T wire.Scalar](sc *Context[T], g *knng.Graph, score func(ids []knng.ID, out []float32), l int, opt Options) *knng.NeighborList {
+func traverse[T wire.Scalar](sc *Context[T], g *knng.Graph, opt Options) *knng.NeighborList {
 	n := g.NumVertices()
+	l := opt.L
 	if l > n {
 		l = n
 	}
@@ -143,7 +139,7 @@ func traverse[T wire.Scalar](sc *Context[T], g *knng.Graph, score func(ids []knn
 			ids = append(ids, id)
 		}
 	}
-	for i, d := range sc.scoreBlock(score, ids) {
+	for i, d := range sc.scoreBlock(ids) {
 		id := ids[i]
 		if !tombs.Dead(id) {
 			results.Update(id, d, false)
@@ -175,7 +171,7 @@ func traverse[T wire.Scalar](sc *Context[T], g *knng.Graph, score func(ids []knn
 				ids = append(ids, e.ID)
 			}
 		}
-		for i, d := range sc.scoreBlock(score, ids) {
+		for i, d := range sc.scoreBlock(ids) {
 			if float64(d) < horizon(results, eps1) {
 				id := ids[i]
 				if !tombs.Dead(id) {
@@ -190,28 +186,18 @@ func traverse[T wire.Scalar](sc *Context[T], g *knng.Graph, score func(ids []knn
 }
 
 // Batch answers many queries in parallel (workers <= 0 means
-// GOMAXPROCS) and returns per-query results plus summed stats. Entry
-// points are derived deterministically from opt.Seed and the query
-// index. Results are detached copies — they never alias context
-// scratch.
+// GOMAXPROCS, capped at the query count) and returns per-query results
+// plus summed stats. Each worker reseeds its context's splitmix64
+// stream per query from opt.Seed and the query index, bit-identical to
+// the one-shot Query path at the same seed, and takes its entry points
+// from opt.EntriesFunc when set. Each worker claims query indices from
+// one shared atomic cursor and runs them on one context checked out of
+// the package pool; a claim is one atomic add and wakes no other
+// goroutine. Claim order cannot matter: each query's seed and output
+// slot depend only on its index. Results are detached copies — they
+// never alias context scratch.
 func Batch[T wire.Scalar](g *knng.Graph, data [][]T, dist metric.Func[T], queries [][]T, opt Options, workers int) ([][]knng.Neighbor, Stats) {
-	return batchCore(len(queries), opt, workers,
-		func(sc *Context[T], qi int, qopt Options) ([]knng.Neighbor, Stats) {
-			return searchOn(sc, g, data, dist, queries[qi], qopt)
-		})
-}
-
-// batchCore is the worker-pool skeleton shared by the exact and
-// quantized batch entry points: per-query RNG derivation (worker
-// contexts reseed their splitmix64 stream per query, bit-identical to
-// the one-shot Query path at the same seed) and entry-point hooks.
-// workers <= 0 means GOMAXPROCS, capped at the query count; each
-// worker claims query indices from one shared atomic cursor and runs
-// them on one context checked out of the package pool, and results are
-// copied out of the context scratch before the next claim. A claim is
-// one atomic add and wakes no other goroutine. Claim order cannot
-// matter: each query's seed and output slot depend only on its index.
-func batchCore[T wire.Scalar](nq int, opt Options, workers int, run func(sc *Context[T], qi int, qopt Options) ([]knng.Neighbor, Stats)) ([][]knng.Neighbor, Stats) {
+	nq := len(queries)
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -241,7 +227,7 @@ func batchCore[T wire.Scalar](nq int, opt Options, workers int, run func(sc *Con
 				if opt.EntriesFunc != nil {
 					qopt.Entries = opt.EntriesFunc(qi)
 				}
-				ns, st := run(sc, qi, qopt)
+				ns, st := searchOn(sc, g, data, dist, queries[qi], qopt)
 				out[qi] = append([]knng.Neighbor(nil), ns...)
 				stats[qi] = st
 			}
@@ -258,7 +244,6 @@ func batchCore[T wire.Scalar](nq int, opt Options, workers int, run func(sc *Con
 // add accumulates o into s.
 func (s *Stats) add(o Stats) {
 	s.DistEvals += o.DistEvals
-	s.ApproxEvals += o.ApproxEvals
 	s.Visited += o.Visited
 	s.Truncated += o.Truncated
 }

@@ -7,11 +7,10 @@ import (
 	"dnnd/internal/brute"
 	"dnnd/internal/knng"
 	"dnnd/internal/metric"
-	"dnnd/internal/metric/quant"
 )
 
 // TestTombstonesNeverReturned kills points near the query and checks
-// that no query path — exact, pooled-context, quantized — ever returns
+// that no query path — one-shot or pooled-context — ever returns
 // a dead ID, while live results still come back.
 func TestTombstonesNeverReturned(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -55,17 +54,6 @@ func TestTombstonesNeverReturned(t *testing.T) {
 	for i := range res {
 		if resCtx[i] != res[i] {
 			t.Fatalf("pooled context diverged at %d: %v vs %v", i, resCtx[i], res[i])
-		}
-	}
-
-	view := quant.NewViewFloat32(data, dim)
-	qres, _ := QueryQuant(g, data, metric.SquaredL2Float32, view, q, opt, 1)
-	if len(qres) == 0 {
-		t.Fatal("quant path returned nothing")
-	}
-	for _, e := range qres {
-		if tombs.Dead(e.ID) {
-			t.Fatalf("quant query returned dead ID %d", e.ID)
 		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"dnnd/internal/brute"
 	"dnnd/internal/knng"
 	"dnnd/internal/metric"
-	"dnnd/internal/metric/quant"
 )
 
 // oracleTraverse is the walk traverse replaced: every candidate is
@@ -92,33 +91,15 @@ func oracleTraverse(sc *Context[float32], g *knng.Graph, score func(knng.ID) flo
 	return results
 }
 
-// oracleQuery answers an exact (view == nil) or quantized query one
-// candidate at a time, re-ranking the quantized survivors pair by pair.
-func oracleQuery(g *knng.Graph, data [][]float32, dist metric.Func[float32], view *quant.View, q []float32, opt Options, seed int64) ([]knng.Neighbor, Stats) {
+// oracleQuery answers a query one candidate at a time.
+func oracleQuery(g *knng.Graph, data [][]float32, dist metric.Func[float32], q []float32, opt Options, seed int64) ([]knng.Neighbor, Stats) {
 	sc := NewContext[float32]()
 	sc.rng.seed(seed)
 	exact := func(id knng.ID) float32 {
 		sc.st.DistEvals++
 		return dist(q, data[id])
 	}
-	if view == nil {
-		return oracleTraverse(sc, g, exact, opt.L, opt).SortedInto(nil), sc.st
-	}
-	code, _ := quant.Encode(view, q, &sc.code)
-	approx := func(id knng.ID) float32 {
-		sc.st.ApproxEvals++
-		return view.ApproxL2(code, int(id))
-	}
-	cands := oracleTraverse(sc, g, approx, quantOverFetch*opt.L, opt).SortedInto(nil)
-	l := opt.L
-	if l > g.NumVertices() {
-		l = g.NumVertices()
-	}
-	sc.rerank.Reset(l)
-	for _, e := range cands {
-		sc.rerank.Update(e.ID, exact(e.ID), false)
-	}
-	return sc.rerank.SortedInto(nil), sc.st
+	return oracleTraverse(sc, g, exact, opt.L, opt).SortedInto(nil), sc.st
 }
 
 // stopAfter returns an Interrupt that fires on its (k+1)-th poll, so a
@@ -133,12 +114,12 @@ func stopAfter(k int) func() bool {
 }
 
 // TestTraverseMatchesOneAtATimeOracle runs the block-scored traversal
-// and the oracle side by side over seeds 1-50: exact and quantized
-// queries, with tombstones, with caller entry points (including
+// and the oracle side by side over seeds 1-50: plain queries, with
+// tombstones, with caller entry points (including
 // out-of-range and repeated ones), under an expired deadline and
 // interrupted mid-walk. Results and Stats must be identical.
 func TestTraverseMatchesOneAtATimeOracle(t *testing.T) {
-	sc := NewContext[float32]() // reused across every query, as a serve lane does
+	sc := NewContext[float32]() // reused across every query, as a serve worker does
 	for seed := int64(1); seed <= 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n, dim := 150+rng.Intn(300), 1+rng.Intn(40)
@@ -151,7 +132,6 @@ func TestTraverseMatchesOneAtATimeOracle(t *testing.T) {
 		if seed%3 == 0 {
 			g.Optimize(6, 1.5)
 		}
-		view := quant.NewViewFloat32(data, dim)
 		tombs := knng.NewTombSet(n)
 		for i := 0; i < n/8; i++ {
 			tombs.Kill(knng.ID(rng.Intn(n)))
@@ -187,25 +167,17 @@ func TestTraverseMatchesOneAtATimeOracle(t *testing.T) {
 				}
 				return o
 			}
-			for _, v := range []*quant.View{nil, view} {
-				want, wantSt := oracleQuery(g, data, dist, v, q, opt(), seed)
-				var got []knng.Neighbor
-				var gotSt Stats
-				if v == nil {
-					got, gotSt = SearchCtx(sc, g, data, dist, q, opt(), seed)
-				} else {
-					got, gotSt = SearchQuantCtx(sc, g, data, dist, v, q, opt(), seed)
-				}
-				if len(got) == 0 {
-					got = nil
-				}
-				if !reflect.DeepEqual(want, got) || wantSt != gotSt {
-					t.Fatalf("seed %d %s quant=%v: block walk diverged from oracle\nblock  = %v %+v\noracle = %v %+v",
-						seed, c.name, v != nil, got, gotSt, want, wantSt)
-				}
-				if c.deadline && wantSt.Truncated != 1 {
-					t.Fatalf("seed %d: expired deadline did not truncate", seed)
-				}
+			want, wantSt := oracleQuery(g, data, dist, q, opt(), seed)
+			got, gotSt := SearchCtx(sc, g, data, dist, q, opt(), seed)
+			if len(got) == 0 {
+				got = nil
+			}
+			if !reflect.DeepEqual(want, got) || wantSt != gotSt {
+				t.Fatalf("seed %d %s: block walk diverged from oracle\nblock  = %v %+v\noracle = %v %+v",
+					seed, c.name, got, gotSt, want, wantSt)
+			}
+			if c.deadline && wantSt.Truncated != 1 {
+				t.Fatalf("seed %d: expired deadline did not truncate", seed)
 			}
 		}
 	}

@@ -33,9 +33,8 @@ type Metrics struct {
 	WriteErrors       atomic.Int64 // replies lost to dead client connections
 
 	// Work counters.
-	DistEvals   atomic.Int64
-	ApproxEvals atomic.Int64 // quantized code-distance evaluations
-	WarmServed  atomic.Int64 // queries that used the warm entry cache
+	DistEvals  atomic.Int64
+	WarmServed atomic.Int64 // queries that used the warm entry cache
 
 	// Endpoint counters (non-query ops).
 	Hellos, StatsDumps, HealthProbes atomic.Int64
@@ -104,7 +103,6 @@ func (m *Metrics) Registry() *obs.Registry {
 		r.Sample("dnnd_serve_completed_total", m.Completed.Load)
 		r.Sample("dnnd_serve_write_errors_total", m.WriteErrors.Load)
 		r.Sample("dnnd_serve_dist_evals_total", m.DistEvals.Load)
-		r.Sample("dnnd_serve_approx_evals_total", m.ApproxEvals.Load)
 		r.Sample("dnnd_serve_warm_served_total", m.WarmServed.Load)
 		r.Sample("dnnd_serve_hello_total", m.Hellos.Load)
 		r.Sample("dnnd_serve_stats_total", m.StatsDumps.Load)

@@ -101,17 +101,13 @@ type mutable[T wire.Scalar] struct {
 
 // EnableMutation switches the server from frozen to mutable serving.
 // Call it after New and before Serve; the refiner goroutine starts
-// immediately and Shutdown stops it. Quantized sources stay
-// frozen-only (the code view is built over a fixed dataset).
+// immediately and Shutdown stops it.
 func (s *Server[T]) EnableMutation(cfg MutableConfig[T]) error {
 	if s.mut != nil {
 		return errors.New("serve: mutation already enabled")
 	}
 	if cfg.Refine == nil {
 		return errors.New("serve: MutableConfig needs a Refine function")
-	}
-	if s.src.Quant != nil {
-		return errors.New("serve: quantized serving is frozen-only")
 	}
 	cfg = cfg.withDefaults()
 

@@ -97,15 +97,8 @@ func (s *Server[T]) runOne(sc *search.Context[T], r *request[T], warmSnap []knng
 			s.m.WarmServed.Add(1)
 		}
 	}
-	var ns []knng.Neighbor
-	var st search.Stats
-	if sn.quant != nil {
-		ns, st = search.SearchQuantCtx(sc, sn.graph, sn.data, s.src.Dist, sn.quant, r.vec, opt, r.seed)
-	} else {
-		ns, st = search.SearchCtx(sc, sn.graph, sn.data, s.src.Dist, r.vec, opt, r.seed)
-	}
+	ns, st := search.SearchCtx(sc, sn.graph, sn.data, s.src.Dist, r.vec, opt, r.seed)
 	s.m.DistEvals.Add(st.DistEvals)
-	s.m.ApproxEvals.Add(st.ApproxEvals)
 	status := msg.SStatusOK
 	if st.Truncated > 0 {
 		status = msg.SStatusPartial

@@ -199,7 +199,7 @@ func TestAdmissionRejections(t *testing.T) {
 		acc:  NewAcceptor(0, nil, nil),
 		stop: make(chan struct{}),
 	}
-	s.cur.Store(&snapshot[float32]{graph: src.Graph, data: src.Data, quant: src.Quant})
+	s.cur.Store(&snapshot[float32]{graph: src.Graph, data: src.Data})
 	// A depth-1 queue and no worker running: a full queue stays full,
 	// so every admission outcome below is forced.
 	s.queue = make(chan *request[float32], 1)

@@ -13,7 +13,6 @@ import (
 
 	"dnnd/internal/knng"
 	"dnnd/internal/metric"
-	"dnnd/internal/metric/quant"
 	"dnnd/internal/msg"
 	"dnnd/internal/obs"
 	"dnnd/internal/wire"
@@ -30,11 +29,6 @@ type Source[T wire.Scalar] struct {
 	Metric  string
 	K       int
 	Refined bool
-	// Quant, when non-nil, routes queries through the quantized
-	// first-pass traversal (code-distance scoring + exact re-rank of
-	// the over-fetched candidates; see search.QueryQuant). Build one
-	// with quant.NewView over Data. L2-family metrics only.
-	Quant *quant.View
 }
 
 // Config tunes the request scheduler. The zero value of every field
@@ -116,7 +110,6 @@ type snapshot[T wire.Scalar] struct {
 	graph *knng.Graph
 	data  [][]T
 	tombs *knng.TombSet // nil on frozen (immutable) servers
-	quant *quant.View
 	gen   uint64
 }
 
@@ -192,7 +185,7 @@ func New[T wire.Scalar](src Source[T], cfg Config) (*Server[T], error) {
 		stop: make(chan struct{}),
 	}
 	s.acc = NewAcceptor(cfg.WriteTimeout, &s.m.Conns, &s.m.ConnsTotal)
-	s.cur.Store(&snapshot[T]{graph: src.Graph, data: src.Data, quant: src.Quant})
+	s.cur.Store(&snapshot[T]{graph: src.Graph, data: src.Data})
 	s.queue = make(chan *request[T], cfg.QueueDepth)
 	s.m.QueueCap = cfg.QueueDepth
 	s.m.QueueDepth = func() int { return len(s.queue) }

@@ -19,6 +19,10 @@ go vet ./...
 echo "== go build"
 go build ./...
 
+echo "== size (informational, not a gate)"
+# Non-test Go lines outside benchmark/, the count ROADMAP item 8 tracks.
+echo "non-test Go lines: $(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l)"
+
 echo "== cross-architecture (portable kernels, no fused float products)"
 # The float32 L2 sweep is SSE2 assembly on amd64 and pure Go elsewhere;
 # vet and build the other side so it cannot rot. arm64 fuses x*y+z into
@@ -85,7 +89,7 @@ echo "== go test -race (warm builds: seeding search ahead of the worker ring, re
 go test -race -count=3 -run 'TestRefresh|TestExtend' .
 
 echo "== go test -race (online serving: server + loadgen in-process)"
-# The serve e2e suite runs the whole subsystem — admission, batching,
+# The serve e2e suite runs the whole subsystem — admission, workers,
 # drain, loadgen — in-process on loopback; the race detector watches
 # the scheduler, the connection writers, and the metrics.
 go test -race -count=1 ./internal/serve/ ./internal/bootstrap/
@@ -128,7 +132,6 @@ go test -run='^$' -fuzz='^FuzzServeMessages$' -fuzztime=2s ./internal/msg/
 go test -run='^$' -fuzz='^FuzzRouterMessages$' -fuzztime=2s ./internal/msg/
 go test -run='^$' -fuzz='^FuzzBulkCodec$' -fuzztime=2s ./internal/wire/
 go test -run='^$' -fuzz='^FuzzTraceDecode$' -fuzztime=2s ./internal/obs/
-go test -run='^$' -fuzz='^FuzzQuantRoundTrip$' -fuzztime=2s ./internal/metric/quant/
 
 echo "== trace smoke (3-rank traced build round-trips through the decoder)"
 # A real traced construction must emit Perfetto-loadable JSON: decode,
