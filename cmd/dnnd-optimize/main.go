@@ -22,7 +22,7 @@ import (
 func main() {
 	var (
 		storeDir = flag.String("store", "", "datastore directory (required)")
-		m        = flag.Float64("m", 1.5, "degree cap multiplier (prune to k*m)")
+		m        = flag.Float64("m", 1.5, "degree cap multiplier, >= 1 (prune to k*m)")
 		compact  = flag.Bool("compact", false, "fold a mutable store's delta + tombstones into its base (rewrites the store as a clean snapshot at the next generation)")
 		ranks    = flag.Int("ranks", 0, "simulated ranks for the compaction or shard rebuild (0 = build default)")
 		workers  = flag.Int("workers", 0, "intra-rank workers for the compaction or shard rebuild (0 = build default)")

@@ -85,7 +85,7 @@ type BuildOptions struct {
 	// (reverse-edge merge + degree pruning).
 	SkipRefine bool
 	// PruneFactor is the post-refinement degree cap multiplier m
-	// (default 1.5).
+	// (default 1.5); it must be >= 1.
 	PruneFactor float64
 	// Seed makes sampling reproducible (default 1).
 	Seed int64
@@ -121,7 +121,7 @@ func (o BuildOptions) coreConfig() core.Config {
 		cfg.Protocol = core.Unoptimized()
 	}
 	cfg.Optimize = !o.SkipRefine
-	if o.PruneFactor >= 1 {
+	if o.PruneFactor != 0 {
 		cfg.PruneFactor = o.PruneFactor
 	}
 	if o.Seed != 0 {

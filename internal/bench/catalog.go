@@ -7,7 +7,6 @@ import (
 
 	"dnnd/internal/core"
 	"dnnd/internal/dataset"
-	"dnnd/internal/engine"
 	"dnnd/internal/metric"
 	"dnnd/internal/obs"
 	"dnnd/internal/ygm"
@@ -41,7 +40,7 @@ func MessageCatalog(opt Options) ([]CatalogRow, error) {
 
 	world := ygm.NewLocalWorld(ranks)
 	var mu sync.Mutex
-	var perMessage []engine.MessageStat
+	var perMessage []core.MessageStat
 	err = world.Run(func(c *ygm.Comm) error {
 		shard := core.Partition(d.F32, c.Rank(), c.NRanks())
 		cfg := opt.coreConfig(k)

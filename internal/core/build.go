@@ -4,14 +4,13 @@ import (
 	"fmt"
 	"math/rand"
 
-	"dnnd/internal/engine"
 	"dnnd/internal/knng"
 	"dnnd/internal/metric"
 	"dnnd/internal/wire"
 	"dnnd/internal/ygm"
 )
 
-// The construction is organized as engine phases, one file per phase:
+// The construction is organized as phases, one file per phase:
 //
 //	phase_init.go     random initialization (Algorithm 1 lines 2-5)
 //	phase_sample.go   old/new sampling + reverse-sample union (7-16)
@@ -23,10 +22,11 @@ import (
 // seed.go is not a phase: it grows a warm build's prior over appended
 // rows by searching the prior graph, before any rank starts.
 //
-// Wire layouts live in internal/msg; batching, quiescence, worker-pool
-// ordering, and per-phase accounting live in internal/engine. This
-// file owns the builder state, the round loop, and the apply stage
-// that serializes every protocol decision onto the rank goroutine.
+// Wire layouts live in internal/msg. phase.go holds the Section 4.4
+// batched emit loop, the per-phase clock and the message catalog;
+// workpool.go holds the stage/claim/apply ring. This file owns the
+// builder state, the round loop, and the apply stage that serializes
+// every protocol decision onto the rank goroutine.
 
 type builder[T wire.Scalar] struct {
 	c     *ygm.Comm
@@ -35,11 +35,12 @@ type builder[T wire.Scalar] struct {
 	shard *Shard[T]
 	rng   *rand.Rand
 
-	eng *engine.Engine
 	// Phases in execution order; handler names are qualified by them
-	// (e.g. "nd.check.type2").
-	phInit, phSample, phReverse *engine.Phase
-	phChecks, phOpt, phGather   *engine.Phase
+	// (e.g. "nd.check.type2"), and catalog lists every handler they
+	// registered, in registration order.
+	phInit, phSample, phReverse *phase
+	phChecks, phOpt, phGather   *phase
+	catalog                     []MessageStat
 
 	lists []knng.NeighborList // parallel to shard.IDs, one contiguous slab
 
@@ -92,7 +93,7 @@ type builder[T wire.Scalar] struct {
 
 	// pool is the intra-rank worker pool; handlers stage onto it and it
 	// applies effects in submission order on this rank's goroutine.
-	pool *engine.Pool[T]
+	pool *workpool[T]
 
 	gatherInto *knng.Graph // set on the gather root
 	warm       *knng.Graph // prior graph for warm-started builds
@@ -176,7 +177,6 @@ func BuildIncrementalKernel[T wire.Scalar](c *ygm.Comm, shard *Shard[T], kern me
 		replyW: wire.NewWriter(256),
 		r:      wire.NewReader(nil),
 	}
-	b.eng = engine.New(c, cfg.BatchSize)
 	b.register()
 
 	b.lists = knng.MakeNeighborLists(shard.Len(), cfg.K)
@@ -193,21 +193,27 @@ func BuildIncrementalKernel[T wire.Scalar](c *ygm.Comm, shard *Shard[T], kern me
 	// The worker pool exists at every width (including 1): the ring's
 	// stage/apply discipline is part of the message interleaving, so
 	// running it unconditionally is what makes results independent of
-	// the worker count. The local-work hook keeps ygm quiescence honest
-	// while staged tasks still owe replies; it is detached before the
-	// pool stops.
-	b.pool = newWorkpool(b, resolveWorkers(cfg.Workers, c.NRanks()))
-	c.SetLocalWork(b.pool.RunHook, b.pool.PendingHook)
+	// the worker count. Distance batches evaluate through the metric
+	// kernel (bit-identical on every path by the metric.Kernel
+	// contract) and effects land through b.applyTask. The local-work
+	// hook keeps ygm quiescence honest while staged tasks still owe
+	// replies; it is detached before the pool stops.
+	dim := 0
+	if len(shard.Vecs) > 0 {
+		dim = len(shard.Vecs[0])
+	}
+	b.pool = newWorkpool(resolveWorkers(cfg.Workers, c.NRanks()), dim, kern.EvalMany, b.applyTask, c.Trace())
+	c.SetLocalWork(b.pool.runHook, b.pool.pendingHook)
 	defer func() {
 		c.SetLocalWork(nil, nil)
-		b.pool.Shutdown()
+		b.pool.shutdown()
 	}()
 
 	b.warm = prior
 	b.dead = dead
 	b.byReference()
 
-	res := &Result{K: cfg.K, N: shard.N, Workers: b.pool.Workers()}
+	res := &Result{K: cfg.K, N: shard.N, Workers: b.pool.workers}
 
 	b.initGraph()
 
@@ -296,22 +302,22 @@ func (b *builder[T]) finalList(i int) []knng.Neighbor {
 // phase-qualified name. The order is part of the wire protocol: every
 // rank must produce the same HandlerIDs.
 func (b *builder[T]) register() {
-	b.phInit = b.eng.Phase("nd.init")
-	b.phSample = b.eng.Phase("nd.sample")
-	b.phReverse = b.eng.Phase("nd.reverse")
-	b.phChecks = b.eng.Phase("nd.check")
-	b.phOpt = b.eng.Phase("nd.opt")
-	b.phGather = b.eng.Phase("nd.gather")
+	b.phInit = b.newPhase("nd.init")
+	b.phSample = b.newPhase("nd.sample")
+	b.phReverse = b.newPhase("nd.reverse")
+	b.phChecks = b.newPhase("nd.check")
+	b.phOpt = b.newPhase("nd.opt")
+	b.phGather = b.newPhase("nd.gather")
 
-	b.hInitReq = b.phInit.Register("req", func(c *ygm.Comm, from int, p []byte) { b.onInitReq(p) })
-	b.hInitResp = b.phInit.Register("resp", func(c *ygm.Comm, from int, p []byte) { b.onInitResp(p) })
-	b.hRevOld = b.phReverse.Register("old", func(c *ygm.Comm, from int, p []byte) { b.onReverse(p, true) })
-	b.hRevNew = b.phReverse.Register("new", func(c *ygm.Comm, from int, p []byte) { b.onReverse(p, false) })
-	b.hType1 = b.phChecks.Register("type1", func(c *ygm.Comm, from int, p []byte) { b.onType1(p) })
-	b.hType2 = b.phChecks.Register("type2", func(c *ygm.Comm, from int, p []byte) { b.onType2(p) })
-	b.hType3 = b.phChecks.Register("type3", func(c *ygm.Comm, from int, p []byte) { b.onType3(p) })
-	b.hOptEdge = b.phOpt.Register("edge", func(c *ygm.Comm, from int, p []byte) { b.onOptEdge(p) })
-	b.hGather = b.phGather.Register("row", func(c *ygm.Comm, from int, p []byte) { b.onGather(p) })
+	b.hInitReq = b.phInit.register("req", func(c *ygm.Comm, from int, p []byte) { b.onInitReq(p) })
+	b.hInitResp = b.phInit.register("resp", func(c *ygm.Comm, from int, p []byte) { b.onInitResp(p) })
+	b.hRevOld = b.phReverse.register("old", func(c *ygm.Comm, from int, p []byte) { b.onReverse(p, true) })
+	b.hRevNew = b.phReverse.register("new", func(c *ygm.Comm, from int, p []byte) { b.onReverse(p, false) })
+	b.hType1 = b.phChecks.register("type1", func(c *ygm.Comm, from int, p []byte) { b.onType1(p) })
+	b.hType2 = b.phChecks.register("type2", func(c *ygm.Comm, from int, p []byte) { b.onType2(p) })
+	b.hType3 = b.phChecks.register("type3", func(c *ygm.Comm, from int, p []byte) { b.onType3(p) })
+	b.hOptEdge = b.phOpt.register("edge", func(c *ygm.Comm, from int, p []byte) { b.onOptEdge(p) })
+	b.hGather = b.phGather.register("row", func(c *ygm.Comm, from int, p []byte) { b.onGather(p) })
 }
 
 func (b *builder[T]) owner(id knng.ID) int { return Owner(id, b.c.NRanks()) }
@@ -330,12 +336,12 @@ func (b *builder[T]) localIndex(id knng.ID) int {
 // the same sender. The kernel's norm-precomputed batch path is used
 // when available; all paths are bit-identical by the metric.Kernel
 // contract, so the worker count cannot change any distance.
-func (b *builder[T]) stageDist(kind uint8, key knng.ID, query []T, stable bool, m engine.Cand, j int) {
+func (b *builder[T]) stageDist(kind uint8, key knng.ID, query []T, stable bool, m cand, j int) {
 	var norm float32
 	if b.norms != nil {
 		norm = b.norms[j]
 	}
-	b.pool.StageCompute(kind, key, query, stable, m, b.shard.Vecs[j], norm, b.norms != nil)
+	b.pool.stageCompute(kind, key, query, stable, m, b.shard.Vecs[j], norm, b.norms != nil)
 }
 
 // phaseWriter returns the builder's reused writer for a phase's emit
@@ -401,8 +407,8 @@ func (b *builder[T]) beginVisit() {
 // sequence the observable behavior is independent of the worker count.
 // The reused replyWriter is safe here for the same reason it is safe
 // in handlers: applies never nest.
-func (b *builder[T]) applyTask(t *engine.Task[T]) {
-	if t.Compute() {
+func (b *builder[T]) applyTask(t *task[T]) {
+	if t.compute {
 		b.distEvals += int64(len(t.Meta))
 		b.c.AddWork(float64(len(t.Query) * len(t.Meta)))
 	}
@@ -446,14 +452,14 @@ func (b *builder[T]) applyTask(t *engine.Task[T]) {
 
 // round executes one NN-Descent iteration and returns the number of
 // check pairs generated locally. Phase wall time accumulates on the
-// engine phases.
+// phases.
 func (b *builder[T]) round() int64 {
 	if cap(b.olds) < b.shard.Len() {
 		b.olds = make([][]knng.ID, b.shard.Len())
 		b.news = make([][]knng.ID, b.shard.Len())
 	}
-	b.phSample.Local(b.sampleLists)
+	b.phSample.local(b.sampleLists)
 	b.exchangeReverse()
-	b.phSample.Local(b.mergeReverseSamples)
+	b.phSample.local(b.mergeReverseSamples)
 	return b.neighborChecks()
 }

@@ -68,7 +68,7 @@ type Config struct {
 	// phase: distance evaluations staged by the message handlers are
 	// spread over this many goroutines per rank while all neighbor-list
 	// mutation, protocol decisions, and sends stay on the owning rank
-	// goroutine, applied in submission order (see engine.Pool). The
+	// goroutine, applied in submission order (see workpool.go). The
 	// result is bit-identical for every width. 0 (the default) resolves
 	// to GOMAXPROCS / nranks, clamped to at least 1, so co-located
 	// ranks share the machine instead of oversubscribing it.
@@ -78,8 +78,16 @@ type Config struct {
 	// merge and degree pruning to K*PruneFactor) to the final graph.
 	Optimize bool
 	// PruneFactor is the m in the k*m degree cap (paper default 1.5).
+	// It must be >= 1; 0 selects the default.
 	PruneFactor float64
 }
+
+// Defaults for the Config fields that Validate fills when unset.
+const (
+	defaultMaxIters    = 30
+	defaultBatchSize   = 1 << 18 // the paper's 2^25-2^29, scaled to laptop-sized runs
+	defaultPruneFactor = 1.5     // the paper's m
+)
 
 // DefaultConfig returns the paper's parameters for a given K, with the
 // batch size scaled to laptop-sized runs.
@@ -88,12 +96,12 @@ func DefaultConfig(k int) Config {
 		K:           k,
 		Rho:         0.8,
 		Delta:       0.001,
-		MaxIters:    30,
-		BatchSize:   1 << 18,
+		MaxIters:    defaultMaxIters,
+		BatchSize:   defaultBatchSize,
 		Protocol:    Optimized(),
 		Seed:        1,
 		Optimize:    true,
-		PruneFactor: 1.5,
+		PruneFactor: defaultPruneFactor,
 	}
 }
 
@@ -118,14 +126,16 @@ func (cfg *Config) Validate(n int) error {
 	if cfg.Workers < 0 {
 		return fmt.Errorf("core: Workers=%d must be >= 0", cfg.Workers)
 	}
+	if cfg.PruneFactor == 0 {
+		cfg.PruneFactor = defaultPruneFactor
+	} else if !(cfg.PruneFactor >= 1) {
+		return fmt.Errorf("core: PruneFactor=%v must be >= 1 (0 selects %v)", cfg.PruneFactor, defaultPruneFactor)
+	}
 	if cfg.MaxIters <= 0 {
-		cfg.MaxIters = 30
+		cfg.MaxIters = defaultMaxIters
 	}
 	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 1 << 18
-	}
-	if cfg.PruneFactor < 1 {
-		cfg.PruneFactor = 1.5
+		cfg.BatchSize = defaultBatchSize
 	}
 	return nil
 }

@@ -306,6 +306,8 @@ func TestConfigValidation(t *testing.T) {
 		{func(c *Config) { c.Rho = 0 }, 100},
 		{func(c *Config) { c.Rho = 1.5 }, 100},
 		{func(c *Config) { c.Delta = -1 }, 100},
+		{func(c *Config) { c.PruneFactor = 0.5 }, 100},
+		{func(c *Config) { c.PruneFactor = -1 }, 100},
 		{func(c *Config) {}, 1},
 	}
 	for i, tc := range cases {

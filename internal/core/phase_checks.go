@@ -1,7 +1,6 @@
 package core
 
 import (
-	"dnnd/internal/engine"
 	"dnnd/internal/knng"
 	"dnnd/internal/msg"
 	"dnnd/internal/wire"
@@ -65,11 +64,11 @@ func (b *builder[T]) emitChecks(it *pairIter) (u1, u2 knng.ID, ok bool) {
 
 func (b *builder[T]) neighborChecks() int64 {
 	var count int
-	b.phChecks.Local(func() { count = b.pairCount() })
+	b.phChecks.local(func() { count = b.pairCount() })
 	it := &pairIter{}
 	w := b.phaseWriter()
 	emitted := int64(0)
-	b.phChecks.Run(count, 1, func(_ int) {
+	b.phChecks.run(count, 1, func(_ int) {
 		u1, u2, ok := b.emitChecks(it)
 		if !ok {
 			return // duplicate-id pairs were skipped; fewer real pairs
@@ -100,10 +99,10 @@ func (b *builder[T]) onType1(p []byte) {
 	if r.Finish() != nil {
 		panic("core: bad type1")
 	}
-	b.pool.StageApply(taskType1, engine.Cand{A: m.U1, B: m.U2, Local: int32(b.localIndex(m.U1))})
+	b.pool.stageApply(taskType1, cand{A: m.U1, B: m.U2, Local: int32(b.localIndex(m.U1))})
 }
 
-func (b *builder[T]) applyType1(c *engine.Cand) {
+func (b *builder[T]) applyType1(c *cand) {
 	i := int(c.Local)
 	if b.cfg.Protocol.OneSided && b.cfg.Protocol.SkipRedundant && b.lists[i].Contains(c.B) {
 		return
@@ -149,10 +148,10 @@ func (b *builder[T]) onType2(p []byte) {
 		panic("core: bad type2")
 	}
 	j := b.localIndex(m.U2)
-	b.stageDist(taskType2, m.U1, m.Vec, stable, engine.Cand{A: m.U1, B: m.U2, Local: int32(j), D: m.Bound}, j)
+	b.stageDist(taskType2, m.U1, m.Vec, stable, cand{A: m.U1, B: m.U2, Local: int32(j), D: m.Bound}, j)
 }
 
-func (b *builder[T]) applyType2(c *engine.Cand, d float32) {
+func (b *builder[T]) applyType2(c *cand, d float32) {
 	j := int(c.Local)
 	if !b.cfg.Protocol.OneSided {
 		// Two-sided flow: each endpoint updates only its own list.
@@ -188,5 +187,5 @@ func (b *builder[T]) onType3(p []byte) {
 	if r.Finish() != nil {
 		panic("core: bad type3")
 	}
-	b.pool.StageApply(taskType3, engine.Cand{B: m.U2, Local: int32(b.localIndex(m.U1)), D: m.D})
+	b.pool.stageApply(taskType3, cand{B: m.U2, Local: int32(b.localIndex(m.U1)), D: m.D})
 }

@@ -10,13 +10,13 @@ import (
 
 func (b *builder[T]) gather(res *Result) {
 	const root = 0
-	b.phGather.Local(func() {
+	b.phGather.local(func() {
 		if b.c.Rank() == root {
 			b.gatherInto = knng.NewGraph(b.shard.N)
 		}
 	})
 	w := b.phaseWriter()
-	b.phGather.Run(b.shard.Len(), b.cfg.K, func(i int) {
+	b.phGather.run(b.shard.Len(), b.cfg.K, func(i int) {
 		v := b.shard.IDs[i]
 		w.Reset()
 		m := msg.GatherRow{V: v, Neighbors: res.Local[v]}

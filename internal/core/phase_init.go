@@ -1,7 +1,6 @@
 package core
 
 import (
-	"dnnd/internal/engine"
 	"dnnd/internal/knng"
 	"dnnd/internal/msg"
 )
@@ -14,7 +13,7 @@ import (
 
 func (b *builder[T]) initGraph() {
 	w := b.phaseWriter()
-	b.phInit.Run(b.shard.Len(), b.cfg.K, func(i int) {
+	b.phInit.run(b.shard.Len(), b.cfg.K, func(i int) {
 		v := b.shard.IDs[i]
 		// Incremental builds: a dead vertex keeps its prior list
 		// verbatim — no repair, no top-up, no checks. It stays in the
@@ -86,11 +85,11 @@ func (b *builder[T]) onInitReq(p []byte) {
 	if r.Finish() != nil {
 		panic("core: bad init request")
 	}
-	b.stageDist(taskInitReq, m.V, m.Vec, stable, engine.Cand{A: m.V, B: m.U}, b.localIndex(m.U))
+	b.stageDist(taskInitReq, m.V, m.Vec, stable, cand{A: m.V, B: m.U}, b.localIndex(m.U))
 }
 
 // applyInitReq sends the computed init distances back to the querier.
-func (b *builder[T]) applyInitReq(t *engine.Task[T]) {
+func (b *builder[T]) applyInitReq(t *task[T]) {
 	for i := range t.Meta {
 		c := &t.Meta[i]
 		w := b.replyWriter()
@@ -107,5 +106,5 @@ func (b *builder[T]) onInitResp(p []byte) {
 	if r.Finish() != nil {
 		panic("core: bad init response")
 	}
-	b.pool.StageApply(taskInitResp, engine.Cand{B: m.U, Local: int32(b.localIndex(m.V)), D: m.D})
+	b.pool.stageApply(taskInitResp, cand{B: m.U, Local: int32(b.localIndex(m.V)), D: m.D})
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync"
-
 	"dnnd/internal/knng"
 	"dnnd/internal/msg"
 )
@@ -13,11 +11,11 @@ import (
 // and each list is pruned to the K*PruneFactor closest entries.
 
 func (b *builder[T]) optimizeGraph() {
-	b.phOpt.Local(func() {
+	b.phOpt.local(func() {
 		b.optRows = make([][]knng.Neighbor, b.shard.Len())
 	})
 	w := b.phaseWriter()
-	b.phOpt.Run(b.shard.Len(), b.cfg.K, func(i int) {
+	b.phOpt.run(b.shard.Len(), b.cfg.K, func(i int) {
 		v := b.shard.IDs[i]
 		// Dead vertices ship no reverse edges: a live receiver must
 		// never merge a dead ID into its optimized list.
@@ -32,46 +30,36 @@ func (b *builder[T]) optimizeGraph() {
 		}
 	})
 
-	b.phOpt.Local(func() {
-		limit := int(float64(b.cfg.K) * b.cfg.PruneFactor)
-		if limit < 1 {
-			limit = 1
-		}
-		b.mergeFinal(limit)
+	b.phOpt.local(func() {
+		// Validate holds K >= 1 and PruneFactor >= 1, so limit >= 1.
+		b.mergeFinal(int(float64(b.cfg.K) * b.cfg.PruneFactor))
 		b.optRows = nil
 	})
 }
 
-// mergeFinal computes the post-optimization list of every local vertex.
-// The merge/sort/prune is per-vertex pure (reads this vertex's list and
-// reverse-edge row, writes final[i]), so it spreads over the worker
-// pool; the output is identical to the serial loop for every worker
-// count because item order never influences an item's result.
+// mergeFinal computes the post-optimization list of every local
+// vertex: a plain per-rank loop, as in the paper, where each rank is a
+// single-core process.
 func (b *builder[T]) mergeFinal(limit int) {
 	b.final = make([][]knng.Neighbor, b.shard.Len())
-	var scratch sync.Pool // per-goroutine dedupe marks (see mergeVertex)
-	scratch.New = func() any { return new(knng.VisitSet) }
-	b.pool.ParallelFor(b.shard.Len(), func(i int) {
-		b.final[i] = b.mergeVertex(i, limit, &scratch)
-	})
+	for i := range b.final {
+		b.final[i] = b.mergeVertex(i, limit)
+	}
 }
 
-// mergeVertex merges vertex i's reverse edges into its sorted list and
-// prunes to limit. It touches only per-vertex state plus the scratch
-// it checks out, so it is safe to run concurrently for distinct i.
-func (b *builder[T]) mergeVertex(i, limit int, scratch *sync.Pool) []knng.Neighbor {
+// mergeVertex merges vertex i's reverse edges into its sorted list,
+// deduplicating through the builder's visited set, and prunes to limit.
+func (b *builder[T]) mergeVertex(i, limit int) []knng.Neighbor {
 	merged := b.lists[i].Sorted()
-	sc := scratch.Get().(*knng.VisitSet)
-	sc.Begin(b.shard.N)
+	b.beginVisit()
 	for _, e := range merged {
-		sc.Mark(e.ID)
+		b.visited.Mark(e.ID)
 	}
 	for _, e := range b.optRows[i] {
-		if sc.Visit(e.ID) {
+		if b.visited.Visit(e.ID) {
 			merged = append(merged, e)
 		}
 	}
-	scratch.Put(sc)
 	knng.SortByDist(merged)
 	if len(merged) > limit {
 		merged = merged[:limit:limit]

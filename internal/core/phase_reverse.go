@@ -14,7 +14,7 @@ import (
 // bursts at one destination (Section 4.2).
 func (b *builder[T]) exchangeReverse() {
 	var order []int
-	b.phReverse.Local(func() {
+	b.phReverse.local(func() {
 		if b.oldRevRows == nil {
 			b.oldRevRows = make([][]knng.ID, b.shard.Len())
 			b.newRevRows = make([][]knng.ID, b.shard.Len())
@@ -35,7 +35,7 @@ func (b *builder[T]) exchangeReverse() {
 	})
 
 	w := b.phaseWriter()
-	b.phReverse.Run(len(order), 2*b.cfg.K, func(oi int) {
+	b.phReverse.run(len(order), 2*b.cfg.K, func(oi int) {
 		i := order[oi]
 		v := b.shard.IDs[i]
 		for _, u := range b.olds[i] {

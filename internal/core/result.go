@@ -3,7 +3,6 @@ package core
 import (
 	"time"
 
-	"dnnd/internal/engine"
 	"dnnd/internal/knng"
 )
 
@@ -70,7 +69,7 @@ type Result struct {
 	// (identical on all ranks). It carries the same counters Comm
 	// buckets, plus receive counts, keyed by name — the labels bench
 	// reports print.
-	PerMessage []engine.MessageStat
+	PerMessage []MessageStat
 	// DistEvals is the global number of distance evaluations.
 	DistEvals int64
 	// Workers is the resolved intra-rank worker-pool width on this rank
@@ -81,7 +80,7 @@ type Result struct {
 	TasksDeferred int64
 	// KernelTime is the global wall time spent inside batched distance
 	// kernels, summed over ranks and workers (sampled one task in 16
-	// and extrapolated by candidate count — see engine.Pool.KernelTime).
+	// and extrapolated by candidate count — see workpool.kernelTime).
 	// With Workers=W ideally overlapped, the offloadable share of the
 	// critical path is KernelTime/W — the measured basis for the
 	// modeled intra-rank scaling curve when the host has no spare
@@ -92,9 +91,9 @@ type Result struct {
 }
 
 // collectTotals aggregates per-handler counters over all ranks,
-// bucketing the engine's message catalog into the Figure 4 totals.
+// bucketing the message catalog into the Figure 4 totals.
 func (b *builder[T]) collectTotals(res *Result) {
-	res.PerMessage = b.eng.MessageStats()
+	res.PerMessage = b.messageStats()
 	var t MessageTotals
 	for _, ms := range res.PerMessage {
 		switch ms.Name {
@@ -121,14 +120,14 @@ func (b *builder[T]) collectTotals(res *Result) {
 	t.CheckBytes = t.Type1Bytes + t.Type2Bytes + t.Type3Bytes
 	res.Comm = t
 	res.DistEvals = b.c.AllReduceSum(b.distEvals)
-	res.TasksDeferred = b.c.AllReduceSum(b.pool.TasksStaged())
-	res.KernelTime = time.Duration(b.c.AllReduceSum(b.pool.KernelTime()))
+	res.TasksDeferred = b.c.AllReduceSum(b.pool.tasksStaged)
+	res.KernelTime = time.Duration(b.c.AllReduceSum(b.pool.kernelTime()))
 	res.Phases = PhaseTimings{
-		Init:     b.phInit.Elapsed(),
-		Sample:   b.phSample.Elapsed(),
-		Reverse:  b.phReverse.Elapsed(),
-		Checks:   b.phChecks.Elapsed(),
-		Optimize: b.phOpt.Elapsed(),
-		Gather:   b.phGather.Elapsed(),
+		Init:     b.phInit.elapsed,
+		Sample:   b.phSample.elapsed,
+		Reverse:  b.phReverse.elapsed,
+		Checks:   b.phChecks.elapsed,
+		Optimize: b.phOpt.elapsed,
+		Gather:   b.phGather.elapsed,
 	}
 }

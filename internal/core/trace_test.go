@@ -83,7 +83,7 @@ func TestTraceGolden3Rank(t *testing.T) {
 
 	spans := doc.SpanNames()
 	// Every construction phase must appear (as at least one of its
-	// .local/.run/.drain loops), plus the round envelope and the
+	// .local/.run loops), plus the round envelope and the
 	// runtime spans: barrier waits, aggregation-buffer flushes, and
 	// worker-pool ring drains.
 	for _, phase := range []string{

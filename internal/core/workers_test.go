@@ -1,11 +1,11 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"dnnd/internal/knng"
@@ -92,12 +92,11 @@ func TestWorkerPoolRingHammer(t *testing.T) {
 }
 
 // mergeTestBuilder builds a standalone builder with synthetic lists and
-// reverse-edge rows, enough state to drive mergeFinal directly.
-func mergeTestBuilder(workers int) *builder[float32] {
+// reverse-edge rows, enough state to drive mergeVertex directly.
+func mergeTestBuilder() *builder[float32] {
 	const n, k = 400, 8
 	rng := rand.New(rand.NewSource(9))
 	b := &builder[float32]{cfg: DefaultConfig(k)}
-	b.cfg.Workers = workers
 	ids := make([]knng.ID, n)
 	for i := range ids {
 		ids[i] = knng.ID(i)
@@ -116,68 +115,67 @@ func mergeTestBuilder(workers int) *builder[float32] {
 			})
 		}
 	}
-	b.pool = newWorkpool(b, workers)
 	return b
 }
 
-// TestMergeFinalParallelSerialEquivalence pins the graph-optimization
-// satellite: the pooled per-vertex merge must produce exactly the lists
-// the serial loop produces.
-func TestMergeFinalParallelSerialEquivalence(t *testing.T) {
-	serial := mergeTestBuilder(1)
-	defer serial.pool.Shutdown()
-	serial.mergeFinal(12)
-
-	par := mergeTestBuilder(4)
-	defer par.pool.Shutdown()
-	par.mergeFinal(12)
-
-	if len(serial.final) != len(par.final) {
-		t.Fatalf("final sizes differ: %d vs %d", len(serial.final), len(par.final))
-	}
-	for i := range serial.final {
-		if !reflect.DeepEqual(serial.final[i], par.final[i]) {
-			t.Fatalf("vertex %d merged list differs:\nserial   = %+v\nparallel = %+v",
-				i, serial.final[i], par.final[i])
-		}
-	}
-}
-
-// TestParallelForCoversAllItems checks the chunk-claiming loop: every
-// index runs exactly once, for sizes around the chunk boundaries.
-func TestParallelForCoversAllItems(t *testing.T) {
-	b := mergeTestBuilder(4)
-	defer b.pool.Shutdown()
-	for _, n := range []int{0, 1, 15, 16, 17, 1000} {
-		counts := make([]atomic.Int32, n)
-		b.pool.ParallelFor(n, func(i int) { counts[i].Add(1) })
-		for i := range counts {
-			if got := counts[i].Load(); got != 1 {
-				t.Fatalf("n=%d: index %d ran %d times", n, i, got)
+// TestMergeFinalMatchesGraphOptimize pins the distributed Section 4.5
+// (reverse edges shipped as messages, merged by mergeFinal) against the
+// serial knng.Graph.Optimize that dnnd-optimize runs, an independent
+// implementation: on one rank, with the same data and seed, a build
+// with Optimize must equal a build without it followed by
+// Graph.Optimize(K, 1.5) — neighbor IDs and distances alike.
+func TestMergeFinalMatchesGraphOptimize(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	fdata := clusteredData(rng, 300, 12, 8)
+	for _, kind := range []metric.Kind{metric.SquaredL2, metric.Cosine} {
+		cfg := DefaultConfig(6)
+		cfg.Seed = 777
+		merged := buildKernelOnWorld(t, 1, fdata, kind, cfg)
+		cfg.Optimize = false
+		serial := buildKernelOnWorld(t, 1, fdata, kind, cfg)
+		serial.Graph.Optimize(cfg.K, 1.5)
+		for v := range serial.Graph.Neighbors {
+			if !reflect.DeepEqual(merged.Graph.Neighbors[v], serial.Graph.Neighbors[v]) {
+				t.Fatalf("%v: vertex %d differs:\ndistributed = %+v\nserial      = %+v",
+					kind, v, merged.Graph.Neighbors[v], serial.Graph.Neighbors[v])
 			}
 		}
 	}
 }
 
-// TestWorkerPanicSurfacesOnRankGoroutine: a panic inside pooled work
-// must not kill a helper goroutine silently — it is captured and
-// rethrown where the ygm world's recovery can turn it into a RankError.
+// TestWorkerPanicSurfacesOnRankGoroutine: a kernel panic on a helper
+// goroutine must not kill it silently — the pool captures it and
+// rethrows it on the rank goroutine, where the ygm world turns it into
+// a RankError.
 func TestWorkerPanicSurfacesOnRankGoroutine(t *testing.T) {
-	err := ygm.NewLocalWorld(1).Run(func(c *ygm.Comm) error {
-		b := mergeTestBuilder(4)
-		defer b.pool.Shutdown()
-		b.pool.ParallelFor(64, func(i int) {
-			if i == 33 {
-				panic("boom at 33")
-			}
-		})
-		return nil
-	})
-	if err == nil {
-		t.Fatal("expected the pooled panic to fail the rank")
+	rng := rand.New(rand.NewSource(5))
+	data := clusteredData(rng, 240, 10, 6)
+	kern := metric.KernelOf(metric.SquaredL2Float32)
+	kern.Many = func(q []float32, cands [][]float32, _ []float32, out []float32) {
+		// Only a helper's stack runs through the pool's worker loop.
+		buf := make([]byte, 4096)
+		if strings.Contains(string(buf[:runtime.Stack(buf, false)]), ").worker(") {
+			panic("boom on a helper")
+		}
+		// Inline on the applier: yield, so the helpers claim the tasks
+		// queued behind this one even on a single core.
+		runtime.Gosched()
+		for i, c := range cands {
+			out[i] = metric.SquaredL2Float32(q, c)
+		}
 	}
-	if !strings.Contains(err.Error(), "boom at 33") {
-		t.Fatalf("unexpected error: %v", err)
+	cfg := DefaultConfig(5)
+	cfg.Workers = 3
+	err := ygm.NewLocalWorld(1).Run(func(c *ygm.Comm) error {
+		_, err := BuildKernel(c, Partition(data, 0, 1), kern, cfg)
+		return err
+	})
+	var re *ygm.RankError
+	if !errors.As(err, &re) {
+		t.Fatalf("got %v, want a RankError from the helper panic", err)
+	}
+	if !strings.Contains(err.Error(), "boom on a helper") {
+		t.Fatalf("RankError lacks the panic text: %v", err)
 	}
 }
 
@@ -197,19 +195,16 @@ func TestResolveWorkers(t *testing.T) {
 	}
 }
 
-// mergeVertex hands scratch marks back to the pool; make sure repeated
-// epochs on recycled scratch do not leak state between vertices.
+// mergeVertex dedupes through the builder's shared visited set; make
+// sure repeated epochs on it do not leak marks between vertices.
 func TestMergeScratchEpochIsolation(t *testing.T) {
-	b := mergeTestBuilder(1)
-	defer b.pool.Shutdown()
-	var scratch sync.Pool
-	scratch.New = func() any { return new(knng.VisitSet) }
-	first := b.mergeVertex(7, 12, &scratch)
+	b := mergeTestBuilder()
+	first := b.mergeVertex(7, 12)
 	for i := 0; i < 100; i++ {
-		b.mergeVertex(i%b.shard.Len(), 12, &scratch)
+		b.mergeVertex(i%b.shard.Len(), 12)
 	}
-	again := b.mergeVertex(7, 12, &scratch)
+	again := b.mergeVertex(7, 12)
 	if !reflect.DeepEqual(first, again) {
-		t.Fatalf("mergeVertex(7) unstable across scratch reuse:\nfirst = %+v\nagain = %+v", first, again)
+		t.Fatalf("mergeVertex(7) unstable across visited-set epochs:\nfirst = %+v\nagain = %+v", first, again)
 	}
 }

@@ -39,8 +39,9 @@ import (
 // execute on the owning rank goroutine only. Handlers may fire during
 // run's own sends (every pollInterval-th Async drains the mailbox), so
 // run must tolerate new work being staged while it walks its backlog —
-// engine.Pool's applying guard assumes exactly this. Pass (nil, nil)
-// to clear the hook when the phase that staged the work is over.
+// the core worker pool's applying guard assumes exactly this. Pass
+// (nil, nil) to clear the hook when the phase that staged the work is
+// over.
 func (c *Comm) SetLocalWork(run func() bool, pending func() bool) {
 	c.localWorkRun = run
 	c.localWorkPending = pending
@@ -58,11 +59,6 @@ func (c *Comm) runLocalWork() bool {
 func (c *Comm) localPending() bool {
 	return c.localWorkPending != nil && c.localWorkPending()
 }
-
-// AddTasksDeferred counts work items handed to the intra-rank worker
-// pool (tasks, not individual candidates), reported through Stats so
-// the bench harness can relate offloaded work to message traffic.
-func (c *Comm) AddTasksDeferred(n int64) { c.stats.TasksDeferred += n }
 
 // BindOwner pins the Comm to the calling goroutine: from now on,
 // collectives (and, under the race detector, sampled Asyncs) panic when

@@ -31,11 +31,7 @@ type Stats struct {
 	// inbound queue — the congestion the Section 4.4 batching bounds.
 	PeakMailboxDepth int64
 	PeakMailboxBytes int64
-	// TasksDeferred counts work items staged onto the intra-rank worker
-	// pool (coalesced tasks, not individual candidate distances); see
-	// Comm.AddTasksDeferred.
-	TasksDeferred int64
-	PerHandler    []HandlerStats
+	PerHandler       []HandlerStats
 }
 
 func (s Stats) clone() Stats {
@@ -46,8 +42,8 @@ func (s Stats) clone() Stats {
 }
 
 // Add accumulates other into s (for world-level aggregation). Traffic
-// counters (messages, bytes, flushes, deferred tasks, per-handler
-// entries) sum across ranks — each rank contributes distinct traffic.
+// counters (messages, bytes, flushes, per-handler entries) sum across
+// ranks — each rank contributes distinct traffic.
 // Barriers instead takes the MAX: Barrier is collective, so in an
 // SPMD run every rank records the same count and summing would
 // multiply the world's barrier count by the rank count. Max also does
@@ -61,7 +57,6 @@ func (s *Stats) Add(other Stats) {
 	s.RemoteSentBytes += other.RemoteSentBytes
 	s.RecvMsgs += other.RecvMsgs
 	s.Flushes += other.Flushes
-	s.TasksDeferred += other.TasksDeferred
 	if other.Barriers > s.Barriers {
 		s.Barriers = other.Barriers
 	}

@@ -13,7 +13,7 @@ import (
 // so traced and untraced runs execute the identical message schedule.
 
 // SetTrace attaches a span track to this rank. Subsequent barriers,
-// flushes, and engine phases record spans onto it; mailbox congestion
+// flushes, and construction phases record spans onto it; mailbox congestion
 // high-water marks are emitted as counter samples at each barrier exit.
 // Call it before the rank starts communicating (same single-owner rule
 // as every other Comm method); pass nil to detach.
@@ -71,7 +71,6 @@ type pubMetrics struct {
 	barriers        atomic.Int64
 	peakDepth       atomic.Int64
 	peakBytes       atomic.Int64
-	tasksDeferred   atomic.Int64
 	perHandlerSent  []atomic.Int64
 	perHandlerRecv  []atomic.Int64
 	handlerIDs      []HandlerID
@@ -105,7 +104,6 @@ func (c *Comm) PublishMetrics(reg *obs.Registry) {
 	reg.Sample("ygm_barriers"+rank, p.barriers.Load)
 	reg.Sample("ygm_mailbox_peak_depth"+rank, p.peakDepth.Load)
 	reg.Sample("ygm_mailbox_peak_bytes"+rank, p.peakBytes.Load)
-	reg.Sample("ygm_tasks_deferred"+rank, p.tasksDeferred.Load)
 	for i, id := range p.handlerIDs {
 		label := fmt.Sprintf(`{rank="%d",handler=%q}`, c.rank, c.handlerNames[id])
 		reg.Sample("ygm_handler_sent_msgs"+label, p.perHandlerSent[i].Load)
@@ -143,7 +141,6 @@ func (c *Comm) publishSnapshot() {
 	p.barriers.Store(c.stats.Barriers)
 	p.peakDepth.Store(depth)
 	p.peakBytes.Store(bytes)
-	p.tasksDeferred.Store(c.stats.TasksDeferred)
 	for i, id := range p.handlerIDs {
 		p.perHandlerSent[i].Store(c.stats.PerHandler[id].SentMsgs)
 		p.perHandlerRecv[i].Store(c.stats.PerHandler[id].RecvMsgs)

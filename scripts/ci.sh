@@ -58,11 +58,13 @@ go -C benchmark vet ./...
 echo "== go test -race (comm + core)"
 go test -race ./internal/ygm/ ./internal/core/
 
-echo "== go test -race (engine worker pool, repeated)"
-# The stage/claim/apply ring hands tasks between the applier and its
-# helpers through atomics; a lost or doubly-applied task, or a race on
-# a sealed slot, shows up only on some schedules.
-go test -race -count=20 ./internal/engine/
+echo "== go test -race (construction worker pool ring, repeated)"
+# The stage/claim/apply ring (internal/core/workpool.go) hands tasks
+# between the applier and its helpers through atomics; a lost or
+# doubly-applied task, or a race on a sealed slot, shows up only on
+# some schedules. These are the ring's own tests, against fake
+# kernels and apply callbacks.
+go test -race -count=20 -run '^(TestApplyOrderEqualsStageOrder|TestStagingInsideApplyDoesNotRecurse|TestApplyOnlyTailCoalescesAcrossDrainStart|TestPendingHookTrueUntilLastApply|TestEvalPanicSurfacesOnApplier|TestStableQueryAliasSurvivesRecycle)$' ./internal/core/
 
 echo "== go test -race (quiescence with deferred local work, repeated)"
 # A barrier that releases while a rank still owes staged replies loses

@@ -195,9 +195,12 @@ func StoreElem(dir string) (string, error) {
 }
 
 // Refine applies the Section 4.5 graph optimization to a stored index
-// in place: merge reverse edges and prune degrees to k*m. It mirrors
-// the paper's separate graph-optimization executable.
+// in place: merge reverse edges and prune degrees to k*m, m >= 1. It
+// mirrors the paper's separate graph-optimization executable.
 func Refine[T Scalar](dir string, m float64) error {
+	if !(m >= 1) {
+		return fmt.Errorf("dnnd: degree cap multiplier m=%v must be >= 1", m)
+	}
 	ix, refined, err := LoadWithMeta[T](dir)
 	if err != nil {
 		return err

@@ -3,8 +3,11 @@ package dnnd
 import (
 	"encoding/json"
 	"errors"
+	"io/fs"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"dnnd/internal/brute"
@@ -107,6 +110,52 @@ func TestStoreRoundTripAllElems(t *testing.T) {
 	t.Run("float32Refined", func(t *testing.T) { saveLoadRoundTrip(t, f32, metric.SquaredL2, true) })
 	t.Run("uint8", func(t *testing.T) { saveLoadRoundTrip(t, u8, metric.L2, true) })
 	t.Run("uint32", func(t *testing.T) { saveLoadRoundTrip(t, u32, metric.Jaccard, false) })
+}
+
+// TestRefineRejectsSmallM: a degree cap multiplier below 1 is an error,
+// returned before the store is touched — m=0 used to prune every list
+// to one neighbor.
+func TestRefineRejectsSmallM(t *testing.T) {
+	data := [][]float32{{0, 1}, {1, 0}, {1, 1}, {0, 0}, {2, 2}, {3, 1}}
+	dist, err := metricFor[float32](metric.SquaredL2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := NewIndex(brute.KNNGraph(data, 3, dist, 0), data, metric.SquaredL2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "store")
+	if err := Save(dir, ix, false); err != nil {
+		t.Fatal(err)
+	}
+	before := readTree(t, dir)
+	for _, m := range []float64{0, 0.5} {
+		if err := Refine[float32](dir, m); err == nil {
+			t.Errorf("Refine(m=%v) accepted", m)
+		}
+	}
+	if after := readTree(t, dir); !reflect.DeepEqual(after, before) {
+		t.Error("a rejected Refine changed the store's files")
+	}
+}
+
+// readTree maps every regular file under dir to its contents.
+func readTree(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	files := map[string][]byte{}
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		b, err := os.ReadFile(path)
+		files[path] = b
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
 }
 
 // TestStoreElemMismatchTyped: loading with the wrong element
