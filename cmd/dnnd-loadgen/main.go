@@ -32,7 +32,6 @@ func main() {
 		epsilon     = flag.Float64("epsilon", 0, "search expansion (0 = server default)")
 		deadline    = flag.Duration("deadline", 0, "per-query deadline (0 = server default)")
 		seed        = flag.Int64("seed", 1, "query / entry-point seed")
-		warm        = flag.Bool("warm", false, "use the server's warm entry-point cache")
 		mutate      = flag.Bool("mutate", false, "mixed read/write mode against a mutable server (per-op-class quantiles in the report)")
 		ingestFrac  = flag.Float64("ingest-frac", 0, "share of requests that become ingest ops (mutate mode; default 0.05)")
 		deleteFrac  = flag.Float64("delete-frac", 0, "share of requests that become delete ops (mutate mode; default 0.02)")
@@ -66,7 +65,6 @@ func main() {
 		Epsilon:      *epsilon,
 		Deadline:     *deadline,
 		Seed:         *seed,
-		Warm:         *warm,
 		DialTimeout:  5 * time.Second,
 		ReportErrors: *reportErrs,
 		TraceSample:  *traceSample,

@@ -29,7 +29,6 @@ func main() {
 		workers     = flag.Int("workers", 0, "concurrent query searches (0 = GOMAXPROCS)")
 		deadline    = flag.Duration("deadline", 0, "default per-query deadline (0 = none)")
 		maxDeadline = flag.Duration("max-deadline", 0, "cap on client-requested deadlines (0 = uncapped)")
-		warm        = flag.Int("warm", 0, "warm entry-point cache size (0 = disabled)")
 		drainWait   = flag.Duration("drain", 30*time.Second, "graceful-drain budget on shutdown")
 		debugAddr   = flag.String("debug-addr", "", "serve pprof + /metrics + /trace on this address")
 		traceOut    = flag.String("trace", "", "write this process's span timeline here on shutdown (Perfetto-loadable JSON; tracecheck -merge joins it with the router's)")
@@ -58,7 +57,6 @@ func main() {
 			Workers:         *workers,
 			DefaultDeadline: *deadline,
 			MaxDeadline:     *maxDeadline,
-			WarmEntries:     *warm,
 		},
 	}
 

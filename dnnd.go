@@ -189,13 +189,15 @@ func Extend[T Scalar](data, extra [][]T, prior *Graph, opt BuildOptions) (*Build
 // the surviving points are compacted to dense IDs, surviving edges
 // warm-start the descent, and a short refinement refills the holes the
 // deletions left (the other half of the Section 7 update workflow).
+// As in Refresh, prior may cover only a prefix of data: surviving rows
+// past it start from a search of the trimmed prior, like Extend's.
 // It returns the compacted dataset, the new build result, and a
 // mapping from old IDs to new ones (InvalidID for removed points).
 func Remove[T Scalar](data [][]T, removeIDs []ID, prior *Graph, opt BuildOptions) ([][]T, *BuildResult, []ID, error) {
 	if prior == nil {
 		return nil, nil, nil, errors.New("dnnd: Remove requires a prior graph")
 	}
-	if prior.NumVertices() != len(data) {
+	if prior.NumVertices() > len(data) {
 		return nil, nil, nil, fmt.Errorf("dnnd: prior graph covers %d vertices but data has %d rows",
 			prior.NumVertices(), len(data))
 	}
@@ -227,8 +229,15 @@ func Remove[T Scalar](data [][]T, removeIDs []ID, prior *Graph, opt BuildOptions
 
 	// Trim and remap the prior graph; vertices that lost neighbors end
 	// up with short lists, which the warm-started build tops up and
-	// refines.
-	trimmed := knng.NewGraph(len(kept))
+	// refines. IDs keep their order, so the prior's survivors are a
+	// prefix of kept.
+	covered := 0
+	for _, nv := range mapping[:prior.NumVertices()] {
+		if nv != knng.InvalidID {
+			covered++
+		}
+	}
+	trimmed := knng.NewGraph(covered)
 	for old, ns := range prior.Neighbors {
 		nv := mapping[old]
 		if nv == knng.InvalidID {

@@ -72,19 +72,15 @@ type builder[T wire.Scalar] struct {
 	idScratch    []knng.ID     // applyTask bulk-update buffers
 	dScratch     []float32
 
-	// data and byRef let the vector-carrying messages (msg.InitReq,
-	// msg.Type2) travel by reference: the sender materializes only the
-	// message head and charges the full encoded size
-	// (ygm.Comm.AsyncCharged), the receiver resolves the vector as
-	// data[id] and the pool aliases that row instead of copying it.
-	// Every counter and the result are bit-identical to the byte path.
-	//
-	// data is the receiver side: the whole dataset by global ID, set
-	// BEFORE the collective decision whenever this rank could resolve a
-	// head-only record, so a faster rank's first requests are readable
-	// even while this rank still waits for the result; it is cleared
-	// when the world settles on bytes. byRef is the sender side, set
-	// only once every rank is known to be able (see byReference).
+	// byRef is set on an in-process world, where every shard was cut by
+	// Partition from one shared dataset: the vector-carrying messages
+	// (msg.InitReq, msg.Type2) then travel by reference. The sender
+	// materializes only the message head and charges the full encoded
+	// size (ygm.Comm.AsyncCharged); the receiver resolves the vector as
+	// data[id], the whole dataset by global ID, and the pool aliases
+	// that row instead of copying it. Every counter and the result are
+	// bit-identical to the byte path a TCP world takes. data is nil on
+	// the byte path.
 	data  [][]T
 	byRef bool
 
@@ -176,6 +172,10 @@ func BuildIncrementalKernel[T wire.Scalar](c *ygm.Comm, shard *Shard[T], kern me
 		w:      wire.NewWriter(256),
 		replyW: wire.NewWriter(256),
 		r:      wire.NewReader(nil),
+		byRef:  c.InProcess(),
+	}
+	if b.byRef {
+		b.data = shard.data
 	}
 	b.register()
 
@@ -211,7 +211,6 @@ func BuildIncrementalKernel[T wire.Scalar](c *ygm.Comm, shard *Shard[T], kern me
 
 	b.warm = prior
 	b.dead = dead
-	b.byReference()
 
 	res := &Result{K: cfg.K, N: shard.N, Workers: b.pool.workers}
 
@@ -250,36 +249,6 @@ func BuildIncrementalKernel[T wire.Scalar](c *ygm.Comm, shard *Shard[T], kern me
 	// their transports (important for multi-process TCP worlds).
 	c.Barrier()
 	return res, nil
-}
-
-// byReference decides, collectively, whether feature vectors travel by
-// reference in this build: only when every rank shares the address
-// space on the in-memory transport AND holds the whole dataset (a
-// Partition shard). One rank that cannot — a NewShard shard, any TCP
-// comm — puts the whole world on the byte path, since sender and
-// receiver must agree on what a record contains. The reduction is
-// control traffic: not counted, and a no-op on one rank.
-//
-// Ranks leave the reduction at different times, and its wait loop
-// dispatches application handlers, so a released rank's first head-only
-// requests can reach a rank that has not seen the result yet (they can
-// even overtake it). Hence the order below: b.data — all a receiver
-// needs — is in place before the reduction starts, and everything the
-// handlers touch (pool, lists, norms) was set up before the call. A
-// head-only record can only come from a rank that saw "all can", which
-// implies this rank can.
-func (b *builder[T]) byReference() {
-	if b.c.InProcess() {
-		b.data = b.shard.data
-	}
-	can := int64(0)
-	if b.data != nil {
-		can = 1
-	}
-	b.byRef = b.c.AllReduceMin(can) == 1
-	if !b.byRef {
-		b.data = nil
-	}
 }
 
 // asyncByRef sends a vector-carrying message by reference: head holds
@@ -371,23 +340,17 @@ func (b *builder[T]) handlerReader(p []byte) *wire.Reader {
 }
 
 // getVec yields the feature vector of a message about vertex id whose
-// head r has just decoded, and whether it is stable storage. A record
-// that ends at its head travelled by reference: the vector is the
-// dataset row, stable for the whole build, which the pool may alias.
-// Otherwise it is decoded off the wire as a borrowed view / reused
-// scratch (valid only within the current handler, so the pool must
-// copy it). The shape is read off the record rather than off this
-// rank's view of the collective decision (see byReference), but once
-// that is known a record of the other shape — full when the world
-// sends heads, head-only when it sends bytes — is left to fail the
-// caller's r.Finish() check (trailing bytes, short buffer) instead of
-// being mis-read.
+// head r has just decoded, and whether it is stable storage. On the
+// by-reference path the vector is the dataset row, stable for the
+// whole build, which the pool may alias. Otherwise it is decoded off
+// the wire as a borrowed view / reused scratch (valid only within the
+// current handler, so the pool must copy it). A record of the other
+// shape — full on the by-reference path, head-only on the byte path —
+// is left to fail the caller's r.Finish() check (trailing bytes,
+// short buffer) instead of being mis-read.
 func (b *builder[T]) getVec(r *wire.Reader, id knng.ID) (vec []T, stable bool) {
-	if b.data != nil && r.Err() == nil && r.Remaining() == 0 {
-		return b.data[id], true
-	}
 	if b.byRef {
-		return nil, false
+		return b.data[id], true
 	}
 	v, scratch := wire.GetVectorBorrow(r, b.vecScratch)
 	b.vecScratch = scratch

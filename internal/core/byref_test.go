@@ -10,19 +10,16 @@ import (
 	"testing"
 
 	"dnnd/internal/bootstrap"
-	"dnnd/internal/knng"
 	"dnnd/internal/metric"
 	"dnnd/internal/msg"
 	"dnnd/internal/wire"
 	"dnnd/internal/ygm"
 )
 
-// In an in-process world whose shards were all cut by Partition, the
-// vector-carrying messages travel by reference (builder.data). These
-// tests hold that path against the byte path — NewShard shards on the
-// same local transport, and the TCP transport — which exists anyway
-// wherever bytes must, so the differential needs no second
-// implementation.
+// In an in-process world the vector-carrying messages travel by
+// reference (builder.data). These tests hold that path against the
+// byte path of the TCP transport, which exists anyway wherever bytes
+// must, so the differential needs no second implementation.
 
 type worldRunner func(fn func(rank int, c *ygm.Comm) error) error
 
@@ -36,31 +33,11 @@ func tcpRunner(nranks int) worldRunner {
 	return func(fn func(rank int, c *ygm.Comm) error) error { return bootstrap.RunLocal(nranks, fn) }
 }
 
-// ownedShard assembles rank's shard the way a loader that reads only
-// its own rows does: it never sees the whole dataset.
-func ownedShard(t *testing.T, data [][]float32, rank, nranks int) *Shard[float32] {
-	t.Helper()
-	var ids []knng.ID
-	var vecs [][]float32
-	for i, v := range data {
-		if Owner(knng.ID(i), nranks) == rank {
-			ids = append(ids, knng.ID(i))
-			vecs = append(vecs, v)
-		}
-	}
-	s, err := NewShard(len(data), ids, vecs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
-}
-
-// pathOutcome is one build seen from outside: rank 0's result, every
-// rank's comm counters, and whether the world chose by-reference.
+// pathOutcome is one build seen from outside: rank 0's result and
+// every rank's comm counters.
 type pathOutcome struct {
 	res   *Result
 	stats []ygm.Stats
-	byRef []bool
 }
 
 func (o pathOutcome) total() ygm.Stats {
@@ -71,29 +48,21 @@ func (o pathOutcome) total() ygm.Stats {
 	return s
 }
 
-// runPath builds over the given world with mkShard choosing each
-// rank's shard flavor. After the build every rank re-evaluates the
-// collective decision the builder took (a pure function of comm, shard
-// and config), so the tests can assert which path actually ran instead
-// of passing vacuously — after, not before, so the probe does not line
-// the ranks up at the build's own decision point.
-func runPath(t *testing.T, run worldRunner, nranks int, mkShard func(rank int) *Shard[float32], cfg Config) pathOutcome {
+// runPath builds over the given world, every rank on its Partition
+// shard of data.
+func runPath(t *testing.T, run worldRunner, nranks int, data [][]float32, cfg Config) pathOutcome {
 	t.Helper()
-	out := pathOutcome{stats: make([]ygm.Stats, nranks), byRef: make([]bool, nranks)}
+	out := pathOutcome{stats: make([]ygm.Stats, nranks)}
 	var mu sync.Mutex
 	err := run(func(rank int, c *ygm.Comm) error {
-		shard := mkShard(rank)
-		res, err := Build(c, shard, metric.SquaredL2Float32, cfg)
+		res, err := Build(c, Partition(data, rank, nranks), metric.SquaredL2Float32, cfg)
 		if err != nil {
 			return err
 		}
 		stats := c.Stats()
-		probe := &builder[float32]{c: c, cfg: cfg, shard: shard}
-		probe.byReference()
 		mu.Lock()
 		defer mu.Unlock()
 		out.stats[rank] = stats
-		out.byRef[rank] = probe.byRef
 		if rank == 0 {
 			out.res = res
 		}
@@ -103,15 +72,6 @@ func runPath(t *testing.T, run worldRunner, nranks int, mkShard func(rank int) *
 		t.Fatal(err)
 	}
 	return out
-}
-
-func assertPath(t *testing.T, name string, o pathOutcome, wantByRef bool) {
-	t.Helper()
-	for rank, got := range o.byRef {
-		if got != wantByRef {
-			t.Errorf("%s: rank %d by-reference = %v, want %v", name, rank, got, wantByRef)
-		}
-	}
 }
 
 func handlerStats(t *testing.T, s ygm.Stats, name string) ygm.HandlerStats {
@@ -125,11 +85,11 @@ func handlerStats(t *testing.T, s ygm.Stats, name string) ygm.HandlerStats {
 	return ygm.HandlerStats{}
 }
 
-// (a) One rank, where the schedule is deterministic: the by-reference
-// build, the byte build on the same transport, and the TCP build agree
-// on the graph, the descent counters and EVERY field of ygm.Stats —
-// per-handler messages and bytes (the Figure 4 quantities), flushes,
-// mailbox high-water marks. This is the exact pin behind "charged, not
+// (a) One rank, where the schedule is deterministic: the in-process
+// by-reference build and the TCP byte build agree on the graph, the
+// descent counters and EVERY field of ygm.Stats — per-handler
+// messages and bytes (the Figure 4 quantities), flushes, mailbox
+// high-water marks. This is the exact pin behind "charged, not
 // materialized": nothing observable may tell the paths apart.
 func TestByRefMatchesBytes(t *testing.T) {
 	for _, tc := range []struct {
@@ -144,20 +104,13 @@ func TestByRefMatchesBytes(t *testing.T) {
 			cfg := DefaultConfig(10)
 			cfg.Seed = 5
 			cfg.Workers = envWorkers(t)
-			part := func(rank int) *Shard[float32] { return Partition(data, rank, 1) }
-			owned := func(rank int) *Shard[float32] { return ownedShard(t, data, rank, 1) }
-
-			ref := runPath(t, localRunner(1), 1, part, cfg)
-			enc := runPath(t, localRunner(1), 1, owned, cfg)
-			tcp := runPath(t, tcpRunner(1), 1, part, cfg)
-			assertPath(t, "local+Partition", ref, true)
-			assertPath(t, "local+NewShard", enc, false)
-			assertPath(t, "tcp+Partition", tcp, false)
+			ref := runPath(t, localRunner(1), 1, data, cfg)
+			tcp := runPath(t, tcpRunner(1), 1, data, cfg)
 
 			for _, other := range []struct {
 				name string
 				o    pathOutcome
-			}{{"local bytes", enc}, {"tcp", tcp}} {
+			}{{"tcp", tcp}} {
 				if g, w := graphHash(other.o.res), graphHash(ref.res); g != w {
 					t.Errorf("%s: graph hash %016x, by-reference %016x", other.name, g, w)
 				}
@@ -183,8 +136,8 @@ func TestByRefMatchesBytes(t *testing.T) {
 // (b) Four ranks: arrival order is free, so counts wander, but the
 // charged size of a vector-carrying message is a constant of the
 // protocol — record header + head + encoded vector — and must hold
-// exactly, on both paths, at any rank count. Quality must not depend
-// on the path either.
+// exactly, on the in-process by-reference path and on the TCP byte
+// path, at any rank count. Quality must not depend on the path either.
 func TestByRefChargedSizesMultiRank(t *testing.T) {
 	const nranks, dim, k = 4, 96, 10
 	data := clusteredData(rand.New(rand.NewSource(43)), 800, dim, 10)
@@ -195,15 +148,13 @@ func TestByRefChargedSizesMultiRank(t *testing.T) {
 
 	recalls := map[string]float64{}
 	for _, path := range []struct {
-		name  string
-		byRef bool
-		mk    func(rank int) *Shard[float32]
+		name string
+		run  worldRunner
 	}{
-		{"by-reference", true, func(rank int) *Shard[float32] { return Partition(data, rank, nranks) }},
-		{"bytes", false, func(rank int) *Shard[float32] { return ownedShard(t, data, rank, nranks) }},
+		{"by-reference", localRunner(nranks)},
+		{"bytes", tcpRunner(nranks)},
 	} {
-		o := runPath(t, localRunner(nranks), nranks, path.mk, cfg)
-		assertPath(t, path.name, o, path.byRef)
+		o := runPath(t, path.run, nranks, data, cfg)
 		total := o.total()
 		// Type 2+ head: u1, u2, flag, bound. Init head: v, u.
 		for _, h := range []struct {
@@ -222,30 +173,6 @@ func TestByRefChargedSizesMultiRank(t *testing.T) {
 	}
 }
 
-// (c) One rank that cannot resolve vectors by ID (it was handed only
-// its own rows) puts the whole world on the byte path: a sender that
-// elided bytes for a receiver expecting them, or the reverse, would
-// panic in the handler's Finish check.
-func TestByRefMixedWorldFallsBack(t *testing.T) {
-	const nranks, k = 3, 8
-	data := clusteredData(rand.New(rand.NewSource(47)), 450, 16, 8)
-	cfg := DefaultConfig(k)
-	cfg.Workers = envWorkers(t)
-	o := runPath(t, localRunner(nranks), nranks, func(rank int) *Shard[float32] {
-		if rank == 1 {
-			return ownedShard(t, data, rank, nranks)
-		}
-		return Partition(data, rank, nranks)
-	}, cfg)
-	assertPath(t, "mixed world", o, false)
-	if err := o.res.Graph.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if r := graphRecall(t, o.res.Graph, data, k); r < 0.9 {
-		t.Errorf("mixed-world recall %.3f", r)
-	}
-}
-
 // A multi-rank TCP mesh always takes the byte path. Arrival order is
 // free there, so the outcome is checked rather than pinned: rank 0
 // gathers a valid graph of every vertex, with the quality of a local
@@ -255,10 +182,7 @@ func TestTCPMultiRankBuildGathers(t *testing.T) {
 	data := clusteredData(rand.New(rand.NewSource(67)), 600, 8, 8)
 	cfg := DefaultConfig(k)
 	cfg.Workers = envWorkers(t)
-	o := runPath(t, tcpRunner(nranks), nranks, func(rank int) *Shard[float32] {
-		return Partition(data, rank, nranks)
-	}, cfg)
-	assertPath(t, "tcp", o, false)
+	o := runPath(t, tcpRunner(nranks), nranks, data, cfg)
 	g := o.res.Graph
 	if g.NumVertices() != len(data) {
 		t.Fatalf("rank 0 gathered %d vertices, want %d", g.NumVertices(), len(data))
@@ -336,108 +260,6 @@ func TestWrongRecordShapePanics(t *testing.T) {
 		})
 		if want := "core: bad type2"; err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("%s: got %v, want a %q panic", tc.name, err, want)
-		}
-	}
-}
-
-// Ranks leave the path decision's reduction at different times, and its
-// wait loop dispatches handlers, so a rank still waiting for the result
-// must already read a released peer's head-only record. Rank 1 here
-// sends rank 0 (the reducer) a message and only then contributes, so by
-// mailbox order the handler runs inside rank 0's byReference wait: the
-// dataset must be in place there — a head-only record reads as the
-// aliased, stable row, a full one still decodes as a transient view.
-func TestReceiverReadsEitherShapeDuringDecision(t *testing.T) {
-	data := clusteredData(rand.New(rand.NewSource(59)), 40, 4, 2)
-	full := wire.NewWriter(64)
-	head := wire.NewWriter(16)
-	m := msg.InitReq[float32]{V: 7, U: 9, Vec: data[7]}
-	m.Encode(full)
-	m.EncodeHead(head)
-	ran := false
-	err := ygm.NewLocalWorld(2).Run(func(c *ygm.Comm) error {
-		b := &builder[float32]{c: c, cfg: DefaultConfig(4), shard: Partition(data, c.Rank(), 2)}
-		h := c.Register("test.probe", func(*ygm.Comm, int, []byte) {
-			ran = true
-			if b.byRef {
-				t.Error("probe ran after the decision, not inside the wait")
-			}
-			for _, tc := range []struct {
-				name   string
-				record []byte
-				stable bool
-			}{{"head-only", head.Bytes(), true}, {"full", full.Bytes(), false}} {
-				r := wire.NewReader(tc.record)
-				var got msg.InitReq[float32]
-				got.DecodeHead(r)
-				vec, stable := b.getVec(r, got.V)
-				if err := r.Finish(); err != nil {
-					t.Errorf("%s: %v", tc.name, err)
-					continue
-				}
-				if stable != tc.stable || !reflect.DeepEqual(vec, data[7]) {
-					t.Errorf("%s: stable=%v vec=%v, want stable=%v vec=%v", tc.name, stable, vec, tc.stable, data[7])
-				}
-				if aliased := &vec[0] == &data[7][0]; aliased != tc.stable {
-					t.Errorf("%s: aliases the dataset = %v, want %v", tc.name, aliased, tc.stable)
-				}
-			}
-		})
-		if c.Rank() == 1 {
-			c.Async(0, h, nil)
-			c.Flush()
-		}
-		b.byReference()
-		if !b.byRef {
-			t.Errorf("rank %d: an all-Partition local world chose bytes", c.Rank())
-		}
-		c.Barrier()
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ran {
-		t.Fatal("probe handler never ran")
-	}
-}
-
-// The same window end to end: many tiny multi-rank builds back to back,
-// nothing lining the ranks up before Build, several worlds at once so
-// ranks get preempted inside the reduction. A receiver that waited for
-// its own result before accepting head-only records would panic with
-// "core: bad init request" when a released peer's first frame overtook
-// it; the window is scheduling-dependent (the test above pins the
-// ordering deterministically), so this is a guard for the race passes,
-// not a reproducer.
-func TestByRefReleaseOrderStress(t *testing.T) {
-	const nranks, k, worlds = 4, 4, 3
-	builds := 150
-	if testing.Short() {
-		builds = 30
-	}
-	data := clusteredData(rand.New(rand.NewSource(61)), 48, 8, 3)
-	cfg := DefaultConfig(k)
-	cfg.Workers = envWorkers(t)
-	cfg.MaxIters = 1
-	var wg sync.WaitGroup
-	errs := make([]error, worlds)
-	for w := 0; w < worlds; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < builds && errs[w] == nil; i++ {
-				errs[w] = ygm.NewLocalWorld(nranks).Run(func(c *ygm.Comm) error {
-					_, err := Build(c, Partition(data, c.Rank(), nranks), metric.SquaredL2Float32, cfg)
-					return err
-				})
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			t.Fatal(err)
 		}
 	}
 }

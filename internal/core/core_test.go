@@ -374,37 +374,28 @@ func TestPartitionCoversAll(t *testing.T) {
 	}
 }
 
-func TestNewShardValidation(t *testing.T) {
-	if _, err := NewShard[float32](10, []knng.ID{1, 1}, make([][]float32, 2)); err == nil {
-		t.Error("duplicate ids accepted")
-	}
-	if _, err := NewShard[float32](10, []knng.ID{3, 2}, make([][]float32, 2)); err == nil {
-		t.Error("descending ids accepted")
-	}
-	if _, err := NewShard[float32](2, []knng.ID{5}, make([][]float32, 1)); err == nil {
-		t.Error("out-of-range id accepted")
-	}
-	if _, err := NewShard[float32](10, []knng.ID{1}, make([][]float32, 2)); err == nil {
-		t.Error("length mismatch accepted")
-	}
-	s, err := NewShard(10, []knng.ID{2, 7}, [][]float32{{1}, {2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Len() != 2 || s.Vec(7)[0] != 2 {
-		t.Error("NewShard contents wrong")
-	}
-}
-
 // Vec on an ID the shard does not hold — owned by another rank, or past
 // the dataset — is a protocol bug and must say so, not fail as a bare
 // index-out-of-range inside the dense table.
 func TestShardVecNotOwnedPanics(t *testing.T) {
-	s, err := NewShard(10, []knng.ID{2, 7}, [][]float32{{1}, {2}})
-	if err != nil {
-		t.Fatal(err)
+	data := make([][]float32, 10)
+	for i := range data {
+		data[i] = []float32{float32(i)}
 	}
-	for _, id := range []knng.ID{3, 9, 10, 1 << 30} {
+	s := Partition(data, 0, 3)
+	notOwned := []knng.ID{10, 1 << 30}
+	for i := range data {
+		id := knng.ID(i)
+		if Owner(id, 3) != 0 {
+			notOwned = append(notOwned, id)
+		} else if !s.Owns(id) || s.Vec(id)[0] != float32(i) {
+			t.Errorf("owned ID %d: Owns=%v", id, s.Owns(id))
+		}
+	}
+	if len(notOwned) == 2 || s.Len() == 0 {
+		t.Fatalf("rank 0 of 3 owns %d of 10 rows; want some owned and some not", s.Len())
+	}
+	for _, id := range notOwned {
 		if s.Owns(id) {
 			t.Errorf("Owns(%d) = true", id)
 		}
@@ -417,9 +408,6 @@ func TestShardVecNotOwnedPanics(t *testing.T) {
 			}()
 			s.Vec(id)
 		}()
-	}
-	if !s.Owns(7) || s.Owns(0) {
-		t.Error("Owns wrong on in-range IDs")
 	}
 }
 

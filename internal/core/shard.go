@@ -36,11 +36,9 @@ type Shard[T wire.Scalar] struct {
 	// Vecs holds the owned feature vectors, parallel to IDs.
 	Vecs [][]T
 
-	// data is the whole dataset, indexed by global ID, when the shard
-	// was cut from it by Partition; nil for NewShard shards, which know
-	// only their own rows. When every rank of an in-process world has it,
-	// the build ships feature vectors by reference (see
-	// builder.data).
+	// data is the whole dataset, indexed by global ID, that Partition
+	// cut the shard from. An in-process build ships feature vectors by
+	// reference through it (see builder.data).
 	data [][]T
 
 	// dense is the O(1) ID→shard-index table: dense[id] is the shard
@@ -70,11 +68,10 @@ func (s *Shard[T]) lookup(id knng.ID) (int, bool) {
 }
 
 // Partition splits a full dataset into the shard owned by rank. Every
-// rank of a world calls this with the same data (or assembles only its
-// rows with NewShard); ownership is by ID hash, as in DNND. The shard
-// keeps a reference to data, and an in-process build reads its rows
-// throughout, so data must not be modified while a build that uses
-// the shard is running.
+// rank of a world calls this with the same data; ownership is by ID
+// hash, as in DNND. The shard keeps a reference to data, and an
+// in-process build reads its rows throughout, so data must not be
+// modified while a build that uses the shard is running.
 func Partition[T wire.Scalar](data [][]T, rank, nranks int) *Shard[T] {
 	s := &Shard[T]{N: len(data), data: data, dense: newDense(len(data))}
 	for i, v := range data {
@@ -87,29 +84,6 @@ func Partition[T wire.Scalar](data [][]T, rank, nranks int) *Shard[T] {
 		s.Vecs = append(s.Vecs, v)
 	}
 	return s
-}
-
-// NewShard assembles a shard from explicit rows (for loaders that read
-// only the owned subset). ids must be strictly ascending and owned by
-// rank.
-func NewShard[T wire.Scalar](n int, ids []knng.ID, vecs [][]T) (*Shard[T], error) {
-	if len(ids) != len(vecs) {
-		return nil, fmt.Errorf("core: %d ids but %d vectors", len(ids), len(vecs))
-	}
-	if n < 0 {
-		return nil, fmt.Errorf("core: negative dataset size %d", n)
-	}
-	s := &Shard[T]{N: n, IDs: ids, Vecs: vecs, dense: newDense(n)}
-	for i, id := range ids {
-		if i > 0 && ids[i-1] >= id {
-			return nil, fmt.Errorf("core: shard ids not strictly ascending at %d", i)
-		}
-		if int(id) >= n {
-			return nil, fmt.Errorf("core: shard id %d out of range (N=%d)", id, n)
-		}
-		s.dense[id] = int32(i)
-	}
-	return s, nil
 }
 
 // Vec returns the feature vector of an owned global ID; it panics if

@@ -84,10 +84,11 @@ func SStatusName(s uint8) string {
 	}
 }
 
-// SFlagWarm asks the server to seed the search with its warm
-// entry-point cache (recent good results) in addition to the random
-// entry points. Results then depend on server history, so exact-replay
-// clients leave it unset.
+// SFlagWarm is a retired flag bit. It once asked the server to seed
+// the search from a cache of recent results; that cache is gone, and
+// servers now ignore the bit, so a query answers the same with or
+// without it. The bit stays reserved: do not reuse it for a new
+// meaning, since old clients may still set it.
 const SFlagWarm uint8 = 1
 
 // SFlagTrace marks a query carrying the optional trailing trace
@@ -204,7 +205,7 @@ type SQuery[T wire.Scalar] struct {
 	L              uint32
 	Epsilon        float32
 	DeadlineMicros uint32 // 0 = server default; capped by the server
-	Flags          uint8  // SFlagWarm | SFlagTrace
+	Flags          uint8  // SFlagTrace (SFlagWarm is reserved, ignored)
 	Vec            []T
 	// Trace is the optional distributed trace context, on the wire
 	// only when Flags&SFlagTrace is set (it trails the vector, so

@@ -45,7 +45,7 @@ func TestServeExecZeroAlloc(t *testing.T) {
 	sc := NewConn(server, 0)
 
 	vec := s.src.Data[7]
-	w := &worker[float32]{sc: search.NewContext[float32]()}
+	ctx := search.NewContext[float32]()
 	var seed int64
 	run := func() {
 		seed++
@@ -57,11 +57,10 @@ func TestServeExecZeroAlloc(t *testing.T) {
 		req.seed = seed
 		req.l = 10
 		req.eps = 0.1
-		req.warm = false
 		req.vec = append(req.vec[:0], vec...)
 		req.deadline = time.Time{}
 		req.enq = time.Now()
-		s.exec(w, req)
+		s.exec(ctx, req)
 	}
 	run() // warm up: grow the context scratch and write buffer once
 	if avg := testing.AllocsPerRun(300, run); avg != 0 {

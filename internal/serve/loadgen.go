@@ -33,7 +33,6 @@ type LoadConfig struct {
 	Epsilon     float64       // 0 = server default
 	Deadline    time.Duration // 0 = server default
 	Seed        int64
-	Warm        bool // set SFlagWarm on every query
 	DialTimeout time.Duration
 	// Conns, when positive, switches to pipelined multi-connection
 	// mode: Conns shared connections carry all Concurrency workers
@@ -406,9 +405,6 @@ func RunLoad[T wire.Scalar](cfg LoadConfig, queries [][]T) (*Report, error) {
 			}
 			if cfg.Deadline > 0 {
 				q.DeadlineMicros = saturatingMicros(cfg.Deadline)
-			}
-			if cfg.Warm {
-				q.Flags |= msg.SFlagWarm
 			}
 			if traceSampled(i, cfg.Seed, cfg.TraceSample) {
 				q.SetTrace(msg.STrace{TraceID: obs.NewTraceID(), Sampled: true})

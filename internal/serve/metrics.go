@@ -33,8 +33,7 @@ type Metrics struct {
 	WriteErrors       atomic.Int64 // replies lost to dead client connections
 
 	// Work counters.
-	DistEvals  atomic.Int64
-	WarmServed atomic.Int64 // queries that used the warm entry cache
+	DistEvals atomic.Int64
 
 	// Endpoint counters (non-query ops).
 	Hellos, StatsDumps, HealthProbes atomic.Int64
@@ -51,15 +50,14 @@ type Metrics struct {
 	MutLogErrors     atomic.Int64 // durability hook failures (non-fatal)
 
 	// Gauges.
-	InFlight      atomic.Int64 // admitted, not yet replied
-	Conns         atomic.Int64
-	ConnsTotal    atomic.Int64
-	QueueMax      atomic.Int64  // high-water queue depth
-	QueueDepth    func() int    // instantaneous, sampled at dump time
-	QueueCap      int           //
-	WarmCacheSize func() int    //
-	Gen           func() uint64 // published snapshot generation (mutable servers)
-	PendingDelta  func() int    // ingested rows not yet refined into the graph
+	InFlight     atomic.Int64 // admitted, not yet replied
+	Conns        atomic.Int64
+	ConnsTotal   atomic.Int64
+	QueueMax     atomic.Int64  // high-water queue depth
+	QueueDepth   func() int    // instantaneous, sampled at dump time
+	QueueCap     int           //
+	Gen          func() uint64 // published snapshot generation (mutable servers)
+	PendingDelta func() int    // ingested rows not yet refined into the graph
 
 	// Histograms (latencies in microseconds).
 	LatTotal Hist // admission to reply written
@@ -81,8 +79,8 @@ type Metrics struct {
 // its dnnd_serve_* name in the dump order the stats endpoint has
 // always used. The same registry backs Dump, the wire-protocol stats
 // op, and the debug listener's /metrics endpoints. Call it after the
-// gauge closures (QueueDepth, WarmCacheSize) are assigned — i.e. any
-// time after New returns.
+// QueueDepth gauge closure is assigned — i.e. any time after New
+// returns.
 func (m *Metrics) Registry() *obs.Registry {
 	m.regOnce.Do(func() {
 		r := obs.NewRegistry()
@@ -103,7 +101,6 @@ func (m *Metrics) Registry() *obs.Registry {
 		r.Sample("dnnd_serve_completed_total", m.Completed.Load)
 		r.Sample("dnnd_serve_write_errors_total", m.WriteErrors.Load)
 		r.Sample("dnnd_serve_dist_evals_total", m.DistEvals.Load)
-		r.Sample("dnnd_serve_warm_served_total", m.WarmServed.Load)
 		r.Sample("dnnd_serve_hello_total", m.Hellos.Load)
 		r.Sample("dnnd_serve_stats_total", m.StatsDumps.Load)
 		r.Sample("dnnd_serve_health_total", m.HealthProbes.Load)
@@ -115,9 +112,6 @@ func (m *Metrics) Registry() *obs.Registry {
 		}
 		r.Sample("dnnd_serve_queue_depth_max", m.QueueMax.Load)
 		r.Sample("dnnd_serve_queue_cap", func() int64 { return int64(m.QueueCap) })
-		if m.WarmCacheSize != nil {
-			r.Sample("dnnd_serve_warm_cache_size", func() int64 { return int64(m.WarmCacheSize()) })
-		}
 		r.Sample("dnnd_serve_ingest_ops_total", m.IngestOps.Load)
 		r.Sample("dnnd_serve_delete_ops_total", m.DeleteOps.Load)
 		r.Sample("dnnd_serve_flush_ops_total", m.FlushOps.Load)

@@ -3,7 +3,7 @@
 // persisted index through internal/search, with production scheduler
 // behaviors — bounded admission with typed overload rejections,
 // per-request deadlines, a fixed set of workers each running one
-// search at a time, a warm entry-point cache, graceful drain, and a
+// search at a time, graceful drain, and a
 // /metrics-style observability surface. The package also ships the
 // protocol client and a closed-/open-loop load generator
 // (cmd/dnnd-serve and cmd/dnnd-loadgen are thin wrappers).

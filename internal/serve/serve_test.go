@@ -128,27 +128,6 @@ func TestHistQuantiles(t *testing.T) {
 	}
 }
 
-func TestWarmCache(t *testing.T) {
-	w := newWarmCache(5)
-	if w.size() != 0 || w.snapshot() != nil {
-		t.Fatalf("fresh cache not empty")
-	}
-	ns := []knng.Neighbor{{ID: 1}, {ID: 2}, {ID: 3}}
-	w.feed(ns) // takes the top 2
-	if w.size() != 2 || len(w.snapshot()) != 2 {
-		t.Fatalf("size=%d after one feed, want 2", w.size())
-	}
-	w.feed(ns)
-	w.feed(ns) // 6 entries into a 5-ring: wrapped, full
-	if w.size() != 5 || len(w.snapshot()) != 5 {
-		t.Fatalf("size=%d after wrap, want 5", w.size())
-	}
-	w.feed(nil) // no-op
-	if w.size() != 5 {
-		t.Fatalf("empty feed changed the cache")
-	}
-}
-
 // collectReplies decodes SResult frames arriving on c until it closes.
 func collectReplies(t *testing.T, c net.Conn) <-chan msg.SResult {
 	t.Helper()
@@ -298,8 +277,8 @@ func TestDeadlineSemantics(t *testing.T) {
 	// Expired while queued: dropped before execution.
 	s.acc.Gate.Enter()
 	s.m.InFlight.Add(1)
-	w := &worker[float32]{sc: search.NewContext[float32]()}
-	s.exec(w, &request[float32]{
+	ctx := search.NewContext[float32]()
+	s.exec(ctx, &request[float32]{
 		conn: sc, id: 10, l: 8, vec: src.Data[0],
 		deadline: now.Add(-time.Millisecond), enq: now.Add(-2 * time.Millisecond),
 	})
@@ -316,10 +295,10 @@ func TestDeadlineSemantics(t *testing.T) {
 	// leaving the seeded candidates as a partial answer.
 	s.acc.Gate.Enter()
 	s.m.InFlight.Add(1)
-	s.runOne(w.sc, &request[float32]{
+	s.runOne(ctx, &request[float32]{
 		conn: sc, id: 11, l: 8, vec: src.Data[0],
 		deadline: now, enq: now,
-	}, nil, s.cur.Load())
+	}, s.cur.Load())
 	res = <-replies
 	if res.ID != 11 || res.Status != msg.SStatusPartial {
 		t.Fatalf("mid-exec expiry reply: ID=%d status=%s", res.ID, msg.SStatusName(res.Status))
@@ -345,4 +324,85 @@ func TestShutdownIdempotent(t *testing.T) {
 	if err := s.Shutdown(ctx); err != nil {
 		t.Fatalf("second shutdown: %v", err)
 	}
+}
+
+// TestRetiredFlagBitIgnored pins that bit 0 of SQuery.Flags, retired
+// and reserved in package msg, changes nothing: a query with it set
+// gets the same IDs, distances and evaluation count as the same query
+// without it, on a frozen server and on a mutable one whose snapshot
+// has grown and carries tombstones.
+func TestRetiredFlagBitIgnored(t *testing.T) {
+	const l, retired = 10, uint8(1)
+	if retired&msg.SFlagTrace != 0 {
+		t.Fatal("bit 0 is SFlagTrace")
+	}
+	check := func(t *testing.T, c *Client, vecs [][]float32) {
+		t.Helper()
+		for i, vec := range vecs {
+			var got [2]msg.SResult
+			for j, flags := range []uint8{0, retired} {
+				res, err := Do(c, &msg.SQuery[float32]{ID: uint64(i), Seed: int64(i + 1), L: l, Vec: vec, Flags: flags})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Status != msg.SStatusOK {
+					t.Fatalf("query %d flags=%d: status %s", i, flags, msg.SStatusName(res.Status))
+				}
+				got[j] = *res
+				got[j].Neighbors = append([]knng.Neighbor(nil), res.Neighbors...)
+			}
+			plain, flagged := got[0], got[1]
+			if flagged.DistEvals != plain.DistEvals || len(flagged.Neighbors) != len(plain.Neighbors) {
+				t.Fatalf("query %d: flagged evals=%d len=%d, plain evals=%d len=%d", i,
+					flagged.DistEvals, len(flagged.Neighbors), plain.DistEvals, len(plain.Neighbors))
+			}
+			for j := range plain.Neighbors {
+				if flagged.Neighbors[j] != plain.Neighbors[j] {
+					t.Fatalf("query %d rank %d: flagged %+v, plain %+v", i, j, flagged.Neighbors[j], plain.Neighbors[j])
+				}
+			}
+		}
+	}
+
+	t.Run("frozen", func(t *testing.T) {
+		src := testSource(t, 300, 8, 8)
+		s, err := New(src, Config{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go s.Serve(ln)
+		defer func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			s.Shutdown(ctx)
+		}()
+		c, err := Dial(ln.Addr().String(), 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		check(t, c, randData(24, 8, 91))
+	})
+
+	t.Run("mutable", func(t *testing.T) {
+		const n, dim = 400, 8
+		_, c, shutdown := mutableFixture(t, n, dim, 8, Config{Workers: 1}, MutableConfig[float32]{
+			RefineEvery: 1 << 20, // only the explicit flush publishes
+		})
+		defer shutdown()
+		if up, err := Ingest(c, randData(40, dim, 92)); err != nil || up.Status != msg.SStatusOK {
+			t.Fatalf("ingest: %+v, %v", up, err)
+		}
+		if up, err := c.Flush(); err != nil || up.Status != msg.SStatusOK {
+			t.Fatalf("flush: %+v, %v", up, err)
+		}
+		if up, err := c.Delete([]knng.ID{3, 17, n + 5}); err != nil || up.Status != msg.SStatusOK {
+			t.Fatalf("delete: %+v, %v", up, err)
+		}
+		check(t, c, randData(24, dim, 93))
+	})
 }

@@ -54,10 +54,6 @@ type Config struct {
 	// returns its best-so-far results with SStatusPartial.
 	DefaultDeadline time.Duration
 	MaxDeadline     time.Duration
-	// WarmEntries is the capacity of the warm entry-point cache fed by
-	// recent query results and served to queries that set SFlagWarm
-	// (0 disables the cache).
-	WarmEntries int
 	// WriteTimeout bounds each reply write (default 30s; negative
 	// disables), so a client that stops reading cannot wedge a worker
 	// — or a drain — behind a full TCP send buffer.
@@ -125,7 +121,6 @@ type request[T wire.Scalar] struct {
 	seed     int64
 	l        int
 	eps      float64
-	warm     bool
 	vec      []T
 	deadline time.Time // zero = none
 	enq      time.Time
@@ -149,8 +144,7 @@ type Server[T wire.Scalar] struct {
 	cur atomic.Pointer[snapshot[T]]
 	mut *mutable[T] // nil until EnableMutation
 
-	m    *Metrics
-	warm *warmCache
+	m *Metrics
 
 	queue   chan *request[T] // bounded admission queue (QueueDepth)
 	reqPool sync.Pool        // recycled *request[T]
@@ -189,10 +183,6 @@ func New[T wire.Scalar](src Source[T], cfg Config) (*Server[T], error) {
 	s.queue = make(chan *request[T], cfg.QueueDepth)
 	s.m.QueueCap = cfg.QueueDepth
 	s.m.QueueDepth = func() int { return len(s.queue) }
-	if cfg.WarmEntries > 0 {
-		s.warm = newWarmCache(cfg.WarmEntries)
-		s.m.WarmCacheSize = s.warm.size
-	}
 	for i := 0; i < cfg.Workers; i++ {
 		s.loopWG.Add(1)
 		go s.runWorker()
@@ -328,7 +318,6 @@ func (s *Server[T]) handleQuery(sc *Conn, payload []byte, q *msg.SQuery[T], scra
 	req.seed = q.Seed
 	req.l = int(q.L)
 	req.eps = float64(q.Epsilon)
-	req.warm = q.Flags&msg.SFlagWarm != 0 && s.warm != nil
 	req.vec = append(req.vec[:0], q.Vec...)
 	req.deadline = time.Time{}
 	req.enq = now

@@ -258,15 +258,12 @@ type ReduceOp uint8
 // Supported reduction operators.
 const (
 	OpSum ReduceOp = iota
-	OpMin
 	OpMax
 )
 
 type reduceAccum struct {
 	op    ReduceOp
-	isInt bool
-	i     int64
-	f     float64
+	v     int64
 	count int
 }
 
@@ -274,56 +271,23 @@ type reduceAccum struct {
 // call the same AllReduce operations in the same order; the call
 // processes incoming app messages while it waits, so it may be used in
 // the middle of asynchronous phases as a collective checkpoint.
-func (c *Comm) AllReduceSum(v int64) int64 { return c.allReduceInt(v, OpSum) }
+func (c *Comm) AllReduceSum(v int64) int64 { return c.allReduce(v, OpSum) }
 
 // AllReduceMax returns the maximum of v across all ranks.
-func (c *Comm) AllReduceMax(v int64) int64 { return c.allReduceInt(v, OpMax) }
+func (c *Comm) AllReduceMax(v int64) int64 { return c.allReduce(v, OpMax) }
 
-// AllReduceMin returns the minimum of v across all ranks.
-func (c *Comm) AllReduceMin(v int64) int64 { return c.allReduceInt(v, OpMin) }
-
-// AllReduceSumFloat returns the float64 sum of v across all ranks.
-func (c *Comm) AllReduceSumFloat(v float64) float64 { return c.allReduceFloat(v, OpSum) }
-
-// AllReduceMaxFloat returns the float64 maximum of v across all ranks.
-func (c *Comm) AllReduceMaxFloat(v float64) float64 { return c.allReduceFloat(v, OpMax) }
-
-func (c *Comm) allReduceInt(v int64, op ReduceOp) int64 {
-	res := c.allReduce(true, v, 0, op)
-	r := wire.NewReader(res)
-	out := r.Int64()
-	return out
-}
-
-func (c *Comm) allReduceFloat(v float64, op ReduceOp) float64 {
-	res := c.allReduce(false, 0, v, op)
-	r := wire.NewReader(res)
-	return r.Float64()
-}
-
-func (c *Comm) allReduce(isInt bool, iv int64, fv float64, op ReduceOp) []byte {
+func (c *Comm) allReduce(v int64, op ReduceOp) int64 {
 	c.checkErr()
 	c.assertOwner()
 	c.reduceSeq++
 	seq := c.reduceSeq
 	if c.nranks == 1 {
-		w := wire.NewWriter(8)
-		if isInt {
-			w.Int64(iv)
-		} else {
-			w.Float64(fv)
-		}
-		return w.Bytes()
+		return v
 	}
 	w := wire.NewWriter(32)
 	w.Uint64(seq)
 	w.Uint8(uint8(op))
-	w.Bool(isInt)
-	if isInt {
-		w.Int64(iv)
-	} else {
-		w.Float64(fv)
-	}
+	w.Int64(v)
 	c.sendCtrl(0, hdlReduceContrib, w.Bytes())
 	for {
 		if res, ok := c.reduceResults[seq]; ok {
@@ -354,60 +318,28 @@ func handleReduceContrib(c *Comm, from int, payload []byte) {
 	r := wire.NewReader(payload)
 	seq := r.Uint64()
 	op := ReduceOp(r.Uint8())
-	isInt := r.Bool()
-	var iv int64
-	var fv float64
-	if isInt {
-		iv = r.Int64()
-	} else {
-		fv = r.Float64()
-	}
+	v := r.Int64()
 	if r.Finish() != nil {
 		panic("ygm: bad reduce contribution")
 	}
 	acc, ok := c.reduceAccum[seq]
 	if !ok {
-		acc = &reduceAccum{op: op, isInt: isInt, i: iv, f: fv, count: 1}
+		acc = &reduceAccum{op: op, v: v, count: 1}
 		c.reduceAccum[seq] = acc
 	} else {
 		acc.count++
-		if isInt {
-			switch op {
-			case OpSum:
-				acc.i += iv
-			case OpMin:
-				if iv < acc.i {
-					acc.i = iv
-				}
-			case OpMax:
-				if iv > acc.i {
-					acc.i = iv
-				}
-			}
-		} else {
-			switch op {
-			case OpSum:
-				acc.f += fv
-			case OpMin:
-				if fv < acc.f {
-					acc.f = fv
-				}
-			case OpMax:
-				if fv > acc.f {
-					acc.f = fv
-				}
-			}
+		switch op {
+		case OpSum:
+			acc.v += v
+		case OpMax:
+			acc.v = max(acc.v, v)
 		}
 	}
 	if acc.count == c.nranks {
 		delete(c.reduceAccum, seq)
-		w := wire.NewWriter(24)
+		w := wire.NewWriter(16)
 		w.Uint64(seq)
-		if acc.isInt {
-			w.Int64(acc.i)
-		} else {
-			w.Float64(acc.f)
-		}
+		w.Int64(acc.v)
 		for dest := 0; dest < c.nranks; dest++ {
 			c.sendCtrl(dest, hdlReduceResult, w.Bytes())
 		}
@@ -417,7 +349,9 @@ func handleReduceContrib(c *Comm, from int, payload []byte) {
 func handleReduceResult(c *Comm, from int, payload []byte) {
 	r := wire.NewReader(payload)
 	seq := r.Uint64()
-	rest := make([]byte, r.Remaining())
-	copy(rest, payload[8:])
-	c.reduceResults[seq] = rest
+	v := r.Int64()
+	if r.Finish() != nil {
+		panic("ygm: bad reduce result")
+	}
+	c.reduceResults[seq] = v
 }

@@ -225,7 +225,7 @@ type Comm struct {
 
 	// AllReduce state.
 	reduceSeq     uint64
-	reduceResults map[uint64][]byte
+	reduceResults map[uint64]int64
 	reduceAccum   map[uint64]*reduceAccum
 
 	// Observability hooks (both optional; see trace.go).
@@ -246,7 +246,7 @@ func newComm(rank, nranks int) *Comm {
 		out:           make([][]byte, nranks),
 		elided:        make([]int, nranks),
 		flushBytes:    defaultFlushBytes,
-		reduceResults: make(map[uint64][]byte),
+		reduceResults: make(map[uint64]int64),
 		reduceAccum:   make(map[uint64]*reduceAccum),
 	}
 	if rank == 0 {

@@ -247,15 +247,6 @@ func TestAllReduce(t *testing.T) {
 		if got := c.AllReduceMax(r); got != n-1 {
 			return fmt.Errorf("max = %d", got)
 		}
-		if got := c.AllReduceMin(r); got != 0 {
-			return fmt.Errorf("min = %d", got)
-		}
-		if got := c.AllReduceSumFloat(0.5); got != n*0.5 {
-			return fmt.Errorf("fsum = %v", got)
-		}
-		if got := c.AllReduceMaxFloat(float64(c.Rank())); got != n-1 {
-			return fmt.Errorf("fmax = %v", got)
-		}
 		// Back-to-back reductions must not mix sequence numbers.
 		for i := 0; i < 20; i++ {
 			if got := c.AllReduceSum(int64(i)); got != int64(i*n) {

@@ -85,10 +85,11 @@ echo "== go test -race (batch search: shared claim cursor, repeated)"
 go test -race -count=5 -run 'TestBatch|TestEntriesFuncInBatch' ./internal/search/
 
 echo "== go test -race (warm builds: seeding search ahead of the worker ring, repeated)"
-# Extend and Refresh seed appended rows with one search.Batch over the
-# prior graph, then run the ring; a race between the two, or a refresh
-# that depends on the worker width, shows up only on some schedules.
-go test -race -count=3 -run 'TestRefresh|TestExtend' .
+# Extend, Refresh and Compact seed appended rows with one search.Batch
+# over the prior graph, then run the ring; a race between the two, or a
+# refresh that depends on the worker width, shows up only on some
+# schedules.
+go test -race -count=3 -run 'TestRefresh|TestExtend|TestCompact' .
 
 echo "== go test -race (online serving: server + loadgen in-process)"
 # The serve e2e suite runs the whole subsystem — admission, workers,

@@ -407,21 +407,18 @@ func Compact[T Scalar](dir string, opt BuildOptions) ([]ID, error) {
 	combined := make([][]T, 0, len(ix.data)+len(pending))
 	combined = append(combined, ix.data...)
 	combined = append(combined, pending...)
-	// Grow the prior graph over the delta range with empty lists: the
-	// warm-started build tops those vertices up exactly like Extend.
-	prior := knng.NewGraph(len(combined))
-	copy(prior.Neighbors, ix.graph.Neighbors)
-
+	// The prior covers only the base rows: the delta rows start from a
+	// search of it, exactly like Extend's appended rows.
 	var (
 		kept    [][]T
 		res     *BuildResult
 		mapping []ID
 	)
 	if dead := tombs.Snapshot(); len(dead) > 0 {
-		kept, res, mapping, err = Remove(combined, dead, prior, opt)
+		kept, res, mapping, err = Remove(combined, dead, ix.graph, opt)
 	} else {
 		kept = combined
-		res, err = runBuild(combined, prior, nil, opt)
+		res, err = runBuild(combined, ix.graph, nil, opt)
 	}
 	if err != nil {
 		return nil, err

@@ -248,6 +248,79 @@ func TestCompactFoldsDeltaAndTombstones(t *testing.T) {
 	}
 }
 
+// TestCompactSeedsLikeExtend: Compact hands the build the stored graph
+// unpadded, so its delta rows start from a search of it. Without
+// tombstones the compacted graph is Extend's, neighbor for neighbor;
+// with them it is Remove's over the same unpadded prior.
+func TestCompactSeedsLikeExtend(t *testing.T) {
+	const n, dim, k = 300, 8, 8
+	opt := BuildOptions{K: k, Metric: metric.SquaredL2, Ranks: 1, Seed: 1}
+	rng := rand.New(rand.NewSource(14))
+	data := randRows[float32](rng, n, dim)
+	delta := randRows[float32](rng, 40, dim)
+	combined := append(append([][]float32(nil), data...), delta...)
+	built, err := Build(data, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := NewIndex(built.Graph, data, opt.Metric, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compacted := func(t *testing.T, dead []ID) *Graph {
+		t.Helper()
+		tombs := NewTombstones(len(combined))
+		for _, id := range dead {
+			tombs.Kill(id)
+		}
+		dir := filepath.Join(t.TempDir(), "store")
+		if err := SaveMutable(dir, ix, true, delta, tombs, 1); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Compact[float32](dir, opt); err != nil {
+			t.Fatal(err)
+		}
+		lx, _, _, _, err := LoadMutable[float32](dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lx.Graph()
+	}
+	same := func(t *testing.T, got, want *Graph) {
+		t.Helper()
+		if got.NumVertices() != want.NumVertices() {
+			t.Fatalf("compacted graph has %d vertices, want %d", got.NumVertices(), want.NumVertices())
+		}
+		for v := range want.Neighbors {
+			g, w := got.Neighbors[v], want.Neighbors[v]
+			if len(g) != len(w) {
+				t.Fatalf("vertex %d: %d neighbors, want %d", v, len(g), len(w))
+			}
+			for j := range w {
+				if g[j].ID != w[j].ID || g[j].Dist != w[j].Dist {
+					t.Fatalf("vertex %d rank %d: %d@%v, want %d@%v", v, j, g[j].ID, g[j].Dist, w[j].ID, w[j].Dist)
+				}
+			}
+		}
+	}
+
+	t.Run("pending", func(t *testing.T) {
+		want, err := Extend(data, delta, built.Graph, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same(t, compacted(t, nil), want.Graph)
+	})
+	t.Run("tombstones", func(t *testing.T) {
+		dead := []ID{4, 90, 91, n + 3}
+		_, want, _, err := Remove(combined, dead, built.Graph, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same(t, compacted(t, dead), want.Graph)
+	})
+}
+
 // TestSaveMutableUnderConcurrentDeletes: SaveMutable freezes the
 // tombstone set once and derives both the persisted TombN and the
 // bitset blob from that single copy, so a save racing concurrent Kill
