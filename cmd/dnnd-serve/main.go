@@ -94,22 +94,14 @@ type options struct {
 // the first error on the way; main reports it and exits 1.
 func run[T dnnd.Scalar](storeDir string, o options) error {
 	addr, debugAddr, cfg, drainWait := o.addr, o.debugAddr, o.cfg, o.drainWait
-	var (
-		ix      *dnnd.Index[T]
-		refined bool
-		pending [][]T
-		tombs   *dnnd.Tombstones
-		st      dnnd.StoreState
-		err     error
-	)
-	if o.mutable {
-		ix, pending, tombs, st, err = dnnd.LoadMutable[T](storeDir)
-		refined = st.Refined
-	} else {
-		ix, refined, err = dnnd.LoadWithMeta[T](storeDir)
-	}
+	ix, pending, tombs, st, err := dnnd.LoadMutable[T](storeDir)
 	if err != nil {
 		return err
+	}
+	if !o.mutable {
+		if err := st.CheckClean(storeDir); err != nil {
+			return err
+		}
 	}
 	src := serve.Source[T]{
 		Graph:   ix.Graph(),
@@ -117,7 +109,7 @@ func run[T dnnd.Scalar](storeDir string, o options) error {
 		Dist:    ix.Dist(),
 		Metric:  string(ix.Metric()),
 		K:       ix.K(),
-		Refined: refined,
+		Refined: st.Refined,
 	}
 	var tracer *obs.Tracer
 	if debugAddr != "" || o.traceOut != "" {
@@ -173,7 +165,7 @@ func run[T dnnd.Scalar](storeDir string, o options) error {
 			ix.Len(), wire.ElemName[T](), ix.Metric(), ix.K(), st.Gen, len(pending), st.TombN, o.persist, ln.Addr())
 	} else {
 		fmt.Printf("dnnd-serve: serving %d %s points (metric=%s k=%d refined=%v) on %s\n",
-			ix.Len(), wire.ElemName[T](), ix.Metric(), ix.K(), refined, ln.Addr())
+			ix.Len(), wire.ElemName[T](), ix.Metric(), ix.K(), st.Refined, ln.Addr())
 	}
 
 	return serve.RunDaemon("dnnd-serve", s, ln, drainWait, tracer, o.traceOut, s.Metrics().Dump)

@@ -359,25 +359,6 @@ func kernelFor[T Scalar](k MetricKind) (metric.Kernel[T], error) {
 	return metric.KernelFor[T](k)
 }
 
-// metricFor adapts metric.For to the root Scalar constraint.
-func metricFor[T Scalar](k MetricKind) (metric.Func[T], error) {
-	if k == "" {
-		return nil, errors.New("dnnd: Metric is required")
-	}
-	var z T
-	switch any(z).(type) {
-	case float32:
-		f, err := metric.ForFloat32(k)
-		return any(f).(metric.Func[T]), err
-	case uint8:
-		f, err := metric.ForUint8(k)
-		return any(f).(metric.Func[T]), err
-	default:
-		f, err := metric.ForUint32(k)
-		return any(f).(metric.Func[T]), err
-	}
-}
-
 // Index answers approximate nearest-neighbor queries over a built
 // graph. Create one with NewIndex or Load.
 type Index[T Scalar] struct {
@@ -404,7 +385,7 @@ func NewIndex[T Scalar](g *Graph, data [][]T, kind MetricKind, k int) (*Index[T]
 		return nil, fmt.Errorf("dnnd: graph has %d vertices but dataset has %d rows",
 			g.NumVertices(), len(data))
 	}
-	dist, err := metricFor[T](kind)
+	dist, err := metric.For[T](kind)
 	if err != nil {
 		return nil, err
 	}

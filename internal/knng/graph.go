@@ -133,15 +133,20 @@ func Unmarshal(p []byte) (*Graph, error) {
 	if v := r.Uint32(); v != graphVersion {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadGraphData, v)
 	}
-	n := int(r.Uint32())
-	if r.Err() != nil || n > wire.MaxVectorLen {
-		return nil, fmt.Errorf("%w: bad vertex count", ErrBadGraphData)
+	n := r.Count(4) // every vertex carries at least its 4-byte list length
+	if r.Err() != nil {
+		return nil, fmt.Errorf("%w: bad vertex count: %v", ErrBadGraphData, r.Err())
 	}
 	g := NewGraph(n)
 	for v := 0; v < n; v++ {
 		ns := decodeNeighbors(r)
 		if r.Err() != nil {
 			return nil, fmt.Errorf("%w: truncated at vertex %d", ErrBadGraphData, v)
+		}
+		for _, e := range ns {
+			if int(e.ID) >= n {
+				return nil, fmt.Errorf("%w: vertex %d neighbor %d out of range (N=%d)", ErrBadGraphData, v, e.ID, n)
+			}
 		}
 		g.Neighbors[v] = ns
 	}

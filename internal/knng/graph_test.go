@@ -1,7 +1,10 @@
 package knng
 
 import (
+	"encoding/binary"
+	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -88,6 +91,46 @@ func TestUnmarshalRejectsCorruption(t *testing.T) {
 	trailing := append(append([]byte(nil), blob...), 0)
 	if _, err := Unmarshal(trailing); err == nil {
 		t.Error("trailing bytes accepted")
+	}
+}
+
+// allocDuring returns the bytes f allocates.
+func allocDuring(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestUnmarshalHostileCounts: a blob whose top-level count its bytes
+// cannot hold is rejected before anything is sized from that count.
+func TestUnmarshalHostileCounts(t *testing.T) {
+	le := binary.LittleEndian
+	graph := le.AppendUint32(le.AppendUint32(le.AppendUint32(nil, graphMagic), graphVersion), 1<<20)
+	tombs := le.AppendUint32(le.AppendUint32(le.AppendUint32(nil, tombMagic), tombVersion), 1<<26)
+	for name, decode := range map[string]func() error{
+		"graph": func() error { _, err := Unmarshal(graph); return err },
+		"tombs": func() error { _, err := UnmarshalTombSet(tombs); return err },
+	} {
+		var err error
+		if grew := allocDuring(func() { err = decode() }); grew >= 1<<20 {
+			t.Errorf("%s: rejecting a 12-byte blob allocated %d bytes", name, grew)
+		}
+		if err == nil {
+			t.Errorf("%s: 12-byte blob with a huge count accepted", name)
+		}
+	}
+}
+
+// TestUnmarshalRejectsOutOfRangeID: a neighbor ID at or past N would
+// load fine and panic the first search that reached it.
+func TestUnmarshalRejectsOutOfRangeID(t *testing.T) {
+	g := NewGraph(3)
+	g.Neighbors[0] = []Neighbor{{ID: 1, Dist: 1}}
+	g.Neighbors[1] = []Neighbor{{ID: 3, Dist: 1}}
+	if _, err := Unmarshal(g.Marshal()); !errors.Is(err, ErrBadGraphData) {
+		t.Fatalf("neighbor ID 3 in a 3-vertex graph: %v, want ErrBadGraphData", err)
 	}
 }
 

@@ -163,7 +163,7 @@ func UnmarshalTombSet(p []byte) (*TombSet, error) {
 		return nil, fmt.Errorf("knng: unsupported tombstone version %d", v)
 	}
 	n := int(r.Uint32())
-	if r.Err() != nil || n > wire.MaxVectorLen {
+	if r.Err() != nil || n > wire.MaxVectorLen || (n+63)/64*8 > r.Remaining() {
 		return nil, fmt.Errorf("knng: bad tombstone count")
 	}
 	t := NewTombSet(n)

@@ -20,6 +20,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
+	"strings"
 	"time"
 )
 
@@ -52,14 +54,13 @@ type manifestEntry struct {
 	Checksum uint32 `json:"checksum_crc32c"`
 }
 
-// Manager is an open datastore. It buffers writes in memory; Close (or
-// Commit) persists them atomically. A Manager is not safe for
-// concurrent use.
+// Manager is an open datastore. It buffers writes in memory; Close
+// persists them atomically. A Manager is not safe for concurrent use.
 type Manager struct {
 	dir     string
 	created time.Time
 	entries map[string]manifestEntry // committed state
-	pending map[string][]byte        // uncommitted writes (nil = delete)
+	pending map[string][]byte        // uncommitted writes
 	cache   map[string][]byte        // loaded committed objects
 	seq     int
 	closed  bool
@@ -67,26 +68,21 @@ type Manager struct {
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// Create initializes a new datastore directory. The directory may exist
-// but must not already contain a datastore.
-func Create(dir string) (*Manager, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("metall: create %s: %w", dir, err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, manifestName)); err == nil {
-		return nil, fmt.Errorf("metall: datastore already exists at %s", dir)
-	}
-	m := &Manager{
+func newManager(dir string, created time.Time) *Manager {
+	return &Manager{
 		dir:     dir,
-		created: time.Now().UTC(),
+		created: created,
 		entries: make(map[string]manifestEntry),
 		pending: make(map[string][]byte),
 		cache:   make(map[string][]byte),
 	}
-	return m, nil
 }
 
-// Open attaches to an existing datastore directory.
+// Open attaches to an existing datastore directory. The manifest is
+// validated before anything is read through it: every entry must have
+// a unique non-empty name, a non-negative size, and a canonical object
+// file name, so no entry can point outside the directory or share a
+// file another entry's rewrite would delete.
 func Open(dir string) (*Manager, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
@@ -99,50 +95,70 @@ func Open(dir string) (*Manager, error) {
 	if mf.Version != storeVersion {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, mf.Version)
 	}
-	m := &Manager{
-		dir:     dir,
-		created: mf.CreatedAt,
-		entries: make(map[string]manifestEntry, len(mf.Objects)),
-		pending: make(map[string][]byte),
-		cache:   make(map[string][]byte),
-	}
-	// Resume the object-file sequence after the highest number in use,
-	// not at the object count: committed files keep climbing (obj-000006
-	// after five objects were rewritten once), and a lower seq would make
-	// the next commit overwrite live files and then delete them as stale.
+	m := newManager(dir, mf.CreatedAt)
+	files := make(map[string]bool, len(mf.Objects))
 	for _, e := range mf.Objects {
-		m.entries[e.Name] = e
-		var n int
-		if _, err := fmt.Sscanf(e.File, "obj-%06d.bin", &n); err == nil && n > m.seq {
-			m.seq = n
+		n, ok := objectSeq(e.File)
+		switch {
+		case e.Name == "":
+			return nil, fmt.Errorf("%w: manifest entry with empty name", ErrCorrupt)
+		case !ok:
+			return nil, fmt.Errorf("%w: object %q: bad file name %q", ErrCorrupt, e.Name, e.File)
+		case e.Size < 0:
+			return nil, fmt.Errorf("%w: object %q: negative size %d", ErrCorrupt, e.Name, e.Size)
 		}
+		if _, dup := m.entries[e.Name]; dup {
+			return nil, fmt.Errorf("%w: duplicate object %q", ErrCorrupt, e.Name)
+		}
+		if files[e.File] {
+			return nil, fmt.Errorf("%w: object %q: file %q already in use", ErrCorrupt, e.Name, e.File)
+		}
+		files[e.File] = true
+		m.entries[e.Name] = e
+		// Resume the object-file sequence after the highest number in
+		// use, not at the object count: committed files keep climbing
+		// (obj-000006 after five objects were rewritten once), and a
+		// lower seq would make the next commit overwrite live files and
+		// then delete them as stale.
+		m.seq = max(m.seq, n)
 	}
 	return m, nil
 }
 
-// OpenOrCreate opens dir if it holds a datastore and creates one
-// otherwise.
+// objectFile names the object file with sequence number n.
+func objectFile(n int) string { return fmt.Sprintf("obj-%06d.bin", n) }
+
+// objectSeq parses a file name objectFile produced, reporting false
+// for anything else.
+func objectSeq(file string) (int, bool) {
+	n, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(file, "obj-"), ".bin"))
+	if err != nil || n < 1 || objectFile(n) != file {
+		return 0, false
+	}
+	return n, true
+}
+
+// OpenOrCreate opens dir if it holds a datastore and otherwise starts
+// a new one there (the directory is created if missing; the store
+// exists on disk from its first Close).
 func OpenOrCreate(dir string) (*Manager, error) {
 	if _, err := os.Stat(filepath.Join(dir, manifestName)); err == nil {
 		return Open(dir)
 	}
-	return Create(dir)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("metall: create %s: %w", dir, err)
+	}
+	return newManager(dir, time.Now().UTC()), nil
 }
 
-// Dir returns the datastore directory.
-func (m *Manager) Dir() string { return m.dir }
-
-// Put stores data under name. The write is buffered until Commit or
-// Close; the data slice is retained and must not be mutated afterwards.
+// Put stores data under name. The write is buffered until Close; the
+// data slice is retained and must not be mutated afterwards.
 func (m *Manager) Put(name string, data []byte) error {
 	if m.closed {
 		return ErrClosed
 	}
 	if name == "" {
 		return errors.New("metall: empty object name")
-	}
-	if data == nil {
-		data = []byte{}
 	}
 	m.pending[name] = data
 	return nil
@@ -155,9 +171,6 @@ func (m *Manager) Get(name string) ([]byte, error) {
 		return nil, ErrClosed
 	}
 	if data, ok := m.pending[name]; ok {
-		if data == nil {
-			return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
-		}
 		return data, nil
 	}
 	if data, ok := m.cache[name]; ok {
@@ -182,80 +195,18 @@ func (m *Manager) Get(name string) ([]byte, error) {
 	return data, nil
 }
 
-// Has reports whether the named object exists.
-func (m *Manager) Has(name string) bool {
-	if m.closed {
-		return false
-	}
-	if data, ok := m.pending[name]; ok {
-		return data != nil
-	}
-	_, ok := m.entries[name]
-	return ok
-}
-
-// Delete removes the named object (buffered until commit).
-func (m *Manager) Delete(name string) error {
-	if m.closed {
-		return ErrClosed
-	}
-	m.pending[name] = nil
-	delete(m.cache, name)
-	return nil
-}
-
-// Names returns all object names, sorted.
-func (m *Manager) Names() []string {
-	seen := make(map[string]bool)
-	for name := range m.entries {
-		seen[name] = true
-	}
-	for name, data := range m.pending {
-		seen[name] = data != nil
-	}
-	var out []string
-	for name, ok := range seen {
-		if ok {
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Size returns the committed-or-pending byte size of the named object.
-func (m *Manager) Size(name string) (int64, error) {
-	if data, ok := m.pending[name]; ok && data != nil {
-		return int64(len(data)), nil
-	}
-	if e, ok := m.entries[name]; ok {
-		return e.Size, nil
-	}
-	return 0, fmt.Errorf("%w: %q", ErrNotFound, name)
-}
-
-// Commit durably persists all pending writes and deletions: object
-// files are written first, then the manifest replaces the old one via
-// rename, so a crash leaves either the old or the new store intact.
-func (m *Manager) Commit() error {
-	if m.closed {
-		return ErrClosed
-	}
+// commit durably persists all pending writes: object files are
+// written first, then the manifest replaces the old one via rename, so
+// a crash leaves either the old or the new store intact.
+func (m *Manager) commit() error {
 	if len(m.pending) == 0 && m.manifestExists() {
 		return nil
 	}
 	var stale []string
 	for name, data := range m.pending {
 		old, hadOld := m.entries[name]
-		if data == nil {
-			delete(m.entries, name)
-			if hadOld {
-				stale = append(stale, old.File)
-			}
-			continue
-		}
 		m.seq++
-		file := fmt.Sprintf("obj-%06d.bin", m.seq)
+		file := objectFile(m.seq)
 		path := filepath.Join(m.dir, file)
 		if err := writeFileSync(path, data); err != nil {
 			return fmt.Errorf("metall: commit object %q: %w", name, err)
@@ -316,39 +267,11 @@ func (m *Manager) Close() error {
 	if m.closed {
 		return ErrClosed
 	}
-	err := m.Commit()
+	err := m.commit()
 	m.closed = true
 	m.pending = nil
 	m.cache = nil
 	return err
-}
-
-// Snapshot commits the current state and copies the datastore to a new
-// directory (Metall's snapshot feature).
-func (m *Manager) Snapshot(dest string) error {
-	if err := m.Commit(); err != nil {
-		return err
-	}
-	if err := os.MkdirAll(dest, 0o755); err != nil {
-		return fmt.Errorf("metall: snapshot: %w", err)
-	}
-	if _, err := os.Stat(filepath.Join(dest, manifestName)); err == nil {
-		return fmt.Errorf("metall: snapshot destination %s already holds a datastore", dest)
-	}
-	for _, e := range m.entries {
-		data, err := os.ReadFile(filepath.Join(m.dir, e.File))
-		if err != nil {
-			return fmt.Errorf("metall: snapshot read %q: %w", e.Name, err)
-		}
-		if err := writeFileSync(filepath.Join(dest, e.File), data); err != nil {
-			return fmt.Errorf("metall: snapshot write %q: %w", e.Name, err)
-		}
-	}
-	raw, err := os.ReadFile(filepath.Join(m.dir, manifestName))
-	if err != nil {
-		return fmt.Errorf("metall: snapshot manifest: %w", err)
-	}
-	return writeFileSync(filepath.Join(dest, manifestName), raw)
 }
 
 func writeFileSync(path string, data []byte) error {

@@ -2,7 +2,9 @@ package metall
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -10,8 +12,8 @@ import (
 )
 
 func TestCreatePutGetCloseOpen(t *testing.T) {
-	dir := t.TempDir()
-	m, err := Create(dir)
+	dir := filepath.Join(t.TempDir(), "store")
+	m, err := OpenOrCreate(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,13 +40,12 @@ func TestCreatePutGetCloseOpen(t *testing.T) {
 	if err != nil || string(got) != "dataset-bytes" {
 		t.Fatalf("post-reopen Get = %q, %v", got, err)
 	}
-	names := m2.Names()
-	if len(names) != 2 || names[0] != "dataset" || names[1] != "graph" {
-		t.Errorf("Names = %v", names)
+	got, err = m2.Get("graph")
+	if err != nil || string(got) != "graph-bytes" {
+		t.Errorf("post-reopen Get = %q, %v", got, err)
 	}
-	sz, err := m2.Size("graph")
-	if err != nil || sz != int64(len("graph-bytes")) {
-		t.Errorf("Size = %d, %v", sz, err)
+	if _, err := m2.Get("missing"); !errors.Is(err, ErrNotFound) {
+		t.Errorf("Get of missing object = %v, want ErrNotFound", err)
 	}
 	if err := m2.Close(); err != nil {
 		t.Fatal(err)
@@ -106,57 +107,33 @@ func TestRepeatedReopenCommitCycles(t *testing.T) {
 	}
 }
 
-func TestCreateRefusesExistingStore(t *testing.T) {
-	dir := t.TempDir()
-	m, _ := Create(dir)
-	m.Put("x", []byte("y"))
-	m.Close()
-	if _, err := Create(dir); err == nil {
-		t.Fatal("Create over an existing datastore should fail")
-	}
-	if _, err := OpenOrCreate(dir); err != nil {
-		t.Fatalf("OpenOrCreate should open: %v", err)
-	}
-}
-
 func TestOpenMissing(t *testing.T) {
 	if _, err := Open(filepath.Join(t.TempDir(), "nope")); err == nil {
 		t.Fatal("Open of missing store should fail")
 	}
 }
 
+// TestOverwriteAndDelete: rewriting an object replaces its bytes, and
+// the commit deletes the file the old version lived in.
 func TestOverwriteAndDelete(t *testing.T) {
 	dir := t.TempDir()
-	m, _ := Create(dir)
+	m, _ := OpenOrCreate(dir)
 	m.Put("k", []byte("v1"))
-	if err := m.Commit(); err != nil {
+	if err := m.commit(); err != nil {
 		t.Fatal(err)
 	}
 	m.Put("k", []byte("v2"))
-	if err := m.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	got, _ := m.Get("k")
-	if string(got) != "v2" {
-		t.Errorf("after overwrite = %q", got)
-	}
-	m.Delete("k")
-	if _, err := m.Get("k"); !errors.Is(err, ErrNotFound) {
-		t.Errorf("Get after Delete = %v", err)
-	}
-	if m.Has("k") {
-		t.Error("Has after Delete")
-	}
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	m2, _ := Open(dir)
-	if m2.Has("k") {
-		t.Error("deleted object resurfaced after reopen")
+	got, err := m2.Get("k")
+	if err != nil || string(got) != "v2" {
+		t.Errorf("after overwrite = %q, %v", got, err)
 	}
 	m2.Close()
-	// Overwritten/deleted object files are garbage collected.
+	// The overwritten object's file is deleted: one object file left.
 	files, _ := os.ReadDir(dir)
 	bins := 0
 	for _, f := range files {
@@ -164,14 +141,14 @@ func TestOverwriteAndDelete(t *testing.T) {
 			bins++
 		}
 	}
-	if bins != 0 {
-		t.Errorf("%d stale object files left behind", bins)
+	if bins != 1 {
+		t.Errorf("%d object files for one object", bins)
 	}
 }
 
 func TestChecksumDetectsCorruption(t *testing.T) {
 	dir := t.TempDir()
-	m, _ := Create(dir)
+	m, _ := OpenOrCreate(dir)
 	m.Put("obj", bytes.Repeat([]byte{7}, 100))
 	m.Close()
 
@@ -196,7 +173,7 @@ func TestChecksumDetectsCorruption(t *testing.T) {
 
 func TestTruncatedObjectDetected(t *testing.T) {
 	dir := t.TempDir()
-	m, _ := Create(dir)
+	m, _ := OpenOrCreate(dir)
 	m.Put("obj", bytes.Repeat([]byte{9}, 64))
 	m.Close()
 	files, _ := os.ReadDir(dir)
@@ -213,7 +190,7 @@ func TestTruncatedObjectDetected(t *testing.T) {
 
 func TestBadManifestRejected(t *testing.T) {
 	dir := t.TempDir()
-	m, _ := Create(dir)
+	m, _ := OpenOrCreate(dir)
 	m.Put("x", []byte("y"))
 	m.Close()
 	os.WriteFile(filepath.Join(dir, manifestName), []byte("{not json"), 0o644)
@@ -224,7 +201,7 @@ func TestBadManifestRejected(t *testing.T) {
 
 func TestClosedManagerRefusesOperations(t *testing.T) {
 	dir := t.TempDir()
-	m, _ := Create(dir)
+	m, _ := OpenOrCreate(dir)
 	m.Close()
 	if err := m.Put("a", nil); !errors.Is(err, ErrClosed) {
 		t.Error("Put after Close")
@@ -232,54 +209,22 @@ func TestClosedManagerRefusesOperations(t *testing.T) {
 	if _, err := m.Get("a"); !errors.Is(err, ErrClosed) {
 		t.Error("Get after Close")
 	}
-	if err := m.Delete("a"); !errors.Is(err, ErrClosed) {
-		t.Error("Delete after Close")
-	}
-	if err := m.Commit(); !errors.Is(err, ErrClosed) {
-		t.Error("Commit after Close")
-	}
 	if err := m.Close(); !errors.Is(err, ErrClosed) {
 		t.Error("double Close should report ErrClosed")
 	}
 }
 
 func TestEmptyNameRejected(t *testing.T) {
-	m, _ := Create(t.TempDir())
+	m, _ := OpenOrCreate(t.TempDir())
 	defer m.Close()
 	if err := m.Put("", []byte("x")); err == nil {
 		t.Fatal("empty name accepted")
 	}
 }
 
-func TestSnapshot(t *testing.T) {
-	src := t.TempDir()
-	dst := filepath.Join(t.TempDir(), "snap")
-	m, _ := Create(src)
-	m.Put("a", []byte("alpha"))
-	m.Put("b", []byte("beta"))
-	if err := m.Snapshot(dst); err != nil {
-		t.Fatal(err)
-	}
-	// Snapshot to an existing store must fail.
-	if err := m.Snapshot(dst); err == nil {
-		t.Error("second snapshot to the same dir should fail")
-	}
-	m.Close()
-
-	s, err := Open(dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.Get("a")
-	if err != nil || string(got) != "alpha" {
-		t.Errorf("snapshot Get = %q, %v", got, err)
-	}
-	s.Close()
-}
-
 func TestQuickPutGetRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	m, err := Create(dir)
+	m, err := OpenOrCreate(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +236,7 @@ func TestQuickPutGetRoundTrip(t *testing.T) {
 		if err := m.Put(name, data); err != nil {
 			return false
 		}
-		if err := m.Commit(); err != nil {
+		if err := m.commit(); err != nil {
 			return false
 		}
 		got, err := m.Get(name)
@@ -306,42 +251,156 @@ func TestCommitIsAtomicUnderReopen(t *testing.T) {
 	// A store with uncommitted writes reopened from disk must show only
 	// the committed state.
 	dir := t.TempDir()
-	m, _ := Create(dir)
+	m, _ := OpenOrCreate(dir)
 	m.Put("committed", []byte("yes"))
-	m.Commit()
+	m.commit()
 	m.Put("pending", []byte("no"))
-	// No Commit, no Close: simulate a crash by just reopening.
+	// No commit, no Close: simulate a crash by just reopening.
 	m2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m2.Has("pending") {
-		t.Error("uncommitted write became visible")
+	if _, err := m2.Get("pending"); !errors.Is(err, ErrNotFound) {
+		t.Errorf("uncommitted write: Get = %v, want ErrNotFound", err)
 	}
-	if !m2.Has("committed") {
-		t.Error("committed write lost")
+	if got, err := m2.Get("committed"); err != nil || string(got) != "yes" {
+		t.Errorf("committed write: Get = %q, %v", got, err)
 	}
 	m2.Close()
-}
-
-func TestDirAndSizeOfPending(t *testing.T) {
-	dir := t.TempDir()
-	m, _ := Create(dir)
-	defer m.Close()
-	if m.Dir() != dir {
-		t.Errorf("Dir = %q", m.Dir())
-	}
-	m.Put("x", []byte("12345"))
-	if sz, err := m.Size("x"); err != nil || sz != 5 {
-		t.Errorf("pending Size = %d, %v", sz, err)
-	}
-	if _, err := m.Size("missing"); !errors.Is(err, ErrNotFound) {
-		t.Errorf("Size of missing = %v", err)
-	}
 }
 
 func TestWriteFileSyncFailure(t *testing.T) {
 	if err := writeFileSync(filepath.Join(t.TempDir(), "no", "such", "dir", "f"), []byte("x")); err == nil {
 		t.Error("write into missing directory accepted")
 	}
+}
+
+// writeManifestEntries replaces dir's manifest with one listing
+// entries.
+func writeManifestEntries(t *testing.T, dir string, entries []manifestEntry) {
+	t.Helper()
+	raw, err := json.Marshal(manifest{Version: storeVersion, Objects: entries})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, manifestName), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOpenRejectsEscapingFile: a manifest entry whose file leaves the
+// store directory is refused at Open. Accepted, Get would read the
+// outside file and the next commit rewriting that object would delete
+// it.
+func TestOpenRejectsEscapingFile(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "store")
+	victim := filepath.Join(root, "victim")
+	payload := []byte("not part of any store")
+	if err := os.WriteFile(victim, payload, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m, _ := OpenOrCreate(dir)
+	m.Put("meta", []byte("x"))
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	writeManifestEntries(t, dir, []manifestEntry{{
+		Name: "meta", File: "../victim",
+		Size: int64(len(payload)), Checksum: crc32.Checksum(payload, crcTable),
+	}})
+
+	m, err := Open(dir)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Errorf("Open with an entry pointing at ../victim = %v, want ErrCorrupt", err)
+	}
+	if err == nil {
+		if got, err := m.Get("meta"); err == nil {
+			t.Errorf("Get read %q from outside the store", got)
+		}
+		m.Put("meta", []byte("y"))
+		m.Close()
+	}
+	if _, err := os.Stat(victim); err != nil {
+		t.Errorf("file outside the store was removed: %v", err)
+	}
+}
+
+// TestOpenRejectsBadEntries: every other malformed manifest entry is
+// refused at Open too.
+func TestOpenRejectsBadEntries(t *testing.T) {
+	ok := manifestEntry{Name: "a", File: "obj-000001.bin"}
+	for name, entries := range map[string][]manifestEntry{
+		"empty name":     {{Name: "", File: "obj-000001.bin"}},
+		"duplicate name": {ok, {Name: "a", File: "obj-000002.bin"}},
+		"shared file":    {ok, {Name: "b", File: "obj-000001.bin"}},
+		"negative size":  {{Name: "a", File: "obj-000001.bin", Size: -1}},
+		"absolute file":  {{Name: "a", File: "/etc/passwd"}},
+		"short digits":   {{Name: "a", File: "obj-1.bin"}},
+		"signed digits":  {{Name: "a", File: "obj-+00001.bin"}},
+		"zero sequence":  {{Name: "a", File: "obj-000000.bin"}},
+	} {
+		dir := t.TempDir()
+		writeManifestEntries(t, dir, entries)
+		if _, err := Open(dir); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: Open = %v, want ErrCorrupt", name, err)
+		}
+	}
+	dir := t.TempDir()
+	writeManifestEntries(t, dir, []manifestEntry{ok, {Name: "b", File: "obj-1000000.bin"}})
+	if _, err := Open(dir); err != nil {
+		t.Errorf("valid manifest (7-digit sequence) rejected: %v", err)
+	}
+}
+
+// FuzzOpen: Open never panics on arbitrary manifest bytes, and a
+// manifest it accepts keeps every object inside the store: reading
+// each object and then rewriting all of them touches no file outside
+// the directory.
+func FuzzOpen(f *testing.F) {
+	seed := func(entries ...manifestEntry) []byte {
+		raw, _ := json.Marshal(manifest{Version: storeVersion, Objects: entries})
+		return raw
+	}
+	f.Add(seed(manifestEntry{Name: "meta", File: "obj-000001.bin", Size: 1},
+		manifestEntry{Name: "graph", File: "obj-000002.bin"}))
+	f.Add(seed(manifestEntry{Name: "meta", File: "../victim"}))
+	f.Add(seed(manifestEntry{Name: "a", File: "obj-000001.bin"}, manifestEntry{Name: "a", File: "obj-000002.bin"}))
+	f.Add(seed(manifestEntry{Name: "a", File: "obj-000001.bin", Size: -5}))
+	f.Add([]byte(`{"version":1}`))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		root := t.TempDir()
+		dir := filepath.Join(root, "store")
+		victim := filepath.Join(root, "victim")
+		if err := os.WriteFile(victim, []byte("v"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Mkdir(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, manifestName), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m, err := Open(dir)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Open error %v is not ErrCorrupt", err)
+			}
+			return
+		}
+		for name, e := range m.entries {
+			if filepath.Dir(filepath.Join(dir, e.File)) != dir {
+				t.Fatalf("accepted object %q lives at %q, outside the store", name, e.File)
+			}
+			m.Get(name) // missing object files are ErrCorrupt, never a panic
+			m.Put(name, []byte("rewritten"))
+		}
+		if err := m.Close(); err != nil {
+			t.Fatalf("Close of an accepted store: %v", err)
+		}
+		if _, err := os.Stat(victim); err != nil {
+			t.Fatalf("file outside the store was removed: %v", err)
+		}
+	})
 }

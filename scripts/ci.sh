@@ -84,12 +84,13 @@ echo "== go test -race (batch search: shared claim cursor, repeated)"
 # skips one, or races a slot write shows up only on some schedules.
 go test -race -count=5 -run 'TestBatch|TestEntriesFuncInBatch' ./internal/search/
 
-echo "== go test -race (warm builds: seeding search ahead of the worker ring, repeated)"
+echo "== go test -race (warm builds and store saves, repeated)"
 # Extend, Refresh and Compact seed appended rows with one search.Batch
 # over the prior graph, then run the ring; a race between the two, or a
 # refresh that depends on the worker width, shows up only on some
-# schedules.
-go test -race -count=3 -run 'TestRefresh|TestExtend|TestCompact' .
+# schedules. SaveMutable, which every store write goes through, freezes
+# a tombstone set that concurrent deletes keep mutating.
+go test -race -count=3 -run 'TestRefresh|TestExtend|TestCompact|TestSaveMutable' .
 
 echo "== go test -race (online serving: server + loadgen in-process)"
 # The serve e2e suite runs the whole subsystem — admission, workers,
@@ -125,12 +126,13 @@ echo "== go test -race (serve workers at a forced width)"
 # writers are raced at a width the default suite doesn't cover.
 DNND_TEST_WORKERS=3 go test -race -count=1 -run 'TestWorkerEquivalence' ./internal/serve/
 
-echo "== fuzz smoke (message codecs, bulk LE codec, shard manifest)"
+echo "== fuzz smoke (message codecs, bulk LE codec, shard and store manifests)"
 # Short native-fuzz bursts over the wire-facing decoders: corpus seeds
 # plus a few seconds of mutation each. Full fuzzing is manual; this
 # catches decoder panics on malformed bytes before they land.
 go test -run='^$' -fuzz='^FuzzCoreMessages$' -fuzztime=2s ./internal/msg/
 go test -run='^$' -fuzz='^FuzzManifest$' -fuzztime=2s ./internal/shard/
+go test -run='^$' -fuzz='^FuzzOpen$' -fuzztime=2s ./internal/metall/
 go test -run='^$' -fuzz='^FuzzServeMessages$' -fuzztime=2s ./internal/msg/
 go test -run='^$' -fuzz='^FuzzRouterMessages$' -fuzztime=2s ./internal/msg/
 go test -run='^$' -fuzz='^FuzzBulkCodec$' -fuzztime=2s ./internal/wire/

@@ -20,7 +20,7 @@ import (
 func splitRoundTrip[T Scalar](t *testing.T, data [][]T, kind MetricKind, nShards int) {
 	t.Helper()
 	const k = 4
-	dist, err := metricFor[T](kind)
+	dist, err := metric.For[T](kind)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestSplitRoundTripAllElems(t *testing.T) {
 
 func TestSplitRejectsBadShapes(t *testing.T) {
 	data := [][]float32{{0, 1}, {1, 0}, {1, 1}, {0, 0}, {2, 2}, {3, 3}}
-	dist, _ := metricFor[float32](metric.SquaredL2)
+	dist, _ := metric.For[float32](metric.SquaredL2)
 	g := brute.KNNGraph(data, 2, dist, 0)
 	ix, err := NewIndex(g, data, metric.SquaredL2, 2)
 	if err != nil {
@@ -169,7 +169,7 @@ func TestSplitCorruptManifestRejected(t *testing.T) {
 	for i := range data {
 		data[i] = []float32{rng.Float32(), rng.Float32()}
 	}
-	dist, _ := metricFor[float32](metric.SquaredL2)
+	dist, _ := metric.For[float32](metric.SquaredL2)
 	g := brute.KNNGraph(data, 3, dist, 0)
 	ix, err := NewIndex(g, data, metric.SquaredL2, 3)
 	if err != nil {

@@ -18,14 +18,15 @@ const (
 	objTombs   = "tombstones" // knng.TombSet blob over [0, BaseN+DeltaN)
 )
 
-// Store format versions. Save still writes the frozen single-snapshot
-// v1 layout (meta + graph + dataset), so stores produced by this build
-// remain readable by older tools; SaveMutable writes the v2 MVCC
-// manifest, which adds a generation counter, the base/delta split, and
-// the delta + tombstone objects. Load accepts both.
+// Store format versions. Every writer produces v2, the MVCC manifest:
+// a generation counter, the base/delta split, and the delta +
+// tombstone objects beside meta, graph and dataset. v1 is the frozen
+// single-snapshot layout (meta + graph + dataset) earlier builds wrote;
+// the one reader still opens it, as generation 0 with nothing pending,
+// because stores outlive binaries.
 const (
-	storeVersion        = 1
-	storeVersionMutable = 2
+	storeVersionV1 = 1
+	storeVersion   = 2
 )
 
 // MismatchError reports a typed incompatibility between a persisted
@@ -67,36 +68,12 @@ type storeMeta struct {
 }
 
 // Save persists an index (graph + dataset + metadata) into a
-// Metall-style datastore directory, creating or updating it. The
-// paper's construct executable does exactly this so the optimize and
-// query executables can reattach later.
+// Metall-style datastore directory, creating or updating it, as a
+// clean generation-0 snapshot. The paper's construct executable does
+// exactly this so the optimize and query executables can reattach
+// later.
 func Save[T Scalar](dir string, ix *Index[T], refined bool) error {
-	mgr, err := metall.OpenOrCreate(dir)
-	if err != nil {
-		return err
-	}
-	meta := storeMeta{
-		Version: storeVersion,
-		K:       ix.k,
-		Metric:  ix.kind,
-		Elem:    wire.ElemName[T](),
-		N:       len(ix.data),
-		Refined: refined,
-	}
-	rawMeta, err := json.Marshal(&meta)
-	if err != nil {
-		return err
-	}
-	if err := mgr.Put(objMeta, rawMeta); err != nil {
-		return err
-	}
-	if err := mgr.Put(objGraph, ix.graph.Marshal()); err != nil {
-		return err
-	}
-	if err := mgr.Put(objDataset, marshalDataset(ix.data)); err != nil {
-		return err
-	}
-	return mgr.Close()
+	return SaveMutable(dir, ix, refined, nil, nil, 0)
 }
 
 // Load reattaches to a datastore written by Save. The element type T
@@ -107,71 +84,29 @@ func Load[T Scalar](dir string) (*Index[T], error) {
 }
 
 // LoadWithMeta is Load plus the stored metadata (e.g. the Refined
-// flag).
+// flag). It refuses a store with pending mutations (see CheckClean).
 func LoadWithMeta[T Scalar](dir string) (*Index[T], bool, error) {
-	mgr, err := metall.Open(dir)
+	ix, _, _, st, err := LoadMutable[T](dir)
 	if err != nil {
 		return nil, false, err
 	}
-	defer mgr.Close()
+	if err := st.CheckClean(dir); err != nil {
+		return nil, false, err
+	}
+	return ix, st.Refined, nil
+}
 
-	rawMeta, err := mgr.Get(objMeta)
-	if err != nil {
-		return nil, false, err
-	}
+// readMeta decodes a datastore's metadata object.
+func readMeta(mgr *metall.Manager) (storeMeta, error) {
 	var meta storeMeta
-	if err := json.Unmarshal(rawMeta, &meta); err != nil {
-		return nil, false, fmt.Errorf("dnnd: bad store metadata: %w", err)
-	}
-	switch meta.Version {
-	case storeVersion:
-	case storeVersionMutable:
-		// A clean v2 store (no pending mutations) is frozen-equivalent;
-		// one with deltas or tombstones must go through LoadMutable, or
-		// a frozen reader would resurface deleted points.
-		if meta.DeltaN != 0 || meta.TombN != 0 {
-			return nil, false, fmt.Errorf(
-				"dnnd: store %s has pending mutations (delta %d, tombstones %d); use LoadMutable or compact it first",
-				dir, meta.DeltaN, meta.TombN)
-		}
-	default:
-		return nil, false, &MismatchError{
-			Dir: dir, Field: "version",
-			Got:  fmt.Sprintf("%d", meta.Version),
-			Want: fmt.Sprintf("%d|%d", storeVersion, storeVersionMutable),
-		}
-	}
-	if meta.Elem != wire.ElemName[T]() {
-		return nil, false, &MismatchError{
-			Dir: dir, Field: "elem", Got: meta.Elem, Want: wire.ElemName[T](),
-		}
-	}
-
-	rawGraph, err := mgr.Get(objGraph)
+	raw, err := mgr.Get(objMeta)
 	if err != nil {
-		return nil, false, err
+		return meta, err
 	}
-	g, err := knng.Unmarshal(rawGraph)
-	if err != nil {
-		return nil, false, err
+	if err := json.Unmarshal(raw, &meta); err != nil {
+		return meta, fmt.Errorf("dnnd: bad store metadata: %w", err)
 	}
-	rawData, err := mgr.Get(objDataset)
-	if err != nil {
-		return nil, false, err
-	}
-	data, err := unmarshalDataset[T](rawData)
-	if err != nil {
-		return nil, false, err
-	}
-	if len(data) != meta.N || g.NumVertices() != meta.N {
-		return nil, false, fmt.Errorf("dnnd: store inconsistent: meta N=%d, dataset %d, graph %d",
-			meta.N, len(data), g.NumVertices())
-	}
-	ix, err := NewIndex(g, data, meta.Metric, meta.K)
-	if err != nil {
-		return nil, false, err
-	}
-	return ix, meta.Refined, nil
+	return meta, nil
 }
 
 // StoreElem reports the element type ("float32", "uint8", "uint32")
@@ -183,38 +118,34 @@ func StoreElem(dir string) (string, error) {
 		return "", err
 	}
 	defer mgr.Close()
-	rawMeta, err := mgr.Get(objMeta)
-	if err != nil {
-		return "", err
-	}
-	var meta storeMeta
-	if err := json.Unmarshal(rawMeta, &meta); err != nil {
-		return "", fmt.Errorf("dnnd: bad store metadata: %w", err)
-	}
-	return meta.Elem, nil
+	meta, err := readMeta(mgr)
+	return meta.Elem, err
 }
 
 // Refine applies the Section 4.5 graph optimization to a stored index
 // in place: merge reverse edges and prune degrees to k*m, m >= 1. It
-// mirrors the paper's separate graph-optimization executable.
+// mirrors the paper's separate graph-optimization executable, and
+// writes the result back at the next generation.
 func Refine[T Scalar](dir string, m float64) error {
 	if !(m >= 1) {
 		return fmt.Errorf("dnnd: degree cap multiplier m=%v must be >= 1", m)
 	}
-	ix, refined, err := LoadWithMeta[T](dir)
+	ix, _, _, st, err := LoadMutable[T](dir)
 	if err != nil {
 		return err
 	}
-	if refined {
+	if err := st.CheckClean(dir); err != nil {
+		return err
+	}
+	if st.Refined {
 		return fmt.Errorf("dnnd: store %s is already refined", dir)
 	}
 	ix.graph.Optimize(ix.k, m)
-	return Save(dir, ix, true)
+	return SaveMutable(dir, ix, true, nil, nil, st.Gen+1)
 }
 
-// StoreState describes a mutable (v2) store's manifest, as returned by
-// LoadMutable. A v1 store reads as generation 0 with no pending
-// mutations.
+// StoreState describes a store's manifest, as returned by LoadMutable.
+// A v1 store reads as generation 0 with no pending mutations.
 type StoreState struct {
 	Version int
 	Gen     int64 // published-snapshot generation, bumped by every SaveMutable
@@ -226,12 +157,25 @@ type StoreState struct {
 	Refined bool
 }
 
+// CheckClean returns an error when the store at dir has pending
+// mutations (delta vectors or tombstones). A frozen reader must refuse
+// such a store — it would miss ingested points and resurface deleted
+// ones — and open it with LoadMutable or compact it first.
+func (st StoreState) CheckClean(dir string) error {
+	if st.DeltaN != 0 || st.TombN != 0 {
+		return fmt.Errorf(
+			"dnnd: store %s has pending mutations (delta %d, tombstones %d); use LoadMutable or compact it first",
+			dir, st.DeltaN, st.TombN)
+	}
+	return nil
+}
+
 // SaveMutable persists a mutable index as a v2 MVCC snapshot: the base
 // index (graph + dataset, BaseN vertices), the pending delta log
 // (vectors ingested but not yet refined into a graph), and the
 // tombstone set, under generation gen. The commit is atomic through
 // metall's temp+rename manifest machinery — a crash mid-save leaves
-// the previous generation intact.
+// the previous generation intact. It is the only store writer.
 func SaveMutable[T Scalar](dir string, ix *Index[T], refined bool, pending [][]T, tombs *Tombstones, gen int64) error {
 	mgr, err := metall.OpenOrCreate(dir)
 	if err != nil {
@@ -245,7 +189,7 @@ func SaveMutable[T Scalar](dir string, ix *Index[T], refined bool, pending [][]T
 	// a store LoadMutable rejects as inconsistent.
 	frozen := tombs.CloneGrow(n)
 	meta := storeMeta{
-		Version: storeVersionMutable,
+		Version: storeVersion,
 		K:       ix.k,
 		Metric:  ix.kind,
 		Elem:    wire.ElemName[T](),
@@ -260,29 +204,28 @@ func SaveMutable[T Scalar](dir string, ix *Index[T], refined bool, pending [][]T
 	if err != nil {
 		return err
 	}
-	if err := mgr.Put(objMeta, rawMeta); err != nil {
-		return err
-	}
-	if err := mgr.Put(objGraph, ix.graph.Marshal()); err != nil {
-		return err
-	}
-	if err := mgr.Put(objDataset, marshalDataset(ix.data)); err != nil {
-		return err
-	}
-	if err := mgr.Put(objDelta, marshalDataset(pending)); err != nil {
-		return err
-	}
-	if err := mgr.Put(objTombs, frozen.Marshal()); err != nil {
-		return err
+	for _, obj := range []struct {
+		name string
+		data []byte
+	}{
+		{objMeta, rawMeta},
+		{objGraph, ix.graph.Marshal()},
+		{objDataset, marshalDataset(ix.data)},
+		{objDelta, marshalDataset(pending)},
+		{objTombs, frozen.Marshal()},
+	} {
+		if err := mgr.Put(obj.name, obj.data); err != nil {
+			return err
+		}
 	}
 	return mgr.Close()
 }
 
-// LoadMutable reattaches to a store for mutation: the base index, the
-// pending delta vectors, the tombstone set (grown to cover base+delta),
-// and the manifest state. It reads both formats — a frozen v1 store
-// comes back as generation 0 with an empty delta and no tombstones, so
-// any store Save ever wrote can be opened for online mutation.
+// LoadMutable reattaches to a store: the base index, the pending delta
+// vectors, the tombstone set (grown to cover base+delta), and the
+// manifest state. It is the only store reader, and it reads both
+// formats — a v1 store comes back as generation 0 with an empty delta
+// and no tombstones.
 func LoadMutable[T Scalar](dir string) (*Index[T], [][]T, *Tombstones, StoreState, error) {
 	var st StoreState
 	mgr, err := metall.Open(dir)
@@ -291,19 +234,15 @@ func LoadMutable[T Scalar](dir string) (*Index[T], [][]T, *Tombstones, StoreStat
 	}
 	defer mgr.Close()
 
-	rawMeta, err := mgr.Get(objMeta)
+	meta, err := readMeta(mgr)
 	if err != nil {
 		return nil, nil, nil, st, err
 	}
-	var meta storeMeta
-	if err := json.Unmarshal(rawMeta, &meta); err != nil {
-		return nil, nil, nil, st, fmt.Errorf("dnnd: bad store metadata: %w", err)
-	}
-	if meta.Version != storeVersion && meta.Version != storeVersionMutable {
+	if meta.Version != storeVersionV1 && meta.Version != storeVersion {
 		return nil, nil, nil, st, &MismatchError{
 			Dir: dir, Field: "version",
 			Got:  fmt.Sprintf("%d", meta.Version),
-			Want: fmt.Sprintf("%d|%d", storeVersion, storeVersionMutable),
+			Want: fmt.Sprintf("%d|%d", storeVersionV1, storeVersion),
 		}
 	}
 	if meta.Elem != wire.ElemName[T]() {
@@ -311,8 +250,12 @@ func LoadMutable[T Scalar](dir string) (*Index[T], [][]T, *Tombstones, StoreStat
 			Dir: dir, Field: "elem", Got: meta.Elem, Want: wire.ElemName[T](),
 		}
 	}
-	if meta.Version == storeVersion {
-		meta.BaseN = meta.N
+	if meta.Version == storeVersionV1 {
+		meta.BaseN, meta.DeltaN, meta.TombN, meta.Gen = meta.N, 0, 0, 0
+	}
+	if meta.BaseN < 0 || meta.DeltaN < 0 || meta.N != meta.BaseN+meta.DeltaN {
+		return nil, nil, nil, st, fmt.Errorf("dnnd: store inconsistent: meta N=%d, BaseN=%d, DeltaN=%d",
+			meta.N, meta.BaseN, meta.DeltaN)
 	}
 
 	rawGraph, err := mgr.Get(objGraph)
@@ -338,7 +281,7 @@ func LoadMutable[T Scalar](dir string) (*Index[T], [][]T, *Tombstones, StoreStat
 
 	var pending [][]T
 	tombs := NewTombstones(meta.BaseN)
-	if meta.Version == storeVersionMutable {
+	if meta.Version == storeVersion {
 		rawDelta, err := mgr.Get(objDelta)
 		if err != nil {
 			return nil, nil, nil, st, err
@@ -357,7 +300,11 @@ func LoadMutable[T Scalar](dir string) (*Index[T], [][]T, *Tombstones, StoreStat
 		if tombs, err = knng.UnmarshalTombSet(rawTombs); err != nil {
 			return nil, nil, nil, st, err
 		}
-		tombs = tombs.CloneGrow(meta.BaseN + meta.DeltaN)
+		if tombs.Len() > meta.N {
+			return nil, nil, nil, st, fmt.Errorf("dnnd: store inconsistent: tombstone set covers %d IDs, store holds %d",
+				tombs.Len(), meta.N)
+		}
+		tombs = tombs.CloneGrow(meta.N)
 		if tombs.Count() != meta.TombN {
 			return nil, nil, nil, st, fmt.Errorf("dnnd: store inconsistent: meta TombN=%d, tombstone set %d",
 				meta.TombN, tombs.Count())
@@ -375,7 +322,7 @@ func LoadMutable[T Scalar](dir string) (*Index[T], [][]T, *Tombstones, StoreStat
 		Metric:  meta.Metric,
 		BaseN:   meta.BaseN,
 		DeltaN:  meta.DeltaN,
-		TombN:   tombs.Count(),
+		TombN:   meta.TombN,
 		Refined: meta.Refined,
 	}
 	return ix, pending, tombs, st, nil
@@ -444,7 +391,7 @@ func marshalDataset[T Scalar](data [][]T) []byte {
 	w.Uint32(datasetMagic)
 	w.Uint32(uint32(len(data)))
 	for _, v := range data {
-		putVec(w, v)
+		wire.PutVector(w, v)
 	}
 	return w.Bytes()
 }
@@ -454,41 +401,16 @@ func unmarshalDataset[T Scalar](p []byte) ([][]T, error) {
 	if r.Uint32() != datasetMagic {
 		return nil, fmt.Errorf("dnnd: bad dataset blob")
 	}
-	n := int(r.Uint32())
-	if r.Err() != nil || n > wire.MaxVectorLen {
-		return nil, fmt.Errorf("dnnd: bad dataset header")
+	n := r.Count(4) // every vector carries at least its 4-byte length
+	if r.Err() != nil {
+		return nil, fmt.Errorf("dnnd: bad dataset header: %w", r.Err())
 	}
 	data := make([][]T, n)
 	for i := range data {
-		data[i] = getVec[T](r)
+		data[i] = wire.GetVector[T](r)
 	}
 	if err := r.Finish(); err != nil {
 		return nil, fmt.Errorf("dnnd: corrupt dataset blob: %w", err)
 	}
 	return data, nil
-}
-
-// putVec/getVec adapt wire's generic vector codec to the root Scalar
-// constraint (the constraints are structurally identical).
-func putVec[T Scalar](w *wire.Writer, v []T) {
-	switch s := any(v).(type) {
-	case []float32:
-		w.Float32s(s)
-	case []uint8:
-		w.Uint8s(s)
-	case []uint32:
-		w.Uint32s(s)
-	}
-}
-
-func getVec[T Scalar](r *wire.Reader) []T {
-	var z T
-	switch any(z).(type) {
-	case float32:
-		return any(r.Float32s()).([]T)
-	case uint8:
-		return any(r.Uint8s()).([]T)
-	default:
-		return any(r.Uint32s()).([]T)
-	}
 }

@@ -1,14 +1,18 @@
 package dnnd
 
 import (
+	"encoding/json"
 	"math/rand"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"dnnd/internal/brute"
 	"dnnd/internal/knng"
+	"dnnd/internal/metall"
 	"dnnd/internal/metric"
+	"dnnd/internal/wire"
 )
 
 func randRows[T Scalar](rng *rand.Rand, n, dim int) [][]T {
@@ -46,7 +50,7 @@ func mutableRoundTrip[T Scalar](t *testing.T, kind MetricKind) {
 	const n, dim, k = 40, 6, 4
 	data := randRows[T](rng, n, dim)
 	delta := randRows[T](rng, 7, dim)
-	dist, err := metricFor[T](kind)
+	dist, err := metric.For[T](kind)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +72,7 @@ func mutableRoundTrip[T Scalar](t *testing.T, kind MetricKind) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Version != storeVersionMutable || st.Gen != 5 || st.BaseN != n ||
+	if st.Version != storeVersion || st.Gen != 5 || st.BaseN != n ||
 		st.DeltaN != len(delta) || st.TombN != 2 || !st.Refined || st.K != k || st.Metric != kind {
 		t.Fatalf("manifest state: %+v", st)
 	}
@@ -96,9 +100,37 @@ func TestMutableStoreRoundTripAllElems(t *testing.T) {
 	t.Run("uint32", func(t *testing.T) { mutableRoundTrip[uint32](t, metric.Jaccard) })
 }
 
-// TestV1StoreOpensForMutation: a frozen store written by Save reads
-// back through LoadMutable as generation 0 with no pending mutations —
-// old single-snapshot stores stay fully usable.
+// writeV1Store writes ix in the frozen v1 layout (meta + graph +
+// dataset, no generation, delta or tombstones) that earlier builds
+// produced, straight through metall: nothing in this build writes v1.
+func writeV1Store[T Scalar](t *testing.T, dir string, ix *Index[T], refined bool) {
+	t.Helper()
+	meta, err := json.Marshal(map[string]any{
+		"version": storeVersionV1, "k": ix.k, "metric": ix.kind,
+		"elem": wire.ElemName[T](), "n": len(ix.data), "refined": refined,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr, err := metall.OpenOrCreate(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, blob := range map[string][]byte{
+		objMeta: meta, objGraph: ix.graph.Marshal(), objDataset: marshalDataset(ix.data),
+	} {
+		if err := mgr.Put(name, blob); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := mgr.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestV1StoreOpensForMutation: a frozen v1 store reads back through
+// LoadMutable as generation 0 with no pending mutations — stores
+// written by earlier builds stay fully usable.
 func TestV1StoreOpensForMutation(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	data := randRows[float32](rng, 30, 4)
@@ -108,14 +140,12 @@ func TestV1StoreOpensForMutation(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := filepath.Join(t.TempDir(), "store")
-	if err := Save(dir, ix, false); err != nil {
-		t.Fatal(err)
-	}
+	writeV1Store(t, dir, ix, false)
 	lx, pending, tombs, st, err := LoadMutable[float32](dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Version != storeVersion || st.Gen != 0 || st.BaseN != 30 || st.DeltaN != 0 || st.TombN != 0 {
+	if st.Version != storeVersionV1 || st.Gen != 0 || st.BaseN != 30 || st.DeltaN != 0 || st.TombN != 0 {
 		t.Fatalf("v1 manifest state: %+v", st)
 	}
 	if len(pending) != 0 || tombs.Count() != 0 || tombs.Len() != 30 {
@@ -123,6 +153,81 @@ func TestV1StoreOpensForMutation(t *testing.T) {
 	}
 	if !lx.Graph().Equal(g) {
 		t.Fatal("graph changed")
+	}
+}
+
+// TestSaveWritesV2: Save is SaveMutable at generation 0 with nothing
+// pending, so its output reads back as a clean v2 store.
+func TestSaveWritesV2(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	data := randRows[float32](rng, 30, 4)
+	ix, err := NewIndex(brute.KNNGraph(data, 3, metric.SquaredL2Float32, 0), data, metric.SquaredL2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "store")
+	if err := Save(dir, ix, true); err != nil {
+		t.Fatal(err)
+	}
+	_, pending, tombs, st, err := LoadMutable[float32](dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Version != storeVersion || st.Gen != 0 || st.BaseN != 30 || st.DeltaN != 0 || st.TombN != 0 || !st.Refined {
+		t.Fatalf("Save manifest state: %+v", st)
+	}
+	if len(pending) != 0 || tombs.Count() != 0 || tombs.Len() != 30 {
+		t.Fatalf("Save pending=%d tombs=%d/%d", len(pending), tombs.Count(), tombs.Len())
+	}
+}
+
+// TestRefineKeepsGeneration: Refine writes its result back at the next
+// generation of the store it read, as Compact does, instead of
+// restarting the store at generation 0.
+func TestRefineKeepsGeneration(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	data := randRows[float32](rng, 60, 4)
+	ix, err := NewIndex(brute.KNNGraph(data, 4, metric.SquaredL2Float32, 0), data, metric.SquaredL2, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "store")
+	if err := SaveMutable(dir, ix, false, nil, nil, 5); err != nil {
+		t.Fatal(err)
+	}
+	if err := Refine[float32](dir, 1.5); err != nil {
+		t.Fatal(err)
+	}
+	_, _, _, st, err := LoadMutable[float32](dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Version != storeVersion || st.Gen != 6 || !st.Refined {
+		t.Fatalf("refined store state: %+v, want version %d gen 6 refined", st, storeVersion)
+	}
+}
+
+// TestRefineRejectsDirtyStore: Refine reads through the frozen
+// contract — a store with pending mutations is refused and untouched.
+func TestRefineRejectsDirtyStore(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	data := randRows[float32](rng, 40, 4)
+	ix, err := NewIndex(brute.KNNGraph(data, 3, metric.SquaredL2Float32, 0), data, metric.SquaredL2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tombs := NewTombstones(len(data))
+	tombs.Kill(7)
+	dir := filepath.Join(t.TempDir(), "store")
+	if err := SaveMutable(dir, ix, false, nil, tombs, 2); err != nil {
+		t.Fatal(err)
+	}
+	before := readTree(t, dir)
+	if err := Refine[float32](dir, 1.5); err == nil || !strings.Contains(err.Error(), "pending mutations") {
+		t.Fatalf("Refine of a dirty store: %v", err)
+	}
+	if after := readTree(t, dir); !reflect.DeepEqual(after, before) {
+		t.Error("a rejected Refine changed the store's files")
 	}
 }
 

@@ -1,13 +1,17 @@
 package dnnd
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"io/fs"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"dnnd/internal/brute"
@@ -21,7 +25,7 @@ import (
 func saveLoadRoundTrip[T Scalar](t *testing.T, data [][]T, kind MetricKind, refined bool) {
 	t.Helper()
 	const k = 4
-	dist, err := metricFor[T](kind)
+	dist, err := metric.For[T](kind)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,6 +37,21 @@ func saveLoadRoundTrip[T Scalar](t *testing.T, data [][]T, kind MetricKind, refi
 	dir := filepath.Join(t.TempDir(), "store")
 	if err := Save(dir, ix, refined); err != nil {
 		t.Fatal(err)
+	}
+
+	// The dataset object's bytes are fixed: magic, row count, then each
+	// row as a uint32 length and its little-endian elements.
+	mgr, err := metall.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := mgr.Get(objDataset)
+	mgr.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := datasetBlob(data); !bytes.Equal(blob, want) {
+		t.Fatalf("dataset blob changed:\n got %x\nwant %x", blob, want)
 	}
 
 	if elem, err := StoreElem(dir); err != nil || elem != wire.ElemName[T]() {
@@ -68,6 +87,44 @@ func saveLoadRoundTrip[T Scalar](t *testing.T, data [][]T, kind MetricKind, refi
 				t.Fatalf("vertex %d neighbor %d: got %+v, want %+v", v, j, got[j], want[j])
 			}
 		}
+	}
+}
+
+// datasetBlob encodes rows the way the dataset object lays them out,
+// independently of the wire package.
+func datasetBlob[T Scalar](rows [][]T) []byte {
+	out := binary.LittleEndian.AppendUint32(nil, datasetMagic)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(rows)))
+	for _, row := range rows {
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(row)))
+		for _, x := range row {
+			switch x := any(x).(type) {
+			case float32:
+				out = binary.LittleEndian.AppendUint32(out, math.Float32bits(x))
+			case uint8:
+				out = append(out, x)
+			case uint32:
+				out = binary.LittleEndian.AppendUint32(out, x)
+			}
+		}
+	}
+	return out
+}
+
+// TestDatasetHostileCount: a dataset blob whose row count its bytes
+// cannot hold is rejected before the row table is allocated.
+func TestDatasetHostileCount(t *testing.T) {
+	blob := binary.LittleEndian.AppendUint32(nil, datasetMagic)
+	blob = binary.LittleEndian.AppendUint32(blob, 1<<20)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := unmarshalDataset[float32](blob)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("dataset blob claiming 2^20 rows in 8 bytes accepted")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("rejecting an 8-byte dataset blob allocated %d bytes", grew)
 	}
 }
 
@@ -117,7 +174,7 @@ func TestStoreRoundTripAllElems(t *testing.T) {
 // to one neighbor.
 func TestRefineRejectsSmallM(t *testing.T) {
 	data := [][]float32{{0, 1}, {1, 0}, {1, 1}, {0, 0}, {2, 2}, {3, 1}}
-	dist, err := metricFor[float32](metric.SquaredL2)
+	dist, err := metric.For[float32](metric.SquaredL2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +220,7 @@ func readTree(t *testing.T, dir string) map[string][]byte {
 // an opaque formatted error.
 func TestStoreElemMismatchTyped(t *testing.T) {
 	data := [][]float32{{0, 1}, {1, 0}, {1, 1}, {0, 0}, {2, 2}}
-	dist, err := metricFor[float32](metric.SquaredL2)
+	dist, err := metric.For[float32](metric.SquaredL2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +252,7 @@ func TestStoreElemMismatchTyped(t *testing.T) {
 // misread.
 func TestStoreVersionMismatchTyped(t *testing.T) {
 	data := [][]float32{{0, 1}, {1, 0}, {1, 1}, {0, 0}, {2, 2}}
-	dist, err := metricFor[float32](metric.SquaredL2)
+	dist, err := metric.For[float32](metric.SquaredL2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +279,7 @@ func TestStoreVersionMismatchTyped(t *testing.T) {
 	if err := json.Unmarshal(raw, &meta); err != nil {
 		t.Fatal(err)
 	}
-	meta.Version = storeVersionMutable + 1
+	meta.Version = storeVersion + 1
 	raw, err = json.Marshal(&meta)
 	if err != nil {
 		t.Fatal(err)
