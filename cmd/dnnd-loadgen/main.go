@@ -24,7 +24,7 @@ func main() {
 		addr        = flag.String("addr", "127.0.0.1:7741", "dnnd-serve address")
 		requests    = flag.Int("n", 1000, "total requests")
 		concurrency = flag.Int("c", 8, "concurrent workers (closed-loop width)")
-		conns       = flag.Int("conns", 0, "pipelined connections shared by the workers (0 = one connection per worker)")
+		conns       = flag.Int("conns", 0, "connections shared by the workers, queries pipelined (0 = one connection per worker)")
 		qps         = flag.Float64("qps", 0, "open-loop arrival rate (0 = closed loop)")
 		nq          = flag.Int("queries", 256, "distinct synthetic query vectors")
 		queryFile   = flag.String("query-file", "", "query vector file (.fvecs/.bvecs/.ivecs) instead of synthetic")
@@ -37,7 +37,6 @@ func main() {
 		deleteFrac  = flag.Float64("delete-frac", 0, "share of requests that become delete ops (mutate mode; default 0.02)")
 		ingestBatch = flag.Int("ingest-batch", 0, "vectors per ingest op (mutate mode; default 4)")
 		flushEvery  = flag.Int("flush-every", 0, "turn every Nth request into a blocking flush (mutate mode; 0 = background refinement only)")
-		reportErrs  = flag.Bool("report-errors", false, "count replies per status code and transport errors per kind in the report")
 		traceSample = flag.Float64("trace-sample", 0, "fraction of requests stamped with a sampled trace context (0..1); the report then lists the trace IDs of the slowest percentile")
 		out         = flag.String("out", "", "write the JSON report here (default stdout)")
 	)
@@ -56,18 +55,17 @@ func main() {
 		*addr, hello.N, hello.Elem, hello.Dim, hello.K, hello.DefaultL, hello.DefaultEpsilon)
 
 	cfg := serve.LoadConfig{
-		Addr:         *addr,
-		Requests:     *requests,
-		Concurrency:  *concurrency,
-		Conns:        *conns,
-		QPS:          *qps,
-		L:            *l,
-		Epsilon:      *epsilon,
-		Deadline:     *deadline,
-		Seed:         *seed,
-		DialTimeout:  5 * time.Second,
-		ReportErrors: *reportErrs,
-		TraceSample:  *traceSample,
+		Addr:        *addr,
+		Requests:    *requests,
+		Concurrency: *concurrency,
+		Conns:       *conns,
+		QPS:         *qps,
+		L:           *l,
+		Epsilon:     *epsilon,
+		Deadline:    *deadline,
+		Seed:        *seed,
+		DialTimeout: 5 * time.Second,
+		TraceSample: *traceSample,
 
 		Mutate:         *mutate,
 		IngestFraction: *ingestFrac,

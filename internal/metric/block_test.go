@@ -3,6 +3,7 @@ package metric
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -141,27 +142,39 @@ func TestSquaredL2ManyShortRowPanics(t *testing.T) {
 	SquaredL2Float32Many(q, cands, nil, make([]float32, len(cands)))
 }
 
-// KernelOf must resolve every function For hands out to the full
-// kernel of its kind, and leave any other function plain.
+// KernelOf is how search, brute force, core.Build and the serve
+// workers reach the block kernels from a bare Func, so it must resolve
+// every function For hands out to the full kernel of its kind — for
+// float32 L2, SquaredL2 and Cosine, one with a Many form — and leave
+// any other function plain. A wrapper around one of For's functions is
+// scored pair by pair (Many == nil): that silent fallback is the
+// documented behaviour, pinned here so it cannot change unnoticed.
 func TestKernelOfResolvesByIdentity(t *testing.T) {
-	for _, k := range []Kind{L2, SquaredL2, Cosine, InnerProduct} {
-		f, err := ForFloat32(k)
+	for _, c := range []struct {
+		kind     Kind
+		wantMany bool
+	}{{L2, true}, {SquaredL2, true}, {Cosine, true}, {InnerProduct, false}} {
+		f, err := For[float32](c.kind)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _ := KernelFor[float32](k)
+		want, _ := KernelFor[float32](c.kind)
 		got := KernelOf(f)
 		if (got.Many == nil) != (want.Many == nil) || (got.Norm == nil) != (want.Norm == nil) ||
 			(got.ManyMany == nil) != (want.ManyMany == nil) {
-			t.Errorf("%s: KernelOf lost fast paths", k)
+			t.Errorf("%s: KernelOf lost fast paths", c.kind)
+		}
+		if (got.Many != nil) != c.wantMany ||
+			(c.wantMany && reflect.ValueOf(got.Many).Pointer() != reflect.ValueOf(want.Many).Pointer()) {
+			t.Errorf("%s: KernelOf(For(%s)).Many does not match the kind's block form", c.kind, c.kind)
+		}
+		wrapped := func(a, b []float32) float32 { return f(a, b) }
+		if kern := KernelOf(Func[float32](wrapped)); kern.Many != nil || kern.Fn == nil {
+			t.Errorf("%s: a wrapping closure must fall back to a per-pair kernel", c.kind)
 		}
 	}
 	if kern := KernelOf(Func[float32](SquaredL2Float32)); kern.Many == nil {
 		t.Error("sql2 by direct reference did not resolve to the block form")
-	}
-	wrapped := func(a, b []float32) float32 { return SquaredL2Float32(a, b) }
-	if kern := KernelOf(Func[float32](wrapped)); kern.Many != nil || kern.Fn == nil {
-		t.Error("a closure must resolve to a plain kernel")
 	}
 	if kern := KernelOf(Func[uint8](SquaredL2Uint8)); kern.ManyMany == nil {
 		t.Error("uint8 sql2 did not resolve to its tiled form")

@@ -127,7 +127,7 @@ func TestClusterExactMerge(t *testing.T) {
 	}
 	_, raddr := startRouterOver(t, man, groups, router.Config{ProbeInterval: -1})
 
-	pc, err := serve.DialPipe(raddr, time.Second)
+	pc, err := serve.Dial(raddr, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestClusterExactMerge(t *testing.T) {
 	for _, l := range []int{4, 16, 64} {
 		want, _ := ix.SearchBatch(queries, l, hugeEps, 4)
 		for i, q := range queries {
-			res, err := serve.DoPipe(pc, &msg.SQuery[float32]{
+			res, err := serve.Do(pc, &msg.SQuery[float32]{
 				ID: uint64(1000*l + i), Seed: int64(i), L: uint32(l),
 				Epsilon: hugeEps, Vec: q,
 			})
@@ -209,15 +209,14 @@ func TestClusterKillReplicaUnderLoad(t *testing.T) {
 	}()
 
 	rep, err := serve.RunLoad[float32](serve.LoadConfig{
-		Addr:         raddr,
-		Requests:     3000,
-		Concurrency:  8,
-		Conns:        4,
-		QPS:          2000, // open loop: ~1.5s of load, the kill lands mid-run
-		L:            8,
-		Epsilon:      0.2,
-		Seed:         3,
-		ReportErrors: true,
+		Addr:        raddr,
+		Requests:    3000,
+		Concurrency: 8,
+		Conns:       4,
+		QPS:         2000, // open loop: ~1.5s of load, the kill lands mid-run
+		L:           8,
+		Epsilon:     0.2,
+		Seed:        3,
 	}, queries)
 	if err != nil {
 		t.Fatal(err)
@@ -293,15 +292,14 @@ func TestClusterRollingRestart(t *testing.T) {
 	}()
 
 	rep, err := serve.RunLoad[float32](serve.LoadConfig{
-		Addr:         raddr,
-		Requests:     2000,
-		Concurrency:  8,
-		Conns:        4,
-		QPS:          1500,
-		L:            8,
-		Epsilon:      0.2,
-		Seed:         5,
-		ReportErrors: true,
+		Addr:        raddr,
+		Requests:    2000,
+		Concurrency: 8,
+		Conns:       4,
+		QPS:         1500,
+		L:           8,
+		Epsilon:     0.2,
+		Seed:        5,
 	}, queries)
 	if err != nil {
 		t.Fatal(err)

@@ -13,10 +13,10 @@ import (
 )
 
 // replica is one backend server holding a copy of one shard. The query
-// path shares a single lazily-dialed pipelined connection per replica
-// (the serve protocol is built for that); the health prober uses its
-// own short-lived connections so a wedged query path cannot mask a
-// dead server or vice versa.
+// path shares a single lazily-dialed serve.Client per replica, its
+// sub-queries pipelined (the serve protocol is built for that); the
+// health prober uses its own short-lived Clients so a wedged query
+// path cannot mask a dead server or vice versa.
 //
 // State transitions: probes set live/draining/down from the health
 // line; the query path demotes straight to down on a transport error
@@ -39,21 +39,21 @@ type replica struct {
 	minRTT   atomic.Int64 // qualifying-RTT floor, nanoseconds (0 = no estimate yet)
 
 	mu          sync.Mutex
-	pc          *serve.PipeClient
+	pc          *serve.Client
 	dialTimeout time.Duration
 }
 
 func (rp *replica) curState() uint8 { return uint8(rp.state.Load()) }
 
-// client returns the replica's shared pipelined connection, dialing it
-// on first use (and after a demotion dropped the previous one).
-func (rp *replica) client() (*serve.PipeClient, error) {
+// client returns the replica's shared query connection, dialing it on
+// first use (and after a demotion dropped the previous one).
+func (rp *replica) client() (*serve.Client, error) {
 	rp.mu.Lock()
 	defer rp.mu.Unlock()
 	if rp.pc != nil {
 		return rp.pc, nil
 	}
-	pc, err := serve.DialPipe(rp.addr, rp.dialTimeout)
+	pc, err := serve.Dial(rp.addr, rp.dialTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -64,9 +64,9 @@ func (rp *replica) client() (*serve.PipeClient, error) {
 // demote drops pc if it is still the replica's current connection and
 // marks the replica with state (down on transport errors, draining on
 // typed draining rejections). Closing the connection wakes every
-// caller still blocked in DoQueryRaw on it, so one failure fails over
+// caller still blocked in QueryRaw on it, so one failure fails over
 // all of that replica's in-flight sub-queries at once.
-func (rp *replica) demote(pc *serve.PipeClient, state uint8) {
+func (rp *replica) demote(pc *serve.Client, state uint8) {
 	rp.mu.Lock()
 	if pc != nil && rp.pc == pc {
 		rp.pc = nil

@@ -240,7 +240,6 @@ func (rt *Router) Serve(ln net.Listener) error {
 
 // handleConn is the per-connection reader loop.
 func (rt *Router) handleConn(sc *serve.Conn) {
-	var w wire.Writer
 	for {
 		op, payload, err := sc.ReadFrame()
 		if err != nil {
@@ -259,9 +258,7 @@ func (rt *Router) handleConn(sc *serve.Conn) {
 				DefaultL:       uint32(rt.cfg.L),
 				DefaultEpsilon: float32(rt.cfg.Epsilon),
 			}
-			w.Reset()
-			reply.Encode(&w)
-			if sc.WriteFrame(msg.SOpHello, w.Bytes()) != nil {
+			if sc.WriteMsg(msg.SOpHello, &reply) != nil {
 				return
 			}
 		case msg.SOpHealth:
@@ -276,9 +273,7 @@ func (rt *Router) handleConn(sc *serve.Conn) {
 			}
 		case msg.SOpTopo:
 			rt.m.TopoDumps.Add(1)
-			w.Reset()
-			rt.Topology().Encode(&w)
-			if sc.WriteFrame(msg.SOpTopo, w.Bytes()) != nil {
+			if sc.WriteMsg(msg.SOpTopo, rt.Topology()) != nil {
 				return
 			}
 		case msg.SOpQuery:
@@ -293,9 +288,7 @@ func (rt *Router) handleConn(sc *serve.Conn) {
 				id = binary.LittleEndian.Uint64(payload[:8])
 			}
 			up := msg.SUpdateReply{ID: id, Status: msg.SStatusReadOnly}
-			w.Reset()
-			up.Encode(&w)
-			if sc.WriteFrame(op, w.Bytes()) != nil {
+			if sc.WriteMsg(op, &up) != nil {
 				return
 			}
 		default:
@@ -617,7 +610,19 @@ func (rt *Router) queryShard(sg *shardGroup, payload []byte, l uint32, budget ti
 		sid := rt.subID.Add(1)
 		binary.LittleEndian.PutUint64(sub[qOffID:qOffID+8], sid)
 		rt.m.SubQueries.Add(1)
-		res, err := rt.doWithWatchdog(rp, pc, sid, sub, budget, att.TraceCtx())
+		res, err := pc.QueryRaw(sid, sub, budget)
+		if errors.Is(err, serve.ErrTimeout) {
+			// The watchdog: slow is handled exactly like dead. The
+			// demotion below closes the connection, which fails every
+			// other in-flight sub-query on the replica too.
+			rt.m.ShardSlow.Add(1)
+			if sctx.Valid() {
+				// Zero-duration marker under the attempt span: the
+				// timeline shows exactly when the router gave up.
+				wd := rt.cfg.Trace.BeginTraced("router.watchdog", att.TraceCtx())
+				wd.End()
+			}
+		}
 		att.End()
 		if err != nil {
 			rt.m.ShardErrors.Add(1)
@@ -681,39 +686,6 @@ func (sg *shardGroup) candidates() []*replica {
 		}
 	}
 	return out
-}
-
-// doWithWatchdog runs one sub-query with a time bound. On timeout the
-// replica is demoted and its connection closed, which wakes the
-// blocked call (and every other in-flight sub-query on that replica)
-// with a transport error — slow is handled exactly like dead.
-func (rt *Router) doWithWatchdog(rp *replica, pc *serve.PipeClient, id uint64, sub []byte, budget time.Duration, parent obs.TraceCtx) (*msg.SResult, error) {
-	type ans struct {
-		res *msg.SResult
-		err error
-	}
-	ch := make(chan ans, 1)
-	go func() {
-		res, err := pc.DoQueryRaw(id, sub)
-		ch <- ans{res, err}
-	}()
-	t := time.NewTimer(budget)
-	defer t.Stop()
-	select {
-	case a := <-ch:
-		return a.res, a.err
-	case <-t.C:
-		rt.m.ShardSlow.Add(1)
-		if parent.Valid() {
-			// Zero-duration marker under the attempt span: the timeline
-			// shows exactly when the watchdog gave up on the replica.
-			wd := rt.cfg.Trace.BeginTraced("router.watchdog", parent)
-			wd.End()
-		}
-		rp.demote(pc, msg.RStateDown)
-		a := <-ch // unblocked by the close; may still have raced a reply in
-		return a.res, a.err
-	}
 }
 
 // Shutdown gracefully drains the router: stop accepting connections,

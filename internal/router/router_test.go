@@ -1,7 +1,6 @@
 package router
 
 import (
-	"bufio"
 	"context"
 	"encoding/binary"
 	"net"
@@ -181,29 +180,25 @@ func (f *fakeShard) addr() string { return f.ln.Addr().String() }
 
 func (f *fakeShard) serveConn(c net.Conn) {
 	defer c.Close()
-	br := bufio.NewReader(c)
-	var rbuf, wbuf []byte
-	var w wire.Writer
+	sc := serve.NewConn(c, 0)
 	for {
-		op, payload, err := serve.ReadFrameInto(br, &rbuf)
+		op, payload, err := sc.ReadFrame()
 		if err != nil {
 			return
 		}
 		switch op {
 		case msg.SOpHealth:
-			wbuf = serve.AppendFrame(wbuf[:0], msg.SOpHealth, []byte(f.health.Load().(string)))
+			err = sc.WriteFrame(msg.SOpHealth, []byte(f.health.Load().(string)))
 		case msg.SOpQuery:
 			f.queries.Add(1)
 			sid := binary.LittleEndian.Uint64(payload[:8])
 			res := f.handle(sid)
 			res.ID = sid
-			w.Reset()
-			res.Encode(&w)
-			wbuf = serve.AppendFrame(wbuf[:0], msg.SOpQuery, w.Bytes())
+			err = sc.WriteResult(msg.SOpQuery, &res)
 		default:
 			return
 		}
-		if _, err := c.Write(wbuf); err != nil {
+		if err != nil {
 			return
 		}
 	}

@@ -107,16 +107,15 @@ func TestClusterTraceTimeline(t *testing.T) {
 	}()
 
 	rep, err := serve.RunLoad[float32](serve.LoadConfig{
-		Addr:         raddr,
-		Requests:     2000,
-		Concurrency:  8,
-		Conns:        4,
-		QPS:          1500,
-		L:            8,
-		Epsilon:      0.2,
-		Seed:         7,
-		ReportErrors: true,
-		TraceSample:  1, // every request client-rooted and sampled
+		Addr:        raddr,
+		Requests:    2000,
+		Concurrency: 8,
+		Conns:       4,
+		QPS:         1500,
+		L:           8,
+		Epsilon:     0.2,
+		Seed:        7,
+		TraceSample: 1, // every request client-rooted and sampled
 	}, queries)
 	if err != nil {
 		t.Fatal(err)

@@ -79,7 +79,7 @@ func TestServeRoundTripZeroAlloc(t *testing.T) {
 	defer client.Close()
 	s.acc.serveConn(server, s.handleConn)
 
-	frame := AppendFrame(nil, msg.SOpQuery, encodeQuery(&msg.SQuery[float32]{
+	frame := appendFrame(nil, msg.SOpQuery, encodeQuery(&msg.SQuery[float32]{
 		ID: 1, Seed: 42, L: 10, Epsilon: 0.1, Vec: s.src.Data[3],
 	}))
 	br := bufio.NewReaderSize(client, 64<<10)

@@ -20,10 +20,12 @@ import (
 // and shuts down with Acceptor.Drain → (stop its own workers) →
 // Acceptor.CloseAll.
 
-// Conn wraps one client connection: reads happen on the connection's
-// reader goroutine (ReadFrame), reply writes are serialized by wmu —
-// query completions are written from worker or gather goroutines,
-// rejections and control replies from the reader.
+// Conn is the connection type on both ends of the protocol: the
+// servers wrap each accepted connection in one, and Client wraps its
+// dialed one. Reads happen on the connection's one reader goroutine
+// (ReadFrame); writes are serialized by wmu — a server writes query
+// completions from worker or gather goroutines and rejections and
+// control replies from the reader, a Client writes from every caller.
 type Conn struct {
 	c        net.Conn
 	br       *bufio.Reader
@@ -31,49 +33,66 @@ type Conn struct {
 	wtimeout time.Duration
 	wmu      sync.Mutex
 	wbuf     []byte
-	w        wire.Writer // wraps wbuf during WriteResult
+	w        wire.Writer // wraps wbuf between beginFrame and endFrame
 }
 
-// NewConn wraps c. writeTimeout bounds each reply write (0 disables),
-// so a client that stops reading cannot wedge a writer — or a drain —
-// behind a full TCP send buffer.
+// NewConn wraps c. writeTimeout bounds each write (0 disables), so a
+// peer that stops reading cannot wedge a writer — or a drain — behind
+// a full TCP send buffer.
 func NewConn(c net.Conn, writeTimeout time.Duration) *Conn {
 	return &Conn{c: c, br: bufio.NewReaderSize(c, 64<<10), wtimeout: writeTimeout}
 }
 
-// ReadFrame reads the next request frame (see ReadFrameInto, which
-// enforces the frame-length bound). The payload aliases the
-// connection's reused buffer and is valid only until the next call.
+// ReadFrame reads the next frame (see ReadFrameInto, which enforces
+// the frame-length bound). The payload aliases the connection's reused
+// buffer and is valid only until the next call.
 func (sc *Conn) ReadFrame() (op uint8, payload []byte, err error) {
 	return ReadFrameInto(sc.br, &sc.rbuf)
 }
 
-// WriteFrame writes one framed reply.
+// WriteFrame writes one frame carrying an already-encoded payload.
 func (sc *Conn) WriteFrame(op uint8, payload []byte) error {
-	sc.wmu.Lock()
-	defer sc.wmu.Unlock()
-	if sc.wtimeout > 0 {
-		sc.c.SetWriteDeadline(time.Now().Add(sc.wtimeout))
-	}
-	sc.wbuf = AppendFrame(sc.wbuf[:0], op, payload)
-	_, err := sc.c.Write(sc.wbuf)
-	return err
+	sc.beginFrame(op)
+	sc.w.Wrap(append(sc.wbuf, payload...))
+	return sc.endFrame()
 }
 
 // WriteResult encodes res directly into the connection's pooled write
-// buffer behind a frame-header placeholder, backpatches the length,
-// and writes the frame — no intermediate payload slice, no copy (the
-// PR 6 AsyncWriter pattern, via wire.Writer.Wrap). Serialized on wmu
-// with WriteFrame like every other reply.
+// buffer and writes the frame — no intermediate payload slice, no copy
+// (the AsyncWriter pattern, via wire.Writer.Wrap).
 func (sc *Conn) WriteResult(op uint8, res *msg.SResult) error {
+	sc.beginFrame(op)
+	res.Encode(&sc.w)
+	return sc.endFrame()
+}
+
+// WriteMsg encodes m (nil for an empty payload) straight into the
+// connection's write buffer and writes the frame. Boxing m costs an
+// allocation where the caller's message would otherwise stay on the
+// stack, so query replies go through WriteResult instead.
+func (sc *Conn) WriteMsg(op uint8, m interface{ Encode(*wire.Writer) }) error {
+	sc.beginFrame(op)
+	if m != nil {
+		m.Encode(&sc.w)
+	}
+	return sc.endFrame()
+}
+
+// beginFrame takes the write lock and points sc.w at the write buffer
+// behind a frame-header placeholder, so the caller encodes the payload
+// in place; endFrame backpatches the length, writes the frame and
+// releases the lock.
+func (sc *Conn) beginFrame(op uint8) {
 	sc.wmu.Lock()
-	defer sc.wmu.Unlock()
 	sc.wbuf = append(sc.wbuf[:0], 0, 0, 0, 0, op)
 	sc.w.Wrap(sc.wbuf)
-	res.Encode(&sc.w)
+}
+
+func (sc *Conn) endFrame() error {
+	defer sc.wmu.Unlock()
 	out := sc.w.Bytes()
 	binary.LittleEndian.PutUint32(out[:4], uint32(len(out)-4))
-	sc.wbuf = out[:0] // keep the grown storage for the next reply
+	sc.wbuf = out[:0] // keep the grown storage for the next frame
 	if sc.wtimeout > 0 {
 		sc.c.SetWriteDeadline(time.Now().Add(sc.wtimeout))
 	}

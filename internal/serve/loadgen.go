@@ -34,13 +34,11 @@ type LoadConfig struct {
 	Deadline    time.Duration // 0 = server default
 	Seed        int64
 	DialTimeout time.Duration
-	// Conns, when positive, switches to pipelined multi-connection
-	// mode: Conns shared connections carry all Concurrency workers
-	// (worker w pins to connection w mod Conns) with replies matched by
-	// ID, so the generator saturates a multi-worker server without one
-	// TCP connection per in-flight request. The report then includes
-	// per-connection latency quantiles beside the aggregate. Zero keeps
-	// the classic one-connection-per-worker closed/open loop.
+	// Conns is the number of shared connections (Clients) the workers
+	// ride: worker w uses connection w mod Conns, with queries pipelined
+	// and matched by ID, so a few connections keep a multi-worker server
+	// busy. Zero means one connection per worker. A positive Conns also
+	// adds per-connection latency quantiles to the report.
 	Conns int
 	// Collect, when non-nil, receives every reply with its request
 	// index (used by the e2e suite to compare against ground truth).
@@ -50,8 +48,7 @@ type LoadConfig struct {
 	// each request slot becomes an ingest, delete, flush, or query,
 	// chosen deterministically from the request index and Seed per the
 	// fractions below, and the report splits latency quantiles per op
-	// class. Incompatible with Conns (the pipelined client only routes
-	// query replies).
+	// class. Mutations ride the same connections as queries.
 	Mutate bool
 	// IngestFraction and DeleteFraction are the shares of requests that
 	// become ingest and delete ops (defaults 0.05 and 0.02); the rest
@@ -66,11 +63,6 @@ type LoadConfig struct {
 	// up in the report as its own op class. Zero relies on the server's
 	// background refinement trigger.
 	FlushEvery int
-	// ReportErrors adds a per-kind transport-error breakdown to the
-	// report (Report.ErrorKinds), so failover tests can assert not just
-	// that the error count is zero but that no class of failure leaked
-	// through at all.
-	ReportErrors bool
 	// TraceSample stamps a fresh sampled trace context (SFlagTrace +
 	// client-chosen trace ID) on this fraction of query requests,
 	// chosen deterministically from the request index and Seed. A
@@ -191,24 +183,24 @@ func summarize(us []float64) LatencySummary {
 type Report struct {
 	Requests    int            `json:"requests"`
 	Concurrency int            `json:"concurrency"`
-	Conns       int            `json:"conns,omitempty"`      // pipelined mode only
+	Conns       int            `json:"conns,omitempty"`      // LoadConfig.Conns, if set
 	TargetQPS   float64        `json:"target_qps,omitempty"` // open loop only
 	WallSeconds float64        `json:"wall_seconds"`
 	QPS         float64        `json:"qps"` // achieved completion rate
 	ByStatus    map[string]int `json:"by_status"`
 	Errors      int            `json:"errors"` // transport failures
 	// ErrorKinds breaks Errors down by transport failure kind ("eof",
-	// "reset", "refused", "timeout", "io"); filled only when
-	// LoadConfig.ReportErrors is set, so replica-kill tests can pin an
-	// exact error budget — usually zero.
+	// "reset", "refused", "timeout", "io"); absent on a run without
+	// transport errors.
 	ErrorKinds map[string]int `json:"error_kinds,omitempty"`
 	Latency    LatencySummary `json:"latency_usec"`
 	QueueWait  LatencySummary `json:"queue_wait_usec"`
 	Exec       LatencySummary `json:"exec_usec"`
 	DistEvals  float64        `json:"dist_evals_per_query"`
-	// PerConn holds one latency digest per pipelined connection
-	// (index = connection index); a lopsided spread means one
-	// connection's reader goroutine, not the server, is the bottleneck.
+	// PerConn holds one latency digest per shared connection (index =
+	// connection index), filled when LoadConfig.Conns is set; a lopsided
+	// spread means one connection's reader goroutine, not the server, is
+	// the bottleneck.
 	PerConn []LatencySummary `json:"per_conn_latency_usec,omitempty"`
 	// PerOp splits the run by op class in mutate mode ("query",
 	// "ingest", "delete", "flush"), each with its own status counts and
@@ -240,16 +232,56 @@ func RunLoad[T wire.Scalar](cfg LoadConfig, queries [][]T) (*Report, error) {
 		cfg.Concurrency = 1
 	}
 
+	// The shared connections, dialed up front so a bad address fails
+	// fast instead of mid-run. After a transport error the worker that
+	// saw it drops its slot's client and redials, but only while the
+	// failed client is still the slot's current one, so the workers
+	// sharing a slot replace it once (the drop-if-current rule of the
+	// router's replica.demote).
+	nConns := cfg.Conns
+	if nConns <= 0 {
+		nConns = cfg.Concurrency
+	}
+	slots := make([]*Client, nConns)
+	var slotMu sync.Mutex
+	defer func() {
+		for _, c := range slots {
+			if c != nil {
+				c.Close()
+			}
+		}
+	}()
+	for i := range slots {
+		var err error
+		if slots[i], err = Dial(cfg.Addr, cfg.DialTimeout); err != nil {
+			return nil, err
+		}
+	}
+	current := func(k int) *Client {
+		slotMu.Lock()
+		defer slotMu.Unlock()
+		return slots[k]
+	}
+	redial := func(k int, failed *Client) error {
+		slotMu.Lock()
+		defer slotMu.Unlock()
+		if slots[k] != failed {
+			return nil
+		}
+		failed.Close()
+		c, err := Dial(cfg.Addr, cfg.DialTimeout)
+		if err == nil {
+			slots[k] = c
+		}
+		return err
+	}
+
 	// Mutate mode setup: defaults, a probe for the committed ID range
 	// deletes may target, and the deterministic per-request op plan.
 	var opClass []uint8
-	var opStatus []uint8
-	var mutDone []bool
+	var updates []*msg.SUpdateReply // indexed by request, nil = not answered
 	var deleteRange uint64
 	if cfg.Mutate {
-		if cfg.Conns > 0 {
-			return nil, errors.New("serve: mutate mode needs per-worker connections; -conns pipelining routes only query replies")
-		}
 		if cfg.IngestFraction <= 0 {
 			cfg.IngestFraction = 0.05
 		}
@@ -259,12 +291,7 @@ func RunLoad[T wire.Scalar](cfg LoadConfig, queries [][]T) (*Report, error) {
 		if cfg.IngestBatch <= 0 {
 			cfg.IngestBatch = 4
 		}
-		probe, err := Dial(cfg.Addr, cfg.DialTimeout)
-		if err != nil {
-			return nil, err
-		}
-		hello, err := probe.Hello()
-		probe.Close()
+		hello, err := slots[0].Hello()
 		if err != nil {
 			return nil, err
 		}
@@ -273,54 +300,28 @@ func RunLoad[T wire.Scalar](cfg LoadConfig, queries [][]T) (*Report, error) {
 		for i := range opClass {
 			opClass[i] = cfg.classify(i)
 		}
-		opStatus = make([]uint8, cfg.Requests)
-		mutDone = make([]bool, cfg.Requests)
+		updates = make([]*msg.SUpdateReply, cfg.Requests)
 	}
 
 	lat := make([]float64, cfg.Requests) // indexed by request, no lock
 	results := make([]*msg.SResult, cfg.Requests)
-	var errCount atomic.Int64
 	var next atomic.Int64
 
 	// Transport-error accounting. The mutex is fine: errors are the
-	// exceptional path, and the kinds map only exists on request.
+	// exceptional path.
 	var errMu sync.Mutex
+	var errCount int
 	var errKinds map[string]int
-	if cfg.ReportErrors {
-		errKinds = make(map[string]int)
-	}
 	recordErr := func(err error) {
-		errCount.Add(1)
-		if errKinds != nil {
-			errMu.Lock()
-			errKinds[classifyErr(err)]++
-			errMu.Unlock()
+		errMu.Lock()
+		errCount++
+		if errKinds == nil {
+			errKinds = make(map[string]int)
 		}
+		errKinds[classifyErr(err)]++
+		errMu.Unlock()
 	}
-
-	// Pipelined mode: a fixed pool of shared connections, dialed up
-	// front so a bad address fails fast instead of mid-run.
-	var pipes []*PipeClient
-	var connOf []int // request index -> connection index
-	if cfg.Conns > 0 {
-		pipes = make([]*PipeClient, cfg.Conns)
-		for i := range pipes {
-			pc, err := DialPipe(cfg.Addr, cfg.DialTimeout)
-			if err != nil {
-				for _, open := range pipes[:i] {
-					open.Close()
-				}
-				return nil, err
-			}
-			pipes[i] = pc
-		}
-		defer func() {
-			for _, pc := range pipes {
-				pc.Close()
-			}
-		}()
-		connOf = make([]int, cfg.Requests)
-	}
+	connOf := make([]int, cfg.Requests) // request index -> connection index
 
 	// Open loop: a feeder emits arrival tokens at the target rate; the
 	// buffer is sized so a slow server delays service, never arrivals.
@@ -343,18 +344,54 @@ func RunLoad[T wire.Scalar](cfg LoadConfig, queries [][]T) (*Report, error) {
 		}()
 	}
 
-	worker := func(w int) error {
-		var c *Client
-		var pc *PipeClient
-		if pipes != nil {
-			pc = pipes[w%len(pipes)]
-		} else {
-			var err error
-			if c, err = Dial(cfg.Addr, cfg.DialTimeout); err != nil {
-				return err
+	// mutate runs request i as the mutation its op class names.
+	mutate := func(c *Client, i int) error {
+		var up *msg.SUpdateReply
+		var err error
+		t0 := time.Now()
+		switch opClass[i] {
+		case opIngest:
+			vecs := make([][]T, cfg.IngestBatch)
+			for j := range vecs {
+				vecs[j] = queries[(i+j)%len(queries)]
 			}
-			defer c.Close()
+			up, err = Ingest(c, vecs)
+		case opDelete:
+			h := uint64(i)*0xD1B54A32D192ED03 + uint64(cfg.Seed)
+			h ^= h >> 32
+			up, err = c.Delete([]knng.ID{knng.ID(h % deleteRange)})
+		default: // opFlush
+			up, err = c.Flush()
 		}
+		lat[i] = float64(time.Since(t0).Microseconds())
+		updates[i] = up
+		return err
+	}
+	query := func(c *Client, i int) error {
+		q := msg.SQuery[T]{
+			ID:      uint64(i),
+			Seed:    cfg.Seed*1_000_003 + int64(i),
+			L:       uint32(cfg.L),
+			Epsilon: float32(cfg.Epsilon),
+			Vec:     queries[i%len(queries)],
+		}
+		if cfg.Deadline > 0 {
+			q.DeadlineMicros = saturatingMicros(cfg.Deadline)
+		}
+		if traceSampled(i, cfg.Seed, cfg.TraceSample) {
+			q.SetTrace(msg.STrace{TraceID: obs.NewTraceID(), Sampled: true})
+		}
+		t0 := time.Now()
+		res, err := Do(c, &q)
+		lat[i] = float64(time.Since(t0).Microseconds())
+		results[i] = res
+		if err == nil && cfg.Collect != nil {
+			cfg.Collect(i, res)
+		}
+		return err
+	}
+	worker := func(w int) error {
+		k := w % len(slots)
 		for {
 			if tokens != nil {
 				if _, ok := <-tokens; !ok {
@@ -365,80 +402,21 @@ func RunLoad[T wire.Scalar](cfg LoadConfig, queries [][]T) (*Report, error) {
 			if i >= cfg.Requests {
 				return nil
 			}
-			if opClass != nil && opClass[i] != opQuery {
-				t0 := time.Now()
-				var up *msg.SUpdateReply
-				var err error
-				switch opClass[i] {
-				case opIngest:
-					vecs := make([][]T, cfg.IngestBatch)
-					for j := range vecs {
-						vecs[j] = queries[(i+j)%len(queries)]
-					}
-					up, err = Ingest(c, vecs)
-				case opDelete:
-					h := uint64(i)*0xD1B54A32D192ED03 + uint64(cfg.Seed)
-					h ^= h >> 32
-					up, err = c.Delete([]knng.ID{knng.ID(h % deleteRange)})
-				default: // opFlush
-					up, err = c.Flush()
-				}
-				lat[i] = float64(time.Since(t0).Microseconds())
-				if err != nil {
-					recordErr(err)
-					c.Close()
-					if c, err = Dial(cfg.Addr, cfg.DialTimeout); err != nil {
-						return err
-					}
-					continue
-				}
-				opStatus[i] = up.Status
-				mutDone[i] = true
-				continue
-			}
-			q := msg.SQuery[T]{
-				ID:      uint64(i),
-				Seed:    cfg.Seed*1_000_003 + int64(i),
-				L:       uint32(cfg.L),
-				Epsilon: float32(cfg.Epsilon),
-				Vec:     queries[i%len(queries)],
-			}
-			if cfg.Deadline > 0 {
-				q.DeadlineMicros = saturatingMicros(cfg.Deadline)
-			}
-			if traceSampled(i, cfg.Seed, cfg.TraceSample) {
-				q.SetTrace(msg.STrace{TraceID: obs.NewTraceID(), Sampled: true})
-			}
-			t0 := time.Now()
-			var res *msg.SResult
+			connOf[i] = k
+			c := current(k)
 			var err error
-			if pc != nil {
-				connOf[i] = w % len(pipes)
-				res, err = DoPipe(pc, &q)
+			if opClass != nil && opClass[i] != opQuery {
+				err = mutate(c, i)
 			} else {
-				res, err = Do(c, &q)
+				err = query(c, i)
 			}
-			lat[i] = float64(time.Since(t0).Microseconds())
 			if err != nil {
+				// Count it, then replace the connection so one hiccup
+				// does not silently shrink the worker pool.
 				recordErr(err)
-				if pc != nil {
-					// A pipelined connection is shared; a transport
-					// error there is sticky and poisons every worker on
-					// it, so surface it instead of retrying forever.
+				if err := redial(k, c); err != nil {
 					return err
 				}
-				// The connection is suspect after a transport error;
-				// redial once and keep going so one hiccup doesn't
-				// silently shrink the worker pool.
-				c.Close()
-				if c, err = Dial(cfg.Addr, cfg.DialTimeout); err != nil {
-					return err
-				}
-				continue
-			}
-			results[i] = res
-			if cfg.Collect != nil {
-				cfg.Collect(i, res)
 			}
 		}
 	}
@@ -468,13 +446,13 @@ func RunLoad[T wire.Scalar](cfg LoadConfig, queries [][]T) (*Report, error) {
 		TargetQPS:   cfg.QPS,
 		WallSeconds: wall.Seconds(),
 		ByStatus:    make(map[string]int),
-		Errors:      int(errCount.Load()),
+		Errors:      errCount,
 		ErrorKinds:  errKinds,
 	}
 	var qwait, exec []float64
 	var byConn [][]float64
-	if pipes != nil {
-		byConn = make([][]float64, len(pipes))
+	if cfg.Conns > 0 {
+		byConn = make([][]float64, len(slots))
 	}
 	var evals, answered int64
 	// Per-op split (mutate mode): mutation latencies go to their own
@@ -493,10 +471,10 @@ func RunLoad[T wire.Scalar](cfg LoadConfig, queries [][]T) (*Report, error) {
 	okLat := lat[:0] // reuses lat's storage; read lat[i] before appending
 	for i, res := range results {
 		if opClass != nil && opClass[i] != opQuery {
-			if mutDone[i] {
+			if up := updates[i]; up != nil {
 				op := rep.PerOp[opNames[opClass[i]]]
 				op.Count++
-				op.ByStatus[msg.SStatusName(opStatus[i])]++
+				op.ByStatus[msg.SStatusName(up.Status)]++
 				perOpLat[opClass[i]] = append(perOpLat[opClass[i]], lat[i])
 			}
 			continue

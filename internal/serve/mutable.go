@@ -154,11 +154,9 @@ func (s *Server[T]) EnableMutation(cfg MutableConfig[T]) error {
 
 // handleMutation decodes, executes, and answers one mutation frame; it
 // reports whether the connection is still usable.
-func (s *Server[T]) handleMutation(sc *Conn, op uint8, payload []byte, w *wire.Writer) bool {
+func (s *Server[T]) handleMutation(sc *Conn, op uint8, payload []byte) bool {
 	rep := s.execMutation(op, payload)
-	w.Reset()
-	rep.Encode(w)
-	return sc.WriteFrame(op, w.Bytes()) == nil
+	return sc.WriteMsg(op, &rep) == nil
 }
 
 func (s *Server[T]) execMutation(op uint8, payload []byte) msg.SUpdateReply {

@@ -302,7 +302,7 @@ func TestSnapshotSwapUnderConcurrentQueries(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			qc, err := Dial(c.c.RemoteAddr().String(), 5*time.Second)
+			qc, err := Dial(c.sc.c.RemoteAddr().String(), 5*time.Second)
 			if err != nil {
 				qerr.Store(fmt.Errorf("dial: %v", err))
 				return
@@ -383,7 +383,7 @@ func TestLoadgenMutateMode(t *testing.T) {
 		Config{L: l, Epsilon: 0.25, Workers: 4},
 		MutableConfig[float32]{RefineEvery: 64})
 	defer shutdown()
-	addr := c.c.RemoteAddr().String()
+	addr := c.sc.c.RemoteAddr().String()
 
 	queries := randData(64, dim, 61)
 	const requests = 400
@@ -438,11 +438,24 @@ func TestLoadgenMutateMode(t *testing.T) {
 	if got := m.DeleteOps.Load(); got != int64(rep.PerOp["delete"].Count) {
 		t.Fatalf("server saw %d delete ops, generator sent %d", got, rep.PerOp["delete"].Count)
 	}
-	// The pipelined client cannot carry mutations: typed error, fast.
-	if _, err := RunLoad[float32](LoadConfig{
-		Addr: addr, Requests: 8, Mutate: true, Conns: 2, DialTimeout: time.Second,
-	}, queries); err == nil {
-		t.Fatal("mutate mode with -conns pipelining did not error")
+	// Mutations ride the shared connections beside pipelined queries:
+	// eight workers on two connections run the same kind of mix cleanly.
+	shared, err := RunLoad[float32](LoadConfig{
+		Addr: addr, Requests: 200, Concurrency: 8, Conns: 2, Seed: 6,
+		DialTimeout: 5 * time.Second, Mutate: true,
+		IngestFraction: 0.10, DeleteFraction: 0.05, IngestBatch: 3, FlushEvery: 50,
+	}, queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if shared.Errors != 0 || len(shared.PerConn) != 2 {
+		t.Fatalf("shared-connection mutate run: errors=%d (%v) per_conn=%d",
+			shared.Errors, shared.ErrorKinds, len(shared.PerConn))
+	}
+	for name, op := range shared.PerOp {
+		if op.ByStatus["ok"] != op.Count {
+			t.Fatalf("shared-connection op class %q: by_status %v over %d ops", name, op.ByStatus, op.Count)
+		}
 	}
 }
 
@@ -563,7 +576,7 @@ func TestMutationLogOrder(t *testing.T) {
 	s, c, shutdown := mutableFixture(t, n, dim, k,
 		Config{L: l, Epsilon: 0.25, Workers: 4}, mcfg)
 	defer shutdown()
-	addr := c.c.RemoteAddr().String()
+	addr := c.sc.c.RemoteAddr().String()
 
 	vecs := randData(writers*perWriter, dim, 7)
 	var wg sync.WaitGroup

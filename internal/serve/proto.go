@@ -13,8 +13,9 @@
 // one op byte (msg.SOp*), and the payload encoded by the
 // internal/msg serve codecs. Every request frame receives exactly one
 // reply frame with the same op; replies to pipelined requests on one
-// connection may arrive out of order, matched by SQuery.ID/SResult.ID
-// (the bundled Client serializes instead, one round trip at a time).
+// connection may arrive out of order, matched by SQuery.ID/SResult.ID.
+// The bundled Client pipelines queries that way and keeps at most one
+// control op (which carries no ID) in flight beside them.
 package serve
 
 import (
@@ -30,27 +31,8 @@ const maxFrame = 1 << 24
 
 const frameHeaderLen = 5 // uint32 length + op byte
 
-// AppendFrame appends a framed message to buf and returns the
-// extended slice (the caller owns buf and reuses it across frames).
-func AppendFrame(buf []byte, op uint8, payload []byte) []byte {
-	var hdr [frameHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(payload)+1))
-	hdr[4] = op
-	buf = append(buf, hdr[:]...)
-	return append(buf, payload...)
-}
-
-// ReadFrame reads one frame, returning the op byte and the payload.
-// The payload is freshly allocated and owned by the caller: this is
-// ReadFrameInto over a fresh header-sized buffer, so the payload gets
-// one allocation of exactly its length.
-func ReadFrame(r io.Reader) (uint8, []byte, error) {
-	buf := make([]byte, frameHeaderLen)
-	return ReadFrameInto(r, &buf)
-}
-
-// ReadFrameInto is the one frame reader — every server connection,
-// Client and PipeClient reads through it, so the maxFrame bound on the
+// ReadFrameInto is the one frame reader — every Conn, on both ends of
+// the protocol, reads through it, so the maxFrame bound on the
 // length prefix is enforced here and nowhere else. The returned payload
 // aliases *buf (grown as needed, never shrunk) and is valid only until
 // the next call with the same buffer. The header is staged through the

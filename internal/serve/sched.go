@@ -90,13 +90,15 @@ func (s *Server[T]) runOne(sc *search.Context[T], r *request[T], sn *snapshot[T]
 // finish writes the reply held in r.res (encoded zero-copy into the
 // connection's write buffer), releases the admission slot, and
 // recycles the request. A write failure (client went away) is counted
-// but never blocks the drain: the request is still "answered".
+// but never blocks the drain: the request is still "answered". It is
+// counted as completed before the write, so a client holding its reply
+// never reads a stats dump that still lacks it.
 func (s *Server[T]) finish(r *request[T]) {
+	s.m.Completed.Add(1)
 	if err := r.conn.WriteResult(msg.SOpQuery, &r.res); err != nil {
 		s.m.WriteErrors.Add(1)
 	}
 	s.m.LatTotal.ObserveDuration(time.Since(r.enq))
-	s.m.Completed.Add(1)
 	r.span.End()
 	s.cfg.Trace.Counter("serve.inflight", s.m.InFlight.Add(-1))
 	s.acc.Gate.Leave()

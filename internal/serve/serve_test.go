@@ -49,7 +49,7 @@ func testSource(t testing.TB, n, dim, k int) Source[float32] {
 }
 
 // TestFrameRoundTrip drives the one frame reader (ReadFrameInto — what
-// every server connection, Client and PipeClient reads through) with a
+// every Conn, server or Client side, reads through) with a
 // reused buffer: good frames round-trip, and a bad length prefix is an
 // error before any payload-sized allocation.
 func TestFrameRoundTrip(t *testing.T) {
@@ -66,11 +66,11 @@ func TestFrameRoundTrip(t *testing.T) {
 		payload []byte
 		bad     bool
 	}{
-		{name: "payload", in: AppendFrame(nil, 7, []byte("abc")), op: 7, payload: []byte("abc")},
-		{name: "empty payload", in: AppendFrame(nil, 9, nil), op: 9},
-		{name: "grows the buffer", in: AppendFrame(nil, 3, big), op: 3, payload: big},
+		{name: "payload", in: appendFrame(nil, 7, []byte("abc")), op: 7, payload: []byte("abc")},
+		{name: "empty payload", in: appendFrame(nil, 9, nil), op: 9},
+		{name: "grows the buffer", in: appendFrame(nil, 3, big), op: 3, payload: big},
 		{name: "end of stream", in: nil, bad: true},
-		{name: "cut mid-payload", in: AppendFrame(nil, 7, []byte("abc"))[:6], bad: true},
+		{name: "cut mid-payload", in: appendFrame(nil, 7, []byte("abc"))[:6], bad: true},
 		// A zero length cannot even hold the op byte.
 		{name: "zero length", in: prefix(0), bad: true},
 		// An absurd length must be rejected before allocation.
@@ -91,13 +91,15 @@ func TestFrameRoundTrip(t *testing.T) {
 			t.Fatalf("%s: reader grew its buffer to %d bytes", c.name, cap(buf))
 		}
 	}
-	// ReadFrame is the same reader over a fresh buffer: consecutive
-	// frames on one stream, payloads owned by the caller.
-	r := bytes.NewReader(append(AppendFrame(nil, 7, []byte("abc")), AppendFrame(nil, 9, []byte("de"))...))
-	_, p1, err1 := ReadFrame(r)
-	_, p2, err2 := ReadFrame(r)
-	if err1 != nil || err2 != nil || string(p1) != "abc" || string(p2) != "de" {
-		t.Fatalf("ReadFrame: %q %v, %q %v", p1, err1, p2, err2)
+	// Consecutive frames on one stream through one reused buffer (each
+	// payload is valid until the next read, so check it before that).
+	r := bytes.NewReader(append(appendFrame(nil, 7, []byte("abc")), appendFrame(nil, 9, []byte("de"))...))
+	buf = nil
+	_, p1, err1 := ReadFrameInto(r, &buf)
+	s1 := string(p1)
+	_, p2, err2 := ReadFrameInto(r, &buf)
+	if err1 != nil || err2 != nil || s1 != "abc" || string(p2) != "de" {
+		t.Fatalf("ReadFrameInto: %q %v, %q %v", s1, err1, p2, err2)
 	}
 }
 
@@ -135,8 +137,9 @@ func collectReplies(t *testing.T, c net.Conn) <-chan msg.SResult {
 	go func() {
 		defer close(out)
 		br := bufio.NewReader(c)
+		var buf []byte
 		for {
-			op, payload, err := ReadFrame(br)
+			op, payload, err := ReadFrameInto(br, &buf)
 			if err != nil {
 				return
 			}
@@ -155,6 +158,16 @@ func collectReplies(t *testing.T, c net.Conn) <-chan msg.SResult {
 		}
 	}()
 	return out
+}
+
+// appendFrame appends a framed message to buf and returns the extended
+// slice: the bytes a Conn puts on the wire for one frame.
+func appendFrame(buf []byte, op uint8, payload []byte) []byte {
+	var hdr [frameHeaderLen]byte
+	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(payload)+1))
+	hdr[4] = op
+	buf = append(buf, hdr[:]...)
+	return append(buf, payload...)
 }
 
 func encodeQuery(q *msg.SQuery[float32]) []byte {

@@ -238,7 +238,6 @@ func (s *Server[T]) Serve(ln net.Listener) error {
 // handleConn is the per-connection reader loop.
 func (s *Server[T]) handleConn(sc *Conn) {
 	var (
-		w       wire.Writer
 		q       msg.SQuery[T] // reused query decode target
 		scratch []T           // borrowed-vector decode scratch (wide scalars)
 	)
@@ -260,9 +259,7 @@ func (s *Server[T]) handleConn(sc *Conn) {
 				DefaultL:       uint32(s.cfg.L),
 				DefaultEpsilon: float32(s.cfg.Epsilon),
 			}
-			w.Reset()
-			reply.Encode(&w)
-			if sc.WriteFrame(msg.SOpHello, w.Bytes()) != nil {
+			if sc.WriteMsg(msg.SOpHello, &reply) != nil {
 				return
 			}
 		case msg.SOpHealth:
@@ -289,7 +286,7 @@ func (s *Server[T]) handleConn(sc *Conn) {
 				return
 			}
 		case msg.SOpIngest, msg.SOpDelete, msg.SOpFlush:
-			if !s.handleMutation(sc, op, payload, &w) {
+			if !s.handleMutation(sc, op, payload) {
 				return
 			}
 		default:

@@ -78,6 +78,13 @@ echo "== go test -race (shared connection layer: drain gate + shutdown-before-se
 # misses a Shutdown which ran first — fails only on some schedules.
 go test -race -count=20 -run 'TestDrainGate|TestShutdownBeforeServe' ./internal/serve/ ./internal/router/
 
+echo "== go test -race (one protocol client: reply routing, repeated)"
+# serve.Client shares one connection between pipelined queries and a
+# control call, with one reader goroutine routing every reply. A reply
+# routed to the wrong waiter, or a waiter never woken after a
+# connection failure, shows up only on some schedules.
+go test -race -count=20 -run 'TestClient' ./internal/serve/
+
 echo "== go test -race (batch search: shared claim cursor, repeated)"
 # search.Batch workers claim query indices from one atomic cursor and
 # write disjoint result slots; a claim that hands one index out twice,

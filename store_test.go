@@ -300,3 +300,33 @@ func TestStoreVersionMismatchTyped(t *testing.T) {
 		t.Fatalf("mismatch detail: %+v", mm)
 	}
 }
+
+// The Dist a loaded store's index hands to serve.Source (dnnd-serve
+// passes ix.Dist()) must resolve to its metric's block kernel;
+// otherwise every served query would be scored pair by pair, silently.
+func TestLoadedDistResolvesToManyKernel(t *testing.T) {
+	data := testData(5, 120, 8)
+	for _, kind := range []MetricKind{metric.L2, metric.SquaredL2, metric.Cosine} {
+		dist, err := metric.For[float32](kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix, err := NewIndex(brute.KNNGraph(data, 4, dist, 0), data, kind, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := filepath.Join(t.TempDir(), "store")
+		if err := Save(dir, ix, true); err != nil {
+			t.Fatal(err)
+		}
+		loaded, _, _, _, err := LoadMutable[float32](dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := metric.KernelFor[float32](kind)
+		got := metric.KernelOf(loaded.Dist())
+		if got.Many == nil || reflect.ValueOf(got.Many).Pointer() != reflect.ValueOf(want.Many).Pointer() {
+			t.Errorf("%s: the loaded index's Dist does not resolve to the block kernel", kind)
+		}
+	}
+}
