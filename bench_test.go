@@ -75,20 +75,22 @@ func BenchmarkFig2QualityTradeoff(b *testing.B) {
 }
 
 // BenchmarkFig3Construction regenerates Figure 3 / Table 3
-// (construction time vs node count, modeled strong scaling).
+// (construction vs node count, from measured counters) and reports the
+// imbalance of bytes sent per rank at the largest rank count.
 func BenchmarkFig3Construction(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows, err := bench.Fig3Construction(quickOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
-		maxSpeedup := 0.0
+		var widest bench.Fig3Row
 		for _, r := range rows {
-			if r.Speedup > maxSpeedup {
-				maxSpeedup = r.Speedup
+			if r.PerRank != nil && r.Ranks > widest.Ranks {
+				widest = r
 			}
 		}
-		b.ReportMetric(maxSpeedup, "max-modeled-speedup")
+		maxBytes, meanBytes := widest.RankBytes()
+		b.ReportMetric(float64(maxBytes)/meanBytes, "max/mean-rank-bytes")
 	}
 }
 

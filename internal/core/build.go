@@ -373,7 +373,6 @@ func (b *builder[T]) beginVisit() {
 func (b *builder[T]) applyTask(t *task[T]) {
 	if t.compute {
 		b.distEvals += int64(len(t.Meta))
-		b.c.AddWork(float64(len(t.Query) * len(t.Meta)))
 	}
 	switch t.Kind {
 	case taskInitReq:

@@ -81,10 +81,9 @@ type Result struct {
 	// KernelTime is the global wall time spent inside batched distance
 	// kernels, summed over ranks and workers (sampled one task in 16
 	// and extrapolated by candidate count — see workpool.kernelTime).
-	// With Workers=W ideally overlapped, the offloadable share of the
-	// critical path is KernelTime/W — the measured basis for the
-	// modeled intra-rank scaling curve when the host has no spare
-	// cores to show it in end-to-end wall time.
+	// Divided by build wall time it is the benchmark's
+	// engine.offload_frac: how much of a build the worker pools can take
+	// off the rank goroutines.
 	KernelTime time.Duration
 	// Phases is this rank's per-phase timing breakdown.
 	Phases PhaseTimings

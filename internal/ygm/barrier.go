@@ -80,7 +80,7 @@ func (c *Comm) Barrier() {
 		}
 		c.inBarrier = false
 		sp.End()
-		c.recordInterval()
+		c.publishSnapshot()
 		return
 	}
 
@@ -111,7 +111,7 @@ func (c *Comm) Barrier() {
 	}
 	c.inBarrier = false
 	sp.End()
-	c.recordInterval()
+	c.publishSnapshot()
 }
 
 func (c *Comm) sendIdleReport() {

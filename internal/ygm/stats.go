@@ -1,7 +1,5 @@
 package ygm
 
-import "time"
-
 // HandlerStats counts traffic for one registered handler, letting the
 // application break totals down by message type (the Type 1 / Type 2 /
 // Type 2+ / Type 3 accounting of the paper's Figure 4). Name is the
@@ -77,96 +75,4 @@ func (s *Stats) Add(other Stats) {
 		s.PerHandler[i].SentBytes += h.SentBytes
 		s.PerHandler[i].RecvMsgs += h.RecvMsgs
 	}
-}
-
-// IntervalStats captures one rank's activity between two consecutive
-// barrier exits: messages and bytes sent, application-reported work
-// units (AddWork), and the wall-clock span. With every rank on one CPU
-// core, wall time cannot show strong scaling, so the harness derives a
-// modeled parallel time from Work and SentBytes instead (see
-// ModeledCriticalPath); both are reported.
-type IntervalStats struct {
-	SentMsgs  int64
-	SentBytes int64
-	Work      float64
-	WallTime  time.Duration
-}
-
-// CostModel converts per-rank interval work and traffic into modeled
-// execution time. Work units are vector-element operations; the rates
-// come from a runtime calibration (see the bench package) or from
-// defaults representative of one CPU core and a commodity interconnect.
-type CostModel struct {
-	// SecPerWorkUnit is the seconds one rank needs per work unit
-	// (per vector-element distance operation).
-	SecPerWorkUnit float64
-	// SecPerByte is the per-rank communication cost per sent byte
-	// (1/bandwidth share).
-	SecPerByte float64
-	// SecPerMsg is the per-message overhead (injection rate bound).
-	SecPerMsg float64
-	// SecPerBarrier is the latency of one global barrier/collective;
-	// it is paid once per superstep regardless of rank count, which is
-	// what makes strong scaling taper at high node counts.
-	SecPerBarrier float64
-}
-
-// DefaultCostModel uses ~1 ns per element op (one core, SIMD-less),
-// 100 Gb/s links shared per rank, 50 ns per message injection, and a
-// 30 us global barrier (typical MPI_Allreduce latency at scale).
-func DefaultCostModel() CostModel {
-	return CostModel{
-		SecPerWorkUnit: 1e-9,
-		SecPerByte:     8.0 / 100e9,
-		SecPerMsg:      50e-9,
-		SecPerBarrier:  30e-6,
-	}
-}
-
-// IntervalTime returns the modeled time one rank spends on an interval:
-// compute plus communication (no overlap assumed, matching the paper's
-// observation that DNND phases are communication-heavy).
-func (m CostModel) IntervalTime(iv IntervalStats) float64 {
-	return iv.Work*m.SecPerWorkUnit +
-		float64(iv.SentBytes)*m.SecPerByte +
-		float64(iv.SentMsgs)*m.SecPerMsg
-}
-
-// ModeledCriticalPath returns the modeled parallel execution time of a
-// world run: for each barrier interval the slowest rank bounds the
-// interval (BSP superstep semantics), and intervals sum.
-func ModeledCriticalPath(perRank [][]IntervalStats, m CostModel) float64 {
-	if len(perRank) == 0 {
-		return 0
-	}
-	nIntervals := 0
-	for _, ivs := range perRank {
-		if len(ivs) > nIntervals {
-			nIntervals = len(ivs)
-		}
-	}
-	total := 0.0
-	for i := 0; i < nIntervals; i++ {
-		worst := 0.0
-		for _, ivs := range perRank {
-			if i < len(ivs) {
-				if t := m.IntervalTime(ivs[i]); t > worst {
-					worst = t
-				}
-			}
-		}
-		total += worst + m.SecPerBarrier
-	}
-	return total
-}
-
-// TotalWork sums work units over all ranks and intervals.
-func TotalWork(perRank [][]IntervalStats) float64 {
-	total := 0.0
-	for _, ivs := range perRank {
-		for _, iv := range ivs {
-			total += iv.Work
-		}
-	}
-	return total
 }

@@ -9,7 +9,7 @@ import (
 
 // Tracing and metrics publication for a Comm. Both hooks are opt-in and
 // nil-safe: with no track attached the hot paths pay one nil check, and
-// with no registry attached recordInterval skips the snapshot entirely,
+// with neither attached the barrier-exit snapshot is skipped entirely,
 // so traced and untraced runs execute the identical message schedule.
 
 // SetTrace attaches a span track to this rank. Subsequent barriers,
@@ -56,7 +56,7 @@ func (w *World) PublishMetrics(reg *obs.Registry) {
 // pubMetrics is the barrier-exit snapshot of a rank's counters. The
 // rank's own Stats fields are plain ints mutated by the owning
 // goroutine; a metrics dump runs on an HTTP goroutine, so it must never
-// read them directly. Instead recordInterval — always on the owning
+// read them directly. Instead publishSnapshot — always on the owning
 // goroutine, at every barrier exit — stores the counters into these
 // atomic slots, and the registry samples read the slots. Freshness is
 // barrier-granularity, which is exactly the cadence at which the
@@ -113,7 +113,7 @@ func (c *Comm) PublishMetrics(reg *obs.Registry) {
 
 // publishSnapshot stores current counters into the atomic slots and
 // emits mailbox-congestion counter samples onto the trace. Runs on the
-// owning goroutine at barrier exit (see recordInterval).
+// owning goroutine at both barrier exits (barrier.go).
 func (c *Comm) publishSnapshot() {
 	if c.pub == nil && c.trace == nil {
 		return

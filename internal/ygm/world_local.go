@@ -134,12 +134,3 @@ func (w *World) AggregateStats() Stats {
 	}
 	return total
 }
-
-// IntervalsPerRank collects every rank's barrier-interval statistics.
-func (w *World) IntervalsPerRank() [][]IntervalStats {
-	out := make([][]IntervalStats, len(w.comms))
-	for i, c := range w.comms {
-		out[i] = c.Intervals()
-	}
-	return out
-}

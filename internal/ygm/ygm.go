@@ -33,7 +33,6 @@ package ygm
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"dnnd/internal/obs"
 	"dnnd/internal/wire"
@@ -194,10 +193,7 @@ type Comm struct {
 	flushBytes int
 	inProcess  bool // every rank of the world shares this address space
 
-	stats      Stats
-	intervals  []IntervalStats
-	intervalAt IntervalStats // counters snapshot at last barrier exit
-	work       float64       // app-reported work units (see AddWork)
+	stats Stats
 
 	inDrain   bool
 	asyncTick int
@@ -545,14 +541,6 @@ func (c *Comm) dispatch(d delivery) {
 	putFrame(buf)
 }
 
-// AddWork accrues application-reported work units on this rank (the
-// DNND core reports one unit per vector-element operation). Interval
-// work feeds the modeled strong-scaling times; see IntervalStats.
-func (c *Comm) AddWork(units float64) { c.work += units }
-
-// Work returns the total accrued work units.
-func (c *Comm) Work() float64 { return c.work }
-
 // Stats returns a snapshot of this rank's counters, including the
 // mailbox congestion high-water marks.
 func (c *Comm) Stats() Stats {
@@ -572,14 +560,6 @@ func (c *Comm) HandlerName(id HandlerID) string {
 	return fmt.Sprintf("handler-%d", id)
 }
 
-// Intervals returns the per-barrier-interval statistics collected so
-// far. Index i covers the span between barrier exits i-1 and i.
-func (c *Comm) Intervals() []IntervalStats {
-	out := make([]IntervalStats, len(c.intervals))
-	copy(out, c.intervals)
-	return out
-}
-
 // checkErr surfaces transport failures to the caller; the SPMD runner
 // converts the panic into an error return.
 func (c *Comm) checkErr() {
@@ -587,25 +567,3 @@ func (c *Comm) checkErr() {
 		panic(fmt.Sprintf("ygm: rank %d transport failure: %v", c.rank, c.err))
 	}
 }
-
-// recordInterval snapshots counters at a barrier exit (and refreshes
-// the published metrics snapshot / trace counter tracks, if attached).
-func (c *Comm) recordInterval() {
-	c.publishSnapshot()
-	cur := IntervalStats{
-		SentMsgs:  c.stats.SentMsgs,
-		SentBytes: c.stats.SentBytes,
-		Work:      c.work,
-		WallTime:  time.Since(startTime),
-	}
-	delta := IntervalStats{
-		SentMsgs:  cur.SentMsgs - c.intervalAt.SentMsgs,
-		SentBytes: cur.SentBytes - c.intervalAt.SentBytes,
-		Work:      cur.Work - c.intervalAt.Work,
-		WallTime:  cur.WallTime - c.intervalAt.WallTime,
-	}
-	c.intervals = append(c.intervals, delta)
-	c.intervalAt = cur
-}
-
-var startTime = time.Now()

@@ -399,43 +399,6 @@ func TestFlushThresholdForcesManyFrames(t *testing.T) {
 	}
 }
 
-func TestIntervalStatsAndCostModel(t *testing.T) {
-	const n = 2
-	w := NewLocalWorld(n)
-	err := w.Run(func(c *Comm) error {
-		h := c.Register("h", func(c *Comm, from int, payload []byte) {})
-		c.AddWork(100)
-		c.Async((c.Rank()+1)%n, h, make([]byte, 10))
-		c.Barrier()
-		c.AddWork(50)
-		c.Barrier()
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	per := w.IntervalsPerRank()
-	if len(per) != n || len(per[0]) != 2 {
-		t.Fatalf("intervals shape: %d ranks x %d", len(per), len(per[0]))
-	}
-	if per[0][0].Work != 100 || per[0][1].Work != 50 {
-		t.Errorf("interval work = %+v", per[0])
-	}
-	if per[0][0].SentMsgs != 1 {
-		t.Errorf("interval msgs = %d", per[0][0].SentMsgs)
-	}
-	if got := TotalWork(per); got != n*150 {
-		t.Errorf("TotalWork = %v", got)
-	}
-	m := CostModel{SecPerWorkUnit: 1, SecPerByte: 0, SecPerMsg: 0}
-	if got := ModeledCriticalPath(per, m); got != 150 {
-		t.Errorf("critical path = %v, want 150", got)
-	}
-	if DefaultCostModel().IntervalTime(per[0][0]) <= 0 {
-		t.Error("default cost model should price a nonempty interval")
-	}
-}
-
 func TestStatsAdd(t *testing.T) {
 	a := Stats{SentMsgs: 1, SentBytes: 10, RecvMsgs: 1, Barriers: 2,
 		PerHandler: []HandlerStats{{SentMsgs: 1}}}
@@ -604,10 +567,6 @@ func TestAccessors(t *testing.T) {
 	err := w.Run(func(c *Comm) error {
 		if c.NRanks() != 3 {
 			return fmt.Errorf("comm NRanks = %d", c.NRanks())
-		}
-		c.AddWork(5)
-		if c.Work() != 5 {
-			return fmt.Errorf("Work = %v", c.Work())
 		}
 		if err := c.Close(); err != nil {
 			return err // local transport Close is a no-op

@@ -22,6 +22,10 @@ go build ./...
 echo "== size (informational, not a gate)"
 # Non-test Go lines outside benchmark/, the count ROADMAP item 8 tracks.
 echo "non-test Go lines: $(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l)"
+# Design-document sizes, ROADMAP item 8(c).
+for doc in DESIGN.md EXPERIMENTS.md; do
+  echo "$doc: $(( $(wc -c < "$doc") / 1024 )) KB"
+done
 
 echo "== cross-architecture (portable kernels, no fused float products)"
 # The float32 L2 sweep is SSE2 assembly on amd64 and pure Go elsewhere;
