@@ -15,7 +15,8 @@ import (
 //	phase_init.go     random initialization (Algorithm 1 lines 2-5)
 //	phase_sample.go   old/new sampling + reverse-sample union (7-16)
 //	phase_reverse.go  reverse matrix exchange (Section 4.2)
-//	phase_checks.go   neighbor checks, Type 1/2/2+/3 (Section 4.3)
+//	phase_checks.go   neighbor checks: co-owned pairs in place, the rest by
+//	                  Type 1/2/2+/3 between ranks (Section 4.3)
 //	phase_optimize.go reverse-edge merge + prune (Section 4.5)
 //	phase_gather.go   final gather to rank 0
 //
@@ -389,6 +390,11 @@ func (b *builder[T]) applyTask(t *task[T]) {
 	case taskType2:
 		for i := range t.Meta {
 			b.applyType2(&t.Meta[i], t.Dists[i])
+		}
+	case taskLocal:
+		i := b.localIndex(t.Key) // every candidate's u1
+		for k := range t.Meta {
+			b.applyLocal(i, &t.Meta[k], t.Dists[k])
 		}
 	case taskType3:
 		// Consecutive returns for the same vertex fold as one bulk

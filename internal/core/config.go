@@ -16,7 +16,10 @@ import (
 // Figure 1a; Optimized() enables all three saving techniques
 // (Figure 1b). The individual flags exist for the ablation experiment;
 // SkipRedundant and PruneDistant only take effect when OneSided is set,
-// since Type 2+/Type 3 messages exist only in the one-sided flow.
+// since Type 2+/Type 3 messages exist only in the one-sided flow. A
+// pair whose endpoints share an owner takes no Type 2 or Type 3 under
+// any setting: that rank checks it in place, deciding as the flow
+// would, so the messages are all between distinct ranks.
 type Protocol struct {
 	// OneSided (4.3.1): the center vertex sends one Type 1 message to
 	// u1 only; u1 forwards its feature vector to u2 (Type 2/2+), and u2

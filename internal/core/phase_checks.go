@@ -11,6 +11,16 @@ import (
 // to owner(u1), which forwards u1's feature vector to owner(u2) unless
 // redundant (4.3.2); owner(u2) evaluates and, in the one-sided flow,
 // returns the distance unless prunable (4.3.3).
+//
+// The protocol exists to save network messages, so only pairs whose
+// endpoints live on different ranks take it, and the check phase never
+// messages its own rank. A co-owned pair (owner(u1) == owner(u2)) is
+// checked in place, where it is generated or where its one Type 1
+// lands: staged as a distance task keyed by u1, so consecutive partners
+// of one u1 evaluate as one block, and applied to both lists (the
+// textbook local join). A Type 1 bound for the generating rank is
+// staged straight onto the ring, so Type 2 and Type 3 always cross
+// ranks.
 
 // pairCount returns the number of check pairs this rank generates.
 func (b *builder[T]) pairCount() int {
@@ -66,7 +76,6 @@ func (b *builder[T]) neighborChecks() int64 {
 	var count int
 	b.phChecks.local(func() { count = b.pairCount() })
 	it := &pairIter{}
-	w := b.phaseWriter()
 	emitted := int64(0)
 	b.phChecks.run(count, 1, func(_ int) {
 		u1, u2, ok := b.emitChecks(it)
@@ -74,24 +83,73 @@ func (b *builder[T]) neighborChecks() int64 {
 			return // duplicate-id pairs were skipped; fewer real pairs
 		}
 		emitted++
-		w.Reset()
-		m := msg.Type1{U1: u1, U2: u2}
-		m.Encode(w)
-		b.c.Async(b.owner(u1), b.hType1, w.Bytes())
-		if !b.cfg.Protocol.OneSided {
-			w.Reset()
-			m = msg.Type1{U1: u2, U2: u1}
-			m.Encode(w)
-			b.c.Async(b.owner(u2), b.hType1, w.Bytes())
+		// The two-sided flow's second request goes only to a different
+		// owner: a co-owned pair is checked once, in both flows.
+		o1, o2 := b.owner(u1), b.owner(u2)
+		b.sendType1(o1, u1, u2)
+		if o1 != o2 && !b.cfg.Protocol.OneSided {
+			b.sendType1(o2, u2, u1)
 		}
 	})
 	return emitted
 }
 
+// sendType1 routes the check request for (u1, u2) to dest ==
+// owner(u1). A request for this rank sends nothing: a co-owned pair is
+// checked in place, and otherwise the Type 1 record is staged as if it
+// had arrived.
+func (b *builder[T]) sendType1(dest int, u1, u2 knng.ID) {
+	if dest != b.c.Rank() {
+		w := b.phaseWriter()
+		m := msg.Type1{U1: u1, U2: u2}
+		m.Encode(w)
+		b.c.Async(dest, b.hType1, w.Bytes())
+		return
+	}
+	i := b.localIndex(u1)
+	if b.owner(u2) == dest {
+		b.checkLocal(i, u1, u2)
+		return
+	}
+	b.pool.stageApply(taskType1, cand{A: u1, B: u2, Local: int32(i)})
+}
+
+// checkLocal stages theta(u1, u2) for a pair this rank owns both ends
+// of; i is u1's shard index. The 4.3.2 skip runs first, so a redundant
+// pair costs no evaluation. The task is keyed by u1, so u1's
+// consecutive partners coalesce into one EvalMany block.
+func (b *builder[T]) checkLocal(i int, u1, u2 knng.ID) {
+	if b.cfg.Protocol.OneSided && b.cfg.Protocol.SkipRedundant && b.lists[i].Contains(u2) {
+		return
+	}
+	j := b.localIndex(u2)
+	b.stageDist(taskLocal, u1, b.shard.Vecs[i], true, cand{A: u1, B: u2, Local: int32(j)}, j)
+}
+
+// applyLocal lands a co-owned pair's distance on u2's list and then on
+// u1's (shard index i), deciding as the Type 2 and Type 3 handlers
+// would: in the one-sided flow with 4.3.2, u1's list is skipped when u1
+// already was u2's neighbor, and each list's own bound is the 4.3.3
+// prune. The two-sided flow updates both lists.
+func (b *builder[T]) applyLocal(i int, c *cand, d float32) {
+	l1, l2 := &b.lists[i], &b.lists[c.Local]
+	// Membership matters only when d could still enter u1's list.
+	if b.cfg.Protocol.OneSided && b.cfg.Protocol.SkipRedundant && l1.Accepts(d) {
+		changed, alreadyNeighbor := l2.UpdateCheck(c.A, d, true)
+		b.updates += int64(changed)
+		if !alreadyNeighbor {
+			b.updates += int64(l1.Update(c.B, d, true))
+		}
+		return
+	}
+	b.updates += int64(l2.Update(c.A, d, true) + l1.Update(c.B, d, true))
+}
+
 // onType1 runs at owner(u1): forward u1's feature vector to u2
-// (Type 2 / Type 2+), unless the pair is redundant (4.3.2). The
-// decision reads u1's list, so it is staged and taken at apply time,
-// in arrival order with the staged list updates.
+// (Type 2 / Type 2+), unless the pair is redundant (4.3.2), or check
+// it in place when this rank also owns u2. The decision reads u1's
+// list, so it is staged and taken at apply time, in arrival order with
+// the staged list updates.
 func (b *builder[T]) onType1(p []byte) {
 	r := b.handlerReader(p)
 	var m msg.Type1
@@ -104,6 +162,11 @@ func (b *builder[T]) onType1(p []byte) {
 
 func (b *builder[T]) applyType1(c *cand) {
 	i := int(c.Local)
+	dest := b.owner(c.B)
+	if dest == b.c.Rank() {
+		b.checkLocal(i, c.A, c.B)
+		return
+	}
 	if b.cfg.Protocol.OneSided && b.cfg.Protocol.SkipRedundant && b.lists[i].Contains(c.B) {
 		return
 	}
@@ -118,7 +181,7 @@ func (b *builder[T]) applyType1(c *cand) {
 		// as data[u1]. Charged exactly what the encode below would send.
 		w := b.replyWriter()
 		m.EncodeHead(w)
-		b.asyncByRef(b.owner(c.B), b.hType2, w, vec)
+		b.asyncByRef(dest, b.hType2, w, vec)
 		return
 	}
 	// Type 2 dominates the build's traffic (it carries a feature
@@ -128,7 +191,7 @@ func (b *builder[T]) applyType1(c *cand) {
 	if m.HasBound {
 		n += 4
 	}
-	w := b.c.AsyncWriter(b.owner(c.B), b.hType2, n)
+	w := b.c.AsyncWriter(dest, b.hType2, n)
 	m.Encode(w)
 	b.c.FinishAsyncWriter(w)
 }

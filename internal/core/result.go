@@ -26,7 +26,8 @@ type MessageTotals struct {
 	OptMsgs, OptBytes     int64 // Section 4.5 reverse-edge merge
 	TotalMsgs, TotalBytes int64 // all app messages incl. gather
 	// CheckMsgs/CheckBytes cover only the neighbor-check phase
-	// (Type 1 + 2 + 3), the quantity Figure 4 plots.
+	// (Type 1 + 2 + 3), the quantity Figure 4 plots. All of it crosses
+	// ranks: the check phase never messages its own rank.
 	CheckMsgs, CheckBytes int64
 }
 

@@ -44,7 +44,7 @@ func TestWorkerCountEquivalence(t *testing.T) {
 				return buildKernelOnWorld(t, 1, fdata, tc.kind, cfg)
 			}
 			serial := build(1)
-			for _, workers := range []int{2, 4} {
+			for _, workers := range []int{2, 3, 4} {
 				got := build(workers)
 				assertIdenticalResults(t, serial, got)
 				if serial.TasksDeferred != got.TasksDeferred {

@@ -77,9 +77,10 @@ func resolveWorkers(configured, nranks int) int {
 const (
 	taskInitReq  uint8 = iota // compute: init distance request
 	taskInitResp              // apply-only: init distance return
-	taskType1                 // apply-only: forward decision + Type 2 send
+	taskType1                 // apply-only: forward decision + Type 2 send, or a local check
 	taskType2                 // compute: theta(u1,u2) + update + Type 3 decision
 	taskType3                 // apply-only: fold returned distance
+	taskLocal                 // compute: theta(u1,u2) of a co-owned pair + both updates
 )
 
 // cand is the per-candidate apply metadata. Field use varies by task

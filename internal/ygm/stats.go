@@ -7,10 +7,11 @@ package ygm
 // aggregation across ranks — bench reports label message catalogs
 // from it without holding a Comm.
 type HandlerStats struct {
-	Name      string
-	SentMsgs  int64
-	SentBytes int64
-	RecvMsgs  int64
+	Name           string
+	SentMsgs       int64
+	SentBytes      int64
+	RemoteSentMsgs int64 // subset of SentMsgs with destination != source rank
+	RecvMsgs       int64
 }
 
 // Stats aggregates one rank's communication counters. Message counts
@@ -73,6 +74,7 @@ func (s *Stats) Add(other Stats) {
 		}
 		s.PerHandler[i].SentMsgs += h.SentMsgs
 		s.PerHandler[i].SentBytes += h.SentBytes
+		s.PerHandler[i].RemoteSentMsgs += h.RemoteSentMsgs
 		s.PerHandler[i].RecvMsgs += h.RecvMsgs
 	}
 }

@@ -421,13 +421,14 @@ func (c *Comm) sent(dest int, h HandlerID, payloadBytes int) {
 	size := int64(payloadBytes + recordHeaderBytes)
 	c.stats.SentMsgs++
 	c.stats.SentBytes += size
-	if dest != c.rank {
-		c.stats.RemoteSentMsgs++
-		c.stats.RemoteSentBytes += size
-	}
 	hs := &c.stats.PerHandler[h]
 	hs.SentMsgs++
 	hs.SentBytes += size
+	if dest != c.rank {
+		c.stats.RemoteSentMsgs++
+		c.stats.RemoteSentBytes += size
+		hs.RemoteSentMsgs++
+	}
 	if len(c.out[dest])+c.elided[dest] >= c.flushBytes {
 		c.flushDest(dest)
 	}

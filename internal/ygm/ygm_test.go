@@ -302,6 +302,7 @@ func TestPerHandlerStats(t *testing.T) {
 			c.Async(1, hA, make([]byte, 10))
 			c.Async(1, hA, make([]byte, 10))
 			c.Async(1, hB, make([]byte, 20))
+			c.Async(0, hB, make([]byte, 20)) // to self: sent, not remote
 		}
 		c.Barrier()
 		return nil
@@ -310,13 +311,16 @@ func TestPerHandlerStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := w.Comm(0).Stats()
-	if st.PerHandler[hA].SentMsgs != 2 || st.PerHandler[hB].SentMsgs != 1 {
+	if st.PerHandler[hA].SentMsgs != 2 || st.PerHandler[hB].SentMsgs != 2 {
 		t.Errorf("per-handler counts: %+v", st.PerHandler)
+	}
+	if st.PerHandler[hA].RemoteSentMsgs != 2 || st.PerHandler[hB].RemoteSentMsgs != 1 {
+		t.Errorf("per-handler remote counts: %+v", st.PerHandler)
 	}
 	if st.PerHandler[hA].SentBytes != 2*(10+recordHeaderBytes) {
 		t.Errorf("handler a bytes = %d", st.PerHandler[hA].SentBytes)
 	}
-	if st.PerHandler[hB].SentBytes != 20+recordHeaderBytes {
+	if st.PerHandler[hB].SentBytes != 2*(20+recordHeaderBytes) {
 		t.Errorf("handler b bytes = %d", st.PerHandler[hB].SentBytes)
 	}
 	st1 := w.Comm(1).Stats()
@@ -401,14 +405,14 @@ func TestFlushThresholdForcesManyFrames(t *testing.T) {
 
 func TestStatsAdd(t *testing.T) {
 	a := Stats{SentMsgs: 1, SentBytes: 10, RecvMsgs: 1, Barriers: 2,
-		PerHandler: []HandlerStats{{SentMsgs: 1}}}
+		PerHandler: []HandlerStats{{SentMsgs: 1, RemoteSentMsgs: 1}}}
 	b := Stats{SentMsgs: 2, SentBytes: 20, RecvMsgs: 2, Barriers: 3,
-		PerHandler: []HandlerStats{{SentMsgs: 2}, {RecvMsgs: 5}}}
+		PerHandler: []HandlerStats{{SentMsgs: 2, RemoteSentMsgs: 1}, {RecvMsgs: 5}}}
 	a.Add(b)
 	if a.SentMsgs != 3 || a.SentBytes != 30 || a.Barriers != 3 {
 		t.Errorf("Add result: %+v", a)
 	}
-	if len(a.PerHandler) != 2 || a.PerHandler[0].SentMsgs != 3 || a.PerHandler[1].RecvMsgs != 5 {
+	if len(a.PerHandler) != 2 || a.PerHandler[0].SentMsgs != 3 || a.PerHandler[0].RemoteSentMsgs != 2 || a.PerHandler[1].RecvMsgs != 5 {
 		t.Errorf("per-handler add: %+v", a.PerHandler)
 	}
 }

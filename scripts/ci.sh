@@ -177,7 +177,7 @@ echo "== benchmark hang guard (one short run of every workload)"
 # build-gist-r1 runs one rank, so its protocol counters and graph hash
 # repeat exactly: comparing them to the literal makes a silent protocol
 # change (one message, one byte, one reordered RNG draw) fail here.
-gist_exact='# exact: iters=7 dist_evals=775467 messages=1895150 bytes=3011972147 graph_hash=6d99a5af8277f5a3'
+gist_exact='# exact: iters=7 dist_evals=776560 messages=232514 bytes=95946164 graph_hash=1d85655e2e6da348'
 for w in build-deep-r4 build-gist-r1 serve-routed serve-mutable; do
   out="$(timeout 180 bash benchmark/run.sh --workload "$w" --seed 1 --seconds 20 --trace 0 || true)"
   last="$(tail -1 <<<"$out")"
