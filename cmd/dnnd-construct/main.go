@@ -37,7 +37,7 @@ func main() {
 		metricName  = flag.String("metric", "", "distance metric for -base input (l2, cosine, jaccard, ...)")
 		n           = flag.Int("n", 0, "points to generate for -preset (0 = preset default)")
 		k           = flag.Int("k", 10, "neighbors per vertex")
-		ranks       = flag.Int("ranks", 4, "simulated distributed ranks")
+		ranks       = flag.Int("ranks", 0, "simulated distributed ranks (0 = the library default, 1)")
 		storeDir    = flag.String("store", "", "datastore directory (required)")
 		seed        = flag.Int64("seed", 1, "random seed")
 		batch       = flag.Int64("batch", 0, "communication batch size (0 = default 2^18)")
@@ -159,7 +159,7 @@ func construct[T dnnd.Scalar](data [][]T, opts dnnd.BuildOptions, storeDir strin
 		fatal(err)
 	}
 	fmt.Printf("dnnd-construct: N=%d k=%d ranks=%d iters=%d distEvals=%d msgs=%d (%.1f MiB) in %s -> %s\n",
-		len(data), opts.K, opts.Ranks, res.Iters, res.DistEvals,
+		len(data), opts.K, max(opts.Ranks, 1), res.Iters, res.DistEvals,
 		res.Messages, float64(res.MessageBytes)/(1<<20), wall.Round(time.Millisecond), storeDir)
 }
 

@@ -24,8 +24,7 @@ func main() {
 		storeDir = flag.String("store", "", "datastore directory (required)")
 		m        = flag.Float64("m", 1.5, "degree cap multiplier, >= 1 (prune to k*m)")
 		compact  = flag.Bool("compact", false, "fold a mutable store's delta + tombstones into its base (rewrites the store as a clean snapshot at the next generation)")
-		ranks    = flag.Int("ranks", 0, "simulated ranks for the compaction or shard rebuild (0 = build default)")
-		workers  = flag.Int("workers", 0, "intra-rank workers for the compaction or shard rebuild (0 = build default)")
+		workers  = flag.Int("workers", 0, "distance-eval workers for the compaction or shard rebuild (0 = GOMAXPROCS)")
 		seed     = flag.Int64("seed", 1, "compaction or shard rebuild seed")
 		split    = flag.Int("split", 0, "partition the store into this many shard stores plus a manifest (see -split-out)")
 		splitOut = flag.String("split-out", "", "output directory for -split (required with it; gets shard0..shardN-1 and manifest/)")
@@ -46,7 +45,7 @@ func main() {
 		if *splitOut == "" {
 			fatal(fmt.Errorf("-split requires -split-out"))
 		}
-		opt := dnnd.BuildOptions{Ranks: *ranks, Workers: *workers, Seed: *seed, PruneFactor: *m}
+		opt := dnnd.BuildOptions{Workers: *workers, Seed: *seed, PruneFactor: *m}
 		man, err := dnnd.SplitStore(*storeDir, *splitOut, *split, opt)
 		if err != nil {
 			fatal(err)
@@ -60,7 +59,7 @@ func main() {
 		return
 	}
 	if *compact {
-		opt := dnnd.BuildOptions{Ranks: *ranks, Workers: *workers, Seed: *seed, PruneFactor: *m}
+		opt := dnnd.BuildOptions{Workers: *workers, Seed: *seed, PruneFactor: *m}
 		var mapping []dnnd.ID
 		switch elem {
 		case "float32":

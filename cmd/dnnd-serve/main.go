@@ -34,7 +34,6 @@ func main() {
 		traceOut    = flag.String("trace", "", "write this process's span timeline here on shutdown (Perfetto-loadable JSON; tracecheck -merge joins it with the router's)")
 		mutableOn   = flag.Bool("mutable", false, "serve the index online-mutable: accept ingest/delete/flush ops, refine the delta in the background, and swap snapshots atomically")
 		refineEvery = flag.Int("refine-every", 256, "pending delta size that triggers a background refinement (mutable mode)")
-		refineRanks = flag.Int("refine-ranks", 0, "simulated ranks for incremental refinements (mutable mode; 0 = build default)")
 		persist     = flag.Bool("persist", true, "write every published snapshot back to the store as a v2 generation (mutable mode)")
 	)
 	flag.Parse()
@@ -48,7 +47,6 @@ func main() {
 		drainWait:   *drainWait,
 		mutable:     *mutableOn,
 		refineEvery: *refineEvery,
-		refineRanks: *refineRanks,
 		persist:     *persist,
 		cfg: serve.Config{
 			L:               *l,
@@ -86,7 +84,6 @@ type options struct {
 	drainWait       time.Duration
 	mutable         bool
 	refineEvery     int
-	refineRanks     int
 	persist         bool
 }
 
@@ -121,7 +118,7 @@ func run[T dnnd.Scalar](storeDir string, o options) error {
 		return err
 	}
 	if o.mutable {
-		bopt := dnnd.BuildOptions{K: st.K, Metric: st.Metric, Ranks: o.refineRanks, Seed: 1}
+		bopt := dnnd.BuildOptions{K: st.K, Metric: st.Metric, Seed: 1}
 		mcfg := serve.MutableConfig[T]{
 			RefineEvery: o.refineEvery,
 			Gen:         uint64(st.Gen),

@@ -3,7 +3,6 @@ package dnnd
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"dnnd/internal/core"
@@ -12,7 +11,6 @@ import (
 	"dnnd/internal/obs"
 	"dnnd/internal/rptree"
 	"dnnd/internal/search"
-	"dnnd/internal/ygm"
 )
 
 // Scalar is the set of supported feature element types: float32
@@ -67,7 +65,10 @@ type BuildOptions struct {
 	K int
 	// Metric names the distance function (required), e.g. "l2".
 	Metric MetricKind
-	// Ranks is the number of simulated distributed ranks (default 4).
+	// Ranks is the number of simulated distributed ranks (default 1).
+	// An in-process rank has no network for the Section 4.3 protocol to
+	// save, so more ranks only re-partition the same build; name more
+	// to study the protocol's traffic.
 	Ranks int
 	// Rho is the NN-Descent sample rate (default 0.8).
 	Rho float64
@@ -289,63 +290,27 @@ func Refresh[T Scalar](data [][]T, prior *Graph, tombs *Tombstones, opt BuildOpt
 	return runBuild(data, prior, tombs.CloneGrow(len(data)), opt)
 }
 
-// runBuild is the one world-setup/run/collect body behind Build (prior
-// and dead nil), Extend and Remove (warm start from prior) and Refresh
-// (warm start plus the frozen tombstone set dead).
+// runBuild is the one body behind Build (prior and dead nil), Extend
+// and Remove (warm start from prior) and Refresh (warm start plus the
+// frozen tombstone set dead): core.BuildLocal, reported as a
+// BuildResult.
 func runBuild[T Scalar](data [][]T, prior *Graph, dead *Tombstones, opt BuildOptions) (*BuildResult, error) {
 	kern, err := kernelFor[T](opt.Metric)
 	if err != nil {
 		return nil, err
 	}
-	ranks := opt.Ranks
-	if ranks <= 0 {
-		ranks = 4
-	}
-	if ranks > len(data) {
-		ranks = len(data)
-	}
-	cfg := opt.coreConfig()
-	if err := cfg.Validate(len(data)); err != nil {
-		return nil, err
-	}
-	// Extend and Refresh: rows past the prior start from a search of
-	// the prior graph rather than from random partners.
-	var seedEvals int64
-	if prior != nil {
-		prior, seedEvals = core.SeedAppended(data, prior, dead, kern.Fn, cfg)
-	}
-	world := ygm.NewLocalWorld(ranks)
-	world.SetTracer(opt.Tracer)
-	if opt.Metrics != nil {
-		world.PublishMetrics(opt.Metrics)
-	}
-	var mu sync.Mutex
-	var root *core.Result
-	err = world.Run(func(c *ygm.Comm) error {
-		shard := core.Partition(data, c.Rank(), c.NRanks())
-		res, err := core.BuildIncrementalKernel(c, shard, kern, cfg, prior, dead)
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			mu.Lock()
-			root = res
-			mu.Unlock()
-		}
-		return nil
-	})
+	out, err := core.BuildLocal(data, opt.Ranks, kern, opt.coreConfig(), prior, dead, opt.Tracer, opt.Metrics)
 	if err != nil {
 		return nil, err
 	}
-	st := world.AggregateStats()
 	return &BuildResult{
-		Graph:        root.Graph,
+		Graph:        out.Graph,
 		K:            opt.K,
 		Metric:       opt.Metric,
-		Iters:        root.Iters,
-		DistEvals:    root.DistEvals + seedEvals,
-		Messages:     st.SentMsgs,
-		MessageBytes: st.SentBytes,
+		Iters:        out.Iters,
+		DistEvals:    out.DistEvals,
+		Messages:     out.Stats.SentMsgs,
+		MessageBytes: out.Stats.SentBytes,
 	}, nil
 }
 

@@ -526,3 +526,28 @@ func TestBuildOptionsOverrides(t *testing.T) {
 		t.Errorf("defaults = %+v", d)
 	}
 }
+
+// TestDefaultRanksIsOne pins the in-process default: BuildOptions with
+// Ranks unset runs one rank, so graph and counters equal Ranks: 1's.
+func TestDefaultRanksIsOne(t *testing.T) {
+	data := testData(9, 600, 8)
+	opt := BuildOptions{K: 8, Metric: "sql2", Seed: 3}
+	def, err := Build(data, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.Ranks = 1
+	one, err := Build(data, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if def.Iters != one.Iters || def.DistEvals != one.DistEvals ||
+		def.Messages != one.Messages || def.MessageBytes != one.MessageBytes {
+		t.Errorf("unset Ranks: iters %d, evals %d, msgs %d, bytes %d; Ranks 1: %d, %d, %d, %d",
+			def.Iters, def.DistEvals, def.Messages, def.MessageBytes,
+			one.Iters, one.DistEvals, one.Messages, one.MessageBytes)
+	}
+	if !reflect.DeepEqual(def.Graph, one.Graph) {
+		t.Error("unset Ranks built a different graph than Ranks 1")
+	}
+}

@@ -42,7 +42,7 @@ func main() {
 		data = append(data, v)
 	}
 
-	res, err := dnnd.Build(data, dnnd.BuildOptions{K: 10, Metric: "sql2", Ranks: 4})
+	res, err := dnnd.Build(data, dnnd.BuildOptions{K: 10, Metric: "sql2"})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func main() {
 		return batch
 	}
 
-	opts := dnnd.BuildOptions{K: 10, Metric: "sql2", Ranks: 4, SkipRefine: true}
+	opts := dnnd.BuildOptions{K: 10, Metric: "sql2", SkipRefine: true}
 
 	// Initial build.
 	data := makeBatch(3000)

@@ -22,7 +22,7 @@ func main() {
 
 	// --- run 1: construct and persist (dnnd-construct's job) --------
 	res, err := dnnd.Build(data, dnnd.BuildOptions{
-		K: 10, Metric: "sql2", Ranks: 4, SkipRefine: true,
+		K: 10, Metric: "sql2", SkipRefine: true,
 	})
 	if err != nil {
 		log.Fatal(err)

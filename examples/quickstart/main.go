@@ -23,12 +23,11 @@ func main() {
 		data[i] = v
 	}
 
-	// Build the k-NN graph with distributed NN-Descent on 4 simulated
-	// ranks. "sql2" (squared Euclidean) gives the same neighbors as L2.
+	// Build the k-NN graph with NN-Descent, in process. "sql2" (squared
+	// Euclidean) gives the same neighbors as L2.
 	res, err := dnnd.Build(data, dnnd.BuildOptions{
 		K:      10,
 		Metric: "sql2",
-		Ranks:  4,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -43,7 +43,7 @@ func main() {
 		items[i] = v
 	}
 
-	res, err := dnnd.Build(items, dnnd.BuildOptions{K: 15, Metric: "cosine", Ranks: 4})
+	res, err := dnnd.Build(items, dnnd.BuildOptions{K: 15, Metric: "cosine"})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 
-	"dnnd/internal/core"
 	"dnnd/internal/dataset"
 	"dnnd/internal/knng"
 	"dnnd/internal/metric"
@@ -128,16 +127,10 @@ func IncrementalAblation(opt Options) ([]IncrementalRow, error) {
 	// The warm start Extend and Refresh run: appended rows seeded by a
 	// search of the prior graph, its evaluations counted in the
 	// refinement's.
-	dist, err := metric.For[float32](metric.SquaredL2)
+	warm, err := buildTyped(full.F32, p.Metric, 4, cfg, prior.Graph)
 	if err != nil {
 		return nil, err
 	}
-	seeded, seedEvals := core.SeedAppended(full.F32, prior.Graph, nil, dist, cfg)
-	warm, err := buildWarmTyped(full.F32, metric.SquaredL2, 4, cfg, seeded)
-	if err != nil {
-		return nil, err
-	}
-	warm.Result.DistEvals += seedEvals
 
 	coldRecall, err := graphRecall(full, cold.Graph, k)
 	if err != nil {

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"sync"
 	"time"
 
 	"dnnd/internal/brute"
@@ -28,7 +27,6 @@ import (
 	"dnnd/internal/recall"
 	"dnnd/internal/search"
 	"dnnd/internal/wire"
-	"dnnd/internal/ygm"
 )
 
 // Options configures the harness.
@@ -102,78 +100,45 @@ func (o *Options) queryN() int {
 	return 1000
 }
 
-// BuildOut bundles one DNND construction's artifacts.
+// BuildOut bundles one DNND construction's artifacts: rank 0's
+// Result with the gathered graph, each rank's counters and their
+// aggregate, and the build's wall time.
 type BuildOut struct {
-	Graph   *knng.Graph
-	Result  *core.Result
-	Wall    time.Duration
-	PerRank []ygm.Stats // each rank's counters
-	Stats   ygm.Stats   // their aggregate
+	*core.LocalBuild
+	Wall time.Duration
 }
 
 // BuildDNND constructs a k-NNG from a generated dataset over `ranks`
 // simulated ranks, dispatching on the dataset's element type.
 func BuildDNND(d *dataset.Data, ranks int, cfg core.Config) (*BuildOut, error) {
-	kind := d.Preset.Metric
+	switch d.Preset.Elem {
+	case dataset.ElemFloat32:
+		return buildTyped(d.F32, d.Preset.Metric, ranks, cfg, nil)
+	case dataset.ElemUint8:
+		return buildTyped(d.U8, d.Preset.Metric, ranks, cfg, nil)
+	default:
+		return buildTyped(d.U32, d.Preset.Metric, ranks, cfg, nil)
+	}
+}
+
+// buildTyped runs a DNND construction through core.BuildLocal, warm
+// started from prior when it is non-nil.
+func buildTyped[T wire.Scalar](data [][]T, kind metric.Kind, ranks int, cfg core.Config, prior *knng.Graph) (*BuildOut, error) {
 	if kind == metric.L2 {
 		// Construction compares distances only; squared L2 gives the
 		// same graph cheaper (both the paper's L2 datasets qualify).
 		kind = metric.SquaredL2
 	}
-	switch d.Preset.Elem {
-	case dataset.ElemFloat32:
-		return buildTyped(d.F32, kind, ranks, cfg)
-	case dataset.ElemUint8:
-		return buildTyped(d.U8, kind, ranks, cfg)
-	default:
-		return buildTyped(d.U32, kind, ranks, cfg)
-	}
-}
-
-func buildTyped[T wire.Scalar](data [][]T, kind metric.Kind, ranks int, cfg core.Config) (*BuildOut, error) {
-	return buildWarmTyped(data, kind, ranks, cfg, nil)
-}
-
-// buildWarmTyped runs a (possibly warm-started) DNND construction.
-func buildWarmTyped[T wire.Scalar](data [][]T, kind metric.Kind, ranks int, cfg core.Config, prior *knng.Graph) (*BuildOut, error) {
 	kern, err := metric.KernelFor[T](kind)
 	if err != nil {
 		return nil, err
 	}
-	if ranks > len(data) {
-		ranks = len(data)
-	}
-	world := ygm.NewLocalWorld(ranks)
-	var mu sync.Mutex
-	var root *core.Result
 	start := time.Now()
-	err = world.Run(func(c *ygm.Comm) error {
-		shard := core.Partition(data, c.Rank(), c.NRanks())
-		res, err := core.BuildIncrementalKernel(c, shard, kern, cfg, prior, nil)
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			mu.Lock()
-			root = res
-			mu.Unlock()
-		}
-		return nil
-	})
+	out, err := core.BuildLocal(data, ranks, kern, cfg, prior, nil, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	perRank := make([]ygm.Stats, world.NRanks())
-	for i := range perRank {
-		perRank[i] = world.Comm(i).Stats()
-	}
-	return &BuildOut{
-		Graph:   root.Graph,
-		Result:  root,
-		Wall:    time.Since(start),
-		PerRank: perRank,
-		Stats:   world.AggregateStats(),
-	}, nil
+	return &BuildOut{LocalBuild: out, Wall: time.Since(start)}, nil
 }
 
 // TradeoffPoint is one (parameter, recall, throughput) sample of a

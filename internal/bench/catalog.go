@@ -3,13 +3,9 @@ package bench
 import (
 	"fmt"
 	"strings"
-	"sync"
 
-	"dnnd/internal/core"
 	"dnnd/internal/dataset"
-	"dnnd/internal/metric"
 	"dnnd/internal/obs"
-	"dnnd/internal/ygm"
 )
 
 // CatalogRow is one handler's traffic in a representative run: the
@@ -38,29 +34,13 @@ func MessageCatalog(opt Options) ([]CatalogRow, error) {
 	}
 	d := dataset.Generate(p, opt.billionN(), opt.Seed)
 
-	world := ygm.NewLocalWorld(ranks)
-	var mu sync.Mutex
-	var perMessage []core.MessageStat
-	err = world.Run(func(c *ygm.Comm) error {
-		shard := core.Partition(d.F32, c.Rank(), c.NRanks())
-		cfg := opt.coreConfig(k)
-		res, err := core.Build(c, shard, metric.SquaredL2Float32, cfg)
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			mu.Lock()
-			perMessage = res.PerMessage
-			mu.Unlock()
-		}
-		return nil
-	})
+	out, err := BuildDNND(d, ranks, opt.coreConfig(k))
 	if err != nil {
 		return nil, err
 	}
 
 	var rows []CatalogRow
-	for _, ms := range perMessage {
+	for _, ms := range out.PerMessage {
 		phase := ms.Name
 		if i := strings.LastIndexByte(phase, '.'); i >= 0 {
 			phase = phase[:i]

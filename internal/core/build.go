@@ -6,6 +6,7 @@ import (
 
 	"dnnd/internal/knng"
 	"dnnd/internal/metric"
+	"dnnd/internal/obs"
 	"dnnd/internal/wire"
 	"dnnd/internal/ygm"
 )
@@ -250,6 +251,54 @@ func BuildIncrementalKernel[T wire.Scalar](c *ygm.Comm, shard *Shard[T], kern me
 	// their transports (important for multi-process TCP worlds).
 	c.Barrier()
 	return res, nil
+}
+
+// LocalBuild is the outcome of BuildLocal: rank 0's Result, which
+// holds the gathered graph, and every rank's communication counters.
+type LocalBuild struct {
+	*Result
+	PerRank []ygm.Stats // each rank's counters
+	Stats   ygm.Stats   // their aggregate
+}
+
+// BuildLocal is the one in-process runner: it cuts data over an
+// in-process world of ranks ranks (<= 0 means 1; at most len(data))
+// and runs BuildIncrementalKernel on every rank. A non-nil prior is
+// first grown over the appended rows by SeedAppended, and the seeding
+// search's evaluations are counted in the Result's DistEvals. tr and
+// reg, when non-nil, receive the world's span timeline and its live
+// per-rank counters.
+func BuildLocal[T wire.Scalar](data [][]T, ranks int, kern metric.Kernel[T], cfg Config, prior *knng.Graph, dead *knng.TombSet, tr *obs.Tracer, reg *obs.Registry) (*LocalBuild, error) {
+	if err := cfg.Validate(len(data)); err != nil {
+		return nil, err
+	}
+	ranks = min(max(ranks, 1), len(data))
+	var seedEvals int64
+	if prior != nil {
+		prior, seedEvals = SeedAppended(data, prior, dead, kern.Fn, cfg)
+	}
+	world := ygm.NewLocalWorld(ranks)
+	world.SetTracer(tr)
+	if reg != nil {
+		world.PublishMetrics(reg)
+	}
+	var root *Result // written by rank 0 only; Run returns after every rank
+	err := world.Run(func(c *ygm.Comm) error {
+		res, err := BuildIncrementalKernel(c, Partition(data, c.Rank(), c.NRanks()), kern, cfg, prior, dead)
+		if err == nil && c.Rank() == 0 {
+			root = res
+		}
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	root.DistEvals += seedEvals
+	out := &LocalBuild{Result: root, PerRank: make([]ygm.Stats, ranks), Stats: world.AggregateStats()}
+	for i := range out.PerRank {
+		out.PerRank[i] = world.Comm(i).Stats()
+	}
+	return out, nil
 }
 
 // asyncByRef sends a vector-carrying message by reference: head holds

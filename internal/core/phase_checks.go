@@ -3,7 +3,6 @@ package core
 import (
 	"dnnd/internal/knng"
 	"dnnd/internal/msg"
-	"dnnd/internal/wire"
 )
 
 // Phase 3: neighbor checks (Algorithm 1 lines 17-22, Section 4.3). The
@@ -176,24 +175,16 @@ func (b *builder[T]) applyType1(c *cand) {
 		m.HasBound = true
 		m.Bound = b.lists[i].FarthestDist()
 	}
+	w := b.replyWriter()
 	if b.byRef {
 		// By reference: only the head exists; owner(u2) reads the vector
-		// as data[u1]. Charged exactly what the encode below would send.
-		w := b.replyWriter()
+		// as data[u1]. Charged exactly what the full encode would send.
 		m.EncodeHead(w)
 		b.asyncByRef(dest, b.hType2, w, vec)
 		return
 	}
-	// Type 2 dominates the build's traffic (it carries a feature
-	// vector per check pair), so it encodes straight into the comm's
-	// aggregation buffer — one copy instead of scratch-then-enqueue.
-	n := 9 + wire.VectorBytes[T](len(vec))
-	if m.HasBound {
-		n += 4
-	}
-	w := b.c.AsyncWriter(dest, b.hType2, n)
 	m.Encode(w)
-	b.c.FinishAsyncWriter(w)
+	b.c.Async(dest, b.hType2, w.Bytes())
 }
 
 // onType2 runs at owner(u2): stage theta(u1, u2). At apply time the

@@ -71,7 +71,8 @@ type Result struct {
 	// buckets, plus receive counts, keyed by name — the labels bench
 	// reports print.
 	PerMessage []MessageStat
-	// DistEvals is the global number of distance evaluations.
+	// DistEvals is the global number of distance evaluations; BuildLocal
+	// adds its seeding search's.
 	DistEvals int64
 	// Workers is the resolved intra-rank worker-pool width on this rank
 	// (Config.Workers after the GOMAXPROCS/nranks default).

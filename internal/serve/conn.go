@@ -58,8 +58,8 @@ func (sc *Conn) WriteFrame(op uint8, payload []byte) error {
 }
 
 // WriteResult encodes res directly into the connection's pooled write
-// buffer and writes the frame — no intermediate payload slice, no copy
-// (the AsyncWriter pattern, via wire.Writer.Wrap).
+// buffer (wrapped by wire.Writer.Wrap) and writes the frame — no
+// intermediate payload slice, no copy.
 func (sc *Conn) WriteResult(op uint8, res *msg.SResult) error {
 	sc.beginFrame(op)
 	res.Encode(&sc.w)

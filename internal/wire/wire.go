@@ -67,12 +67,11 @@ func (w *Writer) Len() int { return len(w.buf) }
 // Reset truncates the buffer, retaining capacity.
 func (w *Writer) Reset() { w.buf = w.buf[:0] }
 
-// Wrap points the Writer at caller-provided storage (typically a
-// zero-length slice of some larger buffer's tail), so encodes land in
-// place. Writes beyond the slice's capacity fall back to the usual
-// geometric growth, detaching from the provided storage — callers
-// wrapping a shared buffer must size it for the full message (see
-// ygm.Comm.AsyncWriter, which checks this).
+// Wrap points the Writer at caller-provided storage, so encodes land
+// in it. Writes beyond the slice's capacity fall back to the usual
+// geometric growth, detaching from the provided storage — so callers
+// take the result from Bytes, never from the slice they wrapped (see
+// serve.Conn, which keeps the grown buffer for its next frame).
 func (w *Writer) Wrap(buf []byte) { w.buf = buf }
 
 // reserve extends the buffer by n bytes and returns the new span for

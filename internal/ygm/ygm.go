@@ -35,7 +35,6 @@ import (
 	"sync"
 
 	"dnnd/internal/obs"
-	"dnnd/internal/wire"
 )
 
 // HandlerID identifies a registered message handler. Like YGM, handler
@@ -198,14 +197,6 @@ type Comm struct {
 	inDrain   bool
 	asyncTick int
 
-	// AsyncWriter state: the reused writer wrapping the reserved
-	// region of out[awDest], and the promised record shape (see
-	// AsyncWriter / FinishAsyncWriter).
-	aw     wire.Writer
-	awDest int
-	awLen  int
-	awH    HandlerID
-
 	// Deferred-local-work hook and single-owner enforcement; see
 	// localwork.go for the rules.
 	localWorkRun     func() bool
@@ -347,55 +338,6 @@ func (c *Comm) AsyncCharged(dest int, h HandlerID, head []byte, charged int) {
 	c.appendRecord(dest, h, head)
 	c.elided[dest] += charged - len(head)
 	c.sent(dest, h, charged)
-}
-
-// AsyncWriter is Async for fixed-size messages without the staging
-// copy: it reserves exactly n payload bytes directly in dest's
-// aggregation buffer and returns a wire.Writer positioned on them. The
-// caller must encode exactly n bytes and then call FinishAsyncWriter —
-// the pair replaces one full payload copy per message, which matters
-// on the check-phase path where every message carries a feature
-// vector. Between the two calls no other send may touch the comm.
-// Observably identical to encoding into scratch and calling Async: the
-// same record bytes land in the same buffer positions and the same
-// stats are counted.
-func (c *Comm) AsyncWriter(dest int, h HandlerID, n int) *wire.Writer {
-	if dest < 0 || dest >= c.nranks {
-		panic(fmt.Sprintf("ygm: AsyncWriter dest %d out of range (nranks=%d)", dest, c.nranks))
-	}
-	if int(h) >= len(c.handlers) {
-		panic(fmt.Sprintf("ygm: AsyncWriter with unregistered handler %d", h))
-	}
-	buf := c.out[dest]
-	if buf == nil {
-		buf = getFrame(c.flushBytes + 256)
-	}
-	buf = append(buf, byte(h), byte(h>>8),
-		byte(n), byte(n>>8), byte(n>>16), byte(n>>24))
-	base := len(buf)
-	if cap(buf) < base+n {
-		next := make([]byte, base, cap(buf)*2+base+n)
-		copy(next, buf)
-		buf = next
-	}
-	c.out[dest] = buf
-	c.awDest, c.awLen, c.awH = dest, n, h
-	c.aw.Wrap(buf[base:base:cap(buf)])
-	return &c.aw
-}
-
-// FinishAsyncWriter commits the record started by AsyncWriter. The
-// writer must hold exactly the promised byte count.
-func (c *Comm) FinishAsyncWriter(w *wire.Writer) {
-	dest, n := c.awDest, c.awLen
-	if w != &c.aw || w.Len() != n {
-		panic(fmt.Sprintf("ygm: AsyncWriter promised %d payload bytes, encoded %d", n, w.Len()))
-	}
-	buf := c.out[dest]
-	// The writer filled the reserved region in place; a grow would have
-	// detached it from the buffer and broken the record framing.
-	c.out[dest] = buf[:len(buf)+n]
-	c.sent(dest, c.awH, n)
 }
 
 // appendRecord frames one record into the destination's aggregation

@@ -61,11 +61,19 @@ func TestRefreshKeepsIDsStable(t *testing.T) {
 
 // TestRefreshRecallAtLeastCold is the mutable-index acceptance gate:
 // ingesting a +10% delta and refreshing the prior graph must (a) search
-// at least as well as a cold rebuild over the combined dataset and
-// (b) cost at most 0.3x the cold rebuild's distance evaluations —
-// otherwise the online path would be pointless and a full rebuild
-// always preferable.
+// as well as a cold rebuild over the combined dataset and (b) cost at
+// most 0.3x the cold rebuild's distance evaluations — otherwise the
+// online path would be pointless and a full rebuild always preferable.
+//
+// (a) compares means over refreshSeeds build seeds. At one seed it is
+// a coin flip: over seeds 1–40 of this setup the per-seed difference
+// (refresh − cold) has mean +0.0001 and standard deviation 0.0027, so
+// "refresh ≥ cold" fails at 18 of them at equal quality. The mean of 6
+// seeds has a deviation of ≈ 0.0011; refreshMargin is 4.5 of those, and
+// a refresh 0.02 below cold fails it by 0.015 (the sweep is in
+// EXPERIMENTS.md).
 func TestRefreshRecallAtLeastCold(t *testing.T) {
+	const refreshSeeds, refreshMargin = 6, 0.005
 	rng := rand.New(rand.NewSource(33))
 	const n, extra, dim, k, nq = 1000, 100, 12, 10, 80
 	all := make([][]float32, n+extra)
@@ -83,20 +91,6 @@ func TestRefreshRecallAtLeastCold(t *testing.T) {
 			v[j] = rng.Float32() * 10
 		}
 		queries[i] = v
-	}
-	opt := BuildOptions{K: k, Metric: metric.SquaredL2, Ranks: 1, Seed: 5}
-
-	cold, err := Build(all, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := Build(all[:n], opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	incr, err := Refresh(all, base.Graph, NewTombstones(n+extra), opt)
-	if err != nil {
-		t.Fatal(err)
 	}
 
 	dist, err := metric.ForFloat32(metric.SquaredL2)
@@ -125,18 +119,38 @@ func TestRefreshRecallAtLeastCold(t *testing.T) {
 		return float64(hits) / float64(nq*k)
 	}
 
-	coldR, incrR := recall(cold.Graph), recall(incr.Graph)
-	t.Logf("recall@%d: cold=%.4f incremental=%.4f; evals: cold=%d incremental=%d (%.2fx)",
-		k, coldR, incrR, cold.DistEvals, incr.DistEvals,
-		float64(incr.DistEvals)/float64(cold.DistEvals))
-	if coldR < 0.80 {
-		t.Fatalf("cold-rebuild recall %.4f implausibly low; test setup broken", coldR)
+	var coldSum, incrSum float64
+	for seed := int64(1); seed <= refreshSeeds; seed++ {
+		opt := BuildOptions{K: k, Metric: metric.SquaredL2, Ranks: 1, Seed: seed}
+		cold, err := Build(all, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base, err := Build(all[:n], opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		incr, err := Refresh(all, base.Graph, NewTombstones(n+extra), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		coldR, incrR := recall(cold.Graph), recall(incr.Graph)
+		coldSum += coldR
+		incrSum += incrR
+		t.Logf("seed %d: recall@%d cold=%.4f incremental=%.4f; evals: cold=%d incremental=%d (%.2fx)",
+			seed, k, coldR, incrR, cold.DistEvals, incr.DistEvals,
+			float64(incr.DistEvals)/float64(cold.DistEvals))
+		if coldR < 0.80 {
+			t.Fatalf("seed %d: cold-rebuild recall %.4f implausibly low; test setup broken", seed, coldR)
+		}
+		if got, cap := incr.DistEvals, cold.DistEvals*3/10; got > cap {
+			t.Errorf("seed %d: +10%% delta refresh cost %d evals, above the 0.3x cold-rebuild cap %d", seed, got, cap)
+		}
 	}
-	if incrR < coldR {
-		t.Errorf("incremental recall %.4f below cold rebuild's %.4f", incrR, coldR)
-	}
-	if got, cap := incr.DistEvals, cold.DistEvals*3/10; got > cap {
-		t.Errorf("+10%% delta refresh cost %d evals, above the 0.3x cold-rebuild cap %d", got, cap)
+	coldMean, incrMean := coldSum/refreshSeeds, incrSum/refreshSeeds
+	if incrMean < coldMean-refreshMargin {
+		t.Errorf("mean incremental recall %.4f more than %.3f below the cold rebuilds' %.4f",
+			incrMean, refreshMargin, coldMean)
 	}
 }
 

@@ -48,6 +48,15 @@ fi
 echo "== go test"
 go test ./...
 
+echo "== examples (each is a self-checking main; run once)"
+# go build ./... only compiles them; running each is what catches a
+# default or API change that breaks one. persist writes only under
+# os.TempDir, distributed listens on loopback only.
+for ex in examples/*/; do
+  timeout 60 go run "./$ex" >/dev/null
+  echo "$ex ok"
+done
+
 echo "== go test (benchmark module)"
 # benchmark/ is a nested module (dnnd/benchmark, replace dnnd => ../),
 # so ./... above never sees it: its manifest check and smoke run would
