@@ -200,14 +200,10 @@ func BuildIncrementalKernel[T wire.Scalar](c *ygm.Comm, shard *Shard[T], kern me
 	// contract) and effects land through b.applyTask. The local-work
 	// hook keeps ygm quiescence honest while staged tasks still owe
 	// replies; it is detached before the pool stops.
-	dim := 0
-	if len(shard.Vecs) > 0 {
-		dim = len(shard.Vecs[0])
-	}
-	b.pool = newWorkpool(resolveWorkers(cfg.Workers, c.NRanks()), dim, kern.EvalMany, b.applyTask, c.Trace())
-	c.SetLocalWork(b.pool.runHook, b.pool.pendingHook)
+	b.pool = newWorkpool(resolveWorkers(cfg.Workers, c.NRanks()), kern.EvalMany, b.applyTask, c.Trace())
+	c.SetLocalWork(b.pool.runHook, b.pool.pendingHook, b.pool.applyingHook)
 	defer func() {
-		c.SetLocalWork(nil, nil)
+		c.SetLocalWork(nil, nil, nil)
 		b.pool.shutdown()
 	}()
 

@@ -80,6 +80,9 @@ type Result struct {
 	// TasksDeferred is the global number of coalesced tasks staged onto
 	// the worker pools (each covers up to taskBatchSize candidates).
 	TasksDeferred int64
+	// PeakStaged is the largest number of tasks any rank's pool held
+	// staged at once (the ring's high-water mark, max over ranks).
+	PeakStaged int64
 	// KernelTime is the global wall time spent inside batched distance
 	// kernels, summed over ranks and workers (sampled one task in 16
 	// and extrapolated by candidate count — see workpool.kernelTime).
@@ -122,6 +125,7 @@ func (b *builder[T]) collectTotals(res *Result) {
 	res.Comm = t
 	res.DistEvals = b.c.AllReduceSum(b.distEvals)
 	res.TasksDeferred = b.c.AllReduceSum(b.pool.tasksStaged)
+	res.PeakStaged = b.c.AllReduceMax(int64(b.pool.peakStaged))
 	res.KernelTime = time.Duration(b.c.AllReduceSum(b.pool.kernelTime()))
 	res.Phases = PhaseTimings{
 		Init:     b.phInit.elapsed,

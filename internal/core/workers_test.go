@@ -91,6 +91,52 @@ func TestWorkerPoolRingHammer(t *testing.T) {
 	}
 }
 
+// TestStagedWorkStaysWithinRingBound holds the ring to its cap at N
+// ranks, where most staged work comes from other ranks' traffic. The
+// bound follows from where tasks are staged. Outside an apply, each
+// staging adds at most one task and a half-drain runs the moment the
+// ring holds ringCap, so it never holds more. During an apply nothing
+// is drained from the mailbox (sends made by applies make no
+// opportunistic progress; see ygm.Comm.SetLocalWork), so the only tasks
+// staged are the in-place checks of co-owned pairs that a Type 1 apply
+// finds: at most one new task per record, and those tasks stage
+// nothing themselves. A drain starts from at most ringCap tasks of at
+// most batchCap records each, so the ring never holds more than
+// ringCap*batchCap tasks; at the shrunken batch of 2 that is twice the
+// cap. Were applies to drain the mailbox, one drain would stage a
+// phase's whole inbound backlog, and this build would peak at
+// thousands.
+func TestStagedWorkStaysWithinRingBound(t *testing.T) {
+	defer func(ring, batch int) {
+		taskRingSize, taskBatchSize = ring, batch
+	}(taskRingSize, taskBatchSize)
+	taskRingSize = 4
+	taskBatchSize = 2
+	bound := int64(taskRingSize * taskBatchSize)
+
+	data := clusteredData(rand.New(rand.NewSource(67)), 600, 8, 8)
+	cfg := DefaultConfig(8)
+	cfg.Workers = 2
+	for _, w := range []struct {
+		name   string
+		run    worldRunner
+		nranks int
+	}{
+		{"local-4", localRunner(4), 4},
+		{"tcp-3", tcpRunner(3), 3},
+	} {
+		res := runPath(t, w.run, w.nranks, data, cfg).res
+		if res.PeakStaged > bound {
+			t.Errorf("%s: a rank held %d staged tasks, bound is %d (ring %d x batch %d)",
+				w.name, res.PeakStaged, bound, taskRingSize, taskBatchSize)
+		}
+		if res.PeakStaged < int64(taskRingSize) {
+			t.Errorf("%s: peak of %d staged tasks never reached the cap %d; the test exercises no drain",
+				w.name, res.PeakStaged, taskRingSize)
+		}
+	}
+}
+
 // mergeTestBuilder builds a standalone builder with synthetic lists and
 // reverse-edge rows, enough state to drive mergeVertex directly.
 func mergeTestBuilder() *builder[float32] {

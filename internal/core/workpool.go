@@ -42,8 +42,12 @@ import (
 // taskRingSize staged tasks, and drains fully whenever the ygm progress
 // engine asks (the barrier/collective local-work hook — see
 // internal/ygm/localwork.go, which also keeps quiescence detection
-// sound while staged tasks still owe replies). On a single rank the
-// stage sequence is deterministic, so the interleaving of applies with
+// sound while staged tasks still owe replies). While the ring is being
+// applied the comm drains no mailbox, so inbound records wait there as
+// compact frame bytes rather than as staged tasks, and the ring stays
+// near its cap at every rank count (see maybeDrain). On a single rank
+// the stage sequence is
+// deterministic, so the interleaving of applies with
 // dispatches — and therefore RNG consumption, message counts and
 // bytes, round counters, and final results — is bit-identical for
 // every worker count on every schedule. Because deferring replies
@@ -114,7 +118,7 @@ type task[T wire.Scalar] struct {
 	state   atomic.Uint64
 	compute bool  // carries distance evaluations (stageCompute), not apply-only records
 	seq     int64 // staging sequence number (drives kernel-time sampling)
-	qbuf    []T   // slab-backed private buffer behind copied queries
+	qbuf    []T   // private buffer behind copied queries, allocated on first copy
 
 	Kind uint8
 	Key  uint32 // coalescing key: the sender vertex whose vector is the query
@@ -145,7 +149,6 @@ type errBox struct{ err error }
 // on helpers.
 type workpool[T wire.Scalar] struct {
 	workers  int
-	dim      int // pre-sizes staged query copies
 	ringCap  int
 	batchCap int
 	// eval computes the distance batch of one compute task: dists[i] =
@@ -181,16 +184,16 @@ type workpool[T wire.Scalar] struct {
 	// sequence, so it is identical for every worker count.
 	tasksStaged  int64
 	candsStaged  int64
+	peakStaged   int // high-water mark of size()
 	kernelNS     atomic.Int64
 	sampledCands atomic.Int64
 }
 
 // newWorkpool starts a pool with workers-1 helper goroutines, sized by
 // the taskRingSize/taskBatchSize knobs.
-func newWorkpool[T wire.Scalar](workers, dim int, eval func(query []T, vecs [][]T, norms []float32, dists []float32), apply func(t *task[T]), trace *obs.Track) *workpool[T] {
+func newWorkpool[T wire.Scalar](workers int, eval func(query []T, vecs [][]T, norms []float32, dists []float32), apply func(t *task[T]), trace *obs.Track) *workpool[T] {
 	p := &workpool[T]{
 		workers:  workers,
-		dim:      dim,
 		ringCap:  max(taskRingSize, 2),
 		batchCap: taskBatchSize,
 		eval:     eval,
@@ -308,11 +311,13 @@ func (p *workpool[T]) tail(kind uint8, key uint32, keyed bool) *task[T] {
 // reallocations (recycled tasks keep whatever capacity they ratcheted
 // up to). The three-index slab slices pin each task to its region —
 // growing past the cap breaks the alias instead of clobbering a
-// neighbor. Rank-goroutine only.
+// neighbor. No query buffer is reserved: stable queries (every dataset
+// row of an in-process build) are aliased, and only a task that copies
+// a transient view allocates its qbuf, once, keeping it across
+// recycles. Rank-goroutine only.
 func (p *workpool[T]) allocTask() *task[T] {
 	if len(p.blank) == 0 {
 		const blk = 64
-		dim := p.dim
 		// Meta gets the full coalescing cap: apply-only tasks routinely
 		// fill it, and re-ratcheting it on every first life dominated
 		// allocation churn. The vector-side slices get a small starter
@@ -323,14 +328,12 @@ func (p *workpool[T]) allocTask() *task[T] {
 		sc := min(16, p.batchCap)
 		bc := p.batchCap
 		ts := make([]task[T], blk)
-		queries := make([]T, blk*dim)
 		vecs := make([][]T, blk*sc)
 		metas := make([]cand, blk*bc)
 		norms := make([]float32, blk*sc)
 		dists := make([]float32, blk*sc)
 		for i := range ts {
 			t := &ts[i]
-			t.qbuf = queries[i*dim : i*dim : (i+1)*dim]
 			t.Vecs = vecs[i*sc : i*sc : (i+1)*sc]
 			t.Meta = metas[i*bc : i*bc : (i+1)*bc]
 			t.norms = norms[i*sc : i*sc : (i+1)*sc]
@@ -365,6 +368,7 @@ func (p *workpool[T]) newTask(kind uint8, key uint32, compute bool) *task[T] {
 	t.Meta = t.Meta[:0]
 	p.ring = append(p.ring, t)
 	p.tasksStaged++
+	p.peakStaged = max(p.peakStaged, p.size())
 	return t
 }
 
@@ -435,9 +439,12 @@ func (p *workpool[T]) stageApply(kind uint8, m cand) {
 // maybeDrain applies the ring down to half when it reaches the soft
 // cap. The trigger depends only on staged-task counts — never on
 // worker completion — so it fires at identical points for every worker
-// count. Staging from inside an apply (applies send, sends can
-// dispatch, dispatch stages) must not recurse; the ring simply grows
-// past the cap until the outer apply loop consumes it.
+// count. Staging from inside an apply must not recurse, but it is
+// rare: sends made by applies dispatch nothing (applyingHook), so the
+// one source is a Type 1 apply checking co-owned pairs in place, at
+// most one task per record, each staging nothing further. A drain
+// therefore peaks at ringCap*batchCap tasks however much traffic waits
+// in the mailbox (TestStagedWorkStaysWithinRingBound).
 func (p *workpool[T]) maybeDrain() {
 	if p.size() >= p.ringCap && !p.applying {
 		p.applyDownTo(p.ringCap / 2)
@@ -446,12 +453,13 @@ func (p *workpool[T]) maybeDrain() {
 
 // ---- applying (rank goroutine only) ----------------------------------
 
-// runHook and pendingHook are the ygm local-work callbacks: the
-// progress engine applies everything whenever the rank would otherwise
-// idle, and quiescence requires an empty ring. Pass them to
-// Comm.SetLocalWork.
-func (p *workpool[T]) runHook() bool     { return p.applyDownTo(0) }
-func (p *workpool[T]) pendingHook() bool { return p.size() > 0 }
+// runHook, pendingHook and applyingHook are the ygm local-work
+// callbacks: the progress engine applies everything whenever the rank
+// would otherwise idle, quiescence requires an empty ring, and sends
+// made by applies drain no mailbox. Pass them to Comm.SetLocalWork.
+func (p *workpool[T]) runHook() bool      { return p.applyDownTo(0) }
+func (p *workpool[T]) pendingHook() bool  { return p.size() > 0 }
+func (p *workpool[T]) applyingHook() bool { return p.applying }
 
 // applyDownTo applies head tasks in submission order until at most
 // target staged tasks remain, returning whether anything was applied.

@@ -13,7 +13,7 @@ func testPool(workers, ring int, apply func(p *workpool[float32], tk *task[float
 	defer func(old int) { taskRingSize = old }(taskRingSize)
 	taskRingSize = ring
 	var p *workpool[float32]
-	p = newWorkpool(workers, 1, func(q []float32, vecs [][]float32, _ []float32, dists []float32) {
+	p = newWorkpool(workers, func(q []float32, vecs [][]float32, _ []float32, dists []float32) {
 		for i, v := range vecs {
 			dists[i] = q[0] + v[0]
 		}
@@ -63,9 +63,11 @@ func TestApplyOrderEqualsStageOrder(t *testing.T) {
 	}
 }
 
-// Applies send, sends dispatch, dispatch stages: a record staged from
-// inside Apply must join the ring and wait for the running drain loop
-// — even with the ring past its cap — never start a nested drain.
+// An apply can stage (a Type 1 apply checks a co-owned pair in place):
+// a record staged from inside Apply must join the ring and wait for the
+// running drain loop — even with the ring past its cap — never start a
+// nested drain. Throughout, ApplyingHook tells the comm not to dispatch
+// inbound records from the apply's sends.
 func TestStagingInsideApplyDoesNotRecurse(t *testing.T) {
 	const chain = 40
 	const filler = 1000 // filler records carry A >= filler and stage nothing
@@ -75,6 +77,9 @@ func TestStagingInsideApplyDoesNotRecurse(t *testing.T) {
 		depth++
 		maxDepth = max(maxDepth, depth)
 		applied++
+		if !p.applyingHook() {
+			t.Error("ApplyingHook false inside Apply")
+		}
 		if a := tk.Meta[0].A; a < filler {
 			links = append(links, a)
 			if a < chain {
@@ -101,6 +106,9 @@ func TestStagingInsideApplyDoesNotRecurse(t *testing.T) {
 	}
 	if p.pendingHook() {
 		t.Error("records staged during the drain were left on the ring")
+	}
+	if p.applyingHook() {
+		t.Error("ApplyingHook still true after the drain")
 	}
 	for i, a := range links {
 		if a != uint32(i) {
@@ -185,7 +193,7 @@ func TestPendingHookTrueUntilLastApply(t *testing.T) {
 func TestEvalPanicSurfacesOnApplier(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		applied := 0
-		p := newWorkpool(workers, 1, func(q []float32, _ [][]float32, _ []float32, _ []float32) {
+		p := newWorkpool(workers, func(q []float32, _ [][]float32, _ []float32, _ []float32) {
 			if q[0] == 13 {
 				panic("boom at 13")
 			}
@@ -221,7 +229,7 @@ func TestStableQueryAliasSurvivesRecycle(t *testing.T) {
 	const dim = 8
 	var applied []*task[float32]
 	var sawQuery [][]float32
-	p := newWorkpool(1, dim, func(q []float32, vecs [][]float32, _ []float32, dists []float32) {
+	p := newWorkpool(1, func(q []float32, vecs [][]float32, _ []float32, dists []float32) {
 		for i := range vecs {
 			dists[i] = q[0]
 		}

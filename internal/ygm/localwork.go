@@ -20,31 +20,40 @@ import (
 // run() whenever the rank would otherwise idle, and every idle
 // judgment — the idle report precondition, the confirmation-round
 // answer, and the coordinator's own release check — also requires
-// pending() to be false.
+// pending() to be false. The hook also bounds the deferred work: while
+// applying() reports true, sends make no opportunistic progress, so
+// the driver's backlog cannot grow by whatever the mailbox holds (at N
+// ranks that is most of a phase's inbound traffic, which would be
+// staged at kilobytes per task instead of queued at tens of bytes per
+// record).
 //
 // Ownership rule: a Comm is single-owner. Only the goroutine that runs
 // the rank (the one World.Run spawns, which binds itself here) may call
 // Async, Barrier, or AllReduce — worker goroutines hand results back to
-// the owner and never touch the Comm. run() and pending() are likewise
-// invoked only on the owning goroutine, so implementations need no
-// locking against the Comm. BindOwner/assertOwner turn violations of
-// this rule into an immediate panic instead of a data race: collectives
-// always check, and Async checks on its opportunistic-drain tick under
-// the race detector (see ownerCheckAsync), where the ~1us goroutine-ID
-// lookup is acceptable.
+// the owner and never touch the Comm. run(), pending() and applying()
+// are likewise invoked only on the owning goroutine, so implementations
+// need no locking against the Comm. BindOwner/assertOwner turn
+// violations of this rule into an immediate panic instead of a data
+// race: collectives always check, and Async checks on its
+// opportunistic-drain tick under the race detector (see
+// ownerCheckAsync), where the ~1us goroutine-ID lookup is acceptable.
 
 // SetLocalWork registers the rank's deferred-work driver. run applies
 // any currently pending work (it may send via Async) and reports
-// whether it did anything; pending reports whether work remains. Both
-// execute on the owning rank goroutine only. Handlers may fire during
-// run's own sends (every pollInterval-th Async drains the mailbox), so
-// run must tolerate new work being staged while it walks its backlog —
-// the core worker pool's applying guard assumes exactly this. Pass
-// (nil, nil) to clear the hook when the phase that staged the work is
-// over.
-func (c *Comm) SetLocalWork(run func() bool, pending func() bool) {
+// whether it did anything; pending reports whether work remains;
+// applying reports whether the driver is applying work right now,
+// whether from inside run or on its own initiative. All three execute
+// on the owning rank goroutine only. While applying reports true, Async
+// makes no opportunistic progress, so no handler fires during the
+// driver's own sends and nothing new is staged behind the backlog it
+// is walking: inbound records wait in the mailbox until the progress
+// engine next drains it. A nil applying means never. Pass
+// (nil, nil, nil) to clear the hook when the phase that staged the
+// work is over.
+func (c *Comm) SetLocalWork(run, pending, applying func() bool) {
 	c.localWorkRun = run
 	c.localWorkPending = pending
+	c.localWorkApplying = applying
 }
 
 // runLocalWork invokes the registered driver, if any.
@@ -58,6 +67,11 @@ func (c *Comm) runLocalWork() bool {
 // localPending reports whether deferred local work remains staged.
 func (c *Comm) localPending() bool {
 	return c.localWorkPending != nil && c.localWorkPending()
+}
+
+// localApplying reports whether the local-work driver is applying.
+func (c *Comm) localApplying() bool {
+	return c.localWorkApplying != nil && c.localWorkApplying()
 }
 
 // BindOwner pins the Comm to the calling goroutine: from now on,

@@ -29,7 +29,7 @@ func newDeferredEcho(c *Comm) *deferredEcho {
 	e.hPong = c.Register("pong", func(c *Comm, from int, payload []byte) {
 		e.pongs++
 	})
-	c.SetLocalWork(e.run, e.pending)
+	c.SetLocalWork(e.run, e.pending, nil)
 	return e
 }
 
@@ -37,9 +37,10 @@ func (e *deferredEcho) run() bool {
 	if len(e.queue) == 0 {
 		return false
 	}
-	// Swap the queue out before sending: Async's opportunistic drain can
-	// re-enter the ping handler, and replies it stages during this loop
-	// must survive it (see SetLocalWork).
+	// Swap the queue out before sending: this driver reports no
+	// applying hook, so Async's opportunistic drain can re-enter the
+	// ping handler, and replies it stages during this loop must survive
+	// it (see SetLocalWork).
 	batch := e.queue
 	e.queue = nil
 	for _, dest := range batch {
@@ -77,7 +78,7 @@ func TestBarrierWaitsForDeferredLocalWork(t *testing.T) {
 							c.Rank(), round, e.pongs, want)
 					}
 				}
-				c.SetLocalWork(nil, nil)
+				c.SetLocalWork(nil, nil, nil)
 				mu.Lock()
 				got[c.Rank()] = e.pongs
 				mu.Unlock()
@@ -98,6 +99,50 @@ func TestBarrierWaitsForDeferredLocalWork(t *testing.T) {
 	}
 }
 
+// While the local-work driver reports applying, sends make no
+// opportunistic progress: records wait in the mailbox, and the next
+// send loop outside an apply (or the barrier) delivers them, in order.
+func TestNoOpportunisticDrainWhileApplying(t *testing.T) {
+	err := NewLocalWorld(1).Run(func(c *Comm) error {
+		applying := false
+		var got []byte
+		h := c.Register("rec", func(c *Comm, from int, payload []byte) {
+			got = append(got, payload[0])
+		})
+		c.SetLocalWork(nil, nil, func() bool { return applying })
+		defer c.SetLocalWork(nil, nil, nil)
+		c.SetFlushThreshold(1) // every record reaches the mailbox at once
+
+		applying = true
+		for i := 0; i < 4*pollInterval; i++ {
+			c.Async(0, h, []byte{byte(i)})
+		}
+		if len(got) != 0 {
+			return fmt.Errorf("%d records dispatched during sends made while applying", len(got))
+		}
+		applying = false
+		for i := 4 * pollInterval; i < 5*pollInterval; i++ {
+			c.Async(0, h, []byte{byte(i)})
+		}
+		if len(got) == 0 {
+			return fmt.Errorf("no opportunistic drain in %d sends outside an apply", pollInterval)
+		}
+		c.Barrier()
+		if len(got) != 5*pollInterval {
+			return fmt.Errorf("%d records delivered, want %d", len(got), 5*pollInterval)
+		}
+		for i, b := range got {
+			if b != byte(i) {
+				return fmt.Errorf("record %d delivered as %d: out of order", i, b)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // AllReduce used mid-phase must also drive deferred work while it
 // waits, and its result must not be disturbed by the hook.
 func TestAllReduceDrivesDeferredLocalWork(t *testing.T) {
@@ -115,7 +160,7 @@ func TestAllReduceDrivesDeferredLocalWork(t *testing.T) {
 		if e.pongs != nranks {
 			return fmt.Errorf("rank %d saw %d pongs, want %d", c.Rank(), e.pongs, nranks)
 		}
-		c.SetLocalWork(nil, nil)
+		c.SetLocalWork(nil, nil, nil)
 		return nil
 	})
 	if err != nil {

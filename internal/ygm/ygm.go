@@ -69,7 +69,8 @@ const recordHeaderBytes = 6
 const defaultFlushBytes = 32 << 10
 
 // pollInterval controls how often Async opportunistically drains the
-// mailbox (every pollInterval-th call).
+// mailbox (every pollInterval-th call made outside handlers and
+// local-work applies; see sent).
 const pollInterval = 64
 
 // delivery is one batch of records from a single sender. elided is the
@@ -199,9 +200,10 @@ type Comm struct {
 
 	// Deferred-local-work hook and single-owner enforcement; see
 	// localwork.go for the rules.
-	localWorkRun     func() bool
-	localWorkPending func() bool
-	owner            uint64 // owning goroutine ID; 0 = unbound
+	localWorkRun      func() bool
+	localWorkPending  func() bool
+	localWorkApplying func() bool
+	owner             uint64 // owning goroutine ID; 0 = unbound
 
 	// Barrier / quiescence state.
 	inBarrier  bool
@@ -357,8 +359,14 @@ func (c *Comm) appendRecord(dest int, h HandlerID, payload []byte) {
 // payload size to the counters, hands the destination's buffer to the
 // transport once the bytes it stands for — materialized plus elided —
 // reach the threshold, and makes opportunistic progress, YGM-style:
-// inbound traffic is drained every pollInterval-th send so mailboxes
-// stay bounded during long send loops (never from inside a handler).
+// inbound traffic is drained every pollInterval-th send of a long send
+// loop. Never from inside a handler, and never while the rank's
+// deferred local work is being applied (see SetLocalWork): those sends
+// are replies to work already taken in, and draining there would only
+// turn compact inbound records into staged work while the backlog is
+// still being walked. The records wait in the mailbox, an unbounded
+// queue on every transport, until the loop that drives the local work
+// (Barrier, AllReduce) drains it.
 func (c *Comm) sent(dest int, h HandlerID, payloadBytes int) {
 	size := int64(payloadBytes + recordHeaderBytes)
 	c.stats.SentMsgs++
@@ -374,7 +382,7 @@ func (c *Comm) sent(dest int, h HandlerID, payloadBytes int) {
 	if len(c.out[dest])+c.elided[dest] >= c.flushBytes {
 		c.flushDest(dest)
 	}
-	if !c.inDrain {
+	if !c.inDrain && !c.localApplying() {
 		c.asyncTick++
 		if c.asyncTick >= pollInterval {
 			c.asyncTick = 0

@@ -76,8 +76,9 @@ echo "== go test -race (construction worker pool ring, repeated)"
 # between the applier and its helpers through atomics; a lost or
 # doubly-applied task, or a race on a sealed slot, shows up only on
 # some schedules. These are the ring's own tests, against fake
-# kernels and apply callbacks.
-go test -race -count=20 -run '^(TestApplyOrderEqualsStageOrder|TestStagingInsideApplyDoesNotRecurse|TestApplyOnlyTailCoalescesAcrossDrainStart|TestPendingHookTrueUntilLastApply|TestEvalPanicSurfacesOnApplier|TestStableQueryAliasSurvivesRecycle)$' ./internal/core/
+# kernels and apply callbacks, plus the ring's bound at N ranks (a 4-rank
+# local and a 3-rank TCP build), whose backlog depends on the schedule.
+go test -race -count=20 -run '^(TestApplyOrderEqualsStageOrder|TestStagingInsideApplyDoesNotRecurse|TestApplyOnlyTailCoalescesAcrossDrainStart|TestPendingHookTrueUntilLastApply|TestEvalPanicSurfacesOnApplier|TestStableQueryAliasSurvivesRecycle|TestStagedWorkStaysWithinRingBound)$' ./internal/core/
 
 echo "== go test -race (quiescence with deferred local work, repeated)"
 # A barrier that releases while a rank still owes staged replies loses
