@@ -7,7 +7,9 @@
 // mirroring the paper's separate optimization executable that
 // reattaches to the Metall store. -split N instead partitions the
 // store into N shard stores plus a shard manifest (the offline half of
-// the cluster workflow; see dnnd-router for the online half).
+// the cluster workflow; see dnnd-router for the online half): each
+// shard's graph starts from the store's own graph and gets a short warm
+// refine over its slice.
 package main
 
 import (
@@ -24,8 +26,8 @@ func main() {
 		storeDir = flag.String("store", "", "datastore directory (required)")
 		m        = flag.Float64("m", 1.5, "degree cap multiplier, >= 1 (prune to k*m)")
 		compact  = flag.Bool("compact", false, "fold a mutable store's delta + tombstones into its base (rewrites the store as a clean snapshot at the next generation)")
-		workers  = flag.Int("workers", 0, "distance-eval workers for the compaction or shard rebuild (0 = GOMAXPROCS)")
-		seed     = flag.Int64("seed", 1, "compaction or shard rebuild seed")
+		workers  = flag.Int("workers", 0, "distance-eval workers for the compaction or shard refine (0 = GOMAXPROCS)")
+		seed     = flag.Int64("seed", 1, "compaction or shard refine seed")
 		split    = flag.Int("split", 0, "partition the store into this many shard stores plus a manifest (see -split-out)")
 		splitOut = flag.String("split-out", "", "output directory for -split (required with it; gets shard0..shardN-1 and manifest/)")
 	)

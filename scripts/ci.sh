@@ -110,8 +110,10 @@ echo "== go test -race (warm builds and store saves, repeated)"
 # over the prior graph, then run the ring; a race between the two, or a
 # refresh that depends on the worker width, shows up only on some
 # schedules. SaveMutable, which every store write goes through, freezes
-# a tombstone set that concurrent deletes keep mutating.
-go test -race -count=3 -run 'TestRefresh|TestExtend|TestCompact|TestSaveMutable' .
+# a tombstone set that concurrent deletes keep mutating. Split runs the
+# same warm build once per shard, over a prior derived from the store's
+# graph.
+go test -race -count=3 -run 'TestRefresh|TestExtend|TestCompact|TestSaveMutable|TestSplit' .
 
 echo "== go test -race (online serving: server + loadgen in-process)"
 # The serve e2e suite runs the whole subsystem — admission, workers,

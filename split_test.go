@@ -7,8 +7,10 @@ import (
 	"testing"
 
 	"dnnd/internal/brute"
+	"dnnd/internal/dataset"
 	"dnnd/internal/metall"
 	"dnnd/internal/metric"
+	"dnnd/internal/recall"
 	"dnnd/internal/router"
 	"dnnd/internal/wire"
 )
@@ -71,6 +73,22 @@ func splitRoundTrip[T Scalar](t *testing.T, data [][]T, kind MetricKind, nShards
 		if shardIx.K() != k || shardIx.Metric() != kind {
 			t.Fatalf("shard %d meta: k=%d metric=%q", s, shardIx.K(), shardIx.Metric())
 		}
+		// Rows with fewer than k same-shard neighbors in the source
+		// graph are topped up by the refine: every row ends with at
+		// least min(k, Count-1) distinct in-range neighbors.
+		want := min(k, int(sh.Count)-1)
+		for i, ns := range shardIx.Graph().Neighbors {
+			if len(ns) < want {
+				t.Fatalf("shard %d local %d holds %d neighbors, want >= %d", s, i, len(ns), want)
+			}
+			ids := make(map[ID]bool, len(ns))
+			for _, e := range ns {
+				if int(e.ID) >= int(sh.Count) || int(e.ID) == i || ids[e.ID] {
+					t.Fatalf("shard %d local %d: bad neighbor %d in %v", s, i, e.ID, ns)
+				}
+				ids[e.ID] = true
+			}
+		}
 		for i, row := range shardIx.Data() {
 			glob := sh.Globals[i]
 			if seen[glob] {
@@ -132,6 +150,96 @@ func TestSplitRoundTripAllElems(t *testing.T) {
 	t.Run("float32", func(t *testing.T) { splitRoundTrip(t, f32, metric.SquaredL2, 3) })
 	t.Run("uint8", func(t *testing.T) { splitRoundTrip(t, u8, metric.L2, 3) })
 	t.Run("uint32", func(t *testing.T) { splitRoundTrip(t, u32, metric.Jaccard, 2) })
+	// 8 shards of 5-6 rows at k 4: most rows find fewer than k
+	// same-shard neighbors in the source graph.
+	t.Run("float32-8shards", func(t *testing.T) { splitRoundTrip(t, f32, metric.SquaredL2, 8) })
+}
+
+// TestSplitShardRecallNearCold pins the seeded shard graphs against
+// cold builds of the same slices: recall@k of every shard graph on
+// sampled rows stays within 0.02 of a cold Build, and every stored
+// edge distance is the shard metric's own. The deep case splits in l2
+// a store built in cosine, whose distances are smaller: a prior that
+// kept the store's distances would keep them, and fail the distance
+// check.
+func TestSplitShardRecallNearCold(t *testing.T) {
+	const n, nShards, k, samples, margin = 3000, 3, 10, 250, 0.02
+	for _, tc := range []struct {
+		name, preset string
+		store, split MetricKind
+	}{
+		{"deep-cosine-to-l2", "deep", metric.Cosine, metric.L2},
+		{"glove-25", "glove-25", metric.Cosine, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, err := dataset.ByName(tc.preset)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data := dataset.Generate(p, n, 1).F32
+			opt := BuildOptions{K: k, Metric: tc.store, Seed: 1}
+			global, err := Build(data, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ix, err := NewIndex(global.Graph, data, tc.store, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src := filepath.Join(t.TempDir(), "store")
+			if err := Save(src, ix, true); err != nil {
+				t.Fatal(err)
+			}
+			out := filepath.Join(t.TempDir(), "cluster")
+			opt.Metric = tc.split
+			if _, err := Split[float32](src, out, nShards, opt); err != nil {
+				t.Fatal(err)
+			}
+			if opt.Metric == "" {
+				opt.Metric = tc.store
+			}
+			dist, err := metric.ForFloat32(opt.Metric)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			rng := rand.New(rand.NewSource(5))
+			for s := 0; s < nShards; s++ {
+				shardIx, err := Load[float32](ShardDir(out, s))
+				if err != nil {
+					t.Fatal(err)
+				}
+				sub := shardIx.Data()
+				g := shardIx.Graph()
+				for i, ns := range g.Neighbors {
+					for _, e := range ns {
+						if want := dist(sub[i], sub[e.ID]); e.Dist != want {
+							t.Fatalf("shard %d edge %d->%d stores distance %v, %s gives %v",
+								s, i, e.ID, e.Dist, opt.Metric, want)
+						}
+					}
+				}
+				cold, err := Build(sub, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				truth := brute.KNNGraph(sub, k, dist, 0).TopIDs(k)
+				seeded, coldIDs := g.TopIDs(k), cold.Graph.TopIDs(k)
+				var gotS, gotC, want [][]ID
+				for _, i := range rng.Perm(len(sub))[:samples] {
+					gotS = append(gotS, seeded[i])
+					gotC = append(gotC, coldIDs[i])
+					want = append(want, truth[i])
+				}
+				rs, rc := recall.AtK(gotS, want, k), recall.AtK(gotC, want, k)
+				t.Logf("shard %d: recall@%d seeded %.4f cold %.4f", s, k, rs, rc)
+				if rs < rc-margin {
+					t.Errorf("shard %d: seeded recall@%d %.4f more than %.2f below cold %.4f",
+						s, k, rs, margin, rc)
+				}
+			}
+		})
+	}
 }
 
 func TestSplitRejectsBadShapes(t *testing.T) {
