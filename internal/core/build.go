@@ -71,8 +71,6 @@ type builder[T wire.Scalar] struct {
 	shufScratch  []knng.ID     // unionSample shuffle buffer
 	orderScratch []int         // exchangeReverse vertex order
 	norms        []float32     // kern.Norm per local vector (fused cosine)
-	idScratch    []knng.ID     // applyTask bulk-update buffers
-	dScratch     []float32
 
 	// byRef is set on an in-process world, where every shard was cut by
 	// Partition from one shared dataset: the vector-carrying messages
@@ -89,8 +87,9 @@ type builder[T wire.Scalar] struct {
 	updates   int64 // successful Updates this round (c of Algorithm 1)
 	distEvals int64
 
-	// pool is the intra-rank worker pool; handlers stage onto it and it
-	// applies effects in submission order on this rank's goroutine.
+	// pool is the intra-rank worker pool; handlers stage distance work
+	// onto it and it applies effects in submission order on this rank's
+	// goroutine.
 	pool *workpool[T]
 
 	gatherInto *knng.Graph // set on the gather root
@@ -366,7 +365,8 @@ func (b *builder[T]) phaseWriter() *wire.Writer {
 	return b.w
 }
 
-// replyWriter returns the writer for a handler's reply. Handlers never
+// replyWriter returns the writer for a handler's reply, and for the
+// Type 2 an own-rank Type 1 sends from the emit loop. Handlers never
 // nest (the comm never re-enters dispatch from inside a handler), and
 // Async copies the payload before returning, so one reused writer
 // suffices; it is distinct from the phase writer because handlers run
@@ -410,28 +410,18 @@ func (b *builder[T]) beginVisit() {
 	b.visited.Begin(b.shard.N)
 }
 
-// applyTask applies one task's effects on the rank goroutine: all
+// applyTask applies one task's effects on the rank goroutine: the
 // neighbor-list reads/writes, protocol decisions, counters, and reply
-// sends. Tasks apply in submission order, so for a fixed stage
-// sequence the observable behavior is independent of the worker count.
-// The reused replyWriter is safe here for the same reason it is safe
-// in handlers: applies never nest.
+// sends that depend on its distances. Tasks apply in submission order,
+// so for a fixed stage sequence the observable behavior is independent
+// of the worker count. The reused replyWriter is safe here for the same
+// reason it is safe in handlers: applies never nest, and no handler
+// runs inside one.
 func (b *builder[T]) applyTask(t *task[T]) {
-	if t.compute {
-		b.distEvals += int64(len(t.Meta))
-	}
+	b.distEvals += int64(len(t.Meta))
 	switch t.Kind {
 	case taskInitReq:
 		b.applyInitReq(t)
-	case taskInitResp:
-		for i := range t.Meta {
-			m := &t.Meta[i]
-			b.lists[m.Local].Update(m.B, m.D, true)
-		}
-	case taskType1:
-		for i := range t.Meta {
-			b.applyType1(&t.Meta[i])
-		}
 	case taskType2:
 		for i := range t.Meta {
 			b.applyType2(&t.Meta[i], t.Dists[i])
@@ -440,25 +430,6 @@ func (b *builder[T]) applyTask(t *task[T]) {
 		i := b.localIndex(t.Key) // every candidate's u1
 		for k := range t.Meta {
 			b.applyLocal(i, &t.Meta[k], t.Dists[k])
-		}
-	case taskType3:
-		// Consecutive returns for the same vertex fold as one bulk
-		// UpdateMany, amortizing the heap-entry scan.
-		i := 0
-		for i < len(t.Meta) {
-			j := i + 1
-			for j < len(t.Meta) && t.Meta[j].Local == t.Meta[i].Local {
-				j++
-			}
-			ids := b.idScratch[:0]
-			ds := b.dScratch[:0]
-			for k := i; k < j; k++ {
-				ids = append(ids, t.Meta[k].B)
-				ds = append(ds, t.Meta[k].D)
-			}
-			b.idScratch, b.dScratch = ids, ds
-			b.updates += int64(b.lists[t.Meta[i].Local].UpdateMany(ids, ds, true))
-			i = j
 		}
 	}
 }

@@ -18,8 +18,14 @@ import (
 // lands: staged as a distance task keyed by u1, so consecutive partners
 // of one u1 evaluate as one block, and applied to both lists (the
 // textbook local join). A Type 1 bound for the generating rank is
-// staged straight onto the ring, so Type 2 and Type 3 always cross
+// decided where it is generated, so Type 2 and Type 3 always cross
 // ranks.
+//
+// Type 1 and Type 3 compute nothing, so they are applied where they
+// arrive, as YGM's handlers act on receipt: the Type 1 decision reads
+// u1's list as it stands then, and a Type 3 folds into u1's list at
+// once. Only the distance work (Type 2 and co-owned checks) is staged
+// on the worker ring.
 
 // pairCount returns the number of check pairs this rank generates.
 func (b *builder[T]) pairCount() int {
@@ -94,9 +100,8 @@ func (b *builder[T]) neighborChecks() int64 {
 }
 
 // sendType1 routes the check request for (u1, u2) to dest ==
-// owner(u1). A request for this rank sends nothing: a co-owned pair is
-// checked in place, and otherwise the Type 1 record is staged as if it
-// had arrived.
+// owner(u1). A request for this rank sends nothing: it is decided at
+// once, as if it had arrived.
 func (b *builder[T]) sendType1(dest int, u1, u2 knng.ID) {
 	if dest != b.c.Rank() {
 		w := b.phaseWriter()
@@ -105,12 +110,7 @@ func (b *builder[T]) sendType1(dest int, u1, u2 knng.ID) {
 		b.c.Async(dest, b.hType1, w.Bytes())
 		return
 	}
-	i := b.localIndex(u1)
-	if b.owner(u2) == dest {
-		b.checkLocal(i, u1, u2)
-		return
-	}
-	b.pool.stageApply(taskType1, cand{A: u1, B: u2, Local: int32(i)})
+	b.decideType1(b.localIndex(u1), u1, u2)
 }
 
 // checkLocal stages theta(u1, u2) for a pair this rank owns both ends
@@ -144,11 +144,8 @@ func (b *builder[T]) applyLocal(i int, c *cand, d float32) {
 	b.updates += int64(l2.Update(c.A, d, true) + l1.Update(c.B, d, true))
 }
 
-// onType1 runs at owner(u1): forward u1's feature vector to u2
-// (Type 2 / Type 2+), unless the pair is redundant (4.3.2), or check
-// it in place when this rank also owns u2. The decision reads u1's
-// list, so it is staged and taken at apply time, in arrival order with
-// the staged list updates.
+// onType1 runs at owner(u1) and takes the request's decision on
+// arrival (see decideType1).
 func (b *builder[T]) onType1(p []byte) {
 	r := b.handlerReader(p)
 	var m msg.Type1
@@ -156,21 +153,26 @@ func (b *builder[T]) onType1(p []byte) {
 	if r.Finish() != nil {
 		panic("core: bad type1")
 	}
-	b.pool.stageApply(taskType1, cand{A: m.U1, B: m.U2, Local: int32(b.localIndex(m.U1))})
+	b.decideType1(b.localIndex(m.U1), m.U1, m.U2)
 }
 
-func (b *builder[T]) applyType1(c *cand) {
-	i := int(c.Local)
-	dest := b.owner(c.B)
+// decideType1 is owner(u1)'s decision on the check request (u1, u2),
+// where i is u1's shard index: check the pair in place when this rank
+// also owns u2, skip it when u2 already is u1's neighbor (4.3.2), or
+// forward u1's feature vector to owner(u2) (Type 2, or Type 2+ carrying
+// u1's current bound). It reads u1's list as it stands now and
+// evaluates nothing.
+func (b *builder[T]) decideType1(i int, u1, u2 knng.ID) {
+	dest := b.owner(u2)
 	if dest == b.c.Rank() {
-		b.checkLocal(i, c.A, c.B)
+		b.checkLocal(i, u1, u2)
 		return
 	}
-	if b.cfg.Protocol.OneSided && b.cfg.Protocol.SkipRedundant && b.lists[i].Contains(c.B) {
+	if b.cfg.Protocol.OneSided && b.cfg.Protocol.SkipRedundant && b.lists[i].Contains(u2) {
 		return
 	}
 	vec := b.shard.Vecs[i]
-	m := msg.Type2[T]{U1: c.A, U2: c.B, Vec: vec}
+	m := msg.Type2[T]{U1: u1, U2: u2, Vec: vec}
 	if b.cfg.Protocol.OneSided && b.cfg.Protocol.PruneDistant {
 		m.HasBound = true
 		m.Bound = b.lists[i].FarthestDist()
@@ -241,5 +243,5 @@ func (b *builder[T]) onType3(p []byte) {
 	if r.Finish() != nil {
 		panic("core: bad type3")
 	}
-	b.pool.stageApply(taskType3, cand{B: m.U2, Local: int32(b.localIndex(m.U1)), D: m.D})
+	b.updates += int64(b.lists[b.localIndex(m.U1)].Update(m.U2, m.D, true))
 }

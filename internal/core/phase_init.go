@@ -99,6 +99,7 @@ func (b *builder[T]) applyInitReq(t *task[T]) {
 	}
 }
 
+// onInitResp runs at owner(v): the returned distance enters v's list.
 func (b *builder[T]) onInitResp(p []byte) {
 	r := b.handlerReader(p)
 	var m msg.InitResp
@@ -106,5 +107,5 @@ func (b *builder[T]) onInitResp(p []byte) {
 	if r.Finish() != nil {
 		panic("core: bad init response")
 	}
-	b.pool.stageApply(taskInitResp, cand{B: m.U, Local: int32(b.localIndex(m.V)), D: m.D})
+	b.lists[b.localIndex(m.V)].Update(m.U, m.D, true)
 }

@@ -93,26 +93,22 @@ func TestWorkerPoolRingHammer(t *testing.T) {
 
 // TestStagedWorkStaysWithinRingBound holds the ring to its cap at N
 // ranks, where most staged work comes from other ranks' traffic. The
-// bound follows from where tasks are staged. Outside an apply, each
-// staging adds at most one task and a half-drain runs the moment the
-// ring holds ringCap, so it never holds more. During an apply nothing
-// is drained from the mailbox (sends made by applies make no
-// opportunistic progress; see ygm.Comm.SetLocalWork), so the only tasks
-// staged are the in-place checks of co-owned pairs that a Type 1 apply
-// finds: at most one new task per record, and those tasks stage
-// nothing themselves. A drain starts from at most ringCap tasks of at
-// most batchCap records each, so the ring never holds more than
-// ringCap*batchCap tasks; at the shrunken batch of 2 that is twice the
-// cap. Were applies to drain the mailbox, one drain would stage a
-// phase's whole inbound backlog, and this build would peak at
-// thousands.
+// bound follows from where tasks are staged. Only handlers and the
+// emit loops stage, each staging adds at most one task, and a
+// half-drain runs the moment the ring holds ringCap, so it never holds
+// more. Nothing is staged inside an apply: no apply stages work of its
+// own, and nothing is drained from the mailbox while one runs (sends
+// made by applies make no opportunistic progress; see
+// ygm.Comm.SetLocalWork). Were applies to drain the mailbox, one drain
+// would stage a phase's whole inbound backlog, and this build would
+// peak at thousands.
 func TestStagedWorkStaysWithinRingBound(t *testing.T) {
 	defer func(ring, batch int) {
 		taskRingSize, taskBatchSize = ring, batch
 	}(taskRingSize, taskBatchSize)
 	taskRingSize = 4
 	taskBatchSize = 2
-	bound := int64(taskRingSize * taskBatchSize)
+	bound := int64(taskRingSize)
 
 	data := clusteredData(rand.New(rand.NewSource(67)), 600, 8, 8)
 	cfg := DefaultConfig(8)
@@ -127,8 +123,8 @@ func TestStagedWorkStaysWithinRingBound(t *testing.T) {
 	} {
 		res := runPath(t, w.run, w.nranks, data, cfg).res
 		if res.PeakStaged > bound {
-			t.Errorf("%s: a rank held %d staged tasks, bound is %d (ring %d x batch %d)",
-				w.name, res.PeakStaged, bound, taskRingSize, taskBatchSize)
+			t.Errorf("%s: a rank held %d staged tasks, bound is the ring cap %d",
+				w.name, res.PeakStaged, bound)
 		}
 		if res.PeakStaged < int64(taskRingSize) {
 			t.Errorf("%s: peak of %d staged tasks never reached the cap %d; the test exercises no drain",

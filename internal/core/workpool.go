@@ -20,22 +20,25 @@ import (
 // kernels — over Workers goroutines per rank while preserving the
 // bit-determinism guarantee. The discipline:
 //
-//   - Message handlers never touch builder state and never send.
-//     They only decode and STAGE: append a candidate to a task on a
-//     FIFO ring, coalescing consecutive records that share (kind,
-//     sender) into one task so the sender's query vector is staged
-//     once (copied, or aliased when it is a stable dataset row) and
+//   - Message handlers never evaluate a distance. A record that
+//     computes nothing (an init reply, a Type 1 request, a Type 3
+//     return) is applied where it arrives, as YGM's handlers act on
+//     receipt: it updates a list, or decides and sends. A record that
+//     needs a distance is STAGED: appended as a candidate to a task on
+//     a FIFO ring, coalescing consecutive records that share (kind,
+//     key) into one task so the sender's query vector is staged once
+//     (copied, or aliased when it is a stable dataset row) and
 //     evaluated as a batch.
-//   - Workers CLAIM sealed compute tasks and fill in the distances via
-//     eval. They see only immutable inputs (the staged query, vector
-//     views, cached norms) and the task-local output slice; they never
-//     touch the Comm, builder state, or the RNG.
+//   - Workers CLAIM sealed tasks and fill in the distances via eval.
+//     They see only immutable inputs (the staged query, vector views,
+//     cached norms) and the task-local output slice; they never touch
+//     the Comm, builder state, or the RNG.
 //   - The owning rank goroutine APPLIES tasks strictly in submission
-//     order through apply: all state reads and writes, protocol
-//     decisions, counters, and reply sends happen there, serially. If
-//     the head task is not computed yet the applier computes it inline
-//     (work-stealing via the same claim CAS), so Workers=1 simply
-//     means "no helper goroutines".
+//     order through apply: the state reads and writes, protocol
+//     decisions, counters, and reply sends that depend on a computed
+//     distance happen there, serially. If the head task is not computed
+//     yet the applier computes it inline (work-stealing via the same
+//     claim CAS), so Workers=1 simply means "no helper goroutines".
 //
 // Apply points are functions of the STAGE sequence alone, never of
 // worker completion timing: the ring drains to half when it reaches
@@ -43,17 +46,17 @@ import (
 // engine asks (the barrier/collective local-work hook — see
 // internal/ygm/localwork.go, which also keeps quiescence detection
 // sound while staged tasks still owe replies). While the ring is being
-// applied the comm drains no mailbox, so inbound records wait there as
-// compact frame bytes rather than as staged tasks, and the ring stays
-// near its cap at every rank count (see maybeDrain). On a single rank
-// the stage sequence is
-// deterministic, so the interleaving of applies with
-// dispatches — and therefore RNG consumption, message counts and
-// bytes, round counters, and final results — is bit-identical for
-// every worker count on every schedule. Because deferring replies
-// changes the send interleaving relative to inline handling, the ring
-// discipline runs at ALL worker counts; "Workers=1 equals Workers=4"
-// holds by construction, not by luck.
+// applied the comm drains no mailbox and an apply stages nothing, so
+// inbound records wait there as compact frame bytes rather than as
+// staged tasks, and the ring never holds more than its cap at any rank
+// count (see maybeDrain). On a single rank the stage sequence is
+// deterministic, so the interleaving of applies with dispatches — and
+// therefore RNG consumption, message counts and bytes, round counters,
+// and final results — is bit-identical for every worker count on every
+// schedule. Because deferring replies changes the send interleaving
+// relative to inline handling, the ring discipline runs at ALL worker
+// counts; "Workers=1 equals Workers=4" holds by construction, not by
+// luck.
 
 // Ring knobs (tests shrink them to hammer the drain paths). They are
 // part of the apply-point schedule, so two runs only compare equal when
@@ -77,20 +80,17 @@ func resolveWorkers(configured, nranks int) int {
 	return w
 }
 
-// The construction's task kinds (task.Kind values).
+// The construction's task kinds (task.Kind values). Each is one
+// distance evaluation per candidate.
 const (
-	taskInitReq  uint8 = iota // compute: init distance request
-	taskInitResp              // apply-only: init distance return
-	taskType1                 // apply-only: forward decision + Type 2 send, or a local check
-	taskType2                 // compute: theta(u1,u2) + update + Type 3 decision
-	taskType3                 // apply-only: fold returned distance
-	taskLocal                 // compute: theta(u1,u2) of a co-owned pair + both updates
+	taskInitReq uint8 = iota // init distance request + InitResp reply
+	taskType2                // theta(u1,u2) + update + Type 3 decision
+	taskLocal                // theta(u1,u2) of a co-owned pair + both updates
 )
 
 // cand is the per-candidate apply metadata. Field use varies by task
 // kind: A/B are protocol vertex IDs in wire order, Local is the shard
-// index of the receiver-side vertex, and D carries a bound or an
-// already-computed distance for apply-only kinds.
+// index of the receiver-side vertex, and D carries a Type 2+ bound.
 type cand struct {
 	A, B  uint32
 	Local int32
@@ -112,13 +112,12 @@ const (
 
 // task is one coalesced unit on the ring. Kind and Key are the
 // coalescing tags; Query/Vecs/Meta are the staged batch; Dists holds
-// the eval output for compute tasks. apply reads them and must not
-// retain them past its return (tasks recycle).
+// the eval output. apply reads them and must not retain them past its
+// return (tasks recycle).
 type task[T wire.Scalar] struct {
-	state   atomic.Uint64
-	compute bool  // carries distance evaluations (stageCompute), not apply-only records
-	seq     int64 // staging sequence number (drives kernel-time sampling)
-	qbuf    []T   // private buffer behind copied queries, allocated on first copy
+	state atomic.Uint64
+	seq   int64 // staging sequence number (drives kernel-time sampling)
+	qbuf  []T   // private buffer behind copied queries, allocated on first copy
 
 	Kind uint8
 	Key  uint32 // coalescing key: the sender vertex whose vector is the query
@@ -135,8 +134,8 @@ type task[T wire.Scalar] struct {
 
 func (t *task[T]) gen() uint64 { return t.state.Load() >> 2 }
 
-// poolItem is one queue entry: a sealed compute task with the
-// generation observed at seal time.
+// poolItem is one queue entry: a sealed task with the generation
+// observed at seal time.
 type poolItem[T wire.Scalar] struct {
 	t   *task[T]
 	gen uint64
@@ -151,7 +150,7 @@ type workpool[T wire.Scalar] struct {
 	workers  int
 	ringCap  int
 	batchCap int
-	// eval computes the distance batch of one compute task: dists[i] =
+	// eval computes the distance batch of one task: dists[i] =
 	// theta(query, vecs[i]). norms is nil unless a norm was staged for
 	// every candidate. Runs on helper goroutines; it must touch nothing
 	// but its arguments.
@@ -247,11 +246,11 @@ func (p *workpool[T]) checkErr() {
 	}
 }
 
-// kernelSampleStride picks which compute tasks are wall-timed: those
+// kernelSampleStride picks which tasks are wall-timed: those
 // whose staging sequence is a multiple of it (see kernelTime).
 const kernelSampleStride = 16
 
-// exec evaluates one compute task's distance batch.
+// exec evaluates one task's distance batch.
 func (p *workpool[T]) exec(t *task[T]) {
 	n := len(t.Meta)
 	if cap(t.Dists) < n {
@@ -291,15 +290,12 @@ func (p *workpool[T]) kernelTime() int64 {
 func (p *workpool[T]) size() int { return len(p.ring) - p.head }
 
 // tail returns the open coalescing target for (kind, key), or nil.
-func (p *workpool[T]) tail(kind uint8, key uint32, keyed bool) *task[T] {
+func (p *workpool[T]) tail(kind uint8, key uint32) *task[T] {
 	if p.size() == 0 {
 		return nil
 	}
 	t := p.ring[len(p.ring)-1]
-	if t.state.Load()&3 != stOpen || t.Kind != kind || len(t.Meta) >= p.batchCap {
-		return nil
-	}
-	if keyed && t.Key != key {
+	if t.state.Load()&3 != stOpen || t.Kind != kind || t.Key != key || len(t.Meta) >= p.batchCap {
 		return nil
 	}
 	return t
@@ -318,24 +314,21 @@ func (p *workpool[T]) tail(kind uint8, key uint32, keyed bool) *task[T] {
 func (p *workpool[T]) allocTask() *task[T] {
 	if len(p.blank) == 0 {
 		const blk = 64
-		// Meta gets the full coalescing cap: apply-only tasks routinely
-		// fill it, and re-ratcheting it on every first life dominated
-		// allocation churn. The vector-side slices get a small starter
-		// — compute batches average a couple of candidates, so full-cap
-		// reservations would cost ~8x what the median task uses; the
-		// rare deep batch ratchets up via append and keeps the larger
-		// backing across recycles.
+		// Every per-candidate slice gets a small starter: batches
+		// average a couple of candidates, so full-cap reservations
+		// would cost ~8x what the median task uses; the rare deep batch
+		// ratchets up via append and keeps the larger backing across
+		// recycles.
 		sc := min(16, p.batchCap)
-		bc := p.batchCap
 		ts := make([]task[T], blk)
 		vecs := make([][]T, blk*sc)
-		metas := make([]cand, blk*bc)
+		metas := make([]cand, blk*sc)
 		norms := make([]float32, blk*sc)
 		dists := make([]float32, blk*sc)
 		for i := range ts {
 			t := &ts[i]
 			t.Vecs = vecs[i*sc : i*sc : (i+1)*sc]
-			t.Meta = metas[i*bc : i*bc : (i+1)*bc]
+			t.Meta = metas[i*sc : i*sc : (i+1)*sc]
 			t.norms = norms[i*sc : i*sc : (i+1)*sc]
 			t.Dists = dists[i*sc : i*sc : (i+1)*sc]
 			p.blank = append(p.blank, t)
@@ -348,7 +341,7 @@ func (p *workpool[T]) allocTask() *task[T] {
 
 // newTask seals the current tail, takes a task off the freelist (or
 // allocates), and appends it to the ring as the new open tail.
-func (p *workpool[T]) newTask(kind uint8, key uint32, compute bool) *task[T] {
+func (p *workpool[T]) newTask(kind uint8, key uint32) *task[T] {
 	p.sealTail()
 	var t *task[T]
 	if n := len(p.free); n > 0 {
@@ -360,7 +353,6 @@ func (p *workpool[T]) newTask(kind uint8, key uint32, compute bool) *task[T] {
 	}
 	t.Kind = kind
 	t.Key = key
-	t.compute = compute
 	t.seq = p.tasksStaged
 	t.Query = nil
 	t.Vecs = t.Vecs[:0]
@@ -372,9 +364,9 @@ func (p *workpool[T]) newTask(kind uint8, key uint32, compute bool) *task[T] {
 	return t
 }
 
-// sealTail publishes the open tail: compute tasks become claimable and
-// are offered to the helper queue (non-blocking — if the queue is full
-// the applier will compute them inline when their turn comes).
+// sealTail publishes the open tail: it becomes claimable and is offered
+// to the helper queue (non-blocking — if the queue is full the applier
+// will compute it inline when its turn comes).
 func (p *workpool[T]) sealTail() {
 	if p.size() == 0 {
 		return
@@ -383,9 +375,6 @@ func (p *workpool[T]) sealTail() {
 	s := t.state.Load()
 	if s&3 != stOpen {
 		return
-	}
-	if !t.compute {
-		return // apply-only tasks are never claimed by workers
 	}
 	gen := s >> 2
 	t.state.Store(gen<<2 | stReady)
@@ -406,9 +395,9 @@ func (p *workpool[T]) sealTail() {
 // alias stable storage (the shard). norm is staged when hasNorm;
 // mixed-norm tasks disable the norms fast path for safety.
 func (p *workpool[T]) stageCompute(kind uint8, key uint32, query []T, stable bool, m cand, vec []T, norm float32, hasNorm bool) {
-	t := p.tail(kind, key, true)
+	t := p.tail(kind, key)
 	if t == nil {
-		t = p.newTask(kind, key, true)
+		t = p.newTask(kind, key)
 		if stable {
 			t.Query = query[:len(query):len(query)]
 		} else {
@@ -425,28 +414,16 @@ func (p *workpool[T]) stageCompute(kind uint8, key uint32, query []T, stable boo
 	p.maybeDrain()
 }
 
-// stageApply appends an apply-only record (no distance to compute),
-// holding its ring slot so effects land in arrival order.
-func (p *workpool[T]) stageApply(kind uint8, m cand) {
-	t := p.tail(kind, 0, false)
-	if t == nil {
-		t = p.newTask(kind, 0, false)
-	}
-	t.Meta = append(t.Meta, m)
-	p.maybeDrain()
-}
-
 // maybeDrain applies the ring down to half when it reaches the soft
 // cap. The trigger depends only on staged-task counts — never on
 // worker completion — so it fires at identical points for every worker
-// count. Staging from inside an apply must not recurse, but it is
-// rare: sends made by applies dispatch nothing (applyingHook), so the
-// one source is a Type 1 apply checking co-owned pairs in place, at
-// most one task per record, each staging nothing further. A drain
-// therefore peaks at ringCap*batchCap tasks however much traffic waits
-// in the mailbox (TestStagedWorkStaysWithinRingBound).
+// count. Nothing is staged inside an apply: sends made by applies
+// dispatch nothing (applyingHook), and no apply stages work of its
+// own. Each staging adds at most one task and drains at the cap, so
+// the ring never holds more than ringCap tasks however much traffic
+// waits in the mailbox (TestStagedWorkStaysWithinRingBound).
 func (p *workpool[T]) maybeDrain() {
-	if p.size() >= p.ringCap && !p.applying {
+	if p.size() >= p.ringCap {
 		p.applyDownTo(p.ringCap / 2)
 	}
 }
@@ -463,8 +440,8 @@ func (p *workpool[T]) applyingHook() bool { return p.applying }
 
 // applyDownTo applies head tasks in submission order until at most
 // target staged tasks remain, returning whether anything was applied.
-// Tasks staged by nested dispatches during the loop are consumed by
-// the same loop when they fit under target.
+// It never nests: called while a drain runs, it returns false, and
+// anything staged meanwhile waits for the running loop.
 func (p *workpool[T]) applyDownTo(target int) bool {
 	if p.applying || p.size() <= target {
 		return false
@@ -493,14 +470,11 @@ func (p *workpool[T]) applyDownTo(target int) bool {
 	return applied
 }
 
-// await makes a compute task's distances available, stealing the work
-// if no helper has: open tasks (only we can see them) and unclaimed
-// ready tasks are computed inline; claimed tasks are spin-waited with
-// Gosched so the claiming worker can finish even on a single core.
+// await makes a task's distances available, stealing the work if no
+// helper has: open tasks (only we can see them) and unclaimed ready
+// tasks are computed inline; claimed tasks are spin-waited with Gosched
+// so the claiming worker can finish even on a single core.
 func (p *workpool[T]) await(t *task[T]) {
-	if !t.compute {
-		return
-	}
 	for {
 		s := t.state.Load()
 		gen := s >> 2

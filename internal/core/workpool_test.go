@@ -24,8 +24,8 @@ func testPool(workers, ring int, apply func(p *workpool[float32], tk *task[float
 // Effects land in stage order, with the right distances, at every pool
 // width: a 4-slot ring forces a half-drain every few stagings, so helper
 // claims, inline steals and recycled tasks all interleave, and none of
-// it may reorder or drop an apply. Keys differ per record, so every
-// record is its own task (nothing coalesces).
+// it may reorder or drop an apply. Keys differ per record and kinds
+// rotate, so every record is its own task (nothing coalesces).
 func TestApplyOrderEqualsStageOrder(t *testing.T) {
 	const n = 200
 	vec := []float32{0.5}
@@ -34,7 +34,7 @@ func TestApplyOrderEqualsStageOrder(t *testing.T) {
 		p := testPool(workers, 4, func(_ *workpool[float32], tk *task[float32]) {
 			for i, m := range tk.Meta {
 				got = append(got, m.A)
-				if tk.compute && tk.Dists[i] != float32(m.A)+0.5 {
+				if tk.Dists[i] != float32(m.A)+0.5 {
 					t.Errorf("workers=%d: record %d has distance %v, want %v", workers, m.A, tk.Dists[i], float32(m.A)+0.5)
 				}
 			}
@@ -43,11 +43,7 @@ func TestApplyOrderEqualsStageOrder(t *testing.T) {
 		for i := range want {
 			a := uint32(i)
 			want[i] = a
-			if i%3 == 2 {
-				p.stageApply(uint8(1+i%2), cand{A: a})
-			} else {
-				p.stageCompute(0, a, []float32{float32(a)}, false, cand{A: a}, vec, 0, false)
-			}
+			p.stageCompute(uint8(i%3), a, []float32{float32(a)}, false, cand{A: a}, vec, 0, false)
 			if size := len(p.ring) - p.head; size >= 4 {
 				t.Fatalf("workers=%d: ring holds %d tasks after staging %d, cap is 4", workers, size, i)
 			}
@@ -63,7 +59,7 @@ func TestApplyOrderEqualsStageOrder(t *testing.T) {
 	}
 }
 
-// An apply can stage (a Type 1 apply checks a co-owned pair in place):
+// No construction apply stages work, but the pool does not rely on it:
 // a record staged from inside Apply must join the ring and wait for the
 // running drain loop — even with the ring past its cap — never start a
 // nested drain. Throughout, ApplyingHook tells the comm not to dispatch
@@ -71,6 +67,10 @@ func TestApplyOrderEqualsStageOrder(t *testing.T) {
 func TestStagingInsideApplyDoesNotRecurse(t *testing.T) {
 	const chain = 40
 	const filler = 1000 // filler records carry A >= filler and stage nothing
+	vec := []float32{0}
+	stage := func(p *workpool[float32], kind uint8, a uint32) {
+		p.stageCompute(kind, a, []float32{float32(a)}, false, cand{A: a}, vec, 0, false)
+	}
 	var links []uint32
 	applied, depth, maxDepth, maxSize := 0, 0, 0, 0
 	p := testPool(1, 4, func(p *workpool[float32], tk *task[float32]) {
@@ -85,16 +85,16 @@ func TestStagingInsideApplyDoesNotRecurse(t *testing.T) {
 			if a < chain {
 				// The next link goes in ahead of two fillers, so the ring
 				// grows by two per link and passes the 4-slot cap at once.
-				p.stageApply(uint8(a%2), cand{A: a + 1})
-				p.stageApply(2, cand{A: filler})
-				p.stageApply(3, cand{A: filler})
+				stage(p, uint8(a%2), a+1)
+				stage(p, 2, filler)
+				stage(p, 3, filler)
 				maxSize = max(maxSize, len(p.ring)-p.head)
 			}
 		}
 		depth--
 	})
 	defer p.shutdown()
-	p.stageApply(9, cand{A: 0})
+	stage(p, 9, 0)
 	if !p.runHook() {
 		t.Fatal("RunHook applied nothing")
 	}
@@ -117,42 +117,6 @@ func TestStagingInsideApplyDoesNotRecurse(t *testing.T) {
 	}
 	if len(links) != chain+1 || applied != 1+3*chain {
 		t.Errorf("applied %d records (%d links), want %d (%d)", applied, len(links), 1+3*chain, chain+1)
-	}
-}
-
-// A drain start seals only compute tails: an apply-only tail stays
-// open, so a same-kind record staged from inside an earlier task's
-// Apply joins it instead of starting a task of its own. The coalescing
-// is part of the apply schedule that every golden pins, so it must not
-// move: ring [compute C, apply-only X{A}], and Apply(C) stages B.
-func TestApplyOnlyTailCoalescesAcrossDrainStart(t *testing.T) {
-	const applyKind = 1
-	for _, workers := range []int{1, 3} {
-		var got [][]uint32
-		p := testPool(workers, 64, func(p *workpool[float32], tk *task[float32]) {
-			if tk.compute {
-				p.stageApply(applyKind, cand{A: 'B'})
-				return
-			}
-			var as []uint32
-			for _, m := range tk.Meta {
-				as = append(as, m.A)
-			}
-			got = append(got, as)
-		})
-		p.stageCompute(0, 7, []float32{1}, false, cand{A: 'C'}, []float32{2}, 0, false)
-		p.stageApply(applyKind, cand{A: 'A'})
-		p.runHook()
-		p.shutdown()
-		if len(got) != 1 || !slices.Equal(got[0], []uint32{'A', 'B'}) {
-			t.Errorf("workers=%d: apply-only tasks applied as %q, want one task [A B]", workers, got)
-		}
-		if p.tasksStaged != 2 {
-			t.Errorf("workers=%d: staged %d tasks, want 2", workers, p.tasksStaged)
-		}
-		if p.pendingHook() {
-			t.Errorf("workers=%d: records left on the ring", workers)
-		}
 	}
 }
 

@@ -121,8 +121,7 @@ func (l *NeighborList) Update(id ID, d float32, isNew bool) int {
 	// already a member, so skip the O(K) membership scan. Observably
 	// identical to checking membership first — both orders return 0 and
 	// leave the heap untouched — but it makes the common steady-state
-	// case (descent resubmitting far candidates) O(1), which is what
-	// lets UpdateMany amortize bulk applies from the worker pool.
+	// case (descent resubmitting far candidates) O(1).
 	if len(l.items) == l.k && d >= l.far {
 		return 0
 	}
@@ -173,21 +172,6 @@ func (l *NeighborList) UpdateCheck(id ID, d float32, isNew bool) (changed int, w
 	l.items[0] = Neighbor{ID: id, Dist: d, New: isNew}
 	l.siftDown(0)
 	return 1, false
-}
-
-// UpdateMany applies Update over parallel id/distance slices, returning
-// the number of list changes — exactly the sum of the individual
-// Update returns, applied in slice order, with an identical final heap
-// layout. The worker pool's apply stage batches candidate results per
-// staged task and lands them here; the farthest-first rejection in
-// Update makes the typical all-rejected batch a single bound compare
-// per candidate.
-func (l *NeighborList) UpdateMany(ids []ID, dists []float32, isNew bool) int {
-	n := 0
-	for i, id := range ids {
-		n += l.Update(id, dists[i], isNew)
-	}
-	return n
 }
 
 // refreshFar re-derives the cached farthest bound from the heap root.

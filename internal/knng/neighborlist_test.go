@@ -230,38 +230,3 @@ func TestUpdateFarthestFirstEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// UpdateMany must be exactly a fold of Update over the slices: same
-// total and same final heap layout, so the worker pool's bulk applies
-// cannot be told apart from the serial path's one-at-a-time updates.
-func TestUpdateManyEquivalence(t *testing.T) {
-	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		k := rng.Intn(8) + 1
-		bulk, seq := NewNeighborList(k), NewNeighborList(k)
-		for batch := 0; batch < 20; batch++ {
-			n := rng.Intn(10)
-			ids := make([]ID, n)
-			dists := make([]float32, n)
-			for i := range ids {
-				ids[i] = ID(rng.Intn(15))
-				dists[i] = float32(rng.Intn(8)) / 2
-			}
-			isNew := rng.Intn(2) == 0
-			want := 0
-			for i := range ids {
-				want += seq.Update(ids[i], dists[i], isNew)
-			}
-			if bulk.UpdateMany(ids, dists, isNew) != want {
-				return false
-			}
-			if !sameLayout(bulk, seq) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Fatal(err)
-	}
-}

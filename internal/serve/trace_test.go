@@ -51,6 +51,12 @@ func TestServeRequestTracing(t *testing.T) {
 	if rep.ByStatus["ok"] != nq {
 		t.Fatalf("load report: %+v", rep.ByStatus)
 	}
+	// A request's span ends after its reply is written, so the client
+	// can hold every reply before the last span is recorded. Shutdown
+	// returns once every admitted request has left the gate.
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 
 	var buf bytes.Buffer
 	if err := tr.WriteJSON(&buf); err != nil {

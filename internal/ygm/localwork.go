@@ -9,13 +9,14 @@ import (
 
 // Deferred local work and the ownership rule.
 //
-// The DNND worker pool (internal/core) defers parts of message handling
-// — distance batches evaluated by worker goroutines, with the results
-// applied to neighbor lists later, in submission order, by the rank's
-// own goroutine. That deferral punches a hole in quiescence detection:
-// a staged task may still owe reply messages, yet it is invisible to
-// the barrier's sent/recv accounting (an apply-only task sends nothing
-// at all, and a reply-producing one has not sent yet). The local-work
+// The DNND worker pool (internal/core) defers the part of message
+// handling that evaluates distances — batches evaluated by worker
+// goroutines, with the results applied to neighbor lists later, in
+// submission order, by the rank's own goroutine. That deferral punches
+// a hole in quiescence detection: a staged task may still owe reply
+// messages (a Type 3, an init reply), yet it is invisible to the
+// barrier's sent/recv accounting, because the record that staged it
+// has already been counted as received. The local-work
 // hook closes the hole: the barrier and the AllReduce wait loop drive
 // run() whenever the rank would otherwise idle, and every idle
 // judgment — the idle report precondition, the confirmation-round
