@@ -209,6 +209,22 @@ func BuildIncrementalKernel[T wire.Scalar](c *ygm.Comm, shard *Shard[T], kern me
 	b.warm = prior
 	b.dead = dead
 
+	// Every rank routes by its own owner table, so the tables must agree
+	// before the first message; otherwise one rank would panic on a
+	// vertex it does not own and the others would wait for it. Both
+	// collectives run on every rank, so every rank returns the same
+	// error. The checksum keeps 63 bits so that negating it cannot
+	// overflow.
+	sum := int64(shard.own.sum >> 1)
+	hi := c.AllReduceMax(sum)
+	lo := -c.AllReduceMax(-sum)
+	if lo != hi {
+		return nil, &OwnershipError{Lo: uint64(lo), Hi: uint64(hi)}
+	}
+	if shard.own.nranks != c.NRanks() {
+		return nil, fmt.Errorf("core: shard partitioned over %d ranks in a world of %d", shard.own.nranks, c.NRanks())
+	}
+
 	res := &Result{K: cfg.K, N: shard.N, Workers: b.pool.workers}
 
 	b.initGraph()
@@ -277,9 +293,12 @@ func BuildLocal[T wire.Scalar](data [][]T, ranks int, kern metric.Kernel[T], cfg
 	if reg != nil {
 		world.PublishMetrics(reg)
 	}
+	// One owner table for the whole world, computed once and shared
+	// read-only: every rank's shard is cut from it.
+	own := newOwnership(data, ranks)
 	var root *Result // written by rank 0 only; Run returns after every rank
 	err := world.Run(func(c *ygm.Comm) error {
-		res, err := BuildIncrementalKernel(c, Partition(data, c.Rank(), c.NRanks()), kern, cfg, prior, dead)
+		res, err := BuildIncrementalKernel(c, cut(data, own, c.Rank()), kern, cfg, prior, dead)
 		if err == nil && c.Rank() == 0 {
 			root = res
 		}
@@ -334,7 +353,7 @@ func (b *builder[T]) register() {
 	b.hGather = b.phGather.register("row", func(c *ygm.Comm, from int, p []byte) { b.onGather(p) })
 }
 
-func (b *builder[T]) owner(id knng.ID) int { return Owner(id, b.c.NRanks()) }
+func (b *builder[T]) owner(id knng.ID) int { return int(b.shard.own.owner[id]) }
 
 // localIndex returns the shard index of an owned vertex.
 func (b *builder[T]) localIndex(id knng.ID) int {

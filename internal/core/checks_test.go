@@ -52,7 +52,7 @@ func TestCheckPhaseNeverMessagesItsOwnRank(t *testing.T) {
 
 // Convergence referee for checking co-owned pairs in place: the same
 // clustered rows built at one rank (every pair local) and at four
-// (under hash ownership three pairs in four take the protocol) must
+// (under range ownership about two pairs in five take the protocol) must
 // converge alike — final graph recall within 0.01 and rounds within
 // one — under L2 and cosine.
 func TestLocalChecksConvergeLikeProtocol(t *testing.T) {
@@ -85,9 +85,12 @@ func TestLocalChecksConvergeLikeProtocol(t *testing.T) {
 		if d := local.Iters - dist.Iters; d < -1 || d > 1 {
 			t.Errorf("%v: %d rounds at 1 rank, %d at 4 ranks; want within 1", kind, local.Iters, dist.Iters)
 		}
-		// A pair sends its one Type 1 unless the generating rank owns u1:
-		// three pairs in four under hash ownership at four ranks.
-		if share < 0.7 {
+		// A pair sends its one Type 1 unless the generating rank owns u1.
+		// Range ownership keeps most sampled neighbours on their vertex's
+		// rank, but not those across a range boundary: 0.44 of pairs here
+		// at four ranks (hash ownership: 0.75). The floor keeps that share
+		// real, so the protocol, not only the local path, is refereed.
+		if share < 0.25 {
 			t.Errorf("%v: %.2f Type 1 messages per pair at 4 ranks; the protocol carried too few pairs", kind, share)
 		}
 	}

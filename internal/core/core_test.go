@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -323,91 +322,6 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if cfg.MaxIters == 0 || cfg.BatchSize == 0 || cfg.PruneFactor < 1 {
 		t.Errorf("defaults not filled: %+v", cfg)
-	}
-}
-
-func TestOwnerBalanced(t *testing.T) {
-	const n = 10000
-	for _, nranks := range []int{2, 3, 7, 16} {
-		counts := make([]int, nranks)
-		for id := 0; id < n; id++ {
-			counts[Owner(knng.ID(id), nranks)]++
-		}
-		want := n / nranks
-		for r, got := range counts {
-			if got < want*7/10 || got > want*13/10 {
-				t.Errorf("nranks=%d rank %d owns %d of %d (want ~%d)", nranks, r, got, n, want)
-			}
-		}
-	}
-}
-
-func TestPartitionCoversAll(t *testing.T) {
-	data := clusteredData(rand.New(rand.NewSource(18)), 500, 3, 4)
-	const nranks = 5
-	seen := make(map[knng.ID]int)
-	for r := 0; r < nranks; r++ {
-		s := Partition(data, r, nranks)
-		if s.N != len(data) {
-			t.Fatalf("shard N = %d", s.N)
-		}
-		for i, id := range s.IDs {
-			seen[id]++
-			if !s.Owns(id) {
-				t.Fatalf("shard does not own its own id %d", id)
-			}
-			if &s.Vecs[i][0] != &data[id][0] {
-				t.Fatalf("shard vector %d is not the dataset row", id)
-			}
-			if Owner(id, nranks) != r {
-				t.Fatalf("id %d on wrong rank", id)
-			}
-		}
-	}
-	if len(seen) != len(data) {
-		t.Fatalf("%d ids covered, want %d", len(seen), len(data))
-	}
-	for id, cnt := range seen {
-		if cnt != 1 {
-			t.Fatalf("id %d owned by %d ranks", id, cnt)
-		}
-	}
-}
-
-// Vec on an ID the shard does not hold — owned by another rank, or past
-// the dataset — is a protocol bug and must say so, not fail as a bare
-// index-out-of-range inside the dense table.
-func TestShardVecNotOwnedPanics(t *testing.T) {
-	data := make([][]float32, 10)
-	for i := range data {
-		data[i] = []float32{float32(i)}
-	}
-	s := Partition(data, 0, 3)
-	notOwned := []knng.ID{10, 1 << 30}
-	for i := range data {
-		id := knng.ID(i)
-		if Owner(id, 3) != 0 {
-			notOwned = append(notOwned, id)
-		} else if !s.Owns(id) || s.Vec(id)[0] != float32(i) {
-			t.Errorf("owned ID %d: Owns=%v", id, s.Owns(id))
-		}
-	}
-	if len(notOwned) == 2 || s.Len() == 0 {
-		t.Fatalf("rank 0 of 3 owns %d of 10 rows; want some owned and some not", s.Len())
-	}
-	for _, id := range notOwned {
-		if s.Owns(id) {
-			t.Errorf("Owns(%d) = true", id)
-		}
-		func() {
-			defer func() {
-				want := fmt.Sprintf("core: vector %d not owned by this shard", id)
-				if r := recover(); r != want {
-					t.Errorf("Vec(%d) panicked with %v, want %q", id, r, want)
-				}
-			}()
-			s.Vec(id)
-		}()
 	}
 }
 

@@ -2,32 +2,177 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 
 	"dnnd/internal/knng"
+	"dnnd/internal/metric"
 	"dnnd/internal/wire"
 )
 
-// Owner maps a global point ID to its owning rank. As in the paper,
-// both the feature vector and the neighbor list of a vertex live on
-// that rank. A multiplicative hash spreads consecutive IDs so that
-// clustered ID ranges do not skew one rank.
-func Owner(id knng.ID, nranks int) int {
-	return int(mix32(uint32(id)) % uint32(nranks))
+// Ownership. As in the paper, both the feature vector and the neighbor
+// list of a vertex live on its owning rank. The paper hashes IDs to
+// ranks, so at R ranks only 1/R of neighbor pairs share a rank; here a
+// rank owns a contiguous range of a random-projection order instead,
+// so most near pairs do. A pair one rank owns both ends of is checked
+// in place, with no message (phase_checks.go), so the partition decides
+// how much of the Section 4.3 protocol runs at all. Correctness never
+// depends on the order; only locality does.
+
+// partitionSeed fixes the pivot draws of the order, so every process
+// of a world computes the same owner table from the same data.
+const partitionSeed = 0x5eed
+
+// ownership is a world's vertex-to-rank map. Every rank of a world
+// must hold the same one: the build compares checksums at start (see
+// OwnershipError). An in-process world shares one, read-only.
+type ownership struct {
+	nranks int
+	owner  []int32 // owner[id]: the rank that owns id
+	index  []int32 // index[id]: id's shard index on its owner
+	sum    uint64  // checksum of nranks and owner
 }
 
-// mix32 is the finalizer of splitmix/murmur3: a cheap avalanching
-// permutation of uint32.
-func mix32(x uint32) uint32 {
-	x ^= x >> 16
-	x *= 0x7feb352d
-	x ^= x >> 15
-	x *= 0x846ca68b
-	x ^= x >> 16
-	return x
+// newOwnership orders data by a balanced random-projection split and
+// cuts the order into nranks ranges whose sizes differ by at most one.
+// A split draws two pivot rows a and b from the node with a fixed-seed
+// generator and puts the half nearer a first: the median of d(x, a) −
+// d(x, b), ties broken by ID (see splitKeys). Only nodes that straddle
+// a range boundary split again, so the order costs O(N·d·log R). At one
+// rank every vertex is rank 0's.
+func newOwnership[T wire.Scalar](data [][]T, nranks int) *ownership {
+	n := len(data)
+	// Rank r owns positions [r*n/nranks, (r+1)*n/nranks) of the order.
+	rangeOf := func(p int) int32 { return int32(((p+1)*nranks - 1) / n) }
+	order := make([]int32, n)
+	for i := range order {
+		order[i] = int32(i)
+	}
+	keys := make([]float64, n) // by ID
+	rng := rand.New(rand.NewSource(partitionSeed))
+	var split func(lo, hi int)
+	split = func(lo, hi int) {
+		if rangeOf(lo) == rangeOf(hi-1) {
+			return
+		}
+		seg := order[lo:hi]
+		i := rng.Intn(len(seg))
+		j := (i + 1 + rng.Intn(len(seg)-1)) % len(seg)
+		splitKeys(data, seg, data[seg[i]], data[seg[j]], keys)
+		mid := lo + (hi-lo)/2
+		selectNth(seg, mid-lo, keys)
+		split(lo, mid)
+		split(mid, hi)
+	}
+	if n > 0 {
+		split(0, n)
+	}
+
+	own := &ownership{nranks: nranks, owner: make([]int32, n), index: make([]int32, n)}
+	for p, id := range order {
+		own.owner[id] = rangeOf(p)
+	}
+	counts := make([]int32, nranks)
+	own.sum = 14695981039346656037 ^ uint64(nranks) // FNV-1a over the table
+	for id, r := range own.owner {
+		own.index[id] = counts[r]
+		counts[r]++
+		own.sum ^= uint64(r)
+		own.sum *= 1099511628211
+	}
+	return own
+}
+
+// splitKeys writes keys[id] = d(x, a) − d(x, b) for every row x = data[id]
+// of seg, up to a constant shift and a positive scale. d is Jaccard on
+// uint32 sets and squared L2 on dense rows, where the key is the
+// projection x·(b − a). Every product is rounded explicitly, which
+// forbids fused multiply-adds, so processes on different architectures
+// compute the same keys. A NaN key sorts last.
+func splitKeys[T wire.Scalar](data [][]T, seg []int32, a, b []T, keys []float64) {
+	if sets, ok := any(data).([][]uint32); ok {
+		sa, sb := any(a).([]uint32), any(b).([]uint32)
+		for _, id := range seg {
+			x := sets[id]
+			keys[id] = float64(metric.JaccardUint32(x, sa)) - float64(metric.JaccardUint32(x, sb))
+		}
+	} else {
+		w := make([]float64, min(len(a), len(b)))
+		for i := range w {
+			w[i] = float64(b[i]) - float64(a[i])
+		}
+		for _, id := range seg {
+			x := data[id]
+			var s float64
+			for i := range min(len(x), len(w)) {
+				s += float64(float64(x[i]) * w[i])
+			}
+			keys[id] = s
+		}
+	}
+	for _, id := range seg {
+		if math.IsNaN(keys[id]) {
+			keys[id] = math.Inf(1)
+		}
+	}
+}
+
+// selectNth reorders seg so that seg[:k] holds its k smallest IDs by
+// (keys[id], id): quickselect with a median-of-three pivot. The order
+// is strict, so which IDs land in seg[:k] does not depend on the
+// algorithm.
+func selectNth(seg []int32, k int, keys []float64) {
+	less := func(x, y int32) bool {
+		if keys[x] != keys[y] {
+			return keys[x] < keys[y]
+		}
+		return x < y
+	}
+	lo, hi := 0, len(seg)-1
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if less(seg[mid], seg[lo]) {
+			seg[mid], seg[lo] = seg[lo], seg[mid]
+		}
+		if less(seg[hi], seg[lo]) {
+			seg[hi], seg[lo] = seg[lo], seg[hi]
+		}
+		if less(seg[mid], seg[hi]) {
+			seg[mid], seg[hi] = seg[hi], seg[mid]
+		}
+		p, s := seg[hi], lo
+		for i := lo; i < hi; i++ {
+			if less(seg[i], p) {
+				seg[s], seg[i] = seg[i], seg[s]
+				s++
+			}
+		}
+		seg[s], seg[hi] = seg[hi], seg[s]
+		switch {
+		case k == s:
+			return
+		case k < s:
+			hi = s - 1
+		default:
+			lo = s + 1
+		}
+	}
+}
+
+// OwnershipError is returned by every rank of a build whose ranks hold
+// different owner tables: their shards were cut from different data or
+// over different rank counts, so a message could reach a rank that
+// does not own its vertex. Lo and Hi are the least and greatest
+// checksum across the ranks.
+type OwnershipError struct{ Lo, Hi uint64 }
+
+func (e *OwnershipError) Error() string {
+	return fmt.Sprintf("core: ranks disagree on vertex ownership (owner-table checksums %x..%x); every rank must partition the same data over the same rank count", e.Lo, e.Hi)
 }
 
 // Shard holds one rank's partition of the dataset: the globally dense
-// IDs [0, N) it owns, their feature vectors, and a reverse index.
+// IDs [0, N) it owns, their feature vectors, and the world's owner
+// table.
 type Shard[T wire.Scalar] struct {
 	// N is the global number of points.
 	N int
@@ -41,47 +186,39 @@ type Shard[T wire.Scalar] struct {
 	// reference through it (see builder.data).
 	data [][]T
 
-	// dense is the O(1) ID→shard-index table: dense[id] is the shard
-	// index of an owned id, -1 otherwise (one int32 per global point,
-	// the same footprint as the builder's visited-mark array). Every
-	// Type 1/2/3 message routes through it.
-	dense []int32
-}
-
-// newDense returns an all-unowned ID→index table for n global points.
-func newDense(n int) []int32 {
-	d := make([]int32, n)
-	for i := range d {
-		d[i] = -1
-	}
-	return d
+	rank int
+	// own routes every message by vertex and is the O(1) ID→shard-index
+	// table.
+	own *ownership
 }
 
 // lookup returns the shard index of id and whether the shard owns it.
 func (s *Shard[T]) lookup(id knng.ID) (int, bool) {
-	if int(id) < len(s.dense) {
-		if i := s.dense[id]; i >= 0 {
-			return int(i), true
-		}
+	if int(id) < len(s.own.owner) && s.own.owner[id] == int32(s.rank) {
+		return int(s.own.index[id]), true
 	}
 	return 0, false
 }
 
-// Partition splits a full dataset into the shard owned by rank. Every
-// rank of a world calls this with the same data; ownership is by ID
-// hash, as in DNND. The shard keeps a reference to data, and an
+// Partition cuts the shard owned by rank from a full dataset. Every
+// rank of a world calls it with the same data and rank count and
+// computes the same owner table: ranks own contiguous ranges of a
+// balanced random-projection order of the rows (see newOwnership), not
+// hashed IDs as in DNND. The shard keeps a reference to data, and an
 // in-process build reads its rows throughout, so data must not be
 // modified while a build that uses the shard is running.
 func Partition[T wire.Scalar](data [][]T, rank, nranks int) *Shard[T] {
-	s := &Shard[T]{N: len(data), data: data, dense: newDense(len(data))}
-	for i, v := range data {
-		id := knng.ID(i)
-		if Owner(id, nranks) != rank {
-			continue
+	return cut(data, newOwnership(data, nranks), rank)
+}
+
+// cut returns rank's shard of data under the owner table own.
+func cut[T wire.Scalar](data [][]T, own *ownership, rank int) *Shard[T] {
+	s := &Shard[T]{N: len(data), data: data, rank: rank, own: own}
+	for i, r := range own.owner {
+		if int(r) == rank {
+			s.IDs = append(s.IDs, knng.ID(i))
+			s.Vecs = append(s.Vecs, data[i])
 		}
-		s.dense[id] = int32(len(s.IDs))
-		s.IDs = append(s.IDs, id)
-		s.Vecs = append(s.Vecs, v)
 	}
 	return s
 }

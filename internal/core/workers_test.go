@@ -14,9 +14,11 @@ import (
 )
 
 // TestWorkerCountEquivalence is the contract of the intra-rank worker
-// pool: because handlers only stage, workers only compute, and all
-// effects apply in submission order at schedule-independent points, a
-// build with helper goroutines must be bit-identical to the serial
+// pool: because handlers never evaluate a distance (records that
+// compute nothing are applied where they arrive, and distance work is
+// staged), workers only compute, and staged effects apply in submission
+// order at schedule-independent points, a build with helper goroutines
+// must be bit-identical to the serial
 // build — same message counts and bytes, same rounds, same distance
 // evals, same staged-task count, same gathered graph. Single rank
 // because multi-rank arrival order is nondeterministic regardless of

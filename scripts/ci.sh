@@ -44,6 +44,21 @@ if grep -E '\b(FMADDS|FMSUBS|FNMADDS|FNMSUBS)\b' <<<"$listing"; then
   echo "fused multiply-add in the arm64 metric kernels" >&2
   exit 1
 fi
+# Every process of a TCP world computes the vertex owner table on its
+# own (internal/core/shard.go), so the split keys' float64 products must
+# round alike on every architecture as well. The generic key is
+# instantiated where Partition is called; the root package's listing
+# holds its dense instantiations.
+listing="$(GOARCH=arm64 go build -gcflags='dnnd=-S' . 2>&1)"
+keys="$(awk '/STEXT/{p=0} /core\.splitKeys\[go\.shape\.(float32|uint8)\] STEXT/{p=1} p' <<<"$listing")"
+if ! grep -q 'FMULD' <<<"$keys"; then
+  echo "no arm64 listing for core.splitKeys" >&2
+  exit 1
+fi
+if grep -E '\b(FMADDD|FMSUBD|FNMADDD|FNMSUBD)\b' <<<"$keys"; then
+  echo "fused multiply-add in the arm64 owner-table split keys" >&2
+  exit 1
+fi
 
 echo "== go test"
 go test ./...
@@ -176,6 +191,37 @@ go run ./cmd/tracecheck \
   -require nd.init -require nd.sample -require nd.reverse -require nd.check \
   -require nd.round -require ygm.barrier -require ygm.flush \
   "$tracedir/trace.json"
+
+echo "== multi-process TCP build (3 dnnd-construct ranks on loopback)"
+# Every TCP process computes vertex ownership on its own from its own
+# copy of the data; ranks that disagree fail at build start
+# (core.OwnershipError). Three real processes over real sockets must
+# each exit 0 in time, and rank 0's store must reopen and answer
+# queries. TestTCPMultiRankBuildGathers runs its TCP ranks in one
+# process; this is the run across processes.
+tcpdir="$(mktemp -d)"
+trap 'rm -rf "$tracedir" "$tcpdir"' EXIT
+go build -o "$tcpdir/bin/" ./cmd/datagen ./cmd/dnnd-construct ./cmd/dnnd-query
+"$tcpdir/bin/datagen" -preset deep -n 3000 -queries 100 -seed 1 -out "$tcpdir/data" >/dev/null
+tcpbase=$(( 17000 + RANDOM % 20000 ))
+tcpaddrs="127.0.0.1:$tcpbase,127.0.0.1:$(( tcpbase + 1 )),127.0.0.1:$(( tcpbase + 2 ))"
+tcpstart=$(date +%s%N)
+tcppids=()
+for r in 0 1 2; do
+  timeout 120 "$tcpdir/bin/dnnd-construct" -preset deep -n 3000 -k 10 -seed 1 \
+    -tcp-rank "$r" -tcp-addrs "$tcpaddrs" -store "$tcpdir/store$r" >"$tcpdir/rank$r.log" 2>&1 &
+  tcppids+=($!)
+done
+for r in 0 1 2; do
+  if ! wait "${tcppids[$r]}"; then
+    echo "TCP rank $r failed:" >&2
+    cat "$tcpdir/rank$r.log" >&2
+    exit 1
+  fi
+done
+echo "3 TCP ranks exited 0 in $(( ($(date +%s%N) - tcpstart) / 1000000 )) ms"
+"$tcpdir/bin/dnnd-query" -store "$tcpdir/store0" -queries "$tcpdir/data/deep-query.fvecs" \
+  -truth "$tcpdir/data/deep-truth.ivecs" -l 10 -epsilon 0.2 | grep 'recall@10'
 
 echo "== cluster smoke (real 3-shard multi-process run + tracecheck -merge)"
 # Three dnnd-serve processes and a dnnd-router, each tracing into its
