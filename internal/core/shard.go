@@ -6,7 +6,6 @@ import (
 	"math/rand"
 
 	"dnnd/internal/knng"
-	"dnnd/internal/metric"
 	"dnnd/internal/wire"
 )
 
@@ -36,10 +35,10 @@ type ownership struct {
 // newOwnership orders data by a balanced random-projection split and
 // cuts the order into nranks ranges whose sizes differ by at most one.
 // A split draws two pivot rows a and b from the node with a fixed-seed
-// generator and puts the half nearer a first: the median of d(x, a) −
-// d(x, b), ties broken by ID (see splitKeys). Only nodes that straddle
-// a range boundary split again, so the order costs O(N·d·log R). At one
-// rank every vertex is rank 0's.
+// generator and orders the node by a key of each row (see splitKeys):
+// the median of the keys, ties broken by ID, cuts the node in two.
+// Only nodes that straddle a range boundary split again, so the order
+// costs O(N·d·log R). At one rank every vertex is rank 0's.
 func newOwnership[T wire.Scalar](data [][]T, nranks int) *ownership {
 	n := len(data)
 	// Rank r owns positions [r*n/nranks, (r+1)*n/nranks) of the order.
@@ -83,38 +82,68 @@ func newOwnership[T wire.Scalar](data [][]T, nranks int) *ownership {
 	return own
 }
 
-// splitKeys writes keys[id] = d(x, a) − d(x, b) for every row x = data[id]
-// of seg, up to a constant shift and a positive scale. d is Jaccard on
-// uint32 sets and squared L2 on dense rows, where the key is the
-// projection x·(b − a). Every product is rounded explicitly, which
-// forbids fused multiply-adds, so processes on different architectures
-// compute the same keys. A NaN key sorts last.
+// splitKeys writes the order key of every row x = data[id] of seg to
+// keys[id]. On dense rows it is d(x, a) − d(x, b) for squared L2, up to
+// a constant shift and a positive scale: the projection x·(b − a).
+// Every product is rounded explicitly, which forbids fused
+// multiply-adds, so processes on different architectures compute the
+// same keys. A NaN key sorts last. On uint32 sets, where most sets
+// share no element with either pivot, it is a MinHash (see minHashKey)
+// seeded from the pivots' elements: two sets share it with probability
+// equal to their Jaccard similarity, so near sets sort together.
 func splitKeys[T wire.Scalar](data [][]T, seg []int32, a, b []T, keys []float64) {
 	if sets, ok := any(data).([][]uint32); ok {
-		sa, sb := any(a).([]uint32), any(b).([]uint32)
-		for _, id := range seg {
-			x := sets[id]
-			keys[id] = float64(metric.JaccardUint32(x, sa)) - float64(metric.JaccardUint32(x, sb))
+		seed := uint64(partitionSeed)
+		for _, e := range any(a).([]uint32) {
+			seed = mix64(seed ^ uint64(e))
 		}
-	} else {
-		w := make([]float64, min(len(a), len(b)))
-		for i := range w {
-			w[i] = float64(b[i]) - float64(a[i])
+		for _, e := range any(b).([]uint32) {
+			seed = mix64(seed ^ uint64(e))
 		}
 		for _, id := range seg {
-			x := data[id]
-			var s float64
-			for i := range min(len(x), len(w)) {
-				s += float64(float64(x[i]) * w[i])
-			}
-			keys[id] = s
+			keys[id] = minHashKey(sets[id], seed)
 		}
+		return
+	}
+	w := make([]float64, min(len(a), len(b)))
+	for i := range w {
+		w[i] = float64(b[i]) - float64(a[i])
 	}
 	for _, id := range seg {
-		if math.IsNaN(keys[id]) {
+		x := data[id]
+		var s float64
+		for i := range min(len(x), len(w)) {
+			s += float64(float64(x[i]) * w[i])
+		}
+		keys[id] = s
+		if math.IsNaN(s) {
 			keys[id] = math.Inf(1)
 		}
 	}
+}
+
+// minHashKey is the least mix64(e ^ seed) over the elements e of x,
+// shifted to 53 bits so the float64 holds it exactly. An empty set
+// sorts last.
+func minHashKey(x []uint32, seed uint64) float64 {
+	if len(x) == 0 {
+		return math.Inf(1)
+	}
+	m := uint64(math.MaxUint64)
+	for _, e := range x {
+		m = min(m, mix64(uint64(e)^seed))
+	}
+	return float64(m >> 11)
+}
+
+// mix64 is the splitmix64 finalizer.
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
 }
 
 // selectNth reorders seg so that seg[:k] holds its k smallest IDs by

@@ -154,10 +154,10 @@ func TestPartitionKeepsNeighborsTogether(t *testing.T) {
 	sets := dataset.PowerLawItemsets(rand.New(rand.NewSource(20)), 1500, 15, 2000, 20)
 	share := coOwnedShare(sets, k, metric.JaccardUint32, 4)
 	t.Logf("uint32 sets, 4 ranks: %.3f of exact %d-NN edges co-owned", share, k)
-	// Sparse sets tie often (a set disjoint from both pivots keys 0), so
-	// they keep less than dense rows, but still more than the hash.
-	if share < 0.3 {
-		t.Errorf("uint32 sets, 4 ranks: %.3f of exact %d-NN edges co-owned, want >= 0.3", share, k)
+	// A MinHash orders sets only by their least hashed element, so sets
+	// keep less than dense rows, but still more than the hash's 1/4.
+	if share < 0.34 {
+		t.Errorf("uint32 sets, 4 ranks: %.3f of exact %d-NN edges co-owned, want >= 0.34", share, k)
 	}
 }
 

@@ -36,9 +36,11 @@ import (
 //   - The owning rank goroutine APPLIES tasks strictly in submission
 //     order through apply: the state reads and writes, protocol
 //     decisions, counters, and reply sends that depend on a computed
-//     distance happen there, serially. If the head task is not computed
-//     yet the applier computes it inline (work-stealing via the same
-//     claim CAS), so Workers=1 simply means "no helper goroutines".
+//     distance happen there, serially. If nobody has claimed the head
+//     task yet the applier computes it inline (work-stealing via the
+//     same claim CAS); while a helper holds it, the applier computes
+//     the next ready tasks ahead instead of waiting. So Workers=1 simply
+//     means "no helper goroutines".
 //
 // Apply points are functions of the STAGE sequence alone, never of
 // worker completion timing: the ring drains to half when it reaches
@@ -163,6 +165,7 @@ type workpool[T wire.Scalar] struct {
 
 	ring  []*task[T] // FIFO of staged tasks; ring[head] applies next
 	head  int
+	help  int // await's scan cursor: no task in ring[head:help] is ready
 	free  []*task[T]
 	blank []*task[T] // slab-allocated never-used tasks (see allocTask)
 
@@ -464,6 +467,7 @@ func (p *workpool[T]) applyDownTo(target int) bool {
 		if p.head >= 64 && p.head*2 >= len(p.ring) {
 			n := copy(p.ring, p.ring[p.head:])
 			p.ring = p.ring[:n]
+			p.help = max(p.help-p.head, 0)
 			p.head = 0
 		}
 	}
@@ -472,8 +476,12 @@ func (p *workpool[T]) applyDownTo(target int) bool {
 
 // await makes a task's distances available, stealing the work if no
 // helper has: open tasks (only we can see them) and unclaimed ready
-// tasks are computed inline; claimed tasks are spin-waited with Gosched
-// so the claiming worker can finish even on a single core.
+// tasks are computed inline. While a helper holds the task, the applier
+// claims and computes the next ready task ahead of it (see computeAhead)
+// and re-checks; it yields with Gosched only when nothing ahead is
+// ready, so the claiming worker can finish even on a single core.
+// Evaluation is pure, so which goroutine computes a task never shows in
+// the results: applies still land in stage order.
 func (p *workpool[T]) await(t *task[T]) {
 	for {
 		s := t.state.Load()
@@ -489,11 +497,37 @@ func (p *workpool[T]) await(t *task[T]) {
 				return
 			}
 		case stClaimed:
-			runtime.Gosched()
+			if !p.computeAhead() {
+				runtime.Gosched()
+			}
 		case stDone:
 			return
 		}
 	}
+}
+
+// computeAhead claims and computes the first ready task behind the
+// head, scanning from the help cursor, and reports whether it found
+// one. Tasks the scan passes are claimed or done, and stay so until
+// they are applied, so the cursor never needs to look back.
+func (p *workpool[T]) computeAhead() bool {
+	p.help = max(p.help, p.head)
+	for ; p.help < len(p.ring); p.help++ {
+		t := p.ring[p.help]
+		s := t.state.Load()
+		gen := s >> 2
+		switch s & 3 {
+		case stOpen:
+			return false
+		case stReady:
+			if t.state.CompareAndSwap(s, gen<<2|stClaimed) {
+				p.help++
+				p.execSafe(t, gen)
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // recycle returns an applied task to the freelist under a fresh

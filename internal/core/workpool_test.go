@@ -3,7 +3,9 @@ package core
 import (
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // testPool is a pool over 1-d float32 vectors whose distance is
@@ -56,6 +58,82 @@ func TestApplyOrderEqualsStageOrder(t *testing.T) {
 		if p.tasksStaged != n {
 			t.Errorf("workers=%d: staged %d tasks, want %d", workers, p.tasksStaged, n)
 		}
+	}
+}
+
+// While a helper holds the head task, the applier computes the ready
+// tasks behind it rather than waiting: the head's kernel blocks until
+// every later task is done, which only an applier that computes ahead
+// can bring about. Applies still land in stage order.
+func TestApplierComputesAheadOfClaimedHead(t *testing.T) {
+	const later = 6
+	gate := make(chan struct{})
+	vec := []float32{0.5}
+	var got []uint32
+	p := newWorkpool(2, func(q []float32, vecs [][]float32, _ []float32, dists []float32) {
+		if q[0] == 0 {
+			<-gate
+		}
+		for i, v := range vecs {
+			dists[i] = q[0] + v[0]
+		}
+	}, func(tk *task[float32]) {
+		for i, m := range tk.Meta {
+			got = append(got, m.A)
+			if tk.Dists[i] != float32(m.A)+0.5 {
+				t.Errorf("record %d has distance %v, want %v", m.A, tk.Dists[i], float32(m.A)+0.5)
+			}
+		}
+	}, nil)
+	defer p.shutdown()
+	stage := func(a uint32) {
+		p.stageCompute(0, a, []float32{float32(a)}, false, cand{A: a}, vec, 0, false)
+	}
+
+	stage(0)
+	head := p.ring[p.head]
+	p.sealTail()
+	for deadline := time.Now().Add(5 * time.Second); head.state.Load()&3 != stClaimed; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			close(gate) // a late claim must not block shutdown
+			t.Fatal("the helper never claimed the head task")
+		}
+	}
+	for a := uint32(1); a <= later; a++ {
+		stage(a)
+	}
+	tasks := slices.Clone(p.ring[p.head+1:])
+
+	var ahead atomic.Bool
+	watched := make(chan struct{})
+	go func() {
+		defer close(watched)
+		defer close(gate)
+		for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			done := 0
+			for _, tk := range tasks {
+				if tk.state.Load()&3 == stDone {
+					done++
+				}
+			}
+			if done == len(tasks) {
+				ahead.Store(true)
+				return
+			}
+		}
+	}()
+	p.applyDownTo(0)
+	<-watched
+
+	if !ahead.Load() {
+		t.Error("the tasks behind the claimed head were not computed while it was held")
+	}
+	want := make([]uint32, later+1)
+	for i := range want {
+		want[i] = uint32(i)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("apply order differs from stage order:\n got %v\nwant %v", got, want)
 	}
 }
 
