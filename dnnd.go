@@ -359,38 +359,32 @@ func NewIndex[T Scalar](g *Graph, data [][]T, kind MetricKind, k int) (*Index[T]
 	return ix, nil
 }
 
-// BuildEntryForest attaches a random-projection tree forest that
+// BuildEntryForest attaches a forest of random-projection trees that
 // supplies query-specific search entry points (PyNNDescent's
 // technique; see internal/rptree). trees <= 0 uses the default of 4.
-// Only dense float32/uint8 data is supported; Jaccard-set indexes
-// return an error and keep using random entries.
+// Dense rows must share one nonzero dimension; Jaccard sets descend by
+// their MinHash keys.
 func (ix *Index[T]) BuildEntryForest(trees int) error {
-	cfg := rptree.DefaultConfig()
-	if trees > 0 {
-		cfg.Trees = trees
+	if trees <= 0 {
+		trees = 4
 	}
-	cfg.Seed = 11
+	if len(ix.data) == 0 {
+		return errors.New("dnnd: entry forest over an empty dataset")
+	}
+	if ix.kind != metric.Jaccard {
+		dim := len(ix.data[0])
+		if dim == 0 {
+			return errors.New("dnnd: entry forest over zero-dimensional rows")
+		}
+		for i, v := range ix.data {
+			if len(v) != dim {
+				return fmt.Errorf("dnnd: entry forest: row %d has dim %d, want %d", i, len(v), dim)
+			}
+		}
+	}
+	f := rptree.NewForest(ix.data, trees, 11)
 	max := 2 * ix.k
-	switch data := any(ix.data).(type) {
-	case [][]float32:
-		f, err := rptree.Build(data, cfg)
-		if err != nil {
-			return err
-		}
-		ix.forest = func(q []T) []ID {
-			return f.Candidates(any(q).([]float32), max)
-		}
-	case [][]uint8:
-		f, err := rptree.Build(data, cfg)
-		if err != nil {
-			return err
-		}
-		ix.forest = func(q []T) []ID {
-			return f.Candidates(any(q).([]uint8), max)
-		}
-	default:
-		return errors.New("dnnd: entry forests require dense float32 or uint8 data")
-	}
+	ix.forest = func(q []T) []ID { return f.Candidates(q, max) }
 	return nil
 }
 

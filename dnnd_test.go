@@ -10,6 +10,8 @@ import (
 	"testing"
 
 	"dnnd/internal/brute"
+	"dnnd/internal/dataset"
+	"dnnd/internal/knng"
 	"dnnd/internal/metric"
 	"dnnd/internal/recall"
 	"dnnd/internal/search"
@@ -327,25 +329,54 @@ func TestEntryForestSearch(t *testing.T) {
 	}
 }
 
-func TestEntryForestRejectsJaccard(t *testing.T) {
-	sets := make([][]uint32, 50)
-	for i := range sets {
-		sets[i] = []uint32{uint32(i), uint32(i + 1), uint32(i + 2)}
-	}
-	res, err := Build(sets, BuildOptions{K: 3, Metric: "jaccard", Ranks: 2})
+// Jaccard sets get a forest too, descending by their MinHash keys:
+// self-queries through its entries return the set itself first.
+func TestEntryForestJaccardSelfQueries(t *testing.T) {
+	sets := dataset.PowerLawItemsets(rand.New(rand.NewSource(12)), 500, 10, 2000, 12)
+	res, err := Build(sets, BuildOptions{K: 10, Metric: "jaccard", Ranks: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := NewIndex(res.Graph, sets, "jaccard", 3)
+	ix, err := NewIndex(res.Graph, sets, "jaccard", 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.BuildEntryForest(2); err == nil {
-		t.Fatal("forest over jaccard sets accepted")
+	if err := ix.BuildEntryForest(2); err != nil {
+		t.Fatal(err)
 	}
-	// Search must still work without a forest.
-	if got := ix.Search(sets[5], 3, 0.1); len(got) != 3 {
-		t.Errorf("search after rejected forest: %v", got)
+	if len(ix.entriesFor(sets[0])) == 0 {
+		t.Fatal("the forest gave set 0 no entries")
+	}
+	got, _ := ix.SearchBatch(sets, 10, 0.1, 1)
+	for qi, ns := range got {
+		if len(ns) == 0 || ns[0].ID != ID(qi) || ns[0].Dist != 0 {
+			t.Fatalf("set %d: top hits %v, want itself first", qi, ns)
+		}
+	}
+}
+
+// An entry forest needs rows: a dense index over no rows, zero-
+// dimensional rows or rows of differing dimension is refused and keeps
+// its random entries.
+func TestEntryForestValidation(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		data [][]float32
+	}{
+		{"empty dataset", nil},
+		{"zero-dimensional", [][]float32{{}}},
+		{"ragged", [][]float32{{1, 2}, {1}}},
+	} {
+		ix, err := NewIndex(knng.NewGraph(len(c.data)), c.data, "sql2", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ix.BuildEntryForest(2); err == nil {
+			t.Errorf("%s: forest accepted", c.name)
+		}
+		if ix.forest != nil {
+			t.Errorf("%s: a refused forest was attached", c.name)
+		}
 	}
 }
 

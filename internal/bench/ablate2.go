@@ -46,10 +46,7 @@ func EntryPointAblation(opt Options) ([]EntryRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	forest, err := rptree.Build(d.F32, rptree.Config{Trees: 4, LeafSize: 30, Seed: opt.Seed})
-	if err != nil {
-		return nil, err
-	}
+	forest := rptree.NewForest(d.F32, 4, opt.Seed)
 	dist, err := metric.For[float32](metric.SquaredL2)
 	if err != nil {
 		return nil, err

@@ -6,7 +6,10 @@ import (
 	"testing"
 
 	"dnnd/internal/brute"
+	"dnnd/internal/knng"
 	"dnnd/internal/metric"
+	"dnnd/internal/wire"
+	"dnnd/internal/ygm"
 )
 
 var checkHandlers = []string{"nd.check.type1", "nd.check.type2", "nd.check.type3"}
@@ -93,5 +96,86 @@ func TestLocalChecksConvergeLikeProtocol(t *testing.T) {
 		if share < 0.25 {
 			t.Errorf("%v: %.2f Type 1 messages per pair at 4 ranks; the protocol carried too few pairs", kind, share)
 		}
+	}
+}
+
+// onRankZero runs fn on rank 0 of a 2-rank in-process world, against a
+// one-sided builder over data whose neighbor lists start empty, and
+// returns the Type 2 and Type 3 messages rank 0 sent. The check
+// handlers are inert, so fn's decisions are all that is measured.
+func onRankZero(t *testing.T, data [][]float32, fn func(b *builder[float32])) (type2, type3 int64) {
+	t.Helper()
+	err := ygm.NewLocalWorld(2).Run(func(c *ygm.Comm) error {
+		shard := Partition(data, c.Rank(), 2)
+		b := &builder[float32]{c: c, cfg: DefaultConfig(4), shard: shard, replyW: wire.NewWriter(64),
+			data: data, byRef: c.InProcess(), lists: knng.MakeNeighborLists(shard.Len(), 4)}
+		inert := func(*ygm.Comm, int, []byte) {}
+		b.hType2 = c.Register(checkHandlers[1], inert)
+		b.hType3 = c.Register(checkHandlers[2], inert)
+		if c.Rank() == 0 {
+			fn(b)
+			s := c.Stats()
+			type2 = handlerStats(t, s, checkHandlers[1]).RemoteSentMsgs
+			type3 = handlerStats(t, s, checkHandlers[2]).RemoteSentMsgs
+		}
+		c.Barrier()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return type2, type3
+}
+
+// remoteIDs returns the first n IDs that rank 1 of 2 owns.
+func remoteIDs(b *builder[float32], n int) []knng.ID {
+	var ids []knng.ID
+	for id := range b.shard.N {
+		if b.owner(knng.ID(id)) == 1 && len(ids) < n {
+			ids = append(ids, knng.ID(id))
+		}
+	}
+	return ids
+}
+
+// Section 4.3.2 across ranks, at owner(u1): a Type 1 for (u1, u2) whose
+// u2 already is u1's neighbor is dropped there, with no Type 2 to
+// owner(u2); a u2 that is not is forwarded.
+func TestCrossRankRedundantCheckSendsNoType2(t *testing.T) {
+	data := clusteredData(rand.New(rand.NewSource(75)), 40, 4, 2)
+	var redundant int64
+	type2, _ := onRankZero(t, data, func(b *builder[float32]) {
+		u1, remote := b.shard.IDs[0], remoteIDs(b, 2)
+		b.lists[0].Update(remote[0], 1, true)
+		b.decideType1(0, u1, remote[0])
+		redundant = b.c.Stats().RemoteSentMsgs
+		b.decideType1(0, u1, remote[1])
+	})
+	if redundant != 0 {
+		t.Errorf("a Type 1 whose u2 already is u1's neighbor sent %d messages, want 0", redundant)
+	}
+	if type2 != 1 {
+		t.Errorf("%d Type 2 sent for one new cross-rank pair, want 1", type2)
+	}
+}
+
+// Section 4.3.2 on the way back, at owner(u2): a Type 2 whose u1
+// already is u2's neighbor returns no Type 3 to owner(u1); a u1 that is
+// not gets its distance back.
+func TestCrossRankRedundantReturnSendsNoType3(t *testing.T) {
+	data := clusteredData(rand.New(rand.NewSource(76)), 40, 4, 2)
+	var redundant int64
+	_, type3 := onRankZero(t, data, func(b *builder[float32]) {
+		u2, remote := b.shard.IDs[0], remoteIDs(b, 2)
+		b.lists[0].Update(remote[0], 1, true)
+		b.applyType2(&cand{A: remote[0], B: u2, Local: 0, D: math.MaxFloat32}, 0.5)
+		redundant = b.c.Stats().RemoteSentMsgs
+		b.applyType2(&cand{A: remote[1], B: u2, Local: 0, D: math.MaxFloat32}, 0.5)
+	})
+	if redundant != 0 {
+		t.Errorf("a Type 2 whose u1 already is u2's neighbor sent %d messages, want 0", redundant)
+	}
+	if type3 != 1 {
+		t.Errorf("%d Type 3 returned for one new cross-rank pair, want 1", type3)
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sync"
@@ -227,5 +228,53 @@ func BenchmarkPartition(b *testing.B) {
 				ownershipSink = newOwnership(data, 4)
 			}
 		})
+	}
+}
+
+// ownershipPin folds an owner table's checksum, owner and index columns
+// into one FNV-1a hash.
+func ownershipPin(own *ownership) uint64 {
+	h := own.sum
+	for id := range own.owner {
+		h = (h ^ uint64(uint32(own.owner[id]))) * 1099511628211
+		h = (h ^ uint64(uint32(own.index[id]))) * 1099511628211
+	}
+	return h
+}
+
+// The owner tables of fixed float32, uint8 and uint32 data at 2, 3, 4
+// and 7 ranks, pinned bit for bit: every process of a TCP world computes
+// its table on its own, so the split must not move between versions
+// either. The float32 rows include a NaN and the sets an empty one.
+func TestOwnershipPinned(t *testing.T) {
+	dense := clusteredData(rand.New(rand.NewSource(31)), 2000, 16, 10)
+	dense[5][3] = float32(math.NaN())
+	rng := rand.New(rand.NewSource(32))
+	bytes := make([][]uint8, 1500)
+	for i := range bytes {
+		bytes[i] = make([]uint8, 32)
+		base := uint8(rng.Intn(4)) * 60
+		for j := range bytes[i] {
+			bytes[i][j] = base + uint8(rng.Intn(40))
+		}
+	}
+	sets := dataset.PowerLawItemsets(rand.New(rand.NewSource(33)), 1200, 12, 800, 15)
+	sets[7] = nil
+
+	ranks := []int{2, 3, 4, 7}
+	for _, c := range []struct {
+		name string
+		pins func(nranks int) uint64
+		want []uint64
+	}{
+		{"float32", func(r int) uint64 { return ownershipPin(newOwnership(dense, r)) }, []uint64{0xc48cfba1346c303, 0x97d513b32b3212db, 0xdfc5f6c8ff288d9b, 0x427aa532bc28abc3}},
+		{"uint8", func(r int) uint64 { return ownershipPin(newOwnership(bytes, r)) }, []uint64{0xc694032ea80a8d77, 0x1f9f2a22d3a4cb74, 0x289b87ff172e6cb1, 0x74ad38d4b3762543}},
+		{"uint32", func(r int) uint64 { return ownershipPin(newOwnership(sets, r)) }, []uint64{0xe49f9fa02ea73aa3, 0x714e7803a82e436, 0xe41be2fe4846772b, 0x24d1be813427f59a}},
+	} {
+		for i, nranks := range ranks {
+			if got := c.pins(nranks); got != c.want[i] {
+				t.Errorf("%s, %d ranks: owner table pin %#x, want %#x", c.name, nranks, got, c.want[i])
+			}
+		}
 	}
 }

@@ -176,9 +176,6 @@ func TestKernelOfResolvesByIdentity(t *testing.T) {
 	if kern := KernelOf(Func[float32](SquaredL2Float32)); kern.Many == nil {
 		t.Error("sql2 by direct reference did not resolve to the block form")
 	}
-	if kern := KernelOf(Func[uint8](SquaredL2Uint8)); kern.ManyMany == nil {
-		t.Error("uint8 sql2 did not resolve to its tiled form")
-	}
 }
 
 // Resolving a kernel sits on the per-query path, so it must not

@@ -24,7 +24,13 @@ import (
 // per-pair kernel would have produced.
 //
 // ManyMany, when set, is the tiled many-queries-vs-many-candidates
-// form used by EvalTile; see EvalTile for its contract.
+// form: query qs[i] owns the candidate segment cands[offs[i]:offs[i+1]]
+// and its distances land in out over the same index range. offs has
+// len(qs)+1 entries with offs[0] == 0 and offs[len(qs)] == len(cands);
+// segments may be empty. nbs, when non-nil, is aligned with cands and
+// carries candidate norms, as in EvalMany. Every out[j] is
+// bit-identical to the corresponding per-pair Fn/FnPre call. Only the
+// float32 metrics with a Many form have one.
 type Kernel[T wire.Scalar] struct {
 	Fn       Func[T]
 	Norm     func(v []T) float32
@@ -51,27 +57,6 @@ func (k Kernel[T]) EvalMany(q []T, cands [][]T, nbs []float32, out []float32) {
 	}
 }
 
-// EvalTile evaluates a tile of queries against a tile of candidates:
-// query qs[i] owns the candidate segment cands[offs[i]:offs[i+1]] and
-// its distances land in out over the same index range. offs must have
-// len(qs)+1 entries with offs[0] == 0 and offs[len(qs)] == len(cands);
-// segments may be empty, and a tile with no queries is a no-op. When
-// nbs is non-nil it is aligned with cands and carries precomputed
-// candidate norms, exactly as in EvalMany.
-//
-// Like EvalMany, EvalTile is a throughput optimization only: every
-// out[j] is bit-identical to the corresponding per-pair Fn/FnPre call.
-// A ManyMany fast path may reorder which PAIR is visited when (that is
-// where the cache blocking lives) but must never restructure the
-// accumulation within a pair.
-func (k Kernel[T]) EvalTile(qs [][]T, offs []int32, cands [][]T, nbs []float32, out []float32) {
-	if k.ManyMany != nil {
-		k.ManyMany(qs, offs, cands, nbs, out)
-		return
-	}
-	eachSegment(qs, offs, cands, nbs, out, k.EvalMany)
-}
-
 // KernelFor returns the named metric for element type T together with
 // its fast paths, for the construction hot loop. Callers that only need
 // the plain function can keep using For.
@@ -96,13 +81,6 @@ func KernelFor[T wire.Scalar](k Kind) (Kernel[T], error) {
 		case SquaredL2:
 			kern.Many = any(SquaredL2Float32Many).(func([]T, [][]T, []float32, []float32))
 			kern.ManyMany = any(SquaredL2Float32ManyMany).(func([][]T, []int32, [][]T, []float32, []float32))
-		}
-	case uint8:
-		switch k {
-		case L2:
-			kern.ManyMany = any(L2Uint8ManyMany).(func([][]T, []int32, [][]T, []float32, []float32))
-		case SquaredL2:
-			kern.ManyMany = any(SquaredL2Uint8ManyMany).(func([][]T, []int32, [][]T, []float32, []float32))
 		}
 	}
 	return kern, nil

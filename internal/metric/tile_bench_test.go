@@ -1,10 +1,10 @@
 package metric_test
 
-// Kernel-axis micro-benchmarks: the tiled (EvalTile) and block
-// (EvalMany) forms at the two anchor shapes (deep float32 dim 96,
-// bigann uint8 dim 128), alongside the per-pair benches in
-// metric_bench_test.go. The grid across dims 32-960 that the retired
-// `dnnd-bench kernels` ran is kept in results/kernels.md (historical).
+// Kernel-axis micro-benchmarks: the tiled (ManyMany) and block
+// (EvalMany) float32 forms at deep's dim 96 and gist's 960, alongside
+// the per-pair benches in metric_bench_test.go. The grid across dims
+// 32-960 that the retired `dnnd-bench kernels` ran is kept in
+// results/kernels.md (historical).
 
 import (
 	"math/rand"
@@ -37,25 +37,6 @@ func benchTileF32(dim int) (qs, cands [][]float32) {
 	return qs, cands
 }
 
-func benchTileU8(dim int) (qs, cands [][]uint8) {
-	rng := rand.New(rand.NewSource(4))
-	qs = make([][]uint8, benchTileQueries)
-	cands = make([][]uint8, benchTileQueries*benchTileCands)
-	for i := range qs {
-		qs[i] = make([]uint8, dim)
-		for d := range qs[i] {
-			qs[i][d] = uint8(rng.Intn(256))
-		}
-	}
-	for i := range cands {
-		cands[i] = make([]uint8, dim)
-		for d := range cands[i] {
-			cands[i][d] = uint8(rng.Intn(256))
-		}
-	}
-	return qs, cands
-}
-
 func tileOffs() []int32 {
 	offs := make([]int32, benchTileQueries+1)
 	for i := range offs {
@@ -66,8 +47,8 @@ func tileOffs() []int32 {
 
 var benchSink float32
 
-func benchEvalTile[T interface{ float32 | uint8 }](b *testing.B, qs, cands [][]T) {
-	kern, err := metric.KernelFor[T](metric.SquaredL2)
+func benchManyMany(b *testing.B, qs, cands [][]float32) {
+	kern, err := metric.KernelFor[float32](metric.SquaredL2)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -77,7 +58,7 @@ func benchEvalTile[T interface{ float32 | uint8 }](b *testing.B, qs, cands [][]T
 	b.SetBytes(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		kern.EvalTile(qs, offs, cands, nil, out)
+		kern.ManyMany(qs, offs, cands, nil, out)
 	}
 	b.StopTimer()
 	benchSink += out[0]
@@ -86,12 +67,12 @@ func benchEvalTile[T interface{ float32 | uint8 }](b *testing.B, qs, cands [][]T
 
 func BenchmarkTileSquaredL2Deep(b *testing.B) {
 	qs, cands := benchTileF32(96)
-	benchEvalTile(b, qs, cands)
+	benchManyMany(b, qs, cands)
 }
 
 func BenchmarkTileSquaredL2Gist(b *testing.B) {
 	qs, cands := benchTileF32(960)
-	benchEvalTile(b, qs, cands)
+	benchManyMany(b, qs, cands)
 }
 
 // benchEvalMany scores one query against blocks of n candidates, the
@@ -116,8 +97,3 @@ func benchEvalMany(b *testing.B, dim, n int) {
 func BenchmarkEvalManyDeep2(b *testing.B) { benchEvalMany(b, 96, 2) }
 func BenchmarkEvalManyDeep8(b *testing.B) { benchEvalMany(b, 96, 8) }
 func BenchmarkEvalManyGist8(b *testing.B) { benchEvalMany(b, 960, 8) }
-
-func BenchmarkTileSquaredL2BigANN(b *testing.B) {
-	qs, cands := benchTileU8(128)
-	benchEvalTile(b, qs, cands)
-}

@@ -1,257 +1,244 @@
-// Package rptree implements a random-projection tree forest, the
-// mechanism PyNNDescent uses to pick good starting points for graph
-// searches (paper Section 6: "PyNNDescent divides data points using a
-// random projection tree and selects the search's starting point based
-// on this information"). Each tree recursively splits the dataset by
-// the perpendicular bisector of two randomly chosen points; a query
-// descends to a leaf whose members are then used as search entry
-// points instead of uniformly random ones.
+// Package rptree is the one random-projection split: a balanced median
+// split of a dataset's rows, on all three element types. Cut at rank
+// boundaries, its order decides which rank owns which vertex
+// (core.Partition). Cut to leaves of at most 30 rows, a forest of
+// such trees supplies query-specific search entry points, the technique
+// PyNNDescent uses (paper Section 6: "PyNNDescent divides data points
+// using a random projection tree and selects the search's starting
+// point based on this information").
 package rptree
 
 import (
-	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 
 	"dnnd/internal/knng"
+	"dnnd/internal/wire"
 )
 
-// Numeric covers the dense element types rp-trees support (sparse
-// Jaccard sets use a different splitting rule and are not supported,
-// matching PyNNDescent's separate sparse code path).
-type Numeric interface {
-	float32 | uint8
+// leafSize caps the rows of a forest leaf; leaves hold leafSize/2 to
+// leafSize rows.
+const leafSize = 30
+
+// Tree is a balanced random-projection split of a dataset's rows. Each
+// node holds one contiguous range of Order, and a split node cuts its
+// range at the median.
+type Tree[T wire.Scalar] struct {
+	// Order lists every row ID in split order.
+	Order []knng.ID
+	nodes []node[T] // nodes[0] is the root
 }
 
-// Config controls forest construction.
-type Config struct {
-	// Trees is the number of trees (more trees = better entry points,
-	// more memory). Default 4.
-	Trees int
-	// LeafSize caps leaf cardinality. Default 30.
-	LeafSize int
-	// Seed drives the random splits.
-	Seed int64
+// node is the range [lo, hi) of a tree's Order. A split node also keeps
+// what a descent needs: its pivot key data and the key of its median
+// row, the first row of its right child.
+type node[T wire.Scalar] struct {
+	lo, hi      int32
+	left, right int32     // child node indices; 0 at a leaf, as the root is no child
+	w           []float64 // b − a on dense rows
+	seed        uint64    // MinHash seed on uint32 sets
+	median      float64
 }
 
-// DefaultConfig mirrors PyNNDescent-style settings.
-func DefaultConfig() Config { return Config{Trees: 4, LeafSize: 30, Seed: 1} }
-
-// node is one tree node: internal nodes hold a hyperplane, leaves hold
-// point IDs. Nodes live in a flat arena; children are indices.
-type node struct {
-	// Internal: normal/offset define the split; left/right index into
-	// the arena. Leaf: ids non-nil.
-	normal []float32
-	offset float32
-	left   int32
-	right  int32
-	ids    []knng.ID
-}
-
-// Tree is a single random-projection tree.
-type Tree struct {
-	nodes []node
-}
-
-// Forest is a set of independent random-projection trees over one
-// dataset.
-type Forest[T Numeric] struct {
-	cfg   Config
-	dim   int
-	trees []Tree
-}
-
-// Build constructs a forest over data. All vectors must share one
-// dimension.
-func Build[T Numeric](data [][]T, cfg Config) (*Forest[T], error) {
-	if cfg.Trees <= 0 {
-		cfg.Trees = 4
+// Split orders data by a balanced random-projection split. A node of
+// rows [lo, hi) of the order splits while it holds two rows or more and
+// more(lo, hi) reports true. It draws two distinct pivot rows a and b
+// with a generator seeded by seed, keys each of its rows (see key), and
+// cuts at mid = lo + (hi−lo)/2: [lo, mid) gets the rows of least key,
+// ties broken by ID. Nodes split depth first, left before right, so the
+// tree depends only on data, seed and more.
+func Split[T wire.Scalar](data [][]T, seed int64, more func(lo, hi int) bool) *Tree[T] {
+	t := &Tree[T]{Order: make([]knng.ID, len(data))}
+	for i := range t.Order {
+		t.Order[i] = knng.ID(i)
 	}
-	if cfg.LeafSize <= 1 {
-		cfg.LeafSize = 30
-	}
-	if len(data) == 0 {
-		return nil, fmt.Errorf("rptree: empty dataset")
-	}
-	dim := len(data[0])
-	if dim == 0 {
-		return nil, fmt.Errorf("rptree: zero-dimensional data")
-	}
-	for i, v := range data {
-		if len(v) != dim {
-			return nil, fmt.Errorf("rptree: vector %d has dim %d, want %d", i, len(v), dim)
+	keys := make([]float64, len(data)) // by ID
+	rng := rand.New(rand.NewSource(seed))
+	var split func(lo, hi int) int32
+	split = func(lo, hi int) int32 {
+		at := int32(len(t.nodes))
+		t.nodes = append(t.nodes, node[T]{lo: int32(lo), hi: int32(hi)})
+		if hi-lo < 2 || !more(lo, hi) {
+			return at
 		}
+		seg := t.Order[lo:hi]
+		i := rng.Intn(len(seg))
+		j := (i + 1 + rng.Intn(len(seg)-1)) % len(seg)
+		nd := pivot(data[seg[i]], data[seg[j]], uint64(seed))
+		nd.lo, nd.hi = int32(lo), int32(hi)
+		for _, id := range seg {
+			keys[id] = nd.key(data[id])
+		}
+		mid := lo + (hi-lo)/2
+		selectNth(seg, mid-lo, keys)
+		nd.median = keys[t.Order[mid]]
+		nd.left = split(lo, mid)
+		nd.right = split(mid, hi)
+		t.nodes[at] = nd
+		return at
 	}
-	f := &Forest[T]{cfg: cfg, dim: dim}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	ids := make([]knng.ID, len(data))
-	for i := range ids {
-		ids[i] = knng.ID(i)
+	if len(data) > 0 {
+		split(0, len(data))
 	}
-	for t := 0; t < cfg.Trees; t++ {
-		tree := Tree{}
-		scratch := make([]knng.ID, len(ids))
-		copy(scratch, ids)
-		buildNode(&tree, data, scratch, cfg.LeafSize, rng)
-		f.trees = append(f.trees, tree)
-	}
-	return f, nil
+	return t
 }
 
-// buildNode recursively splits ids, appending nodes to the tree arena,
-// and returns the new node's index.
-func buildNode[T Numeric](t *Tree, data [][]T, ids []knng.ID, leafSize int, rng *rand.Rand) int32 {
-	idx := int32(len(t.nodes))
-	t.nodes = append(t.nodes, node{})
-	if len(ids) <= leafSize {
-		leaf := make([]knng.ID, len(ids))
-		copy(leaf, ids)
-		t.nodes[idx].ids = leaf
-		return idx
+// pivot returns the split node whose key orders rows by pivots a and b:
+// it keeps b − a of dense rows, and of sets a MinHash seed mixed from
+// seed and the pivots' elements.
+func pivot[T wire.Scalar](a, b []T, seed uint64) node[T] {
+	if as, ok := any(a).([]uint32); ok {
+		for _, e := range as {
+			seed = mix64(seed ^ uint64(e))
+		}
+		for _, e := range any(b).([]uint32) {
+			seed = mix64(seed ^ uint64(e))
+		}
+		return node[T]{seed: seed}
 	}
-
-	normal, offset, ok := pickSplit(data, ids, rng)
-	if !ok {
-		// Degenerate subset (all points identical): make a leaf even
-		// though it exceeds leafSize.
-		leaf := make([]knng.ID, len(ids))
-		copy(leaf, ids)
-		t.nodes[idx].ids = leaf
-		return idx
+	w := make([]float64, min(len(a), len(b)))
+	for i := range w {
+		w[i] = float64(b[i]) - float64(a[i])
 	}
+	return node[T]{w: w}
+}
 
-	// Partition in place around the hyperplane.
-	lo, hi := 0, len(ids)
+// key is the order key of row x at a split node. On dense rows it is
+// d(x, a) − d(x, b) for squared L2, up to a constant shift and a
+// positive scale: the projection x·(b − a). Every product is rounded
+// explicitly, which forbids fused multiply-adds, so processes on
+// different architectures compute the same keys. A NaN key sorts last.
+// On uint32 sets, where most sets share no element with either pivot,
+// it is a MinHash (see minHashKey): two sets share it with probability
+// equal to their Jaccard similarity, so near sets sort together.
+func (nd *node[T]) key(x []T) float64 {
+	if set, ok := any(x).([]uint32); ok {
+		return minHashKey(set, nd.seed)
+	}
+	var s float64
+	for i := range min(len(x), len(nd.w)) {
+		s += float64(float64(x[i]) * nd.w[i])
+	}
+	if math.IsNaN(s) {
+		return math.Inf(1)
+	}
+	return s
+}
+
+// minHashKey is the least mix64(e ^ seed) over the elements e of x,
+// shifted to 53 bits so the float64 holds it exactly. An empty set
+// sorts last.
+func minHashKey(x []uint32, seed uint64) float64 {
+	if len(x) == 0 {
+		return math.Inf(1)
+	}
+	m := uint64(math.MaxUint64)
+	for _, e := range x {
+		m = min(m, mix64(uint64(e)^seed))
+	}
+	return float64(m >> 11)
+}
+
+// mix64 is the splitmix64 finalizer.
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
+}
+
+// selectNth reorders seg so that seg[:k] holds its k smallest IDs by
+// (keys[id], id) and seg[k] the next: quickselect with a median-of-three
+// pivot. The order is strict, so which IDs land in seg[:k] does not
+// depend on the algorithm.
+func selectNth(seg []knng.ID, k int, keys []float64) {
+	less := func(x, y knng.ID) bool {
+		if keys[x] != keys[y] {
+			return keys[x] < keys[y]
+		}
+		return x < y
+	}
+	lo, hi := 0, len(seg)-1
 	for lo < hi {
-		if side(data[ids[lo]], normal, offset) {
-			lo++
+		mid := lo + (hi-lo)/2
+		if less(seg[mid], seg[lo]) {
+			seg[mid], seg[lo] = seg[lo], seg[mid]
+		}
+		if less(seg[hi], seg[lo]) {
+			seg[hi], seg[lo] = seg[lo], seg[hi]
+		}
+		if less(seg[mid], seg[hi]) {
+			seg[mid], seg[hi] = seg[hi], seg[mid]
+		}
+		p, s := seg[hi], lo
+		for i := lo; i < hi; i++ {
+			if less(seg[i], p) {
+				seg[s], seg[i] = seg[i], seg[s]
+				s++
+			}
+		}
+		seg[s], seg[hi] = seg[hi], seg[s]
+		switch {
+		case k == s:
+			return
+		case k < s:
+			hi = s - 1
+		default:
+			lo = s + 1
+		}
+	}
+}
+
+// Leaf returns the rows of the leaf q descends to: at each split node
+// it goes left when q's key is below the median row's, right otherwise.
+// A tree over no rows has no leaf.
+func (t *Tree[T]) Leaf(q []T) []knng.ID {
+	if len(t.nodes) == 0 {
+		return nil
+	}
+	nd := &t.nodes[0]
+	for nd.left != 0 {
+		if nd.key(q) < nd.median {
+			nd = &t.nodes[nd.left]
 		} else {
-			hi--
-			ids[lo], ids[hi] = ids[hi], ids[lo]
+			nd = &t.nodes[nd.right]
 		}
 	}
-	// Guard against useless splits (everything on one side): fall back
-	// to a random balanced split so depth stays bounded.
-	if lo == 0 || lo == len(ids) {
-		rng.Shuffle(len(ids), func(a, b int) { ids[a], ids[b] = ids[b], ids[a] })
-		lo = len(ids) / 2
-	}
-
-	left := buildNode(t, data, ids[:lo], leafSize, rng)
-	right := buildNode(t, data, ids[lo:], leafSize, rng)
-	t.nodes[idx].normal = normal
-	t.nodes[idx].offset = offset
-	t.nodes[idx].left = left
-	t.nodes[idx].right = right
-	return idx
+	return t.Order[nd.lo:nd.hi]
 }
 
-// pickSplit chooses two distinct random points and returns the
-// perpendicular bisector of the segment between them.
-func pickSplit[T Numeric](data [][]T, ids []knng.ID, rng *rand.Rand) ([]float32, float32, bool) {
-	const attempts = 8
-	for try := 0; try < attempts; try++ {
-		a := data[ids[rng.Intn(len(ids))]]
-		b := data[ids[rng.Intn(len(ids))]]
-		var normal []float32
-		var norm2 float64
-		normal = make([]float32, len(a))
-		for j := range a {
-			d := float32(a[j]) - float32(b[j])
-			normal[j] = d
-			norm2 += float64(d) * float64(d)
-		}
-		if norm2 == 0 {
-			continue // identical points; retry
-		}
-		var offset float32
-		for j := range a {
-			offset += normal[j] * (float32(a[j]) + float32(b[j])) / 2
-		}
-		return normal, offset, true
+// Forest is a set of trees over one dataset, each split down to leaves
+// of at most leafSize rows.
+type Forest[T wire.Scalar] []*Tree[T]
+
+// NewForest splits data into the given number of trees; tree i draws
+// its pivots from seed + i.
+func NewForest[T wire.Scalar](data [][]T, trees int, seed int64) Forest[T] {
+	f := make(Forest[T], trees)
+	for i := range f {
+		f[i] = Split(data, seed+int64(i), func(lo, hi int) bool { return hi-lo > leafSize })
 	}
-	return nil, 0, false
+	return f
 }
 
-// side reports whether v falls on the "left" side of the hyperplane.
-func side[T Numeric](v []T, normal []float32, offset float32) bool {
-	var dot float32
-	for j := range normal {
-		dot += normal[j] * float32(v[j])
-	}
-	return dot < offset
-}
-
-// Leaf returns the leaf members the query descends to in one tree.
-func (t *Tree) leaf(q []float32) []knng.ID {
-	i := int32(0)
-	for {
-		n := &t.nodes[i]
-		if n.ids != nil {
-			return n.ids
-		}
-		var dot float32
-		for j := range n.normal {
-			dot += n.normal[j] * q[j]
-		}
-		if dot < n.offset {
-			i = n.left
-		} else {
-			i = n.right
-		}
-	}
-}
-
-// Candidates returns up to max entry-point candidates for q: the union
-// of the leaf members across all trees, deduplicated, in tree order.
-func (f *Forest[T]) Candidates(q []T, max int) []knng.ID {
-	qf := make([]float32, len(q))
-	for j, x := range q {
-		qf[j] = float32(x)
-	}
-	seen := make(map[knng.ID]bool, max)
+// Candidates returns up to max entry-point candidates for q (all of
+// them when max <= 0): the rows of q's leaf in each tree, without
+// repeats, in tree order.
+func (f Forest[T]) Candidates(q []T, max int) []knng.ID {
 	var out []knng.ID
-	for ti := range f.trees {
-		for _, id := range f.trees[ti].leaf(qf) {
-			if seen[id] {
+	for _, t := range f {
+		for _, id := range t.Leaf(q) {
+			if slices.Contains(out, id) {
 				continue
 			}
-			seen[id] = true
 			out = append(out, id)
-			if max > 0 && len(out) >= max {
+			if len(out) == max {
 				return out
 			}
 		}
 	}
 	return out
-}
-
-// Trees returns the number of trees in the forest.
-func (f *Forest[T]) Trees() int { return len(f.trees) }
-
-// LeafStats returns the minimum, maximum, and mean leaf sizes across
-// the forest (for tests and reports).
-func (f *Forest[T]) LeafStats() (min, max int, mean float64) {
-	min = 1 << 30
-	count, total := 0, 0
-	for ti := range f.trees {
-		for i := range f.trees[ti].nodes {
-			ids := f.trees[ti].nodes[i].ids
-			if ids == nil {
-				continue
-			}
-			count++
-			total += len(ids)
-			if len(ids) < min {
-				min = len(ids)
-			}
-			if len(ids) > max {
-				max = len(ids)
-			}
-		}
-	}
-	if count == 0 {
-		return 0, 0, 0
-	}
-	return min, max, float64(total) / float64(count)
 }

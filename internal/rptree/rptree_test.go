@@ -2,6 +2,7 @@ package rptree
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -22,51 +23,53 @@ func clustered(rng *rand.Rand, n, dim int) [][]float32 {
 	return data
 }
 
-func TestBuildValidation(t *testing.T) {
-	if _, err := Build[float32](nil, DefaultConfig()); err == nil {
-		t.Error("empty dataset accepted")
+// leaves returns the row ranges of t's leaves, left to right.
+func leaves[T float32 | uint8 | uint32](t *Tree[T]) [][]knng.ID {
+	var out [][]knng.ID
+	for _, nd := range t.nodes {
+		if nd.left == 0 {
+			out = append(out, t.Order[nd.lo:nd.hi])
+		}
 	}
-	if _, err := Build([][]float32{{}}, DefaultConfig()); err == nil {
-		t.Error("zero-dim accepted")
-	}
-	if _, err := Build([][]float32{{1, 2}, {1}}, DefaultConfig()); err == nil {
-		t.Error("ragged dims accepted")
+	return out
+}
+
+// checkLeaves reports whether the leaves of every tree of f partition
+// [0, n), each holding leafSize/2 to leafSize rows when n > leafSize.
+func checkLeaves[T float32 | uint8 | uint32](t *testing.T, f Forest[T], n int) {
+	t.Helper()
+	for ti, tree := range f {
+		seen := make([]int, n)
+		for _, leaf := range leaves(tree) {
+			if len(leaf) > leafSize || (n > leafSize && len(leaf) < leafSize/2) {
+				t.Errorf("tree %d: leaf of %d rows, want %d to %d", ti, len(leaf), leafSize/2, leafSize)
+			}
+			for _, id := range leaf {
+				seen[id]++
+			}
+		}
+		for id, c := range seen {
+			if c != 1 {
+				t.Fatalf("tree %d holds row %d in %d leaves", ti, id, c)
+			}
+		}
 	}
 }
 
 func TestLeavesPartitionDataset(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	data := clustered(rng, 500, 8)
-	f, err := Build(data, Config{Trees: 3, LeafSize: 20, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
+	data := clustered(rand.New(rand.NewSource(1)), 500, 8)
+	f := NewForest(data, 3, 2)
+	if len(f) != 3 {
+		t.Fatalf("trees = %d", len(f))
 	}
-	if f.Trees() != 3 {
-		t.Fatalf("trees = %d", f.Trees())
-	}
-	// Every tree's leaves must partition [0, n) exactly.
-	for ti := range f.trees {
-		seen := make(map[knng.ID]int)
-		for i := range f.trees[ti].nodes {
-			for _, id := range f.trees[ti].nodes[i].ids {
-				seen[id]++
+	checkLeaves(t, f, len(data))
+	// Every row descends to the leaf that holds it.
+	for _, tree := range f {
+		for id, v := range data {
+			if !slices.Contains(tree.Leaf(v), knng.ID(id)) {
+				t.Fatalf("row %d is not in the leaf it descends to", id)
 			}
 		}
-		if len(seen) != 500 {
-			t.Fatalf("tree %d covers %d of 500 points", ti, len(seen))
-		}
-		for id, cnt := range seen {
-			if cnt != 1 {
-				t.Fatalf("tree %d contains %d %d times", ti, id, cnt)
-			}
-		}
-	}
-	min, max, mean := f.LeafStats()
-	if max > 20 {
-		t.Errorf("leaf of size %d exceeds LeafSize 20", max)
-	}
-	if min < 1 || mean <= 0 {
-		t.Errorf("leaf stats: min=%d max=%d mean=%.1f", min, max, mean)
 	}
 }
 
@@ -75,10 +78,7 @@ func TestCandidatesAreLocal(t *testing.T) {
 	// on clustered data.
 	rng := rand.New(rand.NewSource(3))
 	data := clustered(rng, 2000, 10)
-	f, err := Build(data, Config{Trees: 4, LeafSize: 25, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := NewForest(data, 4, 4)
 
 	better := 0
 	const trials = 50
@@ -107,9 +107,8 @@ func TestCandidatesAreLocal(t *testing.T) {
 }
 
 func TestCandidatesRespectMax(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	data := clustered(rng, 300, 6)
-	f, _ := Build(data, Config{Trees: 5, LeafSize: 40, Seed: 6})
+	data := clustered(rand.New(rand.NewSource(5)), 300, 6)
+	f := NewForest(data, 5, 6)
 	cands := f.Candidates(data[0], 10)
 	if len(cands) != 10 {
 		t.Errorf("got %d candidates, want 10", len(cands))
@@ -121,26 +120,27 @@ func TestCandidatesRespectMax(t *testing.T) {
 		}
 		seen[id] = true
 	}
-	// max <= 0 returns the full union.
+	// max <= 0 returns the full union, still without repeats.
 	all := f.Candidates(data[0], 0)
-	if len(all) < 10 {
+	if len(all) < leafSize/2 {
 		t.Errorf("unbounded candidates = %d", len(all))
+	}
+	slices.Sort(all)
+	if len(slices.Compact(all)) != len(all) {
+		t.Errorf("unbounded candidates repeat a row")
 	}
 }
 
 func TestDegenerateIdenticalPoints(t *testing.T) {
-	// All points identical: splits are impossible; Build must still
-	// terminate with (oversized) leaves.
+	// All points identical: every key ties, the split falls back to ID
+	// order and must still terminate with balanced leaves.
 	data := make([][]float32, 100)
 	for i := range data {
 		data[i] = []float32{1, 2, 3}
 	}
-	f, err := Build(data, Config{Trees: 2, LeafSize: 10, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cands := f.Candidates([]float32{1, 2, 3}, 0)
-	if len(cands) == 0 {
+	f := NewForest(data, 2, 7)
+	checkLeaves(t, f, len(data))
+	if cands := f.Candidates([]float32{1, 2, 3}, 0); len(cands) == 0 {
 		t.Fatal("no candidates on degenerate data")
 	}
 }
@@ -156,23 +156,42 @@ func TestUint8Forest(t *testing.T) {
 		}
 		data[i] = v
 	}
-	f, err := Build(data, Config{Trees: 3, LeafSize: 15, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
+	f := NewForest(data, 3, 9)
+	checkLeaves(t, f, len(data))
+	// The query point itself must be in its own leaves.
+	if !slices.Contains(f.Candidates(data[7], 0), 7) {
+		t.Error("query point missing from its own leaves")
 	}
-	cands := f.Candidates(data[7], 20)
-	if len(cands) == 0 {
-		t.Fatal("no candidates")
-	}
-	// The query point itself must be in its own leaf.
-	found := false
-	for _, id := range f.Candidates(data[7], 0) {
-		if id == 7 {
-			found = true
+}
+
+// Sets split by MinHash keys. The leaves partition the rows, the empty
+// set included. A set whose key ties its node's median but sorts left
+// of it by ID descends right, so only most sets find their own leaf.
+func TestSetForest(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	sets := make([][]uint32, 300)
+	for i := range sets {
+		base := uint32(rng.Intn(4)) * 100
+		for e := range uint32(10) {
+			if rng.Intn(2) == 0 {
+				sets[i] = append(sets[i], base+e*3+uint32(rng.Intn(3)))
+			}
 		}
 	}
-	if !found {
-		t.Error("query point missing from its own leaves")
+	sets[4] = nil
+	f := NewForest(sets, 2, 12)
+	checkLeaves(t, f, len(sets))
+	found := 0
+	for id, s := range sets {
+		for _, tree := range f {
+			if slices.Contains(tree.Leaf(s), knng.ID(id)) {
+				found++
+			}
+		}
+	}
+	t.Logf("%d of %d descents reach the set's own leaf", found, 2*len(sets))
+	if found < 2*len(sets)*8/10 {
+		t.Errorf("only %d of %d descents reach the set's own leaf", found, 2*len(sets))
 	}
 }
 
@@ -189,21 +208,20 @@ func TestQuickForestPartition(t *testing.T) {
 			}
 			data[i] = v
 		}
-		f, err := Build(data, Config{Trees: 2, LeafSize: 8, Seed: seed})
-		if err != nil {
-			return false
-		}
-		for ti := range f.trees {
-			seen := make(map[knng.ID]bool)
-			for i := range f.trees[ti].nodes {
-				for _, id := range f.trees[ti].nodes[i].ids {
-					if seen[id] || int(id) >= n {
+		for _, tree := range NewForest(data, 2, seed) {
+			seen := make([]bool, n)
+			for _, leaf := range leaves(tree) {
+				if len(leaf) > leafSize {
+					return false
+				}
+				for _, id := range leaf {
+					if seen[id] {
 						return false
 					}
 					seen[id] = true
 				}
 			}
-			if len(seen) != n {
+			if slices.Contains(seen, false) {
 				return false
 			}
 		}

@@ -35,7 +35,7 @@ echo "== cross-architecture (portable kernels, no fused float products)"
 # one multiply-add unless the product is explicitly rounded, which
 # would move distances off every golden pinned on amd64, so the metric
 # package's arm64 listing must hold no fused op (and must not be empty).
-GOARCH=arm64 go vet ./internal/metric/ ./internal/search/
+GOARCH=arm64 go vet ./internal/metric/ ./internal/search/ ./internal/rptree/
 GOARCH=386 go build ./...
 listing="$(GOARCH=arm64 go build -gcflags=-S ./internal/metric/ 2>&1)"
 if ! grep -q STEXT <<<"$listing"; then
@@ -47,18 +47,20 @@ if grep -E '\b(FMADDS|FMSUBS|FNMADDS|FNMSUBS)\b' <<<"$listing"; then
   exit 1
 fi
 # Every process of a TCP world computes the vertex owner table on its
-# own (internal/core/shard.go), so the split keys' float64 products must
-# round alike on every architecture as well. The generic key is
-# instantiated where Partition is called; the root package's listing
-# holds its dense instantiations.
+# own (internal/core/shard.go, by internal/rptree's split), so the split
+# keys' float64 products must round alike on every architecture as well.
+# The generic split is instantiated where Partition is called; the root
+# package's listing holds its dense instantiations, whose key method
+# carries the products. Every dense rptree function is scanned, so a key
+# inlined into its caller is checked there too.
 listing="$(GOARCH=arm64 go build -gcflags='dnnd=-S' . 2>&1)"
-keys="$(awk '/STEXT/{p=0} /core\.splitKeys\[go\.shape\.(float32|uint8)\] STEXT/{p=1} p' <<<"$listing")"
-if ! grep -q 'FMULD' <<<"$keys"; then
-  echo "no arm64 listing for core.splitKeys" >&2
-  exit 1
-fi
+keys="$(awk '/STEXT/{p=0} /rptree\.[^ ]*\[go\.shape\.(float32|uint8)\][^ ]* STEXT/{p=1} p' <<<"$listing")"
 if grep -E '\b(FMADDD|FMSUBD|FNMADDD|FNMSUBD)\b' <<<"$keys"; then
   echo "fused multiply-add in the arm64 owner-table split keys" >&2
+  exit 1
+fi
+if ! grep -q 'rptree\.(\*node\[go\.shape\.float32\])\.key STEXT' <<<"$keys" || ! grep -q 'FMULD' <<<"$keys"; then
+  echo "no arm64 listing for rptree's split key" >&2
   exit 1
 fi
 
