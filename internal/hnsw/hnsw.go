@@ -33,10 +33,12 @@ func DefaultConfig() Config {
 	return Config{M: 16, EfConstruction: 200, Seed: 1}
 }
 
-// Index is an in-memory HNSW graph over a dataset.
+// Index is an in-memory HNSW graph over a dataset. It is not safe for
+// concurrent use: Add and Search share the layer search's scratch.
 type Index[T wire.Scalar] struct {
 	cfg  Config
 	dist metric.Func[T]
+	kern metric.Kernel[T]
 	data [][]T
 
 	// links[node][level] lists the node's neighbors at that level;
@@ -49,6 +51,15 @@ type Index[T wire.Scalar] struct {
 	rng      *rand.Rand
 
 	distEvals int64
+
+	// The layer search's scratch, reused across calls: the visited
+	// set, the frontier, and one expansion's unvisited neighbors with
+	// their rows and distances.
+	visited knng.VisitSet
+	front   minHeap
+	ids     []knng.ID
+	rows    [][]T
+	dists   []float32
 }
 
 // New creates an empty index.
@@ -62,6 +73,7 @@ func New[T wire.Scalar](dist metric.Func[T], cfg Config) (*Index[T], error) {
 	return &Index[T]{
 		cfg:      cfg,
 		dist:     dist,
+		kern:     metric.KernelOf(dist),
 		entry:    -1,
 		maxLevel: -1,
 		mL:       1 / math.Log(float64(cfg.M)),
@@ -189,13 +201,18 @@ func (ix *Index[T]) greedyStep(q []T, ep int, epDist float32, level int) (int, f
 }
 
 // searchLayer is the ef-bounded best-first search (Algorithm 2),
-// returning up to ef candidates sorted by ascending distance.
+// returning up to ef candidates sorted by ascending distance. Each
+// expansion scores its unvisited neighbors in one EvalMany block, then
+// applies them in link order, exactly as scoring them one by one would.
 func (ix *Index[T]) searchLayer(q []T, ep int, epDist float32, ef, level int) []knng.Neighbor {
-	visited := make(map[knng.ID]bool, ef*4)
-	visited[knng.ID(ep)] = true
+	// Sizing by cap(ix.data) grows the visited set geometrically while
+	// Add appends, instead of once per insertion.
+	ix.visited.Begin(cap(ix.data))
+	ix.visited.Mark(knng.ID(ep))
 	results := knng.NewNeighborList(ef)
 	results.Update(knng.ID(ep), epDist, false)
-	var front minHeap
+	front := &ix.front
+	front.ids, front.dists = front.ids[:0], front.dists[:0]
 	front.push(knng.ID(ep), epDist)
 
 	for front.len() > 0 {
@@ -203,17 +220,26 @@ func (ix *Index[T]) searchLayer(q []T, ep int, epDist float32, ef, level int) []
 		if results.Full() && pd > results.FarthestDist() {
 			break
 		}
+		ids, rows := ix.ids[:0], ix.rows[:0]
 		for _, u := range ix.links[p][level] {
-			if visited[u] {
-				continue
+			if ix.visited.Visit(u) {
+				ids = append(ids, u)
+				rows = append(rows, ix.data[u])
 			}
-			visited[u] = true
-			d := ix.d(q, ix.data[u])
-			if !results.Full() || d < results.FarthestDist() {
+		}
+		if cap(ix.dists) < len(ids) {
+			ix.dists = make([]float32, cap(ids))
+		}
+		dists := ix.dists[:len(ids)]
+		ix.kern.EvalMany(q, rows, nil, dists)
+		ix.distEvals += int64(len(ids))
+		for j, u := range ids {
+			if d := dists[j]; !results.Full() || d < results.FarthestDist() {
 				results.Update(u, d, false)
 				front.push(u, d)
 			}
 		}
+		ix.ids, ix.rows = ids, rows
 	}
 	return results.Sorted()
 }

@@ -3,19 +3,19 @@ package metric
 import "math"
 
 // This file holds the one-query × many-candidates forms behind
-// Kernel.Many. The float32 squared-L2 form scores four candidates per
-// dimension sweep; squaredL2x4 is SSE2 assembly on amd64
-// (block_amd64.s) and squaredL2x4Go elsewhere.
+// Kernel.Many. The float32 squared-L2 form scores eight, then four,
+// candidates per dimension sweep; the sweeps are AVX assembly on an
+// amd64 host with AVX (block_amd64.s) and portable Go elsewhere.
 //
-// Why four candidates per sweep: SquaredL2Float32 keeps four
+// Why several candidates per sweep: SquaredL2Float32 keeps four
 // accumulator lanes, s_j summing the elements i ≡ j (mod 4) in index
 // order. Those four scalar chains are also its throughput limit: each
 // add waits on the previous one in its lane. The four lanes of ONE
-// candidate fit one 128-bit register, so a sweep over four candidates
-// runs four independent vector chains — one register per candidate —
-// while every register lane still receives exactly its scalar
-// counterpart's additions, in the same order, each product rounded
-// once (separate subtract, multiply and add; never a fused
+// candidate fit one 128-bit half of a YMM register, so a register
+// holds two candidates and a sweep over eight candidates runs four
+// independent vector chains, while every lane still receives exactly
+// its scalar counterpart's additions, in the same order, each product
+// rounded once (separate subtract, multiply and add; never a fused
 // multiply-add). The len%4 tail folds into lane 0 with scalar ops, and
 // the lanes reduce as (s0+s1)+(s2+s3). So each result is bit-identical
 // to SquaredL2Float32. (A NaN result is a NaN on both sides; which NaN
@@ -24,23 +24,26 @@ import "math"
 // build mode.)
 
 // SquaredL2Float32Many writes out[i] = SquaredL2Float32(q, cands[i])
-// for every candidate, four candidates per sweep. A remainder of two
-// or three candidates takes one more four-wide sweep with repeated
-// rows standing in for the missing ones; a single leftover candidate
-// goes through the per-pair kernel. nbs is ignored.
+// for every candidate: eight candidates per sweep, then four. A
+// remainder of two or three candidates takes one more four-wide sweep
+// with repeated rows standing in for the missing ones; a single
+// leftover candidate takes the one-candidate sweep. nbs is ignored.
 func SquaredL2Float32Many(q []float32, cands [][]float32, _ []float32, out []float32) {
 	out = out[:len(cands)]
 	i := 0
+	for ; i+8 <= len(cands); i += 8 {
+		squaredL2x8(q, (*[8][]float32)(cands[i:]), (*[8]float32)(out[i:]))
+	}
 	for ; i+4 <= len(cands); i += 4 {
-		out[i], out[i+1], out[i+2], out[i+3] = sqL2x4(q, cands[i], cands[i+1], cands[i+2], cands[i+3])
+		out[i], out[i+1], out[i+2], out[i+3] = squaredL2x4(q, cands[i], cands[i+1], cands[i+2], cands[i+3])
 	}
 	switch r := cands[i:]; len(r) {
 	case 1:
-		out[i] = SquaredL2Float32(q, r[0])
+		out[i] = squaredL2x1(q, r[0])
 	case 2:
-		out[i], out[i+1], _, _ = sqL2x4(q, r[0], r[1], r[0], r[1])
+		out[i], out[i+1], _, _ = squaredL2x4(q, r[0], r[1], r[0], r[1])
 	case 3:
-		out[i], out[i+1], out[i+2], _ = sqL2x4(q, r[0], r[1], r[2], r[0])
+		out[i], out[i+1], out[i+2], _ = squaredL2x4(q, r[0], r[1], r[2], r[0])
 	}
 }
 
@@ -66,12 +69,16 @@ func cosineManyFloat32(q []float32, cands [][]float32, nbs []float32, out []floa
 	}
 }
 
-// sqL2x4 returns SquaredL2Float32(q, c_j) for four candidates. The
-// reslices panic on a row shorter than q, as the per-pair kernel does,
-// and bound what squaredL2x4 may read.
-func sqL2x4(q, c0, c1, c2, c3 []float32) (float32, float32, float32, float32) {
-	n := len(q)
-	return squaredL2x4(q, c0[:n], c1[:n], c2[:n], c3[:n])
+// The sweeps (squaredL2x8, squaredL2x4, squaredL2x1) are per
+// architecture: block_amd64.go, block_other.go. Each returns
+// SquaredL2Float32(q, c) for every row c, and panics on a row shorter
+// than q as the per-pair kernel does.
+
+// squaredL2x8Go is the portable eight-candidate sweep: two
+// four-candidate sweeps.
+func squaredL2x8Go(q []float32, c *[8][]float32, out *[8]float32) {
+	out[0], out[1], out[2], out[3] = squaredL2x4Go(q, c[0], c[1], c[2], c[3])
+	out[4], out[5], out[6], out[7] = squaredL2x4Go(q, c[4], c[5], c[6], c[7])
 }
 
 // squaredL2x4Go is the portable four-candidate sweep: sixteen scalar

@@ -7,15 +7,38 @@ import (
 	"testing"
 )
 
-// The four-candidate sweep must land on the per-pair kernel's bits for
-// every candidate: the assembly form, the portable form and
-// SquaredL2Float32 are compared by math.Float32bits over every tail
-// length, unaligned rows, a query aliasing a candidate, and values that
-// overflow, underflow or are not numbers. The one exception is a NaN
-// result's payload. Go treats float addition as commutative, so which
-// of two NaN operands propagates through an add is the compiler's
-// choice — for the per-pair kernel too, whose NaN payloads differ
-// between a normal and a -race build. A NaN result need only be a NaN.
+// Every sweep must land on the per-pair kernel's bits for every
+// candidate: the eight-, four- and one-candidate sweeps, on both
+// dispatches (the AVX assembly when the host has it, and the portable
+// Go), are compared with SquaredL2Float32 by math.Float32bits over every
+// tail length, unaligned rows, a query aliasing a candidate, and values
+// that overflow, underflow or are not numbers. The one exception is a
+// NaN result's payload. Go treats float addition as commutative, so
+// which of two NaN operands propagates through an add is the
+// compiler's choice — for the per-pair kernel too, whose NaN payloads
+// differ between a normal and a -race build. A NaN result need only be
+// a NaN.
+
+// eachDispatch runs f once per sweep implementation this host has:
+// the portable Go always, the AVX assembly when the CPU has AVX. It
+// flips useAVX for the duration, so no test may run in parallel with
+// it.
+func eachDispatch(t *testing.T, f func(t *testing.T)) {
+	hasAVX := useAVX
+	defer func() { useAVX = hasAVX }()
+	modes := []bool{false}
+	if hasAVX {
+		modes = append(modes, true)
+	}
+	for _, avx := range modes {
+		useAVX = avx
+		name := "portable"
+		if avx {
+			name = "avx"
+		}
+		t.Run(name, f)
+	}
+}
 
 // blockDims covers every len%4 tail at small sizes, deep's 96 and
 // gist's 960 with their neighbors.
@@ -71,75 +94,132 @@ func sameDistance(a, b float32) bool {
 	return math.Float32bits(a) == math.Float32bits(b) || a != a && b != b
 }
 
-func TestSquaredL2x4BitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	for _, d := range blockDims() {
-		for _, st := range blockStyles {
-			q := unalignedRow(rng, d, st.gen)
-			cs := [4][]float32{
-				unalignedRow(rng, d, st.gen),
-				q, // a candidate aliasing the query
-				unalignedRow(rng, d, st.gen),
-				unalignedRow(rng, d+3, st.gen), // longer than q
-			}
-			var asm, gen [4]float32
-			asm[0], asm[1], asm[2], asm[3] = squaredL2x4(q, cs[0][:d], cs[1][:d], cs[2][:d], cs[3][:d])
-			gen[0], gen[1], gen[2], gen[3] = squaredL2x4Go(q, cs[0], cs[1], cs[2], cs[3])
-			for j, c := range cs {
-				want := SquaredL2Float32(q, c)
-				if !sameDistance(asm[j], want) || !sameDistance(gen[j], want) {
-					t.Errorf("dim %d %s cand %d: asm %08x portable %08x per-pair %08x",
-						d, st.name, j, math.Float32bits(asm[j]), math.Float32bits(gen[j]), math.Float32bits(want))
+// perPairGo is SquaredL2Float32's body, kept here so the sweeps are
+// also compared with the Go loop itself, whatever SquaredL2Float32
+// later becomes.
+func perPairGo(a, b []float32) float32 {
+	b = b[:len(a)]
+	var s0, s1, s2, s3 float32
+	i := 0
+	for ; i+4 <= len(a); i += 4 {
+		d0 := a[i] - b[i]
+		d1 := a[i+1] - b[i+1]
+		d2 := a[i+2] - b[i+2]
+		d3 := a[i+3] - b[i+3]
+		s0 += float32(d0 * d0)
+		s1 += float32(d1 * d1)
+		s2 += float32(d2 * d2)
+		s3 += float32(d3 * d3)
+	}
+	for ; i < len(a); i++ {
+		d := a[i] - b[i]
+		s0 += float32(d * d)
+	}
+	return (s0 + s1) + (s2 + s3)
+}
+
+func TestSquaredL2SweepsBitIdentical(t *testing.T) {
+	eachDispatch(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(29))
+		for _, d := range blockDims() {
+			for _, st := range blockStyles {
+				q := unalignedRow(rng, d, st.gen)
+				var cs [8][]float32
+				for j := range cs {
+					cs[j] = unalignedRow(rng, d, st.gen)
+				}
+				cs[1] = q                              // a candidate aliasing the query
+				cs[3] = unalignedRow(rng, d+3, st.gen) // longer than q
+				var x8, x4 [8]float32
+				squaredL2x8(q, &cs, &x8)
+				x4[0], x4[1], x4[2], x4[3] = squaredL2x4(q, cs[0][:d], cs[1][:d], cs[2][:d], cs[3][:d])
+				x4[4], x4[5], x4[6], x4[7] = squaredL2x4(q, cs[4][:d], cs[5][:d], cs[6][:d], cs[7][:d])
+				for j, c := range cs {
+					want := SquaredL2Float32(q, c)
+					x1 := squaredL2x1(q, c)
+					if !sameDistance(x8[j], want) || !sameDistance(x4[j], want) || !sameDistance(x1, want) {
+						t.Errorf("dim %d %s cand %d: x8 %08x x4 %08x x1 %08x per-pair %08x",
+							d, st.name, j, math.Float32bits(x8[j]), math.Float32bits(x4[j]),
+							math.Float32bits(x1), math.Float32bits(want))
+					}
+					if g := perPairGo(q, c); !sameDistance(x1, g) {
+						t.Errorf("dim %d %s cand %d: x1 %08x, Go per-pair body %08x",
+							d, st.name, j, math.Float32bits(x1), math.Float32bits(g))
+					}
 				}
 			}
 		}
+	})
+}
+
+// manyCounts drives every path of SquaredL2Float32Many: 0-17 covers no
+// sweep, each remainder after the four-wide pass, one and two
+// eight-wide sweeps with every remainder; 65 is eight sweeps plus one.
+func manyCounts() []int {
+	var ns []int
+	for n := 0; n <= 17; n++ {
+		ns = append(ns, n)
 	}
+	return append(ns, 65)
 }
 
 func TestSquaredL2ManyBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(30))
-	counts := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 65}
-	for _, d := range blockDims() {
-		for _, st := range blockStyles {
-			q := unalignedRow(rng, d, st.gen)
-			for _, n := range counts {
-				cands := make([][]float32, n)
-				for i := range cands {
-					cands[i] = unalignedRow(rng, d, st.gen)
-				}
-				if n > 0 {
-					cands[rng.Intn(n)] = q
-				}
-				sq := make([]float32, n)
-				l2 := make([]float32, n)
-				SquaredL2Float32Many(q, cands, nil, sq)
-				L2Float32Many(q, cands, nil, l2)
-				for i, c := range cands {
-					if want := SquaredL2Float32(q, c); !sameDistance(sq[i], want) {
-						t.Errorf("dim %d %s n %d cand %d: sql2 block %08x, per-pair %08x",
-							d, st.name, n, i, math.Float32bits(sq[i]), math.Float32bits(want))
+	eachDispatch(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(30))
+		for _, d := range blockDims() {
+			for _, st := range blockStyles {
+				q := unalignedRow(rng, d, st.gen)
+				for _, n := range manyCounts() {
+					cands := make([][]float32, n)
+					for i := range cands {
+						cands[i] = unalignedRow(rng, d, st.gen)
 					}
-					if want := L2Float32(q, c); !sameDistance(l2[i], want) {
-						t.Errorf("dim %d %s n %d cand %d: l2 block %08x, per-pair %08x",
-							d, st.name, n, i, math.Float32bits(l2[i]), math.Float32bits(want))
+					if n > 0 {
+						cands[rng.Intn(n)] = q
+					}
+					sq := make([]float32, n)
+					l2 := make([]float32, n)
+					SquaredL2Float32Many(q, cands, nil, sq)
+					L2Float32Many(q, cands, nil, l2)
+					for i, c := range cands {
+						if want := SquaredL2Float32(q, c); !sameDistance(sq[i], want) {
+							t.Errorf("dim %d %s n %d cand %d: sql2 block %08x, per-pair %08x",
+								d, st.name, n, i, math.Float32bits(sq[i]), math.Float32bits(want))
+						}
+						if want := L2Float32(q, c); !sameDistance(l2[i], want) {
+							t.Errorf("dim %d %s n %d cand %d: l2 block %08x, per-pair %08x",
+								d, st.name, n, i, math.Float32bits(l2[i]), math.Float32bits(want))
+						}
 					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // A row shorter than the query panics in the block form exactly as in
-// the per-pair kernel, instead of reading past its end.
+// the per-pair kernel, instead of reading past its end: in a four-wide
+// sweep, an eight-wide sweep and the one-candidate sweep, on both
+// dispatches.
 func TestSquaredL2ManyShortRowPanics(t *testing.T) {
-	q := make([]float32, 8)
-	cands := [][]float32{make([]float32, 8), make([]float32, 7), make([]float32, 8), make([]float32, 8)}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("short candidate row did not panic")
+	eachDispatch(t, func(t *testing.T) {
+		for _, c := range []struct{ n, short int }{{4, 1}, {8, 5}, {9, 8}} {
+			q := make([]float32, 8)
+			cands := make([][]float32, c.n)
+			for i := range cands {
+				cands[i] = make([]float32, 8)
+			}
+			cands[c.short] = make([]float32, 7)
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%d candidates, row %d short: no panic", c.n, c.short)
+					}
+				}()
+				SquaredL2Float32Many(q, cands, nil, make([]float32, c.n))
+			}()
 		}
-	}()
-	SquaredL2Float32Many(q, cands, nil, make([]float32, len(cands)))
+	})
 }
 
 // KernelOf is how search, brute force, core.Build and the serve
@@ -196,7 +276,7 @@ func TestEvalManyBlockZeroAlloc(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(31))
 	q := unalignedRow(rng, 96, blockStyles[0].gen)
-	cands := make([][]float32, 9)
+	cands := make([][]float32, 17)
 	for i := range cands {
 		cands[i] = unalignedRow(rng, 96, blockStyles[0].gen)
 	}

@@ -17,7 +17,7 @@ import (
 // must write out[i] bit-identical to Fn(q, cands[i]) for every i — and,
 // when nbs is non-nil and the kernel has a Norm, to FnPre(q, cands[i],
 // nbs[i]), which is the same value. It exists to amortize per-call work
-// across candidates: the four-candidate squared-L2 pass for L2/sql2 over
+// across candidates: the multi-candidate squared-L2 sweeps for L2/sql2 over
 // float32, the query's norm computed once per batch for cosine. The
 // worker pool's distance stage and the search traversal rely on this
 // contract: a batch must land on exactly the float32 values the

@@ -10,8 +10,7 @@ import "dnnd/internal/wire"
 // structure documented in metric.go.
 
 // SquaredL2Float32ManyMany is the tiled squared-L2 kernel over float32:
-// each query's segment is one SquaredL2Float32Many call, four
-// candidates per dimension sweep.
+// each query's segment is one SquaredL2Float32Many call.
 func SquaredL2Float32ManyMany(qs [][]float32, offs []int32, cands [][]float32, nbs []float32, out []float32) {
 	eachSegment(qs, offs, cands, nbs, out, SquaredL2Float32Many)
 }

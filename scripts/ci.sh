@@ -30,8 +30,15 @@ for doc in DESIGN.md EXPERIMENTS.md; do
 done
 
 echo "== cross-architecture (portable kernels, no fused float products)"
-# The float32 L2 sweep is SSE2 assembly on amd64 and pure Go elsewhere;
-# vet and build the other side so it cannot rot. arm64 fuses x*y+z into
+# The float32 L2 sweeps are AVX assembly on amd64 hosts with AVX and
+# pure Go elsewhere; vet and build the other side so it cannot rot.
+# A fused multiply-add in the assembly would round each product once
+# less than the per-pair kernel and move distances off every golden.
+if grep -nE '\bV(FMADD|FMSUB|FNMADD|FNMSUB)' internal/metric/*_amd64.s; then
+  echo "fused multiply-add in the amd64 metric assembly" >&2
+  exit 1
+fi
+# arm64 fuses x*y+z into
 # one multiply-add unless the product is explicitly rounded, which
 # would move distances off every golden pinned on amd64, so the metric
 # package's arm64 listing must hold no fused op (and must not be empty).
