@@ -14,9 +14,9 @@ import (
 
 	"dnnd/internal/brute"
 	"dnnd/internal/dataset"
-	"dnnd/internal/knng"
 	"dnnd/internal/metric"
 	"dnnd/internal/vecio"
+	"dnnd/internal/wire"
 )
 
 func main() {
@@ -51,49 +51,33 @@ func main() {
 	base := dataset.Generate(p, *n, *seed)
 	queries := dataset.GenerateQueries(p, *nq, *seed)
 
-	join := func(suffix string) string {
-		return filepath.Join(*outDir, p.Name+suffix)
-	}
-
-	var truth [][]knng.Neighbor
+	prefix := filepath.Join(*outDir, p.Name)
 	switch p.Elem {
 	case dataset.ElemFloat32:
-		must(vecio.WriteFvecsFile(join("-base.fvecs"), base.F32))
-		must(vecio.WriteFvecsFile(join("-query.fvecs"), queries.F32))
-		if !*noTruth {
-			dist, err := metric.ForFloat32(truthKind(p.Metric))
-			if err != nil {
-				fatal(err)
-			}
-			truth = brute.QueryKNN(base.F32, queries.F32, *k, dist, 0)
-		}
+		write(prefix, "fvecs", base.F32, queries.F32, p.Metric, *k, !*noTruth)
 	case dataset.ElemUint8:
-		must(vecio.WriteBvecsFile(join("-base.bvecs"), base.U8))
-		must(vecio.WriteBvecsFile(join("-query.bvecs"), queries.U8))
-		if !*noTruth {
-			dist, err := metric.ForUint8(truthKind(p.Metric))
-			if err != nil {
-				fatal(err)
-			}
-			truth = brute.QueryKNN(base.U8, queries.U8, *k, dist, 0)
-		}
+		write(prefix, "bvecs", base.U8, queries.U8, p.Metric, *k, !*noTruth)
 	case dataset.ElemUint32:
-		must(vecio.WriteIvecsFile(join("-base.ivecs"), base.U32))
-		must(vecio.WriteIvecsFile(join("-query.ivecs"), queries.U32))
-		if !*noTruth {
-			dist, err := metric.ForUint32(p.Metric)
-			if err != nil {
-				fatal(err)
-			}
-			truth = brute.QueryKNN(base.U32, queries.U32, *k, dist, 0)
-		}
-	}
-	if truth != nil {
-		ids := brute.TruthIDs(truth)
-		must(vecio.WriteIvecsFile(join("-truth.ivecs"), ids))
+		write(prefix, "ivecs", base.U32, queries.U32, p.Metric, *k, !*noTruth)
 	}
 	fmt.Printf("datagen: wrote %s (%d base, %d queries) to %s\n",
 		p.Name, base.Len(), queries.Len(), *outDir)
+}
+
+// write writes base and queries to prefix-base.ext and prefix-query.ext
+// and, with truth, the IDs of each query's k nearest base rows under
+// kind to prefix-truth.ivecs.
+func write[T wire.Scalar](prefix, ext string, base, queries [][]T, kind metric.Kind, k int, truth bool) {
+	must(vecio.WriteFile(prefix+"-base."+ext, base))
+	must(vecio.WriteFile(prefix+"-query."+ext, queries))
+	if !truth {
+		return
+	}
+	dist, err := metric.For[T](truthKind(kind))
+	if err != nil {
+		fatal(err)
+	}
+	must(vecio.WriteFile(prefix+"-truth.ivecs", brute.TruthIDs(brute.QueryKNN(base, queries, k, dist, 0))))
 }
 
 // truthKind maps L2 to squared L2 (same ordering, cheaper) for ground

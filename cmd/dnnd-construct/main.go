@@ -82,23 +82,11 @@ func main() {
 		opts.Metric = dnnd.MetricKind(*metricName)
 		switch {
 		case strings.HasSuffix(*base, ".fvecs"):
-			data, err := vecio.ReadFvecsFile(*base)
-			if err != nil {
-				fatal(err)
-			}
-			construct(data, opts, *storeDir)
+			constructFile[float32](*base, opts, *storeDir)
 		case strings.HasSuffix(*base, ".bvecs"):
-			data, err := vecio.ReadBvecsFile(*base)
-			if err != nil {
-				fatal(err)
-			}
-			construct(data, opts, *storeDir)
+			constructFile[uint8](*base, opts, *storeDir)
 		case strings.HasSuffix(*base, ".ivecs"):
-			data, err := vecio.ReadIvecsFile(*base)
-			if err != nil {
-				fatal(err)
-			}
-			construct(data, opts, *storeDir)
+			constructFile[uint32](*base, opts, *storeDir)
 		default:
 			fatal(fmt.Errorf("unrecognized vector file extension: %s", *base))
 		}
@@ -135,6 +123,15 @@ func setupObs() (tr *dnnd.Tracer, reg *dnnd.Registry, finish func()) {
 			dbg.Close()
 		}
 	}
+}
+
+// constructFile builds from a vector file of element type T.
+func constructFile[T dnnd.Scalar](path string, opts dnnd.BuildOptions, storeDir string) {
+	data, err := vecio.ReadFile[T](path)
+	if err != nil {
+		fatal(err)
+	}
+	construct(data, opts, storeDir)
 }
 
 func construct[T dnnd.Scalar](data [][]T, opts dnnd.BuildOptions, storeDir string) {

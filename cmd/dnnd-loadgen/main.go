@@ -17,6 +17,7 @@ import (
 
 	"dnnd/internal/serve"
 	"dnnd/internal/vecio"
+	"dnnd/internal/wire"
 )
 
 func main() {
@@ -74,35 +75,40 @@ func main() {
 		FlushEvery:     *flushEvery,
 	}
 	dim := int(hello.Dim)
+	rng := rand.New(rand.NewSource(*seed))
 	var rep *serve.Report
 	switch hello.Elem {
 	case "float32":
-		qs, err := queriesFloat32(*queryFile, *nq, dim, *seed)
-		if err != nil {
-			fatal(err)
-		}
-		rep, err = serve.RunLoad(cfg, qs)
-		if err != nil {
-			fatal(err)
-		}
+		rep = runLoad(cfg, *queryFile, *nq, func() []float32 {
+			v := make([]float32, dim)
+			for j := range v {
+				v[j] = rng.Float32()
+			}
+			return v
+		})
 	case "uint8":
-		qs, err := queriesUint8(*queryFile, *nq, dim, *seed)
-		if err != nil {
-			fatal(err)
-		}
-		rep, err = serve.RunLoad(cfg, qs)
-		if err != nil {
-			fatal(err)
-		}
+		rep = runLoad(cfg, *queryFile, *nq, func() []uint8 {
+			v := make([]uint8, dim)
+			for j := range v {
+				v[j] = uint8(rng.Intn(256))
+			}
+			return v
+		})
 	case "uint32":
-		qs, err := queriesUint32(*queryFile, *nq, dim, *seed)
-		if err != nil {
-			fatal(err)
-		}
-		rep, err = serve.RunLoad(cfg, qs)
-		if err != nil {
-			fatal(err)
-		}
+		// Sorted distinct sets: the uint32 element type backs Jaccard
+		// set data.
+		rep = runLoad(cfg, *queryFile, *nq, func() []uint32 {
+			seen := make(map[uint32]bool, dim)
+			for len(seen) < dim {
+				seen[uint32(rng.Intn(8*dim))] = true
+			}
+			v := make([]uint32, 0, dim)
+			for x := range seen {
+				v = append(v, x)
+			}
+			sort.Slice(v, func(a, b int) bool { return v[a] < v[b] })
+			return v
+		})
 	default:
 		fatal(fmt.Errorf("server reports unknown element type %q", hello.Elem))
 	}
@@ -119,59 +125,26 @@ func main() {
 	}
 }
 
-func queriesFloat32(file string, nq, dim int, seed int64) ([][]float32, error) {
+// runLoad drives the load with the queries of file, or with nq vectors
+// from synth when no file is named.
+func runLoad[T wire.Scalar](cfg serve.LoadConfig, file string, nq int, synth func() []T) *serve.Report {
+	var qs [][]T
 	if file != "" {
-		return vecio.ReadFvecsFile(file)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	qs := make([][]float32, nq)
-	for i := range qs {
-		v := make([]float32, dim)
-		for j := range v {
-			v[j] = rng.Float32()
+		var err error
+		if qs, err = vecio.ReadFile[T](file); err != nil {
+			fatal(err)
 		}
-		qs[i] = v
-	}
-	return qs, nil
-}
-
-func queriesUint8(file string, nq, dim int, seed int64) ([][]uint8, error) {
-	if file != "" {
-		return vecio.ReadBvecsFile(file)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	qs := make([][]uint8, nq)
-	for i := range qs {
-		v := make([]uint8, dim)
-		for j := range v {
-			v[j] = uint8(rng.Intn(256))
+	} else {
+		qs = make([][]T, nq)
+		for i := range qs {
+			qs[i] = synth()
 		}
-		qs[i] = v
 	}
-	return qs, nil
-}
-
-// queriesUint32 synthesizes sorted distinct sets (the uint32 element
-// type backs Jaccard set data).
-func queriesUint32(file string, nq, dim int, seed int64) ([][]uint32, error) {
-	if file != "" {
-		return vecio.ReadIvecsFile(file)
+	rep, err := serve.RunLoad(cfg, qs)
+	if err != nil {
+		fatal(err)
 	}
-	rng := rand.New(rand.NewSource(seed))
-	qs := make([][]uint32, nq)
-	for i := range qs {
-		seen := make(map[uint32]bool, dim)
-		for len(seen) < dim {
-			seen[uint32(rng.Intn(8*dim))] = true
-		}
-		v := make([]uint32, 0, dim)
-		for x := range seen {
-			v = append(v, x)
-		}
-		sort.Slice(v, func(a, b int) bool { return v[a] < v[b] })
-		qs[i] = v
-	}
-	return qs, nil
+	return rep
 }
 
 func fatal(err error) {

@@ -38,29 +38,21 @@ func main() {
 	}
 	switch elem {
 	case "float32":
-		queries, err := vecio.ReadFvecsFile(*queryFile)
-		if err != nil {
-			fatal(err)
-		}
-		run(*storeDir, queries, *truthFile, *l, *epsilon, *workers, *forest)
+		run[float32](*storeDir, *queryFile, *truthFile, *l, *epsilon, *workers, *forest)
 	case "uint8":
-		queries, err := vecio.ReadBvecsFile(*queryFile)
-		if err != nil {
-			fatal(err)
-		}
-		run(*storeDir, queries, *truthFile, *l, *epsilon, *workers, *forest)
+		run[uint8](*storeDir, *queryFile, *truthFile, *l, *epsilon, *workers, *forest)
 	case "uint32":
-		queries, err := vecio.ReadIvecsFile(*queryFile)
-		if err != nil {
-			fatal(err)
-		}
-		run(*storeDir, queries, *truthFile, *l, *epsilon, *workers, *forest)
+		run[uint32](*storeDir, *queryFile, *truthFile, *l, *epsilon, *workers, *forest)
 	default:
 		fatal(fmt.Errorf("unknown element type %q", elem))
 	}
 }
 
-func run[T dnnd.Scalar](storeDir string, queries [][]T, truthFile string, l int, epsilon float64, workers, forest int) {
+func run[T dnnd.Scalar](storeDir, queryFile, truthFile string, l int, epsilon float64, workers, forest int) {
+	queries, err := vecio.ReadFile[T](queryFile)
+	if err != nil {
+		fatal(err)
+	}
 	ix, refined, err := dnnd.LoadWithMeta[T](storeDir)
 	if err != nil {
 		fatal(err)
@@ -82,7 +74,7 @@ func run[T dnnd.Scalar](storeDir string, queries [][]T, truthFile string, l int,
 		len(queries), l, epsilon, refined, qps, float64(evals)/float64(len(queries)))
 
 	if truthFile != "" {
-		truth, err := vecio.ReadIvecsFile(truthFile)
+		truth, err := vecio.ReadFile[uint32](truthFile)
 		if err != nil {
 			fatal(err)
 		}

@@ -55,7 +55,7 @@ func floatStore(t *testing.T, n, dim int) string {
 func runQuery(t *testing.T, store string, queries [][]float32) (int, string, string) {
 	t.Helper()
 	qfile := filepath.Join(t.TempDir(), "q.fvecs")
-	if err := vecio.WriteFvecsFile(qfile, queries); err != nil {
+	if err := vecio.WriteFile(qfile, queries); err != nil {
 		t.Fatal(err)
 	}
 	cmd := exec.Command(os.Args[0], "-store", store, "-queries", qfile, "-l", "3")

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"dnnd/internal/brute"
+	"dnnd/internal/core"
 	"dnnd/internal/dataset"
 	"dnnd/internal/knng"
 	"dnnd/internal/metric"
@@ -548,12 +549,12 @@ func TestBuildOptionsOverrides(t *testing.T) {
 		cfg.BatchSize != 1024 || cfg.Optimize || cfg.PruneFactor != 2.0 || cfg.Seed != 42 {
 		t.Errorf("coreConfig = %+v", cfg)
 	}
-	if cfg.Protocol.OneSided {
+	if cfg.Protocol != core.TwoSided {
 		t.Error("Unoptimized did not select the two-sided protocol")
 	}
 	// Zero-valued options keep the paper defaults.
 	d := BuildOptions{K: 5, Metric: "l2"}.coreConfig()
-	if d.Rho != 0.8 || d.Delta != 0.001 || !d.Optimize || !d.Protocol.OneSided {
+	if d.Rho != 0.8 || d.Delta != 0.001 || !d.Optimize || d.Protocol != core.PruneDistant {
 		t.Errorf("defaults = %+v", d)
 	}
 }

@@ -175,10 +175,10 @@ func CommSavingAblation(opt Options) ([]CommAblRow, error) {
 		name  string
 		proto core.Protocol
 	}{
-		{"two-sided (Fig 1a)", core.Unoptimized()},
-		{"one-sided only", core.Protocol{OneSided: true}},
-		{"+ skip redundant", core.Protocol{OneSided: true, SkipRedundant: true}},
-		{"+ prune distant (full)", core.Optimized()},
+		{"two-sided (Fig 1a)", core.TwoSided},
+		{"one-sided only", core.OneSided},
+		{"+ skip redundant", core.SkipRedundant},
+		{"+ prune distant (full)", core.PruneDistant},
 	}
 	p, err := dataset.ByName("deep")
 	if err != nil {

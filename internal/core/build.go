@@ -250,11 +250,6 @@ func BuildIncrementalKernel[T wire.Scalar](c *ygm.Comm, shard *Shard[T], kern me
 		b.optimizeGraph()
 	}
 
-	res.Local = make(map[knng.ID][]knng.Neighbor, shard.Len())
-	for i, id := range shard.IDs {
-		res.Local[id] = b.finalList(i)
-	}
-
 	b.gather(res)
 	b.collectTotals(res)
 	// Final synchronization: after Build returns, no rank awaits any
@@ -320,15 +315,6 @@ func BuildLocal[T wire.Scalar](data [][]T, ranks int, kern metric.Kernel[T], cfg
 // the encoded vec would have occupied on the wire.
 func (b *builder[T]) asyncByRef(dest int, h ygm.HandlerID, head *wire.Writer, vec []T) {
 	b.c.AsyncCharged(dest, h, head.Bytes(), head.Len()+wire.VectorBytes[T](len(vec)))
-}
-
-// finalList returns vertex i's final neighbors sorted by distance,
-// using the optimized list when Section 4.5 ran.
-func (b *builder[T]) finalList(i int) []knng.Neighbor {
-	if b.final != nil {
-		return b.final[i]
-	}
-	return b.lists[i].Sorted()
 }
 
 // register declares the phases and installs every handler under its

@@ -179,3 +179,83 @@ func TestCrossRankRedundantReturnSendsNoType3(t *testing.T) {
 		t.Errorf("%d Type 3 returned for one new cross-rank pair, want 1", type3)
 	}
 }
+
+// Each Protocol level adds one Section 4.3 saving to the level below it.
+// On rank 0 of a 2-rank world, for every level, this pins whether
+// owner(u1) forwards a redundant Type 1, whether its Type 2 carries u1's
+// bound (Type 2+), and which Type 2 applies at owner(u2) return a
+// Type 3: a new u1, a u1 already in u2's list, and a distance equal to
+// the bound that u2's list would still accept, which 4.3.3 prunes.
+func TestProtocolLevels(t *testing.T) {
+	data := clusteredData(rand.New(rand.NewSource(77)), 40, 4, 2)
+	type outcome struct {
+		forwardRedundant, bound, returnNew, returnRedundant, returnAtBound bool
+	}
+	want := map[Protocol]outcome{
+		TwoSided:      {forwardRedundant: true},
+		OneSided:      {forwardRedundant: true, returnNew: true, returnRedundant: true, returnAtBound: true},
+		SkipRedundant: {returnNew: true, returnAtBound: true},
+		PruneDistant:  {bound: true, returnNew: true},
+	}
+	type2Bytes := map[Protocol]int64{}
+	for p := TwoSided; p <= PruneDistant; p++ {
+		var got outcome
+		onRankZero(t, data, func(b *builder[float32]) {
+			b.cfg.Protocol = p
+			remote := remoteIDs(b, 3)
+			sends := func(fn func()) bool {
+				before := b.c.Stats().RemoteSentMsgs
+				fn()
+				return b.c.Stats().RemoteSentMsgs > before
+			}
+
+			// Type 1 decisions at owner(u1), u1 at shard index 0.
+			u1 := b.shard.IDs[0]
+			b.lists[0].Update(remote[0], 1, true)
+			got.forwardRedundant = sends(func() { b.decideType1(0, u1, remote[0]) })
+			before := handlerStats(t, b.c.Stats(), checkHandlers[1]).SentBytes
+			b.decideType1(0, u1, remote[1])
+			type2Bytes[p] = handlerStats(t, b.c.Stats(), checkHandlers[1]).SentBytes - before
+
+			// Type 2 applies at owner(u2), u2 at shard index 1.
+			u2 := b.shard.IDs[1]
+			got.returnNew = sends(func() { b.applyType2(&cand{A: remote[0], B: u2, Local: 1, D: math.MaxFloat32}, 0.5) })
+			b.lists[1].Update(remote[1], 1, true)
+			got.returnRedundant = sends(func() { b.applyType2(&cand{A: remote[1], B: u2, Local: 1, D: math.MaxFloat32}, 0.5) })
+			if !b.lists[1].Accepts(0.5) {
+				t.Errorf("level %d: u2's list no longer accepts the bound", p)
+				return
+			}
+			got.returnAtBound = sends(func() { b.applyType2(&cand{A: remote[2], B: u2, Local: 1, D: 0.5}, 0.5) })
+		})
+		// Type 2+ is Type 2 and the 4-byte bound.
+		got.bound = type2Bytes[p]-type2Bytes[TwoSided] == 4
+		if got != want[p] {
+			t.Errorf("level %d: got %+v, want %+v", p, got, want[p])
+		}
+	}
+}
+
+// At one rank every pair is co-owned and checked in place, where the
+// one-sided flow (4.3.1) and the prune (4.3.3) change nothing: the
+// levels build in pairs, TwoSided as OneSided and SkipRedundant as
+// PruneDistant, and the redundant-check skip (4.3.2) sets the pairs
+// apart.
+func TestProtocolLevelsInPlace(t *testing.T) {
+	data := clusteredData(rand.New(rand.NewSource(78)), 400, 8, 4)
+	res := map[Protocol]*Result{}
+	for p := TwoSided; p <= PruneDistant; p++ {
+		cfg := DefaultConfig(8)
+		cfg.Seed = 5
+		cfg.Protocol = p
+		cfg.Optimize = false
+		res[p] = buildKernelOnWorld(t, 1, data, metric.SquaredL2, cfg)
+	}
+	same := func(a, b Protocol) bool {
+		return res[a].DistEvals == res[b].DistEvals && res[a].Graph.Equal(res[b].Graph)
+	}
+	if !same(TwoSided, OneSided) || !same(SkipRedundant, PruneDistant) || same(OneSided, SkipRedundant) {
+		t.Errorf("distance evaluations by level %d / %d / %d / %d; want the first two and the last two equal, the pairs apart",
+			res[TwoSided].DistEvals, res[OneSided].DistEvals, res[SkipRedundant].DistEvals, res[PruneDistant].DistEvals)
+	}
+}

@@ -12,36 +12,39 @@ import (
 )
 
 // Protocol selects the neighbor-check communication pattern of
-// Section 4.3. The zero value is the unoptimized two-sided pattern of
-// Figure 1a; Optimized() enables all three saving techniques
-// (Figure 1b). The individual flags exist for the ablation experiment;
-// SkipRedundant and PruneDistant only take effect when OneSided is set,
-// since Type 2+/Type 3 messages exist only in the one-sided flow. A
-// pair whose endpoints share an owner takes no Type 2 or Type 3 under
-// any setting: that rank checks it in place, deciding as the flow
-// would, so the messages are all between distinct ranks.
-type Protocol struct {
+// Section 4.3 as one ordered level: each level adds one saving to the
+// one below it, in the order the paper stacks them (Figure 1a to
+// Figure 1b, and Figure 4's with/without comparison). The zero value is
+// the unoptimized two-sided pattern. A pair whose endpoints share an
+// owner takes no Type 2 or Type 3 at any level: that rank checks it in
+// place, deciding as the flow would, so the messages are all between
+// distinct ranks.
+type Protocol uint8
+
+const (
+	// TwoSided (Figure 1a): both endpoints' owners send a Type 1, each
+	// forwards its vector, and each side updates only its own list.
+	TwoSided Protocol = iota
 	// OneSided (4.3.1): the center vertex sends one Type 1 message to
-	// u1 only; u1 forwards its feature vector to u2 (Type 2/2+), and u2
+	// u1 only; u1 forwards its feature vector to u2 (Type 2), and u2
 	// returns the distance (Type 3).
-	OneSided bool
+	OneSided
 	// SkipRedundant (4.3.2): drop Type 2 messages when u2 is already a
 	// neighbor of u1, and Type 3 messages when u1 was already a
 	// neighbor of u2.
-	SkipRedundant bool
+	SkipRedundant
 	// PruneDistant (4.3.3): attach u1's farthest-neighbor distance to
 	// Type 2+ messages and suppress the Type 3 reply when the computed
-	// distance cannot improve u1's list.
-	PruneDistant bool
-}
+	// distance cannot improve u1's list. This is the full Figure 1b
+	// protocol.
+	PruneDistant
+)
 
 // Optimized returns the full Figure 1b protocol.
-func Optimized() Protocol {
-	return Protocol{OneSided: true, SkipRedundant: true, PruneDistant: true}
-}
+func Optimized() Protocol { return PruneDistant }
 
 // Unoptimized returns the Figure 1a baseline protocol.
-func Unoptimized() Protocol { return Protocol{} }
+func Unoptimized() Protocol { return TwoSided }
 
 // Config holds the DNND construction parameters. Defaults follow
 // Section 5.1.3 of the paper where applicable.
@@ -128,6 +131,9 @@ func (cfg *Config) Validate(n int) error {
 	}
 	if cfg.Workers < 0 {
 		return fmt.Errorf("core: Workers=%d must be >= 0", cfg.Workers)
+	}
+	if cfg.Protocol > PruneDistant {
+		return fmt.Errorf("core: Protocol=%d out of range [TwoSided, PruneDistant]", cfg.Protocol)
 	}
 	if cfg.PruneFactor == 0 {
 		cfg.PruneFactor = defaultPruneFactor

@@ -307,6 +307,7 @@ func TestConfigValidation(t *testing.T) {
 		{func(c *Config) { c.Delta = -1 }, 100},
 		{func(c *Config) { c.PruneFactor = 0.5 }, 100},
 		{func(c *Config) { c.PruneFactor = -1 }, 100},
+		{func(c *Config) { c.Protocol = PruneDistant + 1 }, 100},
 		{func(c *Config) {}, 1},
 	}
 	for i, tc := range cases {

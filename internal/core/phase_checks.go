@@ -92,7 +92,7 @@ func (b *builder[T]) neighborChecks() int64 {
 		// owner: a co-owned pair is checked once, in both flows.
 		o1, o2 := b.owner(u1), b.owner(u2)
 		b.sendType1(o1, u1, u2)
-		if o1 != o2 && !b.cfg.Protocol.OneSided {
+		if o1 != o2 && b.cfg.Protocol == TwoSided {
 			b.sendType1(o2, u2, u1)
 		}
 	})
@@ -118,7 +118,7 @@ func (b *builder[T]) sendType1(dest int, u1, u2 knng.ID) {
 // pair costs no evaluation. The task is keyed by u1, so u1's
 // consecutive partners coalesce into one EvalMany block.
 func (b *builder[T]) checkLocal(i int, u1, u2 knng.ID) {
-	if b.cfg.Protocol.OneSided && b.cfg.Protocol.SkipRedundant && b.lists[i].Contains(u2) {
+	if b.cfg.Protocol >= SkipRedundant && b.lists[i].Contains(u2) {
 		return
 	}
 	j := b.localIndex(u2)
@@ -133,7 +133,7 @@ func (b *builder[T]) checkLocal(i int, u1, u2 knng.ID) {
 func (b *builder[T]) applyLocal(i int, c *cand, d float32) {
 	l1, l2 := &b.lists[i], &b.lists[c.Local]
 	// Membership matters only when d could still enter u1's list.
-	if b.cfg.Protocol.OneSided && b.cfg.Protocol.SkipRedundant && l1.Accepts(d) {
+	if b.cfg.Protocol >= SkipRedundant && l1.Accepts(d) {
 		changed, alreadyNeighbor := l2.UpdateCheck(c.A, d, true)
 		b.updates += int64(changed)
 		if !alreadyNeighbor {
@@ -168,12 +168,12 @@ func (b *builder[T]) decideType1(i int, u1, u2 knng.ID) {
 		b.checkLocal(i, u1, u2)
 		return
 	}
-	if b.cfg.Protocol.OneSided && b.cfg.Protocol.SkipRedundant && b.lists[i].Contains(u2) {
+	if b.cfg.Protocol >= SkipRedundant && b.lists[i].Contains(u2) {
 		return
 	}
 	vec := b.shard.Vecs[i]
 	m := msg.Type2[T]{U1: u1, U2: u2, Vec: vec}
-	if b.cfg.Protocol.OneSided && b.cfg.Protocol.PruneDistant {
+	if b.cfg.Protocol >= PruneDistant {
 		m.HasBound = true
 		m.Bound = b.lists[i].FarthestDist()
 	}
@@ -209,7 +209,7 @@ func (b *builder[T]) onType2(p []byte) {
 
 func (b *builder[T]) applyType2(c *cand, d float32) {
 	j := int(c.Local)
-	if !b.cfg.Protocol.OneSided {
+	if b.cfg.Protocol == TwoSided {
 		// Two-sided flow: each endpoint updates only its own list.
 		b.updates += int64(b.lists[j].Update(c.A, d, true))
 		return
@@ -218,15 +218,15 @@ func (b *builder[T]) applyType2(c *cand, d float32) {
 	// 4.3.3 prune, membership is irrelevant — Update would return 0
 	// and no Type 3 would be sent — so skip the scan entirely. This is
 	// the steady-state majority case of a converged descent.
-	if b.cfg.Protocol.PruneDistant && d >= c.D && !b.lists[j].Accepts(d) {
+	if b.cfg.Protocol >= PruneDistant && d >= c.D && !b.lists[j].Accepts(d) {
 		return
 	}
 	changed, alreadyNeighbor := b.lists[j].UpdateCheck(c.A, d, true)
 	b.updates += int64(changed)
-	if b.cfg.Protocol.SkipRedundant && alreadyNeighbor {
+	if b.cfg.Protocol >= SkipRedundant && alreadyNeighbor {
 		return
 	}
-	if b.cfg.Protocol.PruneDistant && d >= c.D {
+	if b.cfg.Protocol >= PruneDistant && d >= c.D {
 		return
 	}
 	w := b.replyWriter()

@@ -5,8 +5,9 @@ import (
 	"dnnd/internal/msg"
 )
 
-// Phase 5: final gather. Every rank ships its final lists to rank 0 as
-// msg.GatherRow records; rank 0 assembles the global knng.Graph.
+// Phase 5: final gather. Every rank ships its final lists, sorted by
+// distance, to rank 0 as msg.GatherRow records; rank 0 assembles the
+// global knng.Graph.
 
 func (b *builder[T]) gather(res *Result) {
 	const root = 0
@@ -16,10 +17,16 @@ func (b *builder[T]) gather(res *Result) {
 		}
 	})
 	w := b.phaseWriter()
+	var sorted []knng.Neighbor // encoded before the next row reuses it
 	b.phGather.run(b.shard.Len(), b.cfg.K, func(i int) {
-		v := b.shard.IDs[i]
+		m := msg.GatherRow{V: b.shard.IDs[i]}
+		if b.final != nil { // Section 4.5 ran
+			m.Neighbors = b.final[i]
+		} else {
+			sorted = b.lists[i].SortedInto(sorted)
+			m.Neighbors = sorted
+		}
 		w.Reset()
-		m := msg.GatherRow{V: v, Neighbors: res.Local[v]}
 		m.Encode(w)
 		b.c.Async(root, b.hGather, w.Bytes())
 	})

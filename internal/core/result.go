@@ -56,11 +56,9 @@ type Result struct {
 	Iters int
 	// Rounds holds per-round convergence data (identical on all ranks).
 	Rounds []RoundInfo
-	// Local maps each owned vertex to its final neighbor list, sorted
-	// by distance. After cfg.Optimize the lists may exceed K (up to
-	// K*PruneFactor).
-	Local map[knng.ID][]knng.Neighbor
-	// Graph is the gathered global graph; non-nil on rank 0 only.
+	// Graph is the gathered global graph, each list sorted by distance
+	// (up to K*PruneFactor long after cfg.Optimize); non-nil on rank 0
+	// only.
 	Graph *knng.Graph
 	// Comm aggregates message counters over all ranks (identical on
 	// all ranks).

@@ -260,65 +260,6 @@ func QuantizedLowRankMixture(rng *rand.Rand, n, dim, latentDim, clusters int, se
 	return out
 }
 
-// GaussianMixture draws n points from `clusters` isotropic Gaussians
-// whose centers are uniform in [0, sep*10)^dim with per-axis standard
-// deviation spread.
-func GaussianMixture(rng *rand.Rand, n, dim, clusters int, scale, spread float32) [][]float32 {
-	if clusters < 1 {
-		clusters = 1
-	}
-	centers := make([][]float32, clusters)
-	for c := range centers {
-		v := make([]float32, dim)
-		for j := range v {
-			v[j] = rng.Float32() * scale
-		}
-		centers[c] = v
-	}
-	data := make([][]float32, n)
-	for i := range data {
-		c := centers[rng.Intn(clusters)]
-		v := make([]float32, dim)
-		for j := range v {
-			v[j] = c[j] + float32(rng.NormFloat64())*spread
-		}
-		data[i] = v
-	}
-	return data
-}
-
-// SphereMixture draws clustered unit-norm vectors (cosine-metric
-// datasets such as GloVe embeddings).
-func SphereMixture(rng *rand.Rand, n, dim, clusters int) [][]float32 {
-	if clusters < 1 {
-		clusters = 1
-	}
-	centers := make([][]float32, clusters)
-	for c := range centers {
-		centers[c] = randomUnit(rng, dim)
-	}
-	data := make([][]float32, n)
-	for i := range data {
-		c := centers[rng.Intn(clusters)]
-		v := make([]float32, dim)
-		for j := range v {
-			v[j] = c[j] + float32(rng.NormFloat64())*0.15
-		}
-		normalize(v)
-		data[i] = v
-	}
-	return data
-}
-
-func randomUnit(rng *rand.Rand, dim int) []float32 {
-	v := make([]float32, dim)
-	for j := range v {
-		v[j] = float32(rng.NormFloat64())
-	}
-	normalize(v)
-	return v
-}
-
 func normalize(v []float32) {
 	var s float64
 	for _, x := range v {
@@ -332,40 +273,6 @@ func normalize(v []float32) {
 	for j := range v {
 		v[j] *= inv
 	}
-}
-
-// QuantizedMixture draws clustered uint8 vectors (the BigANN element
-// type): cluster centers in byte space with small jitter, saturating at
-// the byte range.
-func QuantizedMixture(rng *rand.Rand, n, dim, clusters int) [][]uint8 {
-	if clusters < 1 {
-		clusters = 1
-	}
-	centers := make([][]int, clusters)
-	for c := range centers {
-		v := make([]int, dim)
-		for j := range v {
-			v[j] = rng.Intn(256)
-		}
-		centers[c] = v
-	}
-	data := make([][]uint8, n)
-	for i := range data {
-		c := centers[rng.Intn(clusters)]
-		v := make([]uint8, dim)
-		for j := range v {
-			x := c[j] + int(rng.NormFloat64()*12)
-			if x < 0 {
-				x = 0
-			}
-			if x > 255 {
-				x = 255
-			}
-			v[j] = uint8(x)
-		}
-		data[i] = v
-	}
-	return data
 }
 
 // PowerLawItemsets draws sparse sorted uint32 sets (the Kosarak

@@ -215,49 +215,6 @@ func TestGeneratorsAreClustered(t *testing.T) {
 	}
 }
 
-func TestGaussianMixtureDirect(t *testing.T) {
-	rng := rand.New(rand.NewSource(30))
-	data := GaussianMixture(rng, 200, 5, 4, 10, 0.5)
-	if len(data) != 200 || len(data[0]) != 5 {
-		t.Fatalf("shape %dx%d", len(data), len(data[0]))
-	}
-	// Degenerate cluster count is clamped.
-	data = GaussianMixture(rng, 10, 3, 0, 1, 0.1)
-	if len(data) != 10 {
-		t.Fatal("clusters=0 not clamped")
-	}
-}
-
-func TestSphereMixtureUnitNorm(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	data := SphereMixture(rng, 100, 8, 5)
-	for i, v := range data {
-		var s float64
-		for _, x := range v {
-			s += float64(x) * float64(x)
-		}
-		if math.Abs(math.Sqrt(s)-1) > 1e-3 {
-			t.Fatalf("vector %d norm %v", i, math.Sqrt(s))
-		}
-	}
-	if len(SphereMixture(rng, 5, 4, 0)) != 5 {
-		t.Fatal("clusters=0 not clamped")
-	}
-}
-
-func TestQuantizedMixtureRange(t *testing.T) {
-	rng := rand.New(rand.NewSource(32))
-	data := QuantizedMixture(rng, 150, 6, 3)
-	if len(data) != 150 {
-		t.Fatal("wrong size")
-	}
-	for _, v := range data {
-		if len(v) != 6 {
-			t.Fatal("wrong dim")
-		}
-	}
-}
-
 func TestLowRankMixtureIntrinsicDim(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	// latentDim > dim is clamped; latentDim < 1 is clamped.

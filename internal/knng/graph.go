@@ -119,7 +119,7 @@ func (g *Graph) Marshal() []byte {
 	w.Uint32(graphVersion)
 	w.Uint32(uint32(len(g.Neighbors)))
 	for _, ns := range g.Neighbors {
-		encodeNeighbors(w, ns)
+		PutNeighbors(w, ns)
 	}
 	return w.Bytes()
 }
@@ -139,7 +139,7 @@ func Unmarshal(p []byte) (*Graph, error) {
 	}
 	g := NewGraph(n)
 	for v := 0; v < n; v++ {
-		ns := decodeNeighbors(r)
+		ns := GetNeighbors(r)
 		if r.Err() != nil {
 			return nil, fmt.Errorf("%w: truncated at vertex %d", ErrBadGraphData, v)
 		}

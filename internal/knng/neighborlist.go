@@ -271,8 +271,10 @@ func sortNeighbors(ns []Neighbor) {
 	}
 }
 
-// encodeList appends the list's sorted neighbors to w.
-func encodeNeighbors(w *wire.Writer, ns []Neighbor) {
+// PutNeighbors appends a neighbor list as a uint32 count followed by
+// (ID uint32, Dist float32) pairs: the layout of every list in a graph
+// blob, a gathered row and a query reply. New/old flags are not encoded.
+func PutNeighbors(w *wire.Writer, ns []Neighbor) {
 	w.Uint32(uint32(len(ns)))
 	for _, n := range ns {
 		w.Uint32(n.ID)
@@ -280,7 +282,11 @@ func encodeNeighbors(w *wire.Writer, ns []Neighbor) {
 	}
 }
 
-func decodeNeighbors(r *wire.Reader) []Neighbor {
+// GetNeighbors decodes a list written by PutNeighbors; decoded entries
+// have New == false. The count is validated against the bytes remaining
+// before the slice is sized, so a corrupt frame fails the Reader (and
+// returns nil) instead of forcing a huge allocation.
+func GetNeighbors(r *wire.Reader) []Neighbor {
 	n := r.Count(8) // 8 encoded bytes per neighbor (ID + Dist)
 	if r.Err() != nil {
 		return nil

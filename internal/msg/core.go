@@ -197,10 +197,10 @@ type GatherRow struct {
 
 func (m *GatherRow) Encode(w *wire.Writer) {
 	w.Uint32(m.V)
-	putNeighbors(w, m.Neighbors)
+	knng.PutNeighbors(w, m.Neighbors)
 }
 
 func (m *GatherRow) Decode(r *wire.Reader) {
 	m.V = r.Uint32()
-	m.Neighbors = getNeighbors(r)
+	m.Neighbors = knng.GetNeighbors(r)
 }

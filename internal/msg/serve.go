@@ -296,7 +296,7 @@ func (m *SResult) Encode(w *wire.Writer) {
 	w.Int64(m.DistEvals)
 	w.Uint32(m.QueueMicros)
 	w.Uint32(m.ExecMicros)
-	putNeighbors(w, m.Neighbors)
+	knng.PutNeighbors(w, m.Neighbors)
 	if m.Trace.TraceID != 0 {
 		m.Trace.encode(w)
 	}
@@ -308,7 +308,7 @@ func (m *SResult) Decode(r *wire.Reader) {
 	m.DistEvals = r.Int64()
 	m.QueueMicros = r.Uint32()
 	m.ExecMicros = r.Uint32()
-	m.Neighbors = getNeighbors(r)
+	m.Neighbors = knng.GetNeighbors(r)
 	m.Trace = STrace{}
 	if r.Err() == nil && r.Remaining() >= STraceBytes {
 		m.Trace.decode(r)

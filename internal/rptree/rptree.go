@@ -192,22 +192,30 @@ func selectNth(seg []knng.ID, k int, keys []float64) {
 	}
 }
 
-// Leaf returns the rows of the leaf q descends to: at each split node
-// it goes left when q's key is below the median row's, right otherwise.
+// Leaves calls visit with the rows of each leaf q descends to, left to
+// right, until visit returns false. At each split node q goes left when
+// its key is below the median row's and right when above it; on a tie it
+// goes both ways, since rows that tie the median sit on both sides of
+// the cut (ordered by ID). A row therefore always reaches its own leaf.
 // A tree over no rows has no leaf.
-func (t *Tree[T]) Leaf(q []T) []knng.ID {
-	if len(t.nodes) == 0 {
-		return nil
+func (t *Tree[T]) Leaves(q []T, visit func(leaf []knng.ID) bool) {
+	if len(t.nodes) > 0 {
+		t.descend(0, q, visit)
 	}
-	nd := &t.nodes[0]
-	for nd.left != 0 {
-		if nd.key(q) < nd.median {
-			nd = &t.nodes[nd.left]
-		} else {
-			nd = &t.nodes[nd.right]
-		}
+}
+
+// descend visits the leaves below node at that q reaches, and reports
+// whether visit asked to go on.
+func (t *Tree[T]) descend(at int32, q []T, visit func([]knng.ID) bool) bool {
+	nd := &t.nodes[at]
+	if nd.left == 0 {
+		return visit(t.Order[nd.lo:nd.hi])
 	}
-	return t.Order[nd.lo:nd.hi]
+	k := nd.key(q)
+	if k <= nd.median && !t.descend(nd.left, q, visit) {
+		return false
+	}
+	return k < nd.median || t.descend(nd.right, q, visit)
 }
 
 // Forest is a set of trees over one dataset, each split down to leaves
@@ -225,19 +233,26 @@ func NewForest[T wire.Scalar](data [][]T, trees int, seed int64) Forest[T] {
 }
 
 // Candidates returns up to max entry-point candidates for q (all of
-// them when max <= 0): the rows of q's leaf in each tree, without
+// them when max <= 0): the rows of q's leaves in each tree, without
 // repeats, in tree order.
 func (f Forest[T]) Candidates(q []T, max int) []knng.ID {
 	var out []knng.ID
-	for _, t := range f {
-		for _, id := range t.Leaf(q) {
+	collect := func(leaf []knng.ID) bool {
+		for _, id := range leaf {
 			if slices.Contains(out, id) {
 				continue
 			}
 			out = append(out, id)
 			if len(out) == max {
-				return out
+				return false
 			}
+		}
+		return true
+	}
+	for _, t := range f {
+		t.Leaves(q, collect)
+		if len(out) == max {
+			break
 		}
 	}
 	return out

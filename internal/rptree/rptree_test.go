@@ -34,6 +34,16 @@ func leaves[T float32 | uint8 | uint32](t *Tree[T]) [][]knng.ID {
 	return out
 }
 
+// reaches reports whether q's descent of t reaches the leaf holding id.
+func reaches[T float32 | uint8 | uint32](t *Tree[T], q []T, id int) bool {
+	found := false
+	t.Leaves(q, func(leaf []knng.ID) bool {
+		found = slices.Contains(leaf, knng.ID(id))
+		return !found
+	})
+	return found
+}
+
 // checkLeaves reports whether the leaves of every tree of f partition
 // [0, n), each holding leafSize/2 to leafSize rows when n > leafSize.
 func checkLeaves[T float32 | uint8 | uint32](t *testing.T, f Forest[T], n int) {
@@ -58,16 +68,24 @@ func checkLeaves[T float32 | uint8 | uint32](t *testing.T, f Forest[T], n int) {
 
 func TestLeavesPartitionDataset(t *testing.T) {
 	data := clustered(rand.New(rand.NewSource(1)), 500, 8)
-	f := NewForest(data, 3, 2)
-	if len(f) != 3 {
-		t.Fatalf("trees = %d", len(f))
+	// Duplicated rows tie their node's median whenever a copy is the
+	// median row.
+	dups := make([][]float32, 300)
+	for i := range dups {
+		dups[i] = data[i%20]
 	}
-	checkLeaves(t, f, len(data))
-	// Every row descends to the leaf that holds it.
-	for _, tree := range f {
-		for id, v := range data {
-			if !slices.Contains(tree.Leaf(v), knng.ID(id)) {
-				t.Fatalf("row %d is not in the leaf it descends to", id)
+	for _, data := range [][][]float32{data, dups} {
+		f := NewForest(data, 3, 2)
+		if len(f) != 3 {
+			t.Fatalf("trees = %d", len(f))
+		}
+		checkLeaves(t, f, len(data))
+		// Every row descends to the leaf that holds it.
+		for _, tree := range f {
+			for id, v := range data {
+				if !reaches(tree, v, id) {
+					t.Fatalf("%d rows: row %d is not in a leaf it descends to", len(data), id)
+				}
 			}
 		}
 	}
@@ -143,6 +161,11 @@ func TestDegenerateIdenticalPoints(t *testing.T) {
 	if cands := f.Candidates([]float32{1, 2, 3}, 0); len(cands) == 0 {
 		t.Fatal("no candidates on degenerate data")
 	}
+	// Every key ties, so the descent reaches every leaf; max still
+	// bounds the candidates.
+	if cands := f.Candidates([]float32{1, 2, 3}, 7); len(cands) != 7 {
+		t.Errorf("got %d candidates, want 7", len(cands))
+	}
 }
 
 func TestUint8Forest(t *testing.T) {
@@ -164,9 +187,9 @@ func TestUint8Forest(t *testing.T) {
 	}
 }
 
-// Sets split by MinHash keys. The leaves partition the rows, the empty
-// set included. A set whose key ties its node's median but sorts left
-// of it by ID descends right, so only most sets find their own leaf.
+// Sets split by MinHash keys, which tie often. The leaves partition the
+// rows, the empty set included, and every set finds its own leaf: a set
+// whose key ties its node's median descends both ways.
 func TestSetForest(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	sets := make([][]uint32, 300)
@@ -184,14 +207,13 @@ func TestSetForest(t *testing.T) {
 	found := 0
 	for id, s := range sets {
 		for _, tree := range f {
-			if slices.Contains(tree.Leaf(s), knng.ID(id)) {
+			if reaches(tree, s, id) {
 				found++
 			}
 		}
 	}
-	t.Logf("%d of %d descents reach the set's own leaf", found, 2*len(sets))
-	if found < 2*len(sets)*8/10 {
-		t.Errorf("only %d of %d descents reach the set's own leaf", found, 2*len(sets))
+	if found != 2*len(sets) {
+		t.Errorf("%d of %d descents reach the set's own leaf", found, 2*len(sets))
 	}
 }
 

@@ -2,7 +2,9 @@
 // benchmark ecosystem (TEXMEX / Big ANN Benchmarks): fvecs (float32),
 // bvecs (uint8), and ivecs (int32, also used for uint32 ground-truth
 // IDs and sparse sets). Each record is a little-endian int32 dimension
-// followed by that many elements; dimensions may vary per record.
+// followed by that many elements; dimensions may vary per record. The
+// three formats differ only in element type, so one generic codec,
+// instantiated at float32, uint8 or uint32, reads and writes all three.
 package vecio
 
 import (
@@ -12,6 +14,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+
+	"dnnd/internal/wire"
 )
 
 // ErrBadFormat reports a malformed vector file.
@@ -20,10 +24,12 @@ var ErrBadFormat = errors.New("vecio: bad format")
 // maxDim bounds record dimensions to catch corrupt headers.
 const maxDim = 1 << 24
 
-// ReadFvecs decodes all float32 records from r.
-func ReadFvecs(r io.Reader) ([][]float32, error) {
+// Read decodes all records of element type T from r (float32 for
+// fvecs, uint8 for bvecs, uint32 for ivecs: ivecs files store int32,
+// and ground-truth IDs and set items are non-negative).
+func Read[T wire.Scalar](r io.Reader) ([][]T, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
-	var out [][]float32
+	var out [][]T
 	for {
 		dim, err := readDim(br)
 		if err == io.EOF {
@@ -32,19 +38,21 @@ func ReadFvecs(r io.Reader) ([][]float32, error) {
 		if err != nil {
 			return nil, err
 		}
-		vec := make([]float32, dim)
+		vec := make([]T, dim)
 		if err := binary.Read(br, binary.LittleEndian, vec); err != nil {
-			return nil, fmt.Errorf("%w: truncated fvecs record %d: %v", ErrBadFormat, len(out), err)
+			return nil, fmt.Errorf("%w: truncated %s record %d: %v", ErrBadFormat, wire.ElemName[T](), len(out), err)
 		}
 		out = append(out, vec)
 	}
 }
 
-// WriteFvecs encodes float32 records to w.
-func WriteFvecs(w io.Writer, data [][]float32) error {
+// Write encodes records of element type T to w.
+func Write[T wire.Scalar](w io.Writer, data [][]T) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
+	var hdr [4]byte
 	for _, vec := range data {
-		if err := writeDim(bw, len(vec)); err != nil {
+		binary.LittleEndian.PutUint32(hdr[:], uint32(int32(len(vec))))
+		if _, err := bw.Write(hdr[:]); err != nil {
 			return err
 		}
 		if err := binary.Write(bw, binary.LittleEndian, vec); err != nil {
@@ -54,74 +62,27 @@ func WriteFvecs(w io.Writer, data [][]float32) error {
 	return bw.Flush()
 }
 
-// ReadBvecs decodes all uint8 records from r.
-func ReadBvecs(r io.Reader) ([][]uint8, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	var out [][]uint8
-	for {
-		dim, err := readDim(br)
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		vec := make([]uint8, dim)
-		if _, err := io.ReadFull(br, vec); err != nil {
-			return nil, fmt.Errorf("%w: truncated bvecs record %d: %v", ErrBadFormat, len(out), err)
-		}
-		out = append(out, vec)
+// ReadFile reads an entire vector file of element type T.
+func ReadFile[T wire.Scalar](path string) ([][]T, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
 	}
+	defer f.Close()
+	return Read[T](f)
 }
 
-// WriteBvecs encodes uint8 records to w.
-func WriteBvecs(w io.Writer, data [][]uint8) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	for _, vec := range data {
-		if err := writeDim(bw, len(vec)); err != nil {
-			return err
-		}
-		if _, err := bw.Write(vec); err != nil {
-			return err
-		}
+// WriteFile writes an entire vector file of element type T.
+func WriteFile[T wire.Scalar](path string, data [][]T) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
-	return bw.Flush()
-}
-
-// ReadIvecs decodes all uint32 records from r (ivecs files store
-// int32; ground-truth IDs and set items are non-negative, so uint32 is
-// the natural Go representation here).
-func ReadIvecs(r io.Reader) ([][]uint32, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	var out [][]uint32
-	for {
-		dim, err := readDim(br)
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		vec := make([]uint32, dim)
-		if err := binary.Read(br, binary.LittleEndian, vec); err != nil {
-			return nil, fmt.Errorf("%w: truncated ivecs record %d: %v", ErrBadFormat, len(out), err)
-		}
-		out = append(out, vec)
+	if err := Write(f, data); err != nil {
+		f.Close()
+		return err
 	}
-}
-
-// WriteIvecs encodes uint32 records to w.
-func WriteIvecs(w io.Writer, data [][]uint32) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	for _, vec := range data {
-		if err := writeDim(bw, len(vec)); err != nil {
-			return err
-		}
-		if err := binary.Write(bw, binary.LittleEndian, vec); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	return f.Close()
 }
 
 func readDim(br *bufio.Reader) (int, error) {
@@ -137,70 +98,4 @@ func readDim(br *bufio.Reader) (int, error) {
 		return 0, fmt.Errorf("%w: dimension %d out of range", ErrBadFormat, dim)
 	}
 	return dim, nil
-}
-
-func writeDim(bw *bufio.Writer, dim int) error {
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(int32(dim)))
-	_, err := bw.Write(hdr[:])
-	return err
-}
-
-// File helpers ---------------------------------------------------------
-
-// ReadFvecsFile reads an entire .fvecs file.
-func ReadFvecsFile(path string) ([][]float32, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadFvecs(f)
-}
-
-// WriteFvecsFile writes an entire .fvecs file.
-func WriteFvecsFile(path string, data [][]float32) error {
-	return writeFile(path, func(f *os.File) error { return WriteFvecs(f, data) })
-}
-
-// ReadBvecsFile reads an entire .bvecs file.
-func ReadBvecsFile(path string) ([][]uint8, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadBvecs(f)
-}
-
-// WriteBvecsFile writes an entire .bvecs file.
-func WriteBvecsFile(path string, data [][]uint8) error {
-	return writeFile(path, func(f *os.File) error { return WriteBvecs(f, data) })
-}
-
-// ReadIvecsFile reads an entire .ivecs file.
-func ReadIvecsFile(path string) ([][]uint32, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadIvecs(f)
-}
-
-// WriteIvecsFile writes an entire .ivecs file.
-func WriteIvecsFile(path string, data [][]uint32) error {
-	return writeFile(path, func(f *os.File) error { return WriteIvecs(f, data) })
-}
-
-func writeFile(path string, write func(*os.File) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -178,7 +178,7 @@ echo "== go test -race (serve workers at a forced width)"
 # writers are raced at a width the default suite doesn't cover.
 DNND_TEST_WORKERS=3 go test -race -count=1 -run 'TestWorkerEquivalence' ./internal/serve/
 
-echo "== fuzz smoke (message codecs, bulk LE codec, shard and store manifests)"
+echo "== fuzz smoke (message codecs, bulk LE codec, vector files, shard and store manifests)"
 # Short native-fuzz bursts over the wire-facing decoders: corpus seeds
 # plus a few seconds of mutation each. Full fuzzing is manual; this
 # catches decoder panics on malformed bytes before they land.
@@ -188,6 +188,7 @@ go test -run='^$' -fuzz='^FuzzOpen$' -fuzztime=2s ./internal/metall/
 go test -run='^$' -fuzz='^FuzzServeMessages$' -fuzztime=2s ./internal/msg/
 go test -run='^$' -fuzz='^FuzzRouterMessages$' -fuzztime=2s ./internal/msg/
 go test -run='^$' -fuzz='^FuzzBulkCodec$' -fuzztime=2s ./internal/wire/
+go test -run='^$' -fuzz='^FuzzRead$' -fuzztime=2s ./internal/vecio/
 go test -run='^$' -fuzz='^FuzzTraceDecode$' -fuzztime=2s ./internal/obs/
 
 echo "== trace smoke (3-rank traced build round-trips through the decoder)"
@@ -232,6 +233,24 @@ for r in 0 1 2; do
 done
 echo "3 TCP ranks exited 0 in $(( ($(date +%s%N) - tcpstart) / 1000000 )) ms"
 "$tcpdir/bin/dnnd-query" -store "$tcpdir/store0" -queries "$tcpdir/data/deep-query.fvecs" \
+  -truth "$tcpdir/data/deep-truth.ivecs" -l 10 -epsilon 0.2 | grep 'recall@10'
+
+echo "== vector-file build (datagen's fvecs through dnnd-construct -base)"
+# Every other build step generates its rows in-process from a preset;
+# this one reads them back from the file datagen wrote. A one-rank build
+# from the file must commit the same objects (name, size and CRC-32C in
+# the store manifest; file numbers follow commit order) as one from the
+# preset, and answer queries against datagen's ground truth.
+"$tcpdir/bin/dnnd-construct" -base "$tcpdir/data/deep-base.fvecs" -metric l2 -k 10 -seed 1 \
+  -store "$tcpdir/filestore" >/dev/null
+"$tcpdir/bin/dnnd-construct" -preset deep -n 3000 -k 10 -seed 1 -store "$tcpdir/presetstore" >/dev/null
+objects() { grep -E '"(name|size|checksum_crc32c)"' "$1/metall-manifest.json"; }
+if [ "$(objects "$tcpdir/filestore")" != "$(objects "$tcpdir/presetstore")" ]; then
+  echo "a build from deep-base.fvecs differs from the preset build:" >&2
+  diff <(objects "$tcpdir/presetstore") <(objects "$tcpdir/filestore") >&2
+  exit 1
+fi
+"$tcpdir/bin/dnnd-query" -store "$tcpdir/filestore" -queries "$tcpdir/data/deep-query.fvecs" \
   -truth "$tcpdir/data/deep-truth.ivecs" -l 10 -epsilon 0.2 | grep 'recall@10'
 
 echo "== cluster smoke (real 3-shard multi-process run + tracecheck -merge)"
