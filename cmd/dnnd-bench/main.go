@@ -26,7 +26,6 @@ func main() {
 		quick   = flag.Bool("quick", false, "tiny datasets and sweeps (smoke run)")
 		entries = flag.Int("n", 0, "override dataset size (0 = experiment default)")
 		queries = flag.Int("queries", 0, "override query-set size (0 = default)")
-		workers = flag.Int("workers", 0, "distance-eval worker goroutines per rank for all constructions (0 = GOMAXPROCS/ranks)")
 		outPath = flag.String("o", "", "write the report to this file instead of stdout")
 	)
 	flag.Usage = func() {
@@ -57,7 +56,6 @@ func main() {
 		Quick:   *quick,
 		Entries: *entries,
 		Queries: *queries,
-		Workers: *workers,
 	}
 
 	runners := map[string]func(bench.Options) error{

@@ -42,7 +42,6 @@ func main() {
 		seed        = flag.Int64("seed", 1, "random seed")
 		batch       = flag.Int64("batch", 0, "communication batch size (0 = default 2^18)")
 		unoptimized = flag.Bool("unoptimized", false, "disable the Sec 4.3 communication savings")
-		workers     = flag.Int("workers", 0, "distance-eval worker goroutines per rank (0 = GOMAXPROCS/ranks); any value yields the same graph")
 	)
 	flag.Parse()
 	if *storeDir == "" {
@@ -55,7 +54,6 @@ func main() {
 		Seed:        *seed,
 		BatchSize:   *batch,
 		Unoptimized: *unoptimized,
-		Workers:     *workers,
 		SkipRefine:  true, // dnnd-optimize applies Section 4.5
 	}
 
@@ -199,7 +197,6 @@ func constructTCP[T dnnd.Scalar](data [][]T, opts dnnd.BuildOptions, storeDir st
 	if opts.Unoptimized {
 		cfg.Protocol = core.Unoptimized()
 	}
-	cfg.Workers = opts.Workers
 	cfg.Optimize = false // dnnd-optimize applies Section 4.5
 
 	start := time.Now()

@@ -34,7 +34,6 @@ func main() {
 		traceOut    = flag.String("trace", "", "write this process's span timeline here on shutdown (Perfetto-loadable JSON; tracecheck -merge joins it with the router's)")
 		mutableOn   = flag.Bool("mutable", false, "serve the index online-mutable: accept ingest/delete/flush ops, refine the delta in the background, and swap snapshots atomically")
 		refineEvery = flag.Int("refine-every", 256, "pending delta size that triggers a background refinement (mutable mode)")
-		persist     = flag.Bool("persist", true, "write every published snapshot back to the store as a v2 generation (mutable mode)")
 	)
 	flag.Parse()
 	if *storeDir == "" {
@@ -47,7 +46,6 @@ func main() {
 		drainWait:   *drainWait,
 		mutable:     *mutableOn,
 		refineEvery: *refineEvery,
-		persist:     *persist,
 		cfg: serve.Config{
 			L:               *l,
 			Epsilon:         *epsilon,
@@ -84,7 +82,6 @@ type options struct {
 	drainWait       time.Duration
 	mutable         bool
 	refineEvery     int
-	persist         bool
 }
 
 // run loads the store, serves it until the daemon drains, and returns
@@ -131,15 +128,15 @@ func run[T dnnd.Scalar](storeDir string, o options) error {
 				}
 				return res.Graph, nil
 			},
-		}
-		if o.persist {
-			mcfg.Publish = func(g *dnnd.Graph, data [][]T, tb *dnnd.Tombstones, gen uint64) error {
+			// Every published snapshot is written back to the store as
+			// its next generation.
+			Publish: func(g *dnnd.Graph, data [][]T, tb *dnnd.Tombstones, gen uint64) error {
 				pix, err := dnnd.NewIndex(g, data, st.Metric, st.K)
 				if err != nil {
 					return err
 				}
 				return dnnd.SaveMutable(storeDir, pix, true, nil, tb, int64(gen))
-			}
+			},
 		}
 		if err := s.EnableMutation(mcfg); err != nil {
 			return err
@@ -158,8 +155,8 @@ func run[T dnnd.Scalar](storeDir string, o options) error {
 		return err
 	}
 	if o.mutable {
-		fmt.Printf("dnnd-serve: serving %d %s points mutable (metric=%s k=%d gen=%d pending=%d tombstones=%d persist=%v) on %s\n",
-			ix.Len(), wire.ElemName[T](), ix.Metric(), ix.K(), st.Gen, len(pending), st.TombN, o.persist, ln.Addr())
+		fmt.Printf("dnnd-serve: serving %d %s points mutable (metric=%s k=%d gen=%d pending=%d tombstones=%d) on %s\n",
+			ix.Len(), wire.ElemName[T](), ix.Metric(), ix.K(), st.Gen, len(pending), st.TombN, ln.Addr())
 	} else {
 		fmt.Printf("dnnd-serve: serving %d %s points (metric=%s k=%d refined=%v) on %s\n",
 			ix.Len(), wire.ElemName[T](), ix.Metric(), ix.K(), st.Refined, ln.Addr())

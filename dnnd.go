@@ -58,8 +58,12 @@ type Registry = obs.Registry
 func NewRegistry() *Registry { return obs.NewRegistry() }
 
 // BuildOptions configures Build. The zero value of optional fields
-// picks the paper's defaults (rho=0.8, delta=0.001, optimized
-// communication protocol, reverse-edge refinement with m=1.5).
+// picks the paper's defaults (optimized communication protocol,
+// reverse-edge refinement with m=1.5). The sample rate ρ = 0.8, the
+// stop threshold δ = 0.001 and the 30-round cap are the paper's
+// Section 5.1.3 constants (core.DefaultConfig). Each rank runs
+// GOMAXPROCS / Ranks distance workers; the graph is identical at every
+// width.
 type BuildOptions struct {
 	// K is the number of neighbors per vertex (required).
 	K int
@@ -70,12 +74,6 @@ type BuildOptions struct {
 	// save, so more ranks only re-partition the same build; name more
 	// to study the protocol's traffic.
 	Ranks int
-	// Rho is the NN-Descent sample rate (default 0.8).
-	Rho float64
-	// Delta is the convergence threshold (default 0.001).
-	Delta float64
-	// MaxIters caps the descent rounds (default 30).
-	MaxIters int
 	// BatchSize is the global number of neighbor-check requests
 	// between communication barriers (default 2^18).
 	BatchSize int64
@@ -90,10 +88,6 @@ type BuildOptions struct {
 	PruneFactor float64
 	// Seed makes sampling reproducible (default 1).
 	Seed int64
-	// Workers is the intra-rank worker-pool width for distance
-	// evaluation (default: GOMAXPROCS divided among the ranks). Results
-	// are identical for every width; see core.Config.Workers.
-	Workers int
 	// Tracer, when non-nil, records the build's span timeline (one
 	// track per rank; export with Tracer.WriteJSON). The graph and
 	// every protocol decision are identical with or without it.
@@ -106,15 +100,6 @@ type BuildOptions struct {
 
 func (o BuildOptions) coreConfig() core.Config {
 	cfg := core.DefaultConfig(o.K)
-	if o.Rho > 0 {
-		cfg.Rho = o.Rho
-	}
-	if o.Delta > 0 {
-		cfg.Delta = o.Delta
-	}
-	if o.MaxIters > 0 {
-		cfg.MaxIters = o.MaxIters
-	}
 	if o.BatchSize > 0 {
 		cfg.BatchSize = o.BatchSize
 	}
@@ -127,9 +112,6 @@ func (o BuildOptions) coreConfig() core.Config {
 	}
 	if o.Seed != 0 {
 		cfg.Seed = o.Seed
-	}
-	if o.Workers > 0 {
-		cfg.Workers = o.Workers
 	}
 	return cfg
 }
@@ -146,7 +128,7 @@ type BuildResult struct {
 	// Iters is the number of NN-Descent rounds run.
 	Iters int
 	// DistEvals is the total number of distance computations. For
-	// Extend and Refresh it includes the search that seeds each
+	// Refresh and Compact it includes the search that seeds each
 	// appended point's initial neighbors from the prior graph.
 	DistEvals int64
 	// Messages and MessageBytes count all application-level messages
@@ -161,42 +143,18 @@ func Build[T Scalar](data [][]T, opt BuildOptions) (*BuildResult, error) {
 	return runBuild(data, nil, nil, opt)
 }
 
-// Extend integrates additional points into an existing graph without a
-// full rebuild: the combined dataset is data followed by extra, the
-// prior graph warm-starts the descent (its vertices keep their
-// neighbor lists, and each new point starts from a search of it), and
-// a short NN-Descent refinement stitches the new points in — the
-// incremental-update workflow sketched in the paper's
-// Section 7. The returned result covers len(data)+len(extra) points;
-// prior neighbor IDs remain valid.
-func Extend[T Scalar](data, extra [][]T, prior *Graph, opt BuildOptions) (*BuildResult, error) {
+// compactRows is Compact's compaction: it deletes points from an
+// existing graph without a full rebuild. The surviving points are
+// compacted to dense IDs, surviving edges warm-start the descent, and
+// a short refinement refills the holes the deletions left (the other
+// half of the Section 7 update workflow). As in Refresh, prior may
+// cover only a prefix of data: surviving rows past it start from a
+// search of the trimmed prior. It returns the compacted dataset, the
+// new build result, and a mapping from old IDs to new ones (InvalidID
+// for removed points).
+func compactRows[T Scalar](data [][]T, removeIDs []ID, prior *Graph, opt BuildOptions) ([][]T, *BuildResult, []ID, error) {
 	if prior == nil {
-		return nil, errors.New("dnnd: Extend requires a prior graph")
-	}
-	if prior.NumVertices() != len(data) {
-		return nil, fmt.Errorf("dnnd: prior graph covers %d vertices but data has %d rows",
-			prior.NumVertices(), len(data))
-	}
-	if len(extra) == 0 {
-		return nil, errors.New("dnnd: Extend with no new points")
-	}
-	combined := make([][]T, 0, len(data)+len(extra))
-	combined = append(combined, data...)
-	combined = append(combined, extra...)
-	return runBuild(combined, prior, nil, opt)
-}
-
-// Remove deletes points from an existing graph without a full rebuild:
-// the surviving points are compacted to dense IDs, surviving edges
-// warm-start the descent, and a short refinement refills the holes the
-// deletions left (the other half of the Section 7 update workflow).
-// As in Refresh, prior may cover only a prefix of data: surviving rows
-// past it start from a search of the trimmed prior, like Extend's.
-// It returns the compacted dataset, the new build result, and a
-// mapping from old IDs to new ones (InvalidID for removed points).
-func Remove[T Scalar](data [][]T, removeIDs []ID, prior *Graph, opt BuildOptions) ([][]T, *BuildResult, []ID, error) {
-	if prior == nil {
-		return nil, nil, nil, errors.New("dnnd: Remove requires a prior graph")
+		return nil, nil, nil, errors.New("dnnd: compaction requires a prior graph")
 	}
 	if prior.NumVertices() > len(data) {
 		return nil, nil, nil, fmt.Errorf("dnnd: prior graph covers %d vertices but data has %d rows",
@@ -210,7 +168,7 @@ func Remove[T Scalar](data [][]T, removeIDs []ID, prior *Graph, opt BuildOptions
 		removed[id] = true
 	}
 	if len(removed) == 0 {
-		return nil, nil, nil, errors.New("dnnd: Remove with no points")
+		return nil, nil, nil, errors.New("dnnd: compaction with no points to remove")
 	}
 	if len(data)-len(removed) < 2 {
 		return nil, nil, nil, errors.New("dnnd: removal would leave fewer than 2 points")
@@ -270,14 +228,18 @@ type Tombstones = knng.TombSet
 func NewTombstones(n int) *Tombstones { return knng.NewTombSet(n) }
 
 // Refresh is the in-place incremental rebuild of the mutable-index
-// pipeline: data is the full dataset (the prior graph's points plus
+// pipeline, the incremental-update workflow sketched in the paper's
+// Section 7: data is the full dataset (the prior graph's points plus
 // any appended ones), prior the current graph, and tombs the deleted
-// IDs. Unlike Remove, IDs are NOT compacted — dead vertices keep their
-// prior neighbor lists as routable stepping stones, live vertices are
-// repaired around them, and appended points are stitched in, so
-// existing IDs stay valid and the result can be swapped under live
-// queries. tombs is copied before the build starts; concurrent Kills
-// on the caller's set are safe and fold into the next Refresh.
+// IDs (nil when none). The prior warm-starts the descent: its vertices
+// keep their neighbor lists, each appended point starts from a search
+// of it, and a short refinement stitches the new points in. Unlike
+// Compact, IDs are NOT compacted — dead vertices keep their prior
+// neighbor lists as routable stepping stones and live vertices are
+// repaired around them, so existing IDs stay valid and the result can
+// be swapped under live queries. tombs is copied before the build
+// starts; concurrent Kills on the caller's set are safe and fold into
+// the next Refresh.
 func Refresh[T Scalar](data [][]T, prior *Graph, tombs *Tombstones, opt BuildOptions) (*BuildResult, error) {
 	if prior == nil {
 		return nil, errors.New("dnnd: Refresh requires a prior graph")
@@ -290,10 +252,10 @@ func Refresh[T Scalar](data [][]T, prior *Graph, tombs *Tombstones, opt BuildOpt
 	return runBuild(data, prior, tombs.CloneGrow(len(data)), opt)
 }
 
-// runBuild is the one body behind Build (prior and dead nil), Extend
-// and Remove (warm start from prior) and Refresh (warm start plus the
-// frozen tombstone set dead): core.BuildLocal, reported as a
-// BuildResult.
+// runBuild is the one body behind Build (prior and dead nil),
+// compactRows and Split (warm start from prior) and Refresh (warm
+// start plus the frozen tombstone set dead): core.BuildLocal, reported
+// as a BuildResult.
 func runBuild[T Scalar](data [][]T, prior *Graph, dead *Tombstones, opt BuildOptions) (*BuildResult, error) {
 	kern, err := kernelFor[T](opt.Metric)
 	if err != nil {

@@ -1,7 +1,10 @@
 package dnnd
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"reflect"
@@ -381,7 +384,10 @@ func TestEntryForestValidation(t *testing.T) {
 	}
 }
 
-func TestExtendIncremental(t *testing.T) {
+// TestRefreshAppendIncremental: Refresh over the prior's rows plus
+// appended ones, with no tombstones, integrates the new points without
+// a rebuild.
+func TestRefreshAppendIncremental(t *testing.T) {
 	base := testData(9, 700, 8)
 	extra := testData(10, 120, 8)
 
@@ -389,7 +395,8 @@ func TestExtendIncremental(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Extend(base, extra, prior.Graph, BuildOptions{K: 10, Metric: "sql2", Ranks: 2, SkipRefine: true})
+	combined := append(append([][]float32{}, base...), extra...)
+	res, err := Refresh(combined, prior.Graph, nil, BuildOptions{K: 10, Metric: "sql2", Ranks: 2, SkipRefine: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +407,6 @@ func TestExtendIncremental(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	combined := append(append([][]float32{}, base...), extra...)
 	truth := brute.KNNGraph(combined, 10, metric.SquaredL2Float32, 0)
 	r := res.Graph.Recall(truth.TopIDs(10), 10)
 	t.Logf("extended graph recall = %.3f (evals %d vs prior build %d)", r, res.DistEvals, prior.DistEvals)
@@ -410,7 +416,7 @@ func TestExtendIncremental(t *testing.T) {
 	// Refinement must be much cheaper than the original build even
 	// though it covers more points.
 	if res.DistEvals >= prior.DistEvals {
-		t.Errorf("extend evals %d not below original build %d", res.DistEvals, prior.DistEvals)
+		t.Errorf("refresh evals %d not below original build %d", res.DistEvals, prior.DistEvals)
 	}
 
 	// New points must be findable.
@@ -424,21 +430,72 @@ func TestExtendIncremental(t *testing.T) {
 	}
 }
 
-func TestExtendValidation(t *testing.T) {
+// TestRefreshValidation: a Refresh needs a prior, and the prior may
+// not cover more rows than the data. A Refresh that appends nothing and
+// deletes nothing is legal (a mutable server's flush may run one).
+func TestRefreshValidation(t *testing.T) {
 	data := testData(11, 60, 4)
 	prior, err := Build(data, BuildOptions{K: 5, Metric: "sql2", Ranks: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Extend(data, nil, prior.Graph, BuildOptions{K: 5, Metric: "sql2"}); err == nil {
-		t.Error("empty extra accepted")
-	}
-	if _, err := Extend(data, data, nil, BuildOptions{K: 5, Metric: "sql2"}); err == nil {
+	combined := append(append([][]float32{}, data...), data...)
+	if _, err := Refresh(combined, nil, nil, BuildOptions{K: 5, Metric: "sql2"}); err == nil {
 		t.Error("nil prior accepted")
 	}
-	if _, err := Extend(data[:30], data, prior.Graph, BuildOptions{K: 5, Metric: "sql2"}); err == nil {
+	if _, err := Refresh(data[:30], prior.Graph, nil, BuildOptions{K: 5, Metric: "sql2"}); err == nil {
 		t.Error("mismatched prior accepted")
 	}
+}
+
+// TestRefreshAppendPinned: Refresh over base+extra with no tombstones
+// reproduces, bit for bit, the graph and evaluation count that the
+// removed Extend(base, extra, prior) returned on the same inputs. The
+// literals were printed by Extend at one rank (graphHash below); a
+// tombstone set that is empty behaves as nil throughout core.
+func TestRefreshAppendPinned(t *testing.T) {
+	base := testData(9, 700, 8)
+	extra := testData(10, 120, 8)
+	combined := append(append([][]float32{}, base...), extra...)
+	for _, tc := range []struct {
+		skipRefine bool
+		hash       uint64
+		evals      int64
+	}{
+		{true, 0x9dce6a4eb5d4e82f, 34126},
+		{false, 0x4691f17e4e8d2a45, 36644},
+	} {
+		opt := BuildOptions{K: 10, Metric: "sql2", SkipRefine: tc.skipRefine}
+		prior, err := Build(base, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Refresh(combined, prior.Graph, nil, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h := graphHash(res.Graph); h != tc.hash || res.DistEvals != tc.evals {
+			t.Errorf("SkipRefine=%v: graph hash %016x, DistEvals %d; Extend returned %016x, %d",
+				tc.skipRefine, h, res.DistEvals, tc.hash, tc.evals)
+		}
+	}
+}
+
+// graphHash is FNV-64a over every list's length and its (ID, distance
+// bits) entries, in vertex order.
+func graphHash(g *Graph) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, ns := range g.Neighbors {
+		binary.LittleEndian.PutUint32(b[:4], uint32(len(ns)))
+		h.Write(b[:4])
+		for _, e := range ns {
+			binary.LittleEndian.PutUint32(b[:4], uint32(e.ID))
+			binary.LittleEndian.PutUint32(b[4:], math.Float32bits(e.Dist))
+			h.Write(b[:])
+		}
+	}
+	return h.Sum64()
 }
 
 func TestRemoveIncremental(t *testing.T) {
@@ -453,7 +510,7 @@ func TestRemoveIncremental(t *testing.T) {
 	for i := 0; i < len(data); i += 8 {
 		ids = append(ids, ID(i))
 	}
-	kept, res, mapping, err := Remove(data, ids, prior.Graph, BuildOptions{K: 10, Metric: "sql2", Ranks: 2, SkipRefine: true})
+	kept, res, mapping, err := compactRows(data, ids, prior.Graph, BuildOptions{K: 10, Metric: "sql2", Ranks: 2, SkipRefine: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -499,20 +556,20 @@ func TestRemoveValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := Remove(data, nil, prior.Graph, BuildOptions{K: 5, Metric: "sql2"}); err == nil {
+	if _, _, _, err := compactRows(data, nil, prior.Graph, BuildOptions{K: 5, Metric: "sql2"}); err == nil {
 		t.Error("empty removal accepted")
 	}
-	if _, _, _, err := Remove(data, []ID{999}, prior.Graph, BuildOptions{K: 5, Metric: "sql2"}); err == nil {
+	if _, _, _, err := compactRows(data, []ID{999}, prior.Graph, BuildOptions{K: 5, Metric: "sql2"}); err == nil {
 		t.Error("out-of-range id accepted")
 	}
-	if _, _, _, err := Remove(data, []ID{1}, nil, BuildOptions{K: 5, Metric: "sql2"}); err == nil {
+	if _, _, _, err := compactRows(data, []ID{1}, nil, BuildOptions{K: 5, Metric: "sql2"}); err == nil {
 		t.Error("nil prior accepted")
 	}
 	all := make([]ID, len(data))
 	for i := range all {
 		all[i] = ID(i)
 	}
-	if _, _, _, err := Remove(data, all[:59], prior.Graph, BuildOptions{K: 5, Metric: "sql2"}); err == nil {
+	if _, _, _, err := compactRows(data, all[:59], prior.Graph, BuildOptions{K: 5, Metric: "sql2"}); err == nil {
 		t.Error("removing nearly everything accepted")
 	}
 }
@@ -540,13 +597,12 @@ func TestStoreElem(t *testing.T) {
 func TestBuildOptionsOverrides(t *testing.T) {
 	// Every optional knob must reach the core config.
 	o := BuildOptions{
-		K: 5, Metric: "l2", Rho: 0.5, Delta: 0.01, MaxIters: 3,
+		K: 5, Metric: "l2",
 		BatchSize: 1024, Unoptimized: true, SkipRefine: true,
 		PruneFactor: 2.0, Seed: 42,
 	}
 	cfg := o.coreConfig()
-	if cfg.Rho != 0.5 || cfg.Delta != 0.01 || cfg.MaxIters != 3 ||
-		cfg.BatchSize != 1024 || cfg.Optimize || cfg.PruneFactor != 2.0 || cfg.Seed != 42 {
+	if cfg.BatchSize != 1024 || cfg.Optimize || cfg.PruneFactor != 2.0 || cfg.Seed != 42 {
 		t.Errorf("coreConfig = %+v", cfg)
 	}
 	if cfg.Protocol != core.TwoSided {

@@ -45,12 +45,11 @@ func main() {
 	// refinement instead of a rebuild.
 	for wave := 1; wave <= 3; wave++ {
 		extra := makeBatch(400)
-		next, err := dnnd.Extend(data, extra, res.Graph, opts)
+		data = append(data, extra...)
+		res, err = dnnd.Refresh(data, res.Graph, nil, opts)
 		if err != nil {
 			log.Fatal(err)
 		}
-		data = append(data, extra...)
-		res = next
 		fmt.Printf("wave %d: +%d points -> %d total, %d rounds, %d distance evals (%.0f%% of initial build)\n",
 			wave, len(extra), len(data), res.Iters, res.DistEvals,
 			100*float64(res.DistEvals)/float64(initialEvals))

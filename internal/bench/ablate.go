@@ -39,7 +39,7 @@ func BatchSizeAblation(opt Options) ([]BatchRow, error) {
 
 	var rows []BatchRow
 	for _, bs := range sizes {
-		cfg := opt.coreConfig(10)
+		cfg := core.DefaultConfig(10)
 		cfg.Seed = opt.Seed
 		cfg.Optimize = false
 		cfg.BatchSize = bs
@@ -117,7 +117,7 @@ func GraphOptAblation(opt Options) ([]GraphOptRow, error) {
 
 	var rows []GraphOptRow
 	// Raw graph (no Section 4.5).
-	cfg := opt.coreConfig(k)
+	cfg := core.DefaultConfig(k)
 	cfg.Seed = opt.Seed
 	cfg.Optimize = false
 	out, err := BuildDNND(d, 4, cfg)
@@ -131,7 +131,7 @@ func GraphOptAblation(opt Options) ([]GraphOptRow, error) {
 	rows = append(rows, row)
 
 	for _, m := range ms {
-		cfg := opt.coreConfig(k)
+		cfg := core.DefaultConfig(k)
 		cfg.Seed = opt.Seed
 		cfg.Optimize = true
 		cfg.PruneFactor = m
@@ -188,7 +188,7 @@ func CommSavingAblation(opt Options) ([]CommAblRow, error) {
 
 	var rows []CommAblRow
 	for _, v := range variants {
-		cfg := opt.coreConfig(k)
+		cfg := core.DefaultConfig(k)
 		cfg.Seed = opt.Seed
 		cfg.Optimize = false
 		cfg.Protocol = v.proto

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"dnnd/internal/core"
 	"dnnd/internal/dataset"
 	"dnnd/internal/knng"
 	"dnnd/internal/metric"
@@ -40,7 +41,7 @@ func EntryPointAblation(opt Options) ([]EntryRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := opt.coreConfig(k)
+	cfg := core.DefaultConfig(k)
 	cfg.Seed = opt.Seed
 	out, err := BuildDNND(d, 4, cfg)
 	if err != nil {
@@ -93,7 +94,7 @@ type IncrementalRow struct {
 // IncrementalAblation measures the Section 7 incremental-update
 // workflow: grow the deep stand-in by 10% and compare a warm-started
 // refinement (prior lists kept, appended rows seeded by a search of the
-// prior graph, as Extend and Refresh do) against a cold rebuild, in
+// prior graph, as Refresh and Compact do) against a cold rebuild, in
 // distance evaluations (the seeding search included) and final graph
 // recall.
 func IncrementalAblation(opt Options) ([]IncrementalRow, error) {
@@ -107,7 +108,7 @@ func IncrementalAblation(opt Options) ([]IncrementalRow, error) {
 	baseN := total * 9 / 10
 	full := dataset.Generate(p, total, opt.Seed)
 
-	cfg := opt.coreConfig(k)
+	cfg := core.DefaultConfig(k)
 	cfg.Seed = opt.Seed
 	cfg.Optimize = false
 
@@ -121,7 +122,7 @@ func IncrementalAblation(opt Options) ([]IncrementalRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The warm start Extend and Refresh run: appended rows seeded by a
+	// The warm start Refresh and Compact run: appended rows seeded by a
 	// search of the prior graph, its evaluations counted in the
 	// refinement's.
 	warm, err := buildTyped(full.F32, p.Metric, 4, cfg, prior.Graph)

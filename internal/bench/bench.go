@@ -42,19 +42,6 @@ type Options struct {
 	Entries int
 	// Queries is the query-set size (0 = default).
 	Queries int
-	// Workers is the intra-rank worker-pool width passed to every
-	// construction (0 = auto, GOMAXPROCS/ranks). Results are identical
-	// for every width, so this only moves time between goroutines.
-	Workers int
-}
-
-// coreConfig is the shared starting point for every runner's
-// construction config: the paper defaults for k plus the harness-wide
-// worker-pool width.
-func (o *Options) coreConfig(k int) core.Config {
-	cfg := core.DefaultConfig(k)
-	cfg.Workers = o.Workers
-	return cfg
 }
 
 func (o *Options) fill() {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"dnnd/internal/core"
 	"dnnd/internal/dataset"
 	"dnnd/internal/obs"
 )
@@ -34,7 +35,7 @@ func MessageCatalog(opt Options) ([]CatalogRow, error) {
 	}
 	d := dataset.Generate(p, opt.billionN(), opt.Seed)
 
-	out, err := BuildDNND(d, ranks, opt.coreConfig(k))
+	out, err := BuildDNND(d, ranks, core.DefaultConfig(k))
 	if err != nil {
 		return nil, err
 	}

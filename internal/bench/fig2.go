@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"dnnd/internal/core"
 	"dnnd/internal/dataset"
 )
 
@@ -60,7 +61,7 @@ func Fig2QualityTradeoff(opt Options) ([]Fig2Series, error) {
 		}
 
 		for _, k := range ks {
-			cfg := opt.coreConfig(k)
+			cfg := core.DefaultConfig(k)
 			cfg.Seed = opt.Seed
 			out, err := BuildDNND(d, 4, cfg)
 			if err != nil {

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"time"
 
+	"dnnd/internal/core"
 	"dnnd/internal/dataset"
 	"dnnd/internal/ygm"
 )
@@ -85,7 +86,7 @@ func Fig3Construction(opt Options) ([]Fig3Row, error) {
 
 		for _, k := range ks {
 			for _, ranks := range rankSets[k] {
-				cfg := opt.coreConfig(k)
+				cfg := core.DefaultConfig(k)
 				cfg.Seed = opt.Seed
 				out, err := BuildDNND(d, ranks, cfg)
 				if err != nil {

@@ -43,7 +43,7 @@ func Fig4CommSaving(opt Options) ([]Fig4Row, error) {
 
 		var unopt Fig4Row
 		for _, mode := range []string{"unoptimized", "optimized"} {
-			cfg := opt.coreConfig(k)
+			cfg := core.DefaultConfig(k)
 			cfg.Seed = opt.Seed
 			cfg.Optimize = false
 			if mode == "unoptimized" {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"dnnd/internal/brute"
+	"dnnd/internal/core"
 	"dnnd/internal/dataset"
 	"dnnd/internal/knng"
 	"dnnd/internal/metric"
@@ -39,7 +40,7 @@ func Sec52Recall(opt Options) ([]RecallRow, error) {
 	for _, p := range dataset.Small() {
 		n := opt.smallN(p)
 		d := dataset.Generate(p, n, opt.Seed)
-		cfg := opt.coreConfig(k)
+		cfg := core.DefaultConfig(k)
 		cfg.Seed = opt.Seed
 		cfg.Optimize = false // Section 5.2 scores the raw k-NNG
 		out, err := BuildDNND(d, ranks, cfg)

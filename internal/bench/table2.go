@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"dnnd/internal/core"
 	"dnnd/internal/dataset"
 )
 
@@ -64,7 +65,7 @@ func Table2HnswSurvey(opt Options) (*Table2Result, error) {
 		}
 
 		// DNND k=10 baseline quality (best over the epsilon sweep).
-		cfg := opt.coreConfig(k)
+		cfg := core.DefaultConfig(k)
 		cfg.Seed = opt.Seed
 		out, err := BuildDNND(d, 4, cfg)
 		if err != nil {

@@ -117,19 +117,20 @@ type builder[T wire.Scalar] struct {
 // configuration (SPMD). The gathered graph is returned on rank 0.
 // dist's fast paths are found by metric.KernelOf.
 func Build[T wire.Scalar](c *ygm.Comm, shard *Shard[T], dist metric.Func[T], cfg Config) (*Result, error) {
-	return BuildIncrementalKernel(c, shard, metric.KernelOf(dist), cfg, nil, nil)
+	return buildIncremental(c, shard, metric.KernelOf(dist), cfg, nil, nil)
 }
 
 // BuildKernel is Build taking a full metric.Kernel, enabling the
 // norm-precomputed fast path when the kernel provides one.
 func BuildKernel[T wire.Scalar](c *ygm.Comm, shard *Shard[T], kern metric.Kernel[T], cfg Config) (*Result, error) {
-	return BuildIncrementalKernel(c, shard, kern, cfg, nil, nil)
+	return buildIncremental(c, shard, kern, cfg, nil, nil)
 }
 
-// BuildIncrementalKernel is the one warm-start entry point. prior, when
-// non-nil, is an existing k-NNG over a prefix of the dataset (every
-// rank passes the same graph): vertices it covers keep their neighbor
-// lists with the prior's new/old flags (all old in any gathered or
+// buildIncremental is the one body behind Build, BuildKernel and
+// BuildLocal, and the one warm start. prior, when non-nil, is an
+// existing k-NNG over a prefix of the dataset (every rank passes the
+// same graph): vertices it covers keep their neighbor lists with the
+// prior's new/old flags (all old in any gathered or
 // stored graph; SeedAppended's entries are new); only the points past
 // the prior receive random initialization, so the descent reduces to a
 // short refinement that stitches the new points into the neighborhood
@@ -143,7 +144,7 @@ func BuildKernel[T wire.Scalar](c *ygm.Comm, shard *Shard[T], kern metric.Kernel
 // until compaction, but they generate no checks, never appear in
 // sampling, and never enter a live vertex's list. The result is
 // bit-identical at every worker width, like the full build.
-func BuildIncrementalKernel[T wire.Scalar](c *ygm.Comm, shard *Shard[T], kern metric.Kernel[T], cfg Config, prior *knng.Graph, dead *knng.TombSet) (*Result, error) {
+func buildIncremental[T wire.Scalar](c *ygm.Comm, shard *Shard[T], kern metric.Kernel[T], cfg Config, prior *knng.Graph, dead *knng.TombSet) (*Result, error) {
 	if err := cfg.Validate(shard.N); err != nil {
 		return nil, err
 	}
@@ -199,7 +200,7 @@ func BuildIncrementalKernel[T wire.Scalar](c *ygm.Comm, shard *Shard[T], kern me
 	// contract) and effects land through b.applyTask. The local-work
 	// hook keeps ygm quiescence honest while staged tasks still owe
 	// replies; it is detached before the pool stops.
-	b.pool = newWorkpool(resolveWorkers(cfg.Workers, c.NRanks()), kern.EvalMany, b.applyTask, c.Trace())
+	b.pool = newWorkpool(resolveWorkers(cfg.workers, c.NRanks()), kern.EvalMany, b.applyTask, c.Trace())
 	c.SetLocalWork(b.pool.runHook, b.pool.pendingHook, b.pool.applyingHook)
 	defer func() {
 		c.SetLocalWork(nil, nil, nil)
@@ -269,7 +270,7 @@ type LocalBuild struct {
 
 // BuildLocal is the one in-process runner: it cuts data over an
 // in-process world of ranks ranks (<= 0 means 1; at most len(data))
-// and runs BuildIncrementalKernel on every rank. A non-nil prior is
+// and runs buildIncremental on every rank. A non-nil prior is
 // first grown over the appended rows by SeedAppended, and the seeding
 // search's evaluations are counted in the Result's DistEvals. tr and
 // reg, when non-nil, receive the world's span timeline and its live
@@ -293,7 +294,7 @@ func BuildLocal[T wire.Scalar](data [][]T, ranks int, kern metric.Kernel[T], cfg
 	own := newOwnership(data, ranks)
 	var root *Result // written by rank 0 only; Run returns after every rank
 	err := world.Run(func(c *ygm.Comm) error {
-		res, err := BuildIncrementalKernel(c, cut(data, own, c.Rank()), kern, cfg, prior, dead)
+		res, err := buildIncremental(c, cut(data, own, c.Rank()), kern, cfg, prior, dead)
 		if err == nil && c.Rank() == 0 {
 			root = res
 		}

@@ -103,7 +103,7 @@ func TestByRefMatchesBytes(t *testing.T) {
 			data := clusteredData(rand.New(rand.NewSource(41)), tc.n, tc.dim, tc.cls)
 			cfg := DefaultConfig(10)
 			cfg.Seed = 5
-			cfg.Workers = envWorkers(t)
+			cfg.workers = envWorkers(t)
 			ref := runPath(t, localRunner(1), 1, data, cfg)
 			tcp := runPath(t, tcpRunner(1), 1, data, cfg)
 
@@ -145,7 +145,7 @@ func TestByRefChargedSizesMultiRank(t *testing.T) {
 	data := clusteredData(rand.New(rand.NewSource(43)), 800, dim, 10)
 	cfg := DefaultConfig(k)
 	cfg.Seed = 3
-	cfg.Workers = envWorkers(t)
+	cfg.workers = envWorkers(t)
 	vecBytes := int64(wire.VectorBytes[float32](dim))
 
 	recalls := map[string]float64{}
@@ -183,7 +183,7 @@ func TestTCPMultiRankBuildGathers(t *testing.T) {
 	const nranks, k = 3, 8
 	data := clusteredData(rand.New(rand.NewSource(67)), 600, 8, 8)
 	cfg := DefaultConfig(k)
-	cfg.Workers = envWorkers(t)
+	cfg.workers = envWorkers(t)
 	o := runPath(t, tcpRunner(nranks), nranks, data, cfg)
 	g := o.res.Graph
 	if g.NumVertices() != len(data) {
@@ -221,7 +221,7 @@ func TestByRefLeavesDatasetUntouched(t *testing.T) {
 	data, prior, dead := incrFixture(t, 500, 50, 25)
 	before := dataChecksum(data)
 	cfg := DefaultConfig(10)
-	cfg.Workers = 3
+	cfg.workers = 3
 	if res := buildOnWorld(t, 2, data, cfg); res.Graph.NumVertices() != len(data) {
 		t.Fatalf("build gathered %d vertices", res.Graph.NumVertices())
 	}

@@ -27,7 +27,7 @@ func TestCheckPhaseNeverMessagesItsOwnRank(t *testing.T) {
 		cfg := DefaultConfig(8)
 		cfg.Seed = 9
 		cfg.Protocol = proto.p
-		cfg.Workers = envWorkers(t)
+		cfg.workers = envWorkers(t)
 
 		one := runPath(t, localRunner(1), 1, data, cfg)
 		for _, h := range checkHandlers {

@@ -70,15 +70,16 @@ type Config struct {
 	// Seed drives all sampling; each rank derives its own stream.
 	Seed int64
 
-	// Workers is the intra-rank worker-pool width for the descent hot
-	// phase: distance evaluations staged by the message handlers are
-	// spread over this many goroutines per rank while all neighbor-list
-	// mutation, protocol decisions, and sends stay on the owning rank
-	// goroutine, applied in submission order (see workpool.go). The
-	// result is bit-identical for every width. 0 (the default) resolves
-	// to GOMAXPROCS / nranks, clamped to at least 1, so co-located
-	// ranks share the machine instead of oversubscribing it.
-	Workers int
+	// workers, when positive, fixes the intra-rank worker-pool width for
+	// the descent hot phase; only in-package tests set it. Every build
+	// otherwise runs GOMAXPROCS / nranks workers per rank (at least 1),
+	// so co-located ranks share the machine instead of oversubscribing
+	// it: distance evaluations staged by the message handlers spread
+	// over the pool, while all neighbor-list mutation, protocol
+	// decisions, and sends stay on the owning rank goroutine, applied in
+	// submission order (see workpool.go). The result is bit-identical
+	// at every width, so a width experiment sets GOMAXPROCS.
+	workers int
 
 	// Optimize applies the Section 4.5 post-processing (reverse-edge
 	// merge and degree pruning to K*PruneFactor) to the final graph.
@@ -128,9 +129,6 @@ func (cfg *Config) Validate(n int) error {
 	}
 	if cfg.Delta < 0 {
 		return fmt.Errorf("core: Delta=%v must be >= 0", cfg.Delta)
-	}
-	if cfg.Workers < 0 {
-		return fmt.Errorf("core: Workers=%d must be >= 0", cfg.Workers)
 	}
 	if cfg.Protocol > PruneDistant {
 		return fmt.Errorf("core: Protocol=%d out of range [TwoSided, PruneDistant]", cfg.Protocol)

@@ -380,7 +380,7 @@ func TestBuildWarmIncremental(t *testing.T) {
 	var warm *Result
 	err := w.Run(func(c *ygm.Comm) error {
 		shard := Partition(combined, c.Rank(), c.NRanks())
-		res, err := BuildIncrementalKernel(c, shard, metric.Kernel[float32]{Fn: metric.SquaredL2Float32}, cfg, prior.Graph, nil)
+		res, err := buildIncremental(c, shard, metric.Kernel[float32]{Fn: metric.SquaredL2Float32}, cfg, prior.Graph, nil)
 		if err != nil {
 			return err
 		}
@@ -420,7 +420,7 @@ func TestBuildWarmRejectsOversizedPrior(t *testing.T) {
 	err := w.Run(func(c *ygm.Comm) error {
 		shard := Partition(data, c.Rank(), c.NRanks())
 		cfg := DefaultConfig(5)
-		_, err := BuildIncrementalKernel(c, shard, metric.Kernel[float32]{Fn: metric.SquaredL2Float32}, cfg, knng.NewGraph(100), nil)
+		_, err := buildIncremental(c, shard, metric.Kernel[float32]{Fn: metric.SquaredL2Float32}, cfg, knng.NewGraph(100), nil)
 		if err == nil {
 			return errors.New("oversized prior accepted")
 		}

@@ -16,15 +16,15 @@ import (
 
 // buildKernelOnWorld runs a construction over a local world with the
 // named metric and returns rank 0's result. Tests that leave
-// cfg.Workers at 0 can be re-run at a forced pool width via the
+// cfg.workers at 0 can be re-run at a forced pool width via the
 // DNND_TEST_WORKERS environment variable (the CI race pass uses this to
 // drive the whole suite with helper goroutines active); results are
 // worker-count-independent by construction, so every assertion must
 // hold unchanged.
 func buildKernelOnWorld[T wire.Scalar](t *testing.T, nranks int, data [][]T, kind metric.Kind, cfg Config) *Result {
 	t.Helper()
-	if cfg.Workers == 0 {
-		cfg.Workers = envWorkers(t)
+	if cfg.workers == 0 {
+		cfg.workers = envWorkers(t)
 	}
 	kern, err := metric.KernelFor[T](kind)
 	if err != nil {

@@ -11,7 +11,7 @@ import (
 	"dnnd/internal/ygm"
 )
 
-// buildIncrOnWorld runs BuildIncrementalKernel over a local world and returns
+// buildIncrOnWorld runs buildIncremental over a local world and returns
 // rank 0's result.
 func buildIncrOnWorld(t *testing.T, nranks int, data [][]float32, cfg Config, prior *knng.Graph, dead *knng.TombSet) *Result {
 	t.Helper()
@@ -20,7 +20,7 @@ func buildIncrOnWorld(t *testing.T, nranks int, data [][]float32, cfg Config, pr
 	var root *Result
 	err := w.Run(func(c *ygm.Comm) error {
 		shard := Partition(data, c.Rank(), c.NRanks())
-		res, err := BuildIncrementalKernel(c, shard, metric.Kernel[float32]{Fn: metric.SquaredL2Float32}, cfg, prior, dead)
+		res, err := buildIncremental(c, shard, metric.Kernel[float32]{Fn: metric.SquaredL2Float32}, cfg, prior, dead)
 		if err != nil {
 			return err
 		}
@@ -134,7 +134,7 @@ func TestIncrementalDeterminismAcrossWorkers(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 5} {
 		cfg := DefaultConfig(10)
 		cfg.Optimize = true
-		cfg.Workers = workers
+		cfg.workers = workers
 		res := buildIncrOnWorld(t, 1, data, cfg, prior, dead)
 		if ref == nil {
 			ref = res
@@ -204,7 +204,7 @@ func TestIncrementalRejectsOverdeadSet(t *testing.T) {
 	cfg := DefaultConfig(10)
 	err := ygm.NewLocalWorld(1).Run(func(c *ygm.Comm) error {
 		shard := Partition(data, c.Rank(), c.NRanks())
-		_, err := BuildIncrementalKernel(c, shard, metric.Kernel[float32]{Fn: metric.SquaredL2Float32}, cfg, nil, dead)
+		_, err := buildIncremental(c, shard, metric.Kernel[float32]{Fn: metric.SquaredL2Float32}, cfg, nil, dead)
 		return err
 	})
 	if err == nil {

@@ -72,8 +72,8 @@ type Result struct {
 	// DistEvals is the global number of distance evaluations; BuildLocal
 	// adds its seeding search's.
 	DistEvals int64
-	// Workers is the resolved intra-rank worker-pool width on this rank
-	// (Config.Workers after the GOMAXPROCS/nranks default).
+	// Workers is the intra-rank worker-pool width on this rank:
+	// GOMAXPROCS / nranks, at least 1.
 	Workers int
 	// TasksDeferred is the global number of coalesced tasks staged onto
 	// the worker pools (each covers up to taskBatchSize candidates).

@@ -41,7 +41,7 @@ func TestWorkerCountEquivalence(t *testing.T) {
 			build := func(workers int) *Result {
 				cfg := DefaultConfig(6)
 				cfg.Seed = 777
-				cfg.Workers = workers
+				cfg.workers = workers
 				tc.mut(&cfg)
 				return buildKernelOnWorld(t, 1, fdata, tc.kind, cfg)
 			}
@@ -78,7 +78,7 @@ func TestWorkerPoolRingHammer(t *testing.T) {
 	fdata := clusteredData(rng, 240, 10, 6)
 	cfg := DefaultConfig(5)
 	cfg.Seed = 31
-	cfg.Workers = 3
+	cfg.workers = 3
 	res := buildKernelOnWorld(t, 4, fdata, metric.SquaredL2, cfg)
 	if res.Graph.NumVertices() != len(fdata) {
 		t.Fatalf("gathered %d vertices, want %d", res.Graph.NumVertices(), len(fdata))
@@ -114,7 +114,7 @@ func TestStagedWorkStaysWithinRingBound(t *testing.T) {
 
 	data := clusteredData(rand.New(rand.NewSource(67)), 600, 8, 8)
 	cfg := DefaultConfig(8)
-	cfg.Workers = 2
+	cfg.workers = 2
 	for _, w := range []struct {
 		name   string
 		run    worldRunner
@@ -209,7 +209,7 @@ func TestWorkerPanicSurfacesOnRankGoroutine(t *testing.T) {
 		}
 	}
 	cfg := DefaultConfig(5)
-	cfg.Workers = 3
+	cfg.workers = 3
 	err := ygm.NewLocalWorld(1).Run(func(c *ygm.Comm) error {
 		_, err := BuildKernel(c, Partition(data, 0, 1), kern, cfg)
 		return err
@@ -223,7 +223,8 @@ func TestWorkerPanicSurfacesOnRankGoroutine(t *testing.T) {
 	}
 }
 
-// TestResolveWorkers pins the Config.Workers defaulting rule.
+// TestResolveWorkers pins the worker-width rule: a test's width wins,
+// and every other build runs GOMAXPROCS / nranks, at least 1.
 func TestResolveWorkers(t *testing.T) {
 	for _, tc := range []struct{ configured, nranks, want int }{
 		{3, 1, 3},       // explicit wins
@@ -234,8 +235,25 @@ func TestResolveWorkers(t *testing.T) {
 			t.Errorf("resolveWorkers(%d, %d) = %d, want %d", tc.configured, tc.nranks, got, tc.want)
 		}
 	}
-	if got := resolveWorkers(0, 1); got < 1 {
-		t.Errorf("auto resolution = %d, want >= 1", got)
+	if got, want := resolveWorkers(0, 1), runtime.GOMAXPROCS(0); got != want {
+		t.Errorf("auto resolution = %d, want GOMAXPROCS = %d", got, want)
+	}
+}
+
+// TestEnvWorkersReachResult: DNND_TEST_WORKERS is how the CI race pass
+// forces the whole suite onto a 3-wide pool now that no caller outside
+// the package sets a width, so the variable must still reach the
+// builder. Without it, a build runs the GOMAXPROCS share.
+func TestEnvWorkersReachResult(t *testing.T) {
+	data := clusteredData(rand.New(rand.NewSource(5)), 300, 8, 4)
+	cfg := DefaultConfig(6)
+	t.Setenv("DNND_TEST_WORKERS", "")
+	if res, want := buildKernelOnWorld(t, 2, data, metric.SquaredL2, cfg), max(runtime.GOMAXPROCS(0)/2, 1); res.Workers != want {
+		t.Errorf("unset: Result.Workers = %d, want GOMAXPROCS/2 = %d", res.Workers, want)
+	}
+	t.Setenv("DNND_TEST_WORKERS", "3")
+	if res := buildKernelOnWorld(t, 2, data, metric.SquaredL2, cfg); res.Workers != 3 {
+		t.Errorf("DNND_TEST_WORKERS=3: Result.Workers = %d, want 3", res.Workers)
 	}
 }
 

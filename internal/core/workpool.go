@@ -68,9 +68,9 @@ var (
 	taskBatchSize = 64  // max candidates coalesced into one task
 )
 
-// resolveWorkers applies the Config.Workers default: explicit values
-// win; 0 means one worker per core after giving every co-located rank
-// its share, clamped to at least the serial pool.
+// resolveWorkers gives each rank its share of the cores: a positive
+// configured width (Config.workers, set only by tests) wins; otherwise
+// GOMAXPROCS / nranks, clamped to at least the serial pool.
 func resolveWorkers(configured, nranks int) int {
 	if configured > 0 {
 		return configured

@@ -269,6 +269,49 @@ func TestCommitIsAtomicUnderReopen(t *testing.T) {
 	m2.Close()
 }
 
+// TestFailedManifestInstallKeepsOldStore: a commit whose manifest
+// cannot be written (here its temporary path is a directory) fails and
+// leaves the previous generation whole: the old manifest still names
+// the old object files, and none of them was removed. A manifest
+// written in place, or an old object removed before the new manifest is
+// installed, would each lose it at a crash at that point.
+func TestFailedManifestInstallKeepsOldStore(t *testing.T) {
+	dir := t.TempDir()
+	m, err := OpenOrCreate(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Put("a", []byte("v1"))
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	m, err = Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Put("a", []byte("v2"))
+	tmp := filepath.Join(dir, manifestName+".tmp")
+	if err := os.Mkdir(tmp, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Close(); err == nil {
+		t.Fatal("commit succeeded although its manifest could not be written")
+	}
+	if err := os.Remove(tmp); err != nil {
+		t.Fatal(err)
+	}
+
+	m, err = Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if got, err := m.Get("a"); err != nil || string(got) != "v1" {
+		t.Fatalf("after a failed commit Get(a) = %q, %v; want the previous generation's v1", got, err)
+	}
+}
+
 func TestWriteFileSyncFailure(t *testing.T) {
 	if err := writeFileSync(filepath.Join(t.TempDir(), "no", "such", "dir", "f"), []byte("x")); err == nil {
 		t.Error("write into missing directory accepted")

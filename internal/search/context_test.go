@@ -144,7 +144,7 @@ func TestSearchCtxZeroAlloc(t *testing.T) {
 	}
 }
 
-// Options.Deadline must truncate exactly like an Interrupt closure
+// Options.Deadline must truncate exactly like an interrupt hook
 // reading the same clock.
 func TestDeadlineTruncates(t *testing.T) {
 	data := ctxTestData(2000, 16, 71)

@@ -33,16 +33,10 @@ type Options struct {
 	// EntriesFunc, when set, provides per-query starting points to
 	// Batch (it overrides Entries there).
 	EntriesFunc func(queryIndex int) []knng.ID
-	// Interrupt, when non-nil, is polled during the traversal (once per
-	// expanded vertex); when it returns true the query stops early and
-	// returns the best results found so far, with Stats.Truncated set.
-	// It must be cheap and must not consume the query's RNG — online
-	// servers use it to cut off straggler queries at their deadline.
-	Interrupt func() bool
-	// Deadline, when non-zero, truncates the traversal like Interrupt
-	// once time.Now passes it — the declarative form servers use so the
-	// hot path needs no per-query closure. Composes with Interrupt
-	// (either one stops the query).
+	// Deadline, when non-zero, is checked once per expanded vertex: once
+	// time.Now passes it, the query stops early and returns the best
+	// results found so far, with Stats.Truncated set. Online servers use
+	// it to cut off straggler queries.
 	Deadline time.Time
 	// Tombs, when non-nil, marks deleted vertices: they are never
 	// returned as results but remain routable — the traversal still
@@ -50,6 +44,12 @@ type Options struct {
 	// rewrites the graph they are load-bearing stepping stones in its
 	// connectivity. A nil set costs one branch per candidate.
 	Tombs *knng.TombSet
+
+	// interrupt, when non-nil, is polled where Deadline is and stops the
+	// query the same way when it returns true. Only in-package tests set
+	// it, to truncate a walk after an exact number of expansions; it
+	// must not consume the query's RNG.
+	interrupt func() bool
 }
 
 // minSeedPoints floors the number of random entry points per query.
@@ -61,8 +61,8 @@ type Stats struct {
 	DistEvals int64
 	// Visited counts vertices whose neighbor lists were expanded.
 	Visited int64
-	// Truncated counts queries stopped early by Options.Interrupt or
-	// Options.Deadline (0 or 1 for a single Query).
+	// Truncated counts queries stopped early by Options.Deadline (0 or
+	// 1 for a single Query).
 	Truncated int64
 }
 
@@ -150,7 +150,7 @@ func traverse[T wire.Scalar](sc *Context[T], g *knng.Graph, opt Options) *knng.N
 	eps1 := 1 + opt.Epsilon
 	hasDeadline := !opt.Deadline.IsZero()
 	for !front.Empty() {
-		if opt.Interrupt != nil && opt.Interrupt() {
+		if opt.interrupt != nil && opt.interrupt() {
 			sc.st.Truncated = 1
 			break
 		}

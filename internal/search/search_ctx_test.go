@@ -21,7 +21,7 @@ func randData(n, dim int, seed int64) [][]float32 {
 	return data
 }
 
-// TestQueryInterrupt: an Interrupt that fires immediately stops the
+// TestQueryInterrupt: an interrupt hook that fires immediately stops the
 // traversal before any vertex is expanded, returning only the seeded
 // candidates with Truncated set.
 func TestQueryInterrupt(t *testing.T) {
@@ -33,7 +33,7 @@ func TestQueryInterrupt(t *testing.T) {
 	g := brute.KNNGraph(data, 8, dist, 0)
 	res, st := Query(g, data, dist, data[0], Options{
 		L: 8, Epsilon: 0.2,
-		Interrupt: func() bool { return true },
+		interrupt: func() bool { return true },
 	}, 7)
 	if st.Truncated != 1 {
 		t.Fatalf("Truncated = %d, want 1", st.Truncated)

@@ -62,7 +62,7 @@ func oracleTraverse(sc *Context[float32], g *knng.Graph, score func(knng.ID) flo
 	eps1 := 1 + opt.Epsilon
 	hasDeadline := !opt.Deadline.IsZero()
 	for !front.Empty() {
-		if opt.Interrupt != nil && opt.Interrupt() {
+		if opt.interrupt != nil && opt.interrupt() {
 			sc.st.Truncated = 1
 			break
 		}
@@ -102,7 +102,7 @@ func oracleQuery(g *knng.Graph, data [][]float32, dist metric.Func[float32], q [
 	return oracleTraverse(sc, g, exact, opt.L, opt).SortedInto(nil), sc.st
 }
 
-// stopAfter returns an Interrupt that fires on its (k+1)-th poll, so a
+// stopAfter returns an interrupt hook that fires on its (k+1)-th poll, so a
 // traversal is cut after exactly k expansions — deterministically,
 // unlike a wall-clock deadline.
 func stopAfter(k int) func() bool {
@@ -146,7 +146,7 @@ func TestTraverseMatchesOneAtATimeOracle(t *testing.T) {
 			tombs    *knng.TombSet
 			entries  []knng.ID
 			deadline bool
-			stop     int // expansions before Interrupt fires; -1: never
+			stop     int // expansions before the interrupt hook fires; -1: never
 		}{
 			{name: "plain", stop: -1},
 			{name: "tombstoned", tombs: tombs, stop: -1},
@@ -155,7 +155,7 @@ func TestTraverseMatchesOneAtATimeOracle(t *testing.T) {
 			{name: "interrupted", stop: rng.Intn(6)},
 		}
 		for _, c := range cases {
-			// A fresh Options per walk: each needs its own Interrupt count.
+			// A fresh Options per walk: each needs its own interrupt count.
 			opt := func() Options {
 				o := base
 				o.Tombs, o.Entries = c.tombs, c.entries
@@ -163,7 +163,7 @@ func TestTraverseMatchesOneAtATimeOracle(t *testing.T) {
 					o.Deadline = time.Now().Add(-time.Second)
 				}
 				if c.stop >= 0 {
-					o.Interrupt = stopAfter(c.stop)
+					o.interrupt = stopAfter(c.stop)
 				}
 				return o
 			}

@@ -47,7 +47,7 @@ type Metrics struct {
 	Refines          atomic.Int64 // snapshots published by the refiner
 	RefineErrors     atomic.Int64 // refinements that failed (snapshot kept)
 	RejectedReadOnly atomic.Int64 // mutations against a frozen server
-	MutLogErrors     atomic.Int64 // durability hook failures (non-fatal)
+	MutLogErrors     atomic.Int64 // Publish hook failures (non-fatal)
 
 	// Gauges.
 	InFlight     atomic.Int64 // admitted, not yet replied

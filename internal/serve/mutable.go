@@ -42,21 +42,13 @@ type MutableConfig[T wire.Scalar] struct {
 	// Pending seeds the delta with rows persisted but not yet refined
 	// into the graph (LoadMutable's pending return).
 	Pending [][]T
-	// LogIngest, LogDelete, and Publish are optional durability hooks.
-	// LogIngest and LogDelete run synchronously on the mutation path
-	// with the mutation lock still held, so a log that appends in
-	// hook-call order replays correctly: ingest batches arrive in
-	// exactly ID-assignment order (point IDs are positional), and a
-	// delete is always logged after the ingest that created its IDs.
-	// The hooks must be fast (they stall concurrent mutations, not
-	// queries) and must not call back into the server. Publish runs on
-	// the refiner goroutine after each snapshot swap with the newly
-	// published graph, dataset, tombstones, and generation. Hook errors
-	// are counted (MutLogErrors) but do not fail the mutation: the
+	// Publish, when non-nil, is the durability hook: it runs on the
+	// refiner goroutine after each snapshot swap with the newly
+	// published graph, dataset, tombstones, and generation (the
+	// command-line server writes them to its store). Its errors are
+	// counted (MutLogErrors) but do not fail the refinement: the
 	// in-memory index is the source of truth while the server runs.
-	LogIngest func(vecs [][]T) error
-	LogDelete func(ids []knng.ID) error
-	Publish   func(g *knng.Graph, data [][]T, tombs *knng.TombSet, gen uint64) error
+	Publish func(g *knng.Graph, data [][]T, tombs *knng.TombSet, gen uint64) error
 }
 
 func (c MutableConfig[T]) withDefaults() MutableConfig[T] {
@@ -231,22 +223,12 @@ func (m *mutable[T]) ingest(s *Server[T], id uint64, vecs [][]T) msg.SUpdateRepl
 	if len(vecs) > 0 {
 		m.dirty = true
 	}
-	// Log while still holding mu: IDs are positional, so the log must
-	// see batches in exactly ID-assignment order or a replay rebuilds
-	// rows at the wrong IDs.
-	logErr := false
-	if m.cfg.LogIngest != nil && len(vecs) > 0 {
-		logErr = m.cfg.LogIngest(vecs) != nil
-	}
 	gen := m.gen
 	pending += len(vecs)
 	m.mu.Unlock()
 
 	s.m.IngestOps.Add(1)
 	s.m.Ingested.Add(int64(len(vecs)))
-	if logErr {
-		s.m.MutLogErrors.Add(1)
-	}
 	if pending >= m.cfg.RefineEvery {
 		m.kickRefine()
 	}
@@ -277,20 +259,11 @@ func (m *mutable[T]) delete(s *Server[T], id uint64, ids []knng.ID) msg.SUpdateR
 	if newly > 0 {
 		m.dirty = true
 	}
-	// Log under mu, like ingest: a delete must be logged after the
-	// ingest that assigned its IDs, or a replay drops it as unknown.
-	logErr := false
-	if m.cfg.LogDelete != nil && len(ids) > 0 {
-		logErr = m.cfg.LogDelete(ids) != nil
-	}
 	gen := m.gen
 	m.mu.Unlock()
 
 	s.m.DeleteOps.Add(1)
 	s.m.Tombstoned.Add(int64(newly))
-	if logErr {
-		s.m.MutLogErrors.Add(1)
-	}
 	return msg.SUpdateReply{ID: id, Status: msg.SStatusOK, Gen: gen, Count: uint32(newly)}
 }
 

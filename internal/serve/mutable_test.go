@@ -2,8 +2,10 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -554,71 +556,53 @@ func TestRefineFailureRetries(t *testing.T) {
 	}
 }
 
-// TestMutationLogOrder: LogIngest runs while the mutation lock is
-// held, so the durability log observes batches in exactly ID-assignment
-// order even under concurrent writers — replaying the log in hook-call
-// order must rebuild the dataset tail row for row (point IDs are
-// positional, so any reordering silently corrupts a replayed index).
-func TestMutationLogOrder(t *testing.T) {
+// TestPublishHookAndErrors: Publish sees every published snapshot
+// (its generation, and a graph and dataset covering the ingested rows)
+// before the flush that forced it returns, and a failing Publish is
+// counted in MutLogErrors without failing the flush.
+func TestPublishHookAndErrors(t *testing.T) {
 	const n, dim, k, l = 200, 8, 8, 12
-	const writers, perWriter = 4, 30
-	var logMu sync.Mutex
-	var replay [][]float32
+	type published struct {
+		gen      uint64
+		vertices int
+		rows     int
+	}
+	var (
+		pubMu sync.Mutex
+		pubs  []published
+	)
 	mcfg := MutableConfig[float32]{
-		RefineEvery: 1 << 20, // no refinement noise during the race
-		LogIngest: func(vecs [][]float32) error {
-			logMu.Lock()
-			replay = append(replay, vecs...)
-			logMu.Unlock()
+		RefineEvery: 1 << 20, // only flushes refine
+		Publish: func(g *knng.Graph, data [][]float32, _ *knng.TombSet, gen uint64) error {
+			pubMu.Lock()
+			defer pubMu.Unlock()
+			pubs = append(pubs, published{gen, g.NumVertices(), len(data)})
+			if len(pubs) == 1 {
+				return errors.New("disk full")
+			}
 			return nil
 		},
 	}
-	s, c, shutdown := mutableFixture(t, n, dim, k,
-		Config{L: l, Epsilon: 0.25, Workers: 4}, mcfg)
+	s, c, shutdown := mutableFixture(t, n, dim, k, Config{L: l, Epsilon: 0.25, Workers: 2}, mcfg)
 	defer shutdown()
-	addr := c.sc.c.RemoteAddr().String()
 
-	vecs := randData(writers*perWriter, dim, 7)
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			wc, err := Dial(addr, 5*time.Second)
-			if err != nil {
-				t.Errorf("writer %d: dial: %v", w, err)
-				return
-			}
-			defer wc.Close()
-			for i := 0; i < perWriter; i++ {
-				row := vecs[w*perWriter+i : w*perWriter+i+1]
-				if up, err := Ingest(wc, row); err != nil || up.Status != msg.SStatusOK {
-					t.Errorf("writer %d ingest %d: %+v, %v", w, i, up, err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if t.Failed() {
-		return
-	}
-
-	m := s.mut
-	m.mu.Lock()
-	tail := append([][]float32(nil), m.data[n:]...)
-	m.mu.Unlock()
-	if len(replay) != len(tail) || len(tail) != writers*perWriter {
-		t.Fatalf("log has %d rows, dataset tail %d, want %d", len(replay), len(tail), writers*perWriter)
-	}
-	for i := range tail {
-		for j := range tail[i] {
-			if replay[i][j] != tail[i][j] {
-				t.Fatalf("log order diverges from ID-assignment order at row %d", i)
-			}
+	for round, batch := range [][][]float32{randData(3, dim, 7), randData(5, dim, 8)} {
+		if up, err := Ingest(c, batch); err != nil || up.Status != msg.SStatusOK {
+			t.Fatalf("round %d ingest: %+v, %v", round, up, err)
+		}
+		up, err := c.Flush()
+		if err != nil || up.Status != msg.SStatusOK || up.Gen != uint64(round+1) {
+			t.Fatalf("round %d flush: %+v, %v", round, up, err)
 		}
 	}
-	if got := s.Metrics().MutLogErrors.Load(); got != 0 {
-		t.Fatalf("MutLogErrors = %d", got)
+	pubMu.Lock()
+	got := append([]published(nil), pubs...)
+	pubMu.Unlock()
+	want := []published{{1, n + 3, n + 3}, {2, n + 8, n + 8}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Publish calls = %+v, want %+v", got, want)
+	}
+	if e := s.Metrics().MutLogErrors.Load(); e != 1 {
+		t.Fatalf("MutLogErrors = %d, want 1 (the first Publish failed)", e)
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"dnnd/internal/wire"
 )
@@ -38,12 +39,32 @@ func Read[T wire.Scalar](r io.Reader) ([][]T, error) {
 		if err != nil {
 			return nil, err
 		}
-		vec := make([]T, dim)
-		if err := binary.Read(br, binary.LittleEndian, vec); err != nil {
+		vec, err := readBody[T](br, dim)
+		if err != nil {
 			return nil, fmt.Errorf("%w: truncated %s record %d: %v", ErrBadFormat, wire.ElemName[T](), len(out), err)
 		}
 		out = append(out, vec)
 	}
+}
+
+// chunkElems bounds how far a record's allocation runs ahead of the
+// bytes read into it.
+const chunkElems = 1 << 14
+
+// readBody reads dim elements one chunk at a time, so a header that
+// claims more elements than the input holds fails having allocated
+// about as much as the input held, not what the header claimed.
+func readBody[T wire.Scalar](br *bufio.Reader, dim int) ([]T, error) {
+	vec := make([]T, 0, min(dim, chunkElems))
+	for len(vec) < dim {
+		n := min(dim-len(vec), chunkElems)
+		vec = slices.Grow(vec, n)
+		if err := binary.Read(br, binary.LittleEndian, vec[len(vec):len(vec)+n]); err != nil {
+			return nil, err
+		}
+		vec = vec[:len(vec)+n]
+	}
+	return vec, nil
 }
 
 // Write encodes records of element type T to w.

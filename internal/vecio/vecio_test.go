@@ -5,6 +5,8 @@ import (
 	"errors"
 	"math/rand"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -101,6 +103,46 @@ func TestTruncatedRecordRejected(t *testing.T) {
 	}
 }
 
+// TestOversizedHeaderAllocatesLittle: the 4-byte input 00 00 00 01
+// claims a record of 2^24 elements and holds none of them. It must fail
+// as truncated having allocated about what was read, not the ≈ 134 MB
+// the header claims. Records longer than one read chunk still decode.
+func TestOversizedHeaderAllocatesLittle(t *testing.T) {
+	raw := []byte{0, 0, 0, 1}
+	for _, read := range []func() error{
+		func() error { _, err := Read[float32](bytes.NewReader(raw)); return err },
+		func() error { _, err := Read[uint8](bytes.NewReader(raw)); return err },
+		func() error { _, err := Read[uint32](bytes.NewReader(raw)); return err },
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := read()
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrBadFormat) {
+			t.Fatalf("oversized header = %v, want ErrBadFormat", err)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+			t.Errorf("oversized header allocated %d bytes before failing, want < 1 MB", d)
+		}
+	}
+
+	long := make([]float32, 3*chunkElems+5)
+	for i := range long {
+		long[i] = float32(i) - 0.5
+	}
+	var buf bytes.Buffer
+	if err := Write(&buf, [][]float32{long, {7}}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Read[float32](&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || !slices.Equal(got[0], long) || !slices.Equal(got[1], []float32{7}) {
+		t.Fatalf("multi-chunk record did not round-trip: %d records", len(got))
+	}
+}
+
 func TestNegativeDimensionRejected(t *testing.T) {
 	raw := []byte{0xFF, 0xFF, 0xFF, 0xFF} // dim = -1
 	if _, err := Read[uint8](bytes.NewReader(raw)); !errors.Is(err, ErrBadFormat) {
@@ -183,7 +225,7 @@ func FuzzRead(f *testing.F) {
 	f.Add([]byte{3, 0, 0, 0, 0, 7, 255})
 	f.Add([]byte{1, 0, 0, 0, 1, 0, 0})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	f.Add([]byte{0, 0, 0, 1})
+	f.Add([]byte{0, 0, 0, 1}) // 2^24 elements claimed, none present
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		fuzzOne[float32](t, raw)
 		fuzzOne[uint8](t, raw)

@@ -18,7 +18,7 @@ func chargedTraffic(t *testing.T, elide bool) (Stats, []int) {
 	w := NewLocalWorld(1)
 	var payloadLens []int
 	err := w.Run(func(c *Comm) error {
-		c.SetFlushThreshold(16 << 10)
+		c.setFlushThreshold(16 << 10)
 		hSmall := c.Register("small", func(*Comm, int, []byte) {})
 		hBig := c.Register("big", func(_ *Comm, _ int, p []byte) {
 			if len(payloadLens) < 4 {

@@ -111,7 +111,7 @@ func TestNoOpportunisticDrainWhileApplying(t *testing.T) {
 		})
 		c.SetLocalWork(nil, nil, func() bool { return applying })
 		defer c.SetLocalWork(nil, nil, nil)
-		c.SetFlushThreshold(1) // every record reaches the mailbox at once
+		c.setFlushThreshold(1) // every record reaches the mailbox at once
 
 		applying = true
 		for i := 0; i < 4*pollInterval; i++ {

@@ -260,9 +260,10 @@ func (c *Comm) NRanks() int { return c.nranks }
 // process: its frames cross sockets, so every byte must exist.
 func (c *Comm) InProcess() bool { return c.inProcess }
 
-// SetFlushThreshold overrides the sender-side aggregation threshold in
-// bytes. Must be called before any Async.
-func (c *Comm) SetFlushThreshold(n int) {
+// setFlushThreshold overrides the sender-side aggregation threshold in
+// bytes; only tests shrink it, to force many frames. Must be called
+// before any Async.
+func (c *Comm) setFlushThreshold(n int) {
 	if n < 1 {
 		n = 1
 	}

@@ -385,7 +385,7 @@ func TestAsyncValidation(t *testing.T) {
 func TestFlushThresholdForcesManyFrames(t *testing.T) {
 	w := NewLocalWorld(2)
 	err := w.Run(func(c *Comm) error {
-		c.SetFlushThreshold(16) // tiny: nearly every message flushes
+		c.setFlushThreshold(16) // tiny: nearly every message flushes
 		h := c.Register("h", func(c *Comm, from int, payload []byte) {})
 		if c.Rank() == 0 {
 			for i := 0; i < 200; i++ {
@@ -619,7 +619,7 @@ func TestPeakMailboxStats(t *testing.T) {
 func TestSetFlushThresholdClamps(t *testing.T) {
 	w := NewLocalWorld(1)
 	err := w.Run(func(c *Comm) error {
-		c.SetFlushThreshold(-5) // clamped to 1
+		c.setFlushThreshold(-5) // clamped to 1
 		h := c.Register("h", func(c *Comm, from int, payload []byte) {})
 		c.Async(0, h, nil)
 		c.Barrier()

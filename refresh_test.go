@@ -2,6 +2,7 @@ package dnnd
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"dnnd/internal/brute"
@@ -231,13 +232,15 @@ func TestRefreshSeedsAppendedRows(t *testing.T) {
 
 // TestRefreshWorkerWidthDeterministic: the seeding search spreads its
 // queries over the cores through a claim cursor, ahead of the worker
-// ring; neither may make a refresh depend on the worker width.
+// ring; neither may make a refresh depend on the worker width. Both
+// take their width from GOMAXPROCS, which is how a width is chosen.
 func TestRefreshWorkerWidthDeterministic(t *testing.T) {
 	opt := BuildOptions{K: 10, Metric: metric.L2, Ranks: 1, Seed: 1}
 	data, base, tombs := deepDelta(t, 1500, opt)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	var ref *BuildResult
 	for _, workers := range []int{1, 2, 3} {
-		opt.Workers = workers
+		runtime.GOMAXPROCS(workers)
 		res, err := Refresh(data, base.Graph, tombs, opt)
 		if err != nil {
 			t.Fatal(err)

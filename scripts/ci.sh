@@ -132,7 +132,7 @@ echo "== go test -race (batch search: shared claim cursor, repeated)"
 go test -race -count=5 -run 'TestBatch|TestEntriesFuncInBatch' ./internal/search/
 
 echo "== go test -race (warm builds and store saves, repeated)"
-# Extend, Refresh and Compact seed appended rows with one search.Batch
+# Refresh and Compact seed appended rows with one search.Batch
 # over the prior graph, then run the ring; a race between the two, or a
 # refresh that depends on the worker width, shows up only on some
 # schedules. SaveMutable, which every store write goes through, freezes
@@ -141,7 +141,7 @@ echo "== go test -race (warm builds and store saves, repeated)"
 # graph. TestSplitShardRecallNearCold is a recall check, not a
 # concurrency test, and by far the slowest of them under -race, so it
 # runs once.
-go test -race -count=3 -run 'TestRefresh|TestExtend|TestCompact|TestSaveMutable|TestSplit' -skip 'TestSplitShardRecallNearCold' .
+go test -race -count=3 -run 'TestRefresh|TestCompact|TestSaveMutable|TestSplit' -skip 'TestSplitShardRecallNearCold' .
 go test -race -count=1 -run 'TestSplitShardRecallNearCold' .
 
 echo "== go test -race (online serving: server + loadgen in-process)"

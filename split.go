@@ -114,7 +114,7 @@ func Split[T Scalar](dir, outDir string, n int, opt BuildOptions) (*shard.Manife
 // descent already checked them against each other. Two-hop entries are
 // flagged new, so the refine checks them. A row left with fewer than
 // opt.K candidates is topped up at random by the warm loader, as after
-// a Remove.
+// a compaction.
 func shardPrior[T Scalar](g *Graph, sub [][]T, s, n int, opt BuildOptions) (*Graph, error) {
 	kern, err := kernelFor[T](opt.Metric)
 	if err != nil {

@@ -355,14 +355,14 @@ func Compact[T Scalar](dir string, opt BuildOptions) ([]ID, error) {
 	combined = append(combined, ix.data...)
 	combined = append(combined, pending...)
 	// The prior covers only the base rows: the delta rows start from a
-	// search of it, exactly like Extend's appended rows.
+	// search of it, exactly like Refresh's appended rows.
 	var (
 		kept    [][]T
 		res     *BuildResult
 		mapping []ID
 	)
 	if dead := tombs.Snapshot(); len(dead) > 0 {
-		kept, res, mapping, err = Remove(combined, dead, ix.graph, opt)
+		kept, res, mapping, err = compactRows(combined, dead, ix.graph, opt)
 	} else {
 		kept = combined
 		res, err = runBuild(combined, ix.graph, nil, opt)

@@ -353,11 +353,12 @@ func TestCompactFoldsDeltaAndTombstones(t *testing.T) {
 	}
 }
 
-// TestCompactSeedsLikeExtend: Compact hands the build the stored graph
-// unpadded, so its delta rows start from a search of it. Without
-// tombstones the compacted graph is Extend's, neighbor for neighbor;
-// with them it is Remove's over the same unpadded prior.
-func TestCompactSeedsLikeExtend(t *testing.T) {
+// TestCompactSeedsLikeRefresh: Compact hands the build the stored
+// graph unpadded, so its delta rows start from a search of it. Without
+// tombstones the compacted graph is Refresh's over the data and delta
+// with no tombstones, neighbor for neighbor; with them it is
+// compactRows' over the same unpadded prior.
+func TestCompactSeedsLikeRefresh(t *testing.T) {
 	const n, dim, k = 300, 8, 8
 	opt := BuildOptions{K: k, Metric: metric.SquaredL2, Ranks: 1, Seed: 1}
 	rng := rand.New(rand.NewSource(14))
@@ -410,7 +411,7 @@ func TestCompactSeedsLikeExtend(t *testing.T) {
 	}
 
 	t.Run("pending", func(t *testing.T) {
-		want, err := Extend(data, delta, built.Graph, opt)
+		want, err := Refresh(combined, built.Graph, nil, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -418,7 +419,7 @@ func TestCompactSeedsLikeExtend(t *testing.T) {
 	})
 	t.Run("tombstones", func(t *testing.T) {
 		dead := []ID{4, 90, 91, n + 3}
-		_, want, _, err := Remove(combined, dead, built.Graph, opt)
+		_, want, _, err := compactRows(combined, dead, built.Graph, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
