@@ -62,11 +62,11 @@ func TestWorkerCountEquivalence(t *testing.T) {
 }
 
 // TestWorkerPoolRingHammer shrinks the ring and batch caps to force
-// constant seal/claim/steal/recycle churn and runs a multi-rank build
-// with helper goroutines. It asserts only completion and sanity (the
-// graph exists and distances were computed) — multi-rank outcomes are
-// arrival-order-dependent — and exists chiefly for the -race pass in
-// scripts/ci.sh.
+// constant seal/claim/apply churn through reused slots, and runs a
+// multi-rank build with helper goroutines. It asserts only completion
+// and sanity (the graph exists and distances were computed) —
+// multi-rank outcomes are arrival-order-dependent — and exists chiefly
+// for the -race pass in scripts/ci.sh.
 func TestWorkerPoolRingHammer(t *testing.T) {
 	defer func(ring, batch int) {
 		taskRingSize, taskBatchSize = ring, batch
@@ -97,9 +97,9 @@ func TestWorkerPoolRingHammer(t *testing.T) {
 // ranks, where most staged work comes from other ranks' traffic. The
 // bound follows from where tasks are staged. Only handlers and the
 // emit loops stage, each staging adds at most one task, and a
-// half-drain runs the moment the ring holds ringCap, so it never holds
-// more. Nothing is staged inside an apply: no apply stages work of its
-// own, and nothing is drained from the mailbox while one runs (sends
+// half-drain runs the moment the ring holds taskRingSize tasks, so it
+// never holds more. Nothing is staged inside an apply (staging there
+// panics), and nothing is drained from the mailbox while one runs (sends
 // made by applies make no opportunistic progress; see
 // ygm.Comm.SetLocalWork). Were applies to drain the mailbox, one drain
 // would stage a phase's whole inbound backlog, and this build would

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -25,7 +26,7 @@ func testPool(workers, ring int, apply func(p *workpool[float32], tk *task[float
 
 // Effects land in stage order, with the right distances, at every pool
 // width: a 4-slot ring forces a half-drain every few stagings, so helper
-// claims, inline steals and recycled tasks all interleave, and none of
+// claims, applier claims and reused slots all interleave, and none of
 // it may reorder or drop an apply. Keys differ per record and kinds
 // rotate, so every record is its own task (nothing coalesces).
 func TestApplyOrderEqualsStageOrder(t *testing.T) {
@@ -46,7 +47,7 @@ func TestApplyOrderEqualsStageOrder(t *testing.T) {
 			a := uint32(i)
 			want[i] = a
 			p.stageCompute(uint8(i%3), a, []float32{float32(a)}, false, cand{A: a}, vec, 0, false)
-			if size := len(p.ring) - p.head; size >= 4 {
+			if size := p.size(); size >= 4 {
 				t.Fatalf("workers=%d: ring holds %d tasks after staging %d, cap is 4", workers, size, i)
 			}
 		}
@@ -61,10 +62,62 @@ func TestApplyOrderEqualsStageOrder(t *testing.T) {
 	}
 }
 
-// While a helper holds the head task, the applier computes the ready
-// tasks behind it rather than waiting: the head's kernel blocks until
-// every later task is done, which only an applier that computes ahead
-// can bring about. Applies still land in stage order.
+// Every staged task is evaluated exactly once at Workers 3: the claim
+// cursor hands each sealed task to one goroutine, helper or applier.
+// Eval is pure, so a task computed twice would leave every result
+// intact; only a count of eval calls sees it. In the burst case both
+// helpers are held on tasks 0 and 1 while the rest are staged, then
+// released together, so three claimers race over a sealed backlog; in
+// the churn case a 4-slot ring drains every two stagings.
+func TestEachTaskEvaluatedOnce(t *testing.T) {
+	const n = 2000
+	vec := []float32{0.5}
+	defer func(old int) { taskRingSize = old }(taskRingSize)
+	for _, burst := range []bool{true, false} {
+		taskRingSize = 4
+		gate := make(chan struct{})
+		if burst {
+			taskRingSize = 4096 // > n: nothing applies before the burst
+		} else {
+			close(gate)
+		}
+		var evals atomic.Int64
+		p := newWorkpool(3, func(q []float32, vecs [][]float32, _ []float32, dists []float32) {
+			evals.Add(1)
+			if q[0] < 2 {
+				<-gate
+			}
+			for i, v := range vecs {
+				dists[i] = q[0] + v[0]
+			}
+		}, func(*task[float32]) {}, nil)
+		for i := range n {
+			a := uint32(i)
+			p.stageCompute(0, a, []float32{float32(a)}, false, cand{A: a}, vec, 0, false)
+			if burst && i == 2 { // tasks 0 and 1 are sealed
+				for deadline := time.Now().Add(5 * time.Second); p.next.Load() < 2; time.Sleep(time.Millisecond) {
+					if time.Now().After(deadline) {
+						close(gate)
+						t.Fatal("the helpers never claimed tasks 0 and 1")
+					}
+				}
+			}
+		}
+		if burst {
+			close(gate)
+		}
+		p.runHook()
+		p.shutdown()
+		if got := evals.Load(); got != p.tasksStaged || p.tasksStaged != n {
+			t.Errorf("burst=%v: %d evals for %d staged tasks, want %d each", burst, got, p.tasksStaged, n)
+		}
+	}
+}
+
+// While a helper holds the head task, the applier claims and computes
+// the tasks behind it rather than waiting: the head's kernel blocks
+// until every later task is done, which only an applier that claims
+// past the head can bring about. Applies still land in stage order.
 func TestApplierComputesAheadOfClaimedHead(t *testing.T) {
 	const later = 6
 	gate := make(chan struct{})
@@ -91,9 +144,8 @@ func TestApplierComputesAheadOfClaimedHead(t *testing.T) {
 	}
 
 	stage(0)
-	head := p.ring[p.head]
 	p.sealTail()
-	for deadline := time.Now().Add(5 * time.Second); head.state.Load()&3 != stClaimed; time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(5 * time.Second); p.next.Load() == 0; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			close(gate) // a late claim must not block shutdown
 			t.Fatal("the helper never claimed the head task")
@@ -102,7 +154,6 @@ func TestApplierComputesAheadOfClaimedHead(t *testing.T) {
 	for a := uint32(1); a <= later; a++ {
 		stage(a)
 	}
-	tasks := slices.Clone(p.ring[p.head+1:])
 
 	var ahead atomic.Bool
 	watched := make(chan struct{})
@@ -111,12 +162,12 @@ func TestApplierComputesAheadOfClaimedHead(t *testing.T) {
 		defer close(gate)
 		for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
 			done := 0
-			for _, tk := range tasks {
-				if tk.state.Load()&3 == stDone {
+			for s := int64(1); s <= later; s++ {
+				if p.slot(s).done.Load() == s+1 {
 					done++
 				}
 			}
-			if done == len(tasks) {
+			if done == later {
 				ahead.Store(true)
 				return
 			}
@@ -137,64 +188,52 @@ func TestApplierComputesAheadOfClaimedHead(t *testing.T) {
 	}
 }
 
-// No construction apply stages work, but the pool does not rely on it:
-// a record staged from inside Apply must join the ring and wait for the
-// running drain loop — even with the ring past its cap — never start a
-// nested drain. Throughout, ApplyingHook tells the comm not to dispatch
-// inbound records from the apply's sends.
-func TestStagingInsideApplyDoesNotRecurse(t *testing.T) {
-	const chain = 40
-	const filler = 1000 // filler records carry A >= filler and stage nothing
+// No construction apply stages work, and the pool holds it to that: a
+// record staged from inside an apply would take a slot the drain has
+// not yet applied. Staging there panics, and the panic leaves the pool
+// usable: nothing was staged, the applying flag is cleared, and the
+// tasks behind the faulty apply still apply in order.
+func TestStagingInsideApplyPanics(t *testing.T) {
+	const n = 6
 	vec := []float32{0}
-	stage := func(p *workpool[float32], kind uint8, a uint32) {
-		p.stageCompute(kind, a, []float32{float32(a)}, false, cand{A: a}, vec, 0, false)
+	stage := func(p *workpool[float32], a uint32) {
+		p.stageCompute(0, a, []float32{float32(a)}, false, cand{A: a}, vec, 0, false)
 	}
-	var links []uint32
-	applied, depth, maxDepth, maxSize := 0, 0, 0, 0
-	p := testPool(1, 4, func(p *workpool[float32], tk *task[float32]) {
-		depth++
-		maxDepth = max(maxDepth, depth)
-		applied++
-		if !p.applyingHook() {
-			t.Error("ApplyingHook false inside Apply")
+	var got []uint32
+	p := testPool(1, 64, func(p *workpool[float32], tk *task[float32]) {
+		a := tk.Meta[0].A
+		got = append(got, a)
+		if a == 2 {
+			stage(p, 100)
 		}
-		if a := tk.Meta[0].A; a < filler {
-			links = append(links, a)
-			if a < chain {
-				// The next link goes in ahead of two fillers, so the ring
-				// grows by two per link and passes the 4-slot cap at once.
-				stage(p, uint8(a%2), a+1)
-				stage(p, 2, filler)
-				stage(p, 3, filler)
-				maxSize = max(maxSize, len(p.ring)-p.head)
-			}
-		}
-		depth--
 	})
 	defer p.shutdown()
-	stage(p, 9, 0)
-	if !p.runHook() {
-		t.Fatal("RunHook applied nothing")
+	for a := range uint32(n) {
+		stage(p, a)
 	}
-	if maxSize <= 4 {
-		t.Fatalf("ring peaked at %d tasks; the test needs it past the 4-slot cap", maxSize)
-	}
-	if maxDepth != 1 {
-		t.Errorf("Apply nested %d deep, want 1", maxDepth)
-	}
-	if p.pendingHook() {
-		t.Error("records staged during the drain were left on the ring")
-	}
+	func() {
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "staged during an apply") {
+				t.Errorf("recovered %v, want the staging-during-apply panic", r)
+			}
+		}()
+		p.runHook()
+		t.Error("a record staged during an apply did not panic")
+	}()
 	if p.applyingHook() {
-		t.Error("ApplyingHook still true after the drain")
+		t.Error("ApplyingHook still true after the panic")
 	}
-	for i, a := range links {
-		if a != uint32(i) {
-			t.Fatalf("chain applied out of order: %v", links)
-		}
+	if p.tasksStaged != n {
+		t.Errorf("%d tasks staged, want %d: the rejected record joined the ring", p.tasksStaged, n)
 	}
-	if len(links) != chain+1 || applied != 1+3*chain {
-		t.Errorf("applied %d records (%d links), want %d (%d)", applied, len(links), 1+3*chain, chain+1)
+	if !p.pendingHook() {
+		t.Error("the tasks behind the faulty apply were dropped")
+	}
+	if !p.runHook() || p.pendingHook() {
+		t.Error("the drain after the panic did not empty the ring")
+	}
+	if want := []uint32{0, 1, 2, 3, 4, 5}; !slices.Equal(got, want) {
+		t.Errorf("applied %v, want %v", got, want)
 	}
 }
 
@@ -262,23 +301,19 @@ func TestEvalPanicSurfacesOnApplier(t *testing.T) {
 }
 
 // A task's Query either aliases the caller's stable row or holds a
-// private copy of a transient view, and the same task object serves
-// both over its lives. The stable row must come through a full
-// stable → recycle → transient cycle on one task byte-for-byte intact:
-// the pool may never append into, or copy over, storage it only
-// borrowed.
-func TestStableQueryAliasSurvivesRecycle(t *testing.T) {
+// private copy of a transient view, and the same slot serves both over
+// its tasks. On a 2-slot ring, with a filler task between them, a
+// stable task and then a transient one take slot 0. The stable row
+// must come through byte-for-byte intact: the pool may never append
+// into, or copy over, storage it only borrowed.
+func TestStableQueryAliasSurvivesSlotReuse(t *testing.T) {
 	const dim = 8
 	var applied []*task[float32]
 	var sawQuery [][]float32
-	p := newWorkpool(1, func(q []float32, vecs [][]float32, _ []float32, dists []float32) {
-		for i := range vecs {
-			dists[i] = q[0]
-		}
-	}, func(tk *task[float32]) {
+	p := testPool(1, 2, func(_ *workpool[float32], tk *task[float32]) {
 		applied = append(applied, tk)
 		sawQuery = append(sawQuery, tk.Query)
-	}, nil)
+	})
 	defer p.shutdown()
 
 	// The stable row sits inside a larger slab, as dataset rows often
@@ -292,9 +327,9 @@ func TestStableQueryAliasSurvivesRecycle(t *testing.T) {
 	vec := make([]float32, dim)
 
 	p.stageCompute(1, 7, row, true, cand{A: 7}, vec, 0, false)
-	p.runHook()
+	p.stageCompute(2, 8, vec, false, cand{A: 8}, vec, 0, false) // filler: slot 1, half-drains task 0
 	if len(applied) != 1 {
-		t.Fatalf("applied %d tasks, want 1", len(applied))
+		t.Fatalf("applied %d tasks after filling the 2-slot ring, want 1", len(applied))
 	}
 	q := sawQuery[0]
 	if &q[0] != &row[0] {
@@ -304,17 +339,20 @@ func TestStableQueryAliasSurvivesRecycle(t *testing.T) {
 		t.Errorf("aliased query has cap %d > len %d: an append could write into the caller's storage", cap(q), len(q))
 	}
 
-	// Second life of the same task, now with a transient view.
+	// Slot 0 again, now with a transient view.
 	transient := make([]float32, dim)
 	for i := range transient {
 		transient[i] = -1
 	}
 	p.stageCompute(1, 9, transient, false, cand{A: 9}, vec, 0, false)
 	p.runHook()
-	if len(applied) != 2 || applied[1] != applied[0] {
-		t.Fatalf("second staging did not reuse the recycled task (%d applied)", len(applied))
+	if len(applied) != 3 || applied[2] != applied[0] {
+		t.Fatalf("the third staging did not reuse slot 0 (%d applied)", len(applied))
 	}
-	q = sawQuery[1]
+	if d := applied[2].done.Load(); d != 3 {
+		t.Errorf("slot 0 reads done=%d after its second task, want seq+1 = 3", d)
+	}
+	q = sawQuery[2]
 	if &q[0] == &transient[0] || &q[0] == &row[0] {
 		t.Error("transient query must be a private copy")
 	}

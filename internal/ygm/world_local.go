@@ -15,6 +15,15 @@ import (
 // bytes the receiver can reach through shared memory (AsyncCharged).
 type World struct {
 	comms []*Comm
+
+	// Run's abort state, under mu: a failed rank (an error or a panic)
+	// closes the mailboxes only once every rank still running is
+	// waiting on an empty one, so no peer is aborted that a running
+	// rank can still send to.
+	mu       sync.Mutex
+	failed   bool
+	returned []bool // rank has left fn
+	waiting  []bool // rank is blocked on its empty mailbox
 }
 
 // localTransport delivers frames straight into the destination rank's
@@ -36,10 +45,16 @@ func NewLocalWorld(n int) *World {
 	if n < 1 {
 		panic("ygm: world size must be >= 1")
 	}
-	w := &World{comms: make([]*Comm, n)}
+	w := &World{comms: make([]*Comm, n), returned: make([]bool, n), waiting: make([]bool, n)}
 	for i := 0; i < n; i++ {
 		w.comms[i] = newComm(i, n)
 		w.comms[i].inProcess = true
+		w.comms[i].mbox.waiting = func(on bool) {
+			w.mu.Lock()
+			defer w.mu.Unlock()
+			w.waiting[i] = on
+			w.abortIfStuck()
+		}
 	}
 	for i := 0; i < n; i++ {
 		w.comms[i].tp = &localTransport{world: w, from: i}
@@ -74,12 +89,18 @@ func (e *RankError) Unwrap() error { return e.Err }
 // Run executes fn on every rank concurrently (SPMD) and waits for all
 // of them. Panics inside a rank — including handler panics and
 // transport failures — are captured and returned as a *RankError; the
-// first failing rank wins. After a failed run the world must be
-// discarded (peer ranks may be blocked; their mailboxes are closed to
-// unblock them).
+// first failing rank wins. A failure does not cut the others short:
+// ranks still running go on until each has returned or waits on an
+// empty mailbox, and only then are the mailboxes closed, which aborts
+// the waiters with errWorldAborted. So a rank that fails after sending
+// its peers what they wait for (the last collective of a run that
+// fails on every rank) lets them fail as it did. After a failed run
+// the world must be discarded.
 func (w *World) Run(fn func(c *Comm) error) error {
 	var wg sync.WaitGroup
 	errs := make([]error, len(w.comms))
+	clear(w.returned)
+	w.failed = false
 	for i := range w.comms {
 		wg.Add(1)
 		go func(rank int) {
@@ -95,18 +116,16 @@ func (w *World) Run(fn func(c *Comm) error) error {
 						Err:   err,
 						Stack: string(debug.Stack()),
 					}
-					// Unblock peers waiting on their mailboxes.
-					for _, c := range w.comms {
-						c.mbox.close()
-					}
 				}
+				w.mu.Lock()
+				defer w.mu.Unlock()
+				w.returned[rank] = true
+				w.failed = w.failed || errs[rank] != nil
+				w.abortIfStuck()
 			}()
 			w.comms[rank].BindOwner()
 			if err := fn(w.comms[rank]); err != nil {
 				errs[rank] = &RankError{Rank: rank, Err: err}
-				for _, c := range w.comms {
-					c.mbox.close()
-				}
 			}
 		}(i)
 	}
@@ -133,4 +152,21 @@ func (w *World) AggregateStats() Stats {
 		total.Add(c.Stats())
 	}
 	return total
+}
+
+// abortIfStuck closes every mailbox once a rank has failed and every
+// rank still running waits on an empty mailbox: none of them can then
+// be sent anything. Called with mu held.
+func (w *World) abortIfStuck() {
+	if !w.failed {
+		return
+	}
+	for i, c := range w.comms {
+		if !w.returned[i] && (!w.waiting[i] || !c.mbox.empty()) {
+			return
+		}
+	}
+	for _, c := range w.comms {
+		c.mbox.close()
+	}
 }

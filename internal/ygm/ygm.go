@@ -97,6 +97,10 @@ type mailbox struct {
 	peakDepth int
 	peakBytes int64
 	curBytes  int64
+	// waiting, when set, is told when the owner starts (true) and stops
+	// (false) blocking on the empty mailbox; it runs without mu held.
+	// The in-process world uses it to abort only a deadlocked world.
+	waiting func(bool)
 }
 
 func newMailbox() *mailbox {
@@ -138,7 +142,19 @@ func (m *mailbox) popBlocking() (delivery, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for len(m.q) == 0 && !m.closed {
-		m.cond.Wait()
+		if m.waiting == nil {
+			m.cond.Wait()
+			continue
+		}
+		m.mu.Unlock()
+		m.waiting(true)
+		m.mu.Lock()
+		if len(m.q) == 0 && !m.closed {
+			m.cond.Wait()
+		}
+		m.mu.Unlock()
+		m.waiting(false)
+		m.mu.Lock()
 	}
 	if len(m.q) == 0 {
 		return delivery{}, false

@@ -369,6 +369,39 @@ func TestRunRecoversHandlerPanic(t *testing.T) {
 	}
 }
 
+// A rank that fails must not abort a peer that a running rank still
+// serves. Every rank here leaves the same two reductions with an error,
+// as every rank leaves a build whose owner tables disagree, so every
+// rank must return its own error and none may abort. The reduction's
+// root answers ranks 0, 1, 2 in turn, so rank 1 can fail before the
+// root's answer reaches rank 2; closing every mailbox at the first
+// error aborts rank 2 in about one run in forty.
+func TestFailedRankAbortsNoPeerStillServed(t *testing.T) {
+	const runs, nranks = 400, 3
+	aborted := 0
+	for range runs {
+		var returned [nranks]atomic.Bool
+		err := NewLocalWorld(nranks).Run(func(c *Comm) error {
+			v := c.AllReduceMax(int64(c.Rank()))
+			v += c.AllReduceMax(v)
+			returned[c.Rank()].Store(true)
+			return fmt.Errorf("rank %d read %d", c.Rank(), v)
+		})
+		var re *RankError
+		if !errors.As(err, &re) || errors.Is(err, errWorldAborted) {
+			t.Fatalf("Run returned %v, want a rank's own error", err)
+		}
+		for r := range returned {
+			if !returned[r].Load() {
+				aborted++
+			}
+		}
+	}
+	if aborted > 0 {
+		t.Errorf("%d ranks aborted over %d runs, want 0", aborted, runs)
+	}
+}
+
 func TestAsyncValidation(t *testing.T) {
 	w := NewLocalWorld(1)
 	err := w.Run(func(c *Comm) error {

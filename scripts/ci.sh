@@ -99,12 +99,15 @@ go test -race ./internal/ygm/ ./internal/core/
 
 echo "== go test -race (construction worker pool ring, repeated)"
 # The stage/claim/apply ring (internal/core/workpool.go) hands tasks
-# between the applier and its helpers through atomics; a lost or
-# doubly-applied task, or a race on a sealed slot, shows up only on
-# some schedules. These are the ring's own tests, against fake
-# kernels and apply callbacks, plus the ring's bound at N ranks (a 4-rank
-# local and a 3-rank TCP build), whose backlog depends on the schedule.
-go test -race -count=20 -run '^(TestApplyOrderEqualsStageOrder|TestStagingInsideApplyDoesNotRecurse|TestPendingHookTrueUntilLastApply|TestEvalPanicSurfacesOnApplier|TestStableQueryAliasSurvivesRecycle|TestStagedWorkStaysWithinRingBound|TestApplierComputesAheadOfClaimedHead)$' ./internal/core/
+# between the applier and its helpers through one atomic claim cursor
+# over a fixed slot array; a lost, doubly-claimed or doubly-applied
+# task, or a race on a reused slot, shows up only on some schedules.
+# These are the ring's own tests, against fake kernels and apply
+# callbacks (exactly-once evaluation, compute-ahead past a held head,
+# slot reuse, the staging-during-apply panic), plus the ring's bound at
+# N ranks (a 4-rank local and a 3-rank TCP build), whose backlog
+# depends on the schedule.
+go test -race -count=20 -run '^(TestApplyOrderEqualsStageOrder|TestEachTaskEvaluatedOnce|TestStagingInsideApplyPanics|TestPendingHookTrueUntilLastApply|TestEvalPanicSurfacesOnApplier|TestStableQueryAliasSurvivesSlotReuse|TestStagedWorkStaysWithinRingBound|TestApplierComputesAheadOfClaimedHead)$' ./internal/core/
 
 echo "== go test -race (quiescence with deferred local work, repeated)"
 # A barrier that releases while a rank still owes staged replies loses
