@@ -86,7 +86,8 @@ type BuildOptions struct {
 	// PruneFactor is the post-refinement degree cap multiplier m
 	// (default 1.5); it must be >= 1.
 	PruneFactor float64
-	// Seed makes sampling reproducible (default 1).
+	// Seed keys the build's random draws (default 1). They do not
+	// depend on Ranks: only the order updates apply in does.
 	Seed int64
 	// Tracer, when non-nil, records the build's span timeline (one
 	// track per rank; export with Tracer.WriteJSON). The graph and

@@ -37,9 +37,11 @@ func TestSec52Recall(t *testing.T) {
 	if len(rows) != 6 {
 		t.Fatalf("%d rows, want 6 small datasets", len(rows))
 	}
+	// The paper reports >= 0.93 everywhere and >= 0.99 on most sets;
+	// at quick scale every preset read 0.97-0.99 over seeds 1-5.
 	for _, r := range rows {
-		if r.Recall < 0.70 {
-			t.Errorf("%s: recall %.3f unreasonably low even at quick scale", r.Dataset, r.Recall)
+		if r.Recall < 0.96 {
+			t.Errorf("%s: recall %.3f, want >= 0.96", r.Dataset, r.Recall)
 		}
 		if r.Iters < 1 {
 			t.Errorf("%s: no descent rounds", r.Dataset)
@@ -64,11 +66,14 @@ func TestFig4CommSaving(t *testing.T) {
 		if rs[0].Protocol != "unoptimized" || rs[1].Protocol != "optimized" {
 			t.Fatalf("%s: row order %v", name, rs)
 		}
-		if rs[1].ByteRatio > 0.75 {
-			t.Errorf("%s: optimized byte ratio %.2f, want <= 0.75", name, rs[1].ByteRatio)
+		// The paper's "~50 %" on both axes. Over seeds 1-5 the message
+		// ratio read 0.55 and the byte ratio 0.48-0.50 on both
+		// datasets; the bands leave about 0.04 on each side.
+		if r := rs[1].MsgRatio; r < 0.50 || r > 0.60 {
+			t.Errorf("%s: optimized msg ratio %.3f, want 0.50-0.60", name, r)
 		}
-		if rs[1].MsgRatio > 0.9 {
-			t.Errorf("%s: optimized msg ratio %.2f, want <= 0.9", name, rs[1].MsgRatio)
+		if r := rs[1].ByteRatio; r < 0.44 || r > 0.54 {
+			t.Errorf("%s: optimized byte ratio %.3f, want 0.44-0.54", name, r)
 		}
 		// Unoptimized flow has no Type 3 messages.
 		if rs[0].Type3 != 0 {
@@ -211,6 +216,12 @@ func TestBatchSizeAblation(t *testing.T) {
 	if rows[0].Barriers <= rows[1].Barriers {
 		t.Errorf("smaller batch should mean more barriers: %+v", rows)
 	}
+	// What the batch bounds is the memory in flight: over seeds 1-5,
+	// batch 1 024 peaked at about 1/45 of batch 65 536's mailbox bytes.
+	if 10*rows[0].PeakMailboxBytes > rows[1].PeakMailboxBytes {
+		t.Errorf("peak mailbox bytes %d at batch %d, want <= 1/10 of %d at batch %d",
+			rows[0].PeakMailboxBytes, rows[0].BatchSize, rows[1].PeakMailboxBytes, rows[1].BatchSize)
+	}
 }
 
 func TestGraphOptAblation(t *testing.T) {
@@ -246,6 +257,20 @@ func TestCommSavingAblation(t *testing.T) {
 		if full.Bytes >= r.Bytes {
 			t.Errorf("full protocol bytes %d not below %q bytes %d", full.Bytes, r.Variant, r.Bytes)
 		}
+	}
+	// Each technique must save at its measured strength, not only in
+	// order. Over seeds 1-5: one-sided 47-48 % of two-sided bytes,
+	// skip redundant 4.8-5.7 % of one-sided bytes, prune distant 29 % of
+	// skip redundant's messages.
+	saved := func(after, before int64) float64 { return 1 - float64(after)/float64(before) }
+	if s := saved(rows[1].Bytes, rows[0].Bytes); s < 0.40 {
+		t.Errorf("one-sided saves %.3f of two-sided bytes, want >= 0.40", s)
+	}
+	if s := saved(rows[2].Bytes, rows[1].Bytes); s < 0.03 {
+		t.Errorf("skip redundant saves %.3f of bytes, want >= 0.03", s)
+	}
+	if s := saved(rows[3].Msgs, rows[2].Msgs); s < 0.20 {
+		t.Errorf("prune distant saves %.3f of messages, want >= 0.20", s)
 	}
 	// All variants must produce comparable quality.
 	for _, r := range rows {

@@ -2,11 +2,11 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 
 	"dnnd/internal/knng"
 	"dnnd/internal/metric"
 	"dnnd/internal/obs"
+	"dnnd/internal/splitmix"
 	"dnnd/internal/wire"
 	"dnnd/internal/ygm"
 )
@@ -35,7 +35,7 @@ type builder[T wire.Scalar] struct {
 	cfg   Config
 	kern  metric.Kernel[T]
 	shard *Shard[T]
-	rng   *rand.Rand
+	iter  int // the descent round under way; 0 during initialization
 
 	// Phases in execution order; handler names are qualified by them
 	// (e.g. "nd.check.type2"), and catalog lists every handler they
@@ -67,9 +67,8 @@ type builder[T wire.Scalar] struct {
 	r            *wire.Reader  // handler decode reader (handlers never nest)
 	vecScratch   []T           // wire-vector decode target (Type 2, init)
 	visited      knng.VisitSet // epoch-stamped marks, lazily sized to N
-	candScratch  []knng.ID     // sampleLists candidate buffer
-	shufScratch  []knng.ID     // unionSample shuffle buffer
-	orderScratch []int         // exchangeReverse vertex order
+	orderScratch []knng.ID     // exchangeReverse vertex order
+	prio         []uint64      // byPriority's packed sort keys
 	norms        []float32     // kern.Norm per local vector (fused cosine)
 
 	// byRef is set on an in-process world, where every shard was cut by
@@ -165,67 +164,11 @@ func buildIncremental[T wire.Scalar](c *ygm.Comm, shard *Shard[T], kern metric.K
 		return nil, fmt.Errorf("core: warm graph has %d vertices but dataset only %d",
 			prior.NumVertices(), shard.N)
 	}
-	b := &builder[T]{
-		c:      c,
-		cfg:    cfg,
-		kern:   kern,
-		shard:  shard,
-		rng:    rand.New(rand.NewSource(cfg.Seed*7919 + int64(c.Rank()))),
-		w:      wire.NewWriter(256),
-		replyW: wire.NewWriter(256),
-		r:      wire.NewReader(nil),
-		byRef:  c.InProcess(),
+	b, stop, err := newBuilder(c, shard, kern, cfg, prior, dead)
+	if err != nil {
+		return nil, err
 	}
-	if b.byRef {
-		b.data = shard.data
-	}
-	b.register()
-
-	b.lists = knng.MakeNeighborLists(shard.Len(), cfg.K)
-	b.olds = make([][]knng.ID, shard.Len())
-	b.news = make([][]knng.ID, shard.Len())
-
-	if kern.Norm != nil && kern.FnPre != nil {
-		b.norms = make([]float32, shard.Len())
-		for i, v := range shard.Vecs {
-			b.norms[i] = kern.Norm(v)
-		}
-	}
-
-	// The worker pool exists at every width (including 1): the ring's
-	// stage/apply discipline is part of the message interleaving, so
-	// running it unconditionally is what makes results independent of
-	// the worker count. Distance batches evaluate through the metric
-	// kernel (bit-identical on every path by the metric.Kernel
-	// contract) and effects land through b.applyTask. The local-work
-	// hook keeps ygm quiescence honest while staged tasks still owe
-	// replies; it is detached before the pool stops.
-	b.pool = newWorkpool(resolveWorkers(cfg.workers, c.NRanks()), kern.EvalMany, b.applyTask, c.Trace())
-	c.SetLocalWork(b.pool.runHook, b.pool.pendingHook, b.pool.applyingHook)
-	defer func() {
-		c.SetLocalWork(nil, nil, nil)
-		b.pool.shutdown()
-	}()
-
-	b.warm = prior
-	b.dead = dead
-
-	// Every rank routes by its own owner table, so the tables must agree
-	// before the first message; otherwise one rank would panic on a
-	// vertex it does not own and the others would wait for it. Both
-	// collectives run on every rank, so every rank returns the same
-	// error. The checksum keeps 63 bits so that negating it cannot
-	// overflow.
-	sum := int64(shard.own.sum >> 1)
-	hi := c.AllReduceMax(sum)
-	lo := -c.AllReduceMax(-sum)
-	if lo != hi {
-		return nil, &OwnershipError{Lo: uint64(lo), Hi: uint64(hi)}
-	}
-	if shard.own.nranks != c.NRanks() {
-		return nil, fmt.Errorf("core: shard partitioned over %d ranks in a world of %d", shard.own.nranks, c.NRanks())
-	}
-
+	defer stop()
 	res := &Result{K: cfg.K, N: shard.N, Workers: b.pool.workers}
 
 	b.initGraph()
@@ -236,7 +179,8 @@ func buildIncremental[T wire.Scalar](c *ygm.Comm, shard *Shard[T], kern metric.K
 	for res.Iters < cfg.MaxIters {
 		res.Iters++
 		rsp := c.Trace().BeginArg("nd.round", int64(res.Iters))
-		checks := b.round()
+		b.sample(res.Iters)
+		checks := b.neighborChecks()
 		globalUpdates := c.AllReduceSum(b.updates)
 		globalChecks := c.AllReduceSum(checks)
 		b.updates = 0
@@ -258,6 +202,67 @@ func buildIncremental[T wire.Scalar](c *ygm.Comm, shard *Shard[T], kern metric.K
 	// their transports (important for multi-process TCP worlds).
 	c.Barrier()
 	return res, nil
+}
+
+// newBuilder checks that the ranks' owner tables agree and sets up one
+// rank's builder and worker pool; stop detaches and stops the pool.
+func newBuilder[T wire.Scalar](c *ygm.Comm, shard *Shard[T], kern metric.Kernel[T], cfg Config, prior *knng.Graph, dead *knng.TombSet) (b *builder[T], stop func(), err error) {
+	// Every rank routes by its own owner table, so the tables must agree
+	// before the first message; otherwise one rank would panic on a
+	// vertex it does not own and the others would wait for it. Both
+	// collectives run on every rank, so every rank returns the same
+	// error. The checksum keeps 63 bits so that negating it cannot
+	// overflow.
+	sum := int64(shard.own.sum >> 1)
+	hi := c.AllReduceMax(sum)
+	lo := -c.AllReduceMax(-sum)
+	if lo != hi {
+		return nil, nil, &OwnershipError{Lo: uint64(lo), Hi: uint64(hi)}
+	}
+	if shard.own.nranks != c.NRanks() {
+		return nil, nil, fmt.Errorf("core: shard partitioned over %d ranks in a world of %d", shard.own.nranks, c.NRanks())
+	}
+	b = &builder[T]{
+		c:      c,
+		cfg:    cfg,
+		kern:   kern,
+		shard:  shard,
+		w:      wire.NewWriter(256),
+		replyW: wire.NewWriter(256),
+		r:      wire.NewReader(nil),
+		byRef:  c.InProcess(),
+		warm:   prior,
+		dead:   dead,
+	}
+	if b.byRef {
+		b.data = shard.data
+	}
+	b.register()
+
+	b.lists = knng.MakeNeighborLists(shard.Len(), cfg.K)
+	b.olds = make([][]knng.ID, shard.Len())
+	b.news = make([][]knng.ID, shard.Len())
+	b.oldRevRows = make([][]knng.ID, shard.Len())
+	b.newRevRows = make([][]knng.ID, shard.Len())
+
+	if kern.Norm != nil && kern.FnPre != nil {
+		b.norms = make([]float32, shard.Len())
+		for i, v := range shard.Vecs {
+			b.norms[i] = kern.Norm(v)
+		}
+	}
+
+	// The worker pool exists at every width (including 1): the ring's
+	// stage/apply discipline is part of the message interleaving, so
+	// running it unconditionally is what makes results independent of
+	// the worker count. Distance batches evaluate through the metric
+	// kernel (bit-identical on every path by the metric.Kernel
+	// contract) and effects land through b.applyTask. The local-work
+	// hook keeps ygm quiescence honest while staged tasks still owe
+	// replies; it is detached before the pool stops.
+	b.pool = newWorkpool(resolveWorkers(cfg.workers, c.NRanks()), kern.EvalMany, b.applyTask, c.Trace())
+	c.SetLocalWork(b.pool.runHook, b.pool.pendingHook, b.pool.applyingHook)
+	return b, func() { c.SetLocalWork(nil, nil, nil); b.pool.shutdown() }, nil
 }
 
 // LocalBuild is the outcome of BuildLocal: rank 0's Result, which
@@ -409,13 +414,6 @@ func (b *builder[T]) getVec(r *wire.Reader, id knng.ID) (vec []T, stable bool) {
 	return v, false
 }
 
-// beginVisit starts a fresh generation of the builder's shared visited
-// set over the global ID space. The epoch-stamp mechanics live in
-// knng.VisitSet, shared with the search path's pooled contexts.
-func (b *builder[T]) beginVisit() {
-	b.visited.Begin(b.shard.N)
-}
-
 // applyTask applies one task's effects on the rank goroutine: the
 // neighbor-list reads/writes, protocol decisions, counters, and reply
 // sends that depend on its distances. Tasks apply in submission order,
@@ -440,16 +438,27 @@ func (b *builder[T]) applyTask(t *task[T]) {
 	}
 }
 
-// round executes one NN-Descent iteration and returns the number of
-// check pairs generated locally. Phase wall time accumulates on the
-// phases.
-func (b *builder[T]) round() int64 {
-	if cap(b.olds) < b.shard.Len() {
-		b.olds = make([][]knng.ID, b.shard.Len())
-		b.news = make([][]knng.ID, b.shard.Len())
-	}
+// sample fills olds and news for round iter (Algorithm 1 lines 7-16).
+func (b *builder[T]) sample(iter int) {
+	b.iter = iter
 	b.phSample.local(b.sampleLists)
 	b.exchangeReverse()
 	b.phSample.local(b.mergeReverseSamples)
-	return b.neighborChecks()
+}
+
+// The build's random choices. Each is keyed by (seed, round, vertex or
+// rank, purpose), so none depends on the rank count or arrival order.
+const (
+	drawInit   uint64 = iota // a vertex's initial partners
+	drawSample               // the order of a vertex's olds and news
+	drawRevOld               // the sample of a vertex's reverse old row
+	drawRevNew               // the sample of a vertex's reverse new row
+	drawSend                 // a rank's Section 4.2 send order
+)
+
+// draw is the key of one random choice of the round under way. Each
+// word joins the hash after it is mixed, so no two words cancel.
+func (b *builder[T]) draw(who, purpose uint64) uint64 {
+	h := splitmix.Mix64(splitmix.Mix64(uint64(b.cfg.Seed))^uint64(b.iter)) ^ who
+	return splitmix.Mix64(splitmix.Mix64(h) ^ purpose)
 }

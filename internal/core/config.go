@@ -67,7 +67,8 @@ type Config struct {
 	BatchSize int64
 	// Protocol selects the neighbor-check communication pattern.
 	Protocol Protocol
-	// Seed drives all sampling; each rank derives its own stream.
+	// Seed keys every random choice of the build, by round, vertex and
+	// purpose, so no draw depends on the rank count or arrival order.
 	Seed int64
 
 	// workers, when positive, fixes the intra-rank worker-pool width for

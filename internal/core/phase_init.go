@@ -3,13 +3,14 @@ package core
 import (
 	"dnnd/internal/knng"
 	"dnnd/internal/msg"
+	"dnnd/internal/splitmix"
 )
 
 // Phase 1: random initialization (Algorithm 1 lines 2-5). Each vertex
-// picks K distinct random partners; distances are evaluated at the
-// partner's owner (msg.InitReq) and returned (msg.InitResp). Warm
-// builds load the prior's lists first (see SeedAppended for how the
-// rows it does not cover get theirs).
+// draws K distinct partners from its keyed stream; distances are
+// evaluated at the partner's owner (msg.InitReq) and returned
+// (msg.InitResp). Warm builds load the prior's lists first (see
+// SeedAppended for how the rows it does not cover get theirs).
 
 func (b *builder[T]) initGraph() {
 	w := b.phaseWriter()
@@ -27,7 +28,7 @@ func (b *builder[T]) initGraph() {
 			return
 		}
 		need := b.cfg.K
-		b.beginVisit()
+		b.visited.Begin(b.shard.N)
 		// Warm start: vertices the prior graph covers keep their
 		// lists (distances already known, no communication) with the
 		// prior's flags. Every gathered, decoded or stored graph is
@@ -54,8 +55,9 @@ func (b *builder[T]) initGraph() {
 			return
 		}
 		vec := b.shard.Vecs[i]
+		rng := splitmix.Stream(b.draw(uint64(v), drawInit))
 		for need > 0 {
-			u := knng.ID(b.rng.Intn(b.shard.N))
+			u := knng.ID(rng.Intn(b.shard.N))
 			if b.dead.Dead(u) {
 				continue
 			}

@@ -51,7 +51,7 @@ func (b *builder[T]) mergeFinal(limit int) {
 // deduplicating through the builder's visited set, and prunes to limit.
 func (b *builder[T]) mergeVertex(i, limit int) []knng.Neighbor {
 	merged := b.lists[i].Sorted()
-	b.beginVisit()
+	b.visited.Begin(b.shard.N)
 	for _, e := range merged {
 		b.visited.Mark(e.ID)
 	}

@@ -10,28 +10,20 @@ import (
 // matrices share the layout and are told apart by handler ID.
 
 // exchangeReverse sends each (u <- v) relationship to u's owner,
-// visiting local vertices in a shuffled order to avoid synchronized
-// bursts at one destination (Section 4.2).
+// visiting local vertices in a random order keyed by the rank, to
+// avoid synchronized bursts at one destination (Section 4.2).
 func (b *builder[T]) exchangeReverse() {
-	var order []int
+	var order []knng.ID // shard indices
 	b.phReverse.local(func() {
-		if b.oldRevRows == nil {
-			b.oldRevRows = make([][]knng.ID, b.shard.Len())
-			b.newRevRows = make([][]knng.ID, b.shard.Len())
-		}
 		for i := range b.oldRevRows {
 			b.oldRevRows[i] = b.oldRevRows[i][:0]
 			b.newRevRows[i] = b.newRevRows[i][:0]
 		}
-
-		if cap(b.orderScratch) < b.shard.Len() {
-			b.orderScratch = make([]int, b.shard.Len())
+		order = b.orderScratch[:0]
+		for i := range b.shard.IDs {
+			order = append(order, knng.ID(i))
 		}
-		order = b.orderScratch[:b.shard.Len()]
-		for i := range order {
-			order[i] = i
-		}
-		b.rng.Shuffle(len(order), func(a, z int) { order[a], order[z] = order[z], order[a] })
+		b.orderScratch = b.byPriority(order, b.draw(uint64(b.c.Rank()), drawSend), len(order))
 	})
 
 	w := b.phaseWriter()

@@ -4,6 +4,8 @@ import (
 	"os"
 	"sync/atomic"
 	"time"
+
+	"dnnd/internal/splitmix"
 )
 
 // Cross-process trace context. A TraceCtx names a position in a
@@ -32,17 +34,6 @@ const TraceIDBits = 52
 
 const idMask = (uint64(1) << TraceIDBits) - 1
 
-// splitmix64 finalizer: a fast, well-mixed injection used to spread
-// the sequential counter over the ID space.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
 // idState seeds the per-process ID sequence from the wall clock and
 // pid, so independent processes draw from disjoint-with-overwhelming-
 // probability sequences without coordination.
@@ -52,9 +43,10 @@ var idState = func() *atomic.Uint64 {
 	return &s
 }()
 
+// newID spreads the sequential counter over the ID space.
 func newID() uint64 {
 	for {
-		if id := mix64(idState.Add(1)) & idMask; id != 0 {
+		if id := splitmix.Mix64(idState.Add(1)) & idMask; id != 0 {
 			return id
 		}
 	}

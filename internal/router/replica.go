@@ -102,7 +102,8 @@ type healthInfo struct {
 
 // parseHealth parses a health probe line: the first token is the
 // server state, the rest are key=value fields (unknown keys ignored,
-// so the format can keep growing).
+// so the format can keep growing). A known numeric key whose value
+// does not parse fails the whole line, so the probe counts as failed.
 func parseHealth(line string) (healthInfo, error) {
 	info := healthInfo{n: ^uint64(0), dim: ^uint64(0)}
 	fields := strings.Fields(strings.TrimSpace(line))
@@ -122,17 +123,21 @@ func parseHealth(line string) (healthInfo, error) {
 		if !found {
 			continue
 		}
+		var err error
 		switch k {
 		case "n":
-			info.n, _ = strconv.ParseUint(v, 10, 64)
+			info.n, err = strconv.ParseUint(v, 10, 64)
 		case "dim":
-			info.dim, _ = strconv.ParseUint(v, 10, 64)
+			info.dim, err = strconv.ParseUint(v, 10, 64)
 		case "elem":
 			info.elem = v
 		case "gen":
-			info.gen, _ = strconv.ParseUint(v, 10, 64)
+			info.gen, err = strconv.ParseUint(v, 10, 64)
 		case "now":
-			info.now, _ = strconv.ParseInt(v, 10, 64)
+			info.now, err = strconv.ParseInt(v, 10, 64)
+		}
+		if err != nil {
+			return info, fmt.Errorf("router: health field %q: %w", f, err)
 		}
 	}
 	return info, nil

@@ -57,6 +57,17 @@ func TestParseHealth(t *testing.T) {
 	if _, err := parseHealth(""); err == nil {
 		t.Fatal("empty line accepted")
 	}
+	// A malformed number in a known field fails the probe instead of
+	// reading as 0 (a shape mismatch for n and dim, a silent 0 for gen
+	// and now).
+	for _, line := range []string{"ok n=12x dim=8", "ok n=5 dim=-1", "ok n=5 gen=abc", "ok n=5 now=x", "ok n=5 dim="} {
+		if _, err := parseHealth(line); err == nil {
+			t.Errorf("%q accepted", line)
+		}
+	}
+	if info, err := parseHealth("ok n=5 dim=2 lanes=x now=-7"); err != nil || info.now != -7 {
+		t.Errorf("unknown key with a malformed value: %+v, %v", info, err)
+	}
 }
 
 func testManifest() *Manifest {

@@ -14,6 +14,7 @@ import (
 	"slices"
 
 	"dnnd/internal/knng"
+	"dnnd/internal/splitmix"
 	"dnnd/internal/wire"
 )
 
@@ -90,10 +91,10 @@ func Split[T wire.Scalar](data [][]T, seed int64, more func(lo, hi int) bool) *T
 func pivot[T wire.Scalar](a, b []T, seed uint64) node[T] {
 	if as, ok := any(a).([]uint32); ok {
 		for _, e := range as {
-			seed = mix64(seed ^ uint64(e))
+			seed = splitmix.Mix64(seed ^ uint64(e))
 		}
 		for _, e := range any(b).([]uint32) {
-			seed = mix64(seed ^ uint64(e))
+			seed = splitmix.Mix64(seed ^ uint64(e))
 		}
 		return node[T]{seed: seed}
 	}
@@ -126,7 +127,7 @@ func (nd *node[T]) key(x []T) float64 {
 	return s
 }
 
-// minHashKey is the least mix64(e ^ seed) over the elements e of x,
+// minHashKey is the least Mix64(e ^ seed) over the elements e of x,
 // shifted to 53 bits so the float64 holds it exactly. An empty set
 // sorts last.
 func minHashKey(x []uint32, seed uint64) float64 {
@@ -135,19 +136,9 @@ func minHashKey(x []uint32, seed uint64) float64 {
 	}
 	m := uint64(math.MaxUint64)
 	for _, e := range x {
-		m = min(m, mix64(uint64(e)^seed))
+		m = min(m, splitmix.Mix64(uint64(e)^seed))
 	}
 	return float64(m >> 11)
-}
-
-// mix64 is the splitmix64 finalizer.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
 }
 
 // selectNth reorders seg so that seg[:k] holds its k smallest IDs by

@@ -5,6 +5,7 @@ import (
 
 	"dnnd/internal/knng"
 	"dnnd/internal/metric"
+	"dnnd/internal/splitmix"
 	"dnnd/internal/wire"
 )
 
@@ -25,7 +26,7 @@ type Context[T wire.Scalar] struct {
 	front   knng.MinQueue
 	results knng.NeighborList // traversal result heap
 	out     []knng.Neighbor   // sorted output scratch (returned view)
-	rng     rng               // seeded per query by the entry points (see rng.go)
+	rng     rng               // seeded per query by the entry points
 
 	// One block of candidates: their IDs, rows and distances.
 	ids   []knng.ID
@@ -65,6 +66,12 @@ func (sc *Context[T]) scoreBlock(ids []knng.ID) []float32 {
 	sc.kern.EvalMany(sc.q, rows, nil, out)
 	return out
 }
+
+// rng draws a query's entry points: one word of state per query.
+type rng struct{ splitmix.Stream }
+
+func (r *rng) seed(s int64)   { r.Stream = splitmix.Stream(s) }
+func (r *rng) intn(n int) int { return r.Intn(n) }
 
 // SearchCtx is Query on pooled scratch: bit-identical results for the
 // same (graph, data, dist, q, opt, seed), but allocation-free at

@@ -109,6 +109,13 @@ echo "== go test -race (construction worker pool ring, repeated)"
 # depends on the schedule.
 go test -race -count=20 -run '^(TestApplyOrderEqualsStageOrder|TestEachTaskEvaluatedOnce|TestStagingInsideApplyPanics|TestPendingHookTrueUntilLastApply|TestEvalPanicSurfacesOnApplier|TestStableQueryAliasSurvivesSlotReuse|TestStagedWorkStaysWithinRingBound|TestApplierComputesAheadOfClaimedHead)$' ./internal/core/
 
+echo "== go test -race (keyed draws: rank-count independence, repeated)"
+# Initialization and round 1's sampling must give the same lists at
+# 1-4 ranks and pool widths 1 and 3 (the test sweeps both itself),
+# whatever order the reverse entries arrive in. Arrival order changes
+# only with the schedule, so one lucky run cannot show independence.
+DNND_TEST_WORKERS=3 go test -race -count=10 -run '^TestDrawsIndependentOfRankCount$' ./internal/core/
+
 echo "== go test -race (quiescence with deferred local work, repeated)"
 # A barrier that releases while a rank still owes staged replies loses
 # them only on some schedules; repeated so such a regression cannot
@@ -271,7 +278,7 @@ echo "== benchmark hang guard (one short run of every workload)"
 # build-gist-r1 runs one rank, so its protocol counters and graph hash
 # repeat exactly: comparing them to the literal makes a silent protocol
 # change (one message, one byte, one reordered RNG draw) fail here.
-gist_exact='# exact: iters=7 dist_evals=776560 messages=232514 bytes=95946164 graph_hash=1d85655e2e6da348'
+gist_exact='# exact: iters=7 dist_evals=772500 messages=232576 bytes=95947016 graph_hash=67cf92049714210b'
 for w in build-deep-r4 build-gist-r1 serve-routed serve-mutable; do
   out="$(timeout 180 bash benchmark/run.sh --workload "$w" --seed 1 --seconds 20 --trace 0 || true)"
   last="$(tail -1 <<<"$out")"
